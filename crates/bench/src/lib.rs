@@ -14,11 +14,9 @@
 
 pub mod figure;
 pub mod params;
-pub mod report;
 pub mod runner;
 pub mod timing;
 pub mod workload;
 
 pub use params::FigureParams;
-pub use report::Report;
 pub use runner::{measure_fmm, measure_gemm, Measured};

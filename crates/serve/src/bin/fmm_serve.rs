@@ -7,13 +7,13 @@
 //!                 [--no-watchdog] [--watchdog-stall-ms 1000]
 //!                 [--watchdog-abort-after MS] [--slow-ms 250]
 //! fmm_serve ping --addr HOST:PORT [--count 3]
-//! fmm_serve stats --addr HOST:PORT [--json | --prom]
+//! fmm_serve stats --addr HOST:PORT [--prom]
 //! fmm_serve audit --addr HOST:PORT [--threshold 0.5]
 //! fmm_serve top --addr HOST:PORT [--interval-ms 1000] [--once]
 //! fmm_serve trace --addr HOST:PORT [--last N] [--chrome FILE]
 //! fmm_serve doctor INCIDENT.json
 //! fmm_serve bench --addr HOST:PORT [--threads 4] [--requests 32]
-//!                 [--size 96] [--dtype f64|f32] [--pipeline 0] [--verify]
+//!                 [--size 96] [--dtype f64|f32] [--pipeline 1] [--verify]
 //! fmm_serve shutdown --addr HOST:PORT
 //! ```
 //!
@@ -21,16 +21,14 @@
 //! in-flight work, prints a final stats snapshot, and exits 0 — the clean
 //! shutdown CI asserts. `bench` is the network loadgen: N client threads
 //! each issuing M requests over their own connection, reporting aggregate
-//! throughput and client-observed latency percentiles. `--pipeline D`
-//! switches each thread to the protocol-v2 [`PipelinedClient`] holding a
-//! window of D requests in flight per connection; `0` (the default) keeps
-//! the blocking v1 client, whose `Busy` refusals are retried with
-//! [`retry_busy`] backoff. (The in-process batched-vs-unbatched
-//! comparison lives in `fmm-bench`'s `serve_smoke`.)
+//! throughput and client-observed latency percentiles. Each thread holds
+//! a window of `--pipeline D` requests in flight on its connection (the
+//! default, 1, is a blocking caller); a `Busy` refusal re-sends the same
+//! problem after a short pause.
 //!
-//! `stats --json` fetches the full observability registry (counters,
-//! gauges, per-phase latency histograms) as JSON; `--prom` fetches the
-//! same registry as Prometheus plaintext. `trace` dumps recent request
+//! `stats` fetches the full observability registry (counters, gauges,
+//! per-phase latency histograms) as JSON; `--prom` fetches the same
+//! registry as Prometheus plaintext. `trace` dumps recent request
 //! phase spans from a server running with `--trace` (or `FMM_TRACE=1`) as
 //! a per-request timeline, or as a chrome://tracing JSON file with
 //! `--chrome FILE`.
@@ -53,7 +51,7 @@
 //! single frame for scripts and CI smokes).
 
 use fmm_dense::{fill, norms, Matrix};
-use fmm_serve::{retry_busy, BatchPolicy, Client, PipelinedClient, ServeConfig, Server};
+use fmm_serve::{BatchPolicy, PipelinedClient, ServeConfig, Server};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -112,7 +110,6 @@ struct Options {
     event_threads: usize,
     pipeline: usize,
     trace: bool,
-    json: bool,
     prom: bool,
     last: u64,
     chrome: Option<String>,
@@ -143,9 +140,8 @@ impl Options {
             count: 3,
             verify: false,
             event_threads: 2,
-            pipeline: 0,
+            pipeline: 1,
             trace: false,
-            json: false,
             prom: false,
             last: 0,
             chrome: None,
@@ -227,10 +223,6 @@ impl Options {
                 }
                 "--trace" => {
                     o.trace = true;
-                    i += 1;
-                }
-                "--json" => {
-                    o.json = true;
                     i += 1;
                 }
                 "--prom" => {
@@ -352,12 +344,12 @@ fn cmd_serve(o: &Options) {
     }
     let metrics = handle.metrics_arc();
     handle.wait();
-    print!("{}", metrics.snapshot().render());
+    print!("{}", metrics.registry().render_prometheus());
     println!("fmm_serve: shutdown complete");
 }
 
-fn connect(o: &Options) -> Client {
-    match Client::connect(&o.addr) {
+fn connect(o: &Options) -> PipelinedClient {
+    match PipelinedClient::connect(&o.addr) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cannot connect to {}: {e}", o.addr);
@@ -383,13 +375,7 @@ fn cmd_ping(o: &Options) {
 
 fn cmd_stats(o: &Options) {
     let mut client = connect(o);
-    let result = if o.prom {
-        client.stats_prometheus()
-    } else if o.json {
-        client.stats_json()
-    } else {
-        client.stats()
-    };
+    let result = if o.prom { client.stats_prometheus() } else { client.stats_json() };
     match result {
         Ok(body) => {
             print!("{body}");
@@ -422,7 +408,7 @@ struct AuditRow {
     err_p99: u64,
 }
 
-/// Fetch `stats --json` from the server and parse it, exiting with a
+/// Fetch the stats snapshot from the server and parse it, exiting with a
 /// diagnostic on connection or decode failure.
 fn fetch_stats_json(o: &Options) -> fmm_core::json::Value {
     let mut client = connect(o);
@@ -456,13 +442,10 @@ fn json_text(obj: &std::collections::BTreeMap<String, fmm_core::json::Value>, ke
 
 /// Decode the `audit` section into rows sorted worst-model-error first
 /// (the `fmm_serve audit` ranking; `top` reuses the same decode).
-/// Returns `None` when the snapshot carries no `audit` section at all —
-/// an older daemon speaking a pre-audit stats schema — so callers can
-/// degrade with a clear message instead of silently showing nothing.
-fn decode_audit_rows(stats: &fmm_core::json::Value) -> Option<Vec<AuditRow>> {
+fn decode_audit_rows(stats: &fmm_core::json::Value) -> Vec<AuditRow> {
     use fmm_core::json::Value;
-    let Value::Object(root) = stats else { return None };
-    let Some(Value::Object(audit)) = root.get("audit") else { return None };
+    let Value::Object(root) = stats else { return Vec::new() };
+    let Some(Value::Object(audit)) = root.get("audit") else { return Vec::new() };
     let mut rows: Vec<AuditRow> = audit
         .values()
         .filter_map(|entry| {
@@ -502,24 +485,14 @@ fn decode_audit_rows(stats: &fmm_core::json::Value) -> Option<Vec<AuditRow>> {
     rows.sort_by(|a, b| {
         b.error_log2.partial_cmp(&a.error_log2).unwrap_or(std::cmp::Ordering::Equal)
     });
-    Some(rows)
-}
-
-/// The one-line degradation message shared by `audit` and `top` when the
-/// daemon's stats schema predates the decision audit.
-fn audit_schema_missing(addr: &str) -> ! {
-    eprintln!(
-        "fmm_serve: {addr} reports a stats schema without an audit section \
-         (older daemon?) — upgrade the server or use `fmm_serve stats --json`"
-    );
-    std::process::exit(1);
+    rows
 }
 
 /// Rank shape classes by predicted-vs-measured model error and flag
 /// retune candidates, bridging straight into `fmm_tune explore`.
 fn cmd_audit(o: &Options) {
     let stats = fetch_stats_json(o);
-    let Some(rows) = decode_audit_rows(&stats) else { audit_schema_missing(&o.addr) };
+    let rows = decode_audit_rows(&stats);
     if rows.is_empty() {
         println!("no audit samples recorded yet (send some multiplies first)");
         return;
@@ -651,7 +624,7 @@ fn cmd_top(o: &Options) {
             json_num(counters, "fmm_serve_batches_total") as u64,
             json_num(counters, "fmm_serve_batched_items_total") as u64,
             json_num(counters, "fmm_serve_batch_occupancy_max") as u64,
-            json_num(counters, "fmm_serve_rejects_busy_total") as u64,
+            json_num(counters, "fmm_serve_errors_total_busy") as u64,
         );
         println!("{:<28} {:>9} {:>9} {:>9} {:>9}", "phase", "count", "p50 ms", "p99 ms", "max ms");
         if let Some(Value::Object(hists)) = root.get("histograms") {
@@ -670,7 +643,7 @@ fn cmd_top(o: &Options) {
                 }
             }
         }
-        let Some(rows) = decode_audit_rows(&stats) else { audit_schema_missing(&o.addr) };
+        let rows = decode_audit_rows(&stats);
         let mut totals = std::collections::BTreeMap::new();
         if rows.is_empty() {
             println!("audit: no samples yet");
@@ -1088,37 +1061,27 @@ fn cmd_shutdown(o: &Options) {
 fn cmd_bench(o: &Options) {
     assert!(o.dtype == "f64" || o.dtype == "f32", "--dtype takes f64 or f32");
     let n = o.size;
-    let mode =
-        if o.pipeline > 0 { format!("pipelined x{}", o.pipeline) } else { "blocking".to_string() };
+    let depth = o.pipeline.max(1);
     println!(
-        "bench: {} threads x {} requests, {}^3 {}, {mode}, against {}",
+        "bench: {} threads x {} requests, {}^3 {}, pipelined x{depth}, against {}",
         o.threads, o.requests, n, o.dtype, o.addr
     );
+    let run = |count: usize, seed: u64, depth: usize| {
+        if o.dtype == "f32" {
+            run_pipelined::<f32>(o, count, seed, depth)
+        } else {
+            run_pipelined::<f64>(o, count, seed, depth)
+        }
+    };
 
     // Warmup (and connectivity check): one request outside the timed
     // region so the server's decision/plan/arena caches are hot.
-    {
-        let mut client = connect(o);
-        run_requests(&mut client, o, 1, 0);
-    }
+    run(1, 0, 1);
 
     let t0 = Instant::now();
     let all_latencies: Vec<Vec<f64>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..o.threads.max(1))
-            .map(|t| {
-                s.spawn(move || {
-                    if o.pipeline > 0 {
-                        if o.dtype == "f32" {
-                            run_pipelined::<f32>(o, o.requests, t as u64, o.pipeline)
-                        } else {
-                            run_pipelined::<f64>(o, o.requests, t as u64, o.pipeline)
-                        }
-                    } else {
-                        let mut client = connect(o);
-                        run_requests(&mut client, o, o.requests, t as u64)
-                    }
-                })
-            })
+            .map(|t| s.spawn(move || run(o.requests, t as u64, depth)))
             .collect();
         handles.into_iter().map(|h| h.join().expect("bench thread panicked")).collect()
     });
@@ -1139,63 +1102,17 @@ fn cmd_bench(o: &Options) {
     );
 }
 
-/// How patiently the loadgen rides out `Busy` refusals: up to 8 tries
-/// with backoff starting at 1 ms. Enough to survive a saturated queue
-/// window; a server that refuses for this long is a real result.
-const BUSY_ATTEMPTS: usize = 8;
-const BUSY_BASE_DELAY: Duration = Duration::from_millis(1);
+/// How long the loadgen pauses before re-sending a request the server
+/// refused with `Busy`.
+const BUSY_PAUSE: Duration = Duration::from_millis(1);
 
-/// Issue `count` requests on one connection; returns per-request client
-/// latencies in seconds. `Busy` refusals are retried with backoff (the
-/// latency clock keeps running across retries, so refusals show up as
-/// tail latency, not as missing samples). With `--verify`, the first
-/// response is checked against the local blocked-GEMM reference.
-fn run_requests(client: &mut Client, o: &Options, count: usize, seed: u64) -> Vec<f64> {
-    let n = o.size;
-    let mut latencies = Vec::with_capacity(count);
-    if o.dtype == "f32" {
-        let a = fill::bench_workload_t::<f32>(n, n, 2 * seed + 1);
-        let b = fill::bench_workload_t::<f32>(n, n, 2 * seed + 2);
-        for i in 0..count {
-            let t0 = Instant::now();
-            let c = retry_busy(BUSY_ATTEMPTS, BUSY_BASE_DELAY, seed ^ i as u64, || {
-                client.multiply(&a, &b)
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("request failed: {e}");
-                std::process::exit(1);
-            });
-            latencies.push(t0.elapsed().as_secs_f64());
-            if o.verify && i == 0 {
-                verify_against_reference(&a, &b, &c);
-            }
-        }
-    } else {
-        let a = fill::bench_workload(n, n, 2 * seed + 1);
-        let b = fill::bench_workload(n, n, 2 * seed + 2);
-        for i in 0..count {
-            let t0 = Instant::now();
-            let c = retry_busy(BUSY_ATTEMPTS, BUSY_BASE_DELAY, seed ^ i as u64, || {
-                client.multiply(&a, &b)
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("request failed: {e}");
-                std::process::exit(1);
-            });
-            latencies.push(t0.elapsed().as_secs_f64());
-            if o.verify && i == 0 {
-                verify_against_reference(&a, &b, &c);
-            }
-        }
-    }
-    latencies
-}
-
-/// Pipelined loadgen body: one protocol-v2 [`PipelinedClient`] keeping up
-/// to `depth` requests in flight on a single connection; returns
-/// per-request latencies (send → matched response) in seconds. A `Busy`
-/// refusal re-sends the same problem after a short pause without
-/// resetting that request's latency clock.
+/// Loadgen body: one [`PipelinedClient`] keeping up to `depth` requests in
+/// flight on a single connection; returns per-request latencies (send →
+/// matched response) in seconds. A `Busy` refusal re-sends the same
+/// problem after a short pause without resetting that request's latency
+/// clock, so refusals show up as tail latency, not as missing samples.
+/// With `--verify`, the first response is checked against the local
+/// blocked-GEMM reference.
 fn run_pipelined<T>(o: &Options, count: usize, seed: u64, depth: usize) -> Vec<f64>
 where
     T: fmm_serve::WireScalar + fmm_gemm::GemmScalar,
@@ -1203,10 +1120,7 @@ where
     let n = o.size;
     let a = fill::bench_workload_t::<T>(n, n, 2 * seed + 1);
     let b = fill::bench_workload_t::<T>(n, n, 2 * seed + 2);
-    let mut client = PipelinedClient::connect(&o.addr).unwrap_or_else(|e| {
-        eprintln!("cannot connect to {}: {e}", o.addr);
-        std::process::exit(1);
-    });
+    let mut client = connect(o);
     let send = |client: &mut PipelinedClient| {
         client.send(&a, &b).unwrap_or_else(|e| {
             eprintln!("send failed: {e}");
@@ -1233,7 +1147,7 @@ where
                 }
             }
             Err(e) if e.is_busy() => {
-                std::thread::sleep(BUSY_BASE_DELAY);
+                std::thread::sleep(BUSY_PAUSE);
                 window.push_back((send(&mut client), t0));
             }
             Err(e) => {

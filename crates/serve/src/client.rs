@@ -1,23 +1,21 @@
-//! Clients for the `fmm-serve` protocol — the library the e2e tests, the
-//! `fmm_serve` CLI, and the `serve_smoke` loadgen all drive.
+//! The client for the `fmm-serve` protocol — the library the e2e tests,
+//! the `fmm_serve` CLI, and the benchmark harness all drive.
 //!
-//! Two flavors over one TCP connection each:
+//! [`PipelinedClient::send`] returns a `request_id` immediately, many
+//! requests ride one TCP connection at once, and [`PipelinedClient::recv`]
+//! matches responses back by id in whatever order the server finishes them
+//! — one connection keeps the dispatcher's batch window full all by
+//! itself. A blocking caller is the depth-one case:
+//! [`PipelinedClient::multiply`] is `send` + `recv`, and the control
+//! calls (`ping`, `stats_json`, `trace`, …) are single round trips that
+//! may overtake slower multiplies still in flight.
 //!
-//! * [`Client`] speaks protocol **v1** and is strictly request/response:
-//!   each call writes a frame, flushes, and blocks for the reply. Hold
-//!   one client per thread for concurrency.
-//! * [`PipelinedClient`] speaks protocol **v2**: [`PipelinedClient::send`]
-//!   returns a `request_id` immediately, many requests ride the wire at
-//!   once, and [`PipelinedClient::recv`] matches responses back by id in
-//!   whatever order the server finishes them — one connection keeps the
-//!   dispatcher's batch window full all by itself.
-//!
-//! [`retry_busy`] wraps either flavor's calls with bounded exponential
-//! backoff on the server's `Busy` backpressure signal.
+//! [`retry_busy`] wraps calls with bounded exponential backoff on the
+//! server's `Busy` backpressure signal.
 
 use crate::protocol::{
     self, decode_error, decode_response, encode_request, ErrorCode, Frame, FrameError, FrameKind,
-    FrameV, WireScalar, VERSION_V2,
+    WireScalar, VERSION_V2,
 };
 use fmm_dense::Matrix;
 use std::collections::HashMap;
@@ -76,185 +74,20 @@ impl ClientError {
     }
 }
 
-/// A blocking protocol client over one TCP connection.
-pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    max_payload_bytes: usize,
-}
-
-impl Client {
-    /// Connect with the default (64 MiB) reply-payload cap.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::connect_with_cap(addr, 64 << 20)
-    }
-
-    /// Connect, capping accepted reply payloads at `max_payload_bytes`.
-    pub fn connect_with_cap(
-        addr: impl ToSocketAddrs,
-        max_payload_bytes: usize,
-    ) -> io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Self { reader, writer: BufWriter::new(stream), max_payload_bytes })
-    }
-
-    /// Send one frame and block for the next reply frame.
-    pub fn roundtrip(&mut self, kind: FrameKind, payload: &[u8]) -> Result<Frame, ClientError> {
-        protocol::write_frame(&mut self.writer, kind, payload)?;
-        self.writer.flush()?;
-        Ok(protocol::read_frame(&mut self.reader, self.max_payload_bytes)?)
-    }
-
-    /// `C = A·B` on the server. Dtype follows the matrix scalar; the
-    /// result is the full `m × n` product (the server computes into a
-    /// zeroed destination).
-    pub fn multiply<T: WireScalar>(
-        &mut self,
-        a: &Matrix<T>,
-        b: &Matrix<T>,
-    ) -> Result<Matrix<T>, ClientError> {
-        if a.cols() != b.rows() {
-            return Err(ClientError::Protocol(format!(
-                "A is {}x{} but B is {}x{}",
-                a.rows(),
-                a.cols(),
-                b.rows(),
-                b.cols()
-            )));
-        }
-        let reply = self.roundtrip(FrameKind::Request, &encode_request(a, b))?;
-        match reply.kind {
-            FrameKind::Response => {
-                let c = decode_response::<T>(&reply.payload).map_err(ClientError::Protocol)?;
-                if (c.rows(), c.cols()) != (a.rows(), b.cols()) {
-                    return Err(ClientError::Protocol(format!(
-                        "server answered a {}x{} matrix for a {}x{} problem",
-                        c.rows(),
-                        c.cols(),
-                        a.rows(),
-                        b.cols()
-                    )));
-                }
-                Ok(c)
-            }
-            FrameKind::Error => {
-                let (code, message) = decode_error(&reply.payload);
-                Err(ClientError::Server { code, message })
-            }
-            other => Err(ClientError::Protocol(format!("unexpected {other:?} reply"))),
-        }
-    }
-
-    /// Liveness probe; returns the round-trip time.
-    pub fn ping(&mut self) -> Result<Duration, ClientError> {
-        let t0 = Instant::now();
-        let reply = self.roundtrip(FrameKind::Ping, b"fmm")?;
-        match reply.kind {
-            FrameKind::Pong if reply.payload == b"fmm" => Ok(t0.elapsed()),
-            FrameKind::Pong => Err(ClientError::Protocol("pong payload mismatch".into())),
-            other => Err(ClientError::Protocol(format!("unexpected {other:?} reply"))),
-        }
-    }
-
-    /// Fetch the server's plaintext stats snapshot.
-    pub fn stats(&mut self) -> Result<String, ClientError> {
-        let reply = self.roundtrip(FrameKind::StatsRequest, b"")?;
-        match reply.kind {
-            FrameKind::StatsReply => String::from_utf8(reply.payload)
-                .map_err(|_| ClientError::Protocol("stats body is not UTF-8".into())),
-            other => Err(ClientError::Protocol(format!("unexpected {other:?} reply"))),
-        }
-    }
-
-    /// Fetch the server's full registry snapshot as JSON (counters,
-    /// gauges, and per-phase histograms; see the README's Observability
-    /// section for the schema).
-    pub fn stats_json(&mut self) -> Result<String, ClientError> {
-        self.stats_export(b"json")
-    }
-
-    /// Fetch the same registry snapshot as Prometheus-style plaintext
-    /// exposition.
-    pub fn stats_prometheus(&mut self) -> Result<String, ClientError> {
-        self.stats_export(b"prometheus")
-    }
-
-    fn stats_export(&mut self, format: &[u8]) -> Result<String, ClientError> {
-        let reply = self.roundtrip(FrameKind::StatsJson, format)?;
-        match reply.kind {
-            FrameKind::StatsJson => String::from_utf8(reply.payload)
-                .map_err(|_| ClientError::Protocol("stats export body is not UTF-8".into())),
-            FrameKind::Error => {
-                let (code, message) = decode_error(&reply.payload);
-                Err(ClientError::Server { code, message })
-            }
-            other => Err(ClientError::Protocol(format!("unexpected {other:?} reply"))),
-        }
-    }
-
-    /// Fetch the most recent `last` tracing spans as a JSON array (`0` =
-    /// everything the per-thread rings retain). Empty unless the server
-    /// runs with tracing enabled (`--trace` / `FMM_TRACE=1`).
-    pub fn trace(&mut self, last: u64) -> Result<String, ClientError> {
-        let payload = if last == 0 { Vec::new() } else { last.to_le_bytes().to_vec() };
-        let reply = self.roundtrip(FrameKind::Trace, &payload)?;
-        match reply.kind {
-            FrameKind::Trace => String::from_utf8(reply.payload)
-                .map_err(|_| ClientError::Protocol("trace body is not UTF-8".into())),
-            FrameKind::Error => {
-                let (code, message) = decode_error(&reply.payload);
-                Err(ClientError::Server { code, message })
-            }
-            other => Err(ClientError::Protocol(format!("unexpected {other:?} reply"))),
-        }
-    }
-
-    /// Fetch a live incident dump — the same self-contained JSON
-    /// document a SIGTERM/panic dump writes to `--incident-dir` (build
-    /// fingerprint, config, watchdog roster, flight ring, full stats,
-    /// recent spans). Servers that predate the frame kind answer with a
-    /// typed `Malformed` error.
-    pub fn incident(&mut self) -> Result<String, ClientError> {
-        let reply = self.roundtrip(FrameKind::Incident, b"")?;
-        match reply.kind {
-            FrameKind::Incident => String::from_utf8(reply.payload)
-                .map_err(|_| ClientError::Protocol("incident body is not UTF-8".into())),
-            FrameKind::Error => {
-                let (code, message) = decode_error(&reply.payload);
-                Err(ClientError::Server { code, message })
-            }
-            other => Err(ClientError::Protocol(format!("unexpected {other:?} reply"))),
-        }
-    }
-
-    /// Ask the daemon to shut down (acknowledged before it stops
-    /// accepting; in-flight requests drain).
-    pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        let reply = self.roundtrip(FrameKind::Shutdown, b"")?;
-        match reply.kind {
-            FrameKind::Pong => Ok(()),
-            other => Err(ClientError::Protocol(format!("unexpected {other:?} reply"))),
-        }
-    }
-}
-
-/// A pipelined protocol-v2 client: many requests in flight on one
-/// connection, responses matched back by `request_id` in completion
-/// order.
+/// The protocol client: many requests in flight on one connection,
+/// responses matched back by `request_id` in completion order.
 ///
-/// `send` never reads and `recv` never writes, so the natural usage is a
-/// window loop: keep `send`ing until the target depth is reached, then
-/// `recv` the oldest outstanding id (responses that arrive out of order
-/// are stashed and handed out when their id is asked for).
+/// `send` never reads and `recv` never writes, so the natural pipelined
+/// usage is a window loop: keep `send`ing until the target depth is
+/// reached, then `recv` the oldest outstanding id (responses that arrive
+/// out of order are stashed and handed out when their id is asked for).
 pub struct PipelinedClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     max_payload_bytes: usize,
     next_id: u64,
     /// Responses read while looking for a different id.
-    stash: HashMap<u64, FrameV>,
+    stash: HashMap<u64, Frame>,
 }
 
 impl PipelinedClient {
@@ -280,6 +113,22 @@ impl PipelinedClient {
         })
     }
 
+    /// Write and flush one frame under a fresh request id; the reply is
+    /// *not* awaited.
+    fn write(&mut self, kind: FrameKind, payload: &[u8]) -> Result<u64, ClientError> {
+        let id = self.next_id;
+        self.next_id += 1;
+        protocol::write_frame_v(&mut self.writer, VERSION_V2, id, kind, payload)?;
+        self.writer.flush()?;
+        Ok(id)
+    }
+
+    /// Send one frame and block for its reply frame.
+    pub fn roundtrip(&mut self, kind: FrameKind, payload: &[u8]) -> Result<Frame, ClientError> {
+        let id = self.write(kind, payload)?;
+        self.frame_for(id)
+    }
+
     /// Queue `C = A·B` on the server and return the request id to
     /// [`PipelinedClient::recv`] the result under. The frame is flushed
     /// before this returns; the response is *not* awaited.
@@ -297,64 +146,122 @@ impl PipelinedClient {
                 b.cols()
             )));
         }
-        let id = self.next_id;
-        self.next_id += 1;
-        protocol::write_frame_v(
-            &mut self.writer,
-            VERSION_V2,
-            id,
-            FrameKind::Request,
-            &encode_request(a, b),
-        )?;
-        self.writer.flush()?;
-        Ok(id)
+        self.write(FrameKind::Request, &encode_request(a, b))
     }
 
     /// Block for the response to `id`, reading (and stashing) any other
     /// responses that arrive first.
     pub fn recv<T: WireScalar>(&mut self, id: u64) -> Result<Matrix<T>, ClientError> {
-        let frame = self.frame_for(id)?;
-        match frame.kind {
-            FrameKind::Response => {
-                decode_response::<T>(&frame.payload).map_err(ClientError::Protocol)
-            }
-            FrameKind::Error => {
-                let (code, message) = decode_error(&frame.payload);
-                Err(ClientError::Server { code, message })
-            }
-            other => Err(ClientError::Protocol(format!("unexpected {other:?} reply"))),
-        }
+        let payload = expect_kind(self.frame_for(id)?, FrameKind::Response)?;
+        decode_response::<T>(&payload).map_err(ClientError::Protocol)
     }
 
-    /// Liveness probe (pipelined like everything else: the Pong is
-    /// matched by id, so it may overtake slower multiplies).
+    /// `C = A·B` on the server, blocking. Dtype follows the matrix scalar;
+    /// the result is the full `m × n` product (the server computes into a
+    /// zeroed destination).
+    pub fn multiply<T: WireScalar>(
+        &mut self,
+        a: &Matrix<T>,
+        b: &Matrix<T>,
+    ) -> Result<Matrix<T>, ClientError> {
+        let id = self.send(a, b)?;
+        let c = self.recv::<T>(id)?;
+        if (c.rows(), c.cols()) != (a.rows(), b.cols()) {
+            return Err(ClientError::Protocol(format!(
+                "server answered a {}x{} matrix for a {}x{} problem",
+                c.rows(),
+                c.cols(),
+                a.rows(),
+                b.cols()
+            )));
+        }
+        Ok(c)
+    }
+
+    /// Liveness probe; returns the round-trip time. The Pong is matched by
+    /// id, so it may overtake slower multiplies.
     pub fn ping(&mut self) -> Result<Duration, ClientError> {
         let t0 = Instant::now();
-        let id = self.next_id;
-        self.next_id += 1;
-        protocol::write_frame_v(&mut self.writer, VERSION_V2, id, FrameKind::Ping, b"fmm")?;
-        self.writer.flush()?;
-        let frame = self.frame_for(id)?;
-        match frame.kind {
-            FrameKind::Pong if frame.payload == b"fmm" => Ok(t0.elapsed()),
-            FrameKind::Pong => Err(ClientError::Protocol("pong payload mismatch".into())),
-            other => Err(ClientError::Protocol(format!("unexpected {other:?} reply"))),
+        let echo = expect_kind(self.roundtrip(FrameKind::Ping, b"fmm")?, FrameKind::Pong)?;
+        if echo != b"fmm" {
+            return Err(ClientError::Protocol("pong payload mismatch".into()));
         }
+        Ok(t0.elapsed())
+    }
+
+    /// Fetch the server's full registry snapshot as JSON (counters,
+    /// gauges, and per-phase histograms; see the README's Observability
+    /// section for the schema).
+    pub fn stats_json(&mut self) -> Result<String, ClientError> {
+        self.text_reply(FrameKind::StatsJson, b"json")
+    }
+
+    /// Fetch the same registry snapshot as Prometheus-style plaintext
+    /// exposition.
+    pub fn stats_prometheus(&mut self) -> Result<String, ClientError> {
+        self.text_reply(FrameKind::StatsJson, b"prometheus")
+    }
+
+    /// Fetch the most recent `last` tracing spans as a JSON array (`0` =
+    /// everything the per-thread rings retain). Empty unless the server
+    /// runs with tracing enabled (`--trace` / `FMM_TRACE=1`).
+    pub fn trace(&mut self, last: u64) -> Result<String, ClientError> {
+        let payload = if last == 0 { Vec::new() } else { last.to_le_bytes().to_vec() };
+        self.text_reply(FrameKind::Trace, &payload)
+    }
+
+    /// Fetch a live incident dump — the same self-contained JSON
+    /// document a SIGTERM/panic dump writes to `--incident-dir` (build
+    /// fingerprint, config, watchdog roster, flight ring, full stats,
+    /// recent spans).
+    pub fn incident(&mut self) -> Result<String, ClientError> {
+        self.text_reply(FrameKind::Incident, b"")
+    }
+
+    /// Ask the daemon to shut down (acknowledged before it stops
+    /// accepting; in-flight requests drain).
+    pub fn shutdown(&mut self) -> Result<(), ClientError> {
+        expect_kind(self.roundtrip(FrameKind::Shutdown, b"")?, FrameKind::Pong).map(drop)
+    }
+
+    /// One round trip of a kind the server answers in kind with a UTF-8
+    /// body.
+    fn text_reply(&mut self, kind: FrameKind, payload: &[u8]) -> Result<String, ClientError> {
+        let body = expect_kind(self.roundtrip(kind, payload)?, kind)?;
+        String::from_utf8(body)
+            .map_err(|_| ClientError::Protocol(format!("{kind:?} body is not UTF-8")))
     }
 
     /// Read frames until `id`'s reply surfaces, stashing responses for
     /// other outstanding ids along the way.
-    fn frame_for(&mut self, id: u64) -> Result<FrameV, ClientError> {
+    fn frame_for(&mut self, id: u64) -> Result<Frame, ClientError> {
         if let Some(frame) = self.stash.remove(&id) {
             return Ok(frame);
         }
         loop {
             let frame = protocol::read_frame_any(&mut self.reader, self.max_payload_bytes)?;
-            if frame.request_id == id {
+            // Ids start at 1, so an `Error` under id 0 is a connection-fatal
+            // refusal of a header the server could not attribute (such as
+            // `Oversized`): it answers whoever is waiting instead of
+            // sitting in the stash until EOF.
+            if frame.request_id == id || (frame.request_id == 0 && frame.kind == FrameKind::Error) {
                 return Ok(frame);
             }
             self.stash.insert(frame.request_id, frame);
         }
+    }
+}
+
+/// The payload of a reply of the expected kind, else the typed server
+/// error it carries, else a protocol error.
+fn expect_kind(frame: Frame, want: FrameKind) -> Result<Vec<u8>, ClientError> {
+    match frame.kind {
+        kind if kind == want => Ok(frame.payload),
+        FrameKind::Error => {
+            let (code, message) = decode_error(&frame.payload);
+            Err(ClientError::Server { code, message })
+        }
+        other => Err(ClientError::Protocol(format!("unexpected {other:?} reply"))),
     }
 }
 
@@ -397,6 +304,29 @@ pub fn retry_busy<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unattributed_refusal_answers_the_waiting_call() {
+        // A peer that refuses the connection's framing answers under id 0
+        // and hangs up; the call in flight must surface that typed error,
+        // not "connection closed".
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            protocol::read_frame_any(&mut stream, 1 << 10).unwrap();
+            let refusal = protocol::encode_error(ErrorCode::Oversized, "too big");
+            protocol::write_frame_v(&mut stream, VERSION_V2, 0, FrameKind::Error, &refusal)
+                .unwrap();
+        });
+        let mut client = PipelinedClient::connect(addr).unwrap();
+        let err = client.ping().unwrap_err();
+        assert!(
+            matches!(err, ClientError::Server { code: ErrorCode::Oversized, .. }),
+            "expected the typed refusal, got {err}"
+        );
+        peer.join().unwrap();
+    }
 
     #[test]
     fn retry_busy_retries_busy_until_success() {

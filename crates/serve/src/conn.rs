@@ -2,12 +2,12 @@
 //! decoder that reads request operands straight into pooled buffers, and
 //! a scatter-list write queue with partial-write continuation.
 //!
-//! The decoder is a byte-exact state machine over the v1/v2 frame
-//! grammar. Every `read(2)` targets exactly the bytes the current state
-//! still needs — a header remainder, the request prelude, or the tail of
-//! an operand buffer — so reads never cross a frame boundary and a
-//! request's `A`/`B` bytes land in their [`PooledBuf`]s in one copy off
-//! the wire. Malformed input follows the protocol contract: payload-level
+//! The decoder is a byte-exact state machine over the frame grammar.
+//! Every `read(2)` targets exactly the bytes the current state still
+//! needs — a header remainder, the request prelude, or the tail of an
+//! operand buffer — so reads never cross a frame boundary and a request's
+//! `A`/`B` bytes land in their [`PooledBuf`]s in one copy off the wire.
+//! Malformed input follows the protocol contract: payload-level
 //! problems (bad dtype, dimension mismatch, over-cap result) skip the
 //! rest of the payload and emit a recoverable error event; framing-level
 //! corruption (bad magic/version/kind, over-cap declaration) emits a
@@ -20,8 +20,8 @@
 
 use crate::buffers::{IngestPools, OperandStage, WireBuf};
 use crate::protocol::{
-    self, ErrorCode, FrameKind, RequestDims, HEADER_LEN, HEADER_LEN_V2, REQUEST_PRELUDE, VERSION,
-    VERSION_V2,
+    self, ErrorCode, FrameKind, HeaderInfo, RequestDims, HEADER_LEN, HEADER_PREFIX_LEN,
+    REQUEST_PRELUDE,
 };
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -29,9 +29,7 @@ use std::io::{self, Read, Write};
 /// Frame metadata carried through the decoder states and into events.
 #[derive(Clone, Copy, Debug)]
 pub struct FrameHead {
-    /// Wire version of the frame ([`VERSION`] or [`VERSION_V2`]).
-    pub version: u8,
-    /// The frame's request id (0 for v1 frames).
+    /// The frame's request id, echoed in the reply.
     pub request_id: u64,
     /// The frame kind.
     pub kind: FrameKind,
@@ -45,7 +43,7 @@ pub enum InEvent {
     /// A well-formed multiply request; operands already staged in pooled
     /// buffers, host byte order.
     Request {
-        /// Frame metadata (version + id are echoed in the reply).
+        /// Frame metadata.
         head: FrameHead,
         /// Validated dimensions.
         dims: RequestDims,
@@ -58,11 +56,6 @@ pub enum InEvent {
         head: FrameHead,
         /// The payload to echo.
         payload: Vec<u8>,
-    },
-    /// A stats snapshot request.
-    Stats {
-        /// Frame metadata.
-        head: FrameHead,
     },
     /// A registry-snapshot export request.
     StatsJson {
@@ -93,10 +86,7 @@ pub enum InEvent {
     /// and — when `fatal` — stop trusting the stream and close after the
     /// flush.
     Bad {
-        /// Version to answer in ([`VERSION`] when the header never
-        /// parsed).
-        version: u8,
-        /// Request id to echo (0 when unknown).
+        /// Request id to echo (0 when the header never parsed).
         request_id: u64,
         /// The typed error code.
         code: ErrorCode,
@@ -108,9 +98,10 @@ pub enum InEvent {
 }
 
 enum DecodeState {
-    /// Accumulating the frame header: first the 10-byte v1 prefix, then —
-    /// for v2 — the 8-byte request id.
-    Header { buf: [u8; HEADER_LEN_V2], filled: usize, need: usize },
+    /// Accumulating the frame header. `info` is the classified prefix,
+    /// set the moment [`HEADER_PREFIX_LEN`] bytes are in — a hostile
+    /// prefix is refused without waiting for the request id behind it.
+    Header { buf: [u8; HEADER_LEN], filled: usize, info: Option<HeaderInfo> },
     /// Buffering a small/non-request payload whole.
     Small { head: FrameHead, payload: Vec<u8>, filled: usize },
     /// Accumulating the 13-byte request prelude (dtype + dims).
@@ -137,7 +128,7 @@ pub enum DecodeStep {
     Broken,
 }
 
-/// Incremental v1/v2 frame decoder for one connection.
+/// Incremental frame decoder for one connection.
 ///
 /// The decode paths below parse untrusted network bytes, so they carry
 /// the same machine-checked panic-freedom contract as `protocol` (see
@@ -174,23 +165,19 @@ impl Decoder {
             // Phase 1: I/O and transitions under a mutable borrow.
             let outcome = match &mut self.state {
                 DecodeState::Broken => return DecodeStep::Broken,
-                DecodeState::Header { buf, filled, need } => {
-                    // `filled < need <= buf.len()` is the state invariant;
-                    // `get_mut` keeps the path panic-free regardless.
-                    let dst = buf.get_mut(*filled..*need).unwrap_or(&mut []);
+                DecodeState::Header { buf, filled, info } => {
+                    // `filled < buf.len()` is the state invariant; `get_mut`
+                    // keeps the path panic-free regardless.
+                    let dst = buf.get_mut(*filled..).unwrap_or(&mut []);
                     match read_into(r, dst) {
                         ReadChunk::Data(n) => *filled += n,
                         ReadChunk::WouldBlock => return DecodeStep::NeedMore,
                         ReadChunk::Eof => return DecodeStep::Closed,
                     }
-                    if *filled < *need {
-                        continue;
-                    }
-                    let prefix: [u8; HEADER_LEN] =
-                        protocol::le_bytes(buf.as_slice(), 0).unwrap_or_default();
-                    if *need == HEADER_LEN {
-                        // The common prefix is complete: classify it.
+                    if info.is_none() && *filled >= HEADER_PREFIX_LEN {
+                        let prefix = protocol::le_bytes(buf.as_slice(), 0).unwrap_or_default();
                         match protocol::parse_header_prefix(&prefix, self.max_payload) {
+                            Ok(parsed) => *info = Some(parsed),
                             Err(err) => {
                                 let code = match err {
                                     protocol::FrameError::BadVersion(_) => {
@@ -200,7 +187,6 @@ impl Decoder {
                                     _ => ErrorCode::Malformed,
                                 };
                                 events.push(InEvent::Bad {
-                                    version: VERSION,
                                     request_id: 0,
                                     code,
                                     message: err.to_string(),
@@ -209,36 +195,22 @@ impl Decoder {
                                 self.state = DecodeState::Broken;
                                 return DecodeStep::Frame;
                             }
-                            Ok(info) if info.version == VERSION_V2 => {
-                                // Owe the 8-byte request id before the
-                                // payload starts.
-                                *need = HEADER_LEN_V2;
-                                continue;
-                            }
-                            Ok(info) => {
-                                self.state = next_payload_state(FrameHead {
-                                    version: info.version,
-                                    request_id: 0,
-                                    kind: info.kind,
-                                    payload_len: info.payload_len,
-                                });
-                                continue;
-                            }
                         }
                     }
-                    // Full v2 header; the prefix was validated on the way
-                    // through `need == HEADER_LEN`, so re-parsing cannot
-                    // fail — but a decoder bug breaks the stream rather
-                    // than panicking.
-                    let Ok(info) = protocol::parse_header_prefix(&prefix, self.max_payload) else {
+                    if *filled < HEADER_LEN {
+                        continue;
+                    }
+                    // `filled >= HEADER_PREFIX_LEN` classified the prefix
+                    // above; a decoder bug breaks the stream rather than
+                    // panicking.
+                    let Some(info) = *info else {
                         self.state = DecodeState::Broken;
                         return DecodeStep::Broken;
                     };
                     let request_id = u64::from_le_bytes(
-                        protocol::le_bytes(buf.as_slice(), HEADER_LEN).unwrap_or_default(),
+                        protocol::le_bytes(buf.as_slice(), HEADER_PREFIX_LEN).unwrap_or_default(),
                     );
                     self.state = next_payload_state(FrameHead {
-                        version: info.version,
                         request_id,
                         kind: info.kind,
                         payload_len: info.payload_len,
@@ -278,7 +250,6 @@ impl Decoder {
                             self.state = DecodeState::Skip {
                                 remaining: head.payload_len - REQUEST_PRELUDE,
                                 reply: Box::new(InEvent::Bad {
-                                    version: head.version,
                                     request_id: head.request_id,
                                     code: ErrorCode::Malformed,
                                     message,
@@ -339,7 +310,7 @@ impl Decoder {
     }
 
     fn fresh_header() -> DecodeState {
-        DecodeState::Header { buf: [0; HEADER_LEN_V2], filled: 0, need: HEADER_LEN }
+        DecodeState::Header { buf: [0; HEADER_LEN], filled: 0, info: None }
     }
 }
 
@@ -364,7 +335,6 @@ fn next_payload_state(head: FrameHead) -> DecodeState {
 fn small_frame_event(head: FrameHead, payload: Vec<u8>) -> InEvent {
     match head.kind {
         FrameKind::Ping => InEvent::Ping { head, payload },
-        FrameKind::StatsRequest => InEvent::Stats { head },
         FrameKind::StatsJson => {
             // Payload selects the exposition format: empty or `json` for
             // the JSON snapshot, `prometheus` for plaintext exposition.
@@ -372,7 +342,6 @@ fn small_frame_event(head: FrameHead, payload: Vec<u8>) -> InEvent {
                 b"" | b"json" => InEvent::StatsJson { head, prometheus: false },
                 b"prometheus" => InEvent::StatsJson { head, prometheus: true },
                 _ => InEvent::Bad {
-                    version: head.version,
                     request_id: head.request_id,
                     code: ErrorCode::Malformed,
                     message: "stats-json payload must be empty, `json`, or `prometheus`"
@@ -388,7 +357,6 @@ fn small_frame_event(head: FrameHead, payload: Vec<u8>) -> InEvent {
                 8 => u64::from_le_bytes(protocol::le_bytes(&payload, 0).unwrap_or_default()),
                 n => {
                     return InEvent::Bad {
-                        version: head.version,
                         request_id: head.request_id,
                         code: ErrorCode::Malformed,
                         message: format!("trace payload must be 0 or 8 bytes, got {n}"),
@@ -401,7 +369,6 @@ fn small_frame_event(head: FrameHead, payload: Vec<u8>) -> InEvent {
         FrameKind::Shutdown => InEvent::Shutdown { head },
         FrameKind::Incident => InEvent::Incident { head },
         FrameKind::Request => InEvent::Bad {
-            version: head.version,
             request_id: head.request_id,
             code: ErrorCode::Malformed,
             message: format!(
@@ -412,15 +379,12 @@ fn small_frame_event(head: FrameHead, payload: Vec<u8>) -> InEvent {
         },
         // Server-to-client kinds arriving at the server: protocol misuse
         // on an intact frame stream — answer, keep serving.
-        FrameKind::Response | FrameKind::Error | FrameKind::Pong | FrameKind::StatsReply => {
-            InEvent::Bad {
-                version: head.version,
-                request_id: head.request_id,
-                code: ErrorCode::Malformed,
-                message: format!("frame kind {:?} is not a client request", head.kind),
-                fatal: false,
-            }
-        }
+        FrameKind::Response | FrameKind::Error | FrameKind::Pong => InEvent::Bad {
+            request_id: head.request_id,
+            code: ErrorCode::Malformed,
+            message: format!("frame kind {:?} is not a client request", head.kind),
+            fatal: false,
+        },
     }
 }
 
@@ -534,7 +498,7 @@ impl WriteQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Dtype, WireScalar};
+    use crate::protocol::{Dtype, WireScalar, VERSION_V2};
     use fmm_dense::{fill, Matrix};
     use std::io::Cursor;
 
@@ -557,10 +521,10 @@ mod tests {
         }
     }
 
-    fn request_wire(version: u8, request_id: u64, a: &Matrix<f64>, b: &Matrix<f64>) -> Vec<u8> {
+    fn request_wire(request_id: u64, a: &Matrix<f64>, b: &Matrix<f64>) -> Vec<u8> {
         let payload = protocol::encode_request(a, b);
         let mut wire = Vec::new();
-        protocol::write_frame_v(&mut wire, version, request_id, FrameKind::Request, &payload)
+        protocol::write_frame_v(&mut wire, VERSION_V2, request_id, FrameKind::Request, &payload)
             .unwrap();
         wire
     }
@@ -569,7 +533,7 @@ mod tests {
     fn one_byte_trickle_decodes_v2_request_bit_exactly() {
         let a = fill::bench_workload(5, 3, 1);
         let b = fill::bench_workload(3, 4, 2);
-        let mut src = Trickle { bytes: request_wire(VERSION_V2, 42, &a, &b), at: 0, burst: 1 };
+        let mut src = Trickle { bytes: request_wire(42, &a, &b), at: 0, burst: 1 };
         let pools = IngestPools::new(8, usize::MAX);
         let mut dec = Decoder::new(1 << 20);
         let mut events = Vec::new();
@@ -584,7 +548,7 @@ mod tests {
             Some(InEvent::Request { head, dims, operands }) => (head, dims, operands),
             other => panic!("expected request, got {other:?}"),
         };
-        assert_eq!((head.version, head.request_id), (VERSION_V2, 42));
+        assert_eq!(head.request_id, 42);
         assert_eq!(dims, RequestDims { dtype: Dtype::F64, m: 5, k: 3, n: 4 });
         let (pa, pb) = match operands {
             OperandStage::F64 { a, b } => (a, b),
@@ -603,35 +567,62 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_frames_interleave_on_one_stream() {
-        let a = fill::bench_workload(2, 2, 3);
-        let b = fill::bench_workload(2, 2, 4);
-        let mut wire = request_wire(VERSION, 0, &a, &b);
-        wire.extend_from_slice(&request_wire(VERSION_V2, 7, &a, &b));
-        let mut ping = Vec::new();
-        protocol::write_frame_v(&mut ping, VERSION_V2, 9, FrameKind::Ping, b"hi").unwrap();
-        wire.extend_from_slice(&ping);
+    fn a_frame_header_is_consumed_by_one_read() {
+        /// Counts `read` calls and records the size each one asked for.
+        struct Counting {
+            inner: Cursor<Vec<u8>>,
+            asked: Vec<usize>,
+        }
+        impl Read for Counting {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.asked.push(buf.len());
+                self.inner.read(buf)
+            }
+        }
 
+        // Two frames back to back: reads must not cross the boundary.
+        let mut wire = Vec::new();
+        protocol::write_frame_v(&mut wire, VERSION_V2, 7, FrameKind::Ping, b"hi").unwrap();
+        protocol::write_frame_v(&mut wire, VERSION_V2, 9, FrameKind::Ping, b"").unwrap();
+        let mut src = Counting { inner: Cursor::new(wire), asked: Vec::new() };
         let pools = IngestPools::new(8, usize::MAX);
         let mut dec = Decoder::new(1 << 20);
         let mut events = Vec::new();
-        let mut cursor = Cursor::new(wire);
-        for _ in 0..3 {
-            assert_eq!(dec.step(&mut cursor, &pools, &mut events), DecodeStep::Frame);
-        }
-        match (&events[0], &events[1], &events[2]) {
-            (
-                InEvent::Request { head: h1, .. },
-                InEvent::Request { head: h2, .. },
-                InEvent::Ping { head: h3, payload },
-            ) => {
-                assert_eq!((h1.version, h1.request_id), (VERSION, 0));
-                assert_eq!((h2.version, h2.request_id), (VERSION_V2, 7));
-                assert_eq!((h3.version, h3.request_id), (VERSION_V2, 9));
-                assert_eq!(payload, b"hi");
+        assert_eq!(dec.step(&mut src, &pools, &mut events), DecodeStep::Frame);
+        assert_eq!(dec.step(&mut src, &pools, &mut events), DecodeStep::Frame);
+        match (&events[0], &events[1]) {
+            (InEvent::Ping { head: h1, payload: p1 }, InEvent::Ping { head: h2, payload: p2 }) => {
+                assert_eq!((h1.request_id, p1.as_slice()), (7, b"hi".as_slice()));
+                assert_eq!((h2.request_id, p2.as_slice()), (9, b"".as_slice()));
             }
-            other => panic!("unexpected event triple: {other:?}"),
+            other => panic!("unexpected event pair: {other:?}"),
         }
+        assert_eq!(src.asked, [HEADER_LEN, 2, HEADER_LEN], "one read per header");
+    }
+
+    #[test]
+    fn a_v1_header_is_refused_with_a_fatal_unsupported_version() {
+        // Exactly the ten bytes a v1 peer's header had, then silence: the
+        // refusal must not wait for a request id that will never come.
+        let mut wire = protocol::MAGIC.to_vec();
+        wire.extend_from_slice(&[1, FrameKind::Ping as u8, 0, 0, 0, 0]);
+        assert_eq!(wire.len(), HEADER_PREFIX_LEN);
+        let mut src = Trickle { bytes: wire, at: 0, burst: usize::MAX };
+        let pools = IngestPools::new(8, usize::MAX);
+        let mut dec = Decoder::new(1 << 20);
+        let mut events = Vec::new();
+        assert_eq!(dec.step(&mut src, &pools, &mut events), DecodeStep::Frame);
+        match &events[0] {
+            InEvent::Bad {
+                request_id: 0,
+                code: ErrorCode::UnsupportedVersion,
+                message,
+                fatal: true,
+            } => assert!(message.contains("version 1"), "{message}"),
+            other => panic!("expected a fatal UnsupportedVersion, got {other:?}"),
+        }
+        assert!(dec.is_broken());
+        assert_eq!(dec.step(&mut src, &pools, &mut events), DecodeStep::Broken);
     }
 
     #[test]

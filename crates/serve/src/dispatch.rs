@@ -87,10 +87,8 @@ pub struct ConnAddr {
 pub struct Completion {
     /// The connection the response belongs to.
     pub addr: ConnAddr,
-    /// The request id to echo (0 for v1).
+    /// The request id to echo.
     pub request_id: u64,
-    /// The wire version to answer in.
-    pub version: u8,
     /// Result rows.
     pub m: usize,
     /// Result columns.
@@ -115,8 +113,6 @@ pub struct ReplySink {
     pub addr: ConnAddr,
     /// The request id to echo.
     pub request_id: u64,
-    /// The wire version to answer in.
-    pub version: u8,
 }
 
 /// One admitted request: pooled wire-order operands, dimensions, the
@@ -427,7 +423,6 @@ pub fn run_dispatcher_observed<T: GemmScalar>(
             reply.sink.complete(Completion {
                 addr: reply.addr,
                 request_id: reply.request_id,
-                version: reply.version,
                 m,
                 n,
                 result: result.into(),
@@ -505,7 +500,6 @@ mod tests {
             sink: sink.clone() as Arc<dyn CompletionSink>,
             addr: ConnAddr { slot: 0, generation: 0 },
             request_id,
-            version: 2,
         };
         (Job { a: pa, b: pb, m: n, k: n, n, reply, enqueued: Instant::now() }, a, b)
     }

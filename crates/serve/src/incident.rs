@@ -50,7 +50,7 @@ pub fn build_info_json() -> json::Value {
                 "kernel_f32".to_string(),
                 json::Value::String(fmm_engine::kernel_fingerprint::<f32>()),
             ),
-            ("protocol_versions".to_string(), json::Value::String("v1,v2".to_string())),
+            ("protocol_versions".to_string(), json::Value::String("v2".to_string())),
         ]
         .into_iter()
         .collect(),
@@ -61,7 +61,7 @@ pub fn build_info_json() -> json::Value {
 /// headers and the Prometheus exposition comment.
 pub fn build_info_line() -> String {
     format!(
-        "fmm_serve {} git={} kernel_f64={} kernel_f32={} protocol=v1,v2",
+        "fmm_serve {} git={} kernel_f64={} kernel_f32={} protocol=v2",
         env!("CARGO_PKG_VERSION"),
         option_env!("FMM_GIT_HASH").unwrap_or("unknown"),
         fmm_engine::kernel_fingerprint::<f64>(),

@@ -7,11 +7,11 @@
 //! network clients that arrive one problem at a time:
 //!
 //! * a **length-prefixed binary frame protocol** over TCP
-//!   ([`protocol`]): magic + version + kind + length header (v2 adds a
-//!   per-frame `request_id` for pipelining), row-major little-endian
-//!   matrix payloads tagged with dtype and `m/k/n`, defensively decoded
-//!   (malformed input degrades to typed error frames, never a panic or a
-//!   hang);
+//!   ([`protocol`]): magic + version + kind + length + `request_id`
+//!   header (the id is what lets a connection pipeline), row-major
+//!   little-endian matrix payloads tagged with dtype and `m/k/n`,
+//!   defensively decoded (malformed input degrades to typed error frames,
+//!   never a panic or a hang);
 //! * a **readiness-loop serving core** ([`server`] over [`poller`] and
 //!   [`conn`]): every connection is multiplexed onto a small fixed set of
 //!   nonblocking event-loop threads (epoll on Linux, `poll(2)` on other
@@ -32,15 +32,15 @@
 //!   pipelining depth, and lock-free log-bucketed latency histograms
 //!   (queue-wait vs service splits over *every* sample since start), plus
 //!   ingest-pool occupancy and per-dtype `EngineStats` snapshots — served
-//!   as the historical plaintext stats frame, a JSON registry snapshot
-//!   (`StatsJson`), or Prometheus plaintext exposition; with tracing
-//!   enabled ([`ServeConfig::trace`] / `FMM_TRACE=1`), every request
-//!   phase records a span retrievable over the wire (`Trace`);
-//! * **client libraries** ([`client`]): the blocking v1 [`Client`], the
-//!   pipelined v2 [`PipelinedClient`] (out-of-order responses matched by
-//!   request id), the [`client::retry_busy`] backoff helper, and the
-//!   `fmm_serve` CLI (`serve` / `ping` / `stats` / `trace` / `bench` /
-//!   `shutdown`).
+//!   as a JSON registry snapshot (`StatsJson`) or its Prometheus
+//!   plaintext rendering; with tracing enabled ([`ServeConfig::trace`] /
+//!   `FMM_TRACE=1`), every request phase records a span retrievable over
+//!   the wire (`Trace`);
+//! * **the client library** ([`client`]): [`PipelinedClient`]
+//!   (out-of-order responses matched by request id; a blocking call is a
+//!   pipeline of depth one), the [`client::retry_busy`] backoff helper,
+//!   and the `fmm_serve` CLI (`serve` / `ping` / `stats` / `trace` /
+//!   `bench` / `shutdown`).
 //!
 //! # Example
 //!
@@ -49,7 +49,7 @@
 //! use fmm_engine::{ArchSource, EngineConfig, FmmEngine};
 //! use fmm_gemm::BlockingParams;
 //! use fmm_model::ArchParams;
-//! use fmm_serve::{Client, ServeConfig, Server};
+//! use fmm_serve::{PipelinedClient, ServeConfig, Server};
 //! use std::sync::Arc;
 //!
 //! // Spawn on a free loopback port. Tests pin small blocking parameters
@@ -68,7 +68,7 @@
 //! )
 //! .unwrap();
 //!
-//! let mut client = Client::connect(handle.addr()).unwrap();
+//! let mut client = PipelinedClient::connect(handle.addr()).unwrap();
 //! let a = fill::bench_workload(48, 32, 1);
 //! let b = fill::bench_workload(32, 40, 2);
 //! let c = client.multiply(&a, &b).unwrap();
@@ -92,11 +92,11 @@ pub mod protocol;
 pub mod server;
 
 pub use buffers::{BufferPool, IngestPools, OperandStage, PoolStats, PooledBuf, WireBuf};
-pub use client::{retry_busy, Client, ClientError, PipelinedClient};
+pub use client::{retry_busy, ClientError, PipelinedClient};
 pub use dispatch::{
     BatchPolicy, BatchQueue, Completion, CompletionSink, ConnAddr, DispatchObs, Job, Refusal,
     ReplySink,
 };
 pub use metrics::{LatencyStats, Metrics, MetricsSnapshot};
-pub use protocol::{Dtype, ErrorCode, Frame, FrameError, FrameKind, FrameV, WireScalar};
+pub use protocol::{Dtype, ErrorCode, Frame, FrameError, FrameKind, WireScalar};
 pub use server::{ServeConfig, Server, ServerHandle};

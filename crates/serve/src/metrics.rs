@@ -8,10 +8,6 @@
 //! this replaces, percentiles cover **every** sample since server start
 //! (and the hot path takes no lock at all — the poisoned-ring `.expect`
 //! calls died with the rings).
-//!
-//! The plaintext stats body keeps its historical byte format, including
-//! the `latency_window_count` key — the "window" is now the whole
-//! process lifetime.
 
 use crate::protocol::ErrorCode;
 use fmm_obs::{Counter, Gauge, Histogram, Registry};
@@ -26,11 +22,6 @@ pub struct Metrics {
     pub requests: Arc<Counter>,
     /// Result frames sent.
     pub responses: Arc<Counter>,
-    /// Requests refused with [`crate::protocol::ErrorCode::Busy`] by
-    /// admission control.
-    pub rejects_busy: Arc<Counter>,
-    /// Error frames sent for malformed or oversized input.
-    pub rejects_malformed: Arc<Counter>,
     /// Ping frames answered.
     pub pings: Arc<Counter>,
     /// `multiply_batch` dispatches performed (batches formed).
@@ -42,7 +33,7 @@ pub struct Metrics {
     /// Requests admitted whose response has not been queued yet (gauge).
     pub inflight: Arc<Gauge>,
     /// Largest in-flight count observed on any single connection — the
-    /// pipelining-depth gauge (1 for strict request/response v1 traffic).
+    /// pipelining-depth gauge (1 for strict request/response traffic).
     pub inflight_per_conn_max: Arc<Counter>,
     /// Connections currently open (gauge).
     pub connections: Arc<Gauge>,
@@ -52,7 +43,7 @@ pub struct Metrics {
     /// `code as u8 - 1`) so exports can distinguish backpressure
     /// (`busy`, `shutting_down`) from protocol abuse (`malformed`,
     /// `unsupported_version`, `oversized`) and server faults
-    /// (`internal`). The legacy aggregate counters above keep counting.
+    /// (`internal`).
     errors_by_kind: [Arc<Counter>; 6],
     latency: Arc<Histogram>,
     queue_wait: Arc<Histogram>,
@@ -65,8 +56,6 @@ impl Default for Metrics {
         Metrics {
             requests: registry.counter("fmm_serve_requests_total"),
             responses: registry.counter("fmm_serve_responses_total"),
-            rejects_busy: registry.counter("fmm_serve_rejects_busy_total"),
-            rejects_malformed: registry.counter("fmm_serve_rejects_malformed_total"),
             pings: registry.counter("fmm_serve_pings_total"),
             batches: registry.counter("fmm_serve_batches_total"),
             batched_items: registry.counter("fmm_serve_batched_items_total"),
@@ -127,9 +116,11 @@ pub struct MetricsSnapshot {
     pub requests: u64,
     /// See [`Metrics::responses`].
     pub responses: u64,
-    /// See [`Metrics::rejects_busy`].
+    /// Requests refused with [`ErrorCode::Busy`] by admission control.
     pub rejects_busy: u64,
-    /// See [`Metrics::rejects_malformed`].
+    /// Error frames sent for input that could not be served
+    /// ([`ErrorCode::Malformed`], [`ErrorCode::UnsupportedVersion`],
+    /// [`ErrorCode::Oversized`]).
     pub rejects_malformed: u64,
     /// See [`Metrics::pings`].
     pub pings: u64,
@@ -196,13 +187,20 @@ impl Metrics {
     }
 
     /// Count one error frame sent with `code` into its per-kind counter
-    /// (`fmm_serve_errors_total_<kind>`). Registry-export only — the
-    /// frozen plaintext stats body is unchanged.
+    /// (`fmm_serve_errors_total_<kind>`).
     pub fn record_error(&self, code: ErrorCode) {
-        let idx = (code as u8 as usize) - 1;
-        if let Some(counter) = self.errors_by_kind.get(idx) {
+        if let Some(counter) = self.error_counter(code) {
             counter.inc();
         }
+    }
+
+    /// Error frames sent so far with `code`.
+    fn errors(&self, code: ErrorCode) -> u64 {
+        self.error_counter(code).map_or(0, |counter| counter.get())
+    }
+
+    fn error_counter(&self, code: ErrorCode) -> Option<&Arc<Counter>> {
+        self.errors_by_kind.get((code as u8 as usize) - 1)
     }
 
     /// Snapshot every counter and compute derived values.
@@ -212,8 +210,10 @@ impl Metrics {
         MetricsSnapshot {
             requests: self.requests.get(),
             responses: self.responses.get(),
-            rejects_busy: self.rejects_busy.get(),
-            rejects_malformed: self.rejects_malformed.get(),
+            rejects_busy: self.errors(ErrorCode::Busy),
+            rejects_malformed: self.errors(ErrorCode::Malformed)
+                + self.errors(ErrorCode::UnsupportedVersion)
+                + self.errors(ErrorCode::Oversized),
             pings: self.pings.get(),
             batches,
             batched_items,
@@ -252,48 +252,6 @@ pub fn summarize(samples_secs: &[f64]) -> LatencyStats {
     }
 }
 
-impl MetricsSnapshot {
-    /// Render the plaintext stats body (one `name value` pair per line,
-    /// `fmm_serve_` prefixed) the [`crate::protocol::FrameKind::StatsReply`]
-    /// frame carries. The key set and format are byte-stable across
-    /// server versions (`latency_window_count` now counts the lifetime).
-    /// Engine counters are appended by the server, which owns the engines.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let mut line = |name: &str, value: String| {
-            out.push_str("fmm_serve_");
-            out.push_str(name);
-            out.push(' ');
-            out.push_str(&value);
-            out.push('\n');
-        };
-        line("requests_total", self.requests.to_string());
-        line("responses_total", self.responses.to_string());
-        line("rejects_busy_total", self.rejects_busy.to_string());
-        line("rejects_malformed_total", self.rejects_malformed.to_string());
-        line("pings_total", self.pings.to_string());
-        line("batches_total", self.batches.to_string());
-        line("batched_items_total", self.batched_items.to_string());
-        line("batch_occupancy_max", self.max_occupancy.to_string());
-        line("batch_occupancy_mean", format!("{:.3}", self.mean_occupancy));
-        line("latency_window_count", self.latency.count.to_string());
-        line("latency_mean_ms", format!("{:.3}", self.latency.mean_ms));
-        line("latency_p50_ms", format!("{:.3}", self.latency.p50_ms));
-        line("latency_p99_ms", format!("{:.3}", self.latency.p99_ms));
-        line("queue_wait_mean_ms", format!("{:.3}", self.queue_wait.mean_ms));
-        line("queue_wait_p50_ms", format!("{:.3}", self.queue_wait.p50_ms));
-        line("queue_wait_p99_ms", format!("{:.3}", self.queue_wait.p99_ms));
-        line("service_mean_ms", format!("{:.3}", self.service.mean_ms));
-        line("service_p50_ms", format!("{:.3}", self.service.p50_ms));
-        line("service_p99_ms", format!("{:.3}", self.service.p99_ms));
-        line("inflight_current", self.inflight.to_string());
-        line("inflight_per_conn_max", self.inflight_per_conn_max.to_string());
-        line("connections_current", self.connections.to_string());
-        line("connections_total", self.connections_total.to_string());
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,22 +281,6 @@ mod tests {
         assert!((s.p50_ms - 50.0).abs() < 1e-9);
         assert!((s.p99_ms - 99.0).abs() < 1e-9);
         assert_eq!(summarize(&[]), LatencyStats::default());
-    }
-
-    #[test]
-    fn render_lists_every_counter() {
-        let m = Metrics::default();
-        m.requests.add(5);
-        m.record_batch(2);
-        let text = m.snapshot().render();
-        for key in [
-            "fmm_serve_requests_total 5",
-            "fmm_serve_batches_total 1",
-            "fmm_serve_batch_occupancy_max 2",
-            "fmm_serve_latency_p99_ms",
-        ] {
-            assert!(text.contains(key), "missing {key:?} in:\n{text}");
-        }
     }
 
     #[test]
@@ -403,8 +345,11 @@ mod tests {
         assert_eq!(get("fmm_serve_errors_total_unsupported_version"), 0);
         assert_eq!(get("fmm_serve_errors_total_oversized"), 0);
         assert_eq!(get("fmm_serve_errors_total_internal"), 0);
-        // The frozen plaintext body must not grow new keys.
-        assert!(!m.snapshot().render().contains("errors_total"));
+        // The snapshot's two aggregates are read from the same counters.
+        m.record_error(ErrorCode::Oversized);
+        m.record_error(ErrorCode::UnsupportedVersion);
+        let snap = m.snapshot();
+        assert_eq!((snap.rejects_busy, snap.rejects_malformed), (2, 3));
     }
 
     #[test]

@@ -1,18 +1,16 @@
 //! The std-only readiness poller under the serving event loops.
 //!
-//! Three backends behind one small API, chosen at compile time:
+//! Two backends behind one small API, chosen at compile time (the crate
+//! is Unix-only):
 //!
 //! * **Linux**: `epoll(7)` through thin `extern "C"` declarations (std
 //!   already links libc, so no crate dependency is added) — O(ready)
 //!   wakeups, the production path;
 //! * **other Unix**: portable `poll(2)`, rebuilding the descriptor array
 //!   per wait — O(registered), fine for the connection counts a
-//!   single machine serves;
-//! * **elsewhere**: a sleep-scan fallback that reports every registered
-//!   descriptor ready each tick; correctness comes from the sockets
-//!   being nonblocking (`WouldBlock` is simply retried next tick).
+//!   single machine serves.
 //!
-//! All backends are level-triggered: a readiness bit stays set until the
+//! Both backends are level-triggered: a readiness bit stays set until the
 //! condition drains, so event-loop code never needs to worry about missed
 //! edges. Cross-thread wakeups use a self-pipe ([`Waker`]) registered
 //! like any other descriptor under [`WAKE_TOKEN`].
@@ -55,12 +53,7 @@ pub struct Event {
 }
 
 /// Raw descriptor type registrations use.
-#[cfg(unix)]
 pub type SysFd = std::os::fd::RawFd;
-/// Raw descriptor type registrations use (unused by the fallback
-/// backend beyond identity).
-#[cfg(not(unix))]
-pub type SysFd = u64;
 
 #[cfg(target_os = "linux")]
 mod sys {
@@ -116,7 +109,7 @@ mod sys {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
+#[cfg(not(target_os = "linux"))]
 mod sys {
     //! Portable poll(2) + pipe FFI for non-Linux Unix.
     #![allow(non_camel_case_types)]
@@ -152,7 +145,7 @@ pub struct Poller {
     #[cfg(target_os = "linux")]
     epfd: i32,
     /// Registered interests; epoll keeps its own copy kernel-side, the
-    /// poll(2)/fallback backends rebuild their wait set from this.
+    /// poll(2) backend rebuilds its wait set from this.
     registered: BTreeMap<u64, (SysFd, Interest)>,
 }
 
@@ -262,7 +255,7 @@ impl Poller {
             }
             Ok(out.len())
         }
-        #[cfg(all(unix, not(target_os = "linux")))]
+        #[cfg(not(target_os = "linux"))]
         {
             let mut fds: Vec<sys::pollfd> = Vec::with_capacity(self.registered.len());
             let mut tokens: Vec<u64> = Vec::with_capacity(self.registered.len());
@@ -298,18 +291,6 @@ impl Poller {
             }
             Ok(out.len())
         }
-        #[cfg(not(unix))]
-        {
-            // Sleep-scan fallback: report everything with interest ready;
-            // nonblocking I/O turns false positives into WouldBlock.
-            std::thread::sleep(Duration::from_millis(timeout_ms.clamp(1, 10) as u64));
-            for (&token, &(_, interest)) in &self.registered {
-                if interest.read || interest.write {
-                    out.push(Event { token, readable: interest.read, writable: interest.write });
-                }
-            }
-            Ok(out.len())
-        }
     }
 }
 
@@ -326,8 +307,8 @@ impl Drop for Poller {
 #[cfg(target_os = "linux")]
 fn epoll_bits(interest: Interest) -> u32 {
     // RDHUP rides with read interest only: a read-paused connection
-    // (v1 one-at-a-time wait, backlog flow control) cannot act on a
-    // peer's half-close, and the level-triggered hangup would re-fire
+    // (backlog flow control, responses still owed after EOF) cannot act
+    // on a peer's half-close, and the level-triggered hangup would re-fire
     // every wait with no progress possible — a busy spin until read
     // interest returns. Masking it is safe: the EOF is still sitting in
     // the socket and is observed the moment reads resume. Full hangups
@@ -347,12 +328,8 @@ fn epoll_bits(interest: Interest) -> u32 {
 /// is registered in a [`Poller`] under [`WAKE_TOKEN`]. `wake()` is safe
 /// to call from any thread (dispatchers, other loops, the shutdown path).
 pub struct Waker {
-    #[cfg(unix)]
     read_fd: i32,
-    #[cfg(unix)]
     write_fd: i32,
-    #[cfg(not(unix))]
-    _nothing: (),
 }
 
 // SAFETY: the pipe fds are plain integers; writes from multiple threads
@@ -373,7 +350,7 @@ impl Waker {
             poller.register(fds[0], WAKE_TOKEN, Interest::READ)?;
             Ok(Self { read_fd: fds[0], write_fd: fds[1] })
         }
-        #[cfg(all(unix, not(target_os = "linux")))]
+        #[cfg(not(target_os = "linux"))]
         {
             let mut fds = [0i32; 2];
             // SAFETY: `fds` is a valid 2-element out-array.
@@ -388,39 +365,27 @@ impl Waker {
             poller.register(fds[0], WAKE_TOKEN, Interest::READ)?;
             Ok(Self { read_fd: fds[0], write_fd: fds[1] })
         }
-        #[cfg(not(unix))]
-        {
-            let _ = poller;
-            Ok(Self { _nothing: () })
-        }
     }
 
     /// Wake the owning poller (idempotent; a full pipe already wakes).
     pub fn wake(&self) {
-        #[cfg(unix)]
-        {
-            let byte = 1u8;
-            // SAFETY: valid 1-byte buffer; EAGAIN on a full pipe is fine.
-            unsafe {
-                sys::write(self.write_fd, &byte, 1);
-            }
+        let byte = 1u8;
+        // SAFETY: valid 1-byte buffer; EAGAIN on a full pipe is fine.
+        unsafe {
+            sys::write(self.write_fd, &byte, 1);
         }
     }
 
     /// Drain pending wakeup bytes after a [`WAKE_TOKEN`] readiness event.
     pub fn drain(&self) {
-        #[cfg(unix)]
-        {
-            let mut buf = [0u8; 64];
-            // SAFETY: valid buffer; loop ends on EAGAIN (nonblocking).
-            while unsafe { sys::read(self.read_fd, buf.as_mut_ptr(), buf.len()) } > 0 {}
-        }
+        let mut buf = [0u8; 64];
+        // SAFETY: valid buffer; loop ends on EAGAIN (nonblocking).
+        while unsafe { sys::read(self.read_fd, buf.as_mut_ptr(), buf.len()) } > 0 {}
     }
 }
 
 impl Drop for Waker {
     fn drop(&mut self) {
-        #[cfg(unix)]
         // SAFETY: owned descriptors, closed exactly once here.
         unsafe {
             sys::close(self.read_fd);
@@ -434,18 +399,11 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
-    #[cfg(unix)]
     use std::os::fd::AsRawFd;
     use std::time::Instant;
 
-    #[cfg(unix)]
     fn fd_of(s: &TcpStream) -> SysFd {
         s.as_raw_fd()
-    }
-
-    #[cfg(not(unix))]
-    fn fd_of(_s: &TcpStream) -> SysFd {
-        0
     }
 
     #[test]
@@ -493,10 +451,8 @@ mod tests {
         // Generous timeout: the waker must end the wait long before it.
         poller.wait(&mut events, Some(Duration::from_secs(10))).unwrap();
         assert!(t0.elapsed() < Duration::from_secs(5), "wake() interrupted the wait");
-        if cfg!(unix) {
-            assert!(events.iter().any(|e| e.token == WAKE_TOKEN && e.readable));
-            waker.drain();
-        }
+        assert!(events.iter().any(|e| e.token == WAKE_TOKEN && e.readable));
+        waker.drain();
         handle.join().unwrap();
     }
 

@@ -1,20 +1,6 @@
-//! The `fmm-serve` wire protocol: length-prefixed binary frames, in two
-//! versions the server speaks side by side.
+//! The `fmm-serve` wire protocol: length-prefixed binary frames.
 //!
-//! A **v1** frame is a fixed 10-byte header followed by `payload_len`
-//! bytes:
-//!
-//! ```text
-//! offset  size  field
-//!      0     4  magic  b"FMMS"
-//!      4     1  version (1)
-//!      5     1  kind    (FrameKind)
-//!      6     4  payload_len, u32 little-endian
-//! ```
-//!
-//! A **v2** frame extends the header to 18 bytes with a per-frame
-//! `request_id`, which is what lets one connection pipeline many in-flight
-//! requests and receive the responses out of order:
+//! A frame is a fixed 18-byte header followed by `payload_len` bytes:
 //!
 //! ```text
 //! offset  size  field
@@ -25,9 +11,15 @@
 //!     10     8  request_id, u64 little-endian
 //! ```
 //!
-//! The server echoes each frame's version and (for v2) `request_id` in
-//! its reply, so v1 clients keep their strict request/response semantics
-//! against a v2 server, while v2 clients match replies by id.
+//! The per-frame `request_id` is what lets one connection pipeline many
+//! in-flight requests and receive the responses out of order: the server
+//! echoes each frame's id in its reply and clients match replies by it. A
+//! blocking caller is a pipelined caller of depth one.
+//!
+//! The first [`HEADER_PREFIX_LEN`] bytes (everything but the id) are
+//! classified the moment they are complete — magic, then version, then
+//! kind, then the payload cap — so a peer speaking something else gets its
+//! typed error frame without having to send a full header first.
 //!
 //! A `Request` payload is `dtype(u8) m(u32) k(u32) n(u32)` followed by the
 //! `A` (`m*k`) and `B` (`k*n`) elements, **row-major**, little-endian, at
@@ -54,19 +46,15 @@ use std::io::{self, Read, Write};
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"FMMS";
 
-/// The original protocol version: one blocking request in flight per
-/// connection, no request ids. Still fully served.
-pub const VERSION: u8 = 1;
-
-/// The pipelined protocol version: every frame carries a `request_id`.
+/// The protocol version: every frame carries a `request_id`.
 pub const VERSION_V2: u8 = 2;
 
-/// Fixed v1 frame-header size in bytes (also the prefix every v2 header
-/// starts with).
-pub const HEADER_LEN: usize = 10;
+/// Frame-header size in bytes.
+pub const HEADER_LEN: usize = 18;
 
-/// Full v2 frame-header size in bytes (v1 header + u64 request id).
-pub const HEADER_LEN_V2: usize = 18;
+/// The leading header bytes [`parse_header_prefix`] classifies: everything
+/// up to, but not including, the request id.
+pub const HEADER_PREFIX_LEN: usize = 10;
 
 /// Request-payload prelude size: dtype + m + k + n.
 pub const REQUEST_PRELUDE: usize = 1 + 4 + 4 + 4;
@@ -102,7 +90,8 @@ fn put(dst: &mut [u8], off: usize, src: &[u8]) {
     }
 }
 
-/// Frame discriminator (header byte 5).
+/// Frame discriminator (header byte 5). Values 6 and 7 belonged to the
+/// retired plaintext stats pair and stay unassigned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
@@ -116,16 +105,11 @@ pub enum FrameKind {
     Ping = 4,
     /// Server → client: `Ping` echo, and the `Shutdown` acknowledgement.
     Pong = 5,
-    /// Client → server: request the plaintext stats snapshot.
-    StatsRequest = 6,
-    /// Server → client: the stats snapshot (UTF-8 payload).
-    StatsReply = 7,
     /// Client → server: stop the daemon after in-flight work drains.
     Shutdown = 8,
     /// Both directions: client sends an empty payload, server replies
-    /// with the full observability-registry snapshot as UTF-8 JSON.
-    /// Servers that predate this kind reject it with a typed
-    /// [`ErrorCode::Malformed`] error frame (unknown kind byte).
+    /// with the full observability-registry snapshot as UTF-8 JSON
+    /// (payload `prometheus` selects the Prometheus rendering instead).
     StatsJson = 9,
     /// Both directions: client payload is an optional 8-byte LE count
     /// ("last N events", 0/absent = all retained); server replies with
@@ -135,8 +119,7 @@ pub enum FrameKind {
     /// with a self-contained incident dump (build/config fingerprint,
     /// registry snapshot, audit table, recent spans, flight-recorder
     /// ring) as UTF-8 JSON — the same document a SIGTERM/panic dump
-    /// writes to `--incident-dir`. Servers that predate this kind
-    /// reject it with a typed [`ErrorCode::Malformed`] error frame.
+    /// writes to `--incident-dir`.
     Incident = 11,
 }
 
@@ -149,8 +132,6 @@ impl FrameKind {
             3 => Some(Self::Error),
             4 => Some(Self::Ping),
             5 => Some(Self::Pong),
-            6 => Some(Self::StatsRequest),
-            7 => Some(Self::StatsReply),
             8 => Some(Self::Shutdown),
             9 => Some(Self::StatsJson),
             10 => Some(Self::Trace),
@@ -287,13 +268,16 @@ impl WireScalar for f32 {
 /// One decoded frame.
 #[derive(Debug)]
 pub struct Frame {
+    /// The frame's request id (`0` on a refusal of a header that never
+    /// parsed far enough to carry one).
+    pub request_id: u64,
     /// The frame kind.
     pub kind: FrameKind,
     /// The raw payload bytes.
     pub payload: Vec<u8>,
 }
 
-/// Why [`read_frame`] could not produce a [`Frame`].
+/// Why [`read_frame_any`] could not produce a [`Frame`].
 #[derive(Debug)]
 pub enum FrameError {
     /// The peer closed the connection cleanly at a frame boundary.
@@ -325,7 +309,7 @@ impl std::fmt::Display for FrameError {
             Self::Io(e) => write!(f, "i/o error: {e}"),
             Self::BadMagic(m) => write!(f, "bad magic {m:?}"),
             Self::BadVersion(v) => {
-                write!(f, "unsupported protocol version {v} (this build speaks v1 and v2)")
+                write!(f, "unsupported protocol version {v} (this build speaks v{VERSION_V2})")
             }
             Self::BadKind(k) => write!(f, "unknown frame kind {k}"),
             Self::Oversized { declared, cap } => {
@@ -335,8 +319,32 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-/// Write one frame (header + payload). The caller flushes.
-pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::Result<()> {
+/// Encode a frame header.
+pub fn encode_header(kind: FrameKind, payload_len: u32, request_id: u64) -> Vec<u8> {
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    header.extend_from_slice(&MAGIC);
+    header.push(VERSION_V2);
+    header.push(kind as u8);
+    header.extend_from_slice(&payload_len.to_le_bytes());
+    header.extend_from_slice(&request_id.to_le_bytes());
+    header
+}
+
+/// Write one frame (header + payload). `version` must be [`VERSION_V2`],
+/// the only version there is. The caller flushes.
+pub fn write_frame_v(
+    w: &mut impl Write,
+    version: u8,
+    request_id: u64,
+    kind: FrameKind,
+    payload: &[u8],
+) -> io::Result<()> {
+    if version != VERSION_V2 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("cannot write protocol version {version} (this build speaks v{VERSION_V2})"),
+        ));
+    }
     // Hard error, not a debug_assert: silently wrapping the u32 length
     // field in release builds would desynchronize the stream.
     if payload.len() > u32::MAX as usize {
@@ -345,24 +353,22 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> io::R
             format!("payload of {} bytes exceeds the u32 length field", payload.len()),
         ));
     }
-    let mut header = [0u8; HEADER_LEN];
-    put(&mut header, 0, &MAGIC);
-    put(&mut header, 4, &[VERSION, kind as u8]);
-    put(&mut header, 6, &(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
+    w.write_all(&encode_header(kind, payload.len() as u32, request_id))?;
     w.write_all(payload)
 }
 
 /// Read one frame, enforcing `max_payload` before any payload allocation.
-pub fn read_frame(r: &mut impl Read, max_payload: usize) -> Result<Frame, FrameError> {
-    let mut header = [0u8; HEADER_LEN];
+/// This is the blocking reader clients use; servers decode incrementally
+/// instead (see `conn`), through the same [`parse_header_prefix`].
+pub fn read_frame_any(r: &mut impl Read, max_payload: usize) -> Result<Frame, FrameError> {
+    let mut prefix = [0u8; HEADER_PREFIX_LEN];
     // Distinguish a clean close (EOF before any header byte) from a
     // truncated frame.
     let mut filled = 0;
-    while filled < HEADER_LEN {
-        // `filled < HEADER_LEN` makes the range valid; `get_mut` keeps the
-        // path panic-free regardless.
-        let dst = header.get_mut(filled..).unwrap_or(&mut []);
+    while filled < HEADER_PREFIX_LEN {
+        // `filled < HEADER_PREFIX_LEN` makes the range valid; `get_mut`
+        // keeps the path panic-free regardless.
+        let dst = prefix.get_mut(filled..).unwrap_or(&mut []);
         match r.read(dst) {
             Ok(0) if filled == 0 => return Err(FrameError::Closed),
             Ok(0) => {
@@ -376,152 +382,31 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> Result<Frame, FrameE
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    let [m0, m1, m2, m3, version, kind_b, l0, l1, l2, l3] = header;
-    let magic = [m0, m1, m2, m3];
-    if magic != MAGIC {
-        return Err(FrameError::BadMagic(magic));
-    }
-    if version != VERSION {
-        return Err(FrameError::BadVersion(version));
-    }
-    let kind = FrameKind::from_u8(kind_b).ok_or(FrameError::BadKind(kind_b))?;
-    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
-    if len > max_payload {
-        return Err(FrameError::Oversized { declared: len as u64, cap: max_payload as u64 });
-    }
-    let mut payload = vec![0u8; len];
-    r.read_all(&mut payload)?;
-    Ok(Frame { kind, payload })
+    let info = parse_header_prefix(&prefix, max_payload)?;
+    let mut id = [0u8; 8];
+    r.read_exact(&mut id).map_err(FrameError::Io)?;
+    let mut payload = vec![0u8; info.payload_len];
+    r.read_exact(&mut payload).map_err(FrameError::Io)?;
+    Ok(Frame { request_id: u64::from_le_bytes(id), kind: info.kind, payload })
 }
 
-/// One decoded frame together with its wire version and (for v2 frames)
-/// request id — what version-agnostic readers produce.
-#[derive(Debug)]
-pub struct FrameV {
-    /// The wire version the frame arrived in ([`VERSION`] or
-    /// [`VERSION_V2`]).
-    pub version: u8,
-    /// The frame's request id (`0` for v1 frames, which carry none).
-    pub request_id: u64,
-    /// The frame kind.
-    pub kind: FrameKind,
-    /// The raw payload bytes.
-    pub payload: Vec<u8>,
-}
-
-/// Encode a frame header for `version` into `out`. v1 headers are 10
-/// bytes; v2 headers append the little-endian `request_id`.
-pub fn encode_header(version: u8, kind: FrameKind, payload_len: u32, request_id: u64) -> Vec<u8> {
-    debug_assert!(version == VERSION || version == VERSION_V2, "unknown header version");
-    let mut header = Vec::with_capacity(HEADER_LEN_V2);
-    header.extend_from_slice(&MAGIC);
-    header.push(version);
-    header.push(kind as u8);
-    header.extend_from_slice(&payload_len.to_le_bytes());
-    if version == VERSION_V2 {
-        header.extend_from_slice(&request_id.to_le_bytes());
-    }
-    header
-}
-
-/// Write one frame in the given wire version (v1 ignores `request_id`).
-/// The caller flushes.
-pub fn write_frame_v(
-    w: &mut impl Write,
-    version: u8,
-    request_id: u64,
-    kind: FrameKind,
-    payload: &[u8],
-) -> io::Result<()> {
-    if payload.len() > u32::MAX as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("payload of {} bytes exceeds the u32 length field", payload.len()),
-        ));
-    }
-    w.write_all(&encode_header(version, kind, payload.len() as u32, request_id))?;
-    w.write_all(payload)
-}
-
-/// Read one frame of either protocol version, enforcing `max_payload`
-/// before any payload allocation. This is the version-agnostic reader the
-/// pipelined client uses; servers decode incrementally instead (see
-/// `conn`).
-pub fn read_frame_any(r: &mut impl Read, max_payload: usize) -> Result<FrameV, FrameError> {
-    // Only the 10 shared prefix bytes land here; a v2 frame's request id
-    // is read separately below.
-    let mut header = [0u8; HEADER_LEN];
-    let mut filled = 0;
-    while filled < HEADER_LEN {
-        // `filled < HEADER_LEN` makes the range valid; `get_mut` keeps the
-        // path panic-free regardless.
-        let dst = header.get_mut(filled..).unwrap_or(&mut []);
-        match r.read(dst) {
-            Ok(0) if filled == 0 => return Err(FrameError::Closed),
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "eof inside frame header",
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    let [m0, m1, m2, m3, version, kind_b, l0, l1, l2, l3] = header;
-    let magic = [m0, m1, m2, m3];
-    if magic != MAGIC {
-        return Err(FrameError::BadMagic(magic));
-    }
-    if version != VERSION && version != VERSION_V2 {
-        return Err(FrameError::BadVersion(version));
-    }
-    let kind = FrameKind::from_u8(kind_b).ok_or(FrameError::BadKind(kind_b))?;
-    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
-    if len > max_payload {
-        return Err(FrameError::Oversized { declared: len as u64, cap: max_payload as u64 });
-    }
-    let request_id = if version == VERSION_V2 {
-        let mut ext = [0u8; 8];
-        r.read_all(&mut ext)?;
-        u64::from_le_bytes(ext)
-    } else {
-        0
-    };
-    let mut payload = vec![0u8; len];
-    r.read_all(&mut payload)?;
-    Ok(FrameV { version, request_id, kind, payload })
-}
-
-/// `read_exact` that maps errors into [`FrameError`].
-trait ReadAll: Read {
-    fn read_all(&mut self, buf: &mut [u8]) -> Result<(), FrameError> {
-        self.read_exact(buf).map_err(FrameError::Io)
-    }
-}
-
-impl<R: Read> ReadAll for R {}
-
-/// A parsed frame-header prefix (the first [`HEADER_LEN`] bytes, common
-/// to both versions). For a v2 frame the caller still owes the 8-byte
-/// request id before the payload starts.
+/// A classified frame-header prefix (the first [`HEADER_PREFIX_LEN`]
+/// bytes). The caller still owes the 8-byte request id before the payload
+/// starts.
 #[derive(Clone, Copy, Debug)]
 pub struct HeaderInfo {
-    /// Wire version ([`VERSION`] or [`VERSION_V2`]).
-    pub version: u8,
     /// The frame kind.
     pub kind: FrameKind,
     /// Declared payload length in bytes (already cap-checked).
     pub payload_len: usize,
 }
 
-/// Parse and validate the 10-byte header prefix shared by v1 and v2
-/// frames, enforcing `max_payload` before anything is allocated. The
-/// error classification (magic → version → kind → cap, in that order) is
-/// the protocol contract servers answer typed error frames from.
+/// Classify a header prefix, enforcing `max_payload` before anything is
+/// allocated. The error classification (magic → version → kind → cap, in
+/// that order) is the protocol contract servers answer typed error frames
+/// from.
 pub fn parse_header_prefix(
-    bytes: &[u8; HEADER_LEN],
+    bytes: &[u8; HEADER_PREFIX_LEN],
     max_payload: usize,
 ) -> Result<HeaderInfo, FrameError> {
     let [m0, m1, m2, m3, version, kind_b, l0, l1, l2, l3] = *bytes;
@@ -529,7 +414,7 @@ pub fn parse_header_prefix(
     if magic != MAGIC {
         return Err(FrameError::BadMagic(magic));
     }
-    if version != VERSION && version != VERSION_V2 {
+    if version != VERSION_V2 {
         return Err(FrameError::BadVersion(version));
     }
     let kind = FrameKind::from_u8(kind_b).ok_or(FrameError::BadKind(kind_b))?;
@@ -537,7 +422,7 @@ pub fn parse_header_prefix(
     if len > max_payload {
         return Err(FrameError::Oversized { declared: len as u64, cap: max_payload as u64 });
     }
-    Ok(HeaderInfo { version, kind, payload_len: len })
+    Ok(HeaderInfo { kind, payload_len: len })
 }
 
 /// The validated dimensions of a request payload, parsed from its
@@ -815,47 +700,58 @@ mod tests {
     #[test]
     fn frame_roundtrip_through_a_byte_pipe() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, FrameKind::Ping, b"hello").unwrap();
-        write_frame(&mut wire, FrameKind::Shutdown, b"").unwrap();
+        write_frame_v(&mut wire, VERSION_V2, 7, FrameKind::Ping, b"hello").unwrap();
+        write_frame_v(&mut wire, VERSION_V2, 8, FrameKind::Shutdown, b"").unwrap();
         let mut cursor = io::Cursor::new(wire);
-        let f1 = read_frame(&mut cursor, 1024).unwrap();
-        assert_eq!(f1.kind, FrameKind::Ping);
+        let f1 = read_frame_any(&mut cursor, 1024).unwrap();
+        assert_eq!((f1.request_id, f1.kind), (7, FrameKind::Ping));
         assert_eq!(f1.payload, b"hello");
-        let f2 = read_frame(&mut cursor, 1024).unwrap();
-        assert_eq!(f2.kind, FrameKind::Shutdown);
-        assert!(matches!(read_frame(&mut cursor, 1024), Err(FrameError::Closed)));
+        let f2 = read_frame_any(&mut cursor, 1024).unwrap();
+        assert_eq!((f2.request_id, f2.kind), (8, FrameKind::Shutdown));
+        assert!(matches!(read_frame_any(&mut cursor, 1024), Err(FrameError::Closed)));
     }
 
     #[test]
     fn read_frame_rejects_bad_magic_version_kind_and_oversize() {
-        let mut bad_magic = Vec::new();
-        write_frame(&mut bad_magic, FrameKind::Ping, b"").unwrap();
+        let ping = || {
+            let mut wire = Vec::new();
+            write_frame_v(&mut wire, VERSION_V2, 1, FrameKind::Ping, b"").unwrap();
+            wire
+        };
+        let mut bad_magic = ping();
         bad_magic[0] = b'X';
         assert!(matches!(
-            read_frame(&mut io::Cursor::new(bad_magic), 1024),
+            read_frame_any(&mut io::Cursor::new(bad_magic), 1024),
             Err(FrameError::BadMagic(_))
         ));
 
-        let mut bad_version = Vec::new();
-        write_frame(&mut bad_version, FrameKind::Ping, b"").unwrap();
-        bad_version[4] = 9;
-        assert!(matches!(
-            read_frame(&mut io::Cursor::new(bad_version), 1024),
-            Err(FrameError::BadVersion(9))
-        ));
+        // The retired v1 is refused like any other unknown version, and
+        // cannot be written either.
+        for version in [9, 1] {
+            let mut bad_version = ping();
+            bad_version[4] = version;
+            assert!(matches!(
+                read_frame_any(&mut io::Cursor::new(bad_version), 1024),
+                Err(FrameError::BadVersion(v)) if v == version
+            ));
+            let err = write_frame_v(&mut Vec::new(), version, 1, FrameKind::Ping, b"").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
 
-        let mut bad_kind = Vec::new();
-        write_frame(&mut bad_kind, FrameKind::Ping, b"").unwrap();
-        bad_kind[5] = 200;
-        assert!(matches!(
-            read_frame(&mut io::Cursor::new(bad_kind), 1024),
-            Err(FrameError::BadKind(200))
-        ));
+        // 6 and 7 are the retired plaintext stats kinds.
+        for kind in [200, 6, 7] {
+            let mut bad_kind = ping();
+            bad_kind[5] = kind;
+            assert!(matches!(
+                read_frame_any(&mut io::Cursor::new(bad_kind), 1024),
+                Err(FrameError::BadKind(k)) if k == kind
+            ));
+        }
 
         let mut oversized = Vec::new();
-        write_frame(&mut oversized, FrameKind::Request, &[0u8; 64]).unwrap();
+        write_frame_v(&mut oversized, VERSION_V2, 1, FrameKind::Request, &[0u8; 64]).unwrap();
         assert!(matches!(
-            read_frame(&mut io::Cursor::new(oversized), 16),
+            read_frame_any(&mut io::Cursor::new(oversized), 16),
             Err(FrameError::Oversized { declared: 64, cap: 16 })
         ));
     }
@@ -916,9 +812,10 @@ mod tests {
         let a = fill::bench_workload_t::<f64>(3, 4, 5);
         let b = fill::bench_workload_t::<f64>(4, 2, 6);
         let mut wire = Vec::new();
-        write_frame(&mut wire, FrameKind::Request, &encode_request(&a, &b)).unwrap();
+        write_frame_v(&mut wire, VERSION_V2, 3, FrameKind::Request, &encode_request(&a, &b))
+            .unwrap();
         for cut in 0..wire.len() {
-            let _ = read_frame(&mut io::Cursor::new(&wire[..cut]), 1 << 20);
+            let _ = read_frame_any(&mut io::Cursor::new(&wire[..cut]), 1 << 20);
         }
         let mut state: u64 = 0xDEAD_BEEF_CAFE_F00D;
         for _ in 0..500 {
@@ -928,7 +825,7 @@ mod tests {
             let mut mutated = wire.clone();
             let pos = state as usize % mutated.len();
             mutated[pos] = (state >> 32) as u8;
-            if let Ok(frame) = read_frame(&mut io::Cursor::new(mutated), 1 << 20) {
+            if let Ok(frame) = read_frame_any(&mut io::Cursor::new(mutated), 1 << 20) {
                 let _ = decode_request(&frame.payload, 1 << 20);
             }
         }

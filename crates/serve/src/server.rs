@@ -13,11 +13,9 @@
 //! from a scatter list with partial-write continuation, so a slow reader
 //! never blocks the loop or a dispatcher.
 //!
-//! Protocol: v1 clients keep their strict one-frame-at-a-time semantics
-//! (the loop pauses parsing a connection while its v1 request is in
-//! flight); v2 clients may pipeline up to
+//! Protocol: a client may pipeline up to
 //! [`ServeConfig::max_inflight_per_conn`] requests per connection and
-//! receive responses out of order, matched by `request_id`.
+//! receives responses out of order, matched by `request_id`.
 //!
 //! Error policy, per the protocol contract: malformed payloads on an
 //! intact frame stream are answered with a typed error frame and the
@@ -34,10 +32,8 @@ use crate::dispatch::{
 };
 use crate::incident;
 use crate::metrics::Metrics;
-use crate::poller::{Interest, Poller, SysFd, Waker, WAKE_TOKEN};
-use crate::protocol::{
-    self, ErrorCode, FrameKind, RequestDims, HEADER_LEN, HEADER_LEN_V2, RESPONSE_PRELUDE, VERSION,
-};
+use crate::poller::{Interest, Poller, Waker, WAKE_TOKEN};
+use crate::protocol::{self, ErrorCode, FrameKind, RequestDims, HEADER_LEN, RESPONSE_PRELUDE};
 use fmm_core::json;
 use fmm_engine::{ArchSource, EngineConfig, EngineStats, FmmEngine, Routing};
 use fmm_gemm::BlockingParams;
@@ -46,6 +42,7 @@ use fmm_obs::{Heartbeat, SpanKind, WatchPolicy, Watchdog, WatchdogConfig, Watchd
 use fmm_tune::TuneStore;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -85,8 +82,7 @@ pub struct ServeConfig {
     /// also owns the listener.
     pub event_threads: usize,
     /// Most requests one connection may have in flight before further
-    /// admissions are refused with `Busy` (v2 pipelining depth bound; v1
-    /// connections never exceed 1 by construction).
+    /// admissions are refused with `Busy` (the pipelining depth bound).
     pub max_inflight_per_conn: usize,
     /// Idle buffers the per-dtype ingest pools retain across requests.
     pub pool_retain: usize,
@@ -217,26 +213,6 @@ impl Shared {
         let mut stopping = self.lifecycle.stopping.lock().expect("lifecycle poisoned");
         *stopping = true;
         self.lifecycle.stopped.notify_all();
-    }
-
-    /// The full plaintext stats body: serving counters, queue depths,
-    /// ingest-pool occupancy, and one line per dtype engine.
-    fn render_stats(&self) -> String {
-        let mut out = self.metrics.snapshot().render();
-        out.push_str(&format!(
-            "fmm_serve_queue_depth_f64 {}\nfmm_serve_queue_depth_f32 {}\n",
-            self.queue_f64.depth(),
-            self.queue_f32.depth()
-        ));
-        for (name, stats) in [("f64", self.pools.f64.stats()), ("f32", self.pools.f32.stats())] {
-            out.push_str(&format!(
-                "fmm_serve_pool_{name}_hits {}\nfmm_serve_pool_{name}_misses {}\nfmm_serve_pool_{name}_retained {}\nfmm_serve_pool_{name}_retained_bytes {}\n",
-                stats.hits, stats.misses, stats.retained, stats.retained_bytes
-            ));
-        }
-        out.push_str(&format!("engine_f64 {}\n", self.engine_f64.stats()));
-        out.push_str(&format!("engine_f32 {}\n", self.engine_f32.stats()));
-        out
     }
 
     /// Mirror everything that lives outside the registry proper into it:
@@ -577,14 +553,14 @@ impl Server {
         // The frame header carries payload lengths as u32; a cap beyond
         // that would let `encode_header`'s `as u32` silently truncate and
         // desynchronize the stream. Refuse the misconfiguration up front.
-        if config.max_payload_bytes > u32::MAX as usize - HEADER_LEN_V2 {
+        if config.max_payload_bytes > u32::MAX as usize - HEADER_LEN {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
                     "max_payload_bytes {} exceeds the wire format's u32 payload-length field \
                      (cap is {})",
                     config.max_payload_bytes,
-                    u32::MAX as usize - HEADER_LEN_V2
+                    u32::MAX as usize - HEADER_LEN
                 ),
             ));
         }
@@ -815,14 +791,8 @@ impl ServerHandle {
         (self.shared.engine_f64.stats(), self.shared.engine_f32.stats())
     }
 
-    /// The full plaintext stats body a `StatsRequest` frame would return.
-    pub fn render_stats(&self) -> String {
-        self.shared.render_stats()
-    }
-
     /// The merged registry snapshot a `StatsJson` frame would return, as
-    /// a JSON value — the seam `serve_smoke` uses to embed the registry
-    /// in its benchmark report.
+    /// a JSON value.
     pub fn stats_json(&self) -> json::Value {
         self.shared.stats_json()
     }
@@ -909,9 +879,6 @@ struct Conn {
     /// whole response-memory exposure, bounded by
     /// [`ServeConfig::max_conn_backlog_bytes`].
     pending_response_bytes: usize,
-    /// A v1 request is outstanding: parsing is paused until its response
-    /// is queued (v1 clients get strict one-at-a-time semantics).
-    v1_wait: bool,
     /// Close once the write queue drains (fatal error answered, shutdown
     /// acknowledged, or peer EOF with responses still owed).
     closing: bool,
@@ -927,16 +894,6 @@ struct Slot {
     generation: u32,
 }
 
-#[cfg(unix)]
-fn sys_fd<F: std::os::fd::AsRawFd>(f: &F) -> SysFd {
-    f.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-fn sys_fd<F>(_f: &F) -> SysFd {
-    0
-}
-
 /// The per-loop serving core. Loop 0 additionally owns the listener and
 /// deals accepted connections round-robin over all loops.
 fn event_loop(
@@ -948,7 +905,7 @@ fn event_loop(
 ) {
     let me = shared.loops[index].clone();
     if let Some(l) = &listener {
-        if poller.register(sys_fd(l), LISTENER_TOKEN, Interest::READ).is_err() {
+        if poller.register(l.as_raw_fd(), LISTENER_TOKEN, Interest::READ).is_err() {
             return;
         }
     }
@@ -986,10 +943,19 @@ fn event_loop(
                 }
                 token => {
                     let slot = token as usize;
-                    if slot >= slots.len() || slots[slot].conn.is_none() {
+                    let Some(conn) = slots.get(slot).and_then(|s| s.conn.as_ref()) else {
                         continue; // stale readiness for a freed slot
-                    }
+                    };
                     if event.readable {
+                        if !conn.interest.read {
+                            // Reads are off (EOF seen with responses still
+                            // owed, or flow control), so this is the
+                            // unmaskable full hangup: the peer is gone both
+                            // ways, nothing owed can be delivered, and left
+                            // registered it would re-fire on every wait.
+                            drop_conn(shared, &mut poller, &mut slots, slot);
+                            continue;
+                        }
                         drive_read(shared, &me, &mut slots, slot);
                     }
                     // Writable readiness needs no dedicated driver: the
@@ -1003,7 +969,7 @@ fn event_loop(
         let done: Vec<Completion> =
             std::mem::take(&mut *me.completions.lock().expect("completion queue poisoned"));
         for completion in done {
-            apply_completion(shared, &me, &mut poller, &mut slots, completion);
+            apply_completion(shared, &mut poller, &mut slots, completion);
         }
 
         // ORDERING: pairs with the Release store in `request_stop`; the
@@ -1079,7 +1045,7 @@ fn install_conn(
             slots.len() - 1
         }
     };
-    if poller.register(sys_fd(&s), slot as u64, Interest::READ).is_err() {
+    if poller.register(s.as_raw_fd(), slot as u64, Interest::READ).is_err() {
         return;
     }
     let id = NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed);
@@ -1091,7 +1057,6 @@ fn install_conn(
         out: WriteQueue::default(),
         in_flight: 0,
         pending_response_bytes: 0,
-        v1_wait: false,
         closing: false,
         interest: Interest::READ,
     });
@@ -1108,7 +1073,6 @@ fn drive_read(shared: &Arc<Shared>, me: &Arc<LoopShared>, slots: &mut [Slot], sl
     loop {
         let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
         if conn.closing
-            || conn.v1_wait
             || conn.decoder.is_broken()
             || conn.out.backlog() > shared.config.max_conn_backlog_bytes
         {
@@ -1149,27 +1113,12 @@ fn handle_in_event(
     match event {
         InEvent::Request { head, dims, operands } => {
             fmm_obs::trace::mark(SpanKind::RequestRecv, head.request_id);
-            admit_request(
-                shared,
-                me,
-                slots,
-                slot,
-                generation,
-                head.version,
-                head.request_id,
-                dims,
-                operands,
-            );
+            admit_request(shared, me, slots, slot, generation, head.request_id, dims, operands);
         }
         InEvent::Ping { head, payload } => {
             shared.metrics.pings.inc();
             let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-            push_reply(conn, head.version, head.request_id, FrameKind::Pong, &payload);
-        }
-        InEvent::Stats { head } => {
-            let body = shared.render_stats();
-            let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-            push_reply(conn, head.version, head.request_id, FrameKind::StatsReply, body.as_bytes());
+            push_reply(conn, head.request_id, FrameKind::Pong, &payload);
         }
         InEvent::StatsJson { head, prometheus } => {
             let body = if prometheus {
@@ -1178,34 +1127,33 @@ fn handle_in_event(
                 json::to_string_pretty(&shared.stats_json())
             };
             let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-            push_reply(conn, head.version, head.request_id, FrameKind::StatsJson, body.as_bytes());
+            push_reply(conn, head.request_id, FrameKind::StatsJson, body.as_bytes());
         }
         InEvent::Trace { head, last } => {
             let body = json::to_string_pretty(&trace_json(last as usize));
             let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-            push_reply(conn, head.version, head.request_id, FrameKind::Trace, body.as_bytes());
+            push_reply(conn, head.request_id, FrameKind::Trace, body.as_bytes());
         }
         InEvent::Shutdown { head } => {
             // Stop *before* the Pong is queued: by the time the client
             // reads the acknowledgement, `is_stopping()` is already true.
             shared.request_stop();
             let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-            push_reply(conn, head.version, head.request_id, FrameKind::Pong, b"");
+            push_reply(conn, head.request_id, FrameKind::Pong, b"");
             conn.closing = true;
         }
         InEvent::Incident { head } => {
             flight::record(FlightEvent::Incident { trigger: IncidentTrigger::WireRequest });
             let body = json::to_string_pretty(&shared.incident_json("wire-request"));
             let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-            push_reply(conn, head.version, head.request_id, FrameKind::Incident, body.as_bytes());
+            push_reply(conn, head.request_id, FrameKind::Incident, body.as_bytes());
         }
-        InEvent::Bad { version, request_id, code, message, fatal } => {
-            shared.metrics.rejects_malformed.inc();
+        InEvent::Bad { request_id, code, message, fatal } => {
             shared.metrics.record_error(code);
             let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
             flight::record(FlightEvent::ErrorSent { conn: conn.id, code: code as u64 });
             let payload = protocol::encode_error(code, &message);
-            push_reply(conn, version, request_id, FrameKind::Error, &payload);
+            push_reply(conn, request_id, FrameKind::Error, &payload);
             if fatal {
                 conn.closing = true;
             }
@@ -1223,14 +1171,12 @@ fn admit_request(
     slots: &mut [Slot],
     slot: usize,
     generation: u32,
-    version: u8,
     request_id: u64,
     dims: RequestDims,
     operands: crate::buffers::OperandStage,
 ) {
     let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
     if conn.in_flight >= shared.config.max_inflight_per_conn {
-        shared.metrics.rejects_busy.inc();
         shared.metrics.record_error(ErrorCode::Busy);
         flight::record(FlightEvent::AdmissionRefused {
             conn: conn.id,
@@ -1243,7 +1189,7 @@ fn admit_request(
                 shared.config.max_inflight_per_conn
             ),
         );
-        push_reply(conn, version, request_id, FrameKind::Error, &payload);
+        push_reply(conn, request_id, FrameKind::Error, &payload);
         return;
     }
     // Byte-level admission: the response's size is declared by the
@@ -1254,10 +1200,9 @@ fn admit_request(
     // A request arriving on an otherwise idle connection (nothing queued,
     // nothing promised) is always admitted, so progress never deadlocks
     // on an operator setting the backlog cap below one max response.
-    let response_bytes = response_frame_bytes(version, dims);
+    let response_bytes = response_frame_bytes(dims);
     let outstanding = conn.pending_response_bytes + conn.out.backlog();
     if outstanding > 0 && outstanding + response_bytes > shared.config.max_conn_backlog_bytes {
-        shared.metrics.rejects_busy.inc();
         shared.metrics.record_error(ErrorCode::Busy);
         flight::record(FlightEvent::AdmissionRefused {
             conn: conn.id,
@@ -1271,14 +1216,13 @@ fn admit_request(
                 shared.config.max_conn_backlog_bytes
             ),
         );
-        push_reply(conn, version, request_id, FrameKind::Error, &payload);
+        push_reply(conn, request_id, FrameKind::Error, &payload);
         return;
     }
     let reply = ReplySink {
         sink: me.clone() as Arc<dyn CompletionSink>,
         addr: ConnAddr { slot: slot as u32, generation },
         request_id,
-        version,
     };
     let refused = match operands {
         crate::buffers::OperandStage::F64 { a, b } => {
@@ -1302,12 +1246,8 @@ fn admit_request(
             conn.requests += 1;
             conn.pending_response_bytes += response_bytes;
             shared.metrics.record_conn_inflight(conn.in_flight as u64);
-            if version == VERSION {
-                conn.v1_wait = true;
-            }
         }
         Some(Refusal::Full) => {
-            shared.metrics.rejects_busy.inc();
             shared.metrics.record_error(ErrorCode::Busy);
             flight::record(FlightEvent::AdmissionRefused {
                 conn: conn.id,
@@ -1318,7 +1258,7 @@ fn admit_request(
                 ErrorCode::Busy,
                 &format!("pending queue is full ({capacity} requests)"),
             );
-            push_reply(conn, version, request_id, FrameKind::Error, &payload);
+            push_reply(conn, request_id, FrameKind::Error, &payload);
         }
         Some(Refusal::Closed) => {
             // Not Busy: nothing about this daemon will ever accept the
@@ -1332,22 +1272,20 @@ fn admit_request(
                 ErrorCode::ShuttingDown,
                 "daemon is shutting down and accepts no new work",
             );
-            push_reply(conn, version, request_id, FrameKind::Error, &payload);
+            push_reply(conn, request_id, FrameKind::Error, &payload);
         }
     }
 }
 
 /// Wire bytes the response to an admitted request will occupy once
-/// queued: header (in the peer's wire version), response prelude, and the
-/// declared `m×n` result.
-fn response_frame_bytes(version: u8, dims: RequestDims) -> usize {
-    let header = if version == VERSION { HEADER_LEN } else { HEADER_LEN_V2 };
-    header + RESPONSE_PRELUDE + dims.c_bytes()
+/// queued: header, response prelude, and the declared `m×n` result.
+fn response_frame_bytes(dims: RequestDims) -> usize {
+    HEADER_LEN + RESPONSE_PRELUDE + dims.c_bytes()
 }
 
-/// Queue one small (fully owned) reply frame in the peer's wire version.
-fn push_reply(conn: &mut Conn, version: u8, request_id: u64, kind: FrameKind, payload: &[u8]) {
-    let mut bytes = protocol::encode_header(version, kind, payload.len() as u32, request_id);
+/// Queue one small (fully owned) reply frame.
+fn push_reply(conn: &mut Conn, request_id: u64, kind: FrameKind, payload: &[u8]) {
+    let mut bytes = protocol::encode_header(kind, payload.len() as u32, request_id);
     bytes.extend_from_slice(payload);
     conn.out.push_bytes(bytes);
 }
@@ -1357,7 +1295,6 @@ fn push_reply(conn: &mut Conn, version: u8, request_id: u64, kind: FrameKind, pa
 /// (scatter segment), or drop it if the connection died mid-flight.
 fn apply_completion(
     shared: &Arc<Shared>,
-    me: &Arc<LoopShared>,
     poller: &mut Poller,
     slots: &mut [Slot],
     completion: Completion,
@@ -1374,23 +1311,15 @@ fn apply_completion(
     }
     let conn = slots[slot].conn.as_mut().expect("checked above");
     conn.in_flight = conn.in_flight.saturating_sub(1);
-    if completion.version == VERSION {
-        conn.v1_wait = false;
-    }
     shared.metrics.responses.inc();
     let payload_len = RESPONSE_PRELUDE + completion.result.bytes().len();
     // Release the bytes charged at admission: the promise now materializes
     // as actual write-queue backlog (the result length equals the `m×n`
     // size the prelude declared).
-    let header_len = if completion.version == VERSION { HEADER_LEN } else { HEADER_LEN_V2 };
     conn.pending_response_bytes =
-        conn.pending_response_bytes.saturating_sub(header_len + payload_len);
-    let mut head = protocol::encode_header(
-        completion.version,
-        FrameKind::Response,
-        payload_len as u32,
-        completion.request_id,
-    );
+        conn.pending_response_bytes.saturating_sub(HEADER_LEN + payload_len);
+    let mut head =
+        protocol::encode_header(FrameKind::Response, payload_len as u32, completion.request_id);
     head.extend_from_slice(&protocol::encode_response_prelude(
         completion.result.dtype(),
         completion.m,
@@ -1399,11 +1328,6 @@ fn apply_completion(
     conn.out.push_bytes(head);
     conn.out.push_buf(completion.result);
     fmm_obs::trace::mark(SpanKind::ReplyFlush, completion.request_id);
-    // A v1 connection resumes parsing now; data may already be buffered,
-    // so eagerly decode before waiting for the next readiness report.
-    if !conn.v1_wait {
-        drive_read(shared, me, slots, slot);
-    }
     finish_conn_round(shared, poller, slots, slot);
 }
 
@@ -1420,13 +1344,15 @@ fn finish_conn_round(shared: &Arc<Shared>, poller: &mut Poller, slots: &mut [Slo
         return;
     }
     let conn = slots[slot].conn.as_mut().expect("flush kept the slot occupied");
-    if conn.closing && conn.out.is_empty() {
+    // A closing connection is done once nothing is queued *and* nothing is
+    // in flight: a peer that half-closed after sending still gets every
+    // response it is owed.
+    if conn.closing && conn.out.is_empty() && conn.in_flight == 0 {
         drop_conn(shared, poller, slots, slot);
         return;
     }
     let want = Interest {
         read: !conn.closing
-            && !conn.v1_wait
             && !conn.decoder.is_broken()
             && conn.out.backlog() <= shared.config.max_conn_backlog_bytes,
         write: !conn.out.is_empty(),

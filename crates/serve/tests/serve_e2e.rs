@@ -3,12 +3,13 @@
 //! provable cross-request coalescing, typed error frames for hostile
 //! input, admission-control backpressure, live stats, and clean shutdown.
 
+use fmm_core::json::{self, Value};
 use fmm_dense::{fill, norms, Matrix, Scalar};
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
 use fmm_gemm::BlockingParams;
 use fmm_model::ArchParams;
-use fmm_serve::protocol::{self, ErrorCode, FrameKind, HEADER_LEN, MAGIC, VERSION};
-use fmm_serve::{BatchPolicy, Client, ServeConfig, Server, ServerHandle};
+use fmm_serve::protocol::{self, ErrorCode, FrameKind, HEADER_PREFIX_LEN, MAGIC, VERSION_V2};
+use fmm_serve::{BatchPolicy, PipelinedClient, ServeConfig, Server, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -62,7 +63,7 @@ fn concurrent_clients_get_bit_exact_gemm_results_for_both_dtypes() {
     thread::scope(|s| {
         for t in 0..3u64 {
             s.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
+                let mut client = PipelinedClient::connect(addr).expect("connect");
                 for (m, k, n) in [(37, 29, 41), (64, 64, 64), (96, 64, 80)] {
                     let a = fill::bench_workload(m, k, 2 * t + 1);
                     let b = fill::bench_workload(k, n, 2 * t + 2);
@@ -119,7 +120,7 @@ fn model_routed_concurrent_traffic_is_correct_and_coalesces() {
     thread::scope(|s| {
         for t in 0..clients as u64 {
             s.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
+                let mut client = PipelinedClient::connect(addr).expect("connect");
                 let n = 48;
                 let a = fill::bench_workload(n, n, 10 * t + 1);
                 let b = fill::bench_workload(n, n, 10 * t + 2);
@@ -140,7 +141,7 @@ fn model_routed_concurrent_traffic_is_correct_and_coalesces() {
     assert!(snap.batches < clients as u64, "coalescing must merge dispatches: {snap:?}");
 
     // f32 traffic goes through its own queue and engine.
-    let mut client = Client::connect(addr).expect("connect");
+    let mut client = PipelinedClient::connect(addr).expect("connect");
     let a = fill::bench_workload_t::<f32>(40, 24, 91);
     let b = fill::bench_workload_t::<f32>(24, 32, 92);
     let c = client.multiply(&a, &b).expect("served f32");
@@ -162,14 +163,15 @@ fn malformed_and_oversized_frames_get_typed_errors_and_service_survives() {
     let addr = handle.addr();
 
     // 1. Garbage magic: typed error frame, then the connection closes
-    //    (framing is unrecoverable).
+    //    (framing is unrecoverable). Only the ten classified prefix bytes
+    //    are ever sent — the refusal must not wait for a request id.
     {
         let mut raw = TcpStream::connect(addr).expect("connect");
-        let mut header = [0u8; HEADER_LEN];
+        let mut header = [0u8; HEADER_PREFIX_LEN];
         header[0..4].copy_from_slice(b"XXXX");
         raw.write_all(&header).expect("write garbage header");
-        let frame = protocol::read_frame(&mut raw, 1 << 16).expect("error frame back");
-        assert_eq!(frame.kind, FrameKind::Error);
+        let frame = protocol::read_frame_any(&mut raw, 1 << 16).expect("error frame back");
+        assert_eq!((frame.kind, frame.request_id), (FrameKind::Error, 0));
         let (code, message) = protocol::decode_error(&frame.payload);
         assert_eq!(code, ErrorCode::Malformed);
         assert!(message.contains("magic"), "{message}");
@@ -182,11 +184,11 @@ fn malformed_and_oversized_frames_get_typed_errors_and_service_survives() {
     // 2. Unsupported version byte.
     {
         let mut raw = TcpStream::connect(addr).expect("connect");
-        let mut header = [0u8; HEADER_LEN];
+        let mut header = [0u8; HEADER_PREFIX_LEN];
         header[0..4].copy_from_slice(&MAGIC);
         header[4] = 77;
         raw.write_all(&header).expect("write bad version");
-        let frame = protocol::read_frame(&mut raw, 1 << 16).expect("error frame back");
+        let frame = protocol::read_frame_any(&mut raw, 1 << 16).expect("error frame back");
         let (code, _) = protocol::decode_error(&frame.payload);
         assert_eq!(code, ErrorCode::UnsupportedVersion);
     }
@@ -195,13 +197,13 @@ fn malformed_and_oversized_frames_get_typed_errors_and_service_survives() {
     //    Oversized, connection closes.
     {
         let mut raw = TcpStream::connect(addr).expect("connect");
-        let mut header = [0u8; HEADER_LEN];
+        let mut header = [0u8; HEADER_PREFIX_LEN];
         header[0..4].copy_from_slice(&MAGIC);
-        header[4] = VERSION;
+        header[4] = VERSION_V2;
         header[5] = FrameKind::Request as u8;
         header[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
         raw.write_all(&header).expect("write oversized header");
-        let frame = protocol::read_frame(&mut raw, 1 << 16).expect("error frame back");
+        let frame = protocol::read_frame_any(&mut raw, 1 << 16).expect("error frame back");
         let (code, message) = protocol::decode_error(&frame.payload);
         assert_eq!(code, ErrorCode::Oversized);
         assert!(message.contains("cap"), "{message}");
@@ -210,7 +212,7 @@ fn malformed_and_oversized_frames_get_typed_errors_and_service_survives() {
     // 4. Well-framed but malformed payload (unknown dtype): typed error,
     //    and the SAME connection keeps serving.
     {
-        let mut client = Client::connect(addr).expect("connect");
+        let mut client = PipelinedClient::connect(addr).expect("connect");
         let mut payload = vec![9u8]; // no such dtype
         payload.extend_from_slice(&[0u8; 12]);
         let reply = client.roundtrip(FrameKind::Request, &payload).expect("reply");
@@ -229,7 +231,7 @@ fn malformed_and_oversized_frames_get_typed_errors_and_service_survives() {
 
         // 6. A server-to-client kind sent by the client is refused and
         //    the connection still works.
-        let reply = client.roundtrip(FrameKind::StatsReply, b"").expect("reply");
+        let reply = client.roundtrip(FrameKind::Pong, b"").expect("reply");
         assert_eq!(reply.kind, FrameKind::Error);
 
         // 7. The k = 0 attack: a 23-byte request whose declared *result*
@@ -287,7 +289,7 @@ fn full_queue_rejects_with_busy_and_recovers() {
             let handles: Vec<_> = (0..flood)
                 .map(|t| {
                     s.spawn(move || {
-                        let mut client = Client::connect(addr).expect("connect");
+                        let mut client = PipelinedClient::connect(addr).expect("connect");
                         let n = 64;
                         let a = fill::bench_workload(n, n, (wave * flood + t) as u64 + 1);
                         let b = fill::bench_workload(n, n, (wave * flood + t) as u64 + 2);
@@ -327,7 +329,7 @@ fn full_queue_rejects_with_busy_and_recovers() {
 
     // Backpressure is a transient refusal, not a failure state: a lone
     // request afterwards is served normally.
-    let mut client = Client::connect(addr).expect("connect");
+    let mut client = PipelinedClient::connect(addr).expect("connect");
     let a = fill::bench_workload(32, 32, 997);
     let b = fill::bench_workload(32, 32, 998);
     let c = client.multiply(&a, &b).expect("serving after backpressure");
@@ -341,7 +343,7 @@ fn stats_frame_reports_counters_latency_and_engine_snapshots() {
     let handle = spawn_server(ServeConfig::default(), false);
     let addr = handle.addr();
 
-    let mut client = Client::connect(addr).expect("connect");
+    let mut client = PipelinedClient::connect(addr).expect("connect");
     client.ping().expect("ping");
     let a = fill::bench_workload(24, 24, 1);
     let b = fill::bench_workload(24, 24, 2);
@@ -350,23 +352,33 @@ fn stats_frame_reports_counters_latency_and_engine_snapshots() {
     let b32 = fill::bench_workload_t::<f32>(24, 24, 4);
     client.multiply(&a32, &b32).expect("served f32");
 
-    let body = client.stats().expect("stats");
-    for needle in [
-        "fmm_serve_requests_total 2",
-        "fmm_serve_responses_total 2",
-        "fmm_serve_pings_total 1",
-        "fmm_serve_batches_total 2",
-        "fmm_serve_batch_occupancy_mean 1.000",
-        "fmm_serve_latency_p50_ms",
-        "fmm_serve_latency_p99_ms",
-        "fmm_serve_queue_depth_f64 0",
-        "engine_f64 executions=1",
-        "engine_f32 executions=1",
+    let body = client.stats_json().expect("stats");
+    let Value::Object(stats) = json::parse(&body).expect("valid JSON body") else {
+        panic!("stats body is not an object:\n{body}")
+    };
+    let section = |name: &str| match stats.get(name) {
+        Some(Value::Object(map)) => map,
+        other => panic!("no {name} section in stats: {other:?}"),
+    };
+    // Two one-request batches: occupancy mean 1.
+    for (name, want) in [
+        ("fmm_serve_requests_total", 2),
+        ("fmm_serve_responses_total", 2),
+        ("fmm_serve_pings_total", 1),
+        ("fmm_serve_batches_total", 2),
+        ("fmm_serve_batched_items_total", 2),
+        ("fmm_engine_f64_executions", 1),
+        ("fmm_engine_f32_executions", 1),
+        // The engine counters carry the full EngineStats reflection surface.
+        ("fmm_engine_f64_batch_items", 1),
     ] {
-        assert!(body.contains(needle), "missing {needle:?} in stats:\n{body}");
+        assert_eq!(section("counters").get(name), Some(&Value::Int(want)), "{name} in:\n{body}");
     }
-    // The engine lines carry the full EngineStats reflection surface.
-    assert!(body.contains("batch_items=1"), "{body}");
+    assert_eq!(section("gauges").get("fmm_serve_queue_depth_f64"), Some(&Value::Int(0)));
+    let Some(Value::Object(latency)) = section("histograms").get("fmm_serve_latency_nanos") else {
+        panic!("no latency histogram in:\n{body}")
+    };
+    assert!(latency.contains_key("p50_nanos") && latency.contains_key("p99_nanos"), "{body}");
     handle.shutdown();
 }
 
@@ -376,7 +388,7 @@ fn client_shutdown_drains_and_daemon_exits_cleanly() {
     let addr = handle.addr();
 
     // Traffic, then a protocol-level shutdown.
-    let mut client = Client::connect(addr).expect("connect");
+    let mut client = PipelinedClient::connect(addr).expect("connect");
     let a = fill::bench_workload(16, 16, 5);
     let b = fill::bench_workload(16, 16, 6);
     client.multiply(&a, &b).expect("served");

@@ -1,13 +1,12 @@
 //! End-to-end tests for the observability surface: the `StatsJson`
-//! registry export (JSON and Prometheus), the plaintext `StatsRequest`
-//! byte-format compatibility across protocol versions, typed errors for
-//! unknown frame kinds, and the `Trace` span dump.
+//! registry export (JSON and Prometheus), typed errors for unknown frame
+//! kinds, and the `Trace` span dump.
 
 use fmm_core::json::{self, Value};
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
 use fmm_model::ArchParams;
-use fmm_serve::protocol::{self, ErrorCode, FrameKind, VERSION, VERSION_V2};
-use fmm_serve::{Client, PipelinedClient, ServeConfig, Server, ServerHandle};
+use fmm_serve::protocol::{self, ErrorCode, FrameKind};
+use fmm_serve::{PipelinedClient, ServeConfig, Server, ServerHandle};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -28,7 +27,7 @@ fn spawn_server(config: ServeConfig) -> ServerHandle {
 }
 
 fn run_multiplies(addr: std::net::SocketAddr, count: usize) {
-    let mut client = Client::connect(addr).expect("connect");
+    let mut client = PipelinedClient::connect(addr).expect("connect");
     let a = fmm_dense::fill::bench_workload(48, 40, 1);
     let b = fmm_dense::fill::bench_workload(40, 44, 2);
     for _ in 0..count {
@@ -58,7 +57,7 @@ fn stats_json_reports_per_phase_histograms() {
     let handle = spawn_server(ServeConfig::default());
     run_multiplies(handle.addr(), 8);
 
-    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
     let body = client.stats_json().expect("stats json");
     let stats = json::parse(&body).expect("valid JSON body");
 
@@ -100,7 +99,7 @@ fn prometheus_exposition_renders_the_same_registry() {
     let handle = spawn_server(ServeConfig::default());
     run_multiplies(handle.addr(), 2);
 
-    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
     let text = client.stats_prometheus().expect("prometheus exposition");
     for needle in [
         "# TYPE fmm_serve_requests_total counter",
@@ -115,48 +114,6 @@ fn prometheus_exposition_renders_the_same_registry() {
 }
 
 #[test]
-fn plaintext_stats_byte_format_survives_on_both_protocol_versions() {
-    let handle = spawn_server(ServeConfig::default());
-    run_multiplies(handle.addr(), 3);
-
-    // v1: the Client's StatsRequest must keep the historical key set,
-    // including `latency_window_count` (now a lifetime count).
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    let v1_body = client.stats().expect("v1 stats");
-    for key in [
-        "fmm_serve_requests_total 3",
-        "fmm_serve_latency_window_count 3",
-        "fmm_serve_latency_p99_ms ",
-        "fmm_serve_queue_wait_p50_ms ",
-        "fmm_serve_service_p99_ms ",
-        "engine_f64 ",
-    ] {
-        assert!(v1_body.contains(key), "v1 stats body lost {key:?}:\n{v1_body}");
-    }
-
-    // v2: the same frame kind with a request id gets the same body.
-    let stream = TcpStream::connect(handle.addr()).expect("connect raw");
-    let mut writer = std::io::BufWriter::new(stream.try_clone().expect("clone"));
-    let mut reader = std::io::BufReader::new(stream);
-    protocol::write_frame_v(&mut writer, VERSION_V2, 7, FrameKind::StatsRequest, b"")
-        .expect("write v2 stats request");
-    writer.flush().expect("flush");
-    let reply = protocol::read_frame_any(&mut reader, 1 << 20).expect("v2 stats reply");
-    assert_eq!((reply.kind, reply.request_id), (FrameKind::StatsReply, 7));
-    let v2_body = String::from_utf8(reply.payload).expect("utf-8 stats");
-    // The raw v2 fetch rides its own connection, so the live connection
-    // counters legitimately differ; every other line must be identical.
-    let stable = |body: &str| -> String {
-        body.lines()
-            .filter(|l| !l.starts_with("fmm_serve_connections"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(stable(&v1_body), stable(&v2_body), "stats body differs between wire versions");
-    handle.shutdown();
-}
-
-#[test]
 fn every_engine_stats_field_is_mirrored_into_stats_json() {
     // `EngineStats::fields()` is the reflection surface the server uses
     // to mirror engine counters into the registry; a field added to the
@@ -166,7 +123,7 @@ fn every_engine_stats_field_is_mirrored_into_stats_json() {
     let handle = spawn_server(ServeConfig::default());
     run_multiplies(handle.addr(), 2);
 
-    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
     let body = client.stats_json().expect("stats json");
     let stats = json::parse(&body).expect("valid JSON body");
     let Value::Object(root) = &stats else { panic!("stats body is not an object") };
@@ -184,39 +141,6 @@ fn every_engine_stats_field_is_mirrored_into_stats_json() {
 }
 
 #[test]
-fn plaintext_stats_bytes_are_unchanged_by_audit_counters() {
-    // The v1/v2 plaintext `StatsRequest` body is a frozen byte format;
-    // the decision-audit subsystem exports through StatsJson and
-    // Prometheus only. Generate audit traffic, then prove the plaintext
-    // key set is exactly what it was before the load and carries no
-    // audit spill-over.
-    let handle = spawn_server(ServeConfig::default());
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    let keys = |body: &str| -> Vec<String> {
-        body.lines().filter_map(|l| l.split(' ').next().map(str::to_string)).collect()
-    };
-    let before = keys(&client.stats().expect("v1 stats before load"));
-
-    run_multiplies(handle.addr(), 4); // populates the audit table
-    let after_body = client.stats().expect("v1 stats after load");
-    assert!(!after_body.contains("fmm_audit"), "audit leaked into plaintext:\n{after_body}");
-    assert_eq!(keys(&after_body), before, "plaintext key set changed under audit load");
-
-    // The raw v2 framing returns the same (audit-free) body.
-    let stream = TcpStream::connect(handle.addr()).expect("connect raw");
-    let mut writer = std::io::BufWriter::new(stream.try_clone().expect("clone"));
-    let mut reader = std::io::BufReader::new(stream);
-    protocol::write_frame_v(&mut writer, VERSION_V2, 11, FrameKind::StatsRequest, b"")
-        .expect("write v2 stats request");
-    writer.flush().expect("flush");
-    let reply = protocol::read_frame_any(&mut reader, 1 << 20).expect("v2 stats reply");
-    let v2_body = String::from_utf8(reply.payload).expect("utf-8 stats");
-    assert!(!v2_body.contains("fmm_audit"), "audit leaked into v2 plaintext:\n{v2_body}");
-    assert_eq!(keys(&v2_body), before, "v2 plaintext key set changed under audit load");
-    handle.shutdown();
-}
-
-#[test]
 fn stats_json_exposes_per_class_audit_aggregates() {
     // The acceptance path: under end-to-end load, `stats --json` must
     // carry per-(shape-class, dtype) model-error histograms with nonzero
@@ -227,7 +151,7 @@ fn stats_json_exposes_per_class_audit_aggregates() {
     let handle = spawn_server(ServeConfig::default());
     run_multiplies(handle.addr(), 8);
 
-    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
     let body = client.stats_json().expect("stats json");
     let stats = json::parse(&body).expect("valid JSON body");
 
@@ -284,22 +208,23 @@ fn stats_json_exposes_per_class_audit_aggregates() {
 
 #[test]
 fn unknown_frame_kind_gets_a_typed_error() {
-    // A client ahead of the server (e.g. sending StatsJson to a pre-obs
-    // daemon) must get a typed Malformed error, not a hang or a panic.
-    // Kind 99 is unknown to *this* server, which exercises exactly the
-    // code path an old server takes for the newer kinds.
+    // A kind byte this server does not know — 99, and the retired
+    // plaintext stats request (6) — must get a typed Malformed error, not
+    // a hang or a panic.
     let handle = spawn_server(ServeConfig::default());
-    let stream = TcpStream::connect(handle.addr()).expect("connect raw");
-    let mut writer = std::io::BufWriter::new(stream.try_clone().expect("clone"));
-    let mut reader = std::io::BufReader::new(stream);
-    let mut header = protocol::encode_header(VERSION, FrameKind::Ping, 0, 0);
-    header[5] = 99; // the kind byte
-    writer.write_all(&header).expect("write bad kind");
-    writer.flush().expect("flush");
-    let reply = protocol::read_frame_any(&mut reader, 1 << 20).expect("error reply");
-    assert_eq!(reply.kind, FrameKind::Error);
-    let (code, message) = protocol::decode_error(&reply.payload);
-    assert_eq!(code, ErrorCode::Malformed, "unknown kind must be Malformed: {message}");
+    for kind in [99, 6] {
+        let stream = TcpStream::connect(handle.addr()).expect("connect raw");
+        let mut writer = std::io::BufWriter::new(stream.try_clone().expect("clone"));
+        let mut reader = std::io::BufReader::new(stream);
+        let mut header = protocol::encode_header(FrameKind::Ping, 0, 0);
+        header[5] = kind;
+        writer.write_all(&header).expect("write bad kind");
+        writer.flush().expect("flush");
+        let reply = protocol::read_frame_any(&mut reader, 1 << 20).expect("error reply");
+        assert_eq!(reply.kind, FrameKind::Error);
+        let (code, message) = protocol::decode_error(&reply.payload);
+        assert_eq!(code, ErrorCode::Malformed, "unknown kind must be Malformed: {message}");
+    }
     handle.shutdown();
 }
 
@@ -308,18 +233,17 @@ fn trace_dump_returns_per_request_phase_spans() {
     let handle = spawn_server(ServeConfig { trace: true, ..ServeConfig::default() });
 
     // Pipelined traffic so spans carry real (non-zero) request ids.
-    let mut pipelined = PipelinedClient::connect(handle.addr()).expect("connect");
+    let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
     let a = fmm_dense::fill::bench_workload(40, 32, 3);
     let b = fmm_dense::fill::bench_workload(32, 36, 4);
     let mut ids = Vec::new();
     for _ in 0..4 {
-        ids.push(pipelined.send(&a, &b).expect("send"));
+        ids.push(client.send(&a, &b).expect("send"));
     }
     for id in &ids {
-        let _: fmm_dense::Matrix<f64> = pipelined.recv(*id).expect("recv");
+        let _: fmm_dense::Matrix<f64> = client.recv(*id).expect("recv");
     }
 
-    let mut client = Client::connect(handle.addr()).expect("connect");
     let body = client.trace(0).expect("trace dump");
     let value = json::parse(&body).expect("valid trace JSON");
     let Value::Array(events) = &value else { panic!("trace body is not an array") };

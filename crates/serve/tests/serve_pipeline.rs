@@ -1,20 +1,21 @@
-//! Integration tests for the protocol-v2 pipelined serving path: many
+//! Integration tests for the pipelined serving path: many
 //! requests in flight on one connection with out-of-order completion
 //! matched by request id, slow-loris resistance of the readiness loops,
-//! the zero-allocation warm ingest path, version negotiation, and the
+//! the zero-allocation warm ingest path, version refusal, and the
 //! `retry_busy` backoff helper against real backpressure.
 
+use fmm_core::json::Value;
 use fmm_dense::{fill, norms, Matrix};
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
 use fmm_model::ArchParams;
-use fmm_serve::protocol::{self, FrameKind, HEADER_LEN, VERSION, VERSION_V2};
-use fmm_serve::{retry_busy, BatchPolicy, Client, ErrorCode, PipelinedClient};
+use fmm_serve::protocol::{self, FrameKind, HEADER_LEN, HEADER_PREFIX_LEN, VERSION_V2};
+use fmm_serve::{retry_busy, BatchPolicy, ErrorCode, PipelinedClient};
 use fmm_serve::{ServeConfig, Server, ServerHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Engine pair pinned to the deterministic blocked-GEMM fallback route,
 /// so served results are bitwise comparable to the local reference.
@@ -208,10 +209,10 @@ fn oversized_payload_cap_is_rejected_at_spawn() {
 
 #[test]
 fn half_closed_peer_still_receives_inflight_response() {
-    // A v1 peer that sends one request and immediately half-closes its
-    // write side (shutdown(SHUT_WR)) while the request is held in a long
-    // batch window: the read-paused connection must neither be torn down
-    // nor spin the loop on the hangup — the response still arrives.
+    // A peer that pipelines two requests and immediately half-closes its
+    // write side (shutdown(SHUT_WR)) while both are held in a long batch
+    // window: the connection must neither be torn down on the EOF nor
+    // spin the loop on the hangup — both responses still arrive.
     let handle = spawn_pinned(ServeConfig {
         batch: BatchPolicy {
             window: Duration::from_millis(100),
@@ -224,13 +225,64 @@ fn half_closed_peer_still_receives_inflight_response() {
     let b = fill::bench_workload(4, 5, 22);
     let payload = protocol::encode_request(&a, &b);
     let mut s = TcpStream::connect(handle.addr()).expect("connect");
-    protocol::write_frame(&mut s, FrameKind::Request, &payload).expect("send request");
+    for id in [41, 42] {
+        protocol::write_frame_v(&mut s, VERSION_V2, id, FrameKind::Request, &payload)
+            .expect("send request");
+    }
     s.shutdown(std::net::Shutdown::Write).expect("half-close write side");
-    let frame = protocol::read_frame(&mut s, 1 << 20).expect("response after half-close");
-    assert_eq!(frame.kind, FrameKind::Response);
-    let c = protocol::decode_response::<f64>(&frame.payload).expect("decode response");
     let c_ref = fmm_gemm::reference::matmul(a.as_ref(), b.as_ref());
-    assert!(norms::rel_error(c.as_ref(), c_ref.as_ref()) < 1e-12);
+    let mut ids = Vec::new();
+    for _ in 0..2 {
+        let frame = protocol::read_frame_any(&mut s, 1 << 20).expect("response after half-close");
+        assert_eq!(frame.kind, FrameKind::Response);
+        ids.push(frame.request_id);
+        let c = protocol::decode_response::<f64>(&frame.payload).expect("decode response");
+        assert!(norms::rel_error(c.as_ref(), c_ref.as_ref()) < 1e-12);
+    }
+    ids.sort_unstable();
+    assert_eq!(ids, [41, 42], "both in-flight ids answered");
+    // With nothing left in flight the server closes its side too.
+    assert!(matches!(protocol::read_frame_any(&mut s, 1 << 20), Err(protocol::FrameError::Closed)));
+    handle.shutdown();
+}
+
+#[test]
+fn reset_peer_with_inflight_request_is_reclaimed_at_once() {
+    // The other way a peer can leave with work in flight: a full reset
+    // (closing with the Pong unread sends RST, not FIN). Nothing owed can
+    // be delivered any more, so the slot must be reclaimed on the hangup —
+    // not kept, re-firing on every poller wait, until the batch window
+    // closes seconds later.
+    let handle = spawn_pinned(ServeConfig {
+        batch: BatchPolicy {
+            window: Duration::from_secs(4),
+            max_batch: 8,
+            straggler_gap: Duration::from_secs(4),
+        },
+        ..ServeConfig::default()
+    });
+    let a = fill::bench_workload(6, 4, 23);
+    let b = fill::bench_workload(4, 5, 24);
+    let mut s = TcpStream::connect(handle.addr()).expect("connect");
+    protocol::write_frame_v(&mut s, VERSION_V2, 1, FrameKind::Ping, b"unread").expect("ping");
+    protocol::write_frame_v(
+        &mut s,
+        VERSION_V2,
+        2,
+        FrameKind::Request,
+        &protocol::encode_request(&a, &b),
+    )
+    .expect("send request");
+    s.peek(&mut [0u8; 1]).expect("pong arrived");
+    while handle.metrics().snapshot().inflight == 0 {
+        thread::sleep(Duration::from_millis(1));
+    }
+    drop(s);
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while handle.metrics().snapshot().connections > 0 {
+        assert!(Instant::now() < deadline, "reset connection still registered");
+        thread::sleep(Duration::from_millis(5));
+    }
     handle.shutdown();
 }
 
@@ -258,7 +310,7 @@ fn slow_loris_writer_does_not_stall_other_connections() {
         // Read the full response in tiny chunks.
         let mut got = Vec::new();
         let mut chunk = [0u8; 3];
-        let want = protocol::HEADER_LEN_V2 + protocol::RESPONSE_PRELUDE + 6 * 5 * 8;
+        let want = HEADER_LEN + protocol::RESPONSE_PRELUDE + 6 * 5 * 8;
         while got.len() < want {
             let n = s.read(&mut chunk).expect("sip");
             assert!(n > 0, "server hung up mid-response");
@@ -268,7 +320,7 @@ fn slow_loris_writer_does_not_stall_other_connections() {
     });
 
     // Meanwhile this connection must keep being served bit-exactly.
-    let mut client = Client::connect(addr).expect("connect victim");
+    let mut client = PipelinedClient::connect(addr).expect("connect victim");
     for i in 0..8u64 {
         let a = fill::bench_workload(12, 10, 100 + i);
         let b = fill::bench_workload(10, 9, 200 + i);
@@ -283,10 +335,10 @@ fn slow_loris_writer_does_not_stall_other_connections() {
     assert_eq!(&response[..4], protocol::MAGIC.as_slice());
     assert_eq!(response[4], VERSION_V2);
     assert_eq!(response[5], FrameKind::Response as u8);
-    let id = u64::from_le_bytes(response[HEADER_LEN..protocol::HEADER_LEN_V2].try_into().unwrap());
+    let id = u64::from_le_bytes(response[HEADER_PREFIX_LEN..HEADER_LEN].try_into().unwrap());
     assert_eq!(id, 77);
     let c_ref = fmm_gemm::reference::matmul(a.as_ref(), b.as_ref());
-    let body = &response[protocol::HEADER_LEN_V2..];
+    let body = &response[HEADER_LEN..];
     let c = protocol::decode_response::<f64>(body).expect("decode trickled response");
     assert!(norms::rel_error(c.as_ref(), c_ref.as_ref()) < 1e-12);
     handle.shutdown();
@@ -295,22 +347,22 @@ fn slow_loris_writer_does_not_stall_other_connections() {
 #[test]
 fn warm_path_serves_requests_without_allocating_payload_buffers() {
     let handle = spawn_pinned(ServeConfig::default());
-    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
     let a = fill::bench_workload(16, 12, 5);
     let b = fill::bench_workload(12, 14, 6);
 
-    let misses = |stats: &str| -> u64 {
-        stats
-            .lines()
-            .find_map(|l| l.strip_prefix("fmm_serve_pool_f64_misses "))
-            .expect("pool miss counter rendered")
-            .parse()
-            .expect("counter is a number")
+    let misses = |stats: Value| -> i64 {
+        let Value::Object(root) = stats else { panic!("stats body is not an object") };
+        let Some(Value::Object(counters)) = root.get("counters") else { panic!("no counters") };
+        match counters.get("fmm_serve_pool_f64_misses") {
+            Some(Value::Int(n)) => *n,
+            other => panic!("pool miss counter missing: {other:?}"),
+        }
     };
 
     // Warm the pool: the first request allocates A, B, and C buffers.
     client.multiply(&a, &b).expect("warm-up");
-    let cold_misses = misses(&handle.render_stats());
+    let cold_misses = misses(handle.stats_json());
     assert!(cold_misses >= 3, "cold path allocated operands and result: {cold_misses}");
 
     // Steady state: same shape, every buffer comes from the pool — the
@@ -321,7 +373,7 @@ fn warm_path_serves_requests_without_allocating_payload_buffers() {
         let c_ref = fmm_gemm::reference::matmul(a.as_ref(), b.as_ref());
         assert!(norms::rel_error(c.as_ref(), c_ref.as_ref()) < 1e-12);
     }
-    let warm_misses = misses(&handle.render_stats());
+    let warm_misses = misses(handle.stats_json());
     assert_eq!(
         warm_misses, cold_misses,
         "warm-path requests allocated payload buffers (pool misses grew)"
@@ -330,38 +382,31 @@ fn warm_path_serves_requests_without_allocating_payload_buffers() {
 }
 
 #[test]
-fn v2_server_answers_v1_clients_in_v1_frames() {
+fn unknown_and_retired_versions_get_a_typed_refusal() {
     let handle = spawn_pinned(ServeConfig::default());
     let addr = handle.addr();
 
-    // Raw v1 ping: the reply header must be a 10-byte v1 header (version
-    // byte 1), NOT a v2 header — a v1 client reads it unmodified.
-    let mut raw = TcpStream::connect(addr).expect("connect");
-    protocol::write_frame(&mut raw, FrameKind::Ping, b"negotiate").expect("v1 ping");
-    let mut header = [0u8; HEADER_LEN];
-    raw.read_exact(&mut header).expect("v1 reply header");
-    assert_eq!(&header[..4], protocol::MAGIC.as_slice());
-    assert_eq!(header[4], VERSION, "v1 request answered with a v1 frame");
-    assert_eq!(header[5], FrameKind::Pong as u8);
-    let len = u32::from_le_bytes(header[6..10].try_into().unwrap()) as usize;
-    assert_eq!(len, b"negotiate".len());
-    let mut payload = vec![0u8; len];
-    raw.read_exact(&mut payload).expect("v1 reply payload");
-    assert_eq!(payload, b"negotiate");
-
-    // An unknown version byte gets the typed UnsupportedVersion error
-    // naming both supported versions.
-    let mut bad = TcpStream::connect(addr).expect("connect");
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&protocol::MAGIC);
-    header[4] = 9;
-    header[5] = FrameKind::Ping as u8;
-    bad.write_all(&header).expect("bad version header");
-    let frame = protocol::read_frame(&mut bad, 1 << 16).expect("typed error back");
-    assert_eq!(frame.kind, FrameKind::Error);
-    let (code, message) = protocol::decode_error(&frame.payload);
-    assert_eq!(code, ErrorCode::UnsupportedVersion);
-    assert!(message.contains("v1 and v2"), "{message}");
+    // An unknown version byte — and the retired v1, whose whole header was
+    // these ten bytes — gets the typed UnsupportedVersion error naming the
+    // version this build speaks, in a v2 frame under id 0, and a closed
+    // connection, without sending another byte.
+    for version in [9, 1] {
+        let mut bad = TcpStream::connect(addr).expect("connect");
+        let mut header = [0u8; HEADER_PREFIX_LEN];
+        header[0..4].copy_from_slice(&protocol::MAGIC);
+        header[4] = version;
+        header[5] = FrameKind::Ping as u8;
+        bad.write_all(&header).expect("bad version header");
+        let frame = protocol::read_frame_any(&mut bad, 1 << 16).expect("typed error back");
+        assert_eq!((frame.kind, frame.request_id), (FrameKind::Error, 0));
+        let (code, message) = protocol::decode_error(&frame.payload);
+        assert_eq!(code, ErrorCode::UnsupportedVersion);
+        assert!(message.contains(&format!("version {version}")), "{message}");
+        assert!(message.contains("speaks v2"), "{message}");
+        let mut rest = Vec::new();
+        bad.read_to_end(&mut rest).expect("read eof");
+        assert!(rest.is_empty(), "connection closes after the refusal");
+    }
     handle.shutdown();
 }
 
@@ -380,7 +425,7 @@ fn retry_busy_rides_out_real_backpressure() {
     thread::scope(|s| {
         for t in 0..flood {
             s.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
+                let mut client = PipelinedClient::connect(addr).expect("connect");
                 let a = fill::bench_workload(40, 40, 1000 + t);
                 let b = fill::bench_workload(40, 40, 2000 + t);
                 let c = retry_busy(12, Duration::from_millis(2), t, || client.multiply(&a, &b))

@@ -5,7 +5,7 @@
 
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
 use fmm_model::ArchParams;
-use fmm_serve::{Client, ServeConfig, Server};
+use fmm_serve::{PipelinedClient, ServeConfig, Server};
 use std::sync::Arc;
 
 #[test]
@@ -29,7 +29,7 @@ fn warm_serving_path_allocates_nothing_with_tracing_on() {
     )
     .expect("bind loopback");
 
-    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
     let a = fmm_dense::fill::bench_workload(48, 48, 1);
     let b = fmm_dense::fill::bench_workload(48, 48, 2);
 

@@ -87,17 +87,19 @@ fn flight_events(doc: &json::Value) -> Vec<fmm_obs::FlightEvent> {
 }
 
 /// An injected dispatcher wedge is detected, counted, and named: park the
-/// dispatchers before they pop work, enqueue a request so the progress
+/// dispatchers before they pop work (the flag goes up before the daemon
+/// spawns — a dispatcher already blocked inside `pop_first` is past the
+/// check and would consume the job), enqueue a request so the progress
 /// probe sees depth, and the watchdog must record a stall verdict within
 /// a few deadlines — attributable through the incident dump to a
 /// `dispatch-*` component. Unwedging lets the request complete normally.
 #[test]
 fn wedged_dispatcher_is_detected_and_named() {
-    let _guard = SCENARIO_LOCK.lock().unwrap();
+    let _guard = SCENARIO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fmm_serve::dispatch::WEDGE_DISPATCH.store(true, Ordering::Relaxed);
     let handle = spawn_watched(1);
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
 
-    fmm_serve::dispatch::WEDGE_DISPATCH.store(true, Ordering::Relaxed);
     let a = fill::bench_workload(24, 16, 1);
     let b = fill::bench_workload(16, 20, 2);
     let id = client.send(&a, &b).expect("send while wedged");
@@ -169,7 +171,7 @@ fn wedged_dispatcher_is_detected_and_named() {
 /// with a populated flight ring and watchdog roster.
 #[test]
 fn healthy_daemon_has_zero_stall_verdicts() {
-    let _guard = SCENARIO_LOCK.lock().unwrap();
+    let _guard = SCENARIO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fmm_serve::dispatch::WEDGE_DISPATCH.store(false, Ordering::Relaxed);
     let handle = spawn_watched(4);
 
@@ -195,8 +197,7 @@ fn healthy_daemon_has_zero_stall_verdicts() {
 
     // Incident dump over the wire: schema-tagged, flight ring populated,
     // all loops and dispatchers on the watchdog roster.
-    let mut plain = fmm_serve::Client::connect(handle.addr()).expect("connect v1");
-    let body = plain.incident().expect("incident frame");
+    let body = client.incident().expect("incident frame");
     let doc = json::parse(&body).expect("incident dump is valid JSON");
     let json::Value::Object(root) = &doc else { panic!("incident dump is an object") };
     assert_eq!(
@@ -214,7 +215,6 @@ fn healthy_daemon_has_zero_stall_verdicts() {
     };
     assert!(build.contains_key("version") && build.contains_key("kernel_f64"));
 
-    drop(plain);
     drop(client);
     handle.shutdown();
 }
