@@ -3,7 +3,7 @@
 
 use crate::plan::FmmPlan;
 
-/// Static counts of a composed L-level plan.
+/// Static counts of an L-level plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanCounts {
     /// `R_L = ∏ R_l` — number of block products.
@@ -23,18 +23,11 @@ pub struct PlanCounts {
 }
 
 impl PlanCounts {
-    /// Extract the counts from a plan.
+    /// The counts a plan stores from construction; reads no coefficient.
     pub fn of(plan: &FmmPlan) -> Self {
         let (mt, kt, nt) = plan.partition_dims();
-        Self {
-            r: plan.rank(),
-            nnz_u: plan.u().nnz(),
-            nnz_v: plan.v().nnz(),
-            nnz_w: plan.w().nnz(),
-            mt,
-            kt,
-            nt,
-        }
+        let (nnz_u, nnz_v, nnz_w) = plan.nnz();
+        Self { r: plan.rank(), nnz_u, nnz_v, nnz_w, mt, kt, nt }
     }
 
     /// Block-level additions on the A side: `nnz(⊗U) - R_L`

@@ -11,7 +11,7 @@
 //! * [`compose`] — direct sums, nesting, and the symmetry transforms that
 //!   generate algorithm families from base algorithms;
 //! * [`registry`] — the named algorithm family of the paper's Figure 2;
-//! * [`plan::FmmPlan`] — an L-level algorithm with composed coefficients;
+//! * [`plan::FmmPlan`] — an L-level algorithm; coefficients composed on first use;
 //! * [`indexing`] — recursive block (Morton-like) storage indexing (§3.3);
 //! * [`peeling`] — dynamic peeling for arbitrary problem sizes (§4.1);
 //! * [`executor`] — the Naive / AB / ABC implementations built on the

@@ -4,21 +4,39 @@
 //! *different* algorithm per level (the "hybrid partitions" of paper §5.2) —
 //! together with the composed Kronecker coefficients
 //! `[[⊗U_l, ⊗V_l, ⊗W_l]]` (paper eq. (5)) and the block grids for each
-//! operand. Composition happens once at plan construction; executors then
-//! iterate the `R_L = ∏R_l` products of the flattened representation.
+//! operand.
+//!
+//! Construction is `O(levels)`: it keeps what the performance model ranks
+//! by — the partition dims, `R_L = ∏R_l` and the three non-zero counts,
+//! which for a Kronecker product are exact products of the per-level
+//! counts (`nnz(A⊗B) = nnz(A)·nnz(B)`) — and nothing that grows with
+//! `R_L`. The composed matrices themselves are built on the first call to
+//! [`FmmPlan::u`], [`FmmPlan::v`] or [`FmmPlan::w`], i.e. by the first
+//! executor that iterates the `R_L` products of the flattened
+//! representation, at most once per plan however many threads race there.
+//! A plan that is only ever ranked costs no coefficient storage.
 
 use crate::algorithm::FmmAlgorithm;
 use crate::coeffs::CoeffMatrix;
 use crate::indexing::BlockGrid;
 use std::sync::{Arc, OnceLock};
 
-/// An L-level FMM plan with composed coefficients.
+/// The composed `[[⊗U, ⊗V, ⊗W]]` of a plan.
 #[derive(Clone, Debug)]
-pub struct FmmPlan {
-    levels: Vec<Arc<FmmAlgorithm>>,
+struct Composed {
     u: CoeffMatrix,
     v: CoeffMatrix,
     w: CoeffMatrix,
+}
+
+/// An L-level FMM plan; its coefficients are composed on first use.
+#[derive(Clone, Debug)]
+pub struct FmmPlan {
+    levels: Vec<Arc<FmmAlgorithm>>,
+    rank: usize,
+    /// `(nnz(⊗U), nnz(⊗V), nnz(⊗W))` as products of the per-level counts.
+    nnz: (usize, usize, usize),
+    composed: OnceLock<Composed>,
     mt: usize,
     kt: usize,
     nt: usize,
@@ -31,7 +49,7 @@ pub struct FmmPlan {
 }
 
 impl FmmPlan {
-    /// Compose a plan from per-level algorithms (outermost first).
+    /// A plan from per-level algorithms (outermost first).
     /// Panics if `levels` is empty.
     pub fn new(levels: Vec<FmmAlgorithm>) -> Self {
         Self::from_arcs(levels.into_iter().map(Arc::new).collect())
@@ -40,9 +58,8 @@ impl FmmPlan {
     /// As [`FmmPlan::new`] from shared handles.
     pub fn from_arcs(levels: Vec<Arc<FmmAlgorithm>>) -> Self {
         assert!(!levels.is_empty(), "a plan needs at least one level");
-        let mut u = CoeffMatrix::kron_identity();
-        let mut v = CoeffMatrix::kron_identity();
-        let mut w = CoeffMatrix::kron_identity();
+        let mut rank = 1;
+        let mut nnz = (1, 1, 1);
         let mut mt = 1;
         let mut kt = 1;
         let mut nt = 1;
@@ -51,9 +68,10 @@ impl FmmPlan {
         let mut c_levels = Vec::with_capacity(levels.len());
         for algo in &levels {
             let (m, k, n) = algo.dims();
-            u = u.kron(algo.u());
-            v = v.kron(algo.v());
-            w = w.kron(algo.w());
+            rank *= algo.rank();
+            nnz.0 *= algo.u().nnz();
+            nnz.1 *= algo.v().nnz();
+            nnz.2 *= algo.w().nnz();
             mt *= m;
             kt *= k;
             nt *= n;
@@ -63,9 +81,9 @@ impl FmmPlan {
         }
         Self {
             levels,
-            u,
-            v,
-            w,
+            rank,
+            nnz,
+            composed: OnceLock::new(),
             mt,
             kt,
             nt,
@@ -100,7 +118,7 @@ impl FmmPlan {
     }
 
     /// The plan over levels `2..L`, i.e. what each level-1 task executes
-    /// depth-first, or `None` for a one-level plan. Composed lazily, at
+    /// depth-first, or `None` for a one-level plan. Built lazily, at
     /// most once per plan instance, so schedulers hitting a cached plan
     /// never recompose Kronecker coefficients.
     pub fn inner_plan(&self) -> Option<&Arc<FmmPlan>> {
@@ -120,22 +138,50 @@ impl FmmPlan {
 
     /// Total number of sub-multiplications `R_L = ∏R_l`.
     pub fn rank(&self) -> usize {
-        self.u.cols()
+        self.rank
+    }
+
+    /// `(nnz(⊗U), nnz(⊗V), nnz(⊗W))` — the performance model's inputs,
+    /// known without composing anything.
+    pub fn nnz(&self) -> (usize, usize, usize) {
+        self.nnz
+    }
+
+    /// Whether the Kronecker composition has run (it does on the first
+    /// call to [`FmmPlan::u`], [`FmmPlan::v`] or [`FmmPlan::w`]).
+    pub fn is_composed(&self) -> bool {
+        self.composed.get().is_some()
+    }
+
+    fn composed(&self) -> &Composed {
+        self.composed.get_or_init(|| {
+            let mut c = Composed {
+                u: CoeffMatrix::kron_identity(),
+                v: CoeffMatrix::kron_identity(),
+                w: CoeffMatrix::kron_identity(),
+            };
+            for algo in &self.levels {
+                c.u = c.u.kron(algo.u());
+                c.v = c.v.kron(algo.v());
+                c.w = c.w.kron(algo.w());
+            }
+            c
+        })
     }
 
     /// Composed `⊗U` (rows: flat A-block indices; cols: products).
     pub fn u(&self) -> &CoeffMatrix {
-        &self.u
+        &self.composed().u
     }
 
     /// Composed `⊗V`.
     pub fn v(&self) -> &CoeffMatrix {
-        &self.v
+        &self.composed().v
     }
 
     /// Composed `⊗W`.
     pub fn w(&self) -> &CoeffMatrix {
-        &self.w
+        &self.composed().w
     }
 
     /// Recursive block grid of `A` (`∏m̃_l x ∏k̃_l`).
@@ -224,6 +270,68 @@ mod tests {
         assert_eq!(p.a_grid().len(), p.u().rows());
         assert_eq!(p.b_grid().len(), p.v().rows());
         assert_eq!(p.c_grid().len(), p.w().rows());
+    }
+
+    /// The counts a plan stores at construction are the counts of the
+    /// matrices it composes later, and reading them composes nothing.
+    #[test]
+    fn stored_counts_equal_the_composed_matrices() {
+        let mut plans = vec![{
+            let s = strassen();
+            let c223 = crate::compose::stack_n(&s, &crate::compose::classical(2, 2, 1));
+            FmmPlan::new(vec![s.clone(), c223, s])
+        }];
+        for (_, algo) in crate::registry::Registry::shared().paper_rows() {
+            plans.extend((1..=2).map(|levels| FmmPlan::from_arcs(vec![algo.clone(); levels])));
+        }
+        for p in plans {
+            let (rank, nnz, what) = (p.rank(), p.nnz(), p.describe());
+            let _ = crate::counts::PlanCounts::of(&p);
+            assert!(!p.is_composed(), "{what}: counts must not compose");
+            assert_eq!(rank, p.u().cols(), "{what}");
+            assert_eq!((p.v().cols(), p.w().cols()), (rank, rank), "{what}");
+            assert_eq!(nnz, (p.u().nnz(), p.v().nnz(), p.w().nnz()), "{what}");
+            assert!(p.is_composed(), "{what}");
+        }
+    }
+
+    /// Two threads meeting at an uncomposed plan compose it once between
+    /// them and compute what a plan composed beforehand computes.
+    #[test]
+    fn racing_first_executions_share_one_composition() {
+        use crate::executor::{fmm_execute, FmmContext, Variant};
+        use fmm_dense::{fill, Matrix};
+        let (m, k, n) = (36, 28, 44);
+        let a = fill::bench_workload(m, k, 1);
+        let b = fill::bench_workload(k, n, 2);
+        let run = |plan: &FmmPlan| {
+            let mut c = Matrix::zeros(m, n);
+            let mut ctx = FmmContext::with_defaults();
+            fmm_execute(c.as_mut(), a.as_ref(), b.as_ref(), plan, Variant::Abc, &mut ctx);
+            c
+        };
+        let ready = FmmPlan::uniform(strassen(), 2);
+        ready.u();
+        let want = run(&ready);
+
+        let shared = Arc::new(FmmPlan::uniform(strassen(), 2));
+        let start = std::sync::Barrier::new(2);
+        let results: Vec<(Matrix, &CoeffMatrix)> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        assert!(!shared.is_composed());
+                        start.wait();
+                        (run(&shared), shared.u())
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().expect("racer panicked")).collect()
+        });
+        assert!(std::ptr::eq(results[0].1, results[1].1), "both threads read one composition");
+        for (c, _) in &results {
+            assert_eq!(c.raw(), want.raw(), "bit-for-bit the pre-composed result");
+        }
     }
 
     #[test]

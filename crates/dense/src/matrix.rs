@@ -127,6 +127,11 @@ impl<T: Scalar> Matrix<T> {
         &self.data
     }
 
+    /// Mutable access to the raw column-major backing storage.
+    pub fn raw_mut(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
     /// Set every entry to zero.
     pub fn clear(&mut self) {
         self.data.fill(T::ZERO);

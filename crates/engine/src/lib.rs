@@ -8,9 +8,11 @@
 //! * a **decision cache** — the model ranking (the paper's §4.4
 //!   poly-algorithm) runs once per `(m, k, n)` shape and is remembered in
 //!   a shape-keyed LRU;
-//! * a **plan cache** — `FmmPlan` Kronecker composition runs once per
-//!   `(algorithm, levels)` pair, shared via `Arc` by every decision that
-//!   routes to it;
+//! * a **plan cache** — one `FmmPlan` per `(algorithm, levels)` pair,
+//!   shared via `Arc` by every decision that routes to it. Ranking reads
+//!   only the counts a plan stores, so the Kronecker composition runs for
+//!   the plans decisions actually route to, when the decision is made,
+//!   and for no other;
 //! * a **context pool** — per-caller [`SchedContext`]s (preplanned
 //!   workspace arenas, packing buffers, per-task regions) are recycled, so
 //!   a warm engine performs no heap allocation for FMM temporaries;
@@ -33,7 +35,7 @@
 //! The engine is generic over the execution scalar: `FmmEngine<f64>` (the
 //! default) and `FmmEngine<f32>` run the same plans and routing logic over
 //! dtype-specific kernels, contexts, and workspace pools. Every cache —
-//! decisions, composed plans, pooled contexts — lives inside the engine
+//! decisions, plans, pooled contexts — lives inside the engine
 //! value, so caches are per-dtype by construction; the performance model
 //! stays `f64` but its memory terms are scaled by the engine's element
 //! width (`ArchParams::with_elem_bytes`), which is what lets `f32` ranking
@@ -155,7 +157,8 @@ pub struct EngineConfig {
     /// `0` means the rayon pool width, and explicit values are clamped to
     /// it (the pool bounds the parallelism every execution path can
     /// realize, so ranking beyond it would model speedups that cannot
-    /// happen). Ignored when `parallel` is false.
+    /// happen). The width is read once, when the engine is built.
+    /// Ignored when `parallel` is false.
     pub workers: usize,
     /// Force every FMM execution onto one schedule instead of letting the
     /// model pick per shape. Ignored when `parallel` is false (sequential
@@ -167,7 +170,7 @@ pub struct EngineConfig {
     pub routing: Routing,
     /// Capacity of the shape-keyed decision LRU.
     pub decision_capacity: usize,
-    /// Capacity of the composed-plan LRU.
+    /// Capacity of the plan LRU.
     pub plan_capacity: usize,
     /// Idle contexts kept pooled (returns beyond this are dropped).
     pub max_pooled_contexts: usize,
@@ -242,8 +245,9 @@ pub struct EngineStats {
     pub decision_misses: u64,
     /// Full model rankings run (at most one per decision miss).
     pub rankings: u64,
-    /// Kronecker plan compositions performed (at most one per
-    /// `(algorithm, levels)` pair while cached).
+    /// Kronecker plan compositions performed: one per plan a decision
+    /// routed to while that plan is cached, none for plans that were only
+    /// ranked.
     pub plan_compositions: u64,
     /// Fresh `SchedContext` constructions (one per concurrently-active
     /// caller; flat once the pool is warm).
@@ -378,7 +382,7 @@ impl Counters {
     }
 }
 
-/// Cache key for composed plans: the registry algorithm's partition dims
+/// Cache key for plans: the registry algorithm's partition dims
 /// plus the nesting depth.
 type PlanKey = ((usize, usize, usize), usize);
 
@@ -417,6 +421,11 @@ pub struct FmmEngine<T: GemmScalar = f64> {
     /// Resolved, validated architecture parameters (from
     /// [`EngineConfig::arch`]), memory terms charged at `T`'s width.
     arch: ArchParams,
+    /// [`EngineConfig::workers`] against the rayon pool width as it was
+    /// when the engine was built: every decision the engine caches was
+    /// ranked for this count, and asking for the width again (cgroup and
+    /// affinity reads) costs more than a small multiply.
+    workers: usize,
     registry: Arc<Registry>,
     decisions: Mutex<LruCache<(usize, usize, usize), Decision>>,
     plans: Mutex<LruCache<PlanKey, Arc<FmmPlan>>>,
@@ -485,11 +494,17 @@ impl<T: GemmScalar> FmmEngine<T> {
         if let Err(e) = arch.validate() {
             panic!("EngineConfig.arch is invalid ({e}); refusing to rank with poisoned constants");
         }
+        let workers = match (config.parallel, config.workers) {
+            (false, _) => 1,
+            (true, 0) => rayon::current_num_threads(),
+            (true, n) => n.min(rayon::current_num_threads()).max(1),
+        };
         let decisions = Mutex::new(LruCache::new(config.decision_capacity));
         let plans = Mutex::new(LruCache::new(config.plan_capacity));
         Self {
             config,
             arch,
+            workers,
             registry,
             decisions,
             plans,
@@ -524,21 +539,6 @@ impl<T: GemmScalar> FmmEngine<T> {
     /// untouched, so the engine stays warm.
     pub fn reset_stats(&self) {
         self.counters.reset();
-    }
-
-    /// Worker count parallel executions and parallel-model routing use:
-    /// the configured count clamped to the rayon pool width, so the model
-    /// never ranks with parallelism the machine cannot deliver.
-    fn effective_workers(&self) -> usize {
-        if !self.config.parallel {
-            return 1;
-        }
-        let pool = rayon::current_num_threads();
-        if self.config.workers > 0 {
-            self.config.workers.min(pool).max(1)
-        } else {
-            pool
-        }
     }
 
     /// `C += A·B`, routed through the decision cache. Thread-safe.
@@ -591,7 +591,7 @@ impl<T: GemmScalar> FmmEngine<T> {
             .collect();
 
         let items_ptr = BatchItemsPtr(items.as_mut_ptr());
-        let workers = self.effective_workers().clamp(1, items.len().max(1));
+        let workers = self.workers.clamp(1, items.len().max(1));
         // Up to `workers` items execute co-resident, each packing its own
         // buffers — shrink the shared-cache panels accordingly (the same
         // discipline the BFS scheduler applies to its tasks).
@@ -689,17 +689,17 @@ impl<T: GemmScalar> FmmEngine<T> {
     }
 
     /// Resolve (and cache) the routing decision for a shape without
-    /// executing anything, then preplan one pooled context for it — after
+    /// executing anything — composing the plan it routes to, if any —
+    /// then preplan one pooled context for it — after
     /// this, the first `multiply` of the shape is already on the warm path.
     pub fn prepare(&self, m: usize, k: usize, n: usize) {
         let decision = self.route(m, k, n);
         if let Choice::Fmm { plan, variant, strategy } = decision.choice {
-            let workers = self.effective_workers();
             let mut guard = self.checkout();
             let ctx = guard.ctx();
             let grows_before = ctx.grow_count();
             if self.config.parallel {
-                ctx.preplan(&plan, variant, strategy, workers, m, k, n);
+                ctx.preplan(&plan, variant, strategy, self.workers, m, k, n);
             } else {
                 ctx.fmm_context().preplan(&plan, variant, m, k, n);
             }
@@ -738,8 +738,35 @@ impl<T: GemmScalar> FmmEngine<T> {
             AuditDtype::from_name(T::NAME),
             &decision.describe(),
         );
+        self.compose_routed(&decision);
         self.decisions.lock().insert((m, k, n), decision.clone());
         decision
+    }
+
+    /// Run the Kronecker composition of the plan `decision` routes to, so
+    /// executing a cached decision never composes. Every other candidate
+    /// stays the `O(levels)` description ranking needs.
+    fn compose_routed(&self, decision: &Decision) {
+        let Choice::Fmm { plan, strategy, .. } = &decision.choice else { return };
+        // A hybrid schedule runs the levels below the first through their
+        // own plan; `multiply_batch` runs the whole plan depth-first.
+        let inner = if matches!(strategy, Strategy::Hybrid) { plan.inner_plan() } else { None };
+        // Under the plan cache's lock, so two decisions that miss at once
+        // and route to one plan count the one composition there is.
+        let _plans = self.plans.lock();
+        for plan in std::iter::once(plan).chain(inner) {
+            if plan.is_composed() {
+                continue;
+            }
+            self.counters.plan_compositions.fetch_add(1, Ordering::Relaxed);
+            let span = fmm_obs::trace::start();
+            plan.u();
+            fmm_obs::trace::finish(
+                fmm_obs::SpanKind::PlanCompose,
+                fmm_obs::trace::current_request(),
+                span,
+            );
+        }
     }
 
     fn compute_decision(&self, m: usize, k: usize, n: usize) -> Decision {
@@ -758,7 +785,7 @@ impl<T: GemmScalar> FmmEngine<T> {
                         k,
                         n,
                         &self.arch,
-                        self.effective_workers(),
+                        self.workers,
                         Strategy::Dfs,
                     );
                     Decision {
@@ -778,8 +805,7 @@ impl<T: GemmScalar> FmmEngine<T> {
                         k: k as u64,
                         n: n as u64,
                     });
-                    let predicted =
-                        predict_gemm_parallel(m, k, n, &self.arch, self.effective_workers());
+                    let predicted = predict_gemm_parallel(m, k, n, &self.arch, self.workers);
                     Decision {
                         choice: Choice::Gemm,
                         source: AuditSource::Fallback,
@@ -839,7 +865,7 @@ impl<T: GemmScalar> FmmEngine<T> {
                 &plans,
                 &Impl::FMM_VARIANTS,
                 &self.arch,
-                self.effective_workers(),
+                self.workers,
                 true,
             );
             let best = &ranked[0];
@@ -878,7 +904,7 @@ impl<T: GemmScalar> FmmEngine<T> {
     fn tuned_decision(&self, store: &TuneStore, m: usize, k: usize, n: usize) -> Option<Decision> {
         let class = ShapeClass::of(m, k, n);
         let fingerprint = fmm_tune::kernel_fingerprint::<T>();
-        let tuned = store.decision(class, T::NAME, self.effective_workers(), &fingerprint)?;
+        let tuned = store.decision(class, T::NAME, self.workers, &fingerprint)?;
         // The store records the *measured* GFLOP/s of its winning choice;
         // re-derive a per-multiply time prediction for this exact shape
         // from it (flops / GFLOP/s ≡ nanoseconds). 0 = unknown.
@@ -914,7 +940,7 @@ impl<T: GemmScalar> FmmEngine<T> {
 
     /// The candidate plan set model routing ranks over: every registry
     /// algorithm at 1..=`max_levels` nesting depths, served from the plan
-    /// cache (composed at most once each while cached). Callers that want
+    /// cache (none composed by being listed or ranked). Callers that want
     /// the model's view of a shape (e.g. predicted-vs-measured harnesses)
     /// should rank over this same set.
     pub fn candidate_plans(&self) -> Vec<Arc<FmmPlan>> {
@@ -927,22 +953,19 @@ impl<T: GemmScalar> FmmEngine<T> {
         plans
     }
 
-    /// Fetch the composed plan for `levels` nested applications of `algo`,
-    /// composing at most once per `(dims, levels)` while cached.
+    /// The cached plan for `levels` nested applications of `algo`, so
+    /// every decision routing to it shares one composition.
     fn plan_for(&self, algo: &Arc<fmm_core::FmmAlgorithm>, levels: usize) -> Arc<FmmPlan> {
         let key = (algo.dims(), levels);
-        if let Some(plan) = self.plans.lock().get(&key) {
+        // One lock over the lookup and the insert: building a plan is
+        // `O(levels)`, and two threads that miss together must leave with
+        // the same `Arc`, or each would compose its own.
+        let mut plans = self.plans.lock();
+        if let Some(plan) = plans.get(&key) {
             return plan;
         }
-        self.counters.plan_compositions.fetch_add(1, Ordering::Relaxed);
-        let span = fmm_obs::trace::start();
         let plan = Arc::new(FmmPlan::from_arcs(vec![algo.clone(); levels]));
-        fmm_obs::trace::finish(
-            fmm_obs::SpanKind::PlanCompose,
-            fmm_obs::trace::current_request(),
-            span,
-        );
-        self.plans.lock().insert(key, plan.clone());
+        plans.insert(key, plan.clone());
         plan
     }
 
@@ -968,8 +991,7 @@ impl<T: GemmScalar> FmmEngine<T> {
         let ctx = guard.ctx();
         let grows_before = ctx.grow_count();
         let occupied = if self.config.parallel {
-            let task_ws =
-                fmm_sched::execute(c, a, b, plan, variant, strategy, ctx, self.config.workers);
+            let task_ws = fmm_sched::execute(c, a, b, plan, variant, strategy, ctx, self.workers);
             if matches!(strategy, Strategy::Dfs) {
                 ctx.fmm_context().last_layout().map_or(0, ArenaLayout::total_elements)
             } else {

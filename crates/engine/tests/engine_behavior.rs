@@ -62,18 +62,24 @@ fn warm_path_does_no_composition_ranking_or_allocation() {
 /// Model routing has the same warm-path property for the decision layer.
 #[test]
 fn model_routing_ranks_once_per_shape() {
-    let engine = FmmEngine::new(tiny_config(Routing::Model));
-    let shapes = [(48usize, 32usize, 40usize), (37, 29, 41), (64, 64, 64)];
+    // The paper machine's constants, so the routes below are the model's
+    // formula and not this host's calibration: the three small shapes go
+    // to GEMM, 256³ to one-level Strassen.
+    let engine = FmmEngine::new(EngineConfig {
+        arch: fmm_model::ArchParams::paper_machine().into(),
+        ..tiny_config(Routing::Model)
+    });
+    let shapes = [(48usize, 32usize, 40usize), (37, 29, 41), (64, 64, 64), (256, 256, 256)];
     for &(m, k, n) in &shapes {
         let a = fill::bench_workload(m, k, 1);
         let b = fill::bench_workload(k, n, 2);
         let mut c = Matrix::zeros(m, n);
         engine.multiply(c.as_mut(), a.as_ref(), b.as_ref());
     }
+    assert_eq!(engine.decision_label(256, 256, 256), "<2,2,2> ABC");
     let cold = engine.stats();
     assert_eq!(cold.rankings, shapes.len() as u64, "one ranking per distinct shape");
-    let compositions = cold.plan_compositions;
-    assert!(compositions > 0, "the candidate plans were composed");
+    assert_eq!(cold.plan_compositions, 1, "the one plan a shape routed to, not the candidate set");
 
     for &(m, k, n) in &shapes {
         let a = fill::bench_workload(m, k, 1);
@@ -83,7 +89,7 @@ fn model_routing_ranks_once_per_shape() {
     }
     let warm = engine.stats();
     assert_eq!(warm.rankings, cold.rankings);
-    assert_eq!(warm.plan_compositions, compositions, "plans composed exactly once");
+    assert_eq!(warm.plan_compositions, 1, "plans composed exactly once");
 }
 
 /// Concurrent `multiply` calls from many threads produce results matching

@@ -82,6 +82,41 @@ impl<T: Scalar> Copy for RawDest<T> {}
 unsafe impl<T: Scalar> Send for RawDest<T> {}
 unsafe impl<T: Scalar> Sync for RawDest<T> {}
 
+/// Row-major destinations run as the column-major problem they transpose
+/// to. When every destination has unit *column* stride, turn `raw` into
+/// views of `C_dᵀ` and return `true`: `C_dᵀ += w_d·Bᵀ·Aᵀ` is the same
+/// update with the roles of `m` and `n` swapped, and the transposed
+/// destinations have the unit row stride the tile epilogue is written for.
+/// The caller then packs [`oriented`] blocks of `b_terms` as the left
+/// operand and of `a_terms` as the right. `false` (and `raw` untouched)
+/// for any other stride mix.
+///
+/// Operand layout is not consulted. Row-major operands (the serving
+/// daemon's) gain the most, `Bᵀ` being the column-major left operand
+/// `pack_a_one` copies by columns: 1.31x at 32³, 1.17x at 64³, 1.08x at
+/// 128³, 1.02–1.15x above. Column-major operands with row-major
+/// destinations trade that copy for the epilogue: 0.90x at 32³, 0.97x at
+/// 64³–128³, even from 256³.
+pub(crate) fn transpose_row_major<T: Scalar>(raw: &mut [RawDest<T>]) -> bool {
+    if !raw.iter().all(|d| d.cs == 1 && d.rs != 1) {
+        return false;
+    }
+    for d in raw.iter_mut() {
+        std::mem::swap(&mut d.rows, &mut d.cols);
+        std::mem::swap(&mut d.rs, &mut d.cs);
+    }
+    true
+}
+
+/// `x`, or `xᵀ` in a problem [`transpose_row_major`] transposed.
+pub(crate) fn oriented<T: Scalar>(x: MatRef<'_, T>, transposed: bool) -> MatRef<'_, T> {
+    if transposed {
+        x.t()
+    } else {
+        x
+    }
+}
+
 /// Generalized GEMM: for every destination `d`,
 /// `C_d (+)= w_d * (sum a_terms) * (sum b_terms)`.
 ///
@@ -90,6 +125,10 @@ unsafe impl<T: Scalar> Sync for RawDest<T> {}
 ///
 /// `overwrite = false` accumulates (`+=`, the FMM/GEMM default). Use
 /// [`gemm_sums_overwrite`] for `=` semantics (used for `M_r` temporaries).
+///
+/// Any strides are accepted. Column-major destinations (unit row stride)
+/// are the fast case; destinations that are all row-major run as the
+/// column-major problem `C_dᵀ (+)= w_d · Bᵀ·Aᵀ`, on views.
 pub fn gemm_sums<T: GemmScalar>(
     dests: &mut [DestTile<'_, T>],
     a_terms: &[(T, MatRef<'_, T>)],
@@ -138,6 +177,9 @@ fn gemm_sums_impl<T: GemmScalar>(
         }
         return;
     }
+    let transposed = transpose_row_major(&mut raw);
+    let (a_terms, b_terms, m, n) =
+        if transposed { (b_terms, a_terms, n, m) } else { (a_terms, b_terms, m, n) };
     let ukr = T::micro_kernel();
 
     let mut jc = 0;
@@ -147,8 +189,10 @@ fn gemm_sums_impl<T: GemmScalar>(
         while pc < k {
             let kb = params.kc.min(k - pc);
             // Loop 4 body: pack (the sum of) B into B̃.
-            let b_slices: Vec<(T, MatRef<'_, T>)> =
-                b_terms.iter().map(|(g, b)| (*g, b.submatrix(pc, jc, kb, nb))).collect();
+            let b_slices: Vec<(T, MatRef<'_, T>)> = b_terms
+                .iter()
+                .map(|(g, b)| (*g, oriented(*b, transposed).submatrix(pc, jc, kb, nb)))
+                .collect();
             let t_pack = crate::obs_hooks::phase_start();
             pack::pack_b_sum(&mut ws.bbuf, &b_slices, params.nr);
             crate::obs_hooks::pack_done(t_pack);
@@ -159,8 +203,10 @@ fn gemm_sums_impl<T: GemmScalar>(
             while ic < m {
                 let mb = params.mc.min(m - ic);
                 // Loop 3 body: pack (the sum of) A into Ã.
-                let a_slices: Vec<(T, MatRef<'_, T>)> =
-                    a_terms.iter().map(|(g, a)| (*g, a.submatrix(ic, pc, mb, kb))).collect();
+                let a_slices: Vec<(T, MatRef<'_, T>)> = a_terms
+                    .iter()
+                    .map(|(g, a)| (*g, oriented(*a, transposed).submatrix(ic, pc, mb, kb)))
+                    .collect();
                 let t_pack = crate::obs_hooks::phase_start();
                 pack::pack_a_sum(&mut ws.abuf, &a_slices, params.mr);
                 crate::obs_hooks::pack_done(t_pack);

@@ -8,7 +8,7 @@
 //! `[ic, ic + mc)` of every destination, so no synchronization on `C` is
 //! needed beyond the loop barrier.
 
-use crate::driver::{check_shapes, macro_kernel, DestTile, RawDest};
+use crate::driver::{check_shapes, macro_kernel, oriented, transpose_row_major, DestTile, RawDest};
 use crate::kernel::GemmScalar;
 use crate::pack;
 use crate::params::BlockingParams;
@@ -50,7 +50,7 @@ fn gemm_sums_parallel_impl<T: GemmScalar>(
     if m == 0 || n == 0 {
         return;
     }
-    let raw: Vec<RawDest<T>> = dests.iter_mut().map(|d| d.raw()).collect();
+    let mut raw: Vec<RawDest<T>> = dests.iter_mut().map(|d| d.raw()).collect();
     if k == 0 {
         if overwrite {
             // Zero all destinations (k = 0 product is the zero matrix).
@@ -65,6 +65,9 @@ fn gemm_sums_parallel_impl<T: GemmScalar>(
         }
         return;
     }
+    let transposed = transpose_row_major(&mut raw);
+    let (a_terms, b_terms, m, n) =
+        if transposed { (b_terms, a_terms, n, m) } else { (a_terms, b_terms, m, n) };
     let ukr = T::micro_kernel();
     let n_ic_blocks = m.div_ceil(params.mc);
 
@@ -79,8 +82,10 @@ fn gemm_sums_parallel_impl<T: GemmScalar>(
         let mut pc = 0;
         while pc < k {
             let kb = params.kc.min(k - pc);
-            let b_slices: Vec<(T, MatRef<'_, T>)> =
-                b_terms.iter().map(|(g, b)| (*g, b.submatrix(pc, jc, kb, nb))).collect();
+            let b_slices: Vec<(T, MatRef<'_, T>)> = b_terms
+                .iter()
+                .map(|(g, b)| (*g, oriented(*b, transposed).submatrix(pc, jc, kb, nb)))
+                .collect();
             let t_pack = crate::obs_hooks::phase_start();
             pack::pack_b_sum(bbuf, &b_slices, params.nr);
             crate::obs_hooks::pack_done(t_pack);
@@ -94,8 +99,10 @@ fn gemm_sums_parallel_impl<T: GemmScalar>(
                 |ws, blk| {
                     let ic = blk * params.mc;
                     let mb = params.mc.min(m - ic);
-                    let a_slices: Vec<(T, MatRef<'_, T>)> =
-                        a_terms.iter().map(|(g, a)| (*g, a.submatrix(ic, pc, mb, kb))).collect();
+                    let a_slices: Vec<(T, MatRef<'_, T>)> = a_terms
+                        .iter()
+                        .map(|(g, a)| (*g, oriented(*a, transposed).submatrix(ic, pc, mb, kb)))
+                        .collect();
                     let t_pack = crate::obs_hooks::phase_start();
                     pack::pack_a_sum(&mut ws.abuf, &a_slices, params.mr);
                     crate::obs_hooks::pack_done(t_pack);

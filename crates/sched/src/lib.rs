@@ -282,8 +282,13 @@ const _: fn() = || {
 /// `0` means "use the rayon pool width"; explicit counts are clamped to
 /// the pool width, since that is all the parallelism the fan-out can
 /// actually realize — prewarming pools or shrinking cache panels beyond it
-/// would pay for concurrency that never happens.
+/// would pay for concurrency that never happens. One worker is one worker
+/// at any width, so it does not ask: the query (cgroup and affinity reads)
+/// costs more than the small problems that run one wide.
 fn resolve_workers(workers: usize) -> usize {
+    if workers == 1 {
+        return 1;
+    }
     let pool = rayon::current_num_threads();
     if workers == 0 {
         pool

@@ -498,7 +498,7 @@ impl WriteQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Dtype, WireScalar, VERSION_V2};
+    use crate::protocol::{Dtype, VERSION_V2};
     use fmm_dense::{fill, Matrix};
     use std::io::Cursor;
 
@@ -701,7 +701,7 @@ mod tests {
         result.as_mut_slice().copy_from_slice(&[1.0, 2.0, 3.0]);
         let mut expected = b"HDR".to_vec();
         for v in [1.0f64, 2.0, 3.0] {
-            f64::write_le(v, &mut expected);
+            expected.extend_from_slice(&v.to_le_bytes());
         }
 
         let mut q = WriteQueue::default();

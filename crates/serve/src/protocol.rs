@@ -233,35 +233,47 @@ impl Dtype {
 pub trait WireScalar: GemmScalar {
     /// The dtype tag requests/responses of this scalar carry.
     const DTYPE: Dtype;
-    /// Append the little-endian bytes of `v`.
-    fn write_le(v: Self, out: &mut Vec<u8>);
-    /// Read one element from exactly `size_of::<Self>()` bytes.
+    /// Write the little-endian bytes of `v` into exactly
+    /// `size_of::<Self>()` bytes (any other length is left untouched).
+    fn write_le(v: Self, out: &mut [u8]);
+    /// Read one element from exactly `size_of::<Self>()` bytes (any other
+    /// length reads as zero).
     fn read_le(bytes: &[u8]) -> Self;
 }
 
 impl WireScalar for f64 {
     const DTYPE: Dtype = Dtype::F64;
 
-    fn write_le(v: Self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&v.to_le_bytes());
+    #[inline]
+    fn write_le(v: Self, out: &mut [u8]) {
+        debug_assert_eq!(out.len(), 8, "callers slice exactly one element");
+        if let Ok(out) = <&mut [u8; 8]>::try_from(out) {
+            *out = v.to_le_bytes();
+        }
     }
 
+    #[inline]
     fn read_le(bytes: &[u8]) -> Self {
         debug_assert_eq!(bytes.len(), 8, "callers slice exactly one element");
-        f64::from_le_bytes(le_bytes(bytes, 0).unwrap_or_default())
+        f64::from_le_bytes(<[u8; 8]>::try_from(bytes).unwrap_or_default())
     }
 }
 
 impl WireScalar for f32 {
     const DTYPE: Dtype = Dtype::F32;
 
-    fn write_le(v: Self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&v.to_le_bytes());
+    #[inline]
+    fn write_le(v: Self, out: &mut [u8]) {
+        debug_assert_eq!(out.len(), 4, "callers slice exactly one element");
+        if let Ok(out) = <&mut [u8; 4]>::try_from(out) {
+            *out = v.to_le_bytes();
+        }
     }
 
+    #[inline]
     fn read_le(bytes: &[u8]) -> Self {
         debug_assert_eq!(bytes.len(), 4, "callers slice exactly one element");
-        f32::from_le_bytes(le_bytes(bytes, 0).unwrap_or_default())
+        f32::from_le_bytes(<[u8; 4]>::try_from(bytes).unwrap_or_default())
     }
 }
 
@@ -529,7 +541,7 @@ pub fn decode_error(payload: &[u8]) -> (ErrorCode, String) {
 }
 
 /// Encode a request payload from two operand matrices (row-major on the
-/// wire; the column-major transposition happens element-wise here).
+/// wire; the column-major transposition happens here, strip by strip).
 pub fn encode_request<T: WireScalar>(a: &Matrix<T>, b: &Matrix<T>) -> Vec<u8> {
     assert_eq!(a.cols(), b.rows(), "A/B inner dimension mismatch");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
@@ -555,21 +567,55 @@ pub fn encode_response<T: WireScalar>(c: &Matrix<T>) -> Vec<u8> {
     out
 }
 
+/// Rows per strip of the row-major ↔ column-major transposition. Within
+/// a strip the row-major side is `STRIP` sequential streams and the
+/// column-major side one cache line per column (eight `f64`), so every
+/// line fetched on either side is used whole while it is in L1; walking
+/// whole rows against whole columns instead misses once per element as
+/// soon as a matrix outgrows the cache.
+const STRIP: usize = 8;
+
+/// Append `mat` row-major: the body is sized once, then filled strip by
+/// strip.
 fn write_matrix<T: WireScalar>(out: &mut Vec<u8>, mat: &Matrix<T>) {
-    for i in 0..mat.rows() {
-        for j in 0..mat.cols() {
-            T::write_le(mat.get(i, j), out);
+    let w = std::mem::size_of::<T>();
+    let (rows, cols, ld) = (mat.rows(), mat.cols(), mat.leading_dim());
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    let start = out.len();
+    out.resize(start + rows * cols * w, 0);
+    let body = out.get_mut(start..).unwrap_or(&mut []);
+    for (strip, i0) in body.chunks_mut(STRIP * cols * w).zip((0..rows).step_by(STRIP)) {
+        let i1 = (i0 + STRIP).min(rows);
+        for (j, col) in mat.raw().chunks_exact(ld).enumerate() {
+            let cells = col.get(i0..i1).unwrap_or(&[]);
+            for (&v, row) in cells.iter().zip(strip.chunks_exact_mut(cols * w)) {
+                T::write_le(v, row.get_mut(j * w..(j + 1) * w).unwrap_or(&mut []));
+            }
         }
     }
 }
 
+/// The inverse of [`write_matrix`], in the same strips.
 fn read_matrix<T: WireScalar>(bytes: &[u8], rows: usize, cols: usize) -> Matrix<T> {
     let w = std::mem::size_of::<T>();
     debug_assert_eq!(bytes.len(), rows * cols * w, "validated by the caller");
-    Matrix::from_fn(rows, cols, |i, j| {
-        let at = (i * cols + j) * w;
-        T::read_le(bytes.get(at..at.wrapping_add(w)).unwrap_or(&[]))
-    })
+    let mut mat = Matrix::zeros(rows, cols);
+    if rows == 0 || cols == 0 {
+        return mat;
+    }
+    let ld = mat.leading_dim();
+    for (strip, i0) in bytes.chunks(STRIP * cols * w).zip((0..rows).step_by(STRIP)) {
+        let i1 = (i0 + STRIP).min(rows);
+        for (j, col) in mat.raw_mut().chunks_exact_mut(ld).enumerate() {
+            let cells = col.get_mut(i0..i1).unwrap_or(&mut []);
+            for (cell, row) in cells.iter_mut().zip(strip.chunks_exact(cols * w)) {
+                *cell = T::read_le(row.get(j * w..(j + 1) * w).unwrap_or(&[]));
+            }
+        }
+    }
+    mat
 }
 
 /// A decoded request: operand matrices of one of the served dtypes.
@@ -695,6 +741,48 @@ mod tests {
         let payload = encode_response(&c);
         assert_eq!(decode_response::<f64>(&payload).unwrap(), c);
         assert!(decode_response::<f32>(&payload).is_err(), "dtype mismatch is an error");
+    }
+
+    /// The strip-wise codecs against the wire format's definition, element
+    /// by element, on shapes that end inside a strip, span several, have an
+    /// empty dimension, or carry a padded leading dimension.
+    fn body_matches_row_major_definition<T: WireScalar + PartialEq + std::fmt::Debug>() {
+        let w = std::mem::size_of::<T>();
+        for (rows, cols) in
+            [(1, 1), (7, 9), (8, 8), (9, 7), (17, 33), (40, 3), (3, 40), (0, 5), (5, 0)]
+        {
+            let dense = fill::bench_workload_t::<T>(rows, cols, (rows * 41 + cols) as u64);
+            let mut padded = Matrix::<T>::with_leading_dim(rows, cols, rows + 3);
+            for i in 0..rows {
+                for j in 0..cols {
+                    padded.set(i, j, dense.get(i, j));
+                }
+            }
+            let payload = encode_response(&dense);
+            assert_eq!(
+                payload,
+                encode_response(&padded),
+                "{rows}x{cols}: padding must not reach the wire"
+            );
+            assert_eq!(payload.len(), RESPONSE_PRELUDE + rows * cols * w);
+            for i in 0..rows {
+                for j in 0..cols {
+                    let at = RESPONSE_PRELUDE + (i * cols + j) * w;
+                    assert_eq!(
+                        T::read_le(&payload[at..at + w]),
+                        dense.get(i, j),
+                        "{rows}x{cols} ({i},{j})"
+                    );
+                }
+            }
+            assert_eq!(decode_response::<T>(&payload).unwrap(), dense, "{rows}x{cols}");
+        }
+    }
+
+    #[test]
+    fn matrix_bodies_are_row_major_for_every_strip_shape() {
+        body_matches_row_major_definition::<f64>();
+        body_matches_row_major_definition::<f32>();
     }
 
     #[test]
