@@ -1,4 +1,4 @@
-//! Benchmark harness shared by the figure binaries and criterion benches.
+//! Benchmark harness shared by the figure binaries and `ablations`.
 //!
 //! Every table and figure of the paper's evaluation section (§5) has a
 //! regeneration binary in `src/bin/` (`fig2` … `fig10`); this library holds

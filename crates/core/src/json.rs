@@ -491,8 +491,8 @@ mod tests {
 
     /// Fuzz-style determinism sweep: parsing truncated and byte-mutated
     /// documents must always return (Ok or Err), never panic or overflow —
-    /// the tune store and the serve CLI both feed this parser files and
-    /// frames they did not write.
+    /// the registry loader and the serve CLI both feed this parser files
+    /// and frames they did not write.
     #[test]
     fn truncated_and_garbage_inputs_degrade_to_err() {
         let seed_doc = concat!(

@@ -24,13 +24,13 @@
 //! strategy)` triples per shape, and [`FmmEngine::multiply_batch`] runs
 //! many independent problems at once with inter-problem parallelism.
 //!
-//! The model itself is grounded in this machine, twice over: engines
-//! default to **host-calibrated** [`ArchParams`]
-//! ([`ArchSource::Calibrated`] — measured once per machine via
-//! `fmm-tune`, persisted, paper constants only on request), and
-//! [`Routing::Tuned`] consults a persistent [`TuneStore`] of empirically
-//! measured winners before falling back to model ranking
-//! ([`EngineStats::tuned_hits`]/[`EngineStats::tuned_misses`]).
+//! The model is grounded in this machine: engines default to
+//! **host-calibrated** [`ArchParams`] ([`ArchSource::Calibrated`] —
+//! measured once per process via `fmm-tune`, paper constants only on
+//! request). Routing is a function of the code and those parameters and
+//! of nothing else: the engine reads no file and no environment variable
+//! to decide, so two engines given the same [`ArchSource::Fixed`]
+//! constants route every shape alike.
 //!
 //! The engine is generic over the execution scalar: `FmmEngine<f64>` (the
 //! default) and `FmmEngine<f32>` run the same plans and routing logic over
@@ -48,9 +48,14 @@
 //!
 //! ```
 //! use fmm_dense::{fill, Matrix};
-//! use fmm_engine::FmmEngine;
+//! use fmm_engine::{EngineConfig, FmmEngine};
+//! use fmm_model::ArchParams;
 //!
-//! let engine = FmmEngine::with_defaults();
+//! // Pinned constants; `FmmEngine::with_defaults()` measures the host.
+//! let engine = FmmEngine::<f64>::new(EngineConfig {
+//!     arch: ArchParams::paper_machine().into(),
+//!     ..EngineConfig::default()
+//! });
 //! let a = fill::bench_workload(96, 64, 1);
 //! let b = fill::bench_workload(64, 80, 2);
 //! let mut c = Matrix::zeros(96, 80);
@@ -72,7 +77,6 @@ pub use fmm_core::Strategy;
 // it so engine consumers need no direct fmm-core dependency for routing.
 pub use fmm_core::Variant;
 pub use fmm_sched::SchedContext;
-pub use fmm_tune::{kernel_fingerprint, ShapeClass, TuneStore, TunedChoice, TunedDecision};
 
 use fmm_core::{fmm_execute, FmmPlan};
 use fmm_dense::{MatMut, MatRef};
@@ -82,6 +86,7 @@ use fmm_model::{
 };
 use fmm_obs::audit::{AuditDtype, AuditSample, AuditSource};
 use fmm_sched::fan_out;
+use fmm_tune::ShapeClass;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -106,29 +111,19 @@ pub enum Routing {
         /// Implementation strategy.
         variant: Variant,
     },
-    /// Empirical decisions first, model fallback: the [`TuneStore`] is
-    /// consulted per shape class (dtype, worker count, and micro-kernel
-    /// fingerprint must all match); a hit routes with **zero model
-    /// re-ranking** ([`EngineStats::tuned_hits`]), a miss — including a
-    /// stale entry whose algorithm left the registry — falls back to
-    /// [`Routing::Model`] ([`EngineStats::tuned_misses`]). Build the store
-    /// with `fmm-tune`'s `Tuner` or the `fmm_tune` CLI.
-    Tuned {
-        /// The (typically loaded-from-disk) tuned decision store.
-        store: Arc<TuneStore>,
-    },
 }
 
 /// Where an engine's [`ArchParams`] come from.
 ///
 /// The default is [`ArchSource::Calibrated`]: on first use the host is
-/// measured (`fmm_tune::host_arch`, cached process-wide and persisted in
-/// the tune store) instead of assuming the paper's 2017 experiment
-/// machine. Pass [`ArchSource::Fixed`] to reproduce published rankings or
-/// pin tests.
+/// measured (`fmm_tune::host_arch`, once per process) instead of assuming
+/// the paper's 2017 experiment machine. Pass [`ArchSource::Fixed`] to
+/// reproduce published rankings, pin tests, or carry one measurement
+/// across processes.
 #[derive(Clone, Debug, Default)]
 pub enum ArchSource {
-    /// Measure (once) and use this host's calibrated parameters.
+    /// Measure (once per process) and use this host's calibrated
+    /// parameters.
     #[default]
     Calibrated,
     /// Use exactly these parameters.
@@ -168,13 +163,14 @@ pub struct EngineConfig {
     pub max_levels: usize,
     /// Routing policy.
     pub routing: Routing,
-    /// Capacity of the shape-keyed decision LRU.
-    pub decision_capacity: usize,
-    /// Capacity of the plan LRU.
-    pub plan_capacity: usize,
-    /// Idle contexts kept pooled (returns beyond this are dropped).
-    pub max_pooled_contexts: usize,
 }
+
+/// Capacity of the shape-keyed decision LRU.
+const DECISION_CAPACITY: usize = 4096;
+/// Capacity of the plan LRU.
+const PLAN_CAPACITY: usize = 256;
+/// Idle contexts kept pooled (returns beyond this are dropped).
+const MAX_POOLED_CONTEXTS: usize = 64;
 
 impl Default for EngineConfig {
     fn default() -> Self {
@@ -186,9 +182,6 @@ impl Default for EngineConfig {
             strategy: None,
             max_levels: 2,
             routing: Routing::Model,
-            decision_capacity: 4096,
-            plan_capacity: 256,
-            max_pooled_contexts: 64,
         }
     }
 }
@@ -201,13 +194,11 @@ impl Default for EngineConfig {
 struct Decision {
     choice: Choice,
     /// Routing source for audit attribution. `Fallback` marks decisions
-    /// the configured route could not serve (pinned registry miss,
-    /// tuned-store miss) even when a model ranking picked the fallback.
+    /// the configured route could not serve (pinned registry miss).
     source: AuditSource,
-    /// Predicted cost of one multiply of this shape, in nanoseconds
-    /// (model total, or re-derived from the tuned store's measured
-    /// GFLOP/s). 0 = unknown. When a strategy override rewrites the
-    /// schedule, the prediction still describes the ranked schedule.
+    /// Predicted cost of one multiply of this shape, in nanoseconds (the
+    /// model's total). When a strategy override rewrites the schedule,
+    /// the prediction still describes the ranked schedule.
     predicted_nanos: u64,
 }
 
@@ -231,82 +222,90 @@ impl Decision {
     }
 }
 
-/// Monotonic counters exposing the engine's cache behavior.
-///
-/// All counts are cumulative since engine construction; take two snapshots
-/// and difference them to assert warm-path properties.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineStats {
+/// Declares the engine's counters once. The public [`EngineStats`]
+/// snapshot, its [`EngineStats::fields`] rows and the atomic `Counters`
+/// behind them (with `reset` and `snapshot`) all expand from this one
+/// list, in this order — a counter is added or removed in one place.
+macro_rules! engine_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Monotonic counters exposing the engine's cache behavior.
+        ///
+        /// All counts are cumulative since engine construction; take two
+        /// snapshots and difference them to assert warm-path properties.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct EngineStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl EngineStats {
+            /// Every counter as a `(name, value)` row, in declaration
+            /// order. This is the reflection surface consumers like
+            /// `fmm-serve`'s stats channel render from, so a new counter
+            /// shows up everywhere by being declared once.
+            /// Length-agnostic by design: callers must iterate, never
+            /// assume a fixed arity, so a new counter cannot silently
+            /// truncate the mirror.
+            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
+            }
+        }
+
+        #[derive(Default)]
+        struct Counters {
+            $($name: AtomicU64,)*
+        }
+
+        impl Counters {
+            fn reset(&self) {
+                // Relaxed is enough: reset is a test/bench affordance, not
+                // a synchronization point — concurrent increments may land
+                // on either side of it, exactly like two racing `snapshot`s.
+                $(self.$name.store(0, Ordering::Relaxed);)*
+            }
+
+            fn snapshot(&self) -> EngineStats {
+                EngineStats { $($name: self.$name.load(Ordering::Relaxed),)* }
+            }
+        }
+    };
+}
+
+engine_counters! {
     /// `multiply` calls served.
-    pub executions: u64,
+    executions,
     /// Decisions answered from the shape LRU.
-    pub decision_hits: u64,
+    decision_hits,
     /// Decisions that had to be computed.
-    pub decision_misses: u64,
+    decision_misses,
     /// Full model rankings run (at most one per decision miss).
-    pub rankings: u64,
+    rankings,
     /// Kronecker plan compositions performed: one per plan a decision
     /// routed to while that plan is cached, none for plans that were only
     /// ranked.
-    pub plan_compositions: u64,
+    plan_compositions,
     /// Fresh `SchedContext` constructions (one per concurrently-active
     /// caller; flat once the pool is warm).
-    pub context_allocations: u64,
+    context_allocations,
     /// Workspace allocations across all pooled contexts — the DFS arena,
     /// the per-task BFS/hybrid arena, per-task packing buffers, and hybrid
     /// inner contexts (flat once every pooled context has seen the largest
     /// live shape).
-    pub arena_grows: u64,
+    arena_grows,
     /// `multiply_batch` calls served.
-    pub batches: u64,
+    batches,
     /// Problems executed through `multiply_batch` (also counted in
     /// `executions`).
-    pub batch_items: u64,
+    batch_items,
     /// `Routing::Pinned` decisions that fell back to GEMM because the
     /// registry holds no algorithm for the pinned dims (one per decision
     /// miss of such a shape, not per call).
-    pub pinned_fallbacks: u64,
-    /// `Routing::Tuned` decisions answered by the tune store — shape
-    /// classes that routed with zero model re-ranking (one per decision
-    /// miss of such a shape, not per call).
-    pub tuned_hits: u64,
-    /// `Routing::Tuned` decisions the store could not answer (absent
-    /// class, kernel-fingerprint mismatch, or an algorithm no longer in
-    /// the registry) that fell back to model ranking.
-    pub tuned_misses: u64,
+    pinned_fallbacks,
     /// Executed multiplies whose predicted-vs-measured sample landed in
     /// the decision-audit table (`fmm_obs::audit`).
-    pub audit_samples: u64,
+    audit_samples,
     /// Audit samples dropped because the process-wide class table was
     /// full (unseen (shape-class, dtype) beyond its capacity).
-    pub audit_drops: u64,
-}
-
-impl EngineStats {
-    /// Every counter as a `(name, value)` row, in declaration order.
-    /// This is the reflection surface consumers like `fmm-serve`'s stats
-    /// channel and the smoke benchmarks render from, so a new counter
-    /// shows up everywhere by being added here once. Length-agnostic by
-    /// design: callers must iterate, never assume a fixed arity, so a
-    /// new counter cannot silently truncate the mirror.
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("executions", self.executions),
-            ("decision_hits", self.decision_hits),
-            ("decision_misses", self.decision_misses),
-            ("rankings", self.rankings),
-            ("plan_compositions", self.plan_compositions),
-            ("context_allocations", self.context_allocations),
-            ("arena_grows", self.arena_grows),
-            ("batches", self.batches),
-            ("batch_items", self.batch_items),
-            ("pinned_fallbacks", self.pinned_fallbacks),
-            ("tuned_hits", self.tuned_hits),
-            ("tuned_misses", self.tuned_misses),
-            ("audit_samples", self.audit_samples),
-            ("audit_drops", self.audit_drops),
-        ]
-    }
+    audit_drops,
 }
 
 /// One line of `name=value` pairs in [`EngineStats::fields`] order — the
@@ -320,65 +319,6 @@ impl std::fmt::Display for EngineStats {
             write!(f, "{name}={value}")?;
         }
         Ok(())
-    }
-}
-
-#[derive(Default)]
-struct Counters {
-    executions: AtomicU64,
-    decision_hits: AtomicU64,
-    decision_misses: AtomicU64,
-    rankings: AtomicU64,
-    plan_compositions: AtomicU64,
-    context_allocations: AtomicU64,
-    arena_grows: AtomicU64,
-    batches: AtomicU64,
-    batch_items: AtomicU64,
-    pinned_fallbacks: AtomicU64,
-    tuned_hits: AtomicU64,
-    tuned_misses: AtomicU64,
-    audit_samples: AtomicU64,
-    audit_drops: AtomicU64,
-}
-
-impl Counters {
-    fn reset(&self) {
-        // Relaxed is enough: reset is a test/bench affordance, not a
-        // synchronization point — concurrent increments may land on
-        // either side of it, exactly like two racing `snapshot`s.
-        self.executions.store(0, Ordering::Relaxed);
-        self.decision_hits.store(0, Ordering::Relaxed);
-        self.decision_misses.store(0, Ordering::Relaxed);
-        self.rankings.store(0, Ordering::Relaxed);
-        self.plan_compositions.store(0, Ordering::Relaxed);
-        self.context_allocations.store(0, Ordering::Relaxed);
-        self.arena_grows.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
-        self.batch_items.store(0, Ordering::Relaxed);
-        self.pinned_fallbacks.store(0, Ordering::Relaxed);
-        self.tuned_hits.store(0, Ordering::Relaxed);
-        self.tuned_misses.store(0, Ordering::Relaxed);
-        self.audit_samples.store(0, Ordering::Relaxed);
-        self.audit_drops.store(0, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> EngineStats {
-        EngineStats {
-            executions: self.executions.load(Ordering::Relaxed),
-            decision_hits: self.decision_hits.load(Ordering::Relaxed),
-            decision_misses: self.decision_misses.load(Ordering::Relaxed),
-            rankings: self.rankings.load(Ordering::Relaxed),
-            plan_compositions: self.plan_compositions.load(Ordering::Relaxed),
-            context_allocations: self.context_allocations.load(Ordering::Relaxed),
-            arena_grows: self.arena_grows.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batch_items: self.batch_items.load(Ordering::Relaxed),
-            pinned_fallbacks: self.pinned_fallbacks.load(Ordering::Relaxed),
-            tuned_hits: self.tuned_hits.load(Ordering::Relaxed),
-            tuned_misses: self.tuned_misses.load(Ordering::Relaxed),
-            audit_samples: self.audit_samples.load(Ordering::Relaxed),
-            audit_drops: self.audit_drops.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -484,8 +424,8 @@ impl<T: GemmScalar> FmmEngine<T> {
         );
         let resolved = match &config.arch {
             ArchSource::Fixed(arch) => *arch,
-            // Host-measured, process-cached, store-persisted; always
-            // validates by construction.
+            // Host-measured, process-cached; always validates by
+            // construction.
             ArchSource::Calibrated => fmm_tune::host_arch::<T>(),
         };
         // The model's memory terms are charged at this engine's element
@@ -499,8 +439,8 @@ impl<T: GemmScalar> FmmEngine<T> {
             (true, 0) => rayon::current_num_threads(),
             (true, n) => n.min(rayon::current_num_threads()).max(1),
         };
-        let decisions = Mutex::new(LruCache::new(config.decision_capacity));
-        let plans = Mutex::new(LruCache::new(config.plan_capacity));
+        let decisions = Mutex::new(LruCache::new(DECISION_CAPACITY));
+        let plans = Mutex::new(LruCache::new(PLAN_CAPACITY));
         Self {
             config,
             arch,
@@ -649,9 +589,9 @@ impl<T: GemmScalar> FmmEngine<T> {
 
     /// Report one executed multiply to the process-wide decision audit
     /// (`fmm_obs::audit`): predicted vs measured cost, attributed to the
-    /// shape's power-of-two class and this engine's dtype. The tuner's
-    /// `multiply_with_plan` measurement path deliberately skips this —
-    /// those runs execute candidates the router did not choose.
+    /// shape's power-of-two class and this engine's dtype.
+    /// `multiply_with_plan` deliberately skips this — those runs execute
+    /// candidates the router did not choose.
     fn audit(&self, m: usize, k: usize, n: usize, decision: &Decision, elapsed: Duration) {
         let class = ShapeClass::of(m, k, n);
         let sample = AuditSample {
@@ -813,26 +753,6 @@ impl<T: GemmScalar> FmmEngine<T> {
                     }
                 }
             },
-            Routing::Tuned { store } => match self.tuned_decision(store, m, k, n) {
-                Some(decision) => {
-                    self.counters.tuned_hits.fetch_add(1, Ordering::Relaxed);
-                    decision
-                }
-                // Store miss (or a stale entry naming an algorithm this
-                // registry no longer has): fall back to model routing,
-                // attributed as a fallback so the audit can separate
-                // store coverage from store quality.
-                None => {
-                    self.counters.tuned_misses.fetch_add(1, Ordering::Relaxed);
-                    fmm_obs::flight::record(fmm_obs::FlightEvent::EngineFallback {
-                        reason: fmm_obs::flight::FallbackReason::TunedMiss,
-                        m: m as u64,
-                        k: k as u64,
-                        n: n as u64,
-                    });
-                    Decision { source: AuditSource::Fallback, ..self.model_decision(m, k, n) }
-                }
-            },
             Routing::Model => self.model_decision(m, k, n),
         };
         // The strategy override replaces whatever routing picked (it only
@@ -895,47 +815,6 @@ impl<T: GemmScalar> FmmEngine<T> {
                 predicted_nanos: best.prediction.total_nanos(),
             }
         }
-    }
-
-    /// Resolve a stored tuned decision for this shape's class, or `None`
-    /// when the store cannot answer (absent class, kernel-fingerprint
-    /// mismatch via `TuneStore::decision`, or a stored algorithm this
-    /// registry no longer holds). Performs **no model ranking**.
-    fn tuned_decision(&self, store: &TuneStore, m: usize, k: usize, n: usize) -> Option<Decision> {
-        let class = ShapeClass::of(m, k, n);
-        let fingerprint = fmm_tune::kernel_fingerprint::<T>();
-        let tuned = store.decision(class, T::NAME, self.workers, &fingerprint)?;
-        // The store records the *measured* GFLOP/s of its winning choice;
-        // re-derive a per-multiply time prediction for this exact shape
-        // from it (flops / GFLOP/s ≡ nanoseconds). 0 = unknown.
-        let predicted_nanos = if tuned.gflops > 0.0 {
-            let flops = 2.0 * m as f64 * k as f64 * n as f64;
-            let nanos = flops / tuned.gflops;
-            if nanos.is_finite() && nanos >= 0.0 {
-                nanos as u64
-            } else {
-                0
-            }
-        } else {
-            0
-        };
-        let choice = match &tuned.choice {
-            TunedChoice::Gemm => Choice::Gemm,
-            TunedChoice::Fmm { dims, levels, variant, strategy } => {
-                // `levels == 0` would panic plan composition; a store
-                // built programmatically could hold it (the JSON load
-                // path rejects it), so treat it as a miss here too.
-                if *levels == 0 {
-                    return None;
-                }
-                let algo = self.registry.get(*dims)?;
-                // Sequential engines always run depth-first; a strategy
-                // tuned on a parallel configuration is not replayed here.
-                let strategy = if self.config.parallel { *strategy } else { Strategy::Dfs };
-                Choice::Fmm { plan: self.plan_for(&algo, *levels), variant: *variant, strategy }
-            }
-        };
-        Some(Decision { choice, source: AuditSource::Tuned, predicted_nanos })
     }
 
     /// The candidate plan set model routing ranks over: every registry
@@ -1024,7 +903,7 @@ impl<T: GemmScalar> FmmEngine<T> {
 
     fn release_context(&self, ctx: SchedContext<T>) {
         let mut pool = self.contexts.lock();
-        if pool.len() < self.config.max_pooled_contexts {
+        if pool.len() < MAX_POOLED_CONTEXTS {
             pool.push(ctx);
         }
     }
@@ -1081,7 +960,12 @@ mod tests {
     use fmm_dense::{fill, norms, Matrix};
 
     fn tiny_config(routing: Routing) -> EngineConfig {
-        EngineConfig { params: BlockingParams::tiny(), routing, ..EngineConfig::default() }
+        EngineConfig {
+            arch: ArchParams::paper_machine().into(),
+            params: BlockingParams::tiny(),
+            routing,
+            ..EngineConfig::default()
+        }
     }
 
     #[test]
@@ -1155,8 +1039,6 @@ mod tests {
                 + stats.batches
                 + stats.batch_items
                 + stats.pinned_fallbacks
-                + stats.tuned_hits
-                + stats.tuned_misses
                 + stats.audit_samples
                 + stats.audit_drops,
         );

@@ -5,9 +5,15 @@ use fmm_core::{FmmPlan, Strategy, Variant};
 use fmm_dense::{fill, norms, Matrix};
 use fmm_engine::{BatchItem, EngineConfig, FmmEngine, Routing};
 use fmm_gemm::BlockingParams;
+use fmm_model::ArchParams;
 
 fn tiny_config(routing: Routing) -> EngineConfig {
-    EngineConfig { params: BlockingParams::tiny(), routing, ..EngineConfig::default() }
+    EngineConfig {
+        arch: ArchParams::paper_machine().into(),
+        params: BlockingParams::tiny(),
+        routing,
+        ..EngineConfig::default()
+    }
 }
 
 /// The PR's headline guarantee: after the first call for a given
@@ -62,13 +68,10 @@ fn warm_path_does_no_composition_ranking_or_allocation() {
 /// Model routing has the same warm-path property for the decision layer.
 #[test]
 fn model_routing_ranks_once_per_shape() {
-    // The paper machine's constants, so the routes below are the model's
-    // formula and not this host's calibration: the three small shapes go
-    // to GEMM, 256³ to one-level Strassen.
-    let engine = FmmEngine::new(EngineConfig {
-        arch: fmm_model::ArchParams::paper_machine().into(),
-        ..tiny_config(Routing::Model)
-    });
+    // The paper machine's constants (`tiny_config`), so the routes below
+    // are the model's formula and not this host's calibration: the three
+    // small shapes go to GEMM, 256³ to one-level Strassen.
+    let engine = FmmEngine::new(tiny_config(Routing::Model));
     let shapes = [(48usize, 32usize, 40usize), (37, 29, 41), (64, 64, 64), (256, 256, 256)];
     for &(m, k, n) in &shapes {
         let a = fill::bench_workload(m, k, 1);
@@ -173,12 +176,10 @@ fn warm_scheduled_paths_do_no_ranking_composition_or_allocation() {
     for strategy in [Strategy::Bfs, Strategy::Hybrid] {
         for variant in Variant::ALL {
             let engine = FmmEngine::new(EngineConfig {
-                params: BlockingParams::tiny(),
                 parallel: true,
                 workers: 4,
                 strategy: Some(strategy),
-                routing: Routing::Pinned { dims: (2, 2, 2), levels: 2, variant },
-                ..EngineConfig::default()
+                ..tiny_config(Routing::Pinned { dims: (2, 2, 2), levels: 2, variant })
             });
             let (m, k, n) = (52, 44, 60); // fringes included
             let a = fill::bench_workload(m, k, 1);
@@ -221,7 +222,7 @@ fn parallel_model_routing_selects_a_strategy() {
     // model's *formula* at known constants, not about whatever constants
     // this CI host happens to calibrate to.
     let engine = FmmEngine::new(EngineConfig {
-        arch: fmm_model::ArchParams::paper_machine().into(),
+        arch: ArchParams::paper_machine().into(),
         parallel: true,
         workers: 8,
         ..EngineConfig::default()
@@ -248,11 +249,9 @@ fn parallel_model_routing_selects_a_strategy() {
 #[test]
 fn multiply_batch_is_correct_and_warm_after_first_batch() {
     let engine = FmmEngine::new(EngineConfig {
-        params: BlockingParams::tiny(),
         parallel: true,
         workers: 4,
-        routing: Routing::Pinned { dims: (2, 2, 2), levels: 1, variant: Variant::Abc },
-        ..EngineConfig::default()
+        ..tiny_config(Routing::Pinned { dims: (2, 2, 2), levels: 1, variant: Variant::Abc })
     });
     let items_n = 12;
     let (m, k, n) = (48, 40, 44);

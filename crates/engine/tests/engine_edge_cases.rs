@@ -8,9 +8,15 @@ use fmm_core::Variant;
 use fmm_dense::{fill, norms, Matrix};
 use fmm_engine::{BatchItem, EngineConfig, FmmEngine, Routing};
 use fmm_gemm::{BlockingParams, GemmScalar};
+use fmm_model::ArchParams;
 
 fn tiny_config(routing: Routing) -> EngineConfig {
-    EngineConfig { params: BlockingParams::tiny(), routing, ..EngineConfig::default() }
+    EngineConfig {
+        arch: ArchParams::paper_machine().into(),
+        params: BlockingParams::tiny(),
+        routing,
+        ..EngineConfig::default()
+    }
 }
 
 /// Pinned routing that forces the FMM path: `(2, 2, 2)` is always in the
@@ -88,8 +94,18 @@ fn workers_without_parallel_is_rejected_at_construction() {
     let _ = FmmEngine::<f64>::new(EngineConfig {
         workers: 4,
         parallel: false,
-        ..EngineConfig::default()
+        ..tiny_config(Routing::Model)
     });
+}
+
+/// Invalid arch constants are rejected at construction instead of
+/// silently poisoning every ranking.
+#[test]
+#[should_panic(expected = "EngineConfig.arch is invalid")]
+fn invalid_fixed_arch_is_rejected_at_construction() {
+    let mut bad = ArchParams::paper_machine();
+    bad.tau_b = -1.0; // a negative bandwidth cost
+    let _ = FmmEngine::<f64>::new(EngineConfig { arch: bad.into(), ..EngineConfig::default() });
 }
 
 /// The non-contradictory worker configurations still construct.
@@ -98,12 +114,12 @@ fn worker_configs_with_parallel_or_zero_workers_construct() {
     let _ = FmmEngine::<f64>::new(EngineConfig {
         workers: 4,
         parallel: true,
-        ..EngineConfig::default()
+        ..tiny_config(Routing::Model)
     });
     let _ = FmmEngine::<f64>::new(EngineConfig {
         workers: 0,
         parallel: false,
-        ..EngineConfig::default()
+        ..tiny_config(Routing::Model)
     });
 }
 

@@ -1,9 +1,9 @@
 //! Decision audit: predicted-vs-measured accounting per shape class.
 //!
-//! The engine routes every multiply off a cost model (or a tuned /
-//! pinned decision), but the model is only as good as its last
-//! calibration. This module closes the loop: each executed multiply
-//! reports an [`AuditSample`] — which shape class and dtype it was,
+//! The engine routes every multiply off a cost model (or a pinned
+//! decision), but the model is only as good as its last calibration.
+//! This module closes the loop: each executed multiply reports an
+//! [`AuditSample`] — which shape class and dtype it was,
 //! where the routing decision came from, what the router *predicted*
 //! the multiply would cost, and what it actually cost — and the sample
 //! lands in a fixed-capacity table of per-(shape-class, dtype)
@@ -79,24 +79,21 @@ impl AuditDtype {
 pub enum AuditSource {
     /// Ranked live by the cost model.
     Model,
-    /// Served from the persisted tune store.
-    Tuned,
     /// Operator-pinned plan.
     Pinned,
-    /// Fallback (pinned registry miss, tuned-store miss, or GEMM guard).
+    /// Fallback (pinned registry miss).
     Fallback,
 }
 
 /// Source names in [`AuditSource::index`] order, for export.
-pub const SOURCE_NAMES: [&str; 4] = ["model", "tuned", "pinned", "fallback"];
+pub const SOURCE_NAMES: [&str; 3] = ["model", "pinned", "fallback"];
 
 impl AuditSource {
     pub fn index(self) -> usize {
         match self {
             AuditSource::Model => 0,
-            AuditSource::Tuned => 1,
-            AuditSource::Pinned => 2,
-            AuditSource::Fallback => 3,
+            AuditSource::Pinned => 1,
+            AuditSource::Fallback => 2,
         }
     }
 
@@ -134,7 +131,7 @@ struct AuditSlot {
     best_gflops_milli: AtomicU64,
     /// u64::MAX until the first sample lands.
     worst_gflops_milli: AtomicU64,
-    by_source: [AtomicU64; 4],
+    by_source: [AtomicU64; SOURCE_NAMES.len()],
     /// Human-readable "chosen" label, written on the cold decision path
     /// only — `record` never touches this lock.
     chosen: Mutex<String>,
@@ -151,7 +148,7 @@ impl AuditSlot {
             err_permille: Histogram::new(),
             best_gflops_milli: AtomicU64::new(0),
             worst_gflops_milli: AtomicU64::new(u64::MAX),
-            by_source: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
+            by_source: std::array::from_fn(|_| AtomicU64::new(0)),
             chosen: Mutex::new(String::new()),
         }
     }
@@ -285,7 +282,7 @@ pub struct AuditEntry {
     /// 0 until a sample lands.
     pub worst_gflops_milli: u64,
     /// Per-source sample counts, [`SOURCE_NAMES`] order.
-    pub by_source: [u64; 4],
+    pub by_source: [u64; SOURCE_NAMES.len()],
     /// Chosen decision label from the cold path ("" if never noted).
     pub chosen: String,
     /// Model-error ratio histogram (permille, 1000 ≡ perfect).
@@ -401,7 +398,7 @@ mod tests {
         assert_eq!(f64_entry.predicted_nanos, 4_000);
         assert_eq!(f64_entry.measured_nanos, 2_000);
         assert_eq!(f64_entry.chosen, "fmm <3,3,3>^2 dfs");
-        assert_eq!(f64_entry.by_source, [2, 0, 0, 0]);
+        assert_eq!(f64_entry.by_source, [2, 0, 0]);
         // predicted/measured = 2.0 → error_log2 = 1, ratio 2000 permille.
         assert!((f64_entry.error_log2() - 1.0).abs() < 1e-12);
         assert_eq!(f64_entry.err_permille.count, 2);
@@ -434,7 +431,7 @@ mod tests {
         let entries = snapshot();
         let degenerate =
             entries.iter().find(|e| e.class_label == "0x0x0").expect("zero class is representable");
-        assert_eq!(degenerate.by_source, [0, 0, 0, 1]);
+        assert_eq!(degenerate.by_source, [0, 0, 1]);
         assert_eq!(degenerate.error_log2(), 0.0);
         assert_eq!(degenerate.worst_gflops_milli, 0);
 

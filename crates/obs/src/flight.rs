@@ -122,29 +122,24 @@ impl SlowPhase {
 pub enum FallbackReason {
     /// Operator-pinned plan not present in the plan registry.
     PinnedMiss,
-    /// Tuned routing requested but the tune store had no entry.
-    TunedMiss,
 }
 
 impl FallbackReason {
     pub fn name(self) -> &'static str {
         match self {
             FallbackReason::PinnedMiss => "pinned-miss",
-            FallbackReason::TunedMiss => "tuned-miss",
         }
     }
 
     fn id(self) -> u64 {
         match self {
             FallbackReason::PinnedMiss => 1,
-            FallbackReason::TunedMiss => 2,
         }
     }
 
     fn from_id(id: u64) -> Option<FallbackReason> {
         match id {
             1 => Some(FallbackReason::PinnedMiss),
-            2 => Some(FallbackReason::TunedMiss),
             _ => None,
         }
     }
@@ -484,7 +479,7 @@ mod tests {
             },
             FlightEvent::BatchFormed { dispatcher: 0, batch: 8, depth: 3 },
             FlightEvent::EngineFallback {
-                reason: FallbackReason::TunedMiss,
+                reason: FallbackReason::PinnedMiss,
                 m: 256,
                 k: 256,
                 n: 256,

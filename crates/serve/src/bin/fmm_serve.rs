@@ -2,7 +2,7 @@
 //!
 //! ```sh
 //! fmm_serve serve [--addr 127.0.0.1:7117] [--window-us 2000] [--gap-us 200]
-//!                 [--max-batch 32] [--queue 256] [--workers 0] [--no-tuned]
+//!                 [--max-batch 32] [--queue 256] [--workers 0]
 //!                 [--event-threads 2] [--trace] [--incident-dir DIR]
 //!                 [--no-watchdog] [--watchdog-stall-ms 1000]
 //!                 [--watchdog-abort-after MS] [--slow-ms 250]
@@ -42,13 +42,12 @@
 //!
 //! `audit` reads the decision-audit section of the stats snapshot and
 //! ranks shape classes by model error `|log2(predicted/measured)|`;
-//! classes above `--threshold` are flagged as retune candidates together
-//! with the `fmm_tune explore` invocation that would refresh them. `top`
-//! is the live terminal view: it polls the same snapshot every
-//! `--interval-ms`, showing request counters as rates, per-phase latency
-//! quantiles, and per-shape-class GFLOP/s computed from the flops and
-//! busy-nanos deltas between consecutive snapshots (`--once` prints a
-//! single frame for scripts and CI smokes).
+//! classes above `--threshold` are listed as retune candidates (the ones
+//! the model misjudges). `top` is the live terminal view: it polls the
+//! same snapshot every `--interval-ms`, showing request counters as
+//! rates, per-phase latency quantiles, and per-shape-class GFLOP/s
+//! computed from the flops and busy-nanos deltas between consecutive
+//! snapshots (`--once` prints a single frame for scripts and CI smokes).
 
 use fmm_dense::{fill, norms, Matrix};
 use fmm_serve::{BatchPolicy, PipelinedClient, ServeConfig, Server};
@@ -100,7 +99,6 @@ struct Options {
     max_batch: usize,
     queue: usize,
     workers: usize,
-    tuned: bool,
     threads: usize,
     requests: usize,
     size: usize,
@@ -132,7 +130,6 @@ impl Options {
             max_batch: 32,
             queue: 256,
             workers: 0,
-            tuned: true,
             threads: 4,
             requests: 32,
             size: 96,
@@ -183,10 +180,6 @@ impl Options {
                 "--workers" => {
                     o.workers = value(argv, i, "--workers").parse().expect("--workers: int");
                     i += 2;
-                }
-                "--no-tuned" => {
-                    o.tuned = false;
-                    i += 1;
                 }
                 "--threads" => {
                     o.threads = value(argv, i, "--threads").parse().expect("--threads: int");
@@ -294,7 +287,6 @@ fn cmd_serve(o: &Options) {
         },
         queue_capacity: o.queue,
         workers: o.workers,
-        tuned: o.tuned,
         event_threads: o.event_threads.max(1),
         watchdog: o.watchdog,
         watchdog_stall: Duration::from_millis(o.watchdog_stall_ms.max(1)),
@@ -319,11 +311,10 @@ fn cmd_serve(o: &Options) {
     println!("fmm_serve listening on {}", handle.addr());
     println!("{}", fmm_serve::incident::build_info_line());
     println!(
-        "micro-batching: window {:?}, max batch {max_batch}, queue capacity {}, tuned {}, \
+        "micro-batching: window {:?}, max batch {max_batch}, queue capacity {}, \
          event threads {}",
         window,
         o.queue,
-        o.tuned,
         o.event_threads.max(1)
     );
     if o.watchdog {
@@ -489,7 +480,7 @@ fn decode_audit_rows(stats: &fmm_core::json::Value) -> Vec<AuditRow> {
 }
 
 /// Rank shape classes by predicted-vs-measured model error and flag
-/// retune candidates, bridging straight into `fmm_tune explore`.
+/// retune candidates: the classes the model misjudges beyond `--threshold`.
 fn cmd_audit(o: &Options) {
     let stats = fetch_stats_json(o);
     let rows = decode_audit_rows(&stats);
@@ -551,11 +542,6 @@ fn cmd_audit(o: &Options) {
             r.samples,
             r.worst_gflops
         );
-    }
-    let classes: Vec<fmm_tune::ShapeClass> =
-        flagged.iter().filter_map(|r| fmm_tune::ShapeClass::from_label(&r.class)).collect();
-    if let Some(command) = fmm_tune::explore_command(&classes, 0) {
-        println!("refresh the tuned store with: {command}");
     }
 }
 

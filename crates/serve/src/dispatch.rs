@@ -437,9 +437,20 @@ mod tests {
     use crate::buffers::IngestPools;
     use crate::protocol::WireScalar;
     use fmm_dense::Matrix;
-    use fmm_engine::{EngineConfig, Routing};
+    use fmm_engine::EngineConfig;
     use fmm_gemm::BlockingParams;
+    use fmm_model::ArchParams;
     use std::thread;
+
+    /// A sequential engine with tiny blocking and the paper machine's
+    /// constants (no host calibration in a unit test).
+    fn tiny_engine() -> FmmEngine<f64> {
+        FmmEngine::new(EngineConfig {
+            arch: ArchParams::paper_machine().into(),
+            params: BlockingParams::tiny(),
+            ..EngineConfig::default()
+        })
+    }
 
     /// Test sink: collects completions and wakes waiters.
     #[derive(Default)]
@@ -543,11 +554,7 @@ mod tests {
 
     #[test]
     fn dispatcher_coalesces_queued_jobs_and_completes_each_by_id() {
-        let engine = FmmEngine::<f64>::new(EngineConfig {
-            params: BlockingParams::tiny(),
-            routing: Routing::Model,
-            ..EngineConfig::default()
-        });
+        let engine = tiny_engine();
         let pools = IngestPools::new(16, usize::MAX);
         let sink = Arc::new(Collector::default());
         let metrics = Arc::new(Metrics::default());
@@ -585,10 +592,7 @@ mod tests {
 
     #[test]
     fn max_batch_one_dispatches_one_at_a_time() {
-        let engine = FmmEngine::<f64>::new(EngineConfig {
-            params: BlockingParams::tiny(),
-            ..EngineConfig::default()
-        });
+        let engine = tiny_engine();
         let pools = IngestPools::new(16, usize::MAX);
         let sink = Arc::new(Collector::default());
         let metrics = Arc::new(Metrics::default());
@@ -611,10 +615,7 @@ mod tests {
 
     #[test]
     fn warm_dispatch_hits_the_result_pool() {
-        let engine = FmmEngine::<f64>::new(EngineConfig {
-            params: BlockingParams::tiny(),
-            ..EngineConfig::default()
-        });
+        let engine = tiny_engine();
         let pools = IngestPools::new(16, usize::MAX);
         let sink = Arc::new(Collector::default());
         let metrics = Arc::new(Metrics::default());

@@ -20,6 +20,7 @@
 //!   from ordinary thread context.
 
 use fmm_core::json;
+use fmm_gemm::GemmScalar;
 use fmm_obs::IncidentTrigger;
 use std::fs;
 use std::io::{self, Write};
@@ -32,8 +33,8 @@ use std::time::{SystemTime, UNIX_EPOCH};
 pub const INCIDENT_SCHEMA: &str = "fmm-incident-v1";
 
 /// The build identity as a JSON object: crate version, git hash (when
-/// `FMM_GIT_HASH` was set at compile time), the runtime-selected kernel
-/// fingerprint per dtype, and the wire protocol versions spoken.
+/// `FMM_GIT_HASH` was set at compile time), the runtime-selected
+/// micro-kernel per dtype, and the wire protocol versions spoken.
 pub fn build_info_json() -> json::Value {
     json::Value::Object(
         [
@@ -42,14 +43,8 @@ pub fn build_info_json() -> json::Value {
                 "git_hash".to_string(),
                 json::Value::String(option_env!("FMM_GIT_HASH").unwrap_or("unknown").to_string()),
             ),
-            (
-                "kernel_f64".to_string(),
-                json::Value::String(fmm_engine::kernel_fingerprint::<f64>()),
-            ),
-            (
-                "kernel_f32".to_string(),
-                json::Value::String(fmm_engine::kernel_fingerprint::<f32>()),
-            ),
+            ("kernel_f64".to_string(), json::Value::String(f64::micro_kernel_name().to_string())),
+            ("kernel_f32".to_string(), json::Value::String(f32::micro_kernel_name().to_string())),
             ("protocol_versions".to_string(), json::Value::String("v2".to_string())),
         ]
         .into_iter()
@@ -64,8 +59,8 @@ pub fn build_info_line() -> String {
         "fmm_serve {} git={} kernel_f64={} kernel_f32={} protocol=v2",
         env!("CARGO_PKG_VERSION"),
         option_env!("FMM_GIT_HASH").unwrap_or("unknown"),
-        fmm_engine::kernel_fingerprint::<f64>(),
-        fmm_engine::kernel_fingerprint::<f32>(),
+        f64::micro_kernel_name(),
+        f32::micro_kernel_name(),
     )
 }
 

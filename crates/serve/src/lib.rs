@@ -54,7 +54,7 @@
 //!
 //! // Spawn on a free loopback port. Tests pin small blocking parameters
 //! // and the paper arch to stay fast and deterministic; production uses
-//! // `ServeConfig::default()` (tuned routing, calibrated arch).
+//! // `ServeConfig::default()` (model routing, calibrated arch).
 //! let config = EngineConfig {
 //!     parallel: true,
 //!     params: BlockingParams::tiny(),

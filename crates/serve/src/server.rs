@@ -35,11 +35,10 @@ use crate::metrics::Metrics;
 use crate::poller::{Interest, Poller, Waker, WAKE_TOKEN};
 use crate::protocol::{self, ErrorCode, FrameKind, RequestDims, HEADER_LEN, RESPONSE_PRELUDE};
 use fmm_core::json;
-use fmm_engine::{ArchSource, EngineConfig, EngineStats, FmmEngine, Routing};
+use fmm_engine::{ArchSource, EngineConfig, EngineStats, FmmEngine};
 use fmm_gemm::BlockingParams;
 use fmm_obs::flight::{self, FlightEvent, IncidentTrigger, RefusalReason};
 use fmm_obs::{Heartbeat, SpanKind, WatchPolicy, Watchdog, WatchdogConfig, WatchdogHandle};
-use fmm_tune::TuneStore;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -51,6 +50,13 @@ use std::time::{Duration, Instant};
 /// The listener's registration token on loop 0 (`u64::MAX` is
 /// [`WAKE_TOKEN`]; connection tokens are small slot indices).
 const LISTENER_TOKEN: u64 = u64::MAX - 1;
+
+/// Idle buffers the per-dtype ingest pools retain across requests.
+const POOL_RETAIN: usize = 32;
+/// Idle bytes the per-dtype ingest pools retain across requests — a burst
+/// of max-size requests must not leave gigabytes parked in the pools
+/// after load subsides.
+const POOL_RETAIN_BYTES: usize = 256 << 20;
 
 /// Construction-time configuration of a [`Server`].
 #[derive(Clone, Debug)]
@@ -69,11 +75,6 @@ pub struct ServeConfig {
     /// Worker count for the engines' batched fan-out (`0` = the rayon
     /// pool width).
     pub workers: usize,
-    /// Route through the persistent tune store
-    /// (`TuneStore::load_default`), falling back to model routing per
-    /// shape on any miss — the production default. `false` keeps routing
-    /// purely model-based.
-    pub tuned: bool,
     /// Blocking parameters for the engines.
     pub params: BlockingParams,
     /// Architecture parameters for the engines' model routing.
@@ -84,12 +85,6 @@ pub struct ServeConfig {
     /// Most requests one connection may have in flight before further
     /// admissions are refused with `Busy` (the pipelining depth bound).
     pub max_inflight_per_conn: usize,
-    /// Idle buffers the per-dtype ingest pools retain across requests.
-    pub pool_retain: usize,
-    /// Idle bytes the per-dtype ingest pools retain across requests — a
-    /// burst of max-size requests must not leave gigabytes parked in the
-    /// pools after load subsides.
-    pub pool_retain_bytes: usize,
     /// Response bytes a connection may have outstanding — queued in its
     /// write backlog *or* promised by admitted-but-unfinished requests —
     /// before further admissions are refused with `Busy` and the loop
@@ -133,13 +128,10 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             max_payload_bytes: 64 << 20,
             workers: 0,
-            tuned: true,
             params: BlockingParams::default(),
             arch: ArchSource::Calibrated,
             event_threads: 2,
             max_inflight_per_conn: 64,
-            pool_retain: 32,
-            pool_retain_bytes: 256 << 20,
             max_conn_backlog_bytes: 64 << 20,
             trace: std::env::var("FMM_TRACE")
                 .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
@@ -370,7 +362,6 @@ impl Shared {
                 ("max_payload_bytes".to_string(), int(c.max_payload_bytes)),
                 ("max_conn_backlog_bytes".to_string(), int(c.max_conn_backlog_bytes)),
                 ("workers".to_string(), int(c.workers)),
-                ("tuned".to_string(), json::Value::Int(c.tuned as i64)),
                 ("batch_window_micros".to_string(), int(c.batch.window.as_micros() as usize)),
                 ("batch_max".to_string(), int(c.batch.max_batch)),
                 ("watchdog".to_string(), json::Value::Int(c.watchdog as i64)),
@@ -600,7 +591,7 @@ impl Server {
             queue_f64: BatchQueue::new(config.queue_capacity),
             queue_f32: BatchQueue::new(config.queue_capacity),
             metrics: Arc::new(Metrics::default()),
-            pools: IngestPools::new(config.pool_retain, config.pool_retain_bytes),
+            pools: IngestPools::new(POOL_RETAIN, POOL_RETAIN_BYTES),
             engine_f64,
             engine_f32,
             stop: AtomicBool::new(false),
@@ -754,15 +745,9 @@ fn install_incident_capture(shared: &Arc<Shared>, threads: &mut Vec<JoinHandle<(
 /// batches to `multiply_batch`'s worker fan-out (a 1-thread rayon pool
 /// degrades gracefully to in-place execution).
 fn build_engine<T: fmm_gemm::GemmScalar>(config: &ServeConfig) -> FmmEngine<T> {
-    let routing = if config.tuned {
-        Routing::Tuned { store: Arc::new(TuneStore::load_default()) }
-    } else {
-        Routing::Model
-    };
     FmmEngine::new(EngineConfig {
         parallel: true,
         workers: config.workers,
-        routing,
         params: config.params,
         arch: config.arch.clone(),
         ..EngineConfig::default()

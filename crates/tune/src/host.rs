@@ -1,19 +1,18 @@
-//! Host calibration: measure this machine once, remember it forever.
+//! Host calibration: measure this machine once per process.
 //!
 //! [`calibrate_host`] runs the `fmm_model::calibrate` microbenchmarks with
 //! the dtype's runtime-selected micro-kernel and fits [`ArchParams`].
-//! [`host_arch`] wraps it in two cache layers: a process-wide map (so an
-//! engine construction never measures twice in one process) and the
-//! persistent [`TuneStore`] (so a machine measures once *ever*, keyed by
-//! dtype and fingerprinted by kernel name — a new CPU re-calibrates).
+//! [`host_arch`] caches the result in a process-wide map, so an engine
+//! construction never measures twice in one process. Nothing is read from
+//! or written to disk: what an engine routes with is what this process
+//! measured, or what its caller passed in.
 //!
 //! Calibration is a performance input, never a correctness input, so every
-//! failure path degrades instead of erroring: an unwritable store skips
-//! persistence, implausible measurements (e.g. a timer quantized to zero
-//! under a noisy CI neighbor) fall back to [`ArchParams::paper_machine`],
-//! and `FMM_TUNE_CALIBRATE=0` skips measurement entirely.
+//! failure path degrades instead of erroring: implausible measurements
+//! (e.g. a timer quantized to zero under a noisy CI neighbor) fall back to
+//! [`ArchParams::paper_machine`], and `FMM_TUNE_CALIBRATE=0` skips
+//! measurement entirely.
 
-use crate::store::{kernel_fingerprint, TuneStore};
 use fmm_gemm::{BlockingParams, GemmScalar};
 use fmm_model::calibrate::{fit, measure_t};
 use fmm_model::ArchParams;
@@ -22,8 +21,8 @@ use std::sync::{Mutex, OnceLock};
 
 /// Measurement scale used for implicit (engine-construction-time)
 /// calibration: large enough for stable rates, small enough (~tens of
-/// milliseconds) that the one-time cost is invisible next to real traffic.
-/// The CLI defaults to a fuller `1.0` scale.
+/// milliseconds) that the once-per-process cost is invisible next to real
+/// traffic.
 pub const QUICK_SCALE: f64 = 0.25;
 
 /// Environment variable: set to `0` to skip host measurement and use the
@@ -42,62 +41,20 @@ pub fn calibrate_host<T: GemmScalar>(params: &BlockingParams, scale: f64) -> Arc
     }
 }
 
-/// Calibrated [`ArchParams`] for this host and dtype, resolved in order:
-/// process cache → persistent store (kernel fingerprint must match) →
-/// fresh [`calibrate_host`] measurement at [`QUICK_SCALE`] (persisted
-/// best-effort). Always returns validated parameters.
+/// Calibrated [`ArchParams`] for this host and dtype: the process cache,
+/// or a fresh [`calibrate_host`] measurement at [`QUICK_SCALE`] on first
+/// use. Always returns validated parameters.
 pub fn host_arch<T: GemmScalar>() -> ArchParams {
     static CACHE: OnceLock<Mutex<BTreeMap<&'static str, ArchParams>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
     let mut cache = cache.lock().expect("host-arch cache poisoned");
-    if let Some(&arch) = cache.get(T::NAME) {
-        return arch;
-    }
-    let arch = resolve::<T>();
-    cache.insert(T::NAME, arch);
-    arch
-}
-
-fn resolve<T: GemmScalar>() -> ArchParams {
-    if std::env::var(CALIBRATE_ENV).as_deref() == Ok("0") {
-        return ArchParams::paper_machine();
-    }
-    // The fingerprint carries the build profile (see `kernel_fingerprint`),
-    // so a release process never replays parameters measured by a debug
-    // build and vice versa.
-    let kernel = kernel_fingerprint::<T>();
-    let path = TuneStore::default_path();
-    let store = TuneStore::load(&path);
-    if let Some(arch) = store.calibrated(T::NAME, &kernel) {
-        if arch.validate().is_ok() {
-            return arch;
+    *cache.entry(T::NAME).or_insert_with(|| {
+        if std::env::var(CALIBRATE_ENV).as_deref() == Ok("0") {
+            ArchParams::paper_machine()
+        } else {
+            calibrate_host::<T>(&BlockingParams::default(), QUICK_SCALE)
         }
-    }
-    let arch = calibrate_host::<T>(&BlockingParams::default(), QUICK_SCALE);
-    // Persist best-effort: reload first so concurrent tuners' decisions
-    // are not clobbered, and ignore I/O failures (read-only homes, etc.).
-    let mut fresh = TuneStore::load(&path);
-    fresh.set_calibrated(T::NAME, &kernel, arch);
-    let _ = fresh.save(&path);
-    arch
-}
-
-/// Calibrated [`ArchParams`] for `T` from `store` if fingerprint-fresh;
-/// otherwise measure at [`QUICK_SCALE`] and record the result **into
-/// `store`** (the caller owns persistence). This is the store-coherent
-/// form explore flows need: resolving through [`host_arch`] instead would
-/// persist the calibration to the default path behind the caller's back
-/// and then lose it when the caller saves its own (stale) snapshot.
-pub fn ensure_calibrated<T: GemmScalar>(store: &mut TuneStore) -> ArchParams {
-    let kernel = kernel_fingerprint::<T>();
-    if let Some(arch) = store.calibrated(T::NAME, &kernel) {
-        if arch.validate().is_ok() {
-            return arch;
-        }
-    }
-    let arch = calibrate_host::<T>(&BlockingParams::default(), QUICK_SCALE);
-    store.set_calibrated(T::NAME, &kernel, arch);
-    arch
+    })
 }
 
 #[cfg(test)]

@@ -1,60 +1,32 @@
-//! `fmm-tune` — host calibration, empirical autotuning, and the persistent
-//! decision store that closes the model→reality loop.
+//! `fmm-tune` — host calibration for the performance model.
 //!
-//! The paper's selection story (§6, Figs. 9–10) is a *model* ranking
-//! validated against *empirical* timings: the model proposes, measurement
-//! disposes. The rest of this workspace only implemented the first half —
-//! every engine routed with [`ArchParams::paper_machine`], the 2017
-//! experiment machine's constants. This crate supplies the second half as
-//! a three-stage pipeline:
+//! The paper's selection story (§4.4, Figs. 9–10) is a *model* ranking,
+//! and a model is only as good as its machine constants. This crate fits
+//! them on the running machine: [`calibrate_host`] runs the
+//! `fmm_model::calibrate` microbenchmarks, per dtype and honoring the
+//! dtype's runtime-selected micro-kernel, and [`host_arch`] caches the
+//! result for the life of the process (`fmm-engine`'s
+//! `ArchSource::Calibrated`). Nothing is persisted: routing is a function
+//! of the code and the [`ArchParams`] an engine was given. To pin
+//! constants across processes, measure them once and pass them as
+//! `ArchSource::Fixed` (the benchmark's `fmm-ledger calibrate` does).
 //!
-//! 1. **Calibration** ([`host`]) — run the `fmm_model::calibrate`
-//!    microbenchmarks on the running machine, per dtype and honoring the
-//!    dtype's runtime-selected micro-kernel, to fit a host-specific
-//!    [`ArchParams`]. [`host_arch`] caches the result process-wide and
-//!    persists it in the tune store, so the measurement cost is paid once
-//!    per machine, not per process.
-//! 2. **Empirical exploration** ([`tuner`]) — for a problem shape, take
-//!    the top-K candidates from the model ranking
-//!    (`rank_candidates`/`rank_scheduled`, GEMM included) and time each
-//!    for real through pooled [`FmmContext`](fmm_core::FmmContext)/
-//!    [`SchedContext`](fmm_sched::SchedContext)s, under a configurable
-//!    warmup/rep/outlier [`TunePolicy`]. The measured winner — not the
-//!    model's guess — is what gets remembered.
-//! 3. **Persistence** ([`store`]) — a versioned [`TuneStore`] (serialized
-//!    with `fmm_core::json`, default location `~/.cache/fmm/tune.json`,
-//!    `FMM_TUNE_STORE` override) holding the calibrated `ArchParams` plus
-//!    the winning decision per (shape class, dtype, workers), each entry
-//!    fingerprinted by micro-kernel name so a different CPU (or kernel
-//!    selection) invalidates stale decisions instead of replaying them.
-//!
-//! `fmm-engine` consumes the store through `Routing::Tuned`: stored shape
-//! classes route with **zero model re-ranking**, misses fall back to model
-//! routing, and both paths are counted (`EngineStats::{tuned_hits,
-//! tuned_misses}`). The `fmm_tune` CLI binary (`calibrate`, `explore`,
-//! `show`, `clear`) makes the store operable from a shell.
+//! [`ShapeClass`] is the power-of-two shape bucketing the decision audit
+//! (`fmm_obs::audit`) keys its predicted-vs-measured rows by.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use fmm_tune::{host_arch, ShapeClass, TuneStore, Tuner};
+//! use fmm_tune::{host_arch, ShapeClass};
 //!
-//! let arch = host_arch::<f64>(); // calibrated for this machine, cached
-//! let mut store = TuneStore::load_default();
-//! let tuner = Tuner::sequential();
-//! let outcome = tuner.explore::<f64>(&mut store, &arch, 512, 512, 512);
-//! println!("{}: {:.1} GFLOP/s", outcome.winner, outcome.winner_gflops);
-//! store.save(&TuneStore::default_path()).ok();
+//! let arch = host_arch::<f64>(); // measured once per process, then cached
+//! println!("peak {:.1} GFLOP/s", arch.peak_gflops());
+//! assert_eq!(ShapeClass::of(500, 500, 500).label(), "512x512x512");
 //! ```
 
 pub mod host;
 pub mod store;
-pub mod tuner;
 
 pub use fmm_model::ArchParams;
-pub use host::{calibrate_host, ensure_calibrated, host_arch, QUICK_SCALE};
-pub use store::{
-    explore_command, kernel_fingerprint, ShapeClass, TuneStore, TunedChoice, TunedDecision,
-    MAX_DECISION_LEVELS, SCHEMA_VERSION,
-};
-pub use tuner::{CandidateTiming, ExploreOutcome, TunePolicy, Tuner};
+pub use host::{calibrate_host, host_arch, QUICK_SCALE};
+pub use store::ShapeClass;

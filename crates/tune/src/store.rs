@@ -1,66 +1,9 @@
-//! The persistent tune store: calibrated architecture parameters plus
-//! empirically-chosen routing decisions, keyed by shape class, dtype, and
-//! worker count, fingerprinted by micro-kernel name.
-//!
-//! The store is a plain value (`BTreeMap`s inside), serialized with
-//! [`fmm_core::json`]. Loading is *graceful by contract*: a missing,
-//! corrupted, truncated, or schema-incompatible file yields an **empty**
-//! store — consumers (the engine's `Routing::Tuned`) then simply see
-//! misses and fall back to model routing. Tuning data is a cache of
-//! measurements, never a correctness input, so no load path is allowed to
-//! panic.
-//!
-//! Two invalidation layers protect against stale decisions:
-//!
-//! * [`SCHEMA_VERSION`] — a top-level version stamp; a mismatch discards
-//!   the whole file (the schema changed under it).
-//! * a per-entry **kernel fingerprint** — every calibrated-params and
-//!   decision entry records the micro-kernel name it was measured with
-//!   ([`fmm_gemm::GemmScalar::micro_kernel_name`]); lookups supply the
-//!   current kernel and silently ignore entries measured on different
-//!   silicon. Worker count and dtype are part of the lookup key itself.
-//!
-//! The "no load path may panic" rule is machine-checked: this file carries
-//! `fmm-check`'s `contract(panic-free)` (no `unwrap`/`expect`/`panic!`/
-//! `[]` indexing outside tests; see README § Static analysis).
-
-// fmm-check: contract(panic-free)
-
-use fmm_core::json::{self, Value};
-use fmm_core::{Strategy, Variant};
-use fmm_model::ArchParams;
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-
-/// Version stamp of the on-disk format. Bump on any schema change; old
-/// files are then ignored wholesale rather than misread.
-pub const SCHEMA_VERSION: i64 = 1;
-
-/// Environment variable overriding the store location.
-pub const STORE_ENV: &str = "FMM_TUNE_STORE";
-
-/// Largest plan nesting depth a stored decision may name. Guards the load
-/// path: a Kronecker composition is exponential in levels, so an absurd
-/// stored value must read as corrupt, not as a request.
-pub const MAX_DECISION_LEVELS: usize = 4;
-
-/// The fingerprint stamped on (and required of) every store entry for
-/// scalar `T`: the runtime-selected micro-kernel name, suffixed with the
-/// build profile. The suffix matters: `tau_a` measured by an unoptimized
-/// debug build is an order of magnitude off a release build's, so the two
-/// must never answer each other's lookups.
-pub fn kernel_fingerprint<T: fmm_gemm::GemmScalar>() -> String {
-    let kernel = T::micro_kernel_name();
-    if cfg!(debug_assertions) {
-        format!("{kernel}+debug")
-    } else {
-        kernel.to_string()
-    }
-}
+//! Shape classes: the power-of-two buckets the decision audit aggregates
+//! predicted-vs-measured samples under.
 
 /// A problem-shape equivalence class: each dimension bucketed to the
 /// nearest power of two, so `500×500×500` and `512×512×512` share one
-/// tuned decision while `512³` and `4096³` do not.
+/// audit row while `512³` and `4096³` do not.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShapeClass {
     /// Bucketed `m`.
@@ -77,16 +20,14 @@ impl ShapeClass {
         Self { m: bucket(m), k: bucket(k), n: bucket(n) }
     }
 
-    /// Canonical label, e.g. `"512x512x512"` — also the store key segment.
+    /// Canonical label, e.g. `"512x512x512"` — the key the audit exports.
     pub fn label(&self) -> String {
         format!("{}x{}x{}", self.m, self.k, self.n)
     }
 
     /// Parse a [`ShapeClass::label`]-shaped string (`"512x512x512"`).
     /// Returns `None` for anything malformed; dims are re-bucketed so a
-    /// hostile label still yields a canonical class. This is the inverse
-    /// the serve-side audit report uses to turn exported class keys back
-    /// into retune targets.
+    /// hostile label still yields a canonical class.
     pub fn from_label(label: &str) -> Option<Self> {
         let mut parts = label.split('x');
         let m = parts.next()?.parse::<usize>().ok()?;
@@ -97,33 +38,6 @@ impl ShapeClass {
         }
         Some(Self::of(m, k, n))
     }
-
-    /// The single size `fmm_tune explore --sizes` should revisit for this
-    /// class: explore tunes square problems, so the dominant dimension
-    /// stands in for the class.
-    pub fn explore_size(&self) -> usize {
-        self.m.max(self.k).max(self.n)
-    }
-}
-
-/// Render an `fmm_tune explore` invocation covering `classes` — the
-/// bridge from the serve-side decision audit (which ranks classes by
-/// model error) back into the tuner. Sizes are deduplicated, sorted,
-/// and degenerate zero dims are skipped; `None` when nothing remains.
-pub fn explore_command(classes: &[ShapeClass], workers: usize) -> Option<String> {
-    let mut sizes: Vec<usize> =
-        classes.iter().map(ShapeClass::explore_size).filter(|&s| s > 0).collect();
-    sizes.sort_unstable();
-    sizes.dedup();
-    if sizes.is_empty() {
-        return None;
-    }
-    let list = sizes.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(",");
-    if workers > 1 {
-        Some(format!("fmm_tune explore --sizes {list} --workers {workers}"))
-    } else {
-        Some(format!("fmm_tune explore --sizes {list}"))
-    }
 }
 
 /// Nearest power of two (in log space), 0 for degenerate zero dims.
@@ -133,308 +47,6 @@ fn bucket(d: usize) -> usize {
     }
     let exp = (d as f64).log2().round() as u32;
     1usize << exp.min(62)
-}
-
-/// What the tuner measured as fastest for one (class, dtype, workers).
-#[derive(Clone, Debug, PartialEq)]
-pub enum TunedChoice {
-    /// Plain blocked GEMM won.
-    Gemm,
-    /// An FMM `(algorithm, levels, variant, strategy)` won. `dims` names
-    /// the registry algorithm; the consumer re-resolves it (and falls back
-    /// to model routing if its registry no longer has it).
-    Fmm {
-        /// Partition dims of the registry algorithm, e.g. `(2, 2, 2)`.
-        dims: (usize, usize, usize),
-        /// Nesting depth.
-        levels: usize,
-        /// Implementation variant.
-        variant: Variant,
-        /// Schedule (meaningful to parallel consumers; sequential engines
-        /// run depth-first regardless).
-        strategy: Strategy,
-    },
-}
-
-/// A stored winning decision plus the throughput that earned it.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TunedDecision {
-    /// The winner.
-    pub choice: TunedChoice,
-    /// Measured effective GFLOP/s of the winner at tuning time.
-    pub gflops: f64,
-}
-
-/// One calibrated-parameters entry (per dtype).
-#[derive(Clone, Debug, PartialEq)]
-struct CalibratedEntry {
-    kernel: String,
-    arch: ArchParams,
-}
-
-/// One decision entry: the kernel fingerprint plus the decision.
-#[derive(Clone, Debug, PartialEq)]
-struct DecisionEntry {
-    kernel: String,
-    decision: TunedDecision,
-}
-
-/// The persistent per-machine tuning memory. See the module docs.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TuneStore {
-    /// `"{dtype}/{kernel}"` → calibrated params. The kernel fingerprint is
-    /// part of the key (not just checked on lookup) so entries measured
-    /// under different kernels or build profiles coexist instead of
-    /// overwriting each other.
-    calibrated: BTreeMap<String, CalibratedEntry>,
-    /// `"{dtype}/{class}/w{workers}"` → decision (+ kernel fingerprint).
-    decisions: BTreeMap<String, DecisionEntry>,
-}
-
-impl TuneStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The store location: `$FMM_TUNE_STORE` if set, else
-    /// `~/.cache/fmm/tune.json` (falling back to a relative
-    /// `.fmm-tune.json` when `HOME` is unset).
-    pub fn default_path() -> PathBuf {
-        if let Ok(p) = std::env::var(STORE_ENV) {
-            if !p.is_empty() {
-                return PathBuf::from(p);
-            }
-        }
-        match std::env::var_os("HOME") {
-            Some(home) if !home.is_empty() => {
-                PathBuf::from(home).join(".cache").join("fmm").join("tune.json")
-            }
-            _ => PathBuf::from(".fmm-tune.json"),
-        }
-    }
-
-    /// Load from `path`. Missing, unreadable, corrupted, or
-    /// schema-mismatched files all yield an empty store — never an error,
-    /// never a panic (tuning data is a cache, not a correctness input).
-    pub fn load(path: &Path) -> Self {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return Self::new();
-        };
-        Self::from_json_str(&text).unwrap_or_default()
-    }
-
-    /// [`TuneStore::load`] from [`TuneStore::default_path`].
-    pub fn load_default() -> Self {
-        Self::load(&Self::default_path())
-    }
-
-    /// Serialize and write atomically (temp file + rename), creating
-    /// parent directories as needed.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_json_string())?;
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Calibrated params for `dtype`, if present and measured with the
-    /// same `kernel` (fingerprint mismatch reads as absent).
-    pub fn calibrated(&self, dtype: &str, kernel: &str) -> Option<ArchParams> {
-        let e = self.calibrated.get(&calibrated_key(dtype, kernel))?;
-        (e.kernel == kernel).then_some(e.arch)
-    }
-
-    /// Record calibrated params for `dtype` measured with `kernel`.
-    pub fn set_calibrated(&mut self, dtype: &str, kernel: &str, arch: ArchParams) {
-        self.calibrated.insert(
-            calibrated_key(dtype, kernel),
-            CalibratedEntry { kernel: kernel.to_string(), arch },
-        );
-    }
-
-    /// The stored winning decision for `(class, dtype, workers)`, if its
-    /// kernel fingerprint matches the current `kernel`.
-    pub fn decision(
-        &self,
-        class: ShapeClass,
-        dtype: &str,
-        workers: usize,
-        kernel: &str,
-    ) -> Option<&TunedDecision> {
-        let e = self.decisions.get(&decision_key(class, dtype, workers))?;
-        (e.kernel == kernel).then_some(&e.decision)
-    }
-
-    /// Record the winning decision for `(class, dtype, workers)`.
-    pub fn set_decision(
-        &mut self,
-        class: ShapeClass,
-        dtype: &str,
-        workers: usize,
-        kernel: &str,
-        decision: TunedDecision,
-    ) {
-        self.decisions.insert(
-            decision_key(class, dtype, workers),
-            DecisionEntry { kernel: kernel.to_string(), decision },
-        );
-    }
-
-    /// Number of stored decisions.
-    pub fn decision_count(&self) -> usize {
-        self.decisions.len()
-    }
-
-    /// Number of calibrated-params entries.
-    pub fn calibrated_count(&self) -> usize {
-        self.calibrated.len()
-    }
-
-    /// True when the store holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.calibrated.is_empty() && self.decisions.is_empty()
-    }
-
-    /// Serialize to the versioned JSON document.
-    pub fn to_json_string(&self) -> String {
-        let mut calibrated = BTreeMap::new();
-        for (dtype, e) in &self.calibrated {
-            let mut o = BTreeMap::new();
-            o.insert("kernel".into(), Value::String(e.kernel.clone()));
-            o.insert("tau_a".into(), Value::Number(e.arch.tau_a));
-            o.insert("tau_b".into(), Value::Number(e.arch.tau_b));
-            o.insert("lambda".into(), Value::Number(e.arch.lambda));
-            o.insert("mc".into(), Value::Int(e.arch.mc as i64));
-            o.insert("kc".into(), Value::Int(e.arch.kc as i64));
-            o.insert("nc".into(), Value::Int(e.arch.nc as i64));
-            o.insert("elem_bytes".into(), Value::Int(e.arch.elem_bytes as i64));
-            calibrated.insert(dtype.clone(), Value::Object(o));
-        }
-        let mut decisions = BTreeMap::new();
-        for (key, e) in &self.decisions {
-            let mut o = BTreeMap::new();
-            o.insert("kernel".into(), Value::String(e.kernel.clone()));
-            o.insert("gflops".into(), Value::Number(e.decision.gflops));
-            match &e.decision.choice {
-                TunedChoice::Gemm => {
-                    o.insert("kind".into(), Value::String("gemm".into()));
-                }
-                TunedChoice::Fmm { dims, levels, variant, strategy } => {
-                    o.insert("kind".into(), Value::String("fmm".into()));
-                    o.insert(
-                        "dims".into(),
-                        Value::Array(vec![
-                            Value::Int(dims.0 as i64),
-                            Value::Int(dims.1 as i64),
-                            Value::Int(dims.2 as i64),
-                        ]),
-                    );
-                    o.insert("levels".into(), Value::Int(*levels as i64));
-                    o.insert("variant".into(), Value::String(variant.name().into()));
-                    o.insert("strategy".into(), Value::String(strategy.name().into()));
-                }
-            }
-            decisions.insert(key.clone(), Value::Object(o));
-        }
-        let doc = Value::Object(BTreeMap::from([
-            ("schema_version".to_string(), Value::Int(SCHEMA_VERSION)),
-            ("calibrated".to_string(), Value::Object(calibrated)),
-            ("decisions".to_string(), Value::Object(decisions)),
-        ]));
-        json::to_string_pretty(&doc)
-    }
-
-    /// Parse the versioned JSON document. Errors on malformed JSON or a
-    /// schema-version mismatch; [`TuneStore::load`] maps those to empty.
-    pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let doc = json::parse(text)?;
-        let version = doc.get("schema_version")?.as_number()? as i64;
-        if version != SCHEMA_VERSION {
-            return Err(format!("schema version {version} != {SCHEMA_VERSION}"));
-        }
-        let mut store = Self::new();
-        if let Value::Object(map) = doc.get("calibrated")? {
-            for (dtype, entry) in map {
-                store.calibrated.insert(dtype.clone(), parse_calibrated(entry)?);
-            }
-        }
-        if let Value::Object(map) = doc.get("decisions")? {
-            for (key, entry) in map {
-                store.decisions.insert(key.clone(), parse_decision(entry)?);
-            }
-        }
-        Ok(store)
-    }
-}
-
-fn decision_key(class: ShapeClass, dtype: &str, workers: usize) -> String {
-    format!("{dtype}/{}/w{workers}", class.label())
-}
-
-fn calibrated_key(dtype: &str, kernel: &str) -> String {
-    format!("{dtype}/{kernel}")
-}
-
-fn parse_calibrated(v: &Value) -> Result<CalibratedEntry, String> {
-    let arch = ArchParams {
-        tau_a: v.get("tau_a")?.as_number()?,
-        tau_b: v.get("tau_b")?.as_number()?,
-        lambda: v.get("lambda")?.as_number()?,
-        mc: v.get("mc")?.as_usize()?,
-        kc: v.get("kc")?.as_usize()?,
-        nc: v.get("nc")?.as_usize()?,
-        elem_bytes: v.get("elem_bytes")?.as_usize()?,
-    };
-    arch.validate()?;
-    Ok(CalibratedEntry { kernel: v.get("kernel")?.as_str()?.to_string(), arch })
-}
-
-fn parse_decision(v: &Value) -> Result<DecisionEntry, String> {
-    let kernel = v.get("kernel")?.as_str()?.to_string();
-    let gflops = v.get("gflops")?.as_number()?;
-    let choice = match v.get("kind")?.as_str()? {
-        "gemm" => TunedChoice::Gemm,
-        "fmm" => {
-            let (d0, d1, d2) = match v.get("dims")?.as_array()? {
-                [a, b, c] => (a.as_usize()?, b.as_usize()?, c.as_usize()?),
-                other => return Err(format!("dims must have 3 entries, got {}", other.len())),
-            };
-            let levels = v.get("levels")?.as_usize()?;
-            // levels == 0 would panic plan composition; huge values would
-            // request an exponential Kronecker product. Either way the
-            // entry is corrupt, and tuning data must never crash a host.
-            if levels == 0 || levels > MAX_DECISION_LEVELS {
-                return Err(format!("levels {levels} outside 1..={MAX_DECISION_LEVELS}"));
-            }
-            TunedChoice::Fmm {
-                dims: (d0, d1, d2),
-                levels,
-                variant: variant_from_name(v.get("variant")?.as_str()?)?,
-                strategy: strategy_from_name(v.get("strategy")?.as_str()?)?,
-            }
-        }
-        other => return Err(format!("unknown decision kind {other:?}")),
-    };
-    Ok(DecisionEntry { kernel, decision: TunedDecision { choice, gflops } })
-}
-
-fn variant_from_name(name: &str) -> Result<Variant, String> {
-    Variant::ALL
-        .into_iter()
-        .find(|v| v.name() == name)
-        .ok_or_else(|| format!("unknown variant {name:?}"))
-}
-
-fn strategy_from_name(name: &str) -> Result<Strategy, String> {
-    Strategy::ALL
-        .into_iter()
-        .find(|s| s.name() == name)
-        .ok_or_else(|| format!("unknown strategy {name:?}"))
 }
 
 #[cfg(test)]
@@ -462,50 +74,5 @@ mod tests {
         for bad in ["", "512", "512x512", "512x512x512x512", "axbxc", "512x-1x512", "512x512x"] {
             assert_eq!(ShapeClass::from_label(bad), None, "{bad:?} must not parse");
         }
-    }
-
-    #[test]
-    fn explore_command_dedups_and_sorts_sizes() {
-        let classes = [
-            ShapeClass::of(1024, 512, 1024),
-            ShapeClass::of(256, 256, 256),
-            ShapeClass::of(1000, 1000, 1000),
-        ];
-        assert_eq!(
-            explore_command(&classes, 1).as_deref(),
-            Some("fmm_tune explore --sizes 256,1024")
-        );
-        assert_eq!(
-            explore_command(&classes, 4).as_deref(),
-            Some("fmm_tune explore --sizes 256,1024 --workers 4")
-        );
-        // Degenerate classes contribute nothing.
-        assert_eq!(explore_command(&[ShapeClass::of(0, 0, 0)], 2), None);
-        assert_eq!(explore_command(&[], 1), None);
-    }
-
-    #[test]
-    fn kernel_fingerprint_gates_lookups() {
-        let mut store = TuneStore::new();
-        let class = ShapeClass::of(512, 512, 512);
-        let d = TunedDecision { choice: TunedChoice::Gemm, gflops: 10.0 };
-        store.set_decision(class, "f64", 1, "avx2_fma_8x4", d.clone());
-        assert_eq!(store.decision(class, "f64", 1, "avx2_fma_8x4"), Some(&d));
-        assert_eq!(store.decision(class, "f64", 1, "portable_8x4"), None, "kernel changed");
-        assert_eq!(store.decision(class, "f64", 4, "avx2_fma_8x4"), None, "workers differ");
-        assert_eq!(store.decision(class, "f32", 1, "avx2_fma_8x4"), None, "dtype differs");
-
-        let arch = ArchParams::paper_machine();
-        store.set_calibrated("f64", "avx2_fma_8x4", arch);
-        assert_eq!(store.calibrated("f64", "avx2_fma_8x4"), Some(arch));
-        assert_eq!(store.calibrated("f64", "portable_8x4"), None);
-    }
-
-    #[test]
-    fn schema_version_mismatch_is_an_error() {
-        let text = TuneStore::new()
-            .to_json_string()
-            .replace(&format!("\"schema_version\": {SCHEMA_VERSION}"), "\"schema_version\": 999");
-        assert!(TuneStore::from_json_str(&text).is_err());
     }
 }

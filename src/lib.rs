@@ -23,8 +23,8 @@
 //!   selection, and the parallel-time strategy ranking;
 //! * [`sched`] — the task-parallel BFS/DFS/hybrid scheduler
 //!   (Benson–Ballard-style task parallelism across submultiplications);
-//! * [`tune`] — host calibration, empirical autotuning, and the
-//!   persistent per-machine decision store behind [`engine_tuned()`];
+//! * [`tune`] — host calibration of the model's machine constants
+//!   (measured once per process, never persisted);
 //! * [`engine`] — the long-lived, cached, model-routed execution engine
 //!   with the batched [`multiply_batch`] entry point;
 //! * [`serve`] — the multi-client TCP serving daemon: a length-prefixed
@@ -66,8 +66,7 @@
 pub use fmm_core as core;
 pub use fmm_dense as dense;
 // Module and function live in different namespaces: `fmm::engine` is the
-// component crate, `fmm::engine()` the process-global instance — and
-// likewise `fmm::tune` / `fmm::tune()`.
+// component crate, `fmm::engine()` the process-global instance.
 pub use fmm_engine as engine;
 pub use fmm_gemm as gemm;
 pub use fmm_gen as gen;
@@ -79,10 +78,9 @@ pub use fmm_tune as tune;
 
 pub use fmm_core::Strategy;
 pub use fmm_engine::{ArchSource, BatchItem, EngineConfig, EngineStats, FmmEngine, Routing};
-pub use fmm_tune::{ExploreOutcome, TuneStore, Tuner};
 
 use fmm_dense::{MatMut, MatRef};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// The engine behind the free-function `f64` API: one model-routed
 /// [`FmmEngine`] with default configuration, built on first use and shared
@@ -133,40 +131,6 @@ pub fn multiply_batch_f32(items: &mut [BatchItem<'_, f32>]) {
     engine_f32().multiply_batch(items)
 }
 
-/// The process-global **tuned** engine: `Routing::Tuned` over the default
-/// persistent [`TuneStore`] (`~/.cache/fmm/tune.json`, `FMM_TUNE_STORE`
-/// override), host-calibrated arch. Shape classes previously tuned — by
-/// [`tune()`], the `fmm_tune` CLI, or any `Tuner` saving to the default
-/// store *before this engine is first used* — route with zero model
-/// ranking; everything else falls back to model routing transparently.
-pub fn engine_tuned() -> &'static FmmEngine {
-    static ENGINE: OnceLock<FmmEngine> = OnceLock::new();
-    ENGINE.get_or_init(|| {
-        FmmEngine::new(EngineConfig {
-            routing: Routing::Tuned { store: Arc::new(TuneStore::load_default()) },
-            ..EngineConfig::default()
-        })
-    })
-}
-
-/// Calibrate this host (cached in the tune store) and empirically tune
-/// the given square problem sizes for the default sequential engine
-/// configuration, persisting the winners to the default store. Returns
-/// one [`ExploreOutcome`] per size. Services wanting parallel or custom
-/// tuning should drive [`Tuner`] directly.
-pub fn tune(sizes: &[usize]) -> Vec<ExploreOutcome> {
-    let path = TuneStore::default_path();
-    let mut store = TuneStore::load(&path);
-    // Calibrate into *this* store snapshot (not via `host_arch`, whose
-    // own persistence the save below would clobber).
-    let arch = fmm_tune::ensure_calibrated::<f64>(&mut store);
-    let tuner = Tuner::sequential();
-    let outcomes: Vec<ExploreOutcome> =
-        sizes.iter().map(|&n| tuner.explore::<f64>(&mut store, &arch, n, n, n)).collect();
-    let _ = store.save(&path); // best-effort: tuning data is a cache
-    outcomes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,7 +152,11 @@ mod tests {
     fn parallel_engine_config_multiplies_correctly() {
         // What the removed `multiply_with { parallel: true }` shim covered,
         // on the supported surface: a parallel engine held by the caller.
-        let engine = FmmEngine::new(EngineConfig { parallel: true, ..EngineConfig::default() });
+        let engine = FmmEngine::new(EngineConfig {
+            arch: fmm_model::ArchParams::paper_machine().into(),
+            parallel: true,
+            ..EngineConfig::default()
+        });
         let a = fill::bench_workload(64, 48, 3);
         let b = fill::bench_workload(48, 56, 4);
         let mut c = Matrix::zeros(64, 56);
@@ -211,40 +179,6 @@ mod tests {
         for c in &cs {
             assert!(norms::rel_error(c.as_ref(), c_ref.as_ref()) < 1e-9);
         }
-    }
-
-    #[test]
-    fn tune_then_engine_tuned_serves_the_stored_class() {
-        // Point the default store at a private temp file before anything
-        // resolves it: the test must neither read decisions from nor
-        // write debug-measured ones into the developer's real
-        // ~/.cache/fmm/tune.json. (Sibling tests that race this only
-        // resolve calibration, which is harmless at either path.)
-        let store_path = std::env::temp_dir()
-            .join(format!("fmm-facade-tune-{}", std::process::id()))
-            .join("tune.json");
-        std::env::set_var(fmm_tune::store::STORE_ENV, &store_path);
-
-        // Tune a small square (persists to the store), then serve its
-        // shape class through the process-global tuned engine. This test
-        // is the only user of `engine_tuned()` in this binary, so the
-        // tune() -> first-use ordering below is what a service would do.
-        let outcomes = tune(&[48]);
-        assert_eq!(outcomes.len(), 1);
-        assert!(outcomes[0].winner_gflops > 0.0);
-
-        let a = fill::bench_workload(48, 48, 11);
-        let b = fill::bench_workload(48, 48, 12);
-        let mut c = Matrix::zeros(48, 48);
-        engine_tuned().multiply(c.as_mut(), a.as_ref(), b.as_ref());
-        let c_ref = fmm_gemm::reference::matmul(a.as_ref(), b.as_ref());
-        assert!(norms::rel_error(c.as_ref(), c_ref.as_ref()) < 1e-9);
-
-        let stats = engine_tuned().stats();
-        assert_eq!(stats.tuned_hits, 1, "the tuned class routed from the store");
-        assert_eq!(stats.rankings, 0, "no model ranking for a stored class");
-
-        std::fs::remove_dir_all(store_path.parent().unwrap()).ok();
     }
 
     #[test]
