@@ -269,7 +269,7 @@ pub fn note_decision(class_m: u64, class_k: u64, class_n: u64, dtype: AuditDtype
 }
 
 /// Exported aggregate for one (shape-class, dtype) pair.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AuditEntry {
     /// Bucketed class label, e.g. `256x256x256`.
     pub class_label: String,

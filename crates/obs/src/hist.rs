@@ -146,7 +146,7 @@ impl Histogram {
 
 /// Immutable histogram snapshot: lifetime totals plus the non-empty
 /// buckets, ready for quantile queries and serialization.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HistSnapshot {
     pub count: u64,
     pub sum: u64,
@@ -158,6 +158,26 @@ pub struct HistSnapshot {
 }
 
 impl HistSnapshot {
+    /// Rebuild a snapshot from exported totals and the `(lo, hi, count)`
+    /// triples [`buckets`](Self::buckets) yields. `None` when a `(lo, hi)`
+    /// pair is not one of this layout's buckets.
+    pub fn from_parts(
+        count: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+        buckets: &[(u64, u64, u64)],
+    ) -> Option<HistSnapshot> {
+        let buckets = buckets
+            .iter()
+            .map(|&(lo, hi, n)| {
+                let index = bucket_index(lo);
+                (bucket_bounds(index) == (lo, hi)).then_some((index, n))
+            })
+            .collect::<Option<_>>()?;
+        Some(HistSnapshot { count, sum, min, max, buckets })
+    }
+
     /// Nearest-rank quantile (`q` in `[0, 1]`) over all recorded
     /// samples. Reports the upper bound of the bucket holding the
     /// rank-th sample (clamped to the true max), so the result is

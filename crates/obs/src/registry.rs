@@ -15,8 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Monotone counter. `set` exists for mirroring externally-maintained
-/// totals (e.g. `EngineStats` reflection) into a registry snapshot.
+/// Monotone counter.
 #[derive(Default)]
 pub struct Counter(AtomicU64);
 
@@ -35,11 +34,6 @@ impl Counter {
     #[inline]
     pub fn record_max(&self, v: u64) {
         self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
     }
 
     #[inline]
@@ -112,11 +106,6 @@ impl Registry {
         )
     }
 
-    /// Get-or-create + overwrite in one call (mirroring reflected stats).
-    pub fn set_counter(&self, name: &str, v: u64) {
-        self.counter(name).set(v);
-    }
-
     /// Point-in-time copy of every instrument, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.lock().unwrap();
@@ -125,12 +114,6 @@ impl Registry {
             gauges: inner.gauges.iter().map(|(k, v)| (k.clone(), v.get())).collect(),
             histograms: inner.histograms.iter().map(|(k, v)| (k.clone(), v.snapshot())).collect(),
         }
-    }
-
-    /// Prometheus-style plaintext exposition of the whole registry.
-    /// Histograms render as summaries with `quantile` labels.
-    pub fn render_prometheus(&self) -> String {
-        self.snapshot().render_prometheus()
     }
 }
 
@@ -142,6 +125,8 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// Prometheus-style plaintext exposition. Histograms render as
+    /// summaries with `quantile` labels.
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
@@ -234,7 +219,7 @@ mod tests {
         for v in [100, 200, 300] {
             h.record(v);
         }
-        let text = r.render_prometheus();
+        let text = r.snapshot().render_prometheus();
         assert!(text.contains("# TYPE fmm_requests_total counter\nfmm_requests_total 7\n"));
         assert!(text.contains("# TYPE fmm_inflight gauge\nfmm_inflight 2\n"));
         assert!(text.contains("# TYPE fmm_latency_nanos summary"));

@@ -102,7 +102,7 @@ impl SpanKind {
 }
 
 /// One recorded span. `start_nanos == end_nanos` marks a point event.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpanEvent {
     pub kind: SpanKind,
     pub request_id: u64,

@@ -18,25 +18,25 @@
 //! ```
 //!
 //! `serve` runs until a client sends a `Shutdown` frame, then drains
-//! in-flight work, prints a final stats snapshot, and exits 0 — the clean
-//! shutdown CI asserts. `bench` is the network loadgen: N client threads
+//! in-flight work, prints the final stats snapshot (the `stats --prom`
+//! exposition), and exits 0 — the clean shutdown `cli_smoke.rs` asserts. `bench` is the network loadgen: N client threads
 //! each issuing M requests over their own connection, reporting aggregate
 //! throughput and client-observed latency percentiles. Each thread holds
 //! a window of `--pipeline D` requests in flight on its connection (the
 //! default, 1, is a blocking caller); a `Busy` refusal re-sends the same
 //! problem after a short pause.
 //!
-//! `stats` fetches the full observability registry (counters, gauges,
-//! per-phase latency histograms) as JSON; `--prom` fetches the same
-//! registry as Prometheus plaintext. `trace` dumps recent request
+//! `stats` fetches the stats snapshot (counters, gauges, per-phase latency
+//! histograms, decision audit) as JSON; `--prom` fetches the same snapshot
+//! as Prometheus plaintext. `trace` dumps recent request
 //! phase spans from a server running with `--trace` (or `FMM_TRACE=1`) as
 //! a per-request timeline, or as a chrome://tracing JSON file with
 //! `--chrome FILE`.
 //!
 //! `doctor` is the offline incident analyzer: given a dump written by a
 //! `--incident-dir` daemon (on SIGTERM/SIGINT, panic, or watchdog abort)
-//! or fetched over the wire, it validates the schema tag, reconstructs
-//! the flight-recorder timeline, names any stalled watchdog component,
+//! or fetched over the wire, it decodes it (schema tag included),
+//! reconstructs the flight-recorder timeline, names any stalled watchdog component,
 //! ranks slow requests by their dominant phase, summarizes error and
 //! refusal bursts, and closes with a one-line diagnosis.
 //!
@@ -47,11 +47,20 @@
 //! same snapshot every `--interval-ms`, showing request counters as
 //! rates, per-phase latency quantiles, and per-shape-class GFLOP/s
 //! computed from the flops and busy-nanos deltas between consecutive
-//! snapshots (`--once` prints a single frame for scripts and CI smokes).
+//! snapshots (`--once` prints a single frame for scripts and tests).
+//!
+//! Every document is decoded through `fmm_serve::snapshot`; one that is
+//! malformed — a key missing, renamed, or of the wrong type — exits 1 with
+//! a message naming the key instead of rendering zeros.
 
 use fmm_dense::{fill, norms, Matrix};
-use fmm_serve::{BatchPolicy, PipelinedClient, ServeConfig, Server};
-use std::collections::VecDeque;
+use fmm_obs::audit::SOURCE_NAMES;
+use fmm_obs::AuditEntry;
+use fmm_serve::{
+    BatchPolicy, BuildInfo, Document, ErrorCode, FlightEntry, Incident, PipelinedClient,
+    ServeConfig, Server, StatsSnapshot,
+};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -151,122 +160,37 @@ impl Options {
             watchdog_abort_after_ms: 0,
             slow_ms: 250,
         };
-        let mut i = 0;
-        let value = |argv: &[String], i: usize, flag: &str| -> String {
-            argv.get(i + 1).unwrap_or_else(|| panic!("{flag} takes a value")).clone()
-        };
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--addr" => {
-                    o.addr = value(argv, i, "--addr");
-                    i += 2;
-                }
-                "--window-us" => {
-                    o.window_us = value(argv, i, "--window-us").parse().expect("--window-us: int");
-                    i += 2;
-                }
-                "--gap-us" => {
-                    o.gap_us = value(argv, i, "--gap-us").parse().expect("--gap-us: int");
-                    i += 2;
-                }
-                "--max-batch" => {
-                    o.max_batch = value(argv, i, "--max-batch").parse().expect("--max-batch: int");
-                    i += 2;
-                }
-                "--queue" => {
-                    o.queue = value(argv, i, "--queue").parse().expect("--queue: int");
-                    i += 2;
-                }
-                "--workers" => {
-                    o.workers = value(argv, i, "--workers").parse().expect("--workers: int");
-                    i += 2;
-                }
-                "--threads" => {
-                    o.threads = value(argv, i, "--threads").parse().expect("--threads: int");
-                    i += 2;
-                }
-                "--requests" => {
-                    o.requests = value(argv, i, "--requests").parse().expect("--requests: int");
-                    i += 2;
-                }
-                "--size" => {
-                    o.size = value(argv, i, "--size").parse().expect("--size: int");
-                    i += 2;
-                }
-                "--dtype" => {
-                    o.dtype = value(argv, i, "--dtype");
-                    i += 2;
-                }
-                "--count" => {
-                    o.count = value(argv, i, "--count").parse().expect("--count: int");
-                    i += 2;
-                }
-                "--verify" => {
-                    o.verify = true;
-                    i += 1;
-                }
-                "--event-threads" => {
-                    o.event_threads =
-                        value(argv, i, "--event-threads").parse().expect("--event-threads: int");
-                    i += 2;
-                }
-                "--pipeline" => {
-                    o.pipeline = value(argv, i, "--pipeline").parse().expect("--pipeline: int");
-                    i += 2;
-                }
-                "--trace" => {
-                    o.trace = true;
-                    i += 1;
-                }
-                "--prom" => {
-                    o.prom = true;
-                    i += 1;
-                }
-                "--last" => {
-                    o.last = value(argv, i, "--last").parse().expect("--last: int");
-                    i += 2;
-                }
-                "--chrome" => {
-                    o.chrome = Some(value(argv, i, "--chrome"));
-                    i += 2;
-                }
-                "--threshold" => {
-                    o.threshold = value(argv, i, "--threshold").parse().expect("--threshold: num");
-                    i += 2;
-                }
-                "--interval-ms" => {
-                    o.interval_ms =
-                        value(argv, i, "--interval-ms").parse().expect("--interval-ms: int");
-                    i += 2;
-                }
-                "--once" => {
-                    o.once = true;
-                    i += 1;
-                }
-                "--incident-dir" => {
-                    o.incident_dir = Some(value(argv, i, "--incident-dir"));
-                    i += 2;
-                }
-                "--no-watchdog" => {
-                    o.watchdog = false;
-                    i += 1;
-                }
-                "--watchdog-stall-ms" => {
-                    o.watchdog_stall_ms = value(argv, i, "--watchdog-stall-ms")
-                        .parse()
-                        .expect("--watchdog-stall-ms: int");
-                    i += 2;
-                }
-                "--watchdog-abort-after" => {
-                    o.watchdog_abort_after_ms = value(argv, i, "--watchdog-abort-after")
-                        .parse()
-                        .expect("--watchdog-abort-after: int (ms)");
-                    i += 2;
-                }
-                "--slow-ms" => {
-                    o.slow_ms = value(argv, i, "--slow-ms").parse().expect("--slow-ms: int");
-                    i += 2;
-                }
+        let mut args = argv.iter();
+        while let Some(flag) = args.next() {
+            let mut value =
+                || args.next().unwrap_or_else(|| panic!("{flag} takes a value")).clone();
+            match flag.as_str() {
+                "--addr" => o.addr = value(),
+                "--window-us" => o.window_us = number(flag, value()),
+                "--gap-us" => o.gap_us = number(flag, value()),
+                "--max-batch" => o.max_batch = number(flag, value()),
+                "--queue" => o.queue = number(flag, value()),
+                "--workers" => o.workers = number(flag, value()),
+                "--threads" => o.threads = number(flag, value()),
+                "--requests" => o.requests = number(flag, value()),
+                "--size" => o.size = number(flag, value()),
+                "--dtype" => o.dtype = value(),
+                "--count" => o.count = number(flag, value()),
+                "--verify" => o.verify = true,
+                "--event-threads" => o.event_threads = number(flag, value()),
+                "--pipeline" => o.pipeline = number(flag, value()),
+                "--trace" => o.trace = true,
+                "--prom" => o.prom = true,
+                "--last" => o.last = number(flag, value()),
+                "--chrome" => o.chrome = Some(value()),
+                "--threshold" => o.threshold = number(flag, value()),
+                "--interval-ms" => o.interval_ms = number(flag, value()),
+                "--once" => o.once = true,
+                "--incident-dir" => o.incident_dir = Some(value()),
+                "--no-watchdog" => o.watchdog = false,
+                "--watchdog-stall-ms" => o.watchdog_stall_ms = number(flag, value()),
+                "--watchdog-abort-after" => o.watchdog_abort_after_ms = number(flag, value()),
+                "--slow-ms" => o.slow_ms = number(flag, value()),
                 other => {
                     eprintln!("unknown flag {other}");
                     std::process::exit(2);
@@ -275,6 +199,11 @@ impl Options {
         }
         o
     }
+}
+
+/// A flag's numeric value; a malformed one is fatal, like a missing one.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    value.parse().unwrap_or_else(|_| panic!("{flag} takes a number, got {value:?}"))
 }
 
 fn cmd_serve(o: &Options) {
@@ -299,17 +228,10 @@ fn cmd_serve(o: &Options) {
     // `--trace` turns tracing on; its absence defers to the FMM_TRACE
     // environment default already resolved by `ServeConfig::default()`.
     let config = ServeConfig { trace: config.trace || o.trace, ..config };
-    let window = config.batch.window;
-    let max_batch = config.batch.max_batch;
-    let handle = match Server::spawn(config) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("failed to bind {}: {e}", o.addr);
-            std::process::exit(1);
-        }
-    };
+    let (window, max_batch) = (config.batch.window, config.batch.max_batch);
+    let handle = or_exit(Server::spawn(config), &format!("failed to bind {}", o.addr));
     println!("fmm_serve listening on {}", handle.addr());
-    println!("{}", fmm_serve::incident::build_info_line());
+    println!("{}", BuildInfo::current());
     println!(
         "micro-batching: window {:?}, max batch {max_batch}, queue capacity {}, \
          event threads {}",
@@ -317,173 +239,73 @@ fn cmd_serve(o: &Options) {
         o.queue,
         o.event_threads.max(1)
     );
-    if o.watchdog {
-        println!(
-            "watchdog: stall after {} ms{}",
-            o.watchdog_stall_ms.max(1),
-            if o.watchdog_abort_after_ms > 0 {
-                format!(", abort after {} ms", o.watchdog_abort_after_ms)
-            } else {
-                String::new()
-            }
-        );
-    } else {
-        println!("watchdog: disabled");
+    let stall_ms = o.watchdog_stall_ms.max(1);
+    match (o.watchdog, o.watchdog_abort_after_ms) {
+        (false, _) => println!("watchdog: disabled"),
+        (true, 0) => println!("watchdog: stall after {stall_ms} ms"),
+        (true, abort) => println!("watchdog: stall after {stall_ms} ms, abort after {abort} ms"),
     }
     if let Some(dir) = &o.incident_dir {
         println!("incident dumps: {dir}");
     }
-    let metrics = handle.metrics_arc();
-    handle.wait();
-    print!("{}", metrics.registry().render_prometheus());
+    // The final snapshot, in the same exposition `stats --prom` returns.
+    print!("{}", handle.wait().to_prometheus());
     println!("fmm_serve: shutdown complete");
 }
 
+/// The value, or exit 1 with `what: error` on stderr — connection,
+/// protocol, and document-decoding failures alike (a decoding error names
+/// the missing or mistyped key).
+fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>, what: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{what}: {e}");
+        std::process::exit(1)
+    })
+}
+
 fn connect(o: &Options) -> PipelinedClient {
-    match PipelinedClient::connect(&o.addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot connect to {}: {e}", o.addr);
-            std::process::exit(1);
-        }
-    }
+    or_exit(PipelinedClient::connect(&o.addr), &format!("cannot connect to {}", o.addr))
 }
 
 fn cmd_ping(o: &Options) {
     let mut client = connect(o);
     for i in 0..o.count.max(1) {
-        match client.ping() {
-            Ok(rtt) => {
-                println!("pong {} from {}: {:.3} ms", i + 1, o.addr, rtt.as_secs_f64() * 1e3)
-            }
-            Err(e) => {
-                eprintln!("ping failed: {e}");
-                std::process::exit(1);
-            }
-        }
+        let rtt = or_exit(client.ping(), "ping failed");
+        println!("pong {} from {}: {:.3} ms", i + 1, o.addr, rtt.as_secs_f64() * 1e3);
     }
 }
 
 fn cmd_stats(o: &Options) {
     let mut client = connect(o);
-    let result = if o.prom { client.stats_prometheus() } else { client.stats_json() };
-    match result {
-        Ok(body) => {
-            print!("{body}");
-            if !body.ends_with('\n') {
-                println!();
-            }
-        }
-        Err(e) => {
-            eprintln!("stats failed: {e}");
-            std::process::exit(1);
-        }
+    let body = if o.prom {
+        or_exit(client.stats_prometheus(), "stats failed")
+    } else {
+        or_exit(client.stats(), "stats failed").to_json()
+    };
+    print!("{body}");
+    if !body.ends_with('\n') {
+        println!();
     }
 }
 
-/// One decoded row of the stats snapshot's `audit` section.
-struct AuditRow {
-    class: String,
-    dtype: String,
-    samples: u64,
-    predicted_nanos: u64,
-    measured_nanos: u64,
-    flops: u64,
-    error_log2: f64,
-    mean_gflops: f64,
-    best_gflops: f64,
-    worst_gflops: f64,
-    chosen: String,
-    top_source: String,
-    err_p50: u64,
-    err_p99: u64,
-}
-
-/// Fetch the stats snapshot from the server and parse it, exiting with a
-/// diagnostic on connection or decode failure.
-fn fetch_stats_json(o: &Options) -> fmm_core::json::Value {
-    let mut client = connect(o);
-    let body = client.stats_json().unwrap_or_else(|e| {
-        eprintln!("stats failed: {e}");
-        std::process::exit(1);
-    });
-    fmm_core::json::parse(&body).unwrap_or_else(|e| {
-        eprintln!("stats reply is not valid JSON: {e}");
-        std::process::exit(1);
-    })
-}
-
-/// Numeric JSON field as f64 (`Int` and `Number` both accepted, 0.0 when
-/// absent) — the audit/top readers only need lossy numbers for display.
-fn json_num(obj: &std::collections::BTreeMap<String, fmm_core::json::Value>, key: &str) -> f64 {
-    use fmm_core::json::Value;
-    match obj.get(key) {
-        Some(Value::Int(v)) => *v as f64,
-        Some(Value::Number(v)) => *v,
-        _ => 0.0,
-    }
-}
-
-fn json_text(obj: &std::collections::BTreeMap<String, fmm_core::json::Value>, key: &str) -> String {
-    match obj.get(key) {
-        Some(fmm_core::json::Value::String(s)) => s.clone(),
-        _ => String::new(),
-    }
-}
-
-/// Decode the `audit` section into rows sorted worst-model-error first
-/// (the `fmm_serve audit` ranking; `top` reuses the same decode).
-fn decode_audit_rows(stats: &fmm_core::json::Value) -> Vec<AuditRow> {
-    use fmm_core::json::Value;
-    let Value::Object(root) = stats else { return Vec::new() };
-    let Some(Value::Object(audit)) = root.get("audit") else { return Vec::new() };
-    let mut rows: Vec<AuditRow> = audit
-        .values()
-        .filter_map(|entry| {
-            let Value::Object(e) = entry else { return None };
-            let (top_source, err_p50, err_p99) = match (e.get("sources"), e.get("err_permille")) {
-                (Some(Value::Object(sources)), Some(Value::Object(err))) => {
-                    let top = sources
-                        .iter()
-                        .max_by_key(|(_, v)| match v {
-                            Value::Int(n) => *n,
-                            _ => 0,
-                        })
-                        .map(|(name, _)| name.clone())
-                        .unwrap_or_default();
-                    (top, json_num(err, "p50_nanos") as u64, json_num(err, "p99_nanos") as u64)
-                }
-                _ => (String::new(), 0, 0),
-            };
-            Some(AuditRow {
-                class: json_text(e, "class"),
-                dtype: json_text(e, "dtype"),
-                samples: json_num(e, "samples") as u64,
-                predicted_nanos: json_num(e, "predicted_nanos") as u64,
-                measured_nanos: json_num(e, "measured_nanos") as u64,
-                flops: json_num(e, "flops") as u64,
-                error_log2: json_num(e, "error_log2"),
-                mean_gflops: json_num(e, "mean_gflops"),
-                best_gflops: json_num(e, "best_gflops"),
-                worst_gflops: json_num(e, "worst_gflops"),
-                chosen: json_text(e, "chosen"),
-                top_source,
-                err_p50,
-                err_p99,
-            })
-        })
-        .collect();
-    rows.sort_by(|a, b| {
-        b.error_log2.partial_cmp(&a.error_log2).unwrap_or(std::cmp::Ordering::Equal)
-    });
+/// The snapshot's audit rows, worst model error first (the `audit`
+/// ranking; `top` lists them in the same order).
+fn ranked_audit(stats: &StatsSnapshot) -> Vec<&AuditEntry> {
+    let mut rows: Vec<&AuditEntry> = stats.audit.iter().collect();
+    rows.sort_by(|a, b| b.error_log2().total_cmp(&a.error_log2()));
     rows
+}
+
+/// The routing source that served most of a class's samples.
+fn top_source(entry: &AuditEntry) -> &'static str {
+    SOURCE_NAMES.iter().zip(entry.by_source).max_by_key(|&(_, n)| n).map_or("", |(name, _)| *name)
 }
 
 /// Rank shape classes by predicted-vs-measured model error and flag
 /// retune candidates: the classes the model misjudges beyond `--threshold`.
 fn cmd_audit(o: &Options) {
-    let stats = fetch_stats_json(o);
-    let rows = decode_audit_rows(&stats);
+    let stats = or_exit(connect(o).stats(), "stats failed");
+    let rows = ranked_audit(&stats);
     if rows.is_empty() {
         println!("no audit samples recorded yet (send some multiplies first)");
         return;
@@ -511,22 +333,22 @@ fn cmd_audit(o: &Options) {
     for r in &rows {
         println!(
             "{:<18} {:>5} {:>8} {:>10.3} {:>9.3} {:>9.3} {:>8} {:>8} {:>9.2} {:>9.2}  {:<8} {}",
-            r.class,
+            r.class_label,
             r.dtype,
             r.samples,
-            r.error_log2,
+            r.error_log2(),
             r.predicted_nanos as f64 / 1e6,
             r.measured_nanos as f64 / 1e6,
-            r.err_p50,
-            r.err_p99,
-            r.mean_gflops,
-            r.best_gflops,
-            r.top_source,
+            r.err_permille.p50(),
+            r.err_permille.p99(),
+            r.mean_gflops(),
+            r.best_gflops_milli as f64 / 1e3,
+            top_source(r),
             r.chosen
         );
     }
-    let flagged: Vec<&AuditRow> =
-        rows.iter().filter(|r| r.samples > 0 && r.error_log2 > o.threshold).collect();
+    let flagged: Vec<&&AuditEntry> =
+        rows.iter().filter(|r| r.samples > 0 && r.error_log2() > o.threshold).collect();
     if flagged.is_empty() {
         println!("model error within threshold ({:.2} log2) for every class", o.threshold);
         return;
@@ -534,13 +356,12 @@ fn cmd_audit(o: &Options) {
     println!("retune candidates (|log2 err| > {:.2}):", o.threshold);
     for r in &flagged {
         println!(
-            "  {}/{}: predicted {:.3} ms vs measured {:.3} ms ({} samples, worst {:.2} GFLOP/s)",
-            r.class,
-            r.dtype,
+            "  {}: predicted {:.3} ms vs measured {:.3} ms ({} samples, worst {:.2} GFLOP/s)",
+            r.key(),
             r.predicted_nanos as f64 / 1e6,
             r.measured_nanos as f64 / 1e6,
             r.samples,
-            r.worst_gflops
+            r.worst_gflops_milli as f64 / 1e3
         );
     }
 }
@@ -548,37 +369,25 @@ fn cmd_audit(o: &Options) {
 /// Per-class `(flops, measured_nanos)` cumulative totals from one `top`
 /// frame, keyed `class/dtype` — the baseline for the next frame's
 /// interval GFLOP/s.
-type ClassTotals = std::collections::BTreeMap<String, (u64, u64)>;
+type ClassTotals = BTreeMap<String, (u64, u64)>;
 
 /// Live terminal view: poll the stats snapshot every `--interval-ms`,
 /// rendering request rates, per-phase latency quantiles, and per-class
 /// GFLOP/s from flops/busy-nanos deltas between consecutive frames.
 fn cmd_top(o: &Options) {
-    use fmm_core::json::Value;
     let interval = Duration::from_millis(o.interval_ms.max(1));
-    let mut prev: Option<(ClassTotals, f64, Instant)> = None;
+    let mut client = connect(o);
+    let mut prev: Option<(ClassTotals, u64, Instant)> = None;
     loop {
-        let stats = fetch_stats_json(o);
+        let stats = or_exit(client.stats(), "stats failed");
         let now = Instant::now();
-        let Value::Object(root) = &stats else {
-            eprintln!("stats reply is not a JSON object");
-            std::process::exit(1);
-        };
-        let empty = std::collections::BTreeMap::new();
-        let counters = match root.get("counters") {
-            Some(Value::Object(c)) => c,
-            _ => &empty,
-        };
-        let gauges = match root.get("gauges") {
-            Some(Value::Object(g)) => g,
-            _ => &empty,
-        };
-        let responses = json_num(counters, "fmm_serve_responses_total");
-        let elapsed =
-            prev.as_ref().map(|(_, _, t)| now.duration_since(*t).as_secs_f64()).unwrap_or(0.0);
+        let counter = |name: &str| or_exit(stats.counter(name), "stats reply");
+        let gauge = |name: &str| or_exit(stats.gauge(name), "stats reply");
+        let responses = counter("fmm_serve_responses_total");
         let rate = match &prev {
-            Some((_, prev_responses, _)) if elapsed > 0.0 => {
-                (responses - prev_responses).max(0.0) / elapsed
+            Some((_, prev_responses, then)) if now > *then => {
+                responses.saturating_sub(*prev_responses) as f64
+                    / now.duration_since(*then).as_secs_f64()
             }
             _ => 0.0,
         };
@@ -587,50 +396,38 @@ fn cmd_top(o: &Options) {
             print!("\x1b[2J\x1b[H");
         }
         println!("fmm_serve top — {} (interval {} ms)", o.addr, o.interval_ms);
-        if let Some(Value::Object(build)) = root.get("build") {
-            println!(
-                "server {} git={} kernel_f64={} kernel_f32={} protocol={}",
-                json_text(build, "version"),
-                json_text(build, "git_hash"),
-                json_text(build, "kernel_f64"),
-                json_text(build, "kernel_f32"),
-                json_text(build, "protocol_versions"),
-            );
-        }
+        println!("server {}", stats.build);
         println!(
             "requests {:>10}  responses {:>10}  {:>8.1} req/s  inflight {:>4}  conns {:>4}",
-            json_num(counters, "fmm_serve_requests_total") as u64,
-            responses as u64,
+            counter("fmm_serve_requests_total"),
+            responses,
             rate,
-            json_num(gauges, "fmm_serve_inflight") as i64,
-            json_num(gauges, "fmm_serve_connections") as i64,
+            gauge("fmm_serve_inflight"),
+            gauge("fmm_serve_connections"),
         );
         println!(
             "batches  {:>10}  items     {:>10}  occupancy max {:>3}  busy rejects {:>6}",
-            json_num(counters, "fmm_serve_batches_total") as u64,
-            json_num(counters, "fmm_serve_batched_items_total") as u64,
-            json_num(counters, "fmm_serve_batch_occupancy_max") as u64,
-            json_num(counters, "fmm_serve_errors_total_busy") as u64,
+            counter("fmm_serve_batches_total"),
+            counter("fmm_serve_batched_items_total"),
+            counter("fmm_serve_batch_occupancy_max"),
+            counter("fmm_serve_errors_total_busy"),
         );
         println!("{:<28} {:>9} {:>9} {:>9} {:>9}", "phase", "count", "p50 ms", "p99 ms", "max ms");
-        if let Some(Value::Object(hists)) = root.get("histograms") {
-            for name in
-                ["fmm_serve_queue_wait_nanos", "fmm_serve_service_nanos", "fmm_serve_latency_nanos"]
-            {
-                if let Some(Value::Object(h)) = hists.get(name) {
-                    println!(
-                        "{:<28} {:>9} {:>9.3} {:>9.3} {:>9.3}",
-                        name.trim_start_matches("fmm_serve_").trim_end_matches("_nanos"),
-                        json_num(h, "count") as u64,
-                        json_num(h, "p50_nanos") / 1e6,
-                        json_num(h, "p99_nanos") / 1e6,
-                        json_num(h, "max_nanos") / 1e6,
-                    );
-                }
-            }
+        for name in
+            ["fmm_serve_queue_wait_nanos", "fmm_serve_service_nanos", "fmm_serve_latency_nanos"]
+        {
+            let h = or_exit(stats.histogram(name), "stats reply");
+            println!(
+                "{:<28} {:>9} {:>9.3} {:>9.3} {:>9.3}",
+                name.trim_start_matches("fmm_serve_").trim_end_matches("_nanos"),
+                h.count,
+                h.p50() as f64 / 1e6,
+                h.p99() as f64 / 1e6,
+                h.max as f64 / 1e6,
+            );
         }
-        let rows = decode_audit_rows(&stats);
-        let mut totals = std::collections::BTreeMap::new();
+        let rows = ranked_audit(&stats);
+        let mut totals = ClassTotals::new();
         if rows.is_empty() {
             println!("audit: no samples yet");
         } else {
@@ -639,27 +436,27 @@ fn cmd_top(o: &Options) {
                 "class", "dtype", "samples", "|log2err|", "GF/s now", "GF/s avg", "source"
             );
             for r in &rows {
-                totals.insert(format!("{}/{}", r.class, r.dtype), (r.flops, r.measured_nanos));
+                totals.insert(r.key(), (r.flops, r.measured_nanos));
                 // Interval GFLOP/s from the deltas between frames; the
                 // cumulative mean stands in until a second frame exists
                 // (and whenever the class was idle this interval).
                 let now_gflops = prev
                     .as_ref()
                     .and_then(|(prev_totals, _, _)| {
-                        let (pf, pn) = prev_totals.get(&format!("{}/{}", r.class, r.dtype))?;
+                        let (pf, pn) = prev_totals.get(&r.key())?;
                         let dn = r.measured_nanos.saturating_sub(*pn);
                         (dn > 0).then(|| r.flops.saturating_sub(*pf) as f64 / dn as f64)
                     })
-                    .unwrap_or(r.mean_gflops);
+                    .unwrap_or(r.mean_gflops());
                 println!(
                     "{:<18} {:>5} {:>8} {:>10.3} {:>11.2} {:>11.2}  {:<8}",
-                    r.class,
+                    r.class_label,
                     r.dtype,
                     r.samples,
-                    r.error_log2,
+                    r.error_log2(),
                     now_gflops,
-                    r.mean_gflops,
-                    r.top_source
+                    r.mean_gflops(),
+                    top_source(r)
                 );
             }
         }
@@ -674,59 +471,18 @@ fn cmd_top(o: &Options) {
 /// Fetch recent tracing spans and render them as per-request phase
 /// timelines (or a chrome://tracing JSON file with `--chrome`).
 fn cmd_trace(o: &Options) {
-    let mut client = connect(o);
-    let body = client.trace(o.last).unwrap_or_else(|e| {
-        eprintln!("trace failed: {e}");
-        std::process::exit(1);
-    });
-    let value = fmm_core::json::parse(&body).unwrap_or_else(|e| {
-        eprintln!("trace reply is not valid JSON: {e}");
-        std::process::exit(1);
-    });
-    let events = decode_trace_events(&value);
+    let events = or_exit(connect(o).trace(o.last), "trace failed");
     if events.is_empty() {
         println!("no spans recorded (is the server running with --trace / FMM_TRACE=1?)");
         return;
     }
     if let Some(path) = &o.chrome {
         let json = fmm_obs::trace::chrome_trace(&events);
-        std::fs::write(path, json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+        or_exit(std::fs::write(path, json), &format!("cannot write {path}"));
         println!("{} spans written to {path} (chrome://tracing format)", events.len());
         return;
     }
     print_timelines(&events);
-}
-
-/// Rebuild typed span events from the wire JSON (inverse of the server's
-/// `trace_json` rendering). Unknown kinds are skipped so a newer server
-/// stays readable.
-fn decode_trace_events(value: &fmm_core::json::Value) -> Vec<fmm_obs::SpanEvent> {
-    use fmm_core::json::Value;
-    let Value::Array(items) = value else { return Vec::new() };
-    let field = |obj: &std::collections::BTreeMap<String, Value>, key: &str| -> u64 {
-        match obj.get(key) {
-            Some(Value::Int(v)) => *v as u64,
-            _ => 0,
-        }
-    };
-    items
-        .iter()
-        .filter_map(|item| {
-            let Value::Object(obj) = item else { return None };
-            let Some(Value::String(kind_name)) = obj.get("kind") else { return None };
-            let kind = fmm_obs::SpanKind::from_name(kind_name)?;
-            Some(fmm_obs::SpanEvent {
-                kind,
-                request_id: field(obj, "request_id"),
-                start_nanos: field(obj, "start_nanos"),
-                end_nanos: field(obj, "end_nanos"),
-                thread: field(obj, "thread") as u32,
-            })
-        })
-        .collect()
 }
 
 /// Group spans by request id and print each request's phases in start
@@ -761,80 +517,33 @@ fn print_timelines(events: &[fmm_obs::SpanEvent]) {
     }
 }
 
-/// Offline incident analyzer: read a dump produced by `--incident-dir`
-/// (or fetched over the wire), validate its schema tag, and turn the raw
-/// flight ring + watchdog roster + counters into a post-mortem story:
-/// what tripped the dump, which component (if any) was stalled, which
-/// connection was busiest, where the slowest requests spent their time,
-/// and whether errors or refusals were bursting. Exits nonzero on a
-/// missing/invalid/foreign-schema file so scripts can gate on it.
+/// Offline incident analyzer: decode a dump produced by `--incident-dir`
+/// (or fetched over the wire) and turn the raw flight ring + watchdog
+/// roster + counters into a post-mortem story: what tripped the dump,
+/// which component (if any) was stalled, which connection was busiest,
+/// where the slowest requests spent their time, and whether errors or
+/// refusals were bursting. Exits 1 on a missing file or a document that
+/// does not decode as an incident (foreign schema tag included), naming
+/// the offending key.
 fn cmd_doctor(path: &str) {
-    use fmm_core::json::Value;
     use fmm_obs::FlightEvent;
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("fmm_serve doctor: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let doc = fmm_core::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("fmm_serve doctor: {path} is not valid JSON: {e}");
-        std::process::exit(1);
-    });
-    let Value::Object(root) = &doc else {
-        eprintln!("fmm_serve doctor: {path} is not a JSON object");
-        std::process::exit(1);
-    };
-    match root.get("schema") {
-        Some(Value::String(tag)) if tag == fmm_serve::incident::INCIDENT_SCHEMA => {}
-        Some(Value::String(tag)) => {
-            eprintln!(
-                "fmm_serve doctor: {path} carries schema {tag:?}, expected {:?} — \
-                 refusing to misread it",
-                fmm_serve::incident::INCIDENT_SCHEMA
-            );
-            std::process::exit(1);
-        }
-        _ => {
-            eprintln!("fmm_serve doctor: {path} has no schema tag — not an incident dump");
-            std::process::exit(1);
-        }
-    }
-    let text_of = |key: &str| match root.get(key) {
-        Some(Value::String(s)) => s.clone(),
-        _ => String::new(),
-    };
-    let trigger = text_of("trigger");
-    if let Some(Value::Object(build)) = root.get("build") {
-        println!(
-            "incident: {} — fmm_serve {} git={} kernel_f64={} kernel_f32={}",
-            if trigger.is_empty() { "unknown trigger" } else { &trigger },
-            json_text(build, "version"),
-            json_text(build, "git_hash"),
-            json_text(build, "kernel_f64"),
-            json_text(build, "kernel_f32"),
-        );
-    } else {
-        println!("incident: {}", if trigger.is_empty() { "unknown trigger" } else { &trigger });
-    }
+    let text =
+        or_exit(std::fs::read_to_string(path), &format!("fmm_serve doctor: cannot read {path}"));
+    let doc = or_exit(
+        Incident::from_json(&text),
+        &format!("fmm_serve doctor: {path} is not a readable incident dump"),
+    );
+    let trigger = doc.trigger.as_str();
+    println!("incident: {trigger} — {}", doc.build);
 
     // Watchdog roster: component ids in flight events index this list.
-    let mut components: Vec<String> = Vec::new();
-    let mut stalls_total = 0u64;
-    if let Some(Value::Object(wd)) = root.get("watchdog") {
-        if let Some(Value::Array(names)) = wd.get("components") {
-            components = names
-                .iter()
-                .map(|v| match v {
-                    Value::String(s) => s.clone(),
-                    _ => String::new(),
-                })
-                .collect();
-        }
-        stalls_total = json_num(wd, "stalls_total") as u64;
+    let (components, stalls_total) =
+        doc.watchdog.as_ref().map_or((&[][..], 0), |wd| (&wd.components[..], wd.stalls_total));
+    if doc.watchdog.is_some() {
         println!(
-            "watchdog: {} components [{}], stalls {}",
+            "watchdog: {} components [{}], stalls {stalls_total}",
             components.len(),
-            components.join(", "),
-            stalls_total
+            components.join(", ")
         );
     } else {
         println!("watchdog: not running");
@@ -843,46 +552,43 @@ fn cmd_doctor(path: &str) {
         components.get(id as usize).cloned().unwrap_or_else(|| format!("component #{id}"))
     };
 
-    // Re-decode the flight ring from the raw encoded fields; entries a
-    // newer binary wrote with kinds this one doesn't know keep their
-    // recorded detail string and are skipped by the typed passes.
-    struct Entry {
-        nanos: u64,
-        detail: String,
-        event: Option<FlightEvent>,
-    }
-    let mut entries: Vec<Entry> = Vec::new();
-    if let Some(Value::Array(flight)) = root.get("flight") {
-        for item in flight {
-            let Value::Object(rec) = item else { continue };
-            let event = FlightEvent::decode(
-                json_num(rec, "kind_id") as u64,
-                json_num(rec, "a") as u64,
-                json_num(rec, "b") as u64,
-                json_num(rec, "c") as u64,
-                json_num(rec, "d") as u64,
-            );
-            entries.push(Entry {
-                nanos: json_num(rec, "nanos") as u64,
-                detail: json_text(rec, "detail"),
-                event,
-            });
-        }
-    }
-    if entries.is_empty() {
+    if doc.flight.is_empty() {
         println!("flight recorder: empty (daemon recorded no events before the dump)");
     }
-
-    // Stalled components: every watchdog-stall event, worst first.
-    let mut stalls: Vec<(u64, u64, u64)> = entries
-        .iter()
-        .filter_map(|e| match e.event {
-            Some(FlightEvent::WatchdogStall { component, stalled_nanos, level }) => {
-                Some((component, stalled_nanos, level))
+    // One typed pass over the ring. It skips entries of kinds this binary
+    // does not know; the timeline below still shows their recorded detail.
+    let mut stalls: Vec<(u64, u64, u64)> = Vec::new();
+    let mut slow: Vec<(u64, u64, fmm_obs::SlowPhase, u64)> = Vec::new();
+    let (mut conns_accepted, mut busiest) = (0u64, None::<(u64, u64)>);
+    let (mut errors, mut refusals) = (BTreeMap::<String, u64>::new(), BTreeMap::new());
+    for event in doc.flight.iter().filter_map(FlightEntry::event) {
+        match event {
+            FlightEvent::WatchdogStall { component, stalled_nanos, level } => {
+                stalls.push((component, stalled_nanos, level))
             }
-            _ => None,
-        })
-        .collect();
+            FlightEvent::SlowRequest { request_id, total_nanos, phase, phase_nanos } => {
+                slow.push((request_id, total_nanos, phase, phase_nanos))
+            }
+            FlightEvent::ConnAccepted { .. } => conns_accepted += 1,
+            // The daemon closes every connection during drain, so a
+            // SIGTERM dump sees every tally.
+            FlightEvent::ConnClosed { conn, requests }
+                if busiest.is_none_or(|(_, best)| requests > best) =>
+            {
+                busiest = Some((conn, requests))
+            }
+            FlightEvent::ErrorSent { code, .. } => {
+                let name = u8::try_from(code).ok().and_then(ErrorCode::from_u8);
+                *errors.entry(name.map_or("unknown".into(), |c| c.to_string())).or_default() += 1;
+            }
+            FlightEvent::AdmissionRefused { reason, .. } => {
+                *refusals.entry(reason.name().to_string()).or_default() += 1
+            }
+            _ => {}
+        }
+    }
+
+    // Stalled components, worst first.
     stalls.sort_by_key(|&(_, nanos, _)| std::cmp::Reverse(nanos));
     if let Some(&(component, stalled_nanos, level)) = stalls.first() {
         println!(
@@ -893,22 +599,6 @@ fn cmd_doctor(path: &str) {
             stalls.len()
         );
     }
-
-    // Busiest connection from conn-closed request tallies (the daemon
-    // closes every connection during drain, so a SIGTERM dump sees all).
-    let mut conns_accepted = 0u64;
-    let mut busiest: Option<(u64, u64)> = None;
-    for e in &entries {
-        match e.event {
-            Some(FlightEvent::ConnAccepted { .. }) => conns_accepted += 1,
-            Some(FlightEvent::ConnClosed { conn, requests })
-                if busiest.map(|(_, best)| requests > best).unwrap_or(true) =>
-            {
-                busiest = Some((conn, requests));
-            }
-            _ => {}
-        }
-    }
     match busiest {
         Some((conn, requests)) => println!(
             "connections: {conns_accepted} accepted; busiest conn #{conn} ({requests} requests)"
@@ -918,18 +608,8 @@ fn cmd_doctor(path: &str) {
         }
         None => println!("connections: none recorded"),
     }
-
     // Slow requests, ranked by total latency, attributed to their
     // dominant phase.
-    let mut slow: Vec<(u64, u64, fmm_obs::SlowPhase, u64)> = entries
-        .iter()
-        .filter_map(|e| match e.event {
-            Some(FlightEvent::SlowRequest { request_id, total_nanos, phase, phase_nanos }) => {
-                Some((request_id, total_nanos, phase, phase_nanos))
-            }
-            _ => None,
-        })
-        .collect();
     slow.sort_by_key(|&(_, total, _, _)| std::cmp::Reverse(total));
     if let Some(&(request_id, total_nanos, phase, phase_nanos)) = slow.first() {
         println!(
@@ -943,34 +623,8 @@ fn cmd_doctor(path: &str) {
     } else {
         println!("slow requests: none over threshold");
     }
-
-    // Error and refusal bursts from the flight ring (order-of-arrival
-    // detail lives in the timeline below; this is the tally).
-    let mut errors: std::collections::BTreeMap<&'static str, u64> =
-        std::collections::BTreeMap::new();
-    let mut refusals: std::collections::BTreeMap<&'static str, u64> =
-        std::collections::BTreeMap::new();
-    for e in &entries {
-        match e.event {
-            Some(FlightEvent::ErrorSent { code, .. }) => {
-                let name = match code {
-                    1 => "malformed",
-                    2 => "unsupported-version",
-                    3 => "oversized",
-                    4 => "busy",
-                    5 => "internal",
-                    6 => "shutting-down",
-                    _ => "unknown",
-                };
-                *errors.entry(name).or_default() += 1;
-            }
-            Some(FlightEvent::AdmissionRefused { reason, .. }) => {
-                *refusals.entry(reason.name()).or_default() += 1;
-            }
-            _ => {}
-        }
-    }
-    let tally = |map: &std::collections::BTreeMap<&'static str, u64>| -> String {
+    // Error and refusal bursts (order of arrival is in the timeline).
+    let tally = |map: &BTreeMap<String, u64>| -> String {
         map.iter().map(|(k, v)| format!("{k} {v}")).collect::<Vec<_>>().join(", ")
     };
     if !errors.is_empty() {
@@ -982,14 +636,14 @@ fn cmd_doctor(path: &str) {
 
     // Timeline: the tail of the ring, timestamps relative to the oldest
     // retained event.
-    let epoch = entries.iter().map(|e| e.nanos).min().unwrap_or(0);
+    let epoch = doc.flight.iter().map(|e| e.nanos).min().unwrap_or(0);
     const TIMELINE_TAIL: usize = 20;
-    let start = entries.len().saturating_sub(TIMELINE_TAIL);
-    if !entries.is_empty() {
-        println!("timeline (last {} of {} events):", entries.len() - start, entries.len());
-        for e in &entries[start..] {
+    let start = doc.flight.len().saturating_sub(TIMELINE_TAIL);
+    if !doc.flight.is_empty() {
+        println!("timeline (last {} of {} events):", doc.flight.len() - start, doc.flight.len());
+        for e in &doc.flight[start..] {
             let at = e.nanos.saturating_sub(epoch) as f64 / 1e9;
-            let line = match &e.event {
+            let line = match e.event() {
                 Some(ev) => ev.describe(),
                 None if !e.detail.is_empty() => e.detail.clone(),
                 None => "unknown event".to_string(),
@@ -1001,10 +655,9 @@ fn cmd_doctor(path: &str) {
     // The one-line verdict scripts grep for.
     if let Some(&(component, stalled_nanos, _)) = stalls.first() {
         println!(
-            "diagnosis: {} stalled ({:.3} s without progress) before the {} dump",
+            "diagnosis: {} stalled ({:.3} s without progress) before the {trigger} dump",
             component_name(component),
             stalled_nanos as f64 / 1e9,
-            if trigger.is_empty() { "incident" } else { &trigger }
         );
     } else if stalls_total > 0 {
         println!(
@@ -1012,7 +665,7 @@ fn cmd_doctor(path: &str) {
              flight ring — raise FLIGHT_CAPACITY or dump sooner"
         );
     } else {
-        match trigger.as_str() {
+        match trigger {
             "sigterm" | "sigint" => println!(
                 "diagnosis: clean exit — {} received, no watchdog stalls, in-flight work drained",
                 trigger.to_uppercase()
@@ -1031,14 +684,8 @@ fn cmd_doctor(path: &str) {
 }
 
 fn cmd_shutdown(o: &Options) {
-    let mut client = connect(o);
-    match client.shutdown() {
-        Ok(()) => println!("shutdown acknowledged by {}", o.addr),
-        Err(e) => {
-            eprintln!("shutdown failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    or_exit(connect(o).shutdown(), "shutdown failed");
+    println!("shutdown acknowledged by {}", o.addr);
 }
 
 /// The network loadgen: `threads` clients × `requests` square problems
@@ -1107,12 +754,7 @@ where
     let a = fill::bench_workload_t::<T>(n, n, 2 * seed + 1);
     let b = fill::bench_workload_t::<T>(n, n, 2 * seed + 2);
     let mut client = connect(o);
-    let send = |client: &mut PipelinedClient| {
-        client.send(&a, &b).unwrap_or_else(|e| {
-            eprintln!("send failed: {e}");
-            std::process::exit(1);
-        })
-    };
+    let send = |client: &mut PipelinedClient| or_exit(client.send(&a, &b), "send failed");
     let mut latencies = Vec::with_capacity(count);
     let mut window: VecDeque<(u64, Instant)> = VecDeque::with_capacity(depth);
     let mut sent = 0usize;

@@ -7,8 +7,9 @@
 //! — one connection keeps the dispatcher's batch window full all by
 //! itself. A blocking caller is the depth-one case:
 //! [`PipelinedClient::multiply`] is `send` + `recv`, and the control
-//! calls (`ping`, `stats_json`, `trace`, …) are single round trips that
-//! may overtake slower multiplies still in flight.
+//! calls (`ping`, `stats`, `trace`, …) are single round trips that may
+//! overtake slower multiplies still in flight; the documents they fetch
+//! come back decoded ([`crate::snapshot`]).
 //!
 //! [`retry_busy`] wraps calls with bounded exponential backoff on the
 //! server's `Busy` backpressure signal.
@@ -17,7 +18,9 @@ use crate::protocol::{
     self, decode_error, decode_response, encode_request, ErrorCode, Frame, FrameError, FrameKind,
     WireScalar, VERSION_V2,
 };
+use crate::snapshot::{Document, Incident, StatsSnapshot};
 use fmm_dense::Matrix;
+use fmm_obs::SpanEvent;
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -189,33 +192,30 @@ impl PipelinedClient {
         Ok(t0.elapsed())
     }
 
-    /// Fetch the server's full registry snapshot as JSON (counters,
-    /// gauges, and per-phase histograms; see the README's Observability
-    /// section for the schema).
-    pub fn stats_json(&mut self) -> Result<String, ClientError> {
-        self.text_reply(FrameKind::StatsJson, b"json")
+    /// Fetch the server's stats snapshot (counters, gauges, per-phase
+    /// histograms, and the decision audit; see the README's Observability
+    /// section).
+    pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
+        self.document(FrameKind::StatsJson, b"json")
     }
 
-    /// Fetch the same registry snapshot as Prometheus-style plaintext
-    /// exposition.
+    /// Fetch the same snapshot as Prometheus-style plaintext exposition.
     pub fn stats_prometheus(&mut self) -> Result<String, ClientError> {
         self.text_reply(FrameKind::StatsJson, b"prometheus")
     }
 
-    /// Fetch the most recent `last` tracing spans as a JSON array (`0` =
-    /// everything the per-thread rings retain). Empty unless the server
-    /// runs with tracing enabled (`--trace` / `FMM_TRACE=1`).
-    pub fn trace(&mut self, last: u64) -> Result<String, ClientError> {
+    /// Fetch the most recent `last` tracing spans (`0` = everything the
+    /// per-thread rings retain). Empty unless the server runs with tracing
+    /// enabled (`--trace` / `FMM_TRACE=1`).
+    pub fn trace(&mut self, last: u64) -> Result<Vec<SpanEvent>, ClientError> {
         let payload = if last == 0 { Vec::new() } else { last.to_le_bytes().to_vec() };
-        self.text_reply(FrameKind::Trace, &payload)
+        self.document(FrameKind::Trace, &payload)
     }
 
-    /// Fetch a live incident dump — the same self-contained JSON
-    /// document a SIGTERM/panic dump writes to `--incident-dir` (build
-    /// fingerprint, config, watchdog roster, flight ring, full stats,
-    /// recent spans).
-    pub fn incident(&mut self) -> Result<String, ClientError> {
-        self.text_reply(FrameKind::Incident, b"")
+    /// Fetch a live incident document — the same one a SIGTERM/panic dump
+    /// writes to `--incident-dir`.
+    pub fn incident(&mut self) -> Result<Incident, ClientError> {
+        self.document(FrameKind::Incident, b"")
     }
 
     /// Ask the daemon to shut down (acknowledged before it stops
@@ -230,6 +230,13 @@ impl PipelinedClient {
         let body = expect_kind(self.roundtrip(kind, payload)?, kind)?;
         String::from_utf8(body)
             .map_err(|_| ClientError::Protocol(format!("{kind:?} body is not UTF-8")))
+    }
+
+    /// One round trip whose reply body is a JSON [`Document`]; a body
+    /// that does not decode is a protocol error naming the bad key.
+    fn document<D: Document>(&mut self, kind: FrameKind, payload: &[u8]) -> Result<D, ClientError> {
+        let body = self.text_reply(kind, payload)?;
+        D::from_json(&body).map_err(|e| ClientError::Protocol(format!("{kind:?} reply: {e}")))
     }
 
     /// Read frames until `id`'s reply surfaces, stashing responses for

@@ -1,15 +1,11 @@
-//! Incident capture plumbing: build identity, atomic dump writing, and
-//! the SIGTERM/SIGINT traps.
+//! Incident capture plumbing: atomic dump writing and the SIGTERM/SIGINT
+//! traps.
 //!
 //! The server composes the incident document itself (it owns the
-//! registry, audit table, watchdog roster, and flight ring); this
-//! module owns the parts that touch the outside world:
+//! registry, audit table, watchdog roster, and flight ring, and
+//! [`crate::snapshot::Incident`] owns the format); this module owns the
+//! parts that touch the outside world:
 //!
-//! * [`build_info_json`] — the binary's identity (crate version, git
-//!   hash when the build script exported one, per-dtype kernel
-//!   fingerprints, spoken protocol versions). Embedded in every
-//!   `stats --json` export and incident dump so a post-mortem names the
-//!   exact binary it came from.
 //! * [`write_incident_file`] — atomic temp+rename dump writing: a
 //!   half-written dump is never visible under its final name, even if
 //!   the process aborts mid-write.
@@ -19,8 +15,6 @@
 //!   monitor thread polls the flag and performs the dump + clean stop
 //!   from ordinary thread context.
 
-use fmm_core::json;
-use fmm_gemm::GemmScalar;
 use fmm_obs::IncidentTrigger;
 use std::fs;
 use std::io::{self, Write};
@@ -28,51 +22,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Schema tag every incident document carries; `fmm_serve doctor`
-/// refuses documents with a different tag instead of misreading them.
-pub const INCIDENT_SCHEMA: &str = "fmm-incident-v1";
-
-/// The build identity as a JSON object: crate version, git hash (when
-/// `FMM_GIT_HASH` was set at compile time), the runtime-selected
-/// micro-kernel per dtype, and the wire protocol versions spoken.
-pub fn build_info_json() -> json::Value {
-    json::Value::Object(
-        [
-            ("version".to_string(), json::Value::String(env!("CARGO_PKG_VERSION").to_string())),
-            (
-                "git_hash".to_string(),
-                json::Value::String(option_env!("FMM_GIT_HASH").unwrap_or("unknown").to_string()),
-            ),
-            ("kernel_f64".to_string(), json::Value::String(f64::micro_kernel_name().to_string())),
-            ("kernel_f32".to_string(), json::Value::String(f32::micro_kernel_name().to_string())),
-            ("protocol_versions".to_string(), json::Value::String("v2".to_string())),
-        ]
-        .into_iter()
-        .collect(),
-    )
-}
-
-/// The same identity as one human-readable line — `fmm_serve top`
-/// headers and the Prometheus exposition comment.
-pub fn build_info_line() -> String {
-    format!(
-        "fmm_serve {} git={} kernel_f64={} kernel_f32={} protocol=v2",
-        env!("CARGO_PKG_VERSION"),
-        option_env!("FMM_GIT_HASH").unwrap_or("unknown"),
-        f64::micro_kernel_name(),
-        f32::micro_kernel_name(),
-    )
-}
-
 /// Write one incident document under `dir` (created if absent) via
 /// temp+rename; the final name embeds the trigger, a wall-clock stamp,
 /// and the per-process dump sequence so successive dumps never collide.
-pub fn write_incident_file(
-    dir: &Path,
-    trigger: &str,
-    seq: u64,
-    doc: &json::Value,
-) -> io::Result<PathBuf> {
+pub fn write_incident_file(dir: &Path, trigger: &str, seq: u64, doc: &str) -> io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
     let millis =
         SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0);
@@ -80,7 +33,7 @@ pub fn write_incident_file(
     let tmp_path = dir.join(format!(".incident-{trigger}-{millis}-{seq}.json.tmp"));
     {
         let mut f = fs::File::create(&tmp_path)?;
-        f.write_all(json::to_string_pretty(doc).as_bytes())?;
+        f.write_all(doc.as_bytes())?;
         f.write_all(b"\n")?;
         f.sync_all()?;
     }
@@ -194,12 +147,13 @@ mod tests {
 
     #[test]
     fn build_info_names_the_binary() {
-        let info = build_info_json();
-        let json::Value::Object(map) = &info else { panic!("build info is an object") };
-        for key in ["version", "git_hash", "kernel_f64", "kernel_f32", "protocol_versions"] {
-            assert!(map.contains_key(key), "missing {key}");
+        use crate::snapshot::{BuildInfo, Document};
+        let info = BuildInfo::current();
+        assert_eq!(BuildInfo::from_json(&info.to_json()), Ok(info.clone()));
+        for field in [&info.version, &info.git_hash, &info.kernel_f64, &info.kernel_f32] {
+            assert!(!field.is_empty(), "{info:?}");
         }
-        let line = build_info_line();
+        let line = info.to_string();
         assert!(line.contains(env!("CARGO_PKG_VERSION")));
         assert!(line.contains("kernel_f64="));
     }
@@ -207,19 +161,12 @@ mod tests {
     #[test]
     fn incident_file_written_atomically_with_unique_names() {
         let dir = std::env::temp_dir().join(format!("fmm-incident-test-{}", std::process::id()));
-        let doc = json::Value::Object(
-            [("schema".to_string(), json::Value::String(INCIDENT_SCHEMA.into()))]
-                .into_iter()
-                .collect(),
-        );
-        let p1 = write_incident_file(&dir, "sigterm", 0, &doc).expect("first dump");
-        let p2 = write_incident_file(&dir, "sigterm", 1, &doc).expect("second dump");
+        let doc = r#"{"schema": "fmm-incident-v1"}"#;
+        let p1 = write_incident_file(&dir, "sigterm", 0, doc).expect("first dump");
+        let p2 = write_incident_file(&dir, "sigterm", 1, doc).expect("second dump");
         assert_ne!(p1, p2, "dump names must not collide");
         for p in [&p1, &p2] {
-            let text = fs::read_to_string(p).expect("dump readable");
-            let parsed = json::parse(&text).expect("dump is valid JSON");
-            let json::Value::Object(map) = parsed else { panic!("dump is an object") };
-            assert_eq!(map.get("schema"), Some(&json::Value::String(INCIDENT_SCHEMA.to_string())));
+            assert_eq!(fs::read_to_string(p).expect("dump readable"), format!("{doc}\n"));
         }
         // No temp leftovers.
         let leftovers: Vec<_> = fs::read_dir(&dir)

@@ -32,15 +32,16 @@
 //!   pipelining depth, and lock-free log-bucketed latency histograms
 //!   (queue-wait vs service splits over *every* sample since start), plus
 //!   ingest-pool occupancy and per-dtype `EngineStats` snapshots — served
-//!   as a JSON registry snapshot (`StatsJson`) or its Prometheus
-//!   plaintext rendering; with tracing enabled ([`ServeConfig::trace`] /
-//!   `FMM_TRACE=1`), every request phase records a span retrievable over
-//!   the wire (`Trace`);
+//!   as one typed [`StatsSnapshot`] ([`snapshot`], which owns every JSON
+//!   document the daemon writes and reads) in JSON (`StatsJson`) or its
+//!   Prometheus plaintext rendering; with tracing enabled
+//!   ([`ServeConfig::trace`] / `FMM_TRACE=1`), every request phase records
+//!   a span retrievable over the wire (`Trace`);
 //! * **the client library** ([`client`]): [`PipelinedClient`]
 //!   (out-of-order responses matched by request id; a blocking call is a
 //!   pipeline of depth one), the [`client::retry_busy`] backoff helper,
-//!   and the `fmm_serve` CLI (`serve` / `ping` / `stats` / `trace` /
-//!   `bench` / `shutdown`).
+//!   and the `fmm_serve` CLI (`serve` / `ping` / `stats` / `audit` / `top` /
+//!   `trace` / `doctor` / `bench` / `shutdown`).
 //!
 //! # Example
 //!
@@ -90,6 +91,7 @@ pub mod metrics;
 pub mod poller;
 pub mod protocol;
 pub mod server;
+pub mod snapshot;
 
 pub use buffers::{BufferPool, IngestPools, OperandStage, PoolStats, PooledBuf, WireBuf};
 pub use client::{retry_busy, ClientError, PipelinedClient};
@@ -100,3 +102,4 @@ pub use dispatch::{
 pub use metrics::{LatencyStats, Metrics, MetricsSnapshot};
 pub use protocol::{Dtype, ErrorCode, Frame, FrameError, FrameKind, WireScalar};
 pub use server::{ServeConfig, Server, ServerHandle};
+pub use snapshot::{BuildInfo, DocError, Document, FlightEntry, Incident, StatsSnapshot};

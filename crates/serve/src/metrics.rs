@@ -364,7 +364,7 @@ mod tests {
         assert!(hists.contains(&"fmm_serve_latency_nanos"));
         assert!(hists.contains(&"fmm_serve_queue_wait_nanos"));
         assert!(hists.contains(&"fmm_serve_service_nanos"));
-        let text = m.registry().render_prometheus();
+        let text = m.registry().snapshot().render_prometheus();
         assert!(text.contains("fmm_serve_latency_nanos{quantile=\"0.99\"}"));
     }
 }

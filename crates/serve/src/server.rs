@@ -34,11 +34,14 @@ use crate::incident;
 use crate::metrics::Metrics;
 use crate::poller::{Interest, Poller, Waker, WAKE_TOKEN};
 use crate::protocol::{self, ErrorCode, FrameKind, RequestDims, HEADER_LEN, RESPONSE_PRELUDE};
-use fmm_core::json;
+use crate::snapshot::{
+    BuildInfo, ConfigPrint, Document, FlightEntry, Incident, StatsSnapshot, WatchdogRoster,
+};
 use fmm_engine::{ArchSource, EngineConfig, EngineStats, FmmEngine};
 use fmm_gemm::BlockingParams;
 use fmm_obs::flight::{self, FlightEvent, IncidentTrigger, RefusalReason};
 use fmm_obs::{Heartbeat, SpanKind, WatchPolicy, Watchdog, WatchdogConfig, WatchdogHandle};
+use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -207,170 +210,92 @@ impl Shared {
         self.lifecycle.stopped.notify_all();
     }
 
-    /// Mirror everything that lives outside the registry proper into it:
-    /// engine counters (via the `EngineStats::fields()` reflection),
-    /// dtype queue depths, and ingest-pool occupancy. Called on every
-    /// export so registry snapshots are complete without the hot path
-    /// double-counting into two homes.
-    fn mirror_into_registry(&self) {
-        let registry = self.metrics.registry();
-        registry.gauge("fmm_build_info").set(1);
-        if let Some(wd) = &self.watchdog {
-            registry.set_counter("fmm_watchdog_stalls_total", wd.stalls_total());
+    /// The stats snapshot: this server's instruments merged with the
+    /// process-global registry (gemm pack/kernel split, sched tasks), the
+    /// engines' `EngineStats::fields()` rows, dtype queue depths,
+    /// ingest-pool occupancy, watchdog stalls, and the decision-audit
+    /// table. Read-only: everything that lives outside the registry is
+    /// read where it lives, at snapshot time. Cold, like `incident` and the
+    /// documents' encoders: inlined into the event loop, this code made the
+    /// benchmark's `serve` latency ~13 % worse.
+    #[cold]
+    fn snapshot(&self) -> StatsSnapshot {
+        let mut stats = StatsSnapshot {
+            build: BuildInfo::current(),
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+            audit: fmm_obs::audit::snapshot(),
+        };
+        for registry in [self.metrics.registry().snapshot(), fmm_obs::global().snapshot()] {
+            stats.counters.extend(registry.counters);
+            stats.gauges.extend(registry.gauges);
+            stats.histograms.extend(registry.histograms);
         }
-        for (prefix, stats) in [
+        for (prefix, engine) in [
             ("fmm_engine_f64_", self.engine_f64.stats()),
             ("fmm_engine_f32_", self.engine_f32.stats()),
         ] {
-            for (name, value) in stats.fields() {
-                registry.set_counter(&format!("{prefix}{name}"), value);
-            }
+            let rows = engine.fields().into_iter().map(|(name, v)| (format!("{prefix}{name}"), v));
+            stats.counters.extend(rows);
         }
-        registry.gauge("fmm_serve_queue_depth_f64").set(self.queue_f64.depth() as i64);
-        registry.gauge("fmm_serve_queue_depth_f32").set(self.queue_f32.depth() as i64);
-        for (name, stats) in [("f64", self.pools.f64.stats()), ("f32", self.pools.f32.stats())] {
-            registry.set_counter(&format!("fmm_serve_pool_{name}_hits"), stats.hits);
-            registry.set_counter(&format!("fmm_serve_pool_{name}_misses"), stats.misses);
-            registry.set_counter(&format!("fmm_serve_pool_{name}_retained"), stats.retained);
-            registry.set_counter(
-                &format!("fmm_serve_pool_{name}_retained_bytes"),
-                stats.retained_bytes,
-            );
+        for (dtype, pool) in [("f64", self.pools.f64.stats()), ("f32", self.pools.f32.stats())] {
+            let rows = [
+                ("hits", pool.hits),
+                ("misses", pool.misses),
+                ("retained", pool.retained),
+                ("retained_bytes", pool.retained_bytes),
+            ];
+            stats
+                .counters
+                .extend(rows.map(|(stat, v)| (format!("fmm_serve_pool_{dtype}_{stat}"), v)));
         }
-    }
-
-    /// The full registry snapshot — this server's instruments merged with
-    /// the process-global registry (gemm pack/kernel split, sched tasks) —
-    /// as an `fmm_core::json` value. The `StatsJson` frame body.
-    ///
-    /// Decision-audit aggregates export twice: per-class model-error
-    /// histograms land in `histograms` under sanitized
-    /// `fmm_audit_error_permille_*` names (uniform with every other
-    /// histogram consumer), and the full per-class rows — GFLOP/s
-    /// extrema, routing-source attribution, the chosen plan — under the
-    /// dedicated `audit` key, indexed by raw `class/dtype`.
-    fn stats_json(&self) -> json::Value {
-        self.mirror_into_registry();
-        let mut counters = std::collections::BTreeMap::new();
-        let mut gauges = std::collections::BTreeMap::new();
-        let mut histograms = std::collections::BTreeMap::new();
-        for snap in [self.metrics.registry().snapshot(), fmm_obs::global().snapshot()] {
-            for (name, v) in snap.counters {
-                counters.insert(name, json::Value::Int(v as i64));
-            }
-            for (name, v) in snap.gauges {
-                gauges.insert(name, json::Value::Int(v));
-            }
-            for (name, h) in snap.histograms {
-                histograms.insert(name, hist_json(&h));
-            }
-        }
-        let mut audit = std::collections::BTreeMap::new();
-        for entry in fmm_obs::audit::snapshot() {
-            let key = entry.key();
-            let hist_name =
-                fmm_obs::sanitize_metric_name(&format!("fmm_audit_error_permille_{key}"));
-            histograms.insert(hist_name, hist_json(&entry.err_permille));
-            audit.insert(key, audit_entry_json(&entry));
-        }
-        counters.insert(
-            "fmm_audit_samples_total".to_string(),
-            json::Value::Int(fmm_obs::audit::samples_recorded() as i64),
-        );
-        counters.insert(
-            "fmm_audit_dropped_total".to_string(),
-            json::Value::Int(fmm_obs::audit::samples_dropped() as i64),
-        );
-        json::Value::Object(
-            [
-                ("build".to_string(), incident::build_info_json()),
-                ("counters".to_string(), json::Value::Object(counters)),
-                ("gauges".to_string(), json::Value::Object(gauges)),
-                ("histograms".to_string(), json::Value::Object(histograms)),
-                ("audit".to_string(), json::Value::Object(audit)),
-            ]
-            .into_iter()
-            .collect(),
-        )
-    }
-
-    /// The self-contained incident document: build/config fingerprint,
-    /// watchdog roster + verdict count, the flight-recorder ring, the
-    /// full stats export, and recent tracing spans. This is what the
-    /// `Incident` wire frame returns and what SIGTERM/SIGINT, panic, and
-    /// watchdog-abort dumps write to [`ServeConfig::incident_dir`].
-    fn incident_json(&self, trigger: &str) -> json::Value {
-        let mut watchdog = std::collections::BTreeMap::new();
         if let Some(wd) = &self.watchdog {
-            watchdog.insert(
-                "components".to_string(),
-                json::Value::Array(
-                    wd.component_names().into_iter().map(json::Value::String).collect(),
-                ),
-            );
-            watchdog.insert("stalls_total".to_string(), json::Value::Int(wd.stalls_total() as i64));
+            stats.counters.insert("fmm_watchdog_stalls_total".into(), wd.stalls_total());
         }
-        let flight: Vec<json::Value> = flight::snapshot()
-            .iter()
-            .map(|record| {
-                let (kind, a, b, c, d) = record.event.encode();
-                let int = |v: u64| json::Value::Int(v as i64);
-                json::Value::Object(
-                    [
-                        ("seq".to_string(), int(record.seq)),
-                        ("nanos".to_string(), int(record.nanos)),
-                        ("kind".to_string(), json::Value::String(record.event.kind_name().into())),
-                        ("kind_id".to_string(), int(kind)),
-                        ("a".to_string(), int(a)),
-                        ("b".to_string(), int(b)),
-                        ("c".to_string(), int(c)),
-                        ("d".to_string(), int(d)),
-                        ("detail".to_string(), json::Value::String(record.event.describe())),
-                    ]
-                    .into_iter()
-                    .collect(),
-                )
-            })
-            .collect();
-        json::Value::Object(
-            [
-                ("schema".to_string(), json::Value::String(incident::INCIDENT_SCHEMA.into())),
-                ("trigger".to_string(), json::Value::String(trigger.to_string())),
-                ("build".to_string(), incident::build_info_json()),
-                ("config".to_string(), self.config_json()),
-                ("watchdog".to_string(), json::Value::Object(watchdog)),
-                ("flight".to_string(), json::Value::Array(flight)),
-                ("stats".to_string(), self.stats_json()),
-                ("spans".to_string(), trace_json(256)),
-            ]
-            .into_iter()
-            .collect(),
-        )
+        stats.counters.insert("fmm_audit_samples_total".into(), fmm_obs::audit::samples_recorded());
+        stats.counters.insert("fmm_audit_dropped_total".into(), fmm_obs::audit::samples_dropped());
+        stats.gauges.insert("fmm_build_info".into(), 1);
+        stats.gauges.insert("fmm_serve_queue_depth_f64".into(), self.queue_f64.depth() as i64);
+        stats.gauges.insert("fmm_serve_queue_depth_f32".into(), self.queue_f32.depth() as i64);
+        stats.audit.sort_by_cached_key(fmm_obs::AuditEntry::key);
+        stats
     }
 
-    /// The serving configuration as a JSON fingerprint for incident
-    /// dumps (throughput-relevant knobs only, no engine internals).
-    fn config_json(&self) -> json::Value {
+    /// The incident document the `Incident` wire frame returns and
+    /// SIGTERM/SIGINT, panic, and watchdog-abort dumps write to
+    /// [`ServeConfig::incident_dir`].
+    #[cold]
+    fn incident(&self, trigger: &str) -> Incident {
         let c = &self.config;
-        let int = |v: usize| json::Value::Int(v as i64);
-        json::Value::Object(
-            [
-                ("addr".to_string(), json::Value::String(c.addr.clone())),
-                ("event_threads".to_string(), int(c.event_threads)),
-                ("queue_capacity".to_string(), int(c.queue_capacity)),
-                ("max_inflight_per_conn".to_string(), int(c.max_inflight_per_conn)),
-                ("max_payload_bytes".to_string(), int(c.max_payload_bytes)),
-                ("max_conn_backlog_bytes".to_string(), int(c.max_conn_backlog_bytes)),
-                ("workers".to_string(), int(c.workers)),
-                ("batch_window_micros".to_string(), int(c.batch.window.as_micros() as usize)),
-                ("batch_max".to_string(), int(c.batch.max_batch)),
-                ("watchdog".to_string(), json::Value::Int(c.watchdog as i64)),
-                ("watchdog_stall_millis".to_string(), int(c.watchdog_stall.as_millis() as usize)),
-                ("slow_threshold_millis".to_string(), int(c.slow_threshold.as_millis() as usize)),
-            ]
-            .into_iter()
-            .collect(),
-        )
+        let knobs = [
+            ("event_threads", c.event_threads as u64),
+            ("queue_capacity", c.queue_capacity as u64),
+            ("max_inflight_per_conn", c.max_inflight_per_conn as u64),
+            ("max_payload_bytes", c.max_payload_bytes as u64),
+            ("max_conn_backlog_bytes", c.max_conn_backlog_bytes as u64),
+            ("workers", c.workers as u64),
+            ("batch_window_micros", c.batch.window.as_micros() as u64),
+            ("batch_max", c.batch.max_batch as u64),
+            ("watchdog", u64::from(c.watchdog)),
+            ("watchdog_stall_millis", c.watchdog_stall.as_millis() as u64),
+            ("slow_threshold_millis", c.slow_threshold.as_millis() as u64),
+        ];
+        Incident {
+            trigger: trigger.to_string(),
+            build: BuildInfo::current(),
+            config: ConfigPrint {
+                addr: c.addr.clone(),
+                knobs: knobs.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
+            },
+            watchdog: self.watchdog.as_ref().map(|wd| WatchdogRoster {
+                components: wd.component_names(),
+                stalls_total: wd.stalls_total(),
+            }),
+            flight: flight::snapshot().iter().map(FlightEntry::from).collect(),
+            stats: self.snapshot(),
+            spans: fmm_obs::trace::recent(256),
+        }
     }
 
     /// Write one incident dump to the configured directory (atomic
@@ -380,7 +305,7 @@ impl Shared {
     fn write_incident(&self, trigger: &str) -> Option<std::path::PathBuf> {
         let dir = self.config.incident_dir.as_ref()?;
         let seq = self.incident_seq.fetch_add(1, Ordering::Relaxed);
-        let doc = self.incident_json(trigger);
+        let doc = self.incident(trigger).to_json();
         match incident::write_incident_file(std::path::Path::new(dir), trigger, seq, &doc) {
             Ok(path) => {
                 eprintln!("fmm_serve: incident dump written to {}", path.display());
@@ -392,123 +317,6 @@ impl Shared {
             }
         }
     }
-
-    /// Prometheus-style plaintext exposition of the same merged registry
-    /// contents `stats_json` exports, audit aggregates included (as
-    /// sanitized per-class metric names — this exposition style carries
-    /// no labels).
-    fn render_prometheus(&self) -> String {
-        self.mirror_into_registry();
-        // This exposition style carries no labels, so the build identity
-        // rides as a HELP-style comment next to the `fmm_build_info 1`
-        // gauge the registry renders.
-        let mut out = format!("# HELP fmm_build_info {}\n", incident::build_info_line());
-        out.push_str(&self.metrics.registry().render_prometheus());
-        out.push_str(&fmm_obs::global().render_prometheus());
-        let mut counters = vec![
-            ("fmm_audit_samples_total".to_string(), fmm_obs::audit::samples_recorded()),
-            ("fmm_audit_dropped_total".to_string(), fmm_obs::audit::samples_dropped()),
-        ];
-        let mut histograms = Vec::new();
-        for entry in fmm_obs::audit::snapshot() {
-            let key = entry.key();
-            let name =
-                |stem: &str| fmm_obs::sanitize_metric_name(&format!("fmm_audit_{stem}_{key}"));
-            counters.push((name("samples"), entry.samples));
-            counters.push((name("predicted_nanos"), entry.predicted_nanos));
-            counters.push((name("measured_nanos"), entry.measured_nanos));
-            counters.push((name("best_gflops_milli"), entry.best_gflops_milli));
-            counters.push((name("worst_gflops_milli"), entry.worst_gflops_milli));
-            histograms.push((name("error_permille"), entry.err_permille));
-        }
-        let audit_snap = fmm_obs::Snapshot { counters, gauges: Vec::new(), histograms };
-        out.push_str(&audit_snap.render_prometheus());
-        out
-    }
-}
-
-/// One audit row (see `fmm_obs::audit::AuditEntry`) as JSON for the
-/// `audit` stats section — the `fmm_serve audit` report's input.
-fn audit_entry_json(entry: &fmm_obs::AuditEntry) -> json::Value {
-    let int = |v: u64| json::Value::Int(v as i64);
-    let sources = fmm_obs::audit::SOURCE_NAMES
-        .iter()
-        .zip(entry.by_source)
-        .map(|(name, v)| (name.to_string(), int(v)))
-        .collect();
-    json::Value::Object(
-        [
-            ("class".to_string(), json::Value::String(entry.class_label.clone())),
-            ("dtype".to_string(), json::Value::String(entry.dtype.to_string())),
-            ("samples".to_string(), int(entry.samples)),
-            ("predicted_nanos".to_string(), int(entry.predicted_nanos)),
-            ("measured_nanos".to_string(), int(entry.measured_nanos)),
-            ("flops".to_string(), int(entry.flops)),
-            ("error_log2".to_string(), json::Value::Number(entry.error_log2())),
-            ("mean_gflops".to_string(), json::Value::Number(entry.mean_gflops())),
-            (
-                "best_gflops".to_string(),
-                json::Value::Number(entry.best_gflops_milli as f64 / 1000.0),
-            ),
-            (
-                "worst_gflops".to_string(),
-                json::Value::Number(entry.worst_gflops_milli as f64 / 1000.0),
-            ),
-            ("chosen".to_string(), json::Value::String(entry.chosen.clone())),
-            ("sources".to_string(), json::Value::Object(sources)),
-            ("err_permille".to_string(), hist_json(&entry.err_permille)),
-        ]
-        .into_iter()
-        .collect(),
-    )
-}
-
-/// One histogram snapshot as JSON: lifetime totals, nearest-rank
-/// percentiles over all samples, and the non-empty `[lo, hi, count]`
-/// buckets.
-fn hist_json(h: &fmm_obs::HistSnapshot) -> json::Value {
-    let int = |v: u64| json::Value::Int(v as i64);
-    let buckets: Vec<json::Value> =
-        h.buckets().map(|(lo, hi, n)| json::Value::Array(vec![int(lo), int(hi), int(n)])).collect();
-    json::Value::Object(
-        [
-            ("count".to_string(), int(h.count)),
-            ("sum_nanos".to_string(), int(h.sum)),
-            ("min_nanos".to_string(), int(h.min)),
-            ("max_nanos".to_string(), int(h.max)),
-            ("mean_nanos".to_string(), json::Value::Number(h.mean())),
-            ("p50_nanos".to_string(), int(h.p50())),
-            ("p90_nanos".to_string(), int(h.p90())),
-            ("p99_nanos".to_string(), int(h.p99())),
-            ("buckets".to_string(), json::Value::Array(buckets)),
-        ]
-        .into_iter()
-        .collect(),
-    )
-}
-
-/// Recent tracing spans as a JSON array (newest last), the `Trace` frame
-/// body: `{kind, request_id, start_nanos, end_nanos, thread}` per event.
-fn trace_json(limit: usize) -> json::Value {
-    let events = fmm_obs::trace::recent(limit);
-    json::Value::Array(
-        events
-            .iter()
-            .map(|e| {
-                json::Value::Object(
-                    [
-                        ("kind".to_string(), json::Value::String(e.kind.name().to_string())),
-                        ("request_id".to_string(), json::Value::Int(e.request_id as i64)),
-                        ("start_nanos".to_string(), json::Value::Int(e.start_nanos as i64)),
-                        ("end_nanos".to_string(), json::Value::Int(e.end_nanos as i64)),
-                        ("thread".to_string(), json::Value::Int(e.thread as i64)),
-                    ]
-                    .into_iter()
-                    .collect(),
-                )
-            })
-            .collect(),
-    )
 }
 
 /// A running serving daemon. Obtained from [`Server::spawn`]; dropping the
@@ -765,26 +573,14 @@ impl ServerHandle {
         &self.shared.metrics
     }
 
-    /// An owning handle to the metrics, for reading final counts after
-    /// [`ServerHandle::wait`]/[`ServerHandle::shutdown`] consume `self`.
-    pub fn metrics_arc(&self) -> Arc<Metrics> {
-        self.shared.metrics.clone()
-    }
-
     /// Per-dtype engine counter snapshots.
     pub fn engine_stats(&self) -> (EngineStats, EngineStats) {
         (self.shared.engine_f64.stats(), self.shared.engine_f32.stats())
     }
 
-    /// The merged registry snapshot a `StatsJson` frame would return, as
-    /// a JSON value.
-    pub fn stats_json(&self) -> json::Value {
-        self.shared.stats_json()
-    }
-
-    /// The Prometheus plaintext exposition of the merged registries.
-    pub fn render_prometheus(&self) -> String {
-        self.shared.render_prometheus()
+    /// The stats snapshot a `StatsJson` frame would return right now.
+    pub fn stats(&self) -> StatsSnapshot {
+        self.shared.snapshot()
     }
 
     /// True once shutdown has been requested (by [`ServerHandle::shutdown`]
@@ -795,9 +591,10 @@ impl ServerHandle {
     }
 
     /// Block until shutdown is requested, then join the event loops and
-    /// dispatchers (in-flight requests drain first). This is the daemon
-    /// main loop: `Server::spawn(cfg)?.wait()`.
-    pub fn wait(self) {
+    /// dispatchers (in-flight requests drain first) and return the final
+    /// stats snapshot. This is the daemon main loop:
+    /// `Server::spawn(cfg)?.wait()`.
+    pub fn wait(self) -> StatsSnapshot {
         {
             let mut stopping = self.shared.lifecycle.stopping.lock().expect("lifecycle poisoned");
             while !*stopping {
@@ -805,7 +602,9 @@ impl ServerHandle {
                     self.shared.lifecycle.stopped.wait(stopping).expect("lifecycle poisoned");
             }
         }
+        let shared = Arc::clone(&self.shared);
         self.join();
+        shared.snapshot()
     }
 
     /// Request shutdown and join the daemon threads. Idempotent with a
@@ -826,16 +625,10 @@ impl ServerHandle {
         }
     }
 
-    /// Total watchdog stall verdicts so far (0 when the watchdog is
-    /// disabled).
-    pub fn watchdog_stalls(&self) -> u64 {
-        self.shared.watchdog.as_ref().map_or(0, |wd| wd.stalls_total())
-    }
-
     /// The incident document an `Incident` wire frame would return right
     /// now — the seam tests use to inspect dumps without signals.
-    pub fn incident_json(&self) -> json::Value {
-        self.shared.incident_json("wire-request")
+    pub fn incident(&self) -> Incident {
+        self.shared.incident("wire-request")
     }
 }
 
@@ -1106,16 +899,13 @@ fn handle_in_event(
             push_reply(conn, head.request_id, FrameKind::Pong, &payload);
         }
         InEvent::StatsJson { head, prometheus } => {
-            let body = if prometheus {
-                shared.render_prometheus()
-            } else {
-                json::to_string_pretty(&shared.stats_json())
-            };
+            let stats = shared.snapshot();
+            let body = if prometheus { stats.to_prometheus() } else { stats.to_json() };
             let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
             push_reply(conn, head.request_id, FrameKind::StatsJson, body.as_bytes());
         }
         InEvent::Trace { head, last } => {
-            let body = json::to_string_pretty(&trace_json(last as usize));
+            let body = fmm_obs::trace::recent(last as usize).to_json();
             let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
             push_reply(conn, head.request_id, FrameKind::Trace, body.as_bytes());
         }
@@ -1129,7 +919,7 @@ fn handle_in_event(
         }
         InEvent::Incident { head } => {
             flight::record(FlightEvent::Incident { trigger: IncidentTrigger::WireRequest });
-            let body = json::to_string_pretty(&shared.incident_json("wire-request"));
+            let body = shared.incident("wire-request").to_json();
             let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
             push_reply(conn, head.request_id, FrameKind::Incident, body.as_bytes());
         }

@@ -3,7 +3,6 @@
 //! provable cross-request coalescing, typed error frames for hostile
 //! input, admission-control backpressure, live stats, and clean shutdown.
 
-use fmm_core::json::{self, Value};
 use fmm_dense::{fill, norms, Matrix, Scalar};
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
 use fmm_gemm::BlockingParams;
@@ -352,14 +351,7 @@ fn stats_frame_reports_counters_latency_and_engine_snapshots() {
     let b32 = fill::bench_workload_t::<f32>(24, 24, 4);
     client.multiply(&a32, &b32).expect("served f32");
 
-    let body = client.stats_json().expect("stats");
-    let Value::Object(stats) = json::parse(&body).expect("valid JSON body") else {
-        panic!("stats body is not an object:\n{body}")
-    };
-    let section = |name: &str| match stats.get(name) {
-        Some(Value::Object(map)) => map,
-        other => panic!("no {name} section in stats: {other:?}"),
-    };
+    let stats = client.stats().expect("stats");
     // Two one-request batches: occupancy mean 1.
     for (name, want) in [
         ("fmm_serve_requests_total", 2),
@@ -372,13 +364,12 @@ fn stats_frame_reports_counters_latency_and_engine_snapshots() {
         // The engine counters carry the full EngineStats reflection surface.
         ("fmm_engine_f64_batch_items", 1),
     ] {
-        assert_eq!(section("counters").get(name), Some(&Value::Int(want)), "{name} in:\n{body}");
+        assert_eq!(stats.counter(name), Ok(want), "{name} in:\n{stats:?}");
     }
-    assert_eq!(section("gauges").get("fmm_serve_queue_depth_f64"), Some(&Value::Int(0)));
-    let Some(Value::Object(latency)) = section("histograms").get("fmm_serve_latency_nanos") else {
-        panic!("no latency histogram in:\n{body}")
-    };
-    assert!(latency.contains_key("p50_nanos") && latency.contains_key("p99_nanos"), "{body}");
+    assert_eq!(stats.gauge("fmm_serve_queue_depth_f64"), Ok(0));
+    let latency = stats.histogram("fmm_serve_latency_nanos").expect("latency histogram");
+    assert_eq!(latency.count, 2, "{latency:?}");
+    assert!(latency.p50() <= latency.p99(), "{latency:?}");
     handle.shutdown();
 }
 
@@ -396,10 +387,8 @@ fn client_shutdown_drains_and_daemon_exits_cleanly() {
 
     // wait() returns: the accept loop and both dispatchers joined.
     assert!(handle.is_stopping());
-    let metrics = handle.metrics_arc();
-    handle.wait();
-    let snap = metrics.snapshot();
-    assert_eq!(snap.responses, 1, "in-flight work drained before exit");
+    let stats = handle.wait();
+    assert_eq!(stats.counter("fmm_serve_responses_total"), Ok(1), "in-flight work drained");
 
     // The listener is gone; fresh connections are refused (allow the OS a
     // moment to tear the socket down).

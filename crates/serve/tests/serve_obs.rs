@@ -2,11 +2,12 @@
 //! registry export (JSON and Prometheus), typed errors for unknown frame
 //! kinds, and the `Trace` span dump.
 
-use fmm_core::json::{self, Value};
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
 use fmm_model::ArchParams;
+use fmm_obs::SpanEvent;
 use fmm_serve::protocol::{self, ErrorCode, FrameKind};
-use fmm_serve::{PipelinedClient, ServeConfig, Server, ServerHandle};
+use fmm_serve::{DocError, FlightEntry, StatsSnapshot};
+use fmm_serve::{Document, Incident, PipelinedClient, ServeConfig, Server, ServerHandle};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -35,62 +36,35 @@ fn run_multiplies(addr: std::net::SocketAddr, count: usize) {
     }
 }
 
-/// Walk `histograms.<name>` in the parsed StatsJson body.
-fn histogram<'v>(stats: &'v Value, name: &str) -> &'v Value {
-    let Value::Object(root) = stats else { panic!("stats body is not an object") };
-    let Some(Value::Object(hists)) = root.get("histograms") else {
-        panic!("no histograms section in {root:?}")
-    };
-    hists.get(name).unwrap_or_else(|| panic!("histogram {name} missing; have {:?}", hists.keys()))
-}
-
-fn hist_field(hist: &Value, key: &str) -> i64 {
-    let Value::Object(obj) = hist else { panic!("histogram is not an object") };
-    match obj.get(key) {
-        Some(Value::Int(v)) => *v,
-        other => panic!("histogram field {key} missing or non-integer: {other:?}"),
-    }
-}
-
 #[test]
 fn stats_json_reports_per_phase_histograms() {
     let handle = spawn_server(ServeConfig::default());
     run_multiplies(handle.addr(), 8);
 
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
-    let body = client.stats_json().expect("stats json");
-    let stats = json::parse(&body).expect("valid JSON body");
+    let stats = client.stats().expect("stats json");
 
     // Serve-side phase histograms: every request since boot is counted.
     for name in ["fmm_serve_latency_nanos", "fmm_serve_queue_wait_nanos", "fmm_serve_service_nanos"]
     {
-        let h = histogram(&stats, name);
-        assert!(hist_field(h, "count") >= 8, "{name} undercounted: {h:?}");
-        let (p50, p99, max) =
-            (hist_field(h, "p50_nanos"), hist_field(h, "p99_nanos"), hist_field(h, "max_nanos"));
+        let h = stats.histogram(name).expect("phase histogram");
+        assert!(h.count >= 8, "{name} undercounted: {h:?}");
+        let (p50, p99, max) = (h.p50(), h.p99(), h.max);
         assert!(p50 > 0 && p50 <= p99 && p99 <= max, "{name} quantiles inconsistent: {h:?}");
     }
     // Compute-side split from the process-global registry: the GEMM
     // driver attributes pack vs kernel time on every block call.
     for name in ["fmm_gemm_pack_nanos", "fmm_gemm_kernel_nanos"] {
-        let h = histogram(&stats, name);
-        assert!(hist_field(h, "count") > 0, "{name} empty: {h:?}");
+        let h = stats.histogram(name).expect("gemm histogram");
+        assert!(h.count > 0, "{name} empty: {h:?}");
     }
 
-    let Value::Object(root) = &stats else { unreachable!() };
-    let Some(Value::Object(counters)) = root.get("counters") else { panic!("no counters") };
-    assert!(
-        matches!(counters.get("fmm_serve_requests_total"), Some(Value::Int(n)) if *n >= 8),
-        "request counter missing or low: {:?}",
-        counters.get("fmm_serve_requests_total")
-    );
-    // Engine counters are mirrored into the registry via EngineStats
-    // reflection at export time.
-    assert!(
-        matches!(counters.get("fmm_engine_f64_executions"), Some(Value::Int(n)) if *n >= 8),
-        "engine mirror missing: {:?}",
-        counters.get("fmm_engine_f64_executions")
-    );
+    let requests = stats.counter("fmm_serve_requests_total").expect("request counter");
+    assert!(requests >= 8, "request counter low: {requests}");
+    // Engine counters are read from `EngineStats::fields()` when the
+    // snapshot is taken.
+    let executions = stats.counter("fmm_engine_f64_executions").expect("engine counter");
+    assert!(executions >= 8, "engine counter low: {executions}");
     handle.shutdown();
 }
 
@@ -114,26 +88,23 @@ fn prometheus_exposition_renders_the_same_registry() {
 }
 
 #[test]
-fn every_engine_stats_field_is_mirrored_into_stats_json() {
-    // `EngineStats::fields()` is the reflection surface the server uses
-    // to mirror engine counters into the registry; a field added to the
-    // struct but forgotten in `fields()` fails the engine's own test,
-    // and a mirrored name dropped by the server fails this one — for
-    // both dtypes, so the f32 engine can't silently lose coverage.
+fn every_engine_stats_field_is_exported_in_stats() {
+    // `EngineStats::fields()` is the reflection surface the snapshot reads
+    // engine counters from; a field added to the struct but forgotten in
+    // `fields()` fails the engine's own test, and a name dropped by the
+    // server fails this one — for both dtypes, so the f32 engine can't
+    // silently lose coverage.
     let handle = spawn_server(ServeConfig::default());
     run_multiplies(handle.addr(), 2);
 
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
-    let body = client.stats_json().expect("stats json");
-    let stats = json::parse(&body).expect("valid JSON body");
-    let Value::Object(root) = &stats else { panic!("stats body is not an object") };
-    let Some(Value::Object(counters)) = root.get("counters") else { panic!("no counters") };
+    let stats = client.stats().expect("stats json");
     for (name, _) in fmm_engine::EngineStats::default().fields() {
         for prefix in ["fmm_engine_f64_", "fmm_engine_f32_"] {
-            let mirrored = format!("{prefix}{name}");
+            let exported = format!("{prefix}{name}");
             assert!(
-                matches!(counters.get(&mirrored), Some(Value::Int(n)) if *n >= 0),
-                "EngineStats field {name:?} not mirrored as {mirrored:?}"
+                stats.counter(&exported).is_ok(),
+                "EngineStats field {name:?} not exported as {exported:?}"
             );
         }
     }
@@ -143,56 +114,36 @@ fn every_engine_stats_field_is_mirrored_into_stats_json() {
 #[test]
 fn stats_json_exposes_per_class_audit_aggregates() {
     // The acceptance path: under end-to-end load, `stats --json` must
-    // carry per-(shape-class, dtype) model-error histograms with nonzero
-    // counts plus the full audit rows, and the Prometheus exposition the
-    // same aggregates under sanitized names. The 48x40x44 workload
-    // buckets to the 64x32x32 class; the audit table is process-global,
-    // so assertions are lower bounds.
+    // carry per-(shape-class, dtype) audit rows with populated model-error
+    // histograms, and the Prometheus exposition the same aggregates under
+    // sanitized names. The 48x40x44 workload buckets to the 64x32x32
+    // class; the audit table is process-global, so assertions are lower
+    // bounds.
     let handle = spawn_server(ServeConfig::default());
     run_multiplies(handle.addr(), 8);
 
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
-    let body = client.stats_json().expect("stats json");
-    let stats = json::parse(&body).expect("valid JSON body");
+    let stats = client.stats().expect("stats json");
 
-    let h = histogram(&stats, "fmm_audit_error_permille_64x32x32_f64");
-    assert!(hist_field(h, "count") >= 8, "audit error histogram undercounted: {h:?}");
+    let samples = stats.counter("fmm_audit_samples_total").expect("audit sample total");
+    assert!(samples >= 8, "audit sample total low: {samples}");
+    let entry = stats.audit_row("64x32x32/f64").expect("audit row");
+    assert!(entry.samples >= 8, "audit row undercounted: {entry:?}");
+    assert!(entry.measured_nanos > 0, "audit row lost measured time: {entry:?}");
+    let h = &entry.err_permille;
+    assert!(h.count >= 8, "audit error histogram undercounted: {h:?}");
     // The exact-extrema satellite: min is reported and brackets p50.
+    assert!(h.min <= h.p50(), "exact min exceeds p50: {h:?}");
+    // The histogram travels inside its audit row only, not twice.
     assert!(
-        hist_field(h, "min_nanos") <= hist_field(h, "p50_nanos"),
-        "exact min exceeds p50: {h:?}"
-    );
-
-    let Value::Object(root) = &stats else { unreachable!() };
-    let Some(Value::Object(counters)) = root.get("counters") else { panic!("no counters") };
-    assert!(
-        matches!(counters.get("fmm_audit_samples_total"), Some(Value::Int(n)) if *n >= 8),
-        "audit sample total missing or low: {:?}",
-        counters.get("fmm_audit_samples_total")
-    );
-    let Some(Value::Object(audit)) = root.get("audit") else { panic!("no audit section") };
-    let Some(Value::Object(entry)) = audit.get("64x32x32/f64") else {
-        panic!("no 64x32x32/f64 audit row; have {:?}", audit.keys())
-    };
-    assert!(
-        matches!(entry.get("samples"), Some(Value::Int(n)) if *n >= 8),
-        "audit row undercounted: {entry:?}"
-    );
-    assert!(
-        matches!(entry.get("measured_nanos"), Some(Value::Int(n)) if *n > 0),
-        "audit row lost measured time: {entry:?}"
+        !stats.histograms.keys().any(|name| name.starts_with("fmm_audit_")),
+        "audit histograms duplicated under `histograms`: {:?}",
+        stats.histograms.keys()
     );
     // Model routing attributes every sample to the `model` source, and
     // the representative decision string is recorded for the class.
-    let Some(Value::Object(sources)) = entry.get("sources") else { panic!("no sources") };
-    assert!(
-        matches!(sources.get("model"), Some(Value::Int(n)) if *n >= 8),
-        "model-routed samples missing: {sources:?}"
-    );
-    assert!(
-        matches!(entry.get("chosen"), Some(Value::String(s)) if !s.is_empty()),
-        "no representative decision recorded: {entry:?}"
-    );
+    assert!(entry.by_source[0] >= 8, "model-routed samples missing: {:?}", entry.by_source);
+    assert!(!entry.chosen.is_empty(), "no representative decision recorded: {entry:?}");
 
     let prom = client.stats_prometheus().expect("prometheus exposition");
     for needle in [
@@ -204,6 +155,88 @@ fn stats_json_exposes_per_class_audit_aggregates() {
         assert!(prom.contains(needle), "missing {needle:?} in exposition:\n{prom}");
     }
     handle.shutdown();
+}
+
+#[test]
+fn stats_and_incident_round_trip_through_json() {
+    // A populated daemon: traffic through both dtypes, tracing on so the
+    // incident carries spans, and a watchdog roster.
+    let handle = spawn_server(ServeConfig { trace: true, ..ServeConfig::default() });
+    run_multiplies(handle.addr(), 4);
+    let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
+    let a = fmm_dense::fill::bench_workload_t::<f32>(24, 16, 5);
+    let b = fmm_dense::fill::bench_workload_t::<f32>(16, 20, 6);
+    client.multiply(&a, &b).expect("served f32 multiply");
+
+    let stats = client.stats().expect("stats");
+    assert!(!stats.audit.is_empty() && !stats.histograms.is_empty());
+    assert_eq!(StatsSnapshot::from_json(&stats.to_json()), Ok(stats));
+
+    let incident = client.incident().expect("incident");
+    assert!(!incident.flight.is_empty() && !incident.spans.is_empty());
+    assert!(incident.watchdog.as_ref().is_some_and(|wd| !wd.components.is_empty()));
+    assert_eq!(Incident::from_json(&incident.to_json()), Ok(incident));
+    handle.shutdown();
+}
+
+#[test]
+fn malformed_documents_fail_naming_the_key() {
+    let handle = spawn_server(ServeConfig::default());
+    run_multiplies(handle.addr(), 1);
+    let text = handle.stats().to_json();
+    handle.shutdown();
+
+    // Without `counters`: the error names the section, not a zero.
+    let start = text.find("  \"counters\": {").expect("counters section");
+    let end = start + text[start..].find("\n  },\n").expect("end of counters") + 6;
+    let without = format!("{}{}", &text[..start], &text[end..]);
+    let err = StatsSnapshot::from_json(&without).expect_err("no counters");
+    assert_eq!(err.key, "counters", "{err}");
+    assert_eq!(err.reason, "missing");
+
+    // A string where a count belongs: the error names that counter.
+    let needle = "\"fmm_serve_requests_total\": ";
+    let at = text.find(needle).expect("request counter") + needle.len();
+    let digits = text[at..].find(',').expect("counter value ends");
+    let mistyped = format!("{}\"many\"{}", &text[..at], &text[at + digits..]);
+    let err = StatsSnapshot::from_json(&mistyped).expect_err("string count");
+    assert_eq!(
+        err,
+        DocError {
+            key: "counters.fmm_serve_requests_total".into(),
+            reason: "expected an integer".into()
+        }
+    );
+    assert!(err.to_string().contains("counters.fmm_serve_requests_total"), "{err}");
+}
+
+#[test]
+fn unknown_flight_and_span_kinds_stay_readable() {
+    let handle = spawn_server(ServeConfig { trace: true, ..ServeConfig::default() });
+    run_multiplies(handle.addr(), 1);
+    let mut incident = handle.incident();
+    handle.shutdown();
+
+    // A flight entry of a kind only a newer binary knows keeps its raw
+    // words and detail line; it just has no typed event.
+    let newer = FlightEntry {
+        seq: u64::MAX,
+        nanos: 1,
+        kind: "future-kind".into(),
+        words: [99, 1, 2, 3, 4],
+        detail: "recorded by a newer binary".into(),
+    };
+    assert_eq!(newer.event(), None);
+    incident.flight.push(newer.clone());
+    let decoded = Incident::from_json(&incident.to_json()).expect("a newer flight kind decodes");
+    assert_eq!(decoded.flight.last(), Some(&newer));
+
+    // A span of a kind this binary does not know is skipped; the rest stay.
+    let spans = incident.spans;
+    assert!(!spans.is_empty(), "tracing server recorded no spans");
+    let first = format!("\"kind\": \"{}\"", spans[0].kind.name());
+    let renamed = spans.to_json().replacen(&first, "\"kind\": \"FutureKind\"", 1);
+    assert_eq!(Vec::<SpanEvent>::from_json(&renamed), Ok(spans[1..].to_vec()));
 }
 
 #[test]
@@ -244,23 +277,15 @@ fn trace_dump_returns_per_request_phase_spans() {
         let _: fmm_dense::Matrix<f64> = client.recv(*id).expect("recv");
     }
 
-    let body = client.trace(0).expect("trace dump");
-    let value = json::parse(&body).expect("valid trace JSON");
-    let Value::Array(events) = &value else { panic!("trace body is not an array") };
+    let events = client.trace(0).expect("trace dump");
     assert!(!events.is_empty(), "tracing server recorded no spans");
 
     let mut kinds = std::collections::BTreeSet::new();
     let mut tagged = false;
-    for event in events {
-        let Value::Object(obj) = event else { panic!("span is not an object") };
-        let Some(Value::String(kind)) = obj.get("kind") else { panic!("span without kind") };
-        kinds.insert(kind.clone());
-        if let Some(Value::Int(id)) = obj.get("request_id") {
-            tagged |= ids.contains(&(*id as u64));
-        }
-        for key in ["start_nanos", "end_nanos"] {
-            assert!(matches!(obj.get(key), Some(Value::Int(v)) if *v >= 0), "span lacks {key}");
-        }
+    for event in &events {
+        kinds.insert(event.kind.name());
+        tagged |= ids.contains(&event.request_id);
+        assert!(event.start_nanos <= event.end_nanos, "span ends before it starts: {event:?}");
     }
     for kind in ["RequestRecv", "Admission", "QueueWait", "BatchForm", "ReplyFlush"] {
         assert!(kinds.contains(kind), "no {kind} span in {kinds:?}");
@@ -269,9 +294,6 @@ fn trace_dump_returns_per_request_phase_spans() {
 
     // `--last N` semantics: the budget bounds the dump.
     let bounded = client.trace(3).expect("bounded trace dump");
-    let Value::Array(bounded) = json::parse(&bounded).expect("valid JSON") else {
-        panic!("bounded trace body is not an array")
-    };
     assert!(bounded.len() <= 3, "last=3 returned {} spans", bounded.len());
     handle.shutdown();
 }

@@ -4,13 +4,12 @@
 //! the zero-allocation warm ingest path, version refusal, and the
 //! `retry_busy` backoff helper against real backpressure.
 
-use fmm_core::json::Value;
 use fmm_dense::{fill, norms, Matrix};
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
 use fmm_model::ArchParams;
 use fmm_serve::protocol::{self, FrameKind, HEADER_LEN, HEADER_PREFIX_LEN, VERSION_V2};
 use fmm_serve::{retry_busy, BatchPolicy, ErrorCode, PipelinedClient};
-use fmm_serve::{ServeConfig, Server, ServerHandle};
+use fmm_serve::{ServeConfig, Server, ServerHandle, StatsSnapshot};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -351,18 +350,13 @@ fn warm_path_serves_requests_without_allocating_payload_buffers() {
     let a = fill::bench_workload(16, 12, 5);
     let b = fill::bench_workload(12, 14, 6);
 
-    let misses = |stats: Value| -> i64 {
-        let Value::Object(root) = stats else { panic!("stats body is not an object") };
-        let Some(Value::Object(counters)) = root.get("counters") else { panic!("no counters") };
-        match counters.get("fmm_serve_pool_f64_misses") {
-            Some(Value::Int(n)) => *n,
-            other => panic!("pool miss counter missing: {other:?}"),
-        }
+    let misses = |stats: StatsSnapshot| -> u64 {
+        stats.counter("fmm_serve_pool_f64_misses").expect("pool miss counter")
     };
 
     // Warm the pool: the first request allocates A, B, and C buffers.
     client.multiply(&a, &b).expect("warm-up");
-    let cold_misses = misses(handle.stats_json());
+    let cold_misses = misses(handle.stats());
     assert!(cold_misses >= 3, "cold path allocated operands and result: {cold_misses}");
 
     // Steady state: same shape, every buffer comes from the pool — the
@@ -373,7 +367,7 @@ fn warm_path_serves_requests_without_allocating_payload_buffers() {
         let c_ref = fmm_gemm::reference::matmul(a.as_ref(), b.as_ref());
         assert!(norms::rel_error(c.as_ref(), c_ref.as_ref()) < 1e-12);
     }
-    let warm_misses = misses(handle.stats_json());
+    let warm_misses = misses(handle.stats());
     assert_eq!(
         warm_misses, cold_misses,
         "warm-path requests allocated payload buffers (pool misses grew)"

@@ -62,17 +62,10 @@ fn warm_serving_path_allocates_nothing_with_tracing_on() {
     handle.shutdown();
 }
 
-/// Ingest-pool misses for both dtypes, read from the registry snapshot
-/// the StatsJson frame exports.
-fn pool_misses(handle: &fmm_serve::ServerHandle) -> (i64, i64) {
-    use fmm_core::json::Value;
-    let Value::Object(root) = handle.stats_json() else { panic!("stats body is not an object") };
-    let Some(Value::Object(counters)) = root.get("counters").cloned() else {
-        panic!("no counters section")
-    };
-    let get = |name: &str| match counters.get(name) {
-        Some(Value::Int(v)) => *v,
-        other => panic!("counter {name} missing: {other:?}"),
-    };
+/// Ingest-pool misses for both dtypes, read from the stats snapshot the
+/// StatsJson frame exports.
+fn pool_misses(handle: &fmm_serve::ServerHandle) -> (u64, u64) {
+    let stats = handle.stats();
+    let get = |name: &str| stats.counter(name).unwrap_or_else(|e| panic!("{e}"));
     (get("fmm_serve_pool_f64_misses"), get("fmm_serve_pool_f32_misses"))
 }

@@ -8,11 +8,12 @@
 //! the two scenarios serialize on a local mutex instead of trusting the
 //! test harness's thread scheduling.
 
-use fmm_core::json;
 use fmm_dense::fill;
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
 use fmm_model::ArchParams;
-use fmm_serve::{BatchPolicy, PipelinedClient, ServeConfig, Server, ServerHandle};
+use fmm_serve::{
+    BatchPolicy, Document, Incident, PipelinedClient, ServeConfig, Server, ServerHandle,
+};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -55,35 +56,9 @@ fn spawn_watched(event_threads: usize) -> ServerHandle {
     .expect("bind loopback")
 }
 
-/// Pull the named section out of an incident document.
-fn section<'a>(
-    doc: &'a json::Value,
-    key: &str,
-) -> &'a std::collections::BTreeMap<String, json::Value> {
-    let json::Value::Object(root) = doc else { panic!("incident dump is an object") };
-    let Some(json::Value::Object(map)) = root.get(key) else {
-        panic!("incident dump has object section {key:?}");
-    };
-    map
-}
-
-/// Decode the typed flight events out of an incident document.
-fn flight_events(doc: &json::Value) -> Vec<fmm_obs::FlightEvent> {
-    let json::Value::Object(root) = doc else { panic!("incident dump is an object") };
-    let Some(json::Value::Array(flight)) = root.get("flight") else {
-        panic!("incident dump has a flight array");
-    };
-    flight
-        .iter()
-        .filter_map(|item| {
-            let json::Value::Object(rec) = item else { return None };
-            let num = |key: &str| match rec.get(key) {
-                Some(json::Value::Int(v)) => *v as u64,
-                _ => 0,
-            };
-            fmm_obs::FlightEvent::decode(num("kind_id"), num("a"), num("b"), num("c"), num("d"))
-        })
-        .collect()
+/// The typed flight events of an incident document.
+fn flight_events(doc: &Incident) -> Vec<fmm_obs::FlightEvent> {
+    doc.flight.iter().filter_map(fmm_serve::FlightEntry::event).collect()
 }
 
 /// An injected dispatcher wedge is detected, counted, and named: park the
@@ -107,18 +82,16 @@ fn wedged_dispatcher_is_detected_and_named() {
     // Stall deadline is 150 ms with a 100 ms check interval; allow a
     // generous CI multiple before declaring the watchdog blind.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while handle.watchdog_stalls() == 0 {
+    let stalls = || handle.stats().counter("fmm_watchdog_stalls_total").expect("stall counter");
+    while stalls() == 0 {
         assert!(Instant::now() < deadline, "watchdog never saw the wedged dispatcher");
         std::thread::sleep(Duration::from_millis(20));
     }
 
     // The stall must be attributable: a watchdog-stall flight event whose
     // component id resolves to a dispatcher in the incident dump roster.
-    let doc = handle.incident_json();
-    let wd = section(&doc, "watchdog");
-    let Some(json::Value::Array(names)) = wd.get("components") else {
-        panic!("watchdog section lists components");
-    };
+    let doc = handle.incident();
+    let names = &doc.watchdog.as_ref().expect("watchdog section lists components").components;
     let stalled = flight_events(&doc)
         .into_iter()
         .find_map(|event| match event {
@@ -126,10 +99,9 @@ fn wedged_dispatcher_is_detected_and_named() {
             _ => None,
         })
         .expect("a watchdog-stall flight event was recorded");
-    let stalled_name = match names.get(stalled as usize) {
-        Some(json::Value::String(name)) => name.clone(),
-        other => panic!("stalled component {stalled} resolves to a name, got {other:?}"),
-    };
+    let stalled_name = names
+        .get(stalled as usize)
+        .unwrap_or_else(|| panic!("stalled component {stalled} resolves to a name in {names:?}"));
     assert!(
         stalled_name.starts_with("dispatch-"),
         "stall blamed on {stalled_name:?}, expected a dispatcher"
@@ -140,7 +112,7 @@ fn wedged_dispatcher_is_detected_and_named() {
     let dir = std::env::temp_dir().join(format!("fmm-doctor-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let dump_path = dir.join("incident-wedge.json");
-    std::fs::write(&dump_path, json::to_string_pretty(&doc)).expect("write dump");
+    std::fs::write(&dump_path, doc.to_json()).expect("write dump");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_fmm_serve"))
         .arg("doctor")
         .arg(&dump_path)
@@ -153,7 +125,7 @@ fn wedged_dispatcher_is_detected_and_named() {
         "doctor names the wedged dispatcher:\n{report}"
     );
     assert!(
-        report.lines().any(|l| l.starts_with("diagnosis:") && l.contains(&stalled_name)),
+        report.lines().any(|l| l.starts_with("diagnosis:") && l.contains(stalled_name.as_str())),
         "doctor's diagnosis blames the wedged dispatcher:\n{report}"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -193,27 +165,19 @@ fn healthy_daemon_has_zero_stall_verdicts() {
     // Let the watchdog run a few check intervals over the idle-but-live
     // daemon before asking for the verdict.
     std::thread::sleep(Duration::from_millis(400));
-    assert_eq!(handle.watchdog_stalls(), 0, "healthy daemon must produce no stall verdicts");
+    assert_eq!(
+        handle.stats().counter("fmm_watchdog_stalls_total"),
+        Ok(0),
+        "healthy daemon must produce no stall verdicts"
+    );
 
     // Incident dump over the wire: schema-tagged, flight ring populated,
     // all loops and dispatchers on the watchdog roster.
-    let body = client.incident().expect("incident frame");
-    let doc = json::parse(&body).expect("incident dump is valid JSON");
-    let json::Value::Object(root) = &doc else { panic!("incident dump is an object") };
-    assert_eq!(
-        root.get("schema"),
-        Some(&json::Value::String(fmm_serve::incident::INCIDENT_SCHEMA.to_string()))
-    );
-    let wd = section(&doc, "watchdog");
-    let Some(json::Value::Array(names)) = wd.get("components") else {
-        panic!("watchdog roster present");
-    };
+    let doc = client.incident().expect("incident frame decodes, schema tag included");
+    let names = &doc.watchdog.as_ref().expect("watchdog roster present").components;
     assert_eq!(names.len(), 6, "4 event loops + 2 dispatchers on the roster: {names:?}");
     assert!(!flight_events(&doc).is_empty(), "flight ring captured the load");
-    let json::Value::Object(build) = root.get("build").expect("build section") else {
-        panic!("build section is an object");
-    };
-    assert!(build.contains_key("version") && build.contains_key("kernel_f64"));
+    assert!(!doc.build.version.is_empty() && !doc.build.kernel_f64.is_empty());
 
     drop(client);
     handle.shutdown();

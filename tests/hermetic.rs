@@ -7,7 +7,6 @@
 //! test binary as a child with that environment and does the library work
 //! there; nothing is set with `set_var` in this multi-threaded process.
 
-use fmm::core::json;
 use fmm::dense::{fill, norms, Matrix};
 use fmm::gemm::reference;
 use fmm::model::ArchParams;
@@ -123,14 +122,12 @@ fn print_routes_of_256_cubed() {
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
     let (a, b) = (fill::bench_workload(256, 256, 1), fill::bench_workload(256, 256, 2));
     client.multiply(&a, &b).expect("served multiply");
-    let stats = handle.stats_json();
-    let daemon_label = stats
-        .get("audit")
-        .and_then(|audit| audit.get("256x256x256/f64"))
-        .and_then(|row| row.get("chosen"))
-        .and_then(json::Value::as_str)
+    let daemon_label = handle
+        .stats()
+        .audit_row("256x256x256/f64")
         .expect("the daemon audited its 256x256x256/f64 decision")
-        .to_string();
+        .chosen
+        .clone();
     handle.shutdown();
     println!("route {engine_label} | {daemon_label}");
 }
