@@ -511,17 +511,37 @@ impl<T: GemmScalar> FmmEngine<T> {
         self.counters.executions.fetch_add(items.len() as u64, Ordering::Relaxed);
         // Resolve every routing decision up-front (cheap cache hits when
         // warm) so workers never contend on the decision cache.
+        let mut cold = false;
         let decisions: Vec<Decision> = items
             .iter()
-            .map(|item| self.route(item.a.rows(), item.a.cols(), item.b.cols()))
+            .map(|item| {
+                let (decision, missed) =
+                    self.route_or_miss(item.a.rows(), item.a.cols(), item.b.cols());
+                cold |= missed;
+                decision
+            })
             .collect();
 
-        let items_ptr = BatchItemsPtr(items.as_mut_ptr());
         let workers = self.workers.clamp(1, items.len().max(1));
         // Up to `workers` items execute co-resident, each packing its own
         // buffers — shrink the shared-cache panels accordingly (the same
         // discipline the BFS scheduler applies to its tasks).
         let batch_params = self.config.params.for_workers(workers);
+        if cold {
+            // Each fan-out worker checks out its own context, and how many
+            // do depends on timing; size every context a later batch can
+            // hold now, so no warm batch allocates one.
+            self.preplan_contexts(|ctx| {
+                ctx.set_params(batch_params);
+                for (item, decision) in items.iter().zip(&decisions) {
+                    if let Choice::Fmm { plan, variant, .. } = &decision.choice {
+                        let (m, k, n) = (item.a.rows(), item.a.cols(), item.b.cols());
+                        ctx.fmm_context().preplan(plan, *variant, m, k, n);
+                    }
+                }
+            });
+        }
+        let items_ptr = BatchItemsPtr(items.as_mut_ptr());
         fan_out(
             items.len(),
             workers,
@@ -616,19 +636,29 @@ impl<T: GemmScalar> FmmEngine<T> {
 
     /// Resolve (and cache) the routing decision for a shape without
     /// executing anything — composing the plan it routes to, if any —
-    /// then preplan one pooled context for it — after
-    /// this, the first `multiply` of the shape is already on the warm path.
+    /// then preplan a pooled context for it per worker. After this, the
+    /// first `multiply` of the shape is already on the warm path.
     pub fn prepare(&self, m: usize, k: usize, n: usize) {
         let decision = self.route(m, k, n);
         if let Choice::Fmm { plan, variant, strategy } = decision.choice {
-            let mut guard = self.checkout();
+            self.preplan_contexts(|ctx| {
+                if self.config.parallel {
+                    ctx.preplan(&plan, variant, strategy, self.workers, m, k, n);
+                } else {
+                    ctx.fmm_context().preplan(&plan, variant, m, k, n);
+                }
+            });
+        }
+    }
+
+    /// Check out one context per worker at once, size each with
+    /// `preplan`, and pool them all again, counting arena growth.
+    fn preplan_contexts(&self, preplan: impl Fn(&mut SchedContext<T>)) {
+        let mut guards: Vec<_> = (0..self.workers).map(|_| self.checkout()).collect();
+        for guard in &mut guards {
             let ctx = guard.ctx();
             let grows_before = ctx.grow_count();
-            if self.config.parallel {
-                ctx.preplan(&plan, variant, strategy, self.workers, m, k, n);
-            } else {
-                ctx.fmm_context().preplan(&plan, variant, m, k, n);
-            }
+            preplan(ctx);
             self.counters.arena_grows.fetch_add(ctx.grow_count() - grows_before, Ordering::Relaxed);
         }
     }
@@ -641,15 +671,20 @@ impl<T: GemmScalar> FmmEngine<T> {
     }
 
     fn route(&self, m: usize, k: usize, n: usize) -> Decision {
+        self.route_or_miss(m, k, n).0
+    }
+
+    /// The routing decision for a shape, and whether it missed the cache.
+    fn route_or_miss(&self, m: usize, k: usize, n: usize) -> (Decision, bool) {
         if let Some(hit) = self.decisions.lock().get(&(m, k, n)) {
             self.counters.decision_hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
+            return (hit, false);
         }
         self.counters.decision_misses.fetch_add(1, Ordering::Relaxed);
         let span = fmm_obs::trace::start();
         let decision = self.compute_decision(m, k, n);
         fmm_obs::trace::finish(
-            fmm_obs::SpanKind::EngineDecision,
+            fmm_obs::Kind::EngineDecision,
             fmm_obs::trace::current_request(),
             span,
         );
@@ -666,7 +701,7 @@ impl<T: GemmScalar> FmmEngine<T> {
         );
         self.compose_routed(&decision);
         self.decisions.lock().insert((m, k, n), decision.clone());
-        decision
+        (decision, true)
     }
 
     /// Run the Kronecker composition of the plan `decision` routes to, so
@@ -688,7 +723,7 @@ impl<T: GemmScalar> FmmEngine<T> {
             let span = fmm_obs::trace::start();
             plan.u();
             fmm_obs::trace::finish(
-                fmm_obs::SpanKind::PlanCompose,
+                fmm_obs::Kind::PlanCompose,
                 fmm_obs::trace::current_request(),
                 span,
             );
@@ -725,12 +760,9 @@ impl<T: GemmScalar> FmmEngine<T> {
                 // than killing the process over a routing hint.
                 None => {
                     self.counters.pinned_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    fmm_obs::flight::record(fmm_obs::FlightEvent::EngineFallback {
-                        reason: fmm_obs::flight::FallbackReason::PinnedMiss,
-                        m: m as u64,
-                        k: k as u64,
-                        n: n as u64,
-                    });
+                    let request = fmm_obs::trace::current_request();
+                    let miss = fmm_obs::Event::now(fmm_obs::Kind::PinnedMiss, request);
+                    fmm_obs::trace::record(miss.with_args([m as u64, k as u64, n as u64]));
                     let predicted = predict_gemm_parallel(m, k, n, &self.arch, self.workers);
                     Decision {
                         choice: Choice::Gemm,

@@ -6,11 +6,11 @@
 //! into the process-global histograms `fmm_gemm_pack_nanos` /
 //! `fmm_gemm_kernel_nanos`. Timing is always on: one clock read per
 //! block-sized call plus four relaxed atomics, noise next to the work
-//! being timed. Span events additionally land in the trace ring when
+//! being timed. Span events additionally land in the span ring when
 //! tracing is enabled, stamped with the request id the current thread
 //! is serving (see `fmm_obs::trace::set_current_request`).
 
-use fmm_obs::trace::{self, SpanEvent, SpanKind};
+use fmm_obs::trace::{self, Event, Kind};
 use fmm_obs::Histogram;
 use std::sync::{Arc, OnceLock};
 
@@ -31,30 +31,24 @@ pub(crate) fn phase_start() -> u64 {
 }
 
 #[inline]
-fn phase_end(kind: SpanKind, hist: &Histogram, start_nanos: u64) {
+fn phase_end(kind: Kind, hist: &Histogram, start_nanos: u64) {
     let end_nanos = trace::now_nanos();
     hist.record(end_nanos.saturating_sub(start_nanos));
     if trace::enabled() {
-        trace::record(SpanEvent {
-            kind,
-            request_id: trace::current_request(),
-            start_nanos,
-            end_nanos,
-            thread: 0,
-        });
+        trace::record(Event::span(kind, trace::current_request(), start_nanos, end_nanos));
     }
 }
 
 /// Close a packing phase opened by [`phase_start`].
 #[inline]
 pub(crate) fn pack_done(start_nanos: u64) {
-    phase_end(SpanKind::Pack, pack_hist(), start_nanos);
+    phase_end(Kind::Pack, pack_hist(), start_nanos);
 }
 
 /// Close a macro-kernel phase opened by [`phase_start`].
 #[inline]
 pub(crate) fn kernel_done(start_nanos: u64) {
-    phase_end(SpanKind::Kernel, kernel_hist(), start_nanos);
+    phase_end(Kind::Kernel, kernel_hist(), start_nanos);
 }
 
 #[cfg(test)]

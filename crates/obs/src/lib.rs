@@ -1,6 +1,6 @@
 //! Std-only observability core for the FMM serving stack.
 //!
-//! Six pieces, each usable on its own:
+//! Five pieces, each usable on its own:
 //!
 //! * [`hist`] — fixed-footprint log-bucketed histograms. Base-2 buckets
 //!   with 8 sub-buckets per octave (≤ 12.5% relative error), relaxed
@@ -11,25 +11,20 @@
 //!   lock-free on the hot path. A process-global registry
 //!   ([`global`]) serves layers (gemm, sched) that have no
 //!   server object to hang metrics off.
-//! * [`trace`] — a runtime-toggleable span recorder: per-thread
-//!   bounded rings of typed [`trace::SpanEvent`]s carrying a request
-//!   id and monotonic nanosecond timestamps. The disabled path is a
-//!   single relaxed atomic load and a branch; the enabled warm path
-//!   performs no heap allocation (rings are preallocated at first use
-//!   and overwritten in place).
+//! * [`trace`] — the event recorder: one typed [`Event`] (request
+//!   phase spans and the notable serving events) on one lock-free,
+//!   allocation-free [`Ring`] primitive. An always-on ring keeps the
+//!   notable kinds for post-mortem incident dumps; a span ring is filled
+//!   only while tracing is on, whose disabled path is a single relaxed
+//!   atomic load and a branch.
 //! * [`audit`] — decision audit: per-(shape-class, dtype) aggregates
 //!   of predicted-vs-measured multiply cost ([`audit::AuditSample`]),
 //!   model-error ratio histograms, best/worst observed GFLOP/s, and
 //!   routing-source attribution. The warm record path is lock-free and
 //!   allocation-free after the one-time table allocation.
-//! * [`flight`] — an always-on flight recorder: a fixed-capacity,
-//!   overwrite-oldest global ring of typed [`flight::FlightEvent`]s
-//!   (connection lifecycle, refusals, error frames, slow requests,
-//!   batch formation, engine fallbacks, watchdog verdicts) with
-//!   global sequence numbers, for post-mortem incident dumps.
 //! * [`watchdog`] — a liveness watchdog: serving threads publish
 //!   [`watchdog::Heartbeat`] atomics; one judging thread detects
-//!   stalled loops and wedged dispatchers, records escalating flight
+//!   stalled loops and wedged dispatchers, records escalating stall
 //!   events, and can dump-then-abort a hard-wedged process.
 //!
 //! This crate depends on nothing but `std` so every layer of the stack
@@ -38,35 +33,32 @@
 //!
 //! # Atomic-ordering policy
 //!
-//! Every atomic in this crate uses `Ordering::Relaxed`, deliberately:
-//! the counters, histogram buckets, and trace switch are monotone
-//! monitoring state — nothing synchronizes-with them, and readers
-//! tolerate staleness by design. An earlier draft of the trace switch
-//! used `SeqCst` "to be safe"; that bought nothing (the enabled check
-//! guards no data published by the store) and put a full fence on the
-//! per-request warm path. `fmm-check`'s `atomic-ordering` rule now
-//! denies `SeqCst` workspace-wide so the regression cannot silently
-//! return — if an ordering stronger than `Relaxed` is ever truly
-//! needed here, use `Acquire`/`Release` with an adjacent `// ORDERING:`
-//! comment proving the happens-before edge (see README § Static
-//! analysis).
+//! The counters, histogram buckets, and trace switch use
+//! `Ordering::Relaxed`, deliberately: they are monotone monitoring state —
+//! nothing synchronizes-with them, and readers tolerate staleness by
+//! design. An earlier draft of the trace switch used `SeqCst` "to be
+//! safe"; that bought nothing (the enabled check guards no data published
+//! by the store) and put a full fence on the per-request warm path.
+//! `fmm-check`'s `atomic-ordering` rule now denies `SeqCst` workspace-wide
+//! so the regression cannot silently return. The one place that publishes
+//! data is the ring's slot protocol, whose `Acquire`/`Release` operations
+//! and fences each carry an adjacent `// ORDERING:` comment proving the
+//! happens-before edge (see README § Static analysis).
 
 pub mod audit;
-pub mod flight;
 pub mod hist;
 pub mod registry;
 pub mod trace;
 pub mod watchdog;
 
 pub use audit::{AuditDtype, AuditEntry, AuditSample, AuditSource};
-pub use flight::{FlightEvent, FlightRecord, IncidentTrigger, RefusalReason, SlowPhase};
 pub use hist::{HistSnapshot, Histogram};
 pub use registry::{global, sanitize_metric_name, Counter, Gauge, Registry, Snapshot};
-pub use trace::{SpanEvent, SpanKind};
+pub use trace::{Event, IncidentTrigger, Kind, RefusalReason, Ring};
 pub use watchdog::{Heartbeat, WatchPolicy, Watchdog, WatchdogConfig, WatchdogHandle};
 
-/// Unit tests that touch the process-global flight ring serialize on
-/// this lock (cargo runs same-crate tests in parallel threads).
+/// Unit tests that touch the process-global rings serialize on this lock
+/// (cargo runs same-crate tests in parallel threads).
 #[cfg(test)]
 pub(crate) fn test_lock() -> &'static std::sync::Mutex<()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

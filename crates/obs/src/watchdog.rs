@@ -16,7 +16,8 @@
 //!   formed) does not move for `stall_after`. Right for dispatchers,
 //!   which legitimately block on a condvar when idle.
 //!
-//! Verdicts are recorded as escalating [`flight`] events — level 1 at
+//! Verdicts are recorded as escalating always-on [`trace`] events
+//! (`WatchdogStall`) — level 1 at
 //! `stall_after`, level 2 at `2×`, and so on, one event per escalation
 //! rather than one per tick — plus a monotone stall counter exported
 //! as `fmm_watchdog_stalls_total`. A component that resumes gets a
@@ -31,7 +32,7 @@
 //! the `warm-alloc-free` contract. All judging state lives in the
 //! watchdog thread.
 
-use crate::flight::{self, FlightEvent, IncidentTrigger};
+use crate::trace::{self, Event, IncidentTrigger, Kind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -174,7 +175,7 @@ impl Watchdog {
     }
 
     /// Register a component; the returned [`Heartbeat`] is what the
-    /// watched thread updates. The component's flight-event id is its
+    /// watched thread updates. The component's id in watchdog events is its
     /// registration index (see [`component_names`](Self::component_names)).
     pub fn register(&self, name: &str, policy: WatchPolicy) -> Arc<Heartbeat> {
         let heartbeat = Arc::new(Heartbeat::new());
@@ -187,7 +188,7 @@ impl Watchdog {
         heartbeat
     }
 
-    /// Component names in registration (= flight-event id) order.
+    /// Component names in registration (= event id) order.
     pub fn component_names(&self) -> Vec<String> {
         self.inner.components.lock().unwrap().iter().map(|c| c.name.clone()).collect()
     }
@@ -268,27 +269,24 @@ fn tick(inner: &Inner, judge: &mut Vec<JudgeState>, on_abort: &dyn Fn()) {
             if level > state.recorded_level {
                 state.recorded_level = level;
                 state.last_stalled_for = stalled_for;
-                flight::record(FlightEvent::WatchdogStall {
-                    component: id as u64,
-                    stalled_nanos: stalled_for,
-                    level,
-                });
+                let stall =
+                    Event::span(Kind::WatchdogStall, 0, now.saturating_sub(stalled_for), now);
+                trace::record(stall.with_args([id as u64, level, 0]));
                 inner.stalls.fetch_add(1, Ordering::Relaxed);
             }
             if let Some(abort_after) = abort_after {
                 if stalled_for >= abort_after {
-                    flight::record(FlightEvent::Incident {
-                        trigger: IncidentTrigger::WatchdogAbort,
-                    });
+                    let trigger = IncidentTrigger::WatchdogAbort as u64;
+                    trace::record(Event::now(Kind::Incident, 0).with_args([trigger, 0, 0]));
                     on_abort();
                     std::process::abort();
                 }
             }
         } else if state.recorded_level > 0 {
-            flight::record(FlightEvent::WatchdogRecovered {
-                component: id as u64,
-                stalled_nanos: state.last_stalled_for,
-            });
+            let start = now.saturating_sub(state.last_stalled_for);
+            trace::record(
+                Event::span(Kind::WatchdogRecovered, 0, start, now).with_args([id as u64, 0, 0]),
+            );
             state.recorded_level = 0;
         }
     }
@@ -320,7 +318,7 @@ mod tests {
 
     #[test]
     fn watchdog_verdicts_end_to_end() {
-        // The flight ring is process-global; serialize with the other
+        // The always-on ring is process-global; serialize with the other
         // ring-touching test in this crate.
         let _guard = crate::test_lock().lock().unwrap_or_else(|e| e.into_inner());
 
@@ -338,12 +336,10 @@ mod tests {
             "silent component never judged stalled"
         );
         // The stall named the silent component, not the lively one.
-        let stalls: Vec<u64> = flight::snapshot()
+        let stalls: Vec<u64> = trace::recent(0)
             .iter()
-            .filter_map(|r| match r.event {
-                FlightEvent::WatchdogStall { component, .. } => Some(component),
-                _ => None,
-            })
+            .filter(|e| e.kind == Kind::WatchdogStall)
+            .map(|e| e.args[0])
             .collect();
         assert!(stalls.contains(&0), "stall verdicts: {stalls:?}");
         assert!(!stalls.contains(&1), "lively component must stay healthy: {stalls:?}");
@@ -353,9 +349,7 @@ mod tests {
             wait_until(2_000, || {
                 silent.beat();
                 lively.beat();
-                flight::snapshot()
-                    .iter()
-                    .any(|r| matches!(r.event, FlightEvent::WatchdogRecovered { component: 0, .. }))
+                trace::recent(0).iter().any(|e| e.kind == Kind::WatchdogRecovered && e.args[0] == 0)
             }),
             "recovered component never acknowledged"
         );
@@ -387,12 +381,11 @@ mod tests {
             "wedged dispatcher never escalated (stalls={})",
             wd.stalls_total()
         );
-        let wedge = flight::snapshot().into_iter().rev().find_map(|r| match r.event {
-            FlightEvent::WatchdogStall { component: 0, stalled_nanos, level } => {
-                Some((stalled_nanos, level))
-            }
-            _ => None,
-        });
+        let wedge = trace::recent(0)
+            .into_iter()
+            .rev()
+            .find(|e| e.kind == Kind::WatchdogStall && e.args[0] == 0)
+            .map(|e| (e.nanos(), e.args[1]));
         let (stalled_nanos, level) = wedge.expect("wedge verdict recorded");
         assert!(level >= 2, "escalation level grows: {level}");
         assert!(stalled_nanos >= 40_000_000, "stall duration measured: {stalled_nanos}");

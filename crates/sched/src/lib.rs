@@ -463,13 +463,9 @@ fn bfs_core<T: GemmScalar>(
             let t1 = fmm_obs::trace::now_nanos();
             task_hist().record(t1.saturating_sub(t0));
             if fmm_obs::trace::enabled() {
-                fmm_obs::trace::record(fmm_obs::SpanEvent {
-                    kind: fmm_obs::SpanKind::TaskExec,
-                    request_id: fmm_obs::trace::current_request(),
-                    start_nanos: t0,
-                    end_nanos: t1,
-                    thread: 0,
-                });
+                let request = fmm_obs::trace::current_request();
+                let task = fmm_obs::Event::span(fmm_obs::Kind::TaskExec, request, t0, t1);
+                fmm_obs::trace::record(task);
             }
         },
     );
@@ -490,11 +486,7 @@ fn bfs_core<T: GemmScalar>(
                 let mr = unsafe { slots.mr(r) };
                 ops::axpy(dest.reborrow(), T::from_f64(w), mr).expect("block shapes agree");
             }
-            fmm_obs::trace::finish(
-                fmm_obs::SpanKind::Merge,
-                fmm_obs::trace::current_request(),
-                span,
-            );
+            fmm_obs::trace::finish(fmm_obs::Kind::Merge, fmm_obs::trace::current_request(), span);
         },
     );
 
@@ -643,13 +635,9 @@ fn hybrid_core<T: GemmScalar>(
             let t1 = fmm_obs::trace::now_nanos();
             task_hist().record(t1.saturating_sub(t0));
             if fmm_obs::trace::enabled() {
-                fmm_obs::trace::record(fmm_obs::SpanEvent {
-                    kind: fmm_obs::SpanKind::TaskExec,
-                    request_id: fmm_obs::trace::current_request(),
-                    start_nanos: t0,
-                    end_nanos: t1,
-                    thread: 0,
-                });
+                let request = fmm_obs::trace::current_request();
+                let task = fmm_obs::Event::span(fmm_obs::Kind::TaskExec, request, t0, t1);
+                fmm_obs::trace::record(task);
             }
         },
     );

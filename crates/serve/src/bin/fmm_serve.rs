@@ -28,17 +28,18 @@
 //!
 //! `stats` fetches the stats snapshot (counters, gauges, per-phase latency
 //! histograms, decision audit) as JSON; `--prom` fetches the same snapshot
-//! as Prometheus plaintext. `trace` dumps recent request
-//! phase spans from a server running with `--trace` (or `FMM_TRACE=1`) as
-//! a per-request timeline, or as a chrome://tracing JSON file with
-//! `--chrome FILE`.
+//! as Prometheus plaintext. `trace` dumps the recorder's recent events —
+//! the always-on ones, plus the request phase spans of a server running
+//! with `--trace` (or `FMM_TRACE=1`) — as per-request timelines, or as a
+//! chrome://tracing JSON file with `--chrome FILE`.
 //!
 //! `doctor` is the offline incident analyzer: given a dump written by a
 //! `--incident-dir` daemon (on SIGTERM/SIGINT, panic, or watchdog abort)
-//! or fetched over the wire, it decodes it (schema tag included),
-//! reconstructs the flight-recorder timeline, names any stalled watchdog component,
-//! ranks slow requests by their dominant phase, summarizes error and
-//! refusal bursts, and closes with a one-line diagnosis.
+//! or fetched over the wire, it decodes it (schema tag included), reads
+//! the same event list, names any stalled watchdog component, ranks slow
+//! requests by their dominant phase, summarizes error and refusal bursts,
+//! prints the timeline of notable events, and closes with a one-line
+//! diagnosis.
 //!
 //! `audit` reads the decision-audit section of the stats snapshot and
 //! ranks shape classes by model error `|log2(predicted/measured)|`;
@@ -55,10 +56,10 @@
 
 use fmm_dense::{fill, norms, Matrix};
 use fmm_obs::audit::SOURCE_NAMES;
-use fmm_obs::AuditEntry;
+use fmm_obs::{AuditEntry, Event, Kind, RefusalReason};
 use fmm_serve::{
-    BatchPolicy, BuildInfo, Document, ErrorCode, FlightEntry, Incident, PipelinedClient,
-    ServeConfig, Server, StatsSnapshot,
+    BatchPolicy, BuildInfo, Document, ErrorCode, Incident, Logged, PipelinedClient, ServeConfig,
+    Server, StatsSnapshot,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -468,65 +469,58 @@ fn cmd_top(o: &Options) {
     }
 }
 
-/// Fetch recent tracing spans and render them as per-request phase
+/// Fetch the recorder's recent events and render them as per-request
 /// timelines (or a chrome://tracing JSON file with `--chrome`).
 fn cmd_trace(o: &Options) {
-    let events = or_exit(connect(o).trace(o.last), "trace failed");
+    let logged = or_exit(connect(o).trace(o.last), "trace failed");
+    let events: Vec<Event> = logged.iter().map(|l| l.event).collect();
     if events.is_empty() {
-        println!("no spans recorded (is the server running with --trace / FMM_TRACE=1?)");
+        println!("no events recorded");
         return;
     }
     if let Some(path) = &o.chrome {
         let json = fmm_obs::trace::chrome_trace(&events);
         or_exit(std::fs::write(path, json), &format!("cannot write {path}"));
-        println!("{} spans written to {path} (chrome://tracing format)", events.len());
+        println!("{} events written to {path} (chrome://tracing format)", events.len());
         return;
     }
     print_timelines(&events);
 }
 
-/// Group spans by request id and print each request's phases in start
-/// order, timestamps relative to the earliest span in the dump.
-fn print_timelines(events: &[fmm_obs::SpanEvent]) {
+/// Group events by request id and print each request's in start order,
+/// timestamps relative to the earliest event in the dump.
+fn print_timelines(events: &[Event]) {
     let epoch = events.iter().map(|e| e.start_nanos).min().unwrap_or(0);
-    let mut by_request: std::collections::BTreeMap<u64, Vec<&fmm_obs::SpanEvent>> =
-        std::collections::BTreeMap::new();
+    let mut by_request: BTreeMap<u64, Vec<&Event>> = BTreeMap::new();
     for e in events {
         by_request.entry(e.request_id).or_default().push(e);
     }
     for (request_id, mut spans) in by_request {
         spans.sort_by_key(|e| (e.start_nanos, e.end_nanos));
         if request_id == 0 {
-            println!("untagged spans (no request id):");
+            println!("untagged events (no request id):");
         } else {
             println!("request {request_id}:");
         }
         for e in spans {
             let at_ms = (e.start_nanos - epoch) as f64 / 1e6;
-            let dur_us = e.end_nanos.saturating_sub(e.start_nanos) as f64 / 1e3;
-            if dur_us == 0.0 {
-                println!("  {:<14} @ {at_ms:>10.3} ms  (thread {})", e.kind.name(), e.thread);
-            } else {
-                println!(
-                    "  {:<14} @ {at_ms:>10.3} ms  +{dur_us:>9.1} us  (thread {})",
-                    e.kind.name(),
-                    e.thread
-                );
-            }
+            let dur = match e.nanos() {
+                0 => String::new(),
+                nanos => format!("  +{:>9.1} us", nanos as f64 / 1e3),
+            };
+            println!("  {:<14} @ {at_ms:>10.3} ms{dur}  (thread {})", e.kind.name(), e.thread);
         }
     }
 }
 
 /// Offline incident analyzer: decode a dump produced by `--incident-dir`
-/// (or fetched over the wire) and turn the raw flight ring + watchdog
-/// roster + counters into a post-mortem story: what tripped the dump,
-/// which component (if any) was stalled, which connection was busiest,
-/// where the slowest requests spent their time, and whether errors or
-/// refusals were bursting. Exits 1 on a missing file or a document that
-/// does not decode as an incident (foreign schema tag included), naming
-/// the offending key.
+/// (or fetched over the wire) and turn its events, watchdog roster and
+/// counters into a post-mortem story: what tripped the dump, which
+/// component (if any) was stalled, which connection was busiest, where the
+/// slowest requests spent their time, and whether errors or refusals were
+/// bursting. Exits 1 on a missing file or a document that does not decode
+/// as an incident (foreign schema tag included), naming the offending key.
 fn cmd_doctor(path: &str) {
-    use fmm_obs::FlightEvent;
     let text =
         or_exit(std::fs::read_to_string(path), &format!("fmm_serve doctor: cannot read {path}"));
     let doc = or_exit(
@@ -536,7 +530,7 @@ fn cmd_doctor(path: &str) {
     let trigger = doc.trigger.as_str();
     println!("incident: {trigger} — {}", doc.build);
 
-    // Watchdog roster: component ids in flight events index this list.
+    // Watchdog roster: component ids in watchdog events index this list.
     let (components, stalls_total) =
         doc.watchdog.as_ref().map_or((&[][..], 0), |wd| (&wd.components[..], wd.stalls_total));
     if doc.watchdog.is_some() {
@@ -552,37 +546,31 @@ fn cmd_doctor(path: &str) {
         components.get(id as usize).cloned().unwrap_or_else(|| format!("component #{id}"))
     };
 
-    if doc.flight.is_empty() {
-        println!("flight recorder: empty (daemon recorded no events before the dump)");
+    // The notable events tell the story; a traced daemon's spans ride along
+    // in the dump for `trace`-style reading.
+    let notable: Vec<&Logged> = doc.events.iter().filter(|l| l.event.kind.always_on()).collect();
+    if notable.is_empty() {
+        println!("event recorder: empty (daemon recorded no events before the dump)");
     }
-    // One typed pass over the ring. It skips entries of kinds this binary
-    // does not know; the timeline below still shows their recorded detail.
     let mut stalls: Vec<(u64, u64, u64)> = Vec::new();
-    let mut slow: Vec<(u64, u64, fmm_obs::SlowPhase, u64)> = Vec::new();
+    let mut slow: Vec<&Event> = Vec::new();
     let (mut conns_accepted, mut busiest) = (0u64, None::<(u64, u64)>);
     let (mut errors, mut refusals) = (BTreeMap::<String, u64>::new(), BTreeMap::new());
-    for event in doc.flight.iter().filter_map(FlightEntry::event) {
-        match event {
-            FlightEvent::WatchdogStall { component, stalled_nanos, level } => {
-                stalls.push((component, stalled_nanos, level))
-            }
-            FlightEvent::SlowRequest { request_id, total_nanos, phase, phase_nanos } => {
-                slow.push((request_id, total_nanos, phase, phase_nanos))
-            }
-            FlightEvent::ConnAccepted { .. } => conns_accepted += 1,
+    for Logged { event, .. } in &notable {
+        let [a, b, _] = event.args;
+        match event.kind {
+            Kind::WatchdogStall => stalls.push((a, event.nanos(), b)),
+            Kind::SlowRequest => slow.push(event),
+            Kind::ConnAccepted => conns_accepted += 1,
             // The daemon closes every connection during drain, so a
             // SIGTERM dump sees every tally.
-            FlightEvent::ConnClosed { conn, requests }
-                if busiest.is_none_or(|(_, best)| requests > best) =>
-            {
-                busiest = Some((conn, requests))
-            }
-            FlightEvent::ErrorSent { code, .. } => {
-                let name = u8::try_from(code).ok().and_then(ErrorCode::from_u8);
+            Kind::ConnClosed if busiest.is_none_or(|(_, best)| b > best) => busiest = Some((a, b)),
+            Kind::ErrorSent => {
+                let name = u8::try_from(b).ok().and_then(ErrorCode::from_u8);
                 *errors.entry(name.map_or("unknown".into(), |c| c.to_string())).or_default() += 1;
             }
-            FlightEvent::AdmissionRefused { reason, .. } => {
-                *refusals.entry(reason.name().to_string()).or_default() += 1
+            Kind::AdmissionRefused => {
+                *refusals.entry(RefusalReason::name_of(b).to_string()).or_default() += 1
             }
             _ => {}
         }
@@ -608,16 +596,19 @@ fn cmd_doctor(path: &str) {
         }
         None => println!("connections: none recorded"),
     }
-    // Slow requests, ranked by total latency, attributed to their
-    // dominant phase.
-    slow.sort_by_key(|&(_, total, _, _)| std::cmp::Reverse(total));
-    if let Some(&(request_id, total_nanos, phase, phase_nanos)) = slow.first() {
+    // Slow requests, ranked by total latency, attributed to the larger of
+    // their queue wait and execution.
+    slow.sort_by_key(|e| std::cmp::Reverse(e.nanos()));
+    if let Some(e) = slow.first() {
+        let [wait, execute, _] = e.args;
+        let (phase, phase_nanos) =
+            if wait > execute { ("queue-wait", wait) } else { ("execute", execute) };
         println!(
-            "slow requests: {} over threshold; slowest request {request_id} took {:.3} s, \
-             dominated by {} ({:.3} s)",
+            "slow requests: {} over threshold; slowest request {} took {:.3} s, \
+             dominated by {phase} ({:.3} s)",
             slow.len(),
-            total_nanos as f64 / 1e9,
-            phase.name(),
+            e.request_id,
+            e.nanos() as f64 / 1e9,
             phase_nanos as f64 / 1e9,
         );
     } else {
@@ -634,21 +625,16 @@ fn cmd_doctor(path: &str) {
         println!("admission refusals: {}", tally(&refusals));
     }
 
-    // Timeline: the tail of the ring, timestamps relative to the oldest
-    // retained event.
-    let epoch = doc.flight.iter().map(|e| e.nanos).min().unwrap_or(0);
+    // Timeline: the tail of the notable events, each in the writing
+    // binary's words, timestamps relative to the oldest retained one.
+    let epoch = notable.iter().map(|l| l.event.end_nanos).min().unwrap_or(0);
     const TIMELINE_TAIL: usize = 20;
-    let start = doc.flight.len().saturating_sub(TIMELINE_TAIL);
-    if !doc.flight.is_empty() {
-        println!("timeline (last {} of {} events):", doc.flight.len() - start, doc.flight.len());
-        for e in &doc.flight[start..] {
-            let at = e.nanos.saturating_sub(epoch) as f64 / 1e9;
-            let line = match e.event() {
-                Some(ev) => ev.describe(),
-                None if !e.detail.is_empty() => e.detail.clone(),
-                None => "unknown event".to_string(),
-            };
-            println!("  +{at:>9.3}s  {line}");
+    let start = notable.len().saturating_sub(TIMELINE_TAIL);
+    if !notable.is_empty() {
+        println!("timeline (last {} of {} events):", notable.len() - start, notable.len());
+        for l in &notable[start..] {
+            let at = l.event.end_nanos.saturating_sub(epoch) as f64 / 1e9;
+            println!("  +{at:>9.3}s  {}", l.detail);
         }
     }
 
@@ -662,7 +648,7 @@ fn cmd_doctor(path: &str) {
     } else if stalls_total > 0 {
         println!(
             "diagnosis: {stalls_total} watchdog stalls counted but none retained in the \
-             flight ring — raise FLIGHT_CAPACITY or dump sooner"
+             always-on ring — raise trace::ALWAYS_ON_CAPACITY or dump sooner"
         );
     } else {
         match trigger {

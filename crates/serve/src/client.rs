@@ -18,9 +18,8 @@ use crate::protocol::{
     self, decode_error, decode_response, encode_request, ErrorCode, Frame, FrameError, FrameKind,
     WireScalar, VERSION_V2,
 };
-use crate::snapshot::{Document, Incident, StatsSnapshot};
+use crate::snapshot::{Document, Incident, Logged, StatsSnapshot};
 use fmm_dense::Matrix;
-use fmm_obs::SpanEvent;
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -204,10 +203,10 @@ impl PipelinedClient {
         self.text_reply(FrameKind::StatsJson, b"prometheus")
     }
 
-    /// Fetch the most recent `last` tracing spans (`0` = everything the
-    /// per-thread rings retain). Empty unless the server runs with tracing
-    /// enabled (`--trace` / `FMM_TRACE=1`).
-    pub fn trace(&mut self, last: u64) -> Result<Vec<SpanEvent>, ClientError> {
+    /// Fetch the most recent `last` recorded events (`0` = everything the
+    /// rings retain): the always-on events, plus the request phase spans
+    /// when the server runs with tracing (`--trace` / `FMM_TRACE=1`).
+    pub fn trace(&mut self, last: u64) -> Result<Vec<Logged>, ClientError> {
         let payload = if last == 0 { Vec::new() } else { last.to_le_bytes().to_vec() };
         self.document(FrameKind::Trace, &payload)
     }

@@ -22,7 +22,7 @@ use crate::buffers::{BufferPool, PooledBuf, WireBuf};
 use crate::metrics::Metrics;
 use fmm_engine::{BatchItem, FmmEngine};
 use fmm_gemm::GemmScalar;
-use fmm_obs::flight::{self, FlightEvent, SlowPhase};
+use fmm_obs::trace::{self, Event, Kind};
 use fmm_obs::Heartbeat;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -249,20 +249,19 @@ impl<T> BatchQueue<T> {
 }
 
 /// Observability sidecar for one dispatcher thread: the watchdog
-/// heartbeat it publishes, its flight-recorder component id, and the
-/// slow-request threshold. [`run_dispatcher`] runs with the default
-/// (no heartbeat, no slow threshold); the server passes a configured
-/// one through [`run_dispatcher_observed`].
+/// heartbeat it publishes, its id in `BatchForm` events, and the
+/// slow-request threshold. `DispatchObs::default()` publishes no
+/// heartbeat and records no slow requests.
 #[derive(Default)]
 pub struct DispatchObs {
     /// Heartbeat the watchdog judges this dispatcher by (progress =
     /// batches formed). `None` disables publishing.
     pub heartbeat: Option<Arc<Heartbeat>>,
-    /// Flight-event `dispatcher` field for batches formed here.
+    /// The `dispatcher` arg of the `BatchForm` events recorded here.
     pub dispatcher_id: u64,
-    /// Requests whose total latency reaches this record a
-    /// [`FlightEvent::SlowRequest`] with their dominant phase.
-    /// `None` disables slow-request flight events.
+    /// Requests whose total latency reaches this record a `SlowRequest`
+    /// event with their queue-wait and execute split. `None` disables
+    /// slow-request events.
     pub slow_threshold: Option<Duration>,
 }
 
@@ -273,19 +272,6 @@ pub struct DispatchObs {
 /// Runs on a dedicated thread per dtype; returns when the queue is closed
 /// and fully drained, so in-flight requests complete across a shutdown.
 pub fn run_dispatcher<T: GemmScalar>(
-    queue: &BatchQueue<T>,
-    engine: &FmmEngine<T>,
-    pool: &BufferPool<T>,
-    policy: BatchPolicy,
-    metrics: &Arc<Metrics>,
-) where
-    WireBuf: From<PooledBuf<T>>,
-{
-    run_dispatcher_observed(queue, engine, pool, policy, metrics, &DispatchObs::default());
-}
-
-/// [`run_dispatcher`] with watchdog/flight-recorder instrumentation.
-pub fn run_dispatcher_observed<T: GemmScalar>(
     queue: &BatchQueue<T>,
     engine: &FmmEngine<T>,
     pool: &BufferPool<T>,
@@ -303,9 +289,10 @@ pub fn run_dispatcher_observed<T: GemmScalar>(
             std::thread::sleep(Duration::from_millis(1));
         }
         let Some(first) = queue.pop_first() else { break };
-        // Spans the whole coalescing window, from the job that opened the
-        // batch to execution start; tagged with the opener's request id.
-        let batch_open = fmm_obs::trace::start();
+        // The `BatchForm` event spans the whole coalescing window, from the
+        // job that opened the batch to execution start; tagged with the
+        // opener's request id.
+        let batch_open = trace::now_nanos();
         let opener_id = first.reply.request_id;
         let mut jobs = Vec::with_capacity(max_batch.min(64));
         jobs.push(first);
@@ -334,23 +321,20 @@ pub fn run_dispatcher_observed<T: GemmScalar>(
         }
 
         let exec_start = Instant::now();
-        let batch_formed = fmm_obs::trace::now_nanos();
-        fmm_obs::trace::finish(fmm_obs::SpanKind::BatchForm, opener_id, batch_open);
+        let batch_formed = trace::now_nanos();
+        let batch = Event::span(Kind::BatchForm, opener_id, batch_open, batch_formed);
+        let depth = queue.depth() as u64;
+        trace::record(batch.with_args([obs.dispatcher_id, jobs.len() as u64, depth]));
         for job in &jobs {
             let wait = exec_start - job.enqueued;
             metrics.record_queue_wait(wait);
-            if fmm_obs::trace::enabled() {
+            if trace::enabled() {
                 // The wait span ends where the batch starts executing;
                 // its start is reconstructed from the measured wait so no
                 // clock read happens on the admission path.
-                let wait_nanos = u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX);
-                fmm_obs::trace::record(fmm_obs::SpanEvent {
-                    kind: fmm_obs::SpanKind::QueueWait,
-                    request_id: job.reply.request_id,
-                    start_nanos: batch_formed.saturating_sub(wait_nanos).max(1),
-                    end_nanos: batch_formed,
-                    thread: 0,
-                });
+                let start = batch_formed.saturating_sub(nanos(wait)).max(1);
+                let id = job.reply.request_id;
+                trace::record(Event::span(Kind::QueueWait, id, start, batch_formed));
             }
         }
         // One pooled result buffer per job, zeroed because the engine
@@ -380,13 +364,7 @@ pub fn run_dispatcher_observed<T: GemmScalar>(
             engine.multiply_batch(&mut items);
         }
         metrics.record_batch(jobs.len());
-        flight::record(FlightEvent::BatchFormed {
-            dispatcher: obs.dispatcher_id,
-            batch: jobs.len() as u64,
-            depth: queue.depth() as u64,
-        });
         if let Some(hb) = &obs.heartbeat {
-            hb.beat();
             hb.progress();
         }
         let service = exec_start.elapsed();
@@ -394,24 +372,14 @@ pub fn run_dispatcher_observed<T: GemmScalar>(
             metrics.record_service(service);
             let total = job.enqueued.elapsed();
             metrics.record_latency(total);
-            if let Some(threshold) = obs.slow_threshold {
-                if total >= threshold {
-                    // The serve/flush phase happens after hand-off and is
-                    // not visible here, so the dominant phase is whichever
-                    // half of the dispatch latency was larger.
-                    let wait = total.saturating_sub(service);
-                    let (phase, phase_nanos) = if wait > service {
-                        (SlowPhase::QueueWait, wait.as_nanos())
-                    } else {
-                        (SlowPhase::Execute, service.as_nanos())
-                    };
-                    flight::record(FlightEvent::SlowRequest {
-                        request_id: job.reply.request_id,
-                        total_nanos: u64::try_from(total.as_nanos()).unwrap_or(u64::MAX),
-                        phase,
-                        phase_nanos: u64::try_from(phase_nanos).unwrap_or(u64::MAX),
-                    });
-                }
+            if obs.slow_threshold.is_some_and(|threshold| total >= threshold) {
+                // The reply is written after hand-off, out of sight here,
+                // so the split is queue wait against execution.
+                let now = trace::now_nanos();
+                let start = now.saturating_sub(nanos(total));
+                let slow = Event::span(Kind::SlowRequest, job.reply.request_id, start, now);
+                let wait = total.saturating_sub(service);
+                trace::record(slow.with_args([nanos(wait), nanos(service), 0]));
             }
             result.host_to_wire();
             let Job { a, b, m, n, reply, .. } = job;
@@ -431,6 +399,11 @@ pub fn run_dispatcher_observed<T: GemmScalar>(
     }
 }
 
+/// A duration in whole nanoseconds, saturating.
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,7 +413,6 @@ mod tests {
     use fmm_engine::EngineConfig;
     use fmm_gemm::BlockingParams;
     use fmm_model::ArchParams;
-    use std::thread;
 
     /// A sequential engine with tiny blocking and the paper machine's
     /// constants (no host calibration in a unit test).
@@ -572,9 +544,7 @@ mod tests {
             max_batch: 8,
             straggler_gap: Duration::from_millis(50),
         };
-        thread::scope(|s| {
-            s.spawn(|| run_dispatcher(&queue, &engine, &pools.f64, policy, &metrics));
-        });
+        run_dispatcher(&queue, &engine, &pools.f64, policy, &metrics, &DispatchObs::default());
 
         let mut got = sink.wait_for(6);
         got.sort_by_key(|(id, _)| *id);
@@ -604,9 +574,7 @@ mod tests {
         queue.close();
         let policy =
             BatchPolicy { window: Duration::ZERO, max_batch: 1, straggler_gap: Duration::ZERO };
-        thread::scope(|s| {
-            s.spawn(|| run_dispatcher(&queue, &engine, &pools.f64, policy, &metrics));
-        });
+        run_dispatcher(&queue, &engine, &pools.f64, policy, &metrics, &DispatchObs::default());
         sink.wait_for(3);
         let snap = metrics.snapshot();
         assert_eq!(snap.batches, 3);
@@ -628,9 +596,7 @@ mod tests {
             queue.close();
             let policy =
                 BatchPolicy { window: Duration::ZERO, max_batch: 4, straggler_gap: Duration::ZERO };
-            thread::scope(|s| {
-                s.spawn(|| run_dispatcher(&queue, &engine, &pools.f64, policy, &metrics));
-            });
+            run_dispatcher(&queue, &engine, &pools.f64, policy, &metrics, &DispatchObs::default());
         }
         sink.wait_for(2);
         let misses_after_warm = pools.f64.stats().misses;
@@ -643,9 +609,7 @@ mod tests {
         queue.close();
         let policy =
             BatchPolicy { window: Duration::ZERO, max_batch: 4, straggler_gap: Duration::ZERO };
-        thread::scope(|s| {
-            s.spawn(|| run_dispatcher(&queue, &engine, &pools.f64, policy, &metrics));
-        });
+        run_dispatcher(&queue, &engine, &pools.f64, policy, &metrics, &DispatchObs::default());
         sink.wait_for(1);
         assert_eq!(
             pools.f64.stats().misses,

@@ -2,7 +2,7 @@
 //! traps.
 //!
 //! The server composes the incident document itself (it owns the
-//! registry, audit table, watchdog roster, and flight ring, and
+//! registry, audit table, watchdog roster, and event rings, and
 //! [`crate::snapshot::Incident`] owns the format); this module owns the
 //! parts that touch the outside world:
 //!
@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn incident_file_written_atomically_with_unique_names() {
         let dir = std::env::temp_dir().join(format!("fmm-incident-test-{}", std::process::id()));
-        let doc = r#"{"schema": "fmm-incident-v1"}"#;
+        let doc = r#"{"schema": "fmm-incident-v2"}"#;
         let p1 = write_incident_file(&dir, "sigterm", 0, doc).expect("first dump");
         let p2 = write_incident_file(&dir, "sigterm", 1, doc).expect("second dump");
         assert_ne!(p1, p2, "dump names must not collide");

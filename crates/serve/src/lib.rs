@@ -34,9 +34,11 @@
 //!   ingest-pool occupancy and per-dtype `EngineStats` snapshots — served
 //!   as one typed [`StatsSnapshot`] ([`snapshot`], which owns every JSON
 //!   document the daemon writes and reads) in JSON (`StatsJson`) or its
-//!   Prometheus plaintext rendering; with tracing enabled
-//!   ([`ServeConfig::trace`] / `FMM_TRACE=1`), every request phase records
-//!   a span retrievable over the wire (`Trace`);
+//!   Prometheus plaintext rendering; the notable events (connections,
+//!   refusals, batches, slow requests, watchdog verdicts) are always
+//!   recorded, and with tracing enabled ([`ServeConfig::trace`] /
+//!   `FMM_TRACE=1`) every request phase records a span too, all
+//!   retrievable over the wire (`Trace`);
 //! * **the client library** ([`client`]): [`PipelinedClient`]
 //!   (out-of-order responses matched by request id; a blocking call is a
 //!   pipeline of depth one), the [`client::retry_busy`] backoff helper,
@@ -102,4 +104,4 @@ pub use dispatch::{
 pub use metrics::{LatencyStats, Metrics, MetricsSnapshot};
 pub use protocol::{Dtype, ErrorCode, Frame, FrameError, FrameKind, WireScalar};
 pub use server::{ServeConfig, Server, ServerHandle};
-pub use snapshot::{BuildInfo, DocError, Document, FlightEntry, Incident, StatsSnapshot};
+pub use snapshot::{BuildInfo, DocError, Document, Incident, Logged, StatsSnapshot};

@@ -113,13 +113,13 @@ pub enum FrameKind {
     StatsJson = 9,
     /// Both directions: client payload is an optional 8-byte LE count
     /// ("last N events", 0/absent = all retained); server replies with
-    /// recent tracing span events as UTF-8 JSON.
+    /// the recorder's recent events as UTF-8 JSON.
     Trace = 10,
     /// Both directions: client sends an empty payload, server replies
     /// with a self-contained incident dump (build/config fingerprint,
-    /// registry snapshot, audit table, recent spans, flight-recorder
-    /// ring) as UTF-8 JSON — the same document a SIGTERM/panic dump
-    /// writes to `--incident-dir`.
+    /// registry snapshot, audit table, recorded events) as UTF-8 JSON —
+    /// the same document a SIGTERM/panic dump writes to
+    /// `--incident-dir`.
     Incident = 11,
 }
 

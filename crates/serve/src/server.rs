@@ -27,20 +27,20 @@
 use crate::buffers::IngestPools;
 use crate::conn::{DecodeStep, Decoder, InEvent, WriteQueue};
 use crate::dispatch::{
-    run_dispatcher_observed, BatchPolicy, BatchQueue, Completion, CompletionSink, ConnAddr,
-    DispatchObs, Job, Refusal, ReplySink,
+    run_dispatcher, BatchPolicy, BatchQueue, Completion, CompletionSink, ConnAddr, DispatchObs,
+    Job, Refusal, ReplySink,
 };
 use crate::incident;
 use crate::metrics::Metrics;
 use crate::poller::{Interest, Poller, Waker, WAKE_TOKEN};
 use crate::protocol::{self, ErrorCode, FrameKind, RequestDims, HEADER_LEN, RESPONSE_PRELUDE};
 use crate::snapshot::{
-    BuildInfo, ConfigPrint, Document, FlightEntry, Incident, StatsSnapshot, WatchdogRoster,
+    recent_events, BuildInfo, ConfigPrint, Document, Incident, StatsSnapshot, WatchdogRoster,
 };
 use fmm_engine::{ArchSource, EngineConfig, EngineStats, FmmEngine};
 use fmm_gemm::BlockingParams;
-use fmm_obs::flight::{self, FlightEvent, IncidentTrigger, RefusalReason};
-use fmm_obs::{Heartbeat, SpanKind, WatchPolicy, Watchdog, WatchdogConfig, WatchdogHandle};
+use fmm_obs::trace::{self, Event, IncidentTrigger, Kind, RefusalReason};
+use fmm_obs::{Heartbeat, WatchPolicy, Watchdog, WatchdogConfig, WatchdogHandle};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -104,8 +104,8 @@ pub struct ServeConfig {
     /// one can coexist in one process, as the benchmarks do).
     pub trace: bool,
     /// Run the liveness watchdog: event loops and dispatchers publish
-    /// heartbeats, one judging thread records stall/recovery flight
-    /// events and the `fmm_watchdog_stalls_total` counter.
+    /// heartbeats, one judging thread records stall/recovery events and
+    /// the `fmm_watchdog_stalls_total` counter.
     pub watchdog: bool,
     /// A component is judged stalled after this long without a beat
     /// (event loops) or without progress while work is pending
@@ -115,7 +115,7 @@ pub struct ServeConfig {
     /// persists this long. `None` = never abort.
     pub watchdog_abort_after: Option<Duration>,
     /// Requests whose dispatch latency reaches this threshold record a
-    /// `slow-request` flight event with their dominant phase.
+    /// `SlowRequest` event with their queue-wait and execute split.
     pub slow_threshold: Duration,
     /// Directory incident dumps are written to (atomic temp+rename) on
     /// SIGTERM/SIGINT, panic, or watchdog abort. `None` disables
@@ -292,9 +292,8 @@ impl Shared {
                 components: wd.component_names(),
                 stalls_total: wd.stalls_total(),
             }),
-            flight: flight::snapshot().iter().map(FlightEntry::from).collect(),
+            events: recent_events(0),
             stats: self.snapshot(),
-            spans: fmm_obs::trace::recent(256),
         }
     }
 
@@ -364,7 +363,7 @@ impl Server {
             ));
         }
         if config.trace {
-            fmm_obs::trace::set_enabled(true);
+            trace::set_enabled(true);
         }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -449,7 +448,7 @@ impl Server {
                 thread::Builder::new()
                     .name("fmm-serve-dispatch-f64".into())
                     .spawn(move || {
-                        run_dispatcher_observed(
+                        run_dispatcher(
                             &shared.queue_f64,
                             &shared.engine_f64,
                             &shared.pools.f64,
@@ -480,7 +479,7 @@ impl Server {
                 thread::Builder::new()
                     .name("fmm-serve-dispatch-f32".into())
                     .spawn(move || {
-                        run_dispatcher_observed(
+                        run_dispatcher(
                             &shared.queue_f32,
                             &shared.engine_f32,
                             &shared.pools.f32,
@@ -495,8 +494,8 @@ impl Server {
         let watchdog_handle = shared.watchdog.as_ref().map(|wd| {
             let dump = shared.clone();
             wd.spawn(Box::new(move || {
-                // The Incident{watchdog-abort} flight event is already in
-                // the ring (the watchdog records it before aborting).
+                // The watchdog-abort `Incident` event is already in the
+                // ring (the watchdog records it before aborting).
                 dump.write_incident("watchdog-abort");
             }))
         });
@@ -518,7 +517,7 @@ fn install_incident_capture(shared: &Arc<Shared>, threads: &mut Vec<JoinHandle<(
     let previous = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         if let Some(shared) = weak.upgrade() {
-            flight::record(FlightEvent::Incident { trigger: IncidentTrigger::Panic });
+            record_incident(IncidentTrigger::Panic);
             shared.write_incident("panic");
         }
         previous(info);
@@ -531,7 +530,7 @@ fn install_incident_capture(shared: &Arc<Shared>, threads: &mut Vec<JoinHandle<(
             .name("fmm-serve-incident".into())
             .spawn(move || loop {
                 if let Some(trigger) = incident::pending_signal(signals) {
-                    flight::record(FlightEvent::Incident { trigger });
+                    record_incident(trigger);
                     shared.write_incident(trigger.name());
                     // Dump first, then drain: the signal asks for
                     // termination, and a clean stop is the best honor.
@@ -632,17 +631,17 @@ impl ServerHandle {
     }
 }
 
-/// Process-wide connection id sequence for flight events — connection
+/// Process-wide connection id sequence for connection events — connection
 /// lifecycles stay traceable across loops and across the whole dump.
 static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
 
 /// One multiplexed connection's state on its owning event loop.
 struct Conn {
-    /// Process-unique id carried by this connection's flight events.
+    /// Process-unique id carried by this connection's events.
     id: u64,
     /// Requests admitted over this connection's lifetime (reported by
-    /// its `conn-closed` flight event — the doctor's busiest-connection
-    /// ranking input).
+    /// its `ConnClosed` event — the doctor's busiest-connection ranking
+    /// input).
     requests: u64,
     stream: TcpStream,
     decoder: Decoder,
@@ -838,7 +837,7 @@ fn install_conn(
         closing: false,
         interest: Interest::READ,
     });
-    flight::record(FlightEvent::ConnAccepted { conn: id, loop_index: loop_index as u64 });
+    trace::record(Event::now(Kind::ConnAccepted, 0).with_args([id, loop_index as u64, 0]));
     shared.metrics.connections.add(1);
     shared.metrics.connections_total.inc();
 }
@@ -890,7 +889,7 @@ fn handle_in_event(
 ) {
     match event {
         InEvent::Request { head, dims, operands } => {
-            fmm_obs::trace::mark(SpanKind::RequestRecv, head.request_id);
+            trace::mark(Kind::RequestRecv, head.request_id);
             admit_request(shared, me, slots, slot, generation, head.request_id, dims, operands);
         }
         InEvent::Ping { head, payload } => {
@@ -905,7 +904,7 @@ fn handle_in_event(
             push_reply(conn, head.request_id, FrameKind::StatsJson, body.as_bytes());
         }
         InEvent::Trace { head, last } => {
-            let body = fmm_obs::trace::recent(last as usize).to_json();
+            let body = recent_events(last as usize).to_json();
             let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
             push_reply(conn, head.request_id, FrameKind::Trace, body.as_bytes());
         }
@@ -918,7 +917,7 @@ fn handle_in_event(
             conn.closing = true;
         }
         InEvent::Incident { head } => {
-            flight::record(FlightEvent::Incident { trigger: IncidentTrigger::WireRequest });
+            record_incident(IncidentTrigger::WireRequest);
             let body = shared.incident("wire-request").to_json();
             let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
             push_reply(conn, head.request_id, FrameKind::Incident, body.as_bytes());
@@ -926,7 +925,11 @@ fn handle_in_event(
         InEvent::Bad { request_id, code, message, fatal } => {
             shared.metrics.record_error(code);
             let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-            flight::record(FlightEvent::ErrorSent { conn: conn.id, code: code as u64 });
+            trace::record(Event::now(Kind::ErrorSent, request_id).with_args([
+                conn.id,
+                code as u64,
+                0,
+            ]));
             let payload = protocol::encode_error(code, &message);
             push_reply(conn, request_id, FrameKind::Error, &payload);
             if fatal {
@@ -953,10 +956,7 @@ fn admit_request(
     let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
     if conn.in_flight >= shared.config.max_inflight_per_conn {
         shared.metrics.record_error(ErrorCode::Busy);
-        flight::record(FlightEvent::AdmissionRefused {
-            conn: conn.id,
-            reason: RefusalReason::InflightCap,
-        });
+        record_refusal(conn, request_id, RefusalReason::InflightCap);
         let payload = protocol::encode_error(
             ErrorCode::Busy,
             &format!(
@@ -979,10 +979,7 @@ fn admit_request(
     let outstanding = conn.pending_response_bytes + conn.out.backlog();
     if outstanding > 0 && outstanding + response_bytes > shared.config.max_conn_backlog_bytes {
         shared.metrics.record_error(ErrorCode::Busy);
-        flight::record(FlightEvent::AdmissionRefused {
-            conn: conn.id,
-            reason: RefusalReason::ByteBacklog,
-        });
+        record_refusal(conn, request_id, RefusalReason::ByteBacklog);
         let payload = protocol::encode_error(
             ErrorCode::Busy,
             &format!(
@@ -1014,7 +1011,7 @@ fn admit_request(
     let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
     match refused {
         None => {
-            fmm_obs::trace::mark(SpanKind::Admission, request_id);
+            trace::mark(Kind::Admission, request_id);
             shared.metrics.requests.inc();
             shared.metrics.inflight.add(1);
             conn.in_flight += 1;
@@ -1024,10 +1021,7 @@ fn admit_request(
         }
         Some(Refusal::Full) => {
             shared.metrics.record_error(ErrorCode::Busy);
-            flight::record(FlightEvent::AdmissionRefused {
-                conn: conn.id,
-                reason: RefusalReason::QueueFull,
-            });
+            record_refusal(conn, request_id, RefusalReason::QueueFull);
             let capacity = shared.config.queue_capacity;
             let payload = protocol::encode_error(
                 ErrorCode::Busy,
@@ -1039,10 +1033,7 @@ fn admit_request(
             // Not Busy: nothing about this daemon will ever accept the
             // retry a Busy signal invites.
             shared.metrics.record_error(ErrorCode::ShuttingDown);
-            flight::record(FlightEvent::AdmissionRefused {
-                conn: conn.id,
-                reason: RefusalReason::ShuttingDown,
-            });
+            record_refusal(conn, request_id, RefusalReason::ShuttingDown);
             let payload = protocol::encode_error(
                 ErrorCode::ShuttingDown,
                 "daemon is shutting down and accepts no new work",
@@ -1050,6 +1041,17 @@ fn admit_request(
             push_reply(conn, request_id, FrameKind::Error, &payload);
         }
     }
+}
+
+/// Record that admission control refused `request_id` on `conn`.
+fn record_refusal(conn: &Conn, request_id: u64, reason: RefusalReason) {
+    let event = Event::now(Kind::AdmissionRefused, request_id);
+    trace::record(event.with_args([conn.id, reason as u64, 0]));
+}
+
+/// Record that an incident dump is being written.
+fn record_incident(trigger: IncidentTrigger) {
+    trace::record(Event::now(Kind::Incident, 0).with_args([trigger as u64, 0, 0]));
 }
 
 /// Wire bytes the response to an admitted request will occupy once
@@ -1102,7 +1104,7 @@ fn apply_completion(
     ));
     conn.out.push_bytes(head);
     conn.out.push_buf(completion.result);
-    fmm_obs::trace::mark(SpanKind::ReplyFlush, completion.request_id);
+    trace::mark(Kind::ReplyFlush, completion.request_id);
     finish_conn_round(shared, poller, slots, slot);
 }
 
@@ -1142,7 +1144,8 @@ fn finish_conn_round(shared: &Arc<Shared>, poller: &mut Poller, slots: &mut [Slo
 /// completions still in flight for it are recognized as stale.
 fn drop_conn(shared: &Arc<Shared>, poller: &mut Poller, slots: &mut [Slot], slot: usize) {
     if let Some(conn) = slots[slot].conn.take() {
-        flight::record(FlightEvent::ConnClosed { conn: conn.id, requests: conn.requests });
+        let closed = Event::now(Kind::ConnClosed, 0).with_args([conn.id, conn.requests, 0]);
+        trace::record(closed);
         let _ = poller.deregister(slot as u64);
         slots[slot].generation = slots[slot].generation.wrapping_add(1);
         shared.metrics.connections.sub(1);

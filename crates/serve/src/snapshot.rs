@@ -1,27 +1,26 @@
 //! The daemon's documents, typed: the stats snapshot (the `StatsJson`
 //! frame in both renderings), the incident dump (the `Incident` frame and
-//! the `--incident-dir` files) and the span list (the `Trace` frame).
+//! the `--incident-dir` files) and the event list (the `Trace` frame).
 //!
 //! This is the one module that knows the JSON schema. Every document
 //! implements [`Document`] — one encoder, one decoder — and the decoder's
 //! [`DocError`] names the key path that was missing or mistyped, so a
-//! renamed key fails loudly instead of reading as zero. Kinds this binary
-//! does not know stay readable: a flight entry keeps its raw words and
-//! detail line ([`FlightEntry::event`] is `None`), an unknown span is
-//! skipped. Keys derived from others (`mean_nanos`, `p50_nanos`,
-//! `error_log2`, …) are written for readers of the JSON and recomputed,
-//! not read, on decode.
+//! renamed key fails loudly instead of reading as zero. An event of a kind
+//! this binary does not know stays readable: it decodes as [`Kind::Other`]
+//! with its raw fields and detail line. Keys derived from others
+//! (`mean_nanos`, `p50_nanos`, `error_log2`, …) are written for readers of
+//! the JSON and recomputed, not read, on decode.
 
 use fmm_core::json::{self, Value};
 use fmm_gemm::GemmScalar;
 use fmm_obs::audit::SOURCE_NAMES;
-use fmm_obs::{AuditEntry, FlightEvent, FlightRecord, HistSnapshot, SpanEvent, SpanKind};
+use fmm_obs::{AuditEntry, Event, HistSnapshot, Kind};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Schema tag every incident document carries; decoding refuses any other
 /// tag instead of misreading it.
-pub const INCIDENT_SCHEMA: &str = "fmm-incident-v1";
+pub const INCIDENT_SCHEMA: &str = "fmm-incident-v2";
 
 /// Why a document did not decode: the dotted key path (empty for the
 /// document itself) and what was wrong there.
@@ -311,37 +310,63 @@ impl Document for AuditEntry {
     }
 }
 
-/// Recent tracing spans, oldest first: the `Trace` frame body and an
-/// incident's `spans`. Spans of a kind this binary does not know are
-/// skipped.
-impl Document for Vec<SpanEvent> {
+/// One recorded event as exported: the event and the writing binary's
+/// one-line rendering of it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Logged {
+    pub event: Event,
+    pub detail: String,
+}
+
+/// The recorder's most recent `limit` events (`0` = all it retains),
+/// oldest first, rendered for export.
+#[cold]
+pub fn recent_events(limit: usize) -> Vec<Logged> {
+    let logged = |event: Event| Logged { detail: event.describe(), event };
+    fmm_obs::trace::recent(limit).into_iter().map(logged).collect()
+}
+
+/// Recorded events, oldest first: the `Trace` frame body and an incident's
+/// `events`.
+impl Document for Vec<Logged> {
     fn to_value(&self) -> Value {
-        let span = |e: &SpanEvent| {
+        let entry = |l: &Logged| {
+            let e = &l.event;
             object([
                 ("kind", text(e.kind.name())),
                 ("request_id", int(e.request_id)),
                 ("start_nanos", int(e.start_nanos)),
                 ("end_nanos", int(e.end_nanos)),
+                ("args", Value::Array(e.args.map(int).into())),
                 ("thread", int(u64::from(e.thread))),
+                ("detail", text(&l.detail)),
             ])
         };
-        Value::Array(self.iter().map(span).collect())
+        Value::Array(self.iter().map(entry).collect())
     }
 
     fn from_value(value: &Value, at: &str) -> Result<Self, DocError> {
-        let mut spans = Vec::new();
+        let mut events = Vec::new();
         for (item, at) in items(value, at)? {
             let f = Fields::of(item, &at)?;
-            let Some(kind) = SpanKind::from_name(&f.text("kind")?) else { continue };
-            spans.push(SpanEvent {
-                kind,
+            let args = f
+                .items("args")?
+                .iter()
+                .map(|(v, at)| uint(v, at))
+                .collect::<Result<Vec<_>, _>>()?;
+            let args =
+                args.try_into().or_else(|_| error(&f.path("args"), "expected 3 integers"))?;
+            let event = Event {
+                kind: Kind::from_name(&f.text("kind")?).unwrap_or(Kind::Other),
                 request_id: f.u64("request_id")?,
                 start_nanos: f.u64("start_nanos")?,
                 end_nanos: f.u64("end_nanos")?,
+                args,
                 thread: f.u64("thread")? as u32,
-            });
+            };
+            events.push(Logged { event, detail: f.text("detail")? });
         }
-        Ok(spans)
+        Ok(events)
     }
 }
 
@@ -455,54 +480,17 @@ pub struct ConfigPrint {
     pub knobs: BTreeMap<String, u64>,
 }
 
-/// The watchdog's components in registration order — flight events name a
-/// component by its index here — and its stall-verdict count.
+/// The watchdog's components in registration order — watchdog events name
+/// a component by its index here — and its stall-verdict count.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WatchdogRoster {
     pub components: Vec<String>,
     pub stalls_total: u64,
 }
 
-/// One flight-ring entry as dumped, raw words included.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FlightEntry {
-    pub seq: u64,
-    pub nanos: u64,
-    /// Kind name as the writing binary knew it.
-    pub kind: String,
-    /// `(kind_id, a, b, c, d)` as [`FlightEvent::encode`] packs them.
-    pub words: [u64; 5],
-    /// Human-readable line as the writing binary rendered it.
-    pub detail: String,
-}
-
-/// JSON keys of [`FlightEntry::words`], in order.
-const FLIGHT_WORDS: [&str; 5] = ["kind_id", "a", "b", "c", "d"];
-
-impl FlightEntry {
-    /// The typed event; `None` for a kind this binary does not know.
-    pub fn event(&self) -> Option<FlightEvent> {
-        let [kind, a, b, c, d] = self.words;
-        FlightEvent::decode(kind, a, b, c, d)
-    }
-}
-
-impl From<&FlightRecord> for FlightEntry {
-    fn from(record: &FlightRecord) -> Self {
-        let (kind, a, b, c, d) = record.event.encode();
-        FlightEntry {
-            seq: record.seq,
-            nanos: record.nanos,
-            kind: record.event.kind_name().to_string(),
-            words: [kind, a, b, c, d],
-            detail: record.event.describe(),
-        }
-    }
-}
-
 /// The self-contained post-mortem: what triggered it, the binary and the
-/// knobs in force, the watchdog roster, the flight ring, the full stats
-/// snapshot, and recent spans.
+/// knobs in force, the watchdog roster, the recorded events, and the full
+/// stats snapshot.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Incident {
     /// `sigterm`, `sigint`, `panic`, `watchdog-abort` or `wire-request`.
@@ -511,10 +499,9 @@ pub struct Incident {
     pub config: ConfigPrint,
     /// `None` when the daemon ran without a watchdog (`"watchdog": {}`).
     pub watchdog: Option<WatchdogRoster>,
-    /// The flight ring, oldest first.
-    pub flight: Vec<FlightEntry>,
+    /// Both rings, oldest first.
+    pub events: Vec<Logged>,
     pub stats: StatsSnapshot,
-    pub spans: Vec<SpanEvent>,
 }
 
 impl Document for Incident {
@@ -530,24 +517,14 @@ impl Document for Incident {
                 ])
             },
         );
-        let entry = |e: &FlightEntry| {
-            let words = FLIGHT_WORDS.iter().zip(e.words).map(|(key, w)| (*key, int(w)));
-            object(words.chain([
-                ("seq", int(e.seq)),
-                ("nanos", int(e.nanos)),
-                ("kind", text(&e.kind)),
-                ("detail", text(&e.detail)),
-            ]))
-        };
         object([
             ("schema", text(INCIDENT_SCHEMA)),
             ("trigger", text(&self.trigger)),
             ("build", self.build.to_value()),
             ("config", config),
             ("watchdog", watchdog),
-            ("flight", Value::Array(self.flight.iter().map(entry).collect())),
+            ("events", self.events.to_value()),
             ("stats", self.stats.to_value()),
-            ("spans", self.spans.to_value()),
         ])
     }
 
@@ -574,17 +551,6 @@ impl Document for Incident {
                 stalls_total: wd.u64("stalls_total")?,
             })
         };
-        let mut flight = Vec::new();
-        for (item, at) in f.items("flight")? {
-            let e = Fields::of(item, &at)?;
-            let mut words = [0; 5];
-            for (word, key) in words.iter_mut().zip(FLIGHT_WORDS) {
-                *word = e.u64(key)?;
-            }
-            let (seq, nanos) = (e.u64("seq")?, e.u64("nanos")?);
-            let (kind, detail) = (e.text("kind")?, e.text("detail")?);
-            flight.push(FlightEntry { seq, nanos, kind, words, detail });
-        }
         Ok(Incident {
             trigger: f.text("trigger")?,
             build: f.decode("build")?,
@@ -593,9 +559,8 @@ impl Document for Incident {
                 knobs: config.members(Some("addr"), uint)?,
             },
             watchdog,
-            flight,
+            events: f.decode("events")?,
             stats: f.decode("stats")?,
-            spans: f.decode("spans")?,
         })
     }
 }

@@ -210,7 +210,7 @@ fn sigterm_dump_doctors_to_a_clean_exit() {
     let text = std::fs::read_to_string(dump).expect("dump readable");
     let doc = Incident::from_json(&text).expect("the dump decodes as an incident");
     assert_eq!(doc.trigger, "sigterm");
-    assert!(!doc.flight.is_empty(), "flight ring empty in the dump");
+    assert!(doc.events.iter().any(|l| l.event.kind.always_on()), "no always-on event in the dump");
     assert!(doc.watchdog.is_some_and(|wd| !wd.components.is_empty()), "watchdog roster empty");
 
     let out = fmm_serve().arg("doctor").arg(dump).output().expect("run doctor");

@@ -1,12 +1,12 @@
 //! End-to-end tests for the observability surface: the `StatsJson`
 //! registry export (JSON and Prometheus), typed errors for unknown frame
-//! kinds, and the `Trace` span dump.
+//! kinds, and the `Trace` event dump.
 
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
 use fmm_model::ArchParams;
-use fmm_obs::SpanEvent;
+use fmm_obs::Kind;
 use fmm_serve::protocol::{self, ErrorCode, FrameKind};
-use fmm_serve::{DocError, FlightEntry, StatsSnapshot};
+use fmm_serve::{DocError, Logged, StatsSnapshot};
 use fmm_serve::{Document, Incident, PipelinedClient, ServeConfig, Server, ServerHandle};
 use std::io::Write;
 use std::net::TcpStream;
@@ -160,7 +160,8 @@ fn stats_json_exposes_per_class_audit_aggregates() {
 #[test]
 fn stats_and_incident_round_trip_through_json() {
     // A populated daemon: traffic through both dtypes, tracing on so the
-    // incident carries spans, and a watchdog roster.
+    // incident carries spans as well as always-on events, and a watchdog
+    // roster.
     let handle = spawn_server(ServeConfig { trace: true, ..ServeConfig::default() });
     run_multiplies(handle.addr(), 4);
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
@@ -173,7 +174,8 @@ fn stats_and_incident_round_trip_through_json() {
     assert_eq!(StatsSnapshot::from_json(&stats.to_json()), Ok(stats));
 
     let incident = client.incident().expect("incident");
-    assert!(!incident.flight.is_empty() && !incident.spans.is_empty());
+    let spans = incident.events.iter().filter(|l| !l.event.kind.always_on()).count();
+    assert!(spans > 0 && spans < incident.events.len(), "spans and always-on events both dumped");
     assert!(incident.watchdog.as_ref().is_some_and(|wd| !wd.components.is_empty()));
     assert_eq!(Incident::from_json(&incident.to_json()), Ok(incident));
     handle.shutdown();
@@ -211,32 +213,23 @@ fn malformed_documents_fail_naming_the_key() {
 }
 
 #[test]
-fn unknown_flight_and_span_kinds_stay_readable() {
-    let handle = spawn_server(ServeConfig { trace: true, ..ServeConfig::default() });
+fn unknown_event_kinds_stay_readable() {
+    let handle = spawn_server(ServeConfig::default());
     run_multiplies(handle.addr(), 1);
-    let mut incident = handle.incident();
+    let events = handle.incident().events;
     handle.shutdown();
 
-    // A flight entry of a kind only a newer binary knows keeps its raw
-    // words and detail line; it just has no typed event.
-    let newer = FlightEntry {
-        seq: u64::MAX,
-        nanos: 1,
-        kind: "future-kind".into(),
-        words: [99, 1, 2, 3, 4],
-        detail: "recorded by a newer binary".into(),
-    };
-    assert_eq!(newer.event(), None);
-    incident.flight.push(newer.clone());
-    let decoded = Incident::from_json(&incident.to_json()).expect("a newer flight kind decodes");
-    assert_eq!(decoded.flight.last(), Some(&newer));
-
-    // A span of a kind this binary does not know is skipped; the rest stay.
-    let spans = incident.spans;
-    assert!(!spans.is_empty(), "tracing server recorded no spans");
-    let first = format!("\"kind\": \"{}\"", spans[0].kind.name());
-    let renamed = spans.to_json().replacen(&first, "\"kind\": \"FutureKind\"", 1);
-    assert_eq!(Vec::<SpanEvent>::from_json(&renamed), Ok(spans[1..].to_vec()));
+    // An event of a kind only a newer binary knows keeps its raw fields
+    // and the detail line that binary wrote; only its kind is `Other`.
+    let first = format!("\"kind\": \"{}\"", events[0].event.kind.name());
+    let renamed = events.to_json().replacen(&first, "\"kind\": \"FutureKind\"", 1);
+    let decoded = Vec::<Logged>::from_json(&renamed).expect("an unknown kind decodes");
+    assert_eq!(decoded.len(), events.len());
+    assert_eq!(decoded[0].event.kind, Kind::Other);
+    let raw =
+        |l: &Logged| (l.event.request_id, l.event.start_nanos, l.event.args, l.detail.clone());
+    assert_eq!(raw(&decoded[0]), raw(&events[0]));
+    assert_eq!(decoded[1..], events[1..]);
 }
 
 #[test]
@@ -282,7 +275,7 @@ fn trace_dump_returns_per_request_phase_spans() {
 
     let mut kinds = std::collections::BTreeSet::new();
     let mut tagged = false;
-    for event in &events {
+    for Logged { event, .. } in &events {
         kinds.insert(event.kind.name());
         tagged |= ids.contains(&event.request_id);
         assert!(event.start_nanos <= event.end_nanos, "span ends before it starts: {event:?}");

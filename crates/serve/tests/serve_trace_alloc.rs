@@ -10,11 +10,10 @@ use std::sync::Arc;
 
 #[test]
 fn warm_serving_path_allocates_nothing_with_tracing_on() {
-    // Single event loop + single engine worker: every span-recording
-    // thread (loop 0, the f64 dispatcher) is exercised by the warmup, so
-    // a flat ring count afterwards proves the warm path never allocates
-    // a recorder ring — and flat pool misses prove the payload path never
-    // allocates a buffer.
+    // Single event loop + single engine worker. The recorder's rings are
+    // statics (`fmm-obs`'s `recorder_alloc.rs` proves a record never
+    // allocates); here the whole warm request path is held to flat pool
+    // misses while every request records its spans.
     let engine_config = EngineConfig {
         parallel: true,
         workers: 1,
@@ -33,32 +32,26 @@ fn warm_serving_path_allocates_nothing_with_tracing_on() {
     let a = fmm_dense::fill::bench_workload(48, 48, 1);
     let b = fmm_dense::fill::bench_workload(48, 48, 2);
 
-    // Warmup: create the per-thread recorder rings, fill the buffer
-    // pools, and let the engine build its decision/plan/arena caches.
+    // Warmup: fill the buffer pools and let the engine build its
+    // decision/plan/arena caches.
     for _ in 0..6 {
         client.multiply(&a, &b).expect("warmup multiply");
     }
 
-    let rings_warm = fmm_obs::trace::ring_allocations();
     let events_warm = fmm_obs::trace::events_recorded();
     let pool_misses_warm = pool_misses(&handle);
-    assert!(rings_warm > 0, "tracing on but no recorder ring was ever created");
-    assert!(events_warm > 0, "tracing on but no span was recorded");
+    assert!(events_warm > 0, "tracing on but no event was recorded");
 
-    for _ in 0..20 {
+    const WARM: u64 = 20;
+    for _ in 0..WARM {
         client.multiply(&a, &b).expect("warm multiply");
     }
 
-    assert_eq!(
-        fmm_obs::trace::ring_allocations(),
-        rings_warm,
-        "warm serving allocated a new recorder ring"
-    );
     assert_eq!(pool_misses(&handle), pool_misses_warm, "warm serving allocated a payload buffer");
-    assert!(
-        fmm_obs::trace::events_recorded() > events_warm,
-        "tracing stayed on but the warm runs recorded no spans"
-    );
+    // RequestRecv, Admission, QueueWait, BatchForm and ReplyFlush at least.
+    let recorded = fmm_obs::trace::events_recorded() - events_warm;
+    assert!(recorded >= 5 * WARM, "the warm runs recorded only {recorded} events");
+    assert_eq!(fmm_obs::trace::events_dropped(), 0, "a lone request's events never collide");
     handle.shutdown();
 }
 

@@ -1,16 +1,17 @@
 //! Watchdog + incident integration tests: an injected dispatcher wedge
-//! must surface as a stall verdict (counter + flight event naming the
+//! must surface as a stall verdict (counter + stall event naming the
 //! component) within the detection deadline, and a healthy daemon under
 //! pipelined load must produce zero stall verdicts while still serving
 //! schema-valid incident dumps over the wire.
 //!
-//! The flight ring and the `WEDGE_DISPATCH` hook are process-global, so
+//! The event rings and the `WEDGE_DISPATCH` hook are process-global, so
 //! the two scenarios serialize on a local mutex instead of trusting the
 //! test harness's thread scheduling.
 
 use fmm_dense::fill;
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
 use fmm_model::ArchParams;
+use fmm_obs::{Event, Kind};
 use fmm_serve::{
     BatchPolicy, Document, Incident, PipelinedClient, ServeConfig, Server, ServerHandle,
 };
@@ -56,9 +57,9 @@ fn spawn_watched(event_threads: usize) -> ServerHandle {
     .expect("bind loopback")
 }
 
-/// The typed flight events of an incident document.
-fn flight_events(doc: &Incident) -> Vec<fmm_obs::FlightEvent> {
-    doc.flight.iter().filter_map(fmm_serve::FlightEntry::event).collect()
+/// The always-on events of an incident document.
+fn notable_events(doc: &Incident) -> Vec<Event> {
+    doc.events.iter().map(|l| l.event).filter(|e| e.kind.always_on()).collect()
 }
 
 /// An injected dispatcher wedge is detected, counted, and named: park the
@@ -88,17 +89,15 @@ fn wedged_dispatcher_is_detected_and_named() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    // The stall must be attributable: a watchdog-stall flight event whose
+    // The stall must be attributable: a `WatchdogStall` event whose
     // component id resolves to a dispatcher in the incident dump roster.
     let doc = handle.incident();
     let names = &doc.watchdog.as_ref().expect("watchdog section lists components").components;
-    let stalled = flight_events(&doc)
+    let stalled = notable_events(&doc)
         .into_iter()
-        .find_map(|event| match event {
-            fmm_obs::FlightEvent::WatchdogStall { component, .. } => Some(component),
-            _ => None,
-        })
-        .expect("a watchdog-stall flight event was recorded");
+        .find(|e| e.kind == Kind::WatchdogStall)
+        .map(|e| e.args[0])
+        .expect("a WatchdogStall event was recorded");
     let stalled_name = names
         .get(stalled as usize)
         .unwrap_or_else(|| panic!("stalled component {stalled} resolves to a name in {names:?}"));
@@ -140,7 +139,7 @@ fn wedged_dispatcher_is_detected_and_named() {
 
 /// A healthy 4-event-thread daemon under pipelined load produces zero
 /// stall verdicts, and its wire-requested incident dump is schema-valid
-/// with a populated flight ring and watchdog roster.
+/// with populated always-on events and watchdog roster.
 #[test]
 fn healthy_daemon_has_zero_stall_verdicts() {
     let _guard = SCENARIO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -171,12 +170,12 @@ fn healthy_daemon_has_zero_stall_verdicts() {
         "healthy daemon must produce no stall verdicts"
     );
 
-    // Incident dump over the wire: schema-tagged, flight ring populated,
-    // all loops and dispatchers on the watchdog roster.
+    // Incident dump over the wire: schema-tagged, always-on events
+    // populated, all loops and dispatchers on the watchdog roster.
     let doc = client.incident().expect("incident frame decodes, schema tag included");
     let names = &doc.watchdog.as_ref().expect("watchdog roster present").components;
     assert_eq!(names.len(), 6, "4 event loops + 2 dispatchers on the roster: {names:?}");
-    assert!(!flight_events(&doc).is_empty(), "flight ring captured the load");
+    assert!(!notable_events(&doc).is_empty(), "the always-on ring captured the load");
     assert!(!doc.build.version.is_empty() && !doc.build.kernel_f64.is_empty());
 
     drop(client);
