@@ -79,7 +79,8 @@ impl FigureParams {
         out
     }
 
-    /// True when the executors should use the rayon-parallel driver.
+    /// True when the executors should run the driver's `ic` loop over
+    /// rayon workers.
     pub fn parallel(&self) -> bool {
         self.threads > 1
     }

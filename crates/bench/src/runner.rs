@@ -11,7 +11,7 @@ use crate::workload::Workload;
 use fmm_core::counts::PlanCounts;
 use fmm_core::{FmmPlan, Variant};
 use fmm_engine::{EngineConfig, EngineStats, FmmEngine, Routing};
-use fmm_gemm::{BlockingParams, DestTile, GemmWorkspace};
+use fmm_gemm::{BlockingParams, DestTile, GemmWorkspace, IcLoop, Update};
 use fmm_model::{predict_fmm, predict_gemm, ArchParams, Impl};
 
 /// One measured point.
@@ -45,22 +45,15 @@ pub fn measure_gemm(
     let mut w = Workload::new(m, k, n);
     let mut ws = GemmWorkspace::for_params(params);
     let secs = timing::time_min(reps, || {
-        if parallel {
-            fmm_gemm::parallel::gemm_sums_parallel(
-                &mut [DestTile::new(w.c.as_mut(), 1.0)],
-                &[(1.0, w.a.as_ref())],
-                &[(1.0, w.b.as_ref())],
-                params,
-            );
-        } else {
-            fmm_gemm::driver::gemm_sums(
-                &mut [DestTile::new(w.c.as_mut(), 1.0)],
-                &[(1.0, w.a.as_ref())],
-                &[(1.0, w.b.as_ref())],
-                params,
-                &mut ws,
-            );
-        }
+        let ic_loop = if parallel { IcLoop::Parallel } else { IcLoop::Inline(&mut ws) };
+        fmm_gemm::gemm_sums_with(
+            &mut [DestTile::new(w.c.as_mut(), 1.0)],
+            &[(1.0, w.a.as_ref())],
+            &[(1.0, w.b.as_ref())],
+            params,
+            Update::Accumulate,
+            ic_loop,
+        );
     });
     Measured {
         actual: timing::gflops(m, k, n, secs),

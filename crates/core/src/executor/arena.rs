@@ -64,6 +64,14 @@ pub struct ArenaViews<'a, T = f64> {
     pub mr: MatMut<'a, T>,
 }
 
+impl<T: Scalar> ArenaViews<'_, T> {
+    /// The same views for a shorter borrow, so one set serves every
+    /// product of an execution.
+    pub fn reborrow(&mut self) -> ArenaViews<'_, T> {
+        ArenaViews { ta: self.ta.reborrow(), tb: self.tb.reborrow(), mr: self.mr.reborrow() }
+    }
+}
+
 /// A grow-only scratch allocation carved into [`ArenaViews`] per execution,
 /// generic over the scalar it stores (default `f64`).
 pub struct WorkspaceArena<T = f64> {
@@ -72,19 +80,9 @@ pub struct WorkspaceArena<T = f64> {
 }
 
 impl<T: Scalar> WorkspaceArena<T> {
-    /// An empty arena; the first [`WorkspaceArena::preplan`] sizes it.
+    /// An empty arena; the first [`WorkspaceArena::preplan_tasks`] sizes it.
     pub fn new() -> Self {
         Self { buf: AlignedBuf::zeroed(0), grows: 0 }
-    }
-
-    /// Ensure capacity for `layout`, reallocating only when it grows beyond
-    /// anything seen before.
-    pub fn preplan(&mut self, layout: &ArenaLayout) {
-        let need = layout.total_elements();
-        if need > self.buf.len() {
-            self.buf = AlignedBuf::zeroed(need);
-            self.grows += 1;
-        }
     }
 
     /// Current capacity in scalar elements.
@@ -97,9 +95,10 @@ impl<T: Scalar> WorkspaceArena<T> {
         self.grows
     }
 
-    /// Ensure capacity for `tasks` task-private copies of `layout` (the
-    /// BFS/hybrid schedulers' per-task workspace regions), reallocating only
-    /// on growth. Idempotent; never shrinks.
+    /// Ensure capacity for `tasks` copies of `layout`, reallocating only
+    /// when that grows beyond anything seen before: one for a depth-first
+    /// execution, one per task for the BFS/hybrid schedulers' task-private
+    /// regions. Idempotent; never shrinks.
     pub fn preplan_tasks(&mut self, layout: &ArenaLayout, tasks: usize) {
         let need = layout.total_elements() * tasks;
         if need > self.buf.len() {
@@ -126,7 +125,7 @@ impl<T: Scalar> WorkspaceArena<T> {
     /// Carve the arena into the disjoint views of `layout`, growing first
     /// if the layout was not preplanned.
     pub fn views(&mut self, layout: &ArenaLayout) -> ArenaViews<'_, T> {
-        self.preplan(layout);
+        self.preplan_tasks(layout, 1);
         let (ta_rows, ta_cols) = layout.ta;
         let (tb_rows, tb_cols) = layout.tb;
         let (mr_rows, mr_cols) = layout.mr;
@@ -286,11 +285,11 @@ mod tests {
         let small = ArenaLayout::for_core(Variant::Ab, &plan, 16, 16, 16);
         let mut arena = WorkspaceArena::<f64>::new();
         assert_eq!(arena.grow_count(), 0);
-        arena.preplan(&big);
+        arena.preplan_tasks(&big, 1);
         assert_eq!(arena.grow_count(), 1);
         let cap = arena.capacity();
-        arena.preplan(&small);
-        arena.preplan(&big);
+        arena.preplan_tasks(&small, 1);
+        arena.preplan_tasks(&big, 1);
         let _ = arena.views(&big);
         assert_eq!(arena.grow_count(), 1, "no reallocation once warm");
         assert_eq!(arena.capacity(), cap);

@@ -9,7 +9,7 @@
 // fmm-check: contract(warm-alloc-free)
 
 use crate::indexing::BlockGrid;
-use fmm_dense::{MatMut, MatRef, Scalar};
+use fmm_dense::{ops, MatMut, MatRef, Scalar};
 
 /// The immutable operand blocks of one FMM core execution, indexed by the
 /// recursive-block flat index the composed coefficients use.
@@ -114,6 +114,18 @@ impl<'a, T: Scalar> DestBlocks<'a, T> {
                 .offset((r * self.bm) as isize * self.rs + (c * self.bn) as isize * self.cs);
             MatMut::from_raw_parts(ptr, self.bm, self.bn, self.rs, self.cs)
         }
+    }
+
+    /// `C_p += w·M`: merge a materialized product `M` into block `p`. The
+    /// one merge of the Naive and AB variants and of a task schedule's
+    /// merge phase.
+    ///
+    /// # Safety
+    /// As for [`DestBlocks::get`]: no other view of block `p` may be alive.
+    pub unsafe fn merge(&self, p: usize, w: f64, m: MatRef<'_, T>) {
+        // SAFETY: the caller's contract is `get`'s.
+        let dest = unsafe { self.get(p) };
+        ops::axpy(dest, T::from_f64(w), m).expect("block shapes agree");
     }
 
     /// Number of blocks.

@@ -9,23 +9,29 @@
 //! | AB      | folded into packing      | explicit `M_r` buffer, then axpy |
 //! | ABC     | folded into packing      | multi-destination micro-kernel   |
 //!
-//! Problem sizes that are not multiples of the aggregate partition dims are
-//! handled by dynamic peeling ([`crate::peeling`]): an FMM core plus rim
-//! GEMM calls.
+//! The variants share one loop over the products (`run.rs`), with a
+//! `match` on the variant inside it, and one product step,
+//! [`form_product`], which `fmm-sched`'s BFS tasks run too. Problem sizes
+//! that are not multiples of the aggregate partition dims are handled by
+//! dynamic peeling ([`crate::peeling`]): an FMM core plus rim GEMM calls
+//! ([`run_rims`]), which `fmm-sched` runs too.
+//!
+//! Whether each block product's `ic` loop runs inline or over rayon
+//! workers is an argument: [`fmm_execute`] passes one choice,
+//! [`fmm_execute_parallel`] the other.
 
-mod ab;
-mod abc;
 mod arena;
 mod common;
-mod naive;
+mod run;
 
 pub use arena::{ArenaLayout, ArenaViews, TaskSlots, WorkspaceArena};
 pub use common::{gather_terms, DestBlocks, OperandBlocks};
+pub use run::{form_product, run_rims};
 
 use crate::peeling;
 use crate::plan::FmmPlan;
 use fmm_dense::{MatMut, MatRef};
-use fmm_gemm::{BlockingParams, DestTile, GemmScalar, GemmWorkspace};
+use fmm_gemm::{BlockingParams, GemmScalar, GemmWorkspace, IcLoop};
 
 /// Which FMM implementation strategy to run (paper §4.1 "Further
 /// variations").
@@ -94,8 +100,6 @@ pub struct FmmContext<T = f64> {
     /// Layout of the most recent core execution (`None` before the first,
     /// or when the problem had an empty core).
     last_layout: Option<ArenaLayout>,
-    /// Execute block products with the rayon-parallel driver.
-    pub(crate) parallel: bool,
 }
 
 impl<T: GemmScalar> FmmContext<T> {
@@ -105,18 +109,12 @@ impl<T: GemmScalar> FmmContext<T> {
     }
 
     /// Context with explicit blocking parameters. The packing workspace
-    /// starts empty: the sequential driver sizes it on first use (the
-    /// parallel driver draws per-worker buffers from the global pool
-    /// instead, so parallel-only contexts never pay for it); call
-    /// [`FmmContext::preplan`] to allocate everything up-front.
+    /// starts empty: an inline `ic` loop sizes it on first use (a parallel
+    /// one draws its buffers from the global pool instead, so parallel-only
+    /// contexts never pay for it); call [`FmmContext::preplan`] to allocate
+    /// everything up-front.
     pub fn new(params: BlockingParams) -> Self {
-        Self {
-            params,
-            ws: GemmWorkspace::empty(),
-            arena: WorkspaceArena::new(),
-            last_layout: None,
-            parallel: false,
-        }
+        Self { params, ws: GemmWorkspace::empty(), arena: WorkspaceArena::new(), last_layout: None }
     }
 
     /// Size the arena and packing workspace for `(plan, variant)` on an
@@ -125,7 +123,7 @@ impl<T: GemmScalar> FmmContext<T> {
     pub fn preplan(&mut self, plan: &FmmPlan, variant: Variant, m: usize, k: usize, n: usize) {
         let (mc, kc, nc) = peeling::peel(m, k, n, plan.partition_dims()).core;
         if mc > 0 && kc > 0 && nc > 0 {
-            self.arena.preplan(&ArenaLayout::for_core(variant, plan, mc, kc, nc));
+            self.arena.preplan_tasks(&ArenaLayout::for_core(variant, plan, mc, kc, nc), 1);
         }
         self.ws.ensure(&self.params.with_register_tile(T::MR, T::NR));
     }
@@ -147,43 +145,6 @@ impl<T: GemmScalar> FmmContext<T> {
     }
 }
 
-/// The GEMM half of a context, split out so executors can hold arena views
-/// and dispatch block products simultaneously (disjoint borrows of
-/// [`FmmContext`]).
-pub(crate) struct GemmDispatch<'a, T = f64> {
-    params: &'a BlockingParams,
-    ws: &'a mut GemmWorkspace<T>,
-    parallel: bool,
-}
-
-impl<T: GemmScalar> GemmDispatch<'_, T> {
-    /// Dispatch one block product to the sequential or parallel driver.
-    pub(crate) fn block_product(
-        &mut self,
-        dests: &mut [DestTile<'_, T>],
-        a_terms: &[(T, MatRef<'_, T>)],
-        b_terms: &[(T, MatRef<'_, T>)],
-        overwrite: bool,
-    ) {
-        if self.parallel {
-            if overwrite {
-                fmm_gemm::parallel::gemm_sums_parallel_overwrite(
-                    dests,
-                    a_terms,
-                    b_terms,
-                    self.params,
-                );
-            } else {
-                fmm_gemm::parallel::gemm_sums_parallel(dests, a_terms, b_terms, self.params);
-            }
-        } else if overwrite {
-            fmm_gemm::driver::gemm_sums_overwrite(dests, a_terms, b_terms, self.params, self.ws);
-        } else {
-            fmm_gemm::driver::gemm_sums(dests, a_terms, b_terms, self.params, self.ws);
-        }
-    }
-}
-
 /// Execute `C += A · B` with the given plan and variant, sequentially.
 ///
 /// Dimensions are arbitrary; fringes are handled by dynamic peeling.
@@ -195,12 +156,11 @@ pub fn fmm_execute<T: GemmScalar>(
     variant: Variant,
     ctx: &mut FmmContext<T>,
 ) {
-    ctx.parallel = false;
-    execute_impl(c, a, b, plan, variant, ctx)
+    execute_impl(c, a, b, plan, variant, ctx, false)
 }
 
-/// As [`fmm_execute`], but each block product uses the rayon-parallel GEMM
-/// driver (the paper's loop-3 data parallelism); the `R_L` products remain
+/// As [`fmm_execute`], but each block product runs its `ic` loop over rayon
+/// workers (the paper's loop-3 data parallelism); the `R_L` products remain
 /// sequential, exactly as in the paper's implementation.
 pub fn fmm_execute_parallel<T: GemmScalar>(
     c: MatMut<'_, T>,
@@ -210,8 +170,7 @@ pub fn fmm_execute_parallel<T: GemmScalar>(
     variant: Variant,
     ctx: &mut FmmContext<T>,
 ) {
-    ctx.parallel = true;
-    execute_impl(c, a, b, plan, variant, ctx)
+    execute_impl(c, a, b, plan, variant, ctx, true)
 }
 
 fn execute_impl<T: GemmScalar>(
@@ -221,6 +180,7 @@ fn execute_impl<T: GemmScalar>(
     plan: &FmmPlan,
     variant: Variant,
     ctx: &mut FmmContext<T>,
+    parallel: bool,
 ) {
     let (m, k) = (a.rows(), a.cols());
     let n = b.cols();
@@ -229,59 +189,30 @@ fn execute_impl<T: GemmScalar>(
 
     let peel_plan = peeling::peel(m, k, n, plan.partition_dims());
     let (mc, kc, nc) = peel_plan.core;
+    // Split the context into its disjoint halves: arena views for the
+    // products, params + packing workspace for the GEMMs.
+    let FmmContext { params, ws, arena, last_layout } = ctx;
+    let mut ic_loop = if parallel { IcLoop::Parallel } else { IcLoop::Inline(ws) };
 
     // Reset before (maybe) running the core, so a reused context never
     // reports a previous execution's layout when this problem's core is
     // empty (everything handled by rim GEMMs).
-    ctx.last_layout = None;
+    *last_layout = None;
     if mc > 0 && kc > 0 && nc > 0 {
-        let a_core = a.submatrix(0, 0, mc, kc);
-        let b_core = b.submatrix(0, 0, kc, nc);
-        let c_core = c.reborrow().submatrix(0, 0, mc, nc);
-        run_core(c_core, a_core, b_core, plan, variant, ctx);
-    }
-
-    let FmmContext { params, ws, parallel, .. } = ctx;
-    let mut gemm = GemmDispatch { params, ws, parallel: *parallel };
-    for rim in &peel_plan.rims {
-        let a_rim = a.submatrix(rim.rows.start, rim.inner.start, rim.rows.len(), rim.inner.len());
-        let b_rim = b.submatrix(rim.inner.start, rim.cols.start, rim.inner.len(), rim.cols.len());
-        let c_rim =
-            c.reborrow().submatrix(rim.rows.start, rim.cols.start, rim.rows.len(), rim.cols.len());
-        gemm.block_product(
-            &mut [DestTile::new(c_rim, T::ONE)],
-            &[(T::ONE, a_rim)],
-            &[(T::ONE, b_rim)],
-            false,
+        let layout = ArenaLayout::for_core(variant, plan, mc, kc, nc);
+        *last_layout = Some(layout);
+        run::run_products(
+            c.reborrow().submatrix(0, 0, mc, nc),
+            a.submatrix(0, 0, mc, kc),
+            b.submatrix(0, 0, kc, nc),
+            plan,
+            variant,
+            arena.views(&layout),
+            params,
+            ic_loop.reborrow(),
         );
     }
-}
-
-fn run_core<T: GemmScalar>(
-    c: MatMut<'_, T>,
-    a: MatRef<'_, T>,
-    b: MatRef<'_, T>,
-    plan: &FmmPlan,
-    variant: Variant,
-    ctx: &mut FmmContext<T>,
-) {
-    let (m, k) = (a.rows(), a.cols());
-    let n = b.cols();
-    let a_blocks = OperandBlocks::new(a, plan.a_grid());
-    let b_blocks = OperandBlocks::new(b, plan.b_grid());
-    let c_blocks = DestBlocks::new(c, plan.c_grid());
-    let layout = ArenaLayout::for_core(variant, plan, m, k, n);
-    ctx.last_layout = Some(layout);
-    // Split the context into its disjoint halves: arena views for the
-    // executor, params + packing workspace for the GEMM dispatch.
-    let FmmContext { params, ws, arena, parallel, .. } = ctx;
-    let views = arena.views(&layout);
-    let mut gemm = GemmDispatch { params, ws, parallel: *parallel };
-    match variant {
-        Variant::Naive => naive::run(plan, &a_blocks, &b_blocks, &c_blocks, views, &mut gemm),
-        Variant::Ab => ab::run(plan, &a_blocks, &b_blocks, &c_blocks, views, &mut gemm),
-        Variant::Abc => abc::run(plan, &a_blocks, &b_blocks, &c_blocks, &mut gemm),
-    }
+    run_rims(c, a, b, &peel_plan.rims, params, ic_loop);
 }
 
 #[cfg(test)]
@@ -352,6 +283,24 @@ mod tests {
         for v in Variant::ALL {
             check(32, 24, 40, &plan, v, true);
         }
+    }
+
+    #[test]
+    fn parallel_only_context_never_sizes_its_packing_workspace() {
+        // The parallel `ic` loop packs into pooled buffers, cores and rims
+        // alike, so a context only ever run in parallel keeps its own
+        // packing workspace empty.
+        let plan = FmmPlan::new(vec![strassen()]);
+        let mut ctx = FmmContext::new(BlockingParams::tiny());
+        for (m, k, n) in [(32, 24, 40), (17, 19, 21)] {
+            let a = fill::bench_workload(m, k, 1);
+            let b = fill::bench_workload(k, n, 2);
+            for variant in Variant::ALL {
+                let mut c = Matrix::zeros(m, n);
+                fmm_execute_parallel(c.as_mut(), a.as_ref(), b.as_ref(), &plan, variant, &mut ctx);
+            }
+        }
+        assert_eq!((ctx.ws.abuf.len(), ctx.ws.bbuf.len()), (0, 0));
     }
 
     #[test]

@@ -70,7 +70,6 @@ mod lru;
 
 pub use lru::LruCache;
 
-use fmm_core::executor::ArenaLayout;
 use fmm_core::registry::Registry;
 pub use fmm_core::Strategy;
 // `Routing::Pinned` and `multiply_with_plan` take a `Variant`; re-export
@@ -888,16 +887,11 @@ impl<T: GemmScalar> FmmEngine<T> {
         let ctx = guard.ctx();
         let grows_before = ctx.grow_count();
         let occupied = if self.config.parallel {
-            let task_ws = fmm_sched::execute(c, a, b, plan, variant, strategy, ctx, self.workers);
-            if matches!(strategy, Strategy::Dfs) {
-                ctx.fmm_context().last_layout().map_or(0, ArenaLayout::total_elements)
-            } else {
-                task_ws
-            }
+            fmm_sched::execute(c, a, b, plan, variant, strategy, ctx, self.workers)
         } else {
             let fmm = ctx.fmm_context();
             fmm_execute(c, a, b, plan, variant, fmm);
-            fmm.last_layout().map_or(0, ArenaLayout::total_elements)
+            fmm.fmm_workspace_elements()
         };
         self.counters.arena_grows.fetch_add(ctx.grow_count() - grows_before, Ordering::Relaxed);
         occupied

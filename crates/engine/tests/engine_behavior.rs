@@ -139,31 +139,34 @@ fn concurrent_multiply_matches_reference() {
 /// Arena sizing matches `Variant::workspace_elements` for all three
 /// variants (migrated from the executor's
 /// `workspace_requirements_match_allocations` unit test, now asserted
-/// through the engine's pooled execution path).
+/// through the engine's pooled execution path), on a sequential engine and
+/// on a parallel one, whose depth-first runs go through `fmm_sched`.
 #[test]
 fn arena_sizing_matches_workspace_elements() {
-    let engine = FmmEngine::new(tiny_config(Routing::Model));
     let plan = FmmPlan::new(vec![fmm_core::registry::strassen()]);
     let (m, k, n) = (16, 12, 20);
     assert_eq!(Variant::Abc.workspace_elements(&plan, m, k, n), 0);
     assert_eq!(Variant::Ab.workspace_elements(&plan, m, k, n), 8 * 10);
     assert_eq!(Variant::Naive.workspace_elements(&plan, m, k, n), 8 * 10 + 8 * 6 + 6 * 10);
-    for variant in Variant::ALL {
-        let a = fill::bench_workload(m, k, 1);
-        let b = fill::bench_workload(k, n, 2);
-        let mut c = fill::bench_workload(m, n, 3);
-        let occupied =
-            engine.multiply_with_plan(c.as_mut(), a.as_ref(), b.as_ref(), &plan, variant);
-        assert_eq!(
-            occupied,
-            variant.workspace_elements(&plan, m, k, n),
-            "variant {}",
-            variant.name()
-        );
-        // And the result is correct.
-        let mut c_ref = fill::bench_workload(m, n, 3);
-        fmm_gemm::reference::matmul_into(c_ref.as_mut(), a.as_ref(), b.as_ref());
-        assert!(norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < 1e-10);
+    for parallel in [false, true] {
+        let engine = FmmEngine::new(EngineConfig { parallel, ..tiny_config(Routing::Model) });
+        for variant in Variant::ALL {
+            let a = fill::bench_workload(m, k, 1);
+            let b = fill::bench_workload(k, n, 2);
+            let mut c = fill::bench_workload(m, n, 3);
+            let occupied =
+                engine.multiply_with_plan(c.as_mut(), a.as_ref(), b.as_ref(), &plan, variant);
+            assert_eq!(
+                occupied,
+                variant.workspace_elements(&plan, m, k, n),
+                "variant {} parallel={parallel}",
+                variant.name()
+            );
+            // And the result is correct.
+            let mut c_ref = fill::bench_workload(m, n, 3);
+            fmm_gemm::reference::matmul_into(c_ref.as_mut(), a.as_ref(), b.as_ref());
+            assert!(norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < 1e-10);
+        }
     }
 }
 

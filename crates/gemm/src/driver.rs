@@ -1,8 +1,8 @@
 //! The five-loop GEMM driver, generalized for fast matrix multiplication.
 //!
-//! [`gemm_sums`] computes `P = (sum_i alpha_i A_i) * (sum_j beta_j B_j)` and
-//! applies `C_d += w_d * P` for every destination `d`, without ever
-//! materializing the operand sums or `P`:
+//! [`gemm_sums_with`] computes `P = (sum_i alpha_i A_i) * (sum_j beta_j B_j)`
+//! and applies `C_d += w_d * P` (or `C_d = w_d * P`) for every destination
+//! `d`, without ever materializing the operand sums or `P`:
 //!
 //! * operand sums are folded into the packing ([`crate::pack`]);
 //! * the destination updates are applied straight from the micro-kernel
@@ -11,13 +11,16 @@
 //! Loop structure (paper Fig. 1): `jc` over `n` in steps of `nc` (loop 5),
 //! `pc` over `k` in steps of `kc` (loop 4, packs `B̃`), `ic` over `m` in
 //! steps of `mc` (loop 3, packs `Ã`), then the macro-kernel: `jr` (loop 2)
-//! and `ir` (loop 1) over micro-tiles.
+//! and `ir` (loop 1) over micro-tiles. There is one such nest; its `ic` loop
+//! runs inline or over rayon workers as its [`IcLoop`] argument says, which
+//! is all the paper's data parallelism (§5.1) needs.
 
 use crate::kernel::{GemmScalar, MicroKernelFn, ACC_CAP};
 use crate::pack;
 use crate::params::BlockingParams;
-use crate::workspace::GemmWorkspace;
+use crate::workspace::{GemmWorkspace, PooledWorkspace};
 use fmm_dense::{MatMut, MatRef, Scalar};
+use rayon::prelude::*;
 
 /// One destination of a generalized GEMM: a mutable view plus the scalar
 /// coefficient `w` applied to the product before accumulation.
@@ -42,8 +45,8 @@ impl<'a, T: Scalar> DestTile<'a, T> {
         (self.view.rows(), self.view.cols())
     }
 
-    /// Immutable raw parts, used by the parallel driver.
-    pub(crate) fn raw(&mut self) -> RawDest<T> {
+    /// Raw parts, which the `ic` loop's workers share.
+    fn raw(&mut self) -> RawDest<T> {
         RawDest {
             ptr: self.view.as_mut_ptr(),
             rows: self.view.rows(),
@@ -59,7 +62,7 @@ impl<'a, T: Scalar> DestTile<'a, T> {
 /// array of them. Writes through it are only sound while the originating
 /// `DestTile` borrow is live and writers touch disjoint element sets.
 #[derive(Debug)]
-pub(crate) struct RawDest<T> {
+struct RawDest<T> {
     pub ptr: *mut T,
     pub rows: usize,
     pub cols: usize,
@@ -76,9 +79,9 @@ impl<T: Scalar> Clone for RawDest<T> {
 
 impl<T: Scalar> Copy for RawDest<T> {}
 
-// SAFETY: see the invariant on the type — the parallel driver partitions
-// writers by disjoint row ranges, and the sequential driver is single
-// threaded. The pointer itself is as sendable as the `&mut` it came from.
+// SAFETY: see the invariant on the type — the parallel `ic` loop partitions
+// writers by disjoint row ranges, and the inline one is single threaded.
+// The pointer itself is as sendable as the `&mut` it came from.
 unsafe impl<T: Scalar> Send for RawDest<T> {}
 unsafe impl<T: Scalar> Sync for RawDest<T> {}
 
@@ -97,7 +100,7 @@ unsafe impl<T: Scalar> Sync for RawDest<T> {}
 /// 128³, 1.02–1.15x above. Column-major operands with row-major
 /// destinations trade that copy for the epilogue: 0.90x at 32³, 0.97x at
 /// 64³–128³, even from 256³.
-pub(crate) fn transpose_row_major<T: Scalar>(raw: &mut [RawDest<T>]) -> bool {
+fn transpose_row_major<T: Scalar>(raw: &mut [RawDest<T>]) -> bool {
     if !raw.iter().all(|d| d.cs == 1 && d.rs != 1) {
         return false;
     }
@@ -109,7 +112,7 @@ pub(crate) fn transpose_row_major<T: Scalar>(raw: &mut [RawDest<T>]) -> bool {
 }
 
 /// `x`, or `xᵀ` in a problem [`transpose_row_major`] transposed.
-pub(crate) fn oriented<T: Scalar>(x: MatRef<'_, T>, transposed: bool) -> MatRef<'_, T> {
+fn oriented<T: Scalar>(x: MatRef<'_, T>, transposed: bool) -> MatRef<'_, T> {
     if transposed {
         x.t()
     } else {
@@ -117,18 +120,49 @@ pub(crate) fn oriented<T: Scalar>(x: MatRef<'_, T>, transposed: bool) -> MatRef<
     }
 }
 
+/// How a generalized GEMM writes its destinations.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Update {
+    /// `C_d += w_d * P`, the FMM/GEMM default.
+    Accumulate,
+    /// `C_d = w_d * P`, for `M_r` temporaries.
+    Overwrite,
+}
+
+/// Where the `ic` loop (loop 3) runs, and so where packing buffers come
+/// from.
+pub enum IcLoop<'w, T = f64> {
+    /// Inline on the calling thread, packing into the caller's workspace
+    /// (sized on first use).
+    Inline(&'w mut GemmWorkspace<T>),
+    /// Over the rayon pool, mirroring the paper's OpenMP scheme (§5.1,
+    /// citing Smith et al. IPDPS'14). Each worker packs its own `Ã` block
+    /// (private, in that core's L2) while all share the packed `B̃` panel
+    /// (in L3), the sharing pattern BLIS uses; both come from
+    /// [`GemmScalar::global_pool`]. Workers write disjoint row ranges
+    /// `[ic, ic + mc)` of every destination, so `C` needs no
+    /// synchronization beyond the loop barrier.
+    Parallel,
+}
+
+impl<T> IcLoop<'_, T> {
+    /// The same choice for a shorter borrow, so one choice can drive
+    /// several calls.
+    pub fn reborrow(&mut self) -> IcLoop<'_, T> {
+        match self {
+            IcLoop::Inline(ws) => IcLoop::Inline(ws),
+            IcLoop::Parallel => IcLoop::Parallel,
+        }
+    }
+}
+
 /// Generalized GEMM: for every destination `d`,
-/// `C_d (+)= w_d * (sum a_terms) * (sum b_terms)`.
+/// `C_d += w_d * (sum a_terms) * (sum b_terms)`, sequentially, packing
+/// into `ws`. [`gemm_sums_with`] with [`Update::Accumulate`] and
+/// [`IcLoop::Inline`].
 ///
 /// All `a_terms` must share one shape `(m, k)`, all `b_terms` one shape
 /// `(k, n)`, and all destinations one shape `(m, n)`.
-///
-/// `overwrite = false` accumulates (`+=`, the FMM/GEMM default). Use
-/// [`gemm_sums_overwrite`] for `=` semantics (used for `M_r` temporaries).
-///
-/// Any strides are accepted. Column-major destinations (unit row stride)
-/// are the fast case; destinations that are all row-major run as the
-/// column-major problem `C_dᵀ (+)= w_d · Bᵀ·Aᵀ`, on views.
 pub fn gemm_sums<T: GemmScalar>(
     dests: &mut [DestTile<'_, T>],
     a_terms: &[(T, MatRef<'_, T>)],
@@ -136,41 +170,38 @@ pub fn gemm_sums<T: GemmScalar>(
     params: &BlockingParams,
     ws: &mut GemmWorkspace<T>,
 ) {
-    gemm_sums_impl(dests, a_terms, b_terms, params, ws, false)
+    gemm_sums_with(dests, a_terms, b_terms, params, Update::Accumulate, IcLoop::Inline(ws))
 }
 
-/// As [`gemm_sums`], but destinations are overwritten (`C_d = w_d * P`)
-/// instead of accumulated into.
-pub fn gemm_sums_overwrite<T: GemmScalar>(
+/// The five-loop nest: `C_d (+)= w_d * (sum a_terms) * (sum b_terms)` for
+/// every destination, written as `update` says, with the `ic` loop run as
+/// `ic_loop` says. Shapes as for [`gemm_sums`].
+///
+/// Any strides are accepted. Column-major destinations (unit row stride)
+/// are the fast case; destinations that are all row-major run as the
+/// column-major problem `C_dᵀ (+)= w_d · Bᵀ·Aᵀ`, on views.
+pub fn gemm_sums_with<T: GemmScalar>(
     dests: &mut [DestTile<'_, T>],
     a_terms: &[(T, MatRef<'_, T>)],
     b_terms: &[(T, MatRef<'_, T>)],
     params: &BlockingParams,
-    ws: &mut GemmWorkspace<T>,
-) {
-    gemm_sums_impl(dests, a_terms, b_terms, params, ws, true)
-}
-
-fn gemm_sums_impl<T: GemmScalar>(
-    dests: &mut [DestTile<'_, T>],
-    a_terms: &[(T, MatRef<'_, T>)],
-    b_terms: &[(T, MatRef<'_, T>)],
-    params: &BlockingParams,
-    ws: &mut GemmWorkspace<T>,
-    overwrite: bool,
+    update: Update,
+    mut ic_loop: IcLoop<'_, T>,
 ) {
     let (m, k, n) = check_shapes(dests, a_terms, b_terms);
     // The register tile is the kernel's property, not the caller's: pack
     // micro-panels for `T`'s kernel, keep the caller's cache blocking.
     let params = params.with_register_tile(T::MR, T::NR);
     params.validate().expect("invalid blocking parameters");
-    ws.ensure(&params);
+    if let IcLoop::Inline(ws) = &mut ic_loop {
+        ws.ensure(&params);
+    }
     let mut raw: Vec<RawDest<T>> = dests.iter_mut().map(|d| d.raw()).collect();
     if m == 0 || n == 0 {
         return;
     }
     if k == 0 {
-        if overwrite {
+        if update == Update::Overwrite {
             for d in dests {
                 d.view.fill(T::ZERO);
             }
@@ -181,6 +212,15 @@ fn gemm_sums_impl<T: GemmScalar>(
     let (a_terms, b_terms, m, n) =
         if transposed { (b_terms, a_terms, n, m) } else { (a_terms, b_terms, m, n) };
     let ukr = T::micro_kernel();
+    let parallel = matches!(ic_loop, IcLoop::Parallel);
+    // The shared B̃ panel, packed once per (jc, pc) iteration. Pooled in
+    // parallel mode (one pool per dtype), so the warm path allocates
+    // nothing.
+    let mut pooled: Option<PooledWorkspace<'_, T>> = None;
+    let ws: &mut GemmWorkspace<T> = match ic_loop {
+        IcLoop::Inline(ws) => ws,
+        IcLoop::Parallel => pooled.insert(T::global_pool().acquire(&params)),
+    };
 
     let mut jc = 0;
     while jc < n {
@@ -197,24 +237,37 @@ fn gemm_sums_impl<T: GemmScalar>(
             pack::pack_b_sum(&mut ws.bbuf, &b_slices, params.nr);
             crate::obs_hooks::pack_done(t_pack);
             // First k-panel overwrites if requested; later panels accumulate.
-            let store = overwrite && pc == 0;
+            let store = update == Update::Overwrite && pc == 0;
+            let bbuf: &[T] = &ws.bbuf;
 
-            let mut ic = 0;
-            while ic < m {
+            // Loop 3 body: pack (the sum of) A into Ã, then the
+            // macro-kernel. Each call owns rows [ic, ic + mb) of every
+            // destination, so parallel calls (disjoint in `ic`) cannot race
+            // on the writes through RawDest.
+            let block = |abuf: &mut [T], ic: usize| {
                 let mb = params.mc.min(m - ic);
-                // Loop 3 body: pack (the sum of) A into Ã.
                 let a_slices: Vec<(T, MatRef<'_, T>)> = a_terms
                     .iter()
                     .map(|(g, a)| (*g, oriented(*a, transposed).submatrix(ic, pc, mb, kb)))
                     .collect();
                 let t_pack = crate::obs_hooks::phase_start();
-                pack::pack_a_sum(&mut ws.abuf, &a_slices, params.mr);
+                pack::pack_a_sum(abuf, &a_slices, params.mr);
                 crate::obs_hooks::pack_done(t_pack);
-
                 let t_kernel = crate::obs_hooks::phase_start();
-                macro_kernel(&mut raw, &ws.abuf, &ws.bbuf, ic, jc, mb, nb, kb, ukr, store);
+                macro_kernel(&raw, abuf, bbuf, ic, jc, mb, nb, kb, ukr, store);
                 crate::obs_hooks::kernel_done(t_kernel);
-                ic += params.mc;
+            };
+            if parallel {
+                (0..m.div_ceil(params.mc)).into_par_iter().for_each_init(
+                    || T::global_pool().acquire(&params),
+                    |aws, blk| block(&mut aws.abuf, blk * params.mc),
+                );
+            } else {
+                let mut ic = 0;
+                while ic < m {
+                    block(&mut ws.abuf, ic);
+                    ic += params.mc;
+                }
             }
             pc += params.kc;
         }
@@ -225,8 +278,8 @@ fn gemm_sums_impl<T: GemmScalar>(
 /// Loops 2 and 1: sweep `nr x mr` micro-tiles of the current block, run the
 /// micro-kernel, and scatter the accumulator into every destination.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn macro_kernel<T: GemmScalar>(
-    dests: &mut [RawDest<T>],
+fn macro_kernel<T: GemmScalar>(
+    dests: &[RawDest<T>],
     abuf: &[T],
     bbuf: &[T],
     ic: usize,
@@ -315,7 +368,7 @@ unsafe fn apply_tile<T: GemmScalar>(
     }
 }
 
-pub(crate) fn check_shapes<T: Scalar>(
+fn check_shapes<T: Scalar>(
     dests: &[DestTile<'_, T>],
     a_terms: &[(T, MatRef<'_, T>)],
     b_terms: &[(T, MatRef<'_, T>)],
@@ -410,12 +463,13 @@ mod tests {
         let b = Matrix::zeros(0, 4);
         let mut c = Matrix::filled(4, 4, 7.0);
         let mut ws = GemmWorkspace::for_params(&p);
-        gemm_sums_overwrite(
+        gemm_sums_with(
             &mut [DestTile::new(c.as_mut(), 1.0)],
             &[(1.0, a.as_ref())],
             &[(1.0, b.as_ref())],
             &p,
-            &mut ws,
+            Update::Overwrite,
+            IcLoop::Inline(&mut ws),
         );
         assert_eq!(c, Matrix::zeros(4, 4));
     }
@@ -503,12 +557,13 @@ mod tests {
         let b = fill::bench_workload(k, n, 8);
         let mut c = Matrix::filled(m, n, 123.0);
         let mut ws = GemmWorkspace::for_params(&p);
-        gemm_sums_overwrite(
+        gemm_sums_with(
             &mut [DestTile::new(c.as_mut(), 1.0)],
             &[(1.0, a.as_ref())],
             &[(1.0, b.as_ref())],
             &p,
-            &mut ws,
+            Update::Overwrite,
+            IcLoop::Inline(&mut ws),
         );
         let c_ref = reference::matmul(a.as_ref(), b.as_ref());
         assert!(norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < 1e-12);
@@ -584,5 +639,98 @@ mod tests {
             &p,
             &mut ws,
         );
+    }
+
+    #[test]
+    fn parallel_matches_sequential_driver() {
+        let p = BlockingParams::tiny();
+        for (m, k, n) in [(64, 32, 48), (33, 17, 29), (100, 7, 3)] {
+            let a = fill::bench_workload(m, k, 1);
+            let b = fill::bench_workload(k, n, 2);
+            let mut c_par = fill::bench_workload(m, n, 3);
+            let mut c_seq = c_par.clone();
+
+            gemm_sums_with(
+                &mut [DestTile::new(c_par.as_mut(), 1.0)],
+                &[(1.0, a.as_ref())],
+                &[(1.0, b.as_ref())],
+                &p,
+                Update::Accumulate,
+                IcLoop::Parallel,
+            );
+            let mut ws = GemmWorkspace::for_params(&p);
+            gemm_sums(
+                &mut [DestTile::new(c_seq.as_mut(), 1.0)],
+                &[(1.0, a.as_ref())],
+                &[(1.0, b.as_ref())],
+                &p,
+                &mut ws,
+            );
+            // Same packing, same kernel, same summation order per element:
+            // results are bit-identical.
+            assert_eq!(c_par, c_seq, "m={m} k={k} n={n}");
+        }
+    }
+
+    #[test]
+    fn parallel_multi_dest_and_sums() {
+        let p = BlockingParams::tiny();
+        let m = 48;
+        let k = 20;
+        let n = 36;
+        let a0 = fill::bench_workload(m, k, 4);
+        let a1 = fill::bench_workload(m, k, 5);
+        let b0 = fill::bench_workload(k, n, 6);
+        let mut c0 = Matrix::zeros(m, n);
+        let mut c1 = Matrix::zeros(m, n);
+        gemm_sums_with(
+            &mut [DestTile::new(c0.as_mut(), 2.0), DestTile::new(c1.as_mut(), -1.0)],
+            &[(1.0, a0.as_ref()), (-1.0, a1.as_ref())],
+            &[(1.0, b0.as_ref())],
+            &p,
+            Update::Accumulate,
+            IcLoop::Parallel,
+        );
+        let mut asum = Matrix::zeros(m, k);
+        fmm_dense::ops::linear_combination(
+            asum.as_mut(),
+            &[(1.0, a0.as_ref()), (-1.0, a1.as_ref())],
+        )
+        .unwrap();
+        let prod = reference::matmul(asum.as_ref(), b0.as_ref());
+        for j in 0..n {
+            for i in 0..m {
+                assert!((c0.get(i, j) - 2.0 * prod.get(i, j)).abs() < 1e-12);
+                assert!((c1.get(i, j) + prod.get(i, j)).abs() < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_overwrite_semantics() {
+        let p = BlockingParams::tiny();
+        let a = fill::bench_workload(24, 25, 7);
+        let b = fill::bench_workload(25, 16, 8);
+        let mut c = Matrix::filled(24, 16, 55.0);
+        gemm_sums_with(
+            &mut [DestTile::new(c.as_mut(), 1.0)],
+            &[(1.0, a.as_ref())],
+            &[(1.0, b.as_ref())],
+            &p,
+            Update::Overwrite,
+            IcLoop::Parallel,
+        );
+        let c_ref = reference::matmul(a.as_ref(), b.as_ref());
+        assert!(norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < 1e-12);
+    }
+
+    #[test]
+    fn gemm_parallel_entry_point() {
+        let a = fill::bench_workload(70, 30, 9);
+        let b = fill::bench_workload(30, 50, 10);
+        let mut c = Matrix::zeros(70, 50);
+        crate::gemm_parallel(c.as_mut(), a.as_ref(), b.as_ref());
+        let c_ref = reference::matmul(a.as_ref(), b.as_ref());
+        assert!(norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < 1e-11);
     }
 }

@@ -10,14 +10,18 @@
 //! * **packing with linear combinations** ([`pack::pack_a_sum`],
 //!   [`pack::pack_b_sum`]): the packed buffer receives `sum_i gamma_i * X_i`
 //!   of several same-shape submatrices, at no extra memory traffic;
-//! * **multi-destination micro-kernel epilogue** ([`driver::gemm_sums`]):
+//! * **multi-destination micro-kernel epilogue** ([`driver::gemm_sums_with`]):
 //!   the register tile is scattered with per-destination coefficients into
 //!   several submatrices of `C`, avoiding temporaries for the intermediate
 //!   products `M_r`.
 //!
-//! Plain GEMM ([`gemm`], [`gemm_parallel`]) is the special case with one term
-//! per operand and one destination; the FMM executors in `fmm-core` invoke
-//! the general driver directly.
+//! [`driver`] holds the one loop nest. Its entry [`gemm_sums_with`] takes
+//! two choices as arguments: accumulate into or overwrite the destinations
+//! ([`Update`]), and run the `ic` loop inline or in parallel ([`IcLoop`]).
+//! [`gemm_sums`] is its accumulating, inline case. Plain GEMM ([`gemm`],
+//! [`gemm_parallel`]) is the special case with one term per operand and one
+//! destination; the FMM executors in `fmm-core` call the general entry
+//! directly.
 //!
 //! The whole substrate is generic over the packed element type through
 //! [`kernel::GemmScalar`] (`f64` default, `f32` supported): the trait owns
@@ -29,7 +33,8 @@
 //! blocking as configured.
 //!
 //! Parallelism mirrors the paper's OpenMP scheme: the third loop around the
-//! micro-kernel (the `ic` loop) is data-parallel over rayon worker threads.
+//! micro-kernel (the `ic` loop) is data-parallel over rayon worker threads
+//! when the caller passes [`IcLoop::Parallel`].
 //!
 //! # Example
 //!
@@ -52,12 +57,11 @@ pub mod driver;
 pub mod kernel;
 mod obs_hooks;
 pub mod pack;
-pub mod parallel;
 pub mod params;
 pub mod reference;
 pub mod workspace;
 
-pub use driver::{gemm_sums, DestTile};
+pub use driver::{gemm_sums, gemm_sums_with, DestTile, IcLoop, Update};
 pub use kernel::{GemmScalar, MicroKernelFn};
 pub use params::BlockingParams;
 pub use workspace::{GemmWorkspace, PooledWorkspace, WorkspacePool};
@@ -93,11 +97,12 @@ pub fn gemm_with_params<T: GemmScalar>(
 
 /// `C += A * B`, parallel over the `ic` loop using the global rayon pool.
 pub fn gemm_parallel<T: GemmScalar>(c: MatMut<'_, T>, a: MatRef<'_, T>, b: MatRef<'_, T>) {
-    let params = BlockingParams::default();
-    parallel::gemm_sums_parallel(
+    gemm_sums_with(
         &mut [DestTile::new(c, T::ONE)],
         &[(T::ONE, a)],
         &[(T::ONE, b)],
-        &params,
+        &BlockingParams::default(),
+        Update::Accumulate,
+        IcLoop::Parallel,
     );
 }

@@ -1,14 +1,14 @@
 //! Pack-vs-kernel attribution for the observability layer.
 //!
 //! The paper's performance argument is about where GEMM time goes —
-//! operand packing versus micro-kernel FLOPs — so both drivers time
-//! each `pack_*_sum` and `macro_kernel` call and record the duration
-//! into the process-global histograms `fmm_gemm_pack_nanos` /
-//! `fmm_gemm_kernel_nanos`. Timing is always on: one clock read per
-//! block-sized call plus four relaxed atomics, noise next to the work
-//! being timed. Span events additionally land in the span ring when
-//! tracing is enabled, stamped with the request id the current thread
-//! is serving (see `fmm_obs::trace::set_current_request`).
+//! operand packing versus micro-kernel FLOPs — so the driver times
+//! each `pack_*_sum` and `macro_kernel` call, inline or parallel, and
+//! records the duration into the process-global histograms
+//! `fmm_gemm_pack_nanos` / `fmm_gemm_kernel_nanos`. Timing is always on:
+//! one clock read per block-sized call plus four relaxed atomics, noise
+//! next to the work being timed. Span events additionally land in the
+//! span ring when tracing is enabled, stamped with the request id the
+//! current thread is serving (see `fmm_obs::trace::set_current_request`).
 
 use fmm_obs::trace::{self, Event, Kind};
 use fmm_obs::Histogram;

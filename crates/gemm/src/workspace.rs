@@ -37,9 +37,9 @@ impl<T: Scalar> GemmWorkspace<T> {
     }
 
     /// Zero-capacity workspace; the driver's [`GemmWorkspace::ensure`] call
-    /// sizes it on first sequential use. Lets holders that may never pack
-    /// (e.g. contexts running only parallel or rim-free executions) defer
-    /// the multi-megabyte buffers.
+    /// sizes it on first [`crate::IcLoop::Inline`] use. Lets holders that
+    /// may never pack (e.g. contexts running only parallel or rim-free
+    /// executions) defer the multi-megabyte buffers.
     pub fn empty() -> Self {
         Self { abuf: AlignedBuf::zeroed(0), bbuf: AlignedBuf::zeroed(0) }
     }
@@ -128,8 +128,8 @@ impl<T: GemmScalar> WorkspacePool<T> {
 }
 
 impl WorkspacePool<f64> {
-    /// The process-wide `f64` pool used by [`crate::gemm`] and the parallel
-    /// driver's per-worker packing buffers. Generic code should reach the
+    /// The process-wide `f64` pool used by [`crate::gemm`] and the packing
+    /// buffers of a parallel `ic` loop. Generic code should reach the
     /// per-dtype pool through [`crate::kernel::GemmScalar::global_pool`].
     pub fn global() -> &'static WorkspacePool<f64> {
         <f64 as crate::kernel::GemmScalar>::global_pool()

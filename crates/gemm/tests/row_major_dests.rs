@@ -1,11 +1,11 @@
 //! Row-major destinations (unit column stride — what the serving daemon's
-//! zero-copy result views are) through both drivers, against the
-//! reference product: the drivers run them as the transposed column-major
-//! problem, which must be invisible from outside.
+//! zero-copy result views are) through the driver, its `ic` loop inline
+//! and parallel, against the reference product: the driver runs them as
+//! the transposed column-major problem, which must be invisible from
+//! outside.
 
 use fmm_dense::{fill, norms, MatMut, MatRef, Matrix, Scalar};
-use fmm_gemm::driver::{gemm_sums, gemm_sums_overwrite, DestTile};
-use fmm_gemm::parallel::{gemm_sums_parallel, gemm_sums_parallel_overwrite};
+use fmm_gemm::driver::{gemm_sums, gemm_sums_with, DestTile, IcLoop, Update};
 use fmm_gemm::{reference, BlockingParams, GemmScalar, GemmWorkspace};
 
 /// The row-major `m × n` view whose element `(i, j)` is element `(j, i)` of
@@ -67,22 +67,13 @@ fn check<T: GemmScalar>(
             .enumerate()
             .map(|(d, s)| DestTile::new(row_major(s), coeff(d + 2)))
             .collect();
-        match (driver, overwrite) {
-            (Driver::Sequential, false) => {
-                let mut ws = GemmWorkspace::for_params(&params);
-                gemm_sums(&mut tiles, &a_terms, &b_terms, &params, &mut ws);
-            }
-            (Driver::Sequential, true) => {
-                let mut ws = GemmWorkspace::for_params(&params);
-                gemm_sums_overwrite(&mut tiles, &a_terms, &b_terms, &params, &mut ws);
-            }
-            (Driver::Parallel, false) => {
-                gemm_sums_parallel(&mut tiles, &a_terms, &b_terms, &params)
-            }
-            (Driver::Parallel, true) => {
-                gemm_sums_parallel_overwrite(&mut tiles, &a_terms, &b_terms, &params)
-            }
-        }
+        let update = if overwrite { Update::Overwrite } else { Update::Accumulate };
+        let mut ws = GemmWorkspace::for_params(&params);
+        let ic_loop = match driver {
+            Driver::Sequential => IcLoop::Inline(&mut ws),
+            Driver::Parallel => IcLoop::Parallel,
+        };
+        gemm_sums_with(&mut tiles, &a_terms, &b_terms, &params, update, ic_loop);
     }
 
     // The same update in f64, from explicit operand sums.

@@ -10,7 +10,8 @@
 //! core:
 //!
 //! * [`Strategy::Bfs`] fans all `R_L` products out as tasks over the
-//!   worker pool. Each task computes its `M_r` into a task-private region
+//!   worker pool. Each task runs the executor's own product step
+//!   ([`fmm_core::executor::form_product`]) into a task-private `M_r`
 //!   carved from one grow-only workspace arena
 //!   ([`fmm_core::executor::TaskSlots`]); a second parallel phase then
 //!   merges `C_p += Σ_r W[p,r]·M_r`, one task per destination block (the
@@ -18,11 +19,13 @@
 //! * [`Strategy::Hybrid`] fans out only the `R_1` level-1 products and
 //!   executes the remaining levels depth-first inside each task — the
 //!   sweet spot when `R_L` tasks would be too fine-grained but one product
-//!   is too coarse for data parallelism.
+//!   is too coarse for data parallelism. Its merge phase is BFS's.
 //!
-//! Per-task GEMMs run the *sequential* driver with
+//! Per-task GEMMs run their `ic` loop inline ([`IcLoop::Inline`]) with
 //! [`BlockingParams::for_workers`]-shrunk panels, so task parallelism never
-//! oversubscribes cores or the shared cache. All per-task state — the task
+//! oversubscribes cores or the shared cache. The rims dynamic peeling
+//! leaves run through the executor's rim loop
+//! ([`fmm_core::executor::run_rims`]) with a parallel `ic` loop. All per-task state — the task
 //! arena, a context-private packing-workspace pool, and the hybrid
 //! strategy's inner DFS contexts — lives in a reusable [`SchedContext`],
 //! whose [`SchedContext::grow_count`] stays flat once warm: the warm
@@ -51,10 +54,15 @@
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 
-use fmm_core::executor::{gather_terms, ArenaViews, DestBlocks, OperandBlocks, WorkspaceArena};
-use fmm_core::{fmm_execute, fmm_execute_parallel, peeling, tasks, FmmContext, FmmPlan, Variant};
+use fmm_core::executor::{
+    form_product, gather_terms, run_rims, ArenaViews, DestBlocks, OperandBlocks, TaskSlots,
+    WorkspaceArena,
+};
+use fmm_core::{
+    fmm_execute, fmm_execute_parallel, peeling, tasks, CoeffMatrix, FmmContext, FmmPlan, Variant,
+};
 use fmm_dense::{ops, MatMut, MatRef};
-use fmm_gemm::{BlockingParams, DestTile, GemmScalar, WorkspacePool};
+use fmm_gemm::{BlockingParams, GemmScalar, IcLoop, WorkspacePool};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -345,9 +353,10 @@ where
 /// Execute `C += A·B` under `strategy` with `workers` workers (`0` = the
 /// rayon pool width; explicit counts are clamped to it). Arbitrary
 /// dimensions; fringes are handled by dynamic peeling exactly as in
-/// [`fmm_core::fmm_execute`]. Returns the number of per-task
-/// workspace-arena elements the core execution occupied (0 for DFS, which
-/// uses the wrapped context's own arena).
+/// [`fmm_core::fmm_execute`], through the same rim loop. Returns the
+/// workspace-arena elements the core execution occupied: the wrapped
+/// context's arena for DFS ([`Variant::workspace_elements`]), the per-task
+/// regions for BFS and hybrid.
 ///
 /// DFS delegates to [`fmm_core::fmm_execute_parallel`]: block products
 /// data-parallel over the *full* rayon pool (its `ic`-loop does not take a
@@ -373,7 +382,7 @@ pub fn execute<T: GemmScalar>(
     if matches!(strategy, Strategy::Dfs) {
         strategy_counter(Strategy::Dfs).inc();
         fmm_execute_parallel(c, a, b, plan, variant, &mut ctx.fmm);
-        return 0;
+        return ctx.fmm.fmm_workspace_elements();
     }
     // Hybrid of a one-level plan has no inner levels to run depth-first;
     // it *is* BFS.
@@ -399,19 +408,51 @@ pub fn execute<T: GemmScalar>(
             Strategy::Dfs => unreachable!("handled above"),
         };
     }
-    for rim in &peel.rims {
-        let a_rim = a.submatrix(rim.rows.start, rim.inner.start, rim.rows.len(), rim.inner.len());
-        let b_rim = b.submatrix(rim.inner.start, rim.cols.start, rim.inner.len(), rim.cols.len());
-        let c_rim =
-            c.reborrow().submatrix(rim.rows.start, rim.cols.start, rim.rows.len(), rim.cols.len());
-        fmm_gemm::parallel::gemm_sums_parallel(
-            &mut [DestTile::new(c_rim, T::ONE)],
-            &[(T::ONE, a_rim)],
-            &[(T::ONE, b_rim)],
-            &ctx.params,
-        );
-    }
+    run_rims(c, a, b, &peel.rims, &ctx.params, IcLoop::Parallel);
     occupied
+}
+
+/// Run one task's `work`, timing it into the task histogram and, while
+/// tracing, a `TaskExec` span.
+fn timed_task(work: impl FnOnce()) {
+    let t0 = fmm_obs::trace::now_nanos();
+    work();
+    let t1 = fmm_obs::trace::now_nanos();
+    task_hist().record(t1.saturating_sub(t0));
+    if fmm_obs::trace::enabled() {
+        let request = fmm_obs::trace::current_request();
+        fmm_obs::trace::record(fmm_obs::Event::span(fmm_obs::Kind::TaskExec, request, t0, t1));
+    }
+}
+
+/// Phase 2 of both task strategies: `C_p += Σ_r W[p,r]·M_r` for every block
+/// `p` of `c_blocks`, one task per block. Destination blocks are disjoint,
+/// so the merge needs no synchronization.
+///
+/// # Safety
+/// Every task region of `slots` that `w` names is written and no view of
+/// it is alive: phase 1's fan-out has returned.
+unsafe fn merge_phase<T: GemmScalar>(
+    c_blocks: &DestBlocks<'_, T>,
+    w: &CoeffMatrix,
+    slots: &TaskSlots<'_, T>,
+    workers: usize,
+) {
+    fan_out(
+        c_blocks.len(),
+        workers,
+        || (),
+        |(), p| {
+            let span = fmm_obs::trace::start();
+            for (r, w) in w.row_nonzeros(p) {
+                // SAFETY: `fan_out` hands each block index to one task, and
+                // each merge holds one view of it at a time; every M_r slot
+                // is immutable per this function's contract.
+                unsafe { c_blocks.merge(p, w, slots.mr(r)) };
+            }
+            fmm_obs::trace::finish(fmm_obs::Kind::Merge, fmm_obs::trace::current_request(), span);
+        },
+    );
 }
 
 /// BFS core: phase 1 computes every `M_r` task-parallel, phase 2 merges
@@ -458,76 +499,20 @@ fn bfs_core<T: GemmScalar>(
             let views = unsafe { slots.views(r) };
             let a_terms = gather_terms(plan.u(), r, &a_blocks);
             let b_terms = gather_terms(plan.v(), r, &b_blocks);
-            let t0 = fmm_obs::trace::now_nanos();
-            compute_product(views, variant, &a_terms, &b_terms, &task_params, ws);
-            let t1 = fmm_obs::trace::now_nanos();
-            task_hist().record(t1.saturating_sub(t0));
-            if fmm_obs::trace::enabled() {
-                let request = fmm_obs::trace::current_request();
-                let task = fmm_obs::Event::span(fmm_obs::Kind::TaskExec, request, t0, t1);
-                fmm_obs::trace::record(task);
-            }
+            timed_task(|| {
+                let ic_loop = IcLoop::Inline(ws);
+                form_product(views, variant, &a_terms, &b_terms, &task_params, ic_loop);
+            });
         },
     );
 
-    // Phase 2: merge. Destination blocks are disjoint, so one task per
-    // block; every task reads the now-immutable M_r regions.
-    fan_out(
-        c_blocks.len(),
-        workers,
-        || (),
-        |(), p| {
-            let span = fmm_obs::trace::start();
-            // SAFETY: distinct p -> disjoint C blocks; phase 1 finished,
-            // so the M_r reads cannot race a writer.
-            let mut dest = unsafe { c_blocks.get(p) };
-            for (r, w) in plan.w().row_nonzeros(p) {
-                // SAFETY: phase 1 finished — every M_r slot is immutable.
-                let mr = unsafe { slots.mr(r) };
-                ops::axpy(dest.reborrow(), T::from_f64(w), mr).expect("block shapes agree");
-            }
-            fmm_obs::trace::finish(fmm_obs::Kind::Merge, fmm_obs::trace::current_request(), span);
-        },
-    );
+    // Phase 2: merge.
+    // SAFETY: phase 1's fan-out returned above.
+    unsafe { merge_phase(&c_blocks, plan.w(), &slots, workers) };
 
     bfs_executions.fetch_add(1, Ordering::Relaxed);
     tasks_executed.fetch_add(rank as u64, Ordering::Relaxed);
     slots.total_elements()
-}
-
-/// One BFS task: `M_r = (Σ uᵢAᵢ)(Σ vⱼBⱼ)` with the sequential driver.
-/// AB/ABC fold the sums into packing; Naive materializes them first.
-fn compute_product<T: GemmScalar>(
-    views: ArenaViews<'_, T>,
-    variant: Variant,
-    a_terms: &[(T, MatRef<'_, T>)],
-    b_terms: &[(T, MatRef<'_, T>)],
-    params: &BlockingParams,
-    ws: &mut fmm_gemm::PooledWorkspace<'_, T>,
-) {
-    let ArenaViews { mut ta, mut tb, mr } = views;
-    match variant {
-        Variant::Naive => {
-            ops::linear_combination(ta.reborrow(), a_terms).expect("A block shapes agree");
-            ops::linear_combination(tb.reborrow(), b_terms).expect("B block shapes agree");
-            fmm_gemm::driver::gemm_sums_overwrite(
-                &mut [DestTile::new(mr, T::ONE)],
-                &[(T::ONE, ta.as_ref())],
-                &[(T::ONE, tb.as_ref())],
-                params,
-                ws,
-            );
-        }
-        Variant::Ab | Variant::Abc => {
-            fmm_gemm::driver::gemm_sums_overwrite(
-                &mut [DestTile::new(mr, T::ONE)],
-                a_terms,
-                b_terms,
-                params,
-                ws,
-            );
-        }
-    }
 }
 
 /// A pooled inner DFS context for one hybrid worker; returns itself (and
@@ -625,38 +610,20 @@ fn hybrid_core<T: GemmScalar>(
             let ArenaViews { mut ta, mut tb, mut mr } = unsafe { slots.views(r) };
             let a_terms = gather_terms(outer.u(), r, &a_blocks);
             let b_terms = gather_terms(outer.v(), r, &b_blocks);
-            let t0 = fmm_obs::trace::now_nanos();
-            ops::linear_combination(ta.reborrow(), &a_terms).expect("A block shapes agree");
-            ops::linear_combination(tb.reborrow(), &b_terms).expect("B block shapes agree");
-            // The executors accumulate; the task region is reused, so
-            // clear M_r before descending.
-            mr.fill(T::ZERO);
-            fmm_execute(mr, ta.as_ref(), tb.as_ref(), &inner, variant, ictx.ctx());
-            let t1 = fmm_obs::trace::now_nanos();
-            task_hist().record(t1.saturating_sub(t0));
-            if fmm_obs::trace::enabled() {
-                let request = fmm_obs::trace::current_request();
-                let task = fmm_obs::Event::span(fmm_obs::Kind::TaskExec, request, t0, t1);
-                fmm_obs::trace::record(task);
-            }
+            timed_task(|| {
+                ops::linear_combination(ta.reborrow(), &a_terms).expect("A block shapes agree");
+                ops::linear_combination(tb.reborrow(), &b_terms).expect("B block shapes agree");
+                // The executors accumulate; the task region is reused, so
+                // clear M_r before descending.
+                mr.fill(T::ZERO);
+                fmm_execute(mr, ta.as_ref(), tb.as_ref(), &inner, variant, ictx.ctx());
+            });
         },
     );
 
     // Phase 2: merge with the level-1 W coefficients.
-    fan_out(
-        c_blocks.len(),
-        workers,
-        || (),
-        |(), p| {
-            // SAFETY: distinct p -> disjoint C blocks; phase 1 finished.
-            let mut dest = unsafe { c_blocks.get(p) };
-            for (r, w) in outer.w().row_nonzeros(p) {
-                // SAFETY: phase 1 finished — every M_r slot is immutable.
-                let mr = unsafe { slots.mr(r) };
-                ops::axpy(dest.reborrow(), T::from_f64(w), mr).expect("block shapes agree");
-            }
-        },
-    );
+    // SAFETY: phase 1's fan-out returned above.
+    unsafe { merge_phase(&c_blocks, outer.w(), &slots, workers) };
 
     hybrid_executions.fetch_add(1, Ordering::Relaxed);
     tasks_executed.fetch_add(r1 as u64, Ordering::Relaxed);
@@ -811,7 +778,7 @@ mod tests {
         let a = fill::bench_workload(16, 16, 1);
         let b = fill::bench_workload(16, 16, 2);
         let mut c = Matrix::zeros(16, 16);
-        execute(
+        let occupied = execute(
             c.as_mut(),
             a.as_ref(),
             b.as_ref(),
@@ -822,6 +789,7 @@ mod tests {
             2,
         );
         assert!(ctx.fmm_context().fmm_workspace_elements() > 0, "DFS ran on the inner context");
+        assert_eq!(occupied, Variant::Naive.workspace_elements(&plan, 16, 16, 16));
         assert_eq!(ctx.stats().tasks_executed, 0, "DFS fans out no tasks");
     }
 }
