@@ -12,7 +12,8 @@ use crate::algorithm::FmmAlgorithm;
 /// `(file name, JSON contents)` pairs embedded from `registry/data/`.
 ///
 /// New discoveries are added here after `fmm-search` finds and verifies
-/// them (see the `discover` example and EXPERIMENTS.md).
+/// them (`cargo run --release --example discover -- m k n R --save` writes
+/// the file).
 const DATA: &[(&str, &str)] = &[("mkn223_r11.json", include_str!("data/mkn223_r11.json"))];
 
 /// Deserialize and re-verify every embedded algorithm.

@@ -10,7 +10,6 @@ use crate::linalg::{ridge_lstsq, Mat};
 use crate::tensor::MatMulTensor;
 use rand::rngs::StdRng;
 use rand::Rng;
-use rand::SeedableRng;
 
 /// A (possibly approximate) rank-`r` factor triple; row-major factors.
 #[derive(Clone, Debug)]
@@ -25,9 +24,8 @@ pub struct Factors {
 
 impl Factors {
     /// Random initialization with entries in `[-1, 1]`.
-    pub fn random(t: &MatMulTensor, r: usize, seed: u64) -> Self {
+    pub fn random(t: &MatMulTensor, r: usize, rng: &mut StdRng) -> Self {
         let (da, db, dc) = t.mode_sizes();
-        let mut rng = StdRng::seed_from_u64(seed);
         let mut gen = |rows: usize| {
             Mat::from_rows(rows, r, (0..rows * r).map(|_| rng.gen_range(-1.0..1.0)).collect())
         };
@@ -172,6 +170,7 @@ fn clamp(mut m: Mat, limit: f64) -> Mat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn khatri_rao_columns_are_kron() {
@@ -189,7 +188,7 @@ mod tests {
         // <2,2,2> at rank 8 (classical rank): ALS must reach a residual on
         // the order of the ridge floor.
         let t = MatMulTensor::new(2, 2, 2);
-        let mut f = Factors::random(&t, 8, 42);
+        let mut f = Factors::random(&t, 8, &mut StdRng::seed_from_u64(42));
         let res = run(&t, &mut f, &AlsOptions { ridge: 1e-7, clamp: 8.0 }, 200, 1e-8);
         assert!(res < 1e-3, "residual {res}");
     }
@@ -197,7 +196,7 @@ mod tests {
     #[test]
     fn als_monotonically_decreases_residual_mostly() {
         let t = MatMulTensor::new(2, 2, 2);
-        let mut f = Factors::random(&t, 7, 7);
+        let mut f = Factors::random(&t, 7, &mut StdRng::seed_from_u64(7));
         let opts = AlsOptions::default();
         let r0 = f.residual_sq(&t);
         sweep(&t, &mut f, &opts);

@@ -95,11 +95,6 @@ impl Mat {
         }
         out
     }
-
-    /// Maximum absolute entry.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
-    }
 }
 
 /// Cholesky factorization of an SPD matrix (in place lower factor).

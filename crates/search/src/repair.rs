@@ -12,7 +12,7 @@ use fmm_core::{CoeffMatrix, FmmAlgorithm};
 
 /// Solve `W` from `(U, V)`: minimize `||T_(3)ᵀ - (U ⊙ V)·Wᵀ||`.
 /// Returns `None` if the system is too ill-conditioned to solve.
-pub fn solve_w(t: &MatMulTensor, u: &Mat, v: &Mat) -> Option<Mat> {
+pub(crate) fn solve_w(t: &MatMulTensor, u: &Mat, v: &Mat) -> Option<Mat> {
     let (da, db, dc) = t.mode_sizes();
     let z = khatri_rao(u, v); // (da*db) x R, row index a*db + b
     let t3t = Mat::from_rows(dc, da * db, t.unfold_3()).t();
@@ -21,7 +21,7 @@ pub fn solve_w(t: &MatMulTensor, u: &Mat, v: &Mat) -> Option<Mat> {
 }
 
 /// Solve `U` from `(V, W)`.
-pub fn solve_u(t: &MatMulTensor, v: &Mat, w: &Mat) -> Option<Mat> {
+pub(crate) fn solve_u(t: &MatMulTensor, v: &Mat, w: &Mat) -> Option<Mat> {
     let (da, db, dc) = t.mode_sizes();
     let z = khatri_rao(v, w); // row index b*dc + c
     let t1t = Mat::from_rows(da, db * dc, t.unfold_1()).t();
@@ -30,7 +30,7 @@ pub fn solve_u(t: &MatMulTensor, v: &Mat, w: &Mat) -> Option<Mat> {
 }
 
 /// Solve `V` from `(U, W)`.
-pub fn solve_v(t: &MatMulTensor, u: &Mat, w: &Mat) -> Option<Mat> {
+pub(crate) fn solve_v(t: &MatMulTensor, u: &Mat, w: &Mat) -> Option<Mat> {
     let (da, db, dc) = t.mode_sizes();
     let z = khatri_rao(u, w); // row index a*dc + c
     let t2t = Mat::from_rows(db, da * dc, t.unfold_2()).t();
@@ -41,7 +41,7 @@ pub fn solve_v(t: &MatMulTensor, u: &Mat, w: &Mat) -> Option<Mat> {
 /// Try to turn approximate factors into a verified algorithm:
 /// normalize → snap `U`,`V` to the grid → exactly re-solve `W` → snap `W` →
 /// verify the Brent equations. Returns the verified algorithm or `None`.
-pub fn finalize(
+pub(crate) fn finalize(
     t: &MatMulTensor,
     factors: &Factors,
     name: &str,
@@ -58,7 +58,7 @@ pub fn finalize(
 }
 
 /// Convert raw factor matrices into a Brent-verified [`FmmAlgorithm`].
-pub fn to_algorithm(
+pub(crate) fn to_algorithm(
     t: &MatMulTensor,
     u: &Mat,
     v: &Mat,
@@ -79,7 +79,7 @@ pub fn to_algorithm(
 
 /// Repair a hand-remembered algorithm guess: keep its `(U, V)`, re-solve
 /// `W` exactly, snap, verify.
-pub fn repair_w(guess: &FmmAlgorithm, grid: &[f64]) -> Option<FmmAlgorithm> {
+pub(crate) fn repair_w(guess: &FmmAlgorithm, grid: &[f64]) -> Option<FmmAlgorithm> {
     let (mt, kt, nt) = guess.dims();
     let t = MatMulTensor::new(mt, kt, nt);
     let conv = |m: &CoeffMatrix| {
@@ -106,7 +106,7 @@ pub fn repair_w_default(guess: &FmmAlgorithm) -> Option<FmmAlgorithm> {
 /// Try every single-factor exact repair of a near-solution: `W` from
 /// `(U,V)`, `U` from `(V,W)`, `V` from `(U,W)`, then the two-factor chains
 /// `V→W` and `U→W`. Returns the first verified algorithm.
-pub fn repair_any(
+pub(crate) fn repair_any(
     t: &MatMulTensor,
     factors: &Factors,
     name: &str,

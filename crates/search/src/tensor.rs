@@ -48,11 +48,6 @@ impl MatMulTensor {
         self.data[(a * db + b) * dc + c]
     }
 
-    /// Number of ones (`= m̃k̃ñ`).
-    pub fn nnz(&self) -> usize {
-        self.data.iter().filter(|&&x| x != 0.0).count()
-    }
-
     /// Mode-1 unfolding: `(da) x (db*dc)` row-major, column index `b*dc + c`.
     pub fn unfold_1(&self) -> Vec<f64> {
         self.data.clone()
@@ -117,10 +112,9 @@ mod tests {
 
     #[test]
     fn tensor_has_mkn_ones() {
-        let t = MatMulTensor::new(2, 2, 2);
-        assert_eq!(t.nnz(), 8);
-        let t333 = MatMulTensor::new(3, 3, 3);
-        assert_eq!(t333.nnz(), 27);
+        let nnz = |t: MatMulTensor| t.data.iter().filter(|&&x| x != 0.0).count();
+        assert_eq!(nnz(MatMulTensor::new(2, 2, 2)), 8);
+        assert_eq!(nnz(MatMulTensor::new(3, 3, 3)), 27);
     }
 
     #[test]

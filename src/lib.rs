@@ -32,7 +32,8 @@
 //!   over [`FmmEngine::multiply_batch`], bounded-queue admission control
 //!   with typed backpressure, live metrics, a client library, and the
 //!   `fmm_serve` CLI;
-//! * [`search`] — ALS / annealing / flip-graph discovery of new algorithms;
+//! * [`search`] — discovery of new algorithms: [`search::search`] runs
+//!   annealing and ALS → round → repair restarts under one wall-clock budget;
 //! * [`gen`] — the source-code generator for specialized implementations.
 //!
 //! # Quickstart

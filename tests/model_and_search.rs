@@ -113,10 +113,14 @@ fn search_repair_recovers_every_paper_algorithm_from_uv() {
 fn discovered_algorithm_roundtrips_into_a_working_plan() {
     // Discover (rank 8 is fast and deterministic enough), then execute the
     // discovered algorithm on a real multiplication.
-    let mut cfg = fmm_search::anneal::AnnealConfig::new((2, 2, 2), 8);
-    cfg.budget = std::time::Duration::from_secs(90); // debug builds are ~20x slower
-    cfg.restarts = 50;
-    let algo = fmm_search::anneal::anneal(&cfg).algorithm.expect("rank 8 is easy");
+    let algo = fmm_search::search(&fmm_search::SearchConfig {
+        dims: (2, 2, 2),
+        rank: 8,
+        budget: std::time::Duration::from_secs(90), // debug builds are ~20x slower
+        seed: 0xA11EA1,
+    })
+    .algorithm
+    .expect("rank 8 is easy");
     let plan = FmmPlan::new(vec![algo]);
     let a = fmm_dense::fill::bench_workload(20, 18, 1);
     let b = fmm_dense::fill::bench_workload(18, 22, 2);
