@@ -9,7 +9,7 @@
 use crate::timing;
 use crate::workload::Workload;
 use fmm_core::counts::PlanCounts;
-use fmm_core::{FmmPlan, Variant};
+use fmm_core::{FmmPlan, Strategy, Variant};
 use fmm_engine::{EngineConfig, EngineStats, FmmEngine, Routing};
 use fmm_gemm::{BlockingParams, DestTile, GemmWorkspace, IcLoop, Update};
 use fmm_model::{predict_fmm, predict_gemm, ArchParams, Impl};
@@ -139,7 +139,7 @@ pub fn measure_engine_pinned(
     let engine = FmmEngine::new(EngineConfig {
         arch: (*arch).into(),
         params: *params,
-        routing: Routing::Pinned { dims, levels, variant },
+        routing: Routing::Pinned { dims, levels, variant, strategy: Strategy::Dfs },
         ..EngineConfig::default()
     });
     engine.prepare(m, k, n);

@@ -219,7 +219,7 @@ fn execute_impl<T: GemmScalar>(
 mod tests {
     use super::*;
     use crate::registry::strassen;
-    use fmm_dense::{fill, norms, Matrix};
+    use fmm_dense::{fill, norms, Matrix, Scalar};
 
     fn check(m: usize, k: usize, n: usize, plan: &FmmPlan, variant: Variant, parallel: bool) {
         let a = fill::bench_workload(m, k, 1);
@@ -235,7 +235,7 @@ mod tests {
         let mut c_ref = c_orig;
         fmm_gemm::reference::matmul_into(c_ref.as_mut(), a.as_ref(), b.as_ref());
         let err = norms::max_abs_diff(c.as_ref(), c_ref.as_ref());
-        let tol = norms::fmm_tolerance(k, plan.num_levels());
+        let tol = f64::accuracy_bound(k, plan.num_levels());
         assert!(
             err < tol,
             "{} {} m={m} k={k} n={n} parallel={parallel}: err={err} tol={tol}",

@@ -139,7 +139,7 @@ mod tests {
     use crate::executor::{fmm_execute, FmmContext, Variant};
     use crate::plan::FmmPlan;
     use crate::registry::{strassen, winograd};
-    use fmm_dense::{fill, norms, Matrix};
+    use fmm_dense::{fill, norms, Matrix, Scalar};
     use fmm_gemm::BlockingParams;
 
     #[test]
@@ -169,7 +169,7 @@ mod tests {
         let mut ctx = FmmContext::new(BlockingParams::tiny());
         fmm_execute(c.as_mut(), a.as_ref(), b.as_ref(), &plan, Variant::Naive, &mut ctx);
         let c_ref = fmm_gemm::reference::matmul(a.as_ref(), b.as_ref());
-        let tol = norms::fmm_tolerance(24, 3);
+        let tol = f64::accuracy_bound(24, 3);
         assert!(norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < tol);
     }
 

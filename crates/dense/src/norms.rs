@@ -37,23 +37,6 @@ pub fn rel_error<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>) -> f64 {
     max_abs_diff(a, b) / max_abs(b).max(1.0)
 }
 
-/// Tolerance for accepting an L-level FMM product of matrices with entries
-/// in [-1, 1]. Strassen-like algorithms lose roughly a constant number of
-/// bits per level; this bound is loose enough for every algorithm in the
-/// registry at `k` up to ~10^4 yet tight enough to catch genuine bugs
-/// (wrong coefficients produce O(1) errors).
-pub fn fmm_tolerance(k: usize, levels: usize) -> f64 {
-    let growth = 40.0_f64.powi(levels as i32).max(1.0);
-    1e-12 * growth * (k.max(2) as f64)
-}
-
-/// Precision-scaled variant of [`fmm_tolerance`]: the [`Scalar::accuracy_bound`]
-/// for `T`, so `f32` executions are accepted against a bound derived from
-/// `f32::EPSILON` rather than the hard-wired `f64` constant above.
-pub fn fmm_tolerance_t<T: Scalar>(k: usize, levels: usize) -> f64 {
-    T::accuracy_bound(k, levels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,13 +60,6 @@ mod tests {
     fn rel_error_zero_for_identical() {
         let a = crate::fill::bench_workload(5, 7, 1);
         assert_eq!(rel_error(a.as_ref(), a.as_ref()), 0.0);
-    }
-
-    #[test]
-    fn tolerance_grows_with_levels_and_k() {
-        assert!(fmm_tolerance(1000, 2) > fmm_tolerance(1000, 1));
-        assert!(fmm_tolerance(2000, 1) > fmm_tolerance(1000, 1));
-        assert!(fmm_tolerance(1000, 2) < 1e-3);
     }
 
     #[test]

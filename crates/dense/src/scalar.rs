@@ -180,5 +180,6 @@ mod tests {
         assert!(b32 > b64 * 1e8, "f32 bound reflects its wider epsilon");
         assert!(b32 < 0.1, "but stays meaningful: O(1) bugs are caught");
         assert!(<f64 as Scalar>::accuracy_bound(1000, 2) > b64);
+        assert!(<f64 as Scalar>::accuracy_bound(2000, 1) > b64, "grows with k");
     }
 }

@@ -19,10 +19,17 @@
 //! * built-in **counters** ([`EngineStats`]) that make all three claims
 //!   testable rather than aspirational.
 //!
-//! Parallel engines (`EngineConfig::parallel`) execute through the
-//! `fmm-sched` BFS/DFS/hybrid scheduler: the model ranks `(plan, variant,
-//! strategy)` triples per shape, and [`FmmEngine::multiply_batch`] runs
-//! many independent problems at once with inter-problem parallelism.
+//! Every engine routes and executes on one path. It resolves a worker
+//! count once, at construction: one for a sequential engine, the rayon
+//! pool width (or less, if asked) for a parallel one. The model ranks
+//! `(plan, variant, strategy)` triples for that many workers
+//! ([`fmm_model::rank_scheduled`]), and one private execution step runs the
+//! winner at the configured blocking parameters: an FMM route through the
+//! `fmm-sched` BFS/DFS/hybrid scheduler, plain GEMM through the blocked
+//! driver. A sequential engine is the one-worker case: its ranking holds
+//! only depth-first candidates, and its runs stay on the calling thread.
+//! [`FmmEngine::multiply_batch`] runs many independent problems at once,
+//! each depth-first on one worker, with inter-problem parallelism.
 //!
 //! The model is grounded in this machine: engines default to
 //! **host-calibrated** [`ArchParams`] ([`ArchSource::Calibrated`] —
@@ -77,12 +84,10 @@ pub use fmm_core::Strategy;
 pub use fmm_core::Variant;
 pub use fmm_sched::SchedContext;
 
-use fmm_core::{fmm_execute, FmmPlan};
+use fmm_core::FmmPlan;
 use fmm_dense::{MatMut, MatRef};
-use fmm_gemm::{BlockingParams, GemmScalar};
-use fmm_model::{
-    predict_gemm_parallel, predict_scheduled, rank_candidates, rank_scheduled, ArchParams, Impl,
-};
+use fmm_gemm::{gemm_sums_with, BlockingParams, DestTile, GemmScalar, IcLoop, Update};
+use fmm_model::{predict_gemm_parallel, predict_scheduled, rank_scheduled, ArchParams, Impl};
 use fmm_obs::audit::{AuditDtype, AuditSample, AuditSource};
 use fmm_sched::fan_out;
 use fmm_tune::ShapeClass;
@@ -91,17 +96,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How the engine chooses a `(plan, variant)` per shape.
+/// How the engine chooses a `(plan, variant, strategy)` per shape.
 #[derive(Clone, Debug)]
 pub enum Routing {
     /// The paper's §4.4 poly-algorithm: rank every registry `(plan,
-    /// variant)` candidate plus plain GEMM with the performance model and
-    /// run the best prediction. Parallel engines rank `(plan, variant,
-    /// strategy)` triples with the parallel-time model instead.
+    /// variant, strategy)` candidate plus plain GEMM with the parallel-time
+    /// model over the engine's workers, and run the best prediction. At one
+    /// worker that is the paper's sequential ranking.
     Model,
     /// Always run `levels` nested applications of the registry algorithm
-    /// with partition dims `dims`, as `variant`. For workloads with known
-    /// structure, and for tests that need a deterministic FMM route.
+    /// with partition dims `dims`, as `variant`, under `strategy`. For
+    /// workloads with known structure, and for tests that need a
+    /// deterministic FMM route.
     Pinned {
         /// Partition dims of the registry algorithm, e.g. `(2, 2, 2)`.
         dims: (usize, usize, usize),
@@ -109,6 +115,8 @@ pub enum Routing {
         levels: usize,
         /// Implementation strategy.
         variant: Variant,
+        /// Schedule; [`Strategy::Dfs`] is the paper's.
+        strategy: Strategy,
     },
 }
 
@@ -142,28 +150,28 @@ pub struct EngineConfig {
     /// by default, or pinned via [`ArchSource::Fixed`] /
     /// `ArchParams::into()`.
     pub arch: ArchSource,
-    /// GEMM blocking parameters for every execution.
+    /// GEMM blocking parameters for every execution, FMM and plain GEMM
+    /// alike.
     pub params: BlockingParams,
-    /// Use the parallel execution paths (the `fmm-sched` scheduler for
-    /// FMM, loop-3 data parallelism for plain GEMM).
+    /// Whether the engine may use more than one worker. Read once, when
+    /// the engine is built, to resolve its worker count: `false` is one
+    /// worker, and a sequential engine is that one-worker case of the one
+    /// routing and execution path.
     pub parallel: bool,
-    /// Worker count for parallel execution and parallel-model routing;
+    /// Worker count of a parallel engine, for routing and execution alike;
     /// `0` means the rayon pool width, and explicit values are clamped to
     /// it (the pool bounds the parallelism every execution path can
     /// realize, so ranking beyond it would model speedups that cannot
-    /// happen). The width is read once, when the engine is built.
-    /// Ignored when `parallel` is false.
+    /// happen). The width is read once, when the engine is built. Must be
+    /// `0` when `parallel` is false.
     pub workers: usize,
-    /// Force every FMM execution onto one schedule instead of letting the
-    /// model pick per shape. Ignored when `parallel` is false (sequential
-    /// engines always run depth-first).
-    pub strategy: Option<Strategy>,
-    /// Maximum plan levels the model considers (1 or 2 are practical).
-    pub max_levels: usize,
     /// Routing policy.
     pub routing: Routing,
 }
 
+/// Nesting depths model routing ranks: every registry algorithm at one
+/// and at two levels.
+const MAX_LEVELS: usize = 2;
 /// Capacity of the shape-keyed decision LRU.
 const DECISION_CAPACITY: usize = 4096;
 /// Capacity of the plan LRU.
@@ -178,8 +186,6 @@ impl Default for EngineConfig {
             params: BlockingParams::default(),
             parallel: false,
             workers: 0,
-            strategy: None,
-            max_levels: 2,
             routing: Routing::Model,
         }
     }
@@ -196,8 +202,7 @@ struct Decision {
     /// the configured route could not serve (pinned registry miss).
     source: AuditSource,
     /// Predicted cost of one multiply of this shape, in nanoseconds (the
-    /// model's total). When a strategy override rewrites the schedule,
-    /// the prediction still describes the ranked schedule.
+    /// model's total).
     predicted_nanos: u64,
 }
 
@@ -205,6 +210,16 @@ struct Decision {
 enum Choice {
     Gemm,
     Fmm { plan: Arc<FmmPlan>, variant: Variant, strategy: Strategy },
+}
+
+impl Choice {
+    /// What the execution step runs: `None` is plain GEMM.
+    fn exec(&self) -> Option<(&FmmPlan, Variant, Strategy)> {
+        match self {
+            Choice::Gemm => None,
+            Choice::Fmm { plan, variant, strategy } => Some((plan, *variant, *strategy)),
+        }
+    }
 }
 
 impl Decision {
@@ -346,22 +361,26 @@ pub struct FmmEngine<T: GemmScalar = f64> {
     /// Resolved, validated architecture parameters (from
     /// [`EngineConfig::arch`]), memory terms charged at `T`'s width.
     arch: ArchParams,
-    /// [`EngineConfig::workers`] against the rayon pool width as it was
-    /// when the engine was built: every decision the engine caches was
-    /// ranked for this count, and asking for the width again (cgroup and
-    /// affinity reads) costs more than a small multiply.
+    /// One for a sequential engine; otherwise [`EngineConfig::workers`]
+    /// against the rayon pool width as it was when the engine was built.
+    /// Every decision the engine caches was ranked for this count, and
+    /// asking for the width again (cgroup and affinity reads) costs more
+    /// than a small multiply.
     workers: usize,
     registry: Arc<Registry>,
     decisions: Mutex<LruCache<(usize, usize, usize), Decision>>,
     plans: Mutex<LruCache<PlanKey, Arc<FmmPlan>>>,
-    contexts: Mutex<Vec<SchedContext<T>>>,
+    /// Boxed, so a checkout — which every call makes, GEMM routes
+    /// included — moves a pointer rather than the whole context.
+    #[allow(clippy::vec_box)]
+    contexts: Mutex<Vec<Box<SchedContext<T>>>>,
     counters: Counters,
 }
 
 /// A checked-out pooled context; returns itself to the engine on drop.
 struct CtxGuard<'a, T: GemmScalar> {
     engine: &'a FmmEngine<T>,
-    ctx: Option<SchedContext<T>>,
+    ctx: Option<Box<SchedContext<T>>>,
 }
 
 impl<T: GemmScalar> CtxGuard<'_, T> {
@@ -400,13 +419,16 @@ impl<T: GemmScalar> FmmEngine<T> {
     /// parameters (`ArchParams::validate`): a zero or negative bandwidth
     /// would silently poison every ranking the engine ever makes.
     pub fn with_registry(config: EngineConfig, registry: Arc<Registry>) -> Self {
-        assert!(config.max_levels >= 1, "max_levels must be at least 1");
-        assert!(
-            config.parallel || config.workers == 0,
-            "EngineConfig {{ workers: {}, parallel: false }} is contradictory: \
-             workers only applies to parallel engines (set parallel: true, or workers: 0)",
-            config.workers
-        );
+        // The one read of `parallel`: a sequential engine is one worker.
+        let workers = match (config.parallel, config.workers) {
+            (false, 0) => 1,
+            (false, n) => panic!(
+                "EngineConfig {{ workers: {n}, parallel: false }} is contradictory: \
+                 workers only applies to parallel engines (set parallel: true, or workers: 0)"
+            ),
+            (true, 0) => rayon::current_num_threads(),
+            (true, n) => n.min(rayon::current_num_threads()).max(1),
+        };
         let resolved = match &config.arch {
             ArchSource::Fixed(arch) => *arch,
             // Host-measured, process-cached; always validates by
@@ -419,11 +441,6 @@ impl<T: GemmScalar> FmmEngine<T> {
         if let Err(e) = arch.validate() {
             panic!("EngineConfig.arch is invalid ({e}); refusing to rank with poisoned constants");
         }
-        let workers = match (config.parallel, config.workers) {
-            (false, _) => 1,
-            (true, 0) => rayon::current_num_threads(),
-            (true, n) => n.min(rayon::current_num_threads()).max(1),
-        };
         let decisions = Mutex::new(LruCache::new(DECISION_CAPACITY));
         let plans = Mutex::new(LruCache::new(PLAN_CAPACITY));
         Self {
@@ -476,20 +493,15 @@ impl<T: GemmScalar> FmmEngine<T> {
 
         let decision = self.route(m, k, n);
         let start = Instant::now();
-        match &decision.choice {
-            Choice::Gemm => self.run_gemm(c, a, b),
-            Choice::Fmm { plan, variant, strategy } => {
-                self.run_fmm(c, a, b, plan, *variant, *strategy);
-            }
-        }
+        self.execute(self.checkout().ctx(), c, a, b, decision.choice.exec(), self.workers);
         self.audit(m, k, n, &decision, start.elapsed());
     }
 
     /// Execute many independent problems through the scheduler at once:
-    /// each item runs sequentially on its own pooled context while the
-    /// items themselves fan out over the worker pool. For small problems —
-    /// where even BFS tasks cannot fill the machine — this inter-problem
-    /// parallelism is what keeps every core busy.
+    /// each item runs depth-first on one worker and its own pooled context
+    /// while the items themselves fan out over the worker pool. For small
+    /// problems — where even BFS tasks cannot fill the machine — this
+    /// inter-problem parallelism is what keeps every core busy.
     ///
     /// Routing (and its cache) is identical to per-call [`FmmEngine::multiply`];
     /// a batch of one known shape costs one decision lookup per item and
@@ -533,9 +545,9 @@ impl<T: GemmScalar> FmmEngine<T> {
             self.preplan_contexts(|ctx| {
                 ctx.set_params(batch_params);
                 for (item, decision) in items.iter().zip(&decisions) {
-                    if let Choice::Fmm { plan, variant, .. } = &decision.choice {
+                    if let Some((plan, variant, _)) = decision.choice.exec() {
                         let (m, k, n) = (item.a.rows(), item.a.cols(), item.b.cols());
-                        ctx.fmm_context().preplan(plan, *variant, m, k, n);
+                        ctx.preplan(plan, variant, Strategy::Dfs, 1, m, k, n);
                     }
                 }
             });
@@ -559,33 +571,10 @@ impl<T: GemmScalar> FmmEngine<T> {
                 let prev_tag = fmm_obs::trace::set_current_request(item.tag);
                 let (m, k, n) = (item.a.rows(), item.a.cols(), item.b.cols());
                 let start = Instant::now();
-                match &decisions[i].choice {
-                    Choice::Gemm => {
-                        fmm_gemm::gemm_with_params(
-                            item.c.reborrow(),
-                            item.a,
-                            item.b,
-                            &batch_params,
-                        );
-                    }
-                    Choice::Fmm { plan, variant, .. } => {
-                        let ctx = guard.ctx();
-                        let grows_before = ctx.grow_count();
-                        // Within a batch each problem runs depth-first and
-                        // sequential; parallelism comes from the items.
-                        fmm_execute(
-                            item.c.reborrow(),
-                            item.a,
-                            item.b,
-                            plan,
-                            *variant,
-                            ctx.fmm_context(),
-                        );
-                        self.counters
-                            .arena_grows
-                            .fetch_add(ctx.grow_count() - grows_before, Ordering::Relaxed);
-                    }
-                }
+                // Within a batch each problem runs depth-first on one
+                // worker; parallelism comes from the items.
+                let exec = decisions[i].choice.exec().map(|(plan, v, _)| (plan, v, Strategy::Dfs));
+                self.execute(guard.ctx(), item.c.reborrow(), item.a, item.b, exec, 1);
                 self.audit(m, k, n, &decisions[i], start.elapsed());
                 fmm_obs::trace::set_current_request(prev_tag);
             },
@@ -618,9 +607,10 @@ impl<T: GemmScalar> FmmEngine<T> {
 
     /// `C += A·B` with an explicit `(plan, variant)`, using the engine's
     /// pooled contexts (the paper's protocol for measuring top-2 candidates
-    /// empirically). Runs depth-first (data-parallel block products on a
-    /// parallel engine). Returns the number of workspace-arena elements
-    /// the execution occupied — equal to [`Variant::workspace_elements`].
+    /// empirically). Runs depth-first over the engine's workers
+    /// (data-parallel block products on a parallel engine). Returns the
+    /// number of workspace-arena elements the execution occupied — equal
+    /// to [`Variant::workspace_elements`].
     pub fn multiply_with_plan(
         &self,
         c: MatMut<'_, T>,
@@ -630,7 +620,8 @@ impl<T: GemmScalar> FmmEngine<T> {
         variant: Variant,
     ) -> usize {
         self.counters.executions.fetch_add(1, Ordering::Relaxed);
-        self.run_fmm(c, a, b, plan, variant, Strategy::Dfs)
+        let exec = Some((plan, variant, Strategy::Dfs));
+        self.execute(self.checkout().ctx(), c, a, b, exec, self.workers)
     }
 
     /// Resolve (and cache) the routing decision for a shape without
@@ -639,13 +630,9 @@ impl<T: GemmScalar> FmmEngine<T> {
     /// first `multiply` of the shape is already on the warm path.
     pub fn prepare(&self, m: usize, k: usize, n: usize) {
         let decision = self.route(m, k, n);
-        if let Choice::Fmm { plan, variant, strategy } = decision.choice {
+        if let Some((plan, variant, strategy)) = decision.choice.exec() {
             self.preplan_contexts(|ctx| {
-                if self.config.parallel {
-                    ctx.preplan(&plan, variant, strategy, self.workers, m, k, n);
-                } else {
-                    ctx.fmm_context().preplan(&plan, variant, m, k, n);
-                }
+                ctx.preplan(plan, variant, strategy, self.workers, m, k, n);
             });
         }
     }
@@ -730,119 +717,67 @@ impl<T: GemmScalar> FmmEngine<T> {
     }
 
     fn compute_decision(&self, m: usize, k: usize, n: usize) -> Decision {
-        let decision = match &self.config.routing {
-            Routing::Pinned { dims, levels, variant } => match self.registry.get(*dims) {
-                Some(algo) => {
-                    let plan = self.plan_for(&algo, *levels);
-                    // Predict the pinned plan itself so the audit compares
-                    // reality against what the model believes about *this*
-                    // choice (workers == 1 + DFS reduces to the
-                    // sequential model).
-                    let predicted = predict_scheduled(
-                        Impl::from_variant(*variant),
-                        &plan,
-                        m,
-                        k,
-                        n,
-                        &self.arch,
-                        self.workers,
-                        Strategy::Dfs,
-                    );
-                    Decision {
-                        choice: Choice::Fmm { plan, variant: *variant, strategy: Strategy::Dfs },
-                        source: AuditSource::Pinned,
-                        predicted_nanos: predicted.total_nanos(),
-                    }
-                }
-                // No algorithm for the pinned dims: fall back to the GEMM
-                // decision (counted, cached like any other decision) rather
-                // than killing the process over a routing hint.
-                None => {
-                    self.counters.pinned_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    let request = fmm_obs::trace::current_request();
-                    let miss = fmm_obs::Event::now(fmm_obs::Kind::PinnedMiss, request);
-                    fmm_obs::trace::record(miss.with_args([m as u64, k as u64, n as u64]));
-                    let predicted = predict_gemm_parallel(m, k, n, &self.arch, self.workers);
-                    Decision {
-                        choice: Choice::Gemm,
-                        source: AuditSource::Fallback,
-                        predicted_nanos: predicted.total_nanos(),
-                    }
-                }
-            },
-            Routing::Model => self.model_decision(m, k, n),
+        let Routing::Pinned { dims, levels, variant, strategy } = self.config.routing else {
+            return self.model_decision(m, k, n);
         };
-        // The strategy override replaces whatever routing picked (it only
-        // takes effect on parallel engines; sequential execution is always
-        // depth-first).
-        match (decision, self.config.strategy) {
-            (
-                Decision { choice: Choice::Fmm { plan, variant, .. }, source, predicted_nanos },
-                Some(strategy),
-            ) if self.config.parallel => Decision {
-                choice: Choice::Fmm { plan, variant, strategy },
-                source,
-                predicted_nanos,
-            },
-            (decision, _) => decision,
+        let Some(algo) = self.registry.get(dims) else {
+            // No algorithm for the pinned dims: fall back to the GEMM
+            // decision (counted, cached like any other decision) rather
+            // than killing the process over a routing hint.
+            self.counters.pinned_fallbacks.fetch_add(1, Ordering::Relaxed);
+            let request = fmm_obs::trace::current_request();
+            let miss = fmm_obs::Event::now(fmm_obs::Kind::PinnedMiss, request);
+            fmm_obs::trace::record(miss.with_args([m as u64, k as u64, n as u64]));
+            let predicted = predict_gemm_parallel(m, k, n, &self.arch, self.workers);
+            return Decision {
+                choice: Choice::Gemm,
+                source: AuditSource::Fallback,
+                predicted_nanos: predicted.total_nanos(),
+            };
+        };
+        let plan = self.plan_for(&algo, levels);
+        // Predict the pinned route itself, so the audit compares reality
+        // against what the model believes about *this* choice.
+        let impl_ = Impl::from_variant(variant);
+        let predicted =
+            predict_scheduled(impl_, &plan, m, k, n, &self.arch, self.workers, strategy);
+        Decision {
+            choice: Choice::Fmm { plan, variant, strategy },
+            source: AuditSource::Pinned,
+            predicted_nanos: predicted.total_nanos(),
         }
     }
 
-    /// One full model ranking (the paper's §4.4 poly-algorithm), counted
-    /// in [`EngineStats::rankings`]: scheduled triples for parallel
-    /// engines, sequential pairs otherwise.
+    /// One full model ranking (the paper's §4.4 poly-algorithm) over the
+    /// engine's workers, counted in [`EngineStats::rankings`].
     fn model_decision(&self, m: usize, k: usize, n: usize) -> Decision {
         let plans = self.candidate_plans();
         self.counters.rankings.fetch_add(1, Ordering::Relaxed);
-        if self.config.parallel {
-            let ranked = rank_scheduled(
-                m,
-                k,
-                n,
-                &plans,
-                &Impl::FMM_VARIANTS,
-                &self.arch,
-                self.workers,
-                true,
-            );
-            let best = &ranked[0];
-            let choice = match (&best.plan, best.impl_.to_variant()) {
-                (Some(plan), Some(variant)) => {
-                    Choice::Fmm { plan: plan.clone(), variant, strategy: best.strategy }
-                }
-                _ => Choice::Gemm,
-            };
-            Decision {
-                choice,
-                source: AuditSource::Model,
-                predicted_nanos: best.prediction.total_nanos(),
+        let variants = &Impl::FMM_VARIANTS;
+        let ranked = rank_scheduled(m, k, n, &plans, variants, &self.arch, self.workers, true);
+        let best = &ranked[0];
+        let choice = match (&best.plan, best.impl_.to_variant()) {
+            (Some(plan), Some(variant)) => {
+                Choice::Fmm { plan: plan.clone(), variant, strategy: best.strategy }
             }
-        } else {
-            let ranked = rank_candidates(m, k, n, &plans, &Impl::FMM_VARIANTS, &self.arch, true);
-            let best = &ranked[0];
-            let choice = match (&best.plan, best.impl_.to_variant()) {
-                (Some(plan), Some(variant)) => {
-                    Choice::Fmm { plan: plan.clone(), variant, strategy: Strategy::Dfs }
-                }
-                _ => Choice::Gemm,
-            };
-            Decision {
-                choice,
-                source: AuditSource::Model,
-                predicted_nanos: best.prediction.total_nanos(),
-            }
+            _ => Choice::Gemm,
+        };
+        Decision {
+            choice,
+            source: AuditSource::Model,
+            predicted_nanos: best.prediction.total_nanos(),
         }
     }
 
     /// The candidate plan set model routing ranks over: every registry
-    /// algorithm at 1..=`max_levels` nesting depths, served from the plan
+    /// algorithm at one and two nesting depths, served from the plan
     /// cache (none composed by being listed or ranked). Callers that want
     /// the model's view of a shape (e.g. predicted-vs-measured harnesses)
     /// should rank over this same set.
     pub fn candidate_plans(&self) -> Vec<Arc<FmmPlan>> {
         let mut plans = Vec::new();
         for (_, algo) in self.registry.paper_rows() {
-            for levels in 1..=self.config.max_levels {
+            for levels in 1..=MAX_LEVELS {
                 plans.push(self.plan_for(&algo, levels));
             }
         }
@@ -865,36 +800,40 @@ impl<T: GemmScalar> FmmEngine<T> {
         plan
     }
 
-    fn run_gemm(&self, c: MatMut<'_, T>, a: MatRef<'_, T>, b: MatRef<'_, T>) {
-        // Plain GEMM packing buffers come from fmm-gemm's global pool.
-        if self.config.parallel {
-            fmm_gemm::gemm_parallel(c, a, b);
-        } else {
-            fmm_gemm::gemm(c, a, b);
-        }
-    }
-
-    fn run_fmm(
+    /// The one execution step behind `multiply`, every `multiply_batch`
+    /// item and `multiply_with_plan`: `C += A·B` as `exec` says (`None` is
+    /// plain GEMM) over `workers` workers, on `ctx` and at its blocking
+    /// parameters. Returns the workspace-arena elements the FMM core
+    /// occupied (0 for GEMM), and counts the arena growth it caused.
+    fn execute(
         &self,
+        ctx: &mut SchedContext<T>,
         c: MatMut<'_, T>,
         a: MatRef<'_, T>,
         b: MatRef<'_, T>,
-        plan: &FmmPlan,
-        variant: Variant,
-        strategy: Strategy,
+        exec: Option<(&FmmPlan, Variant, Strategy)>,
+        workers: usize,
     ) -> usize {
-        let mut guard = self.checkout();
-        let ctx = guard.ctx();
-        let grows_before = ctx.grow_count();
-        let occupied = if self.config.parallel {
-            fmm_sched::execute(c, a, b, plan, variant, strategy, ctx, self.workers)
-        } else {
-            let fmm = ctx.fmm_context();
-            fmm_execute(c, a, b, plan, variant, fmm);
-            fmm.fmm_workspace_elements()
-        };
-        self.counters.arena_grows.fetch_add(ctx.grow_count() - grows_before, Ordering::Relaxed);
-        occupied
+        match exec {
+            Some((plan, variant, strategy)) => {
+                let grows_before = ctx.grow_count();
+                let occupied = fmm_sched::execute(c, a, b, plan, variant, strategy, ctx, workers);
+                let grown = ctx.grow_count() - grows_before;
+                self.counters.arena_grows.fetch_add(grown, Ordering::Relaxed);
+                occupied
+            }
+            // Plain GEMM packs into fmm-gemm's global pool; no arena grows.
+            None if workers == 1 => {
+                fmm_gemm::gemm_with_params(c, a, b, &ctx.params);
+                0
+            }
+            None => {
+                let (dests, a, b) =
+                    (&mut [DestTile::new(c, T::ONE)], &[(T::ONE, a)], &[(T::ONE, b)]);
+                gemm_sums_with(dests, a, b, &ctx.params, Update::Accumulate, IcLoop::Parallel);
+                0
+            }
+        }
     }
 
     fn checkout(&self) -> CtxGuard<'_, T> {
@@ -907,13 +846,13 @@ impl<T: GemmScalar> FmmEngine<T> {
             }
             None => {
                 self.counters.context_allocations.fetch_add(1, Ordering::Relaxed);
-                SchedContext::new(self.config.params)
+                Box::new(SchedContext::new(self.config.params))
             }
         };
         CtxGuard { engine: self, ctx: Some(ctx) }
     }
 
-    fn release_context(&self, ctx: SchedContext<T>) {
+    fn release_context(&self, ctx: Box<SchedContext<T>>) {
         let mut pool = self.contexts.lock();
         if pool.len() < MAX_POOLED_CONTEXTS {
             pool.push(ctx);
@@ -1018,6 +957,7 @@ mod tests {
             dims: (2, 2, 2),
             levels: 1,
             variant: Variant::Abc,
+            strategy: Strategy::Dfs,
         }));
         assert_eq!(engine.decision_label(32, 32, 32), "<2,2,2> ABC");
         let a = fill::bench_workload(32, 32, 3);
@@ -1078,6 +1018,7 @@ mod tests {
             dims: (2, 2, 2),
             levels: 2,
             variant: Variant::Naive,
+            strategy: Strategy::Dfs,
         }));
         engine.prepare(36, 36, 36);
         let prepared = engine.stats();

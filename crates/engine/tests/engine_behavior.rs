@@ -2,7 +2,7 @@
 //! correctness, and arena sizing.
 
 use fmm_core::{FmmPlan, Strategy, Variant};
-use fmm_dense::{fill, norms, Matrix};
+use fmm_dense::{fill, norms, Matrix, Scalar};
 use fmm_engine::{BatchItem, EngineConfig, FmmEngine, Routing};
 use fmm_gemm::BlockingParams;
 use fmm_model::ArchParams;
@@ -27,8 +27,12 @@ fn warm_path_does_no_composition_ranking_or_allocation() {
     // routing would pick GEMM at test-friendly sizes), exercising the
     // arena; every cache layer behaves identically under model routing.
     for variant in Variant::ALL {
-        let engine =
-            FmmEngine::new(tiny_config(Routing::Pinned { dims: (2, 2, 2), levels: 1, variant }));
+        let engine = FmmEngine::new(tiny_config(Routing::Pinned {
+            dims: (2, 2, 2),
+            levels: 1,
+            variant,
+            strategy: Strategy::Dfs,
+        }));
         let (m, k, n) = (33, 29, 41); // fringes included
         let a = fill::bench_workload(m, k, 1);
         let b = fill::bench_workload(k, n, 2);
@@ -99,9 +103,15 @@ fn model_routing_ranks_once_per_shape() {
 /// the reference GEMM — the engine shares safely via `&self`.
 #[test]
 fn concurrent_multiply_matches_reference() {
-    for routing in
-        [Routing::Model, Routing::Pinned { dims: (2, 2, 2), levels: 1, variant: Variant::Abc }]
-    {
+    for routing in [
+        Routing::Model,
+        Routing::Pinned {
+            dims: (2, 2, 2),
+            levels: 1,
+            variant: Variant::Abc,
+            strategy: Strategy::Dfs,
+        },
+    ] {
         let engine = FmmEngine::new(tiny_config(routing.clone()));
         let threads = 8;
         let iterations = 4;
@@ -181,8 +191,7 @@ fn warm_scheduled_paths_do_no_ranking_composition_or_allocation() {
             let engine = FmmEngine::new(EngineConfig {
                 parallel: true,
                 workers: 4,
-                strategy: Some(strategy),
-                ..tiny_config(Routing::Pinned { dims: (2, 2, 2), levels: 2, variant })
+                ..tiny_config(Routing::Pinned { dims: (2, 2, 2), levels: 2, variant, strategy })
             });
             let (m, k, n) = (52, 44, 60); // fringes included
             let a = fill::bench_workload(m, k, 1);
@@ -195,7 +204,7 @@ fn warm_scheduled_paths_do_no_ranking_composition_or_allocation() {
             for _ in 0..6 {
                 let mut c = Matrix::zeros(m, n);
                 engine.multiply(c.as_mut(), a.as_ref(), b.as_ref());
-                let tol = norms::fmm_tolerance(k, 2);
+                let tol = f64::accuracy_bound(k, 2);
                 assert!(
                     norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < tol,
                     "{} {}",
@@ -254,7 +263,12 @@ fn multiply_batch_is_correct_and_warm_after_first_batch() {
     let engine = FmmEngine::new(EngineConfig {
         parallel: true,
         workers: 4,
-        ..tiny_config(Routing::Pinned { dims: (2, 2, 2), levels: 1, variant: Variant::Abc })
+        ..tiny_config(Routing::Pinned {
+            dims: (2, 2, 2),
+            levels: 1,
+            variant: Variant::Abc,
+            strategy: Strategy::Dfs,
+        })
     });
     let items_n = 12;
     let (m, k, n) = (48, 40, 44);
@@ -321,6 +335,7 @@ fn two_level_pinned_execution_is_correct_and_cached() {
         dims: (2, 2, 2),
         levels: 2,
         variant: Variant::Ab,
+        strategy: Strategy::Dfs,
     }));
     let (m, k, n) = (52, 44, 60);
     let a = fill::bench_workload(m, k, 7);
@@ -329,7 +344,7 @@ fn two_level_pinned_execution_is_correct_and_cached() {
     for _ in 0..3 {
         let mut c = Matrix::zeros(m, n);
         engine.multiply(c.as_mut(), a.as_ref(), b.as_ref());
-        let tol = norms::fmm_tolerance(k, 2);
+        let tol = f64::accuracy_bound(k, 2);
         assert!(norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < tol);
     }
     assert_eq!(engine.stats().plan_compositions, 1, "one 2-level composition total");

@@ -4,7 +4,7 @@
 //! shapes, empty batches, and non-contiguous operand views — each driven
 //! through both the `f64` and `f32` engines where a dtype applies.
 
-use fmm_core::Variant;
+use fmm_core::{Strategy, Variant};
 use fmm_dense::{fill, norms, Matrix};
 use fmm_engine::{BatchItem, EngineConfig, FmmEngine, Routing};
 use fmm_gemm::{BlockingParams, GemmScalar};
@@ -22,7 +22,7 @@ fn tiny_config(routing: Routing) -> EngineConfig {
 /// Pinned routing that forces the FMM path: `(2, 2, 2)` is always in the
 /// registry, and `BlockingParams::tiny()` keeps the core small.
 fn pinned_strassen(variant: Variant) -> EngineConfig {
-    tiny_config(Routing::Pinned { dims: (2, 2, 2), levels: 1, variant })
+    tiny_config(Routing::Pinned { dims: (2, 2, 2), levels: 1, variant, strategy: Strategy::Dfs })
 }
 
 /// Regression: `Routing::Pinned` with dims no registry algorithm has used
@@ -34,6 +34,7 @@ fn pinned_unregistered_dims_falls_back_to_gemm() {
         dims: (7, 7, 7),
         levels: 1,
         variant: Variant::Abc,
+        strategy: Strategy::Dfs,
     }));
     let (m, k, n) = (24, 20, 28);
     let a = fill::bench_workload(m, k, 1);
@@ -127,9 +128,15 @@ fn worker_configs_with_parallel_or_zero_workers_construct() {
 /// mode, both dtypes: must be no-ops on `C` (k = 0 contributes nothing to
 /// an accumulation) and must not panic anywhere in peeling or packing.
 fn check_degenerate<T: GemmScalar>() {
-    for routing in
-        [Routing::Model, Routing::Pinned { dims: (2, 2, 2), levels: 1, variant: Variant::Abc }]
-    {
+    for routing in [
+        Routing::Model,
+        Routing::Pinned {
+            dims: (2, 2, 2),
+            levels: 1,
+            variant: Variant::Abc,
+            strategy: Strategy::Dfs,
+        },
+    ] {
         let engine = FmmEngine::<T>::new(tiny_config(routing));
         for (m, k, n) in [(0, 8, 8), (8, 0, 8), (8, 8, 0), (0, 0, 0)] {
             let a = fill::bench_workload_t::<T>(m, k, 3);

@@ -4,7 +4,7 @@
 //! up front.
 
 use fmm_core::{FmmPlan, Strategy, Variant};
-use fmm_dense::{fill, norms, Matrix};
+use fmm_dense::{fill, norms, Matrix, Scalar};
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
 use fmm_gemm::{BlockingParams, GemmScalar};
 use fmm_model::ArchParams;
@@ -188,28 +188,33 @@ fn prepare_composes_what_the_first_multiply_runs() {
     let a = fill::bench_workload(m, k, 7);
     let b = fill::bench_workload(k, n, 8);
     let c_ref = fmm_gemm::reference::matmul(a.as_ref(), b.as_ref());
-    let schedules = [None, Some(Strategy::Dfs), Some(Strategy::Bfs), Some(Strategy::Hybrid)];
-    for strategy in schedules {
+    // A sequential engine, then a parallel one under each schedule.
+    let schedules = [
+        (false, Strategy::Dfs),
+        (true, Strategy::Dfs),
+        (true, Strategy::Bfs),
+        (true, Strategy::Hybrid),
+    ];
+    for (parallel, strategy) in schedules {
         let engine = FmmEngine::<f64>::new(EngineConfig {
             params: BlockingParams::tiny(),
-            parallel: strategy.is_some(),
-            strategy,
-            routing: Routing::Pinned { dims: (2, 2, 2), levels: 2, variant: Variant::Ab },
+            parallel,
+            routing: Routing::Pinned { dims: (2, 2, 2), levels: 2, variant: Variant::Ab, strategy },
             ..EngineConfig::default()
         });
         engine.prepare(m, k, n);
-        let label = format!("{strategy:?}");
+        let label = format!("parallel={parallel} {strategy:?}");
         let plans = engine.candidate_plans();
         assert_eq!(composed(&plans), ["<2,2,2>+<2,2,2>"], "{label}");
         let routed = plans.iter().find(|p| p.is_composed()).expect("asserted above");
         let inner = routed.inner_plan().expect("two levels");
-        assert_eq!(inner.is_composed(), strategy == Some(Strategy::Hybrid), "{label}: inner plan");
+        assert_eq!(inner.is_composed(), strategy == Strategy::Hybrid, "{label}: inner plan");
 
         let prepared = engine.stats();
         assert_eq!(prepared.plan_compositions, 1 + u64::from(inner.is_composed()), "{label}");
         let mut c = Matrix::zeros(m, n);
         engine.multiply(c.as_mut(), a.as_ref(), b.as_ref());
-        assert!(norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < norms::fmm_tolerance(k, 2));
+        assert!(norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < f64::accuracy_bound(k, 2));
         let after = engine.stats();
         assert_eq!(after.rankings, prepared.rankings, "{label}");
         assert_eq!(after.plan_compositions, prepared.plan_compositions, "{label}");

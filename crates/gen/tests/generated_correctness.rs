@@ -1,7 +1,7 @@
 //! The pre-generated (checked-in) modules must compute the same product as
 //! the interpreted executor and the reference GEMM.
 
-use fmm_dense::{fill, norms, Matrix};
+use fmm_dense::{fill, norms, Matrix, Scalar};
 use fmm_gemm::{BlockingParams, GemmWorkspace};
 use fmm_gen::generated::{strassen_1l, strassen_2l};
 
@@ -27,7 +27,7 @@ fn check(
     run(c.as_mut(), a.as_ref(), b.as_ref(), &params, &mut ws);
     fmm_gemm::reference::matmul_into(c_ref.as_mut(), a.as_ref(), b.as_ref());
     let err = norms::max_abs_diff(c.as_ref(), c_ref.as_ref());
-    let tol = norms::fmm_tolerance(k, levels);
+    let tol = f64::accuracy_bound(k, levels);
     assert!(err < tol, "m={m} k={k} n={n}: err={err} tol={tol}");
 }
 

@@ -13,8 +13,10 @@
 //! [`terms`] transcribes the two coefficient tables of Figure 5 verbatim;
 //! [`predict`] assembles them into per-variant predictions;
 //! [`calibrate`] fits `τ_a`, `τ_b`, `λ` on the running machine;
-//! [`select`] implements the paper's §4.4 model-guided choice of
-//! implementation (top-2 candidates by predicted time).
+//! [`parallel`] extends them to a schedule over `p` workers and holds the
+//! one ranker, [`rank_scheduled`], behind the paper's §4.4 model-guided
+//! choice of implementation; [`select`]'s [`rank_candidates`] is its
+//! one-worker case, the sequential ranking.
 //!
 //! # Example
 //!
@@ -37,9 +39,7 @@ pub mod terms;
 
 pub use arch::ArchParams;
 pub use fmm_core::tasks::Strategy;
-pub use parallel::{
-    predict_gemm_parallel, predict_parallel, predict_scheduled, rank_scheduled, ScheduledCandidate,
-};
+pub use parallel::{predict_gemm_parallel, predict_scheduled, rank_scheduled, ScheduledCandidate};
 pub use predict::{predict_fmm, predict_gemm, Prediction};
 pub use select::{rank_candidates, Candidate};
 

@@ -19,6 +19,11 @@
 //! Strategy changes the cost basis too: a BFS task must materialize `M_r`
 //! (the ABC variant degrades to AB's memory profile), and a hybrid task
 //! materializes level-1 operand sums (Naive's profile).
+//!
+//! One worker is the sequential model: every quantization factor is 1, so
+//! DFS predicts exactly what [`predict_fmm`] does, and [`rank_scheduled`]
+//! is the one ranker for every engine — [`crate::rank_candidates`] is its
+//! one-worker case.
 
 use crate::arch::ArchParams;
 use crate::predict::{predict_fmm, predict_gemm, Prediction};
@@ -36,15 +41,14 @@ fn chunked(units: usize, workers: usize) -> f64 {
     units.div_ceil(workers) as f64 / units as f64
 }
 
-/// Predict an FMM implementation executed as `strategy` over `workers`
-/// workers. `r1` is the plan's level-1 rank (used by hybrid; pass the
-/// total rank for one-level plans). With `workers == 1` and
-/// [`Strategy::Dfs`] this reduces exactly to [`predict_fmm`].
+/// Predict `plan` as `impl_`, executed as `strategy` over `workers`
+/// workers. With `workers == 1` and [`Strategy::Dfs`] this is
+/// [`predict_fmm`] bit for bit (and [`predict_gemm`] for [`Impl::Gemm`]).
 #[allow(clippy::too_many_arguments)]
-pub fn predict_parallel(
+#[inline]
+pub fn predict_scheduled(
     impl_: Impl,
-    counts: &PlanCounts,
-    r1: usize,
+    plan: &FmmPlan,
     m: usize,
     k: usize,
     n: usize,
@@ -55,6 +59,7 @@ pub fn predict_parallel(
     if impl_ == Impl::Gemm {
         return predict_gemm_parallel(m, k, n, arch, workers);
     }
+    let counts = PlanCounts::of(plan);
     let (basis, units) = match strategy {
         // Data parallelism inside each product: the ic loop over the
         // block problem's rows.
@@ -67,9 +72,9 @@ pub fn predict_parallel(
         }
         // Task per level-1 product with explicit level-1 operand sums:
         // Naive's memory profile, `R_1` tasks.
-        Strategy::Hybrid => (Impl::Naive, r1),
+        Strategy::Hybrid => (Impl::Naive, plan.first_level().rank()),
     };
-    let seq = predict_fmm(basis, counts, m, k, n, arch);
+    let seq = predict_fmm(basis, &counts, m, k, n, arch);
     Prediction::from_times(seq.arithmetic * chunked(units, workers), seq.memory, m, k, n)
 }
 
@@ -85,32 +90,6 @@ pub fn predict_gemm_parallel(
     let seq = predict_gemm(m, k, n, arch);
     let units = m.div_ceil(arch.mc);
     Prediction::from_times(seq.arithmetic * chunked(units, workers), seq.memory, m, k, n)
-}
-
-/// As [`predict_parallel`], reading the plan's counts and level-1 rank
-/// directly.
-#[allow(clippy::too_many_arguments)]
-pub fn predict_scheduled(
-    impl_: Impl,
-    plan: &FmmPlan,
-    m: usize,
-    k: usize,
-    n: usize,
-    arch: &ArchParams,
-    workers: usize,
-    strategy: Strategy,
-) -> Prediction {
-    predict_parallel(
-        impl_,
-        &PlanCounts::of(plan),
-        plan.first_level().rank(),
-        m,
-        k,
-        n,
-        arch,
-        workers,
-        strategy,
-    )
 }
 
 /// One ranked `(plan, variant, strategy)` candidate.
@@ -138,10 +117,15 @@ impl ScheduledCandidate {
 
 /// Rank every `(plan, variant, strategy)` triple (plus parallel GEMM) by
 /// predicted total time over `workers` workers, fastest first. The sort is
-/// stable and DFS candidates are generated first, so exact ties — e.g.
-/// every strategy at `workers == 1` — resolve to the simplest schedule.
-/// Hybrid candidates are skipped for one-level plans (the scheduler
-/// delegates them to BFS, so ranking them separately would be noise).
+/// stable and DFS candidates are generated first, so exact ties resolve to
+/// the simplest schedule. Hybrid candidates are skipped for one-level
+/// plans (the scheduler delegates them to BFS, so ranking them separately
+/// would be noise).
+///
+/// At one worker only DFS candidates are generated. Every quantization
+/// factor is then 1, BFS-ABC costs AB's profile and hybrid Naive's, so
+/// each BFS or hybrid candidate ties or loses to a DFS twin generated
+/// before it and could never be picked.
 #[allow(clippy::too_many_arguments)]
 pub fn rank_scheduled(
     m: usize,
@@ -153,7 +137,8 @@ pub fn rank_scheduled(
     workers: usize,
     include_gemm: bool,
 ) -> Vec<ScheduledCandidate> {
-    let mut out = Vec::new();
+    let strategies: &[Strategy] = if workers <= 1 { &[Strategy::Dfs] } else { &Strategy::ALL };
+    let mut out = Vec::with_capacity(1 + plans.len() * variants.len() * strategies.len());
     if include_gemm {
         out.push(ScheduledCandidate {
             plan: None,
@@ -163,13 +148,11 @@ pub fn rank_scheduled(
         });
     }
     for plan in plans {
-        let counts = PlanCounts::of(plan);
-        let r1 = plan.first_level().rank();
         for &v in variants {
             if v == Impl::Gemm {
                 continue;
             }
-            for strategy in Strategy::ALL {
+            for &strategy in strategies {
                 if strategy == Strategy::Hybrid && plan.num_levels() == 1 {
                     continue;
                 }
@@ -177,7 +160,7 @@ pub fn rank_scheduled(
                     plan: Some(plan.clone()),
                     impl_: v,
                     strategy,
-                    prediction: predict_parallel(v, &counts, r1, m, k, n, arch, workers, strategy),
+                    prediction: predict_scheduled(v, plan, m, k, n, arch, workers, strategy),
                 });
             }
         }
@@ -204,22 +187,32 @@ mod tests {
 
     #[test]
     fn one_worker_dfs_reduces_to_sequential_model() {
-        let plan = FmmPlan::new(vec![registry::strassen()]);
-        let counts = PlanCounts::of(&plan);
-        for impl_ in Impl::FMM_VARIANTS {
-            let seq = predict_fmm(impl_, &counts, 1024, 1024, 1024, &arch());
-            let par = predict_scheduled(impl_, &plan, 1024, 1024, 1024, &arch(), 1, Strategy::Dfs);
-            assert!((seq.total - par.total).abs() < 1e-15, "{}", impl_.name());
+        // Bit for bit: `rank_candidates` is `rank_scheduled` at one worker,
+        // so the sequential ranking must not move by a single ulp.
+        let bits =
+            |p: Prediction| [p.arithmetic, p.memory, p.total, p.effective_gflops].map(f64::to_bits);
+        for plan in plans() {
+            let counts = PlanCounts::of(&plan);
+            for (m, k, n) in [(1024, 1024, 1024), (17, 480, 2048), (14400, 96, 7)] {
+                for impl_ in Impl::FMM_VARIANTS {
+                    let seq = predict_fmm(impl_, &counts, m, k, n, &arch());
+                    let par = predict_scheduled(impl_, &plan, m, k, n, &arch(), 1, Strategy::Dfs);
+                    assert_eq!(bits(seq), bits(par), "{} {m}x{k}x{n}", impl_.name());
+                }
+                let gemm = predict_gemm_parallel(m, k, n, &arch(), 1);
+                assert_eq!(bits(predict_gemm(m, k, n, &arch())), bits(gemm), "GEMM {m}x{k}x{n}");
+            }
         }
     }
 
     #[test]
     fn single_worker_ranking_prefers_dfs() {
         // With one worker no strategy can win on time, and BFS/hybrid pay
-        // materialization; ties resolve to DFS by stable sort.
+        // materialization, so only DFS candidates are generated.
         let ranked =
             rank_scheduled(2048, 2048, 2048, &plans(), &Impl::FMM_VARIANTS, &arch(), 1, false);
         assert_eq!(ranked[0].strategy, Strategy::Dfs, "best = {}", ranked[0].describe());
+        assert_eq!(ranked.len(), 2 * 3, "two plans x three variants, DFS only");
     }
 
     #[test]

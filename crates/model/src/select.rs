@@ -3,13 +3,13 @@
 //! Given a problem size and a set of candidate `(plan, variant)` pairs, the
 //! model ranks all candidates by predicted time. The paper's protocol takes
 //! the *top two* predictions and measures both in practice (fringe effects
-//! are not modeled), keeping the faster — [`top_two`] supports exactly that
-//! poly-algorithm workflow.
+//! are not modeled), keeping the faster — the first two entries of
+//! [`rank_candidates`] are that pair.
 
 use crate::arch::ArchParams;
-use crate::predict::{predict_fmm, Prediction};
+use crate::parallel::rank_scheduled;
+use crate::predict::Prediction;
 use crate::Impl;
-use fmm_core::counts::PlanCounts;
 use fmm_core::FmmPlan;
 use std::sync::Arc;
 
@@ -35,7 +35,9 @@ impl Candidate {
 }
 
 /// Rank every `(plan, variant)` pair (plus plain GEMM) by predicted total
-/// time, fastest first.
+/// time, fastest first: [`rank_scheduled`] at one worker, where every
+/// candidate is depth-first and predicts what the sequential model does,
+/// bit for bit.
 pub fn rank_candidates(
     m: usize,
     k: usize,
@@ -45,47 +47,10 @@ pub fn rank_candidates(
     arch: &ArchParams,
     include_gemm: bool,
 ) -> Vec<Candidate> {
-    let mut out = Vec::new();
-    if include_gemm {
-        out.push(Candidate {
-            plan: None,
-            impl_: Impl::Gemm,
-            prediction: crate::predict::predict_gemm(m, k, n, arch),
-        });
-    }
-    for plan in plans {
-        let counts = PlanCounts::of(plan);
-        for &v in variants {
-            if v == Impl::Gemm {
-                continue;
-            }
-            out.push(Candidate {
-                plan: Some(plan.clone()),
-                impl_: v,
-                prediction: predict_fmm(v, &counts, m, k, n, arch),
-            });
-        }
-    }
-    out.sort_by(|a, b| {
-        a.prediction.total.partial_cmp(&b.prediction.total).expect("predictions are finite")
-    });
-    out
-}
-
-/// The paper's §4.4 protocol: the two best-predicted candidates, to be
-/// measured empirically by the caller.
-pub fn top_two(
-    m: usize,
-    k: usize,
-    n: usize,
-    plans: &[Arc<FmmPlan>],
-    variants: &[Impl],
-    arch: &ArchParams,
-) -> (Candidate, Option<Candidate>) {
-    let ranked = rank_candidates(m, k, n, plans, variants, arch, false);
-    let mut it = ranked.into_iter();
-    let first = it.next().expect("at least one candidate required");
-    (first, it.next())
+    rank_scheduled(m, k, n, plans, variants, arch, 1, include_gemm)
+        .into_iter()
+        .map(|c| Candidate { plan: c.plan, impl_: c.impl_, prediction: c.prediction })
+        .collect()
 }
 
 #[cfg(test)]
@@ -115,12 +80,13 @@ mod tests {
         // protocol then measures both (fringe and cache effects, which the
         // model omits, decide between one- and two-level in practice).
         let arch = ArchParams::paper_machine();
-        let (best, second) = top_two(14400, 480, 14400, &plans(), &Impl::FMM_VARIANTS, &arch);
-        let second = second.expect("two candidates available");
+        let ranked =
+            rank_candidates(14400, 480, 14400, &plans(), &Impl::FMM_VARIANTS, &arch, false);
+        let (best, second) = (&ranked[0], ranked.get(1).expect("two candidates available"));
         assert_eq!(best.impl_, Impl::Abc, "best = {}", best.describe());
         assert_eq!(second.impl_, Impl::Abc, "second = {}", second.describe());
         let levels: Vec<usize> =
-            [&best, &second].iter().map(|c| c.plan.as_ref().unwrap().num_levels()).collect();
+            [best, second].iter().map(|c| c.plan.as_ref().unwrap().num_levels()).collect();
         assert!(levels.contains(&1), "one-level plan must reach the measured top-2");
     }
 
@@ -147,8 +113,8 @@ mod tests {
     #[test]
     fn describe_names_plan_and_variant() {
         let arch = ArchParams::paper_machine();
-        let (best, second) = top_two(4000, 4000, 4000, &plans(), &Impl::FMM_VARIANTS, &arch);
-        assert!(best.describe().contains("<2,2,2>"));
-        assert!(second.is_some());
+        let ranked = rank_candidates(4000, 4000, 4000, &plans(), &Impl::FMM_VARIANTS, &arch, false);
+        assert!(ranked[0].describe().contains("<2,2,2>"));
+        assert!(ranked.get(1).is_some());
     }
 }

@@ -3,8 +3,9 @@
 //! The paper parallelizes only *inside* each block product (loop-3 data
 //! parallelism around the GEMM micro-kernel, §5.1) — that is
 //! [`Strategy::Dfs`], where the `R_L` submultiplications run strictly
-//! sequentially. Benson & Ballard (*A Framework for Practical Parallel
-//! Fast Matrix Multiplication*, PPoPP 2015) show that **task** parallelism
+//! sequentially; over one worker it is the sequential executor itself.
+//! Benson & Ballard (*A Framework for Practical Parallel Fast Matrix
+//! Multiplication*, PPoPP 2015) show that **task** parallelism
 //! across the submultiplications dominates for small-to-medium problems,
 //! where a single block product has too few micro-panel rows to feed every
 //! core:
@@ -157,12 +158,6 @@ impl<T: GemmScalar> SchedContext<T> {
             hybrid_executions: AtomicU64::new(0),
             tasks_executed: AtomicU64::new(0),
         }
-    }
-
-    /// The wrapped DFS execution context (what [`Strategy::Dfs`] and the
-    /// engine's sequential path run on).
-    pub fn fmm_context(&mut self) -> &mut FmmContext<T> {
-        &mut self.fmm
     }
 
     /// Replace the blocking parameters on this context and its wrapped DFS
@@ -358,10 +353,12 @@ where
 /// context's arena for DFS ([`Variant::workspace_elements`]), the per-task
 /// regions for BFS and hybrid.
 ///
-/// DFS delegates to [`fmm_core::fmm_execute_parallel`]: block products
-/// data-parallel over the *full* rayon pool (its `ic`-loop does not take a
-/// worker bound), products sequential. BFS and hybrid fan tasks out as
-/// described in the crate docs, with effective parallelism
+/// DFS over one worker runs [`fmm_core::fmm_execute`] inline, so a
+/// sequential caller and a one-thread pool run the same code. Over more
+/// workers it delegates to [`fmm_core::fmm_execute_parallel`]: block
+/// products data-parallel over the *full* rayon pool (its `ic`-loop does
+/// not take a worker bound), products sequential. BFS and hybrid fan tasks
+/// out as described in the crate docs, with effective parallelism
 /// `min(workers, tasks, pool width)`.
 #[allow(clippy::too_many_arguments)]
 pub fn execute<T: GemmScalar>(
@@ -379,9 +376,14 @@ pub fn execute<T: GemmScalar>(
     assert_eq!(b.rows(), k, "A/B inner dimension mismatch");
     assert_eq!((c.rows(), c.cols()), (m, n), "C shape mismatch");
 
+    let workers = resolve_workers(workers);
     if matches!(strategy, Strategy::Dfs) {
         strategy_counter(Strategy::Dfs).inc();
-        fmm_execute_parallel(c, a, b, plan, variant, &mut ctx.fmm);
+        if workers == 1 {
+            fmm_execute(c, a, b, plan, variant, &mut ctx.fmm);
+        } else {
+            fmm_execute_parallel(c, a, b, plan, variant, &mut ctx.fmm);
+        }
         return ctx.fmm.fmm_workspace_elements();
     }
     // Hybrid of a one-level plan has no inner levels to run depth-first;
@@ -394,7 +396,6 @@ pub fn execute<T: GemmScalar>(
     // Counted after the downgrade: the counter reports what actually ran.
     strategy_counter(strategy).inc();
 
-    let workers = resolve_workers(workers);
     let peel = peeling::peel(m, k, n, plan.partition_dims());
     let (mc, kc, nc) = peel.core;
     let mut occupied = 0;
@@ -634,7 +635,7 @@ fn hybrid_core<T: GemmScalar>(
 mod tests {
     use super::*;
     use fmm_core::registry::strassen;
-    use fmm_dense::{fill, norms, Matrix};
+    use fmm_dense::{fill, norms, Matrix, Scalar};
 
     fn check(
         m: usize,
@@ -654,7 +655,7 @@ mod tests {
         let mut c_ref = c_orig;
         fmm_gemm::reference::matmul_into(c_ref.as_mut(), a.as_ref(), b.as_ref());
         let err = norms::max_abs_diff(c.as_ref(), c_ref.as_ref());
-        let tol = norms::fmm_tolerance(k, plan.num_levels());
+        let tol = f64::accuracy_bound(k, plan.num_levels());
         assert!(
             err < tol,
             "{} {} {} m={m} k={k} n={n} workers={workers}: err={err} tol={tol}",
@@ -788,7 +789,7 @@ mod tests {
             &mut ctx,
             2,
         );
-        assert!(ctx.fmm_context().fmm_workspace_elements() > 0, "DFS ran on the inner context");
+        assert!(ctx.fmm.fmm_workspace_elements() > 0, "DFS ran on the inner context");
         assert_eq!(occupied, Variant::Naive.workspace_elements(&plan, 16, 16, 16));
         assert_eq!(ctx.stats().tasks_executed, 0, "DFS fans out no tasks");
     }

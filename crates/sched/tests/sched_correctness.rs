@@ -4,7 +4,7 @@
 //! per-task workspaces.
 
 use fmm_core::{registry, FmmPlan, Strategy, Variant};
-use fmm_dense::{fill, norms, Matrix};
+use fmm_dense::{fill, norms, Matrix, Scalar};
 use fmm_gemm::BlockingParams;
 use fmm_sched::{execute, SchedContext};
 
@@ -38,7 +38,7 @@ fn strategy_variant_worker_sweep_matches_reference() {
             let mut c_ref = fill::bench_workload(m, n, 3);
             let c_init = c_ref.clone();
             fmm_gemm::reference::matmul_into(c_ref.as_mut(), a.as_ref(), b.as_ref());
-            let tol = norms::fmm_tolerance(k, levels);
+            let tol = f64::accuracy_bound(k, levels);
             for strategy in Strategy::ALL {
                 for variant in Variant::ALL {
                     for workers in [1, 2, 4] {

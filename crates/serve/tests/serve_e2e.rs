@@ -22,7 +22,12 @@ fn test_engines(pin_gemm: bool) -> (Arc<FmmEngine<f64>>, Arc<FmmEngine<f32>>) {
         // No registry algorithm has these partition dims, so every shape
         // takes the counted pinned-fallback path to plain blocked GEMM —
         // a deterministic, bitwise-reproducible route.
-        Routing::Pinned { dims: (9, 9, 9), levels: 1, variant: fmm_engine::Variant::Naive }
+        Routing::Pinned {
+            dims: (9, 9, 9),
+            levels: 1,
+            variant: fmm_engine::Variant::Naive,
+            strategy: fmm_engine::Strategy::Dfs,
+        }
     } else {
         Routing::Model
     };

@@ -29,6 +29,7 @@ fn pinned_engines() -> (Arc<FmmEngine<f64>>, Arc<FmmEngine<f32>>) {
             dims: (9, 9, 9),
             levels: 1,
             variant: fmm_engine::Variant::Naive,
+            strategy: fmm_engine::Strategy::Dfs,
         },
         ..EngineConfig::default()
     };

@@ -4,7 +4,7 @@
 
 use fmm_core::prelude::*;
 use fmm_core::registry::Registry;
-use fmm_dense::{fill, norms, Matrix};
+use fmm_dense::{fill, norms, Matrix, Scalar};
 use fmm_gemm::BlockingParams;
 
 fn check(plan: &FmmPlan, variant: Variant, m: usize, k: usize, n: usize) {
@@ -16,7 +16,7 @@ fn check(plan: &FmmPlan, variant: Variant, m: usize, k: usize, n: usize) {
     fmm_execute(c.as_mut(), a.as_ref(), b.as_ref(), plan, variant, &mut ctx);
     fmm_gemm::reference::matmul_into(c_ref.as_mut(), a.as_ref(), b.as_ref());
     let err = norms::max_abs_diff(c.as_ref(), c_ref.as_ref());
-    let tol = norms::fmm_tolerance(k, plan.num_levels());
+    let tol = f64::accuracy_bound(k, plan.num_levels());
     assert!(
         err < tol,
         "{} {} m={m} k={k} n={n}: err={err:.3e} tol={tol:.3e}",

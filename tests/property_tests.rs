@@ -11,7 +11,7 @@ use fmm_core::indexing::BlockGrid;
 use fmm_core::peeling;
 use fmm_core::prelude::*;
 use fmm_core::registry::Registry;
-use fmm_dense::{fill, norms};
+use fmm_dense::{fill, norms, Scalar};
 use fmm_gemm::BlockingParams;
 
 /// Deterministic case-parameter generator (xorshift64*).
@@ -66,7 +66,7 @@ fn fmm_matches_reference() {
         fmm_gemm::reference::matmul_into(c_ref.as_mut(), a.as_ref(), b.as_ref());
         let err = norms::max_abs_diff(c.as_ref(), c_ref.as_ref());
         assert!(
-            err < norms::fmm_tolerance(k, 1),
+            err < f64::accuracy_bound(k, 1),
             "case {case}: {} {} m={m} k={k} n={n}: err {err}",
             plan.describe(),
             variant.name()
