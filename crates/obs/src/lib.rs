@@ -22,9 +22,9 @@
 //!   model-error ratio histograms, best/worst observed GFLOP/s, and
 //!   routing-source attribution. The warm record path is lock-free and
 //!   allocation-free after the one-time table allocation.
-//! * [`watchdog`] — a liveness watchdog: serving threads publish
-//!   [`watchdog::Heartbeat`] atomics; one judging thread detects
-//!   stalled loops and wedged dispatchers, records escalating stall
+//! * [`watchdog`] — a stall watchdog: dispatcher threads count progress
+//!   on [`watchdog::Heartbeat`] atomics; one judging thread detects a
+//!   dispatcher wedged with work pending, records escalating stall
 //!   events, and can dump-then-abort a hard-wedged process.
 //!
 //! This crate depends on nothing but `std` so every layer of the stack

@@ -55,7 +55,7 @@ pub const SPAN_CAPACITY: usize = 4096;
 #[repr(u8)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Kind {
-    /// Frame fully decoded off the socket (event-loop thread).
+    /// Frame fully decoded off the socket (the connection's reader).
     RequestRecv,
     /// Admission control passed; job queued for dispatch.
     Admission,
@@ -79,7 +79,7 @@ pub enum Kind {
     Merge,
     /// Response frame handed to the connection write queue.
     ReplyFlush,
-    /// A connection was installed on an event loop. Args: conn, loop.
+    /// A connection was accepted. Args: conn, 0.
     ConnAccepted,
     /// A connection closed. Args: conn, requests admitted over its life.
     ConnClosed,
@@ -283,7 +283,7 @@ impl Event {
         let ms = |nanos: u64| nanos as f64 / 1e6;
         match self.kind {
             Kind::BatchForm => format!("dispatcher {a} formed batch of {b} (depth {c} after)"),
-            Kind::ConnAccepted => format!("conn #{a} accepted on loop {b}"),
+            Kind::ConnAccepted => format!("conn #{a} accepted"),
             Kind::ConnClosed => format!("conn #{a} closed after {b} requests"),
             Kind::AdmissionRefused => format!("conn #{a} refused: {}", RefusalReason::name_of(b)),
             Kind::ErrorSent => format!("error frame (code {b}) sent on conn #{a}"),

@@ -1,20 +1,14 @@
-//! Liveness watchdog: detects stalled loops and wedged dispatchers.
+//! Stall watchdog: detects wedged dispatchers.
 //!
-//! Threads that are supposed to keep moving — event loops ticking
-//! their poll timeout, dispatchers draining a queue — each register a
-//! [`Heartbeat`] and update it from their own loop body. A single
-//! watchdog thread wakes every [`WatchdogConfig::interval`] and judges
-//! each component against its [`WatchPolicy`]:
-//!
-//! * [`WatchPolicy::Liveness`] — the component must *beat* (its loop
-//!   must iterate). Stalled when `now - last_beat > stall_after`.
-//!   Right for event loops, which tick on a bounded poll timeout even
-//!   when idle.
-//! * [`WatchPolicy::Progress`] — the component must make progress
-//!   *when there is work*. Stalled when the work probe (e.g. queue
-//!   depth) stays nonzero while the progress counter (e.g. batches
-//!   formed) does not move for `stall_after`. Right for dispatchers,
-//!   which legitimately block on a condvar when idle.
+//! Threads that drain a work queue — the serving daemon's dispatchers —
+//! each register a [`Heartbeat`] and count progress on it from their own
+//! loop body. A single watchdog thread wakes every
+//! [`WatchdogConfig::interval`] and judges each component against its
+//! [`WatchPolicy`]: [`WatchPolicy::Progress`] — the component must make
+//! progress *when there is work*. It is stalled when the work probe (e.g.
+//! queue depth) stays nonzero while the progress counter (e.g. batches
+//! formed) does not move for `stall_after`; a dispatcher blocked on an
+//! empty queue is idle, not stalled.
 //!
 //! Verdicts are recorded as escalating always-on [`trace`] events
 //! (`WatchdogStall`) — level 1 at
@@ -27,73 +21,40 @@
 //! process: a hard-wedged daemon that cannot serve is worth more dead
 //! with a dump than alive and silent.
 //!
-//! [`Heartbeat::beat`] and [`Heartbeat::progress`] are the only calls
-//! on serving threads; both are one or two relaxed stores and carry
-//! the `warm-alloc-free` contract. All judging state lives in the
-//! watchdog thread.
+//! [`Heartbeat::progress`] is the only call on serving threads; it is one
+//! relaxed add and carries the `warm-alloc-free` contract. All judging
+//! state lives in the watchdog thread.
 
 use crate::trace::{self, Event, IncidentTrigger, Kind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Per-component liveness signal, updated by the watched thread.
-#[derive(Debug)]
+/// Per-component progress signal, updated by the watched thread.
+#[derive(Debug, Default)]
 pub struct Heartbeat {
-    /// Loop-iteration counter.
-    seq: AtomicU64,
-    /// Monotonic nanos of the most recent beat.
-    beat_nanos: AtomicU64,
     /// Completed units of work (e.g. batches formed).
     progress: AtomicU64,
 }
 
 impl Heartbeat {
-    fn new() -> Heartbeat {
-        Heartbeat {
-            seq: AtomicU64::new(0),
-            beat_nanos: AtomicU64::new(crate::trace::now_nanos()),
-            progress: AtomicU64::new(0),
-        }
-    }
-
-    /// The watched loop iterated. Two relaxed stores.
-    // fmm-check: contract(warm-alloc-free)
-    #[inline]
-    pub fn beat(&self) {
-        self.seq.fetch_add(1, Ordering::Relaxed);
-        self.beat_nanos.store(crate::trace::now_nanos(), Ordering::Relaxed);
-    }
-
-    /// The watched loop completed a unit of work. Also beats.
+    /// The watched loop completed a unit of work. One relaxed add.
     // fmm-check: contract(warm-alloc-free)
     #[inline]
     pub fn progress(&self) {
         self.progress.fetch_add(1, Ordering::Relaxed);
-        self.beat();
-    }
-
-    pub fn beats(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
     }
 
     pub fn progress_count(&self) -> u64 {
         self.progress.load(Ordering::Relaxed)
     }
-
-    fn last_beat_nanos(&self) -> u64 {
-        self.beat_nanos.load(Ordering::Relaxed)
-    }
 }
 
 /// How the watchdog judges a component (see module docs).
 pub enum WatchPolicy {
-    Liveness,
     /// `work` probes the amount of pending work (0 = legitimately
     /// idle); progress is read from the component's [`Heartbeat`].
-    Progress {
-        work: Box<dyn Fn() -> u64 + Send + Sync>,
-    },
+    Progress { work: Box<dyn Fn() -> u64 + Send + Sync> },
 }
 
 /// Watchdog thresholds. All deadlines are judged at `interval`
@@ -102,8 +63,8 @@ pub enum WatchPolicy {
 pub struct WatchdogConfig {
     /// Poll cadence of the watchdog thread.
     pub interval: Duration,
-    /// A component is stalled after this long without a beat (or,
-    /// under `Progress`, without progress while work is pending).
+    /// A component is stalled after this long without progress while
+    /// work is pending.
     pub stall_after: Duration,
     /// Dump-then-abort the process when a stall persists this long.
     /// `None` = never abort (the default).
@@ -178,7 +139,7 @@ impl Watchdog {
     /// watched thread updates. The component's id in watchdog events is its
     /// registration index (see [`component_names`](Self::component_names)).
     pub fn register(&self, name: &str, policy: WatchPolicy) -> Arc<Heartbeat> {
-        let heartbeat = Arc::new(Heartbeat::new());
+        let heartbeat = Arc::new(Heartbeat::default());
         let mut components = self.inner.components.lock().unwrap();
         components.push(Component {
             name: name.to_string(),
@@ -251,18 +212,14 @@ fn tick(inner: &Inner, judge: &mut Vec<JudgeState>, on_abort: &dyn Fn()) {
     }
     for (id, component) in components.iter().enumerate() {
         let state = &mut judge[id];
-        let stalled_for = match &component.policy {
-            WatchPolicy::Liveness => now.saturating_sub(component.heartbeat.last_beat_nanos()),
-            WatchPolicy::Progress { work } => {
-                let progress = component.heartbeat.progress_count();
-                if work() == 0 || progress != state.last_progress {
-                    state.last_progress = progress;
-                    state.baseline_nanos = now;
-                    0
-                } else {
-                    now.saturating_sub(state.baseline_nanos)
-                }
-            }
+        let WatchPolicy::Progress { work } = &component.policy;
+        let progress = component.heartbeat.progress_count();
+        let stalled_for = if work() == 0 || progress != state.last_progress {
+            state.last_progress = progress;
+            state.baseline_nanos = now;
+            0
+        } else {
+            now.saturating_sub(state.baseline_nanos)
         };
         if stalled_for >= stall_after && stall_after > 0 {
             let level = stalled_for / stall_after;
@@ -322,40 +279,6 @@ mod tests {
         // ring-touching test in this crate.
         let _guard = crate::test_lock().lock().unwrap_or_else(|e| e.into_inner());
 
-        // -- Liveness: a silent component stalls, a beating one not --
-        let wd = Watchdog::new(short_config());
-        let silent = wd.register("silent-loop", WatchPolicy::Liveness);
-        let lively = wd.register("lively-loop", WatchPolicy::Liveness);
-        assert_eq!(wd.component_names(), ["silent-loop", "lively-loop"]);
-        let handle = wd.spawn(Box::new(|| {}));
-        assert!(
-            wait_until(2_000, || {
-                lively.beat();
-                wd.stalls_total() >= 1
-            }),
-            "silent component never judged stalled"
-        );
-        // The stall named the silent component, not the lively one.
-        let stalls: Vec<u64> = trace::recent(0)
-            .iter()
-            .filter(|e| e.kind == Kind::WatchdogStall)
-            .map(|e| e.args[0])
-            .collect();
-        assert!(stalls.contains(&0), "stall verdicts: {stalls:?}");
-        assert!(!stalls.contains(&1), "lively component must stay healthy: {stalls:?}");
-
-        // -- Recovery: resuming beats produces a recovery verdict ----
-        assert!(
-            wait_until(2_000, || {
-                silent.beat();
-                lively.beat();
-                trace::recent(0).iter().any(|e| e.kind == Kind::WatchdogRecovered && e.args[0] == 0)
-            }),
-            "recovered component never acknowledged"
-        );
-        handle.stop();
-        assert!(silent.beats() > 0 && lively.beats() > 0);
-
         // -- Progress: pending work without progress is a wedge ------
         let wd = Watchdog::new(short_config());
         let depth = Arc::new(TestAtomic::new(0));
@@ -364,8 +287,9 @@ mod tests {
             "dispatch",
             WatchPolicy::Progress { work: Box::new(move || probe.load(Ordering::Relaxed)) },
         );
+        assert_eq!(wd.component_names(), ["dispatch"]);
         let handle = wd.spawn(Box::new(|| {}));
-        // Idle (work == 0): never stalls, even without beats.
+        // Idle (work == 0): never stalls, even without progress.
         std::thread::sleep(Duration::from_millis(120));
         assert_eq!(wd.stalls_total(), 0, "idle dispatcher must not be judged stalled");
         // Work appears and progress keeps up: still healthy.
@@ -389,6 +313,15 @@ mod tests {
         let (stalled_nanos, level) = wedge.expect("wedge verdict recorded");
         assert!(level >= 2, "escalation level grows: {level}");
         assert!(stalled_nanos >= 40_000_000, "stall duration measured: {stalled_nanos}");
+
+        // -- Recovery: resumed progress produces a recovery verdict ----
+        hb.progress();
+        assert!(
+            wait_until(2_000, || {
+                trace::recent(0).iter().any(|e| e.kind == Kind::WatchdogRecovered && e.args[0] == 0)
+            }),
+            "recovered component never acknowledged"
+        );
         handle.stop();
     }
 }

@@ -3,9 +3,9 @@
 //! ```sh
 //! fmm_serve serve [--addr 127.0.0.1:7117] [--window-us 2000] [--gap-us 200]
 //!                 [--max-batch 32] [--queue 256] [--workers 0]
-//!                 [--event-threads 2] [--trace] [--incident-dir DIR]
-//!                 [--no-watchdog] [--watchdog-stall-ms 1000]
-//!                 [--watchdog-abort-after MS] [--slow-ms 250]
+//!                 [--trace] [--incident-dir DIR] [--no-watchdog]
+//!                 [--watchdog-stall-ms 1000] [--watchdog-abort-after MS]
+//!                 [--slow-ms 250]
 //! fmm_serve ping --addr HOST:PORT [--count 3]
 //! fmm_serve stats --addr HOST:PORT [--prom]
 //! fmm_serve audit --addr HOST:PORT [--threshold 0.5]
@@ -17,9 +17,11 @@
 //! fmm_serve shutdown --addr HOST:PORT
 //! ```
 //!
-//! `serve` runs until a client sends a `Shutdown` frame, then drains
+//! `serve` gives every accepted connection its own reader and writer
+//! thread. It runs until a client sends a `Shutdown` frame, then drains
 //! in-flight work, prints the final stats snapshot (the `stats --prom`
-//! exposition), and exits 0 — the clean shutdown `cli_smoke.rs` asserts. `bench` is the network loadgen: N client threads
+//! exposition), and exits 0 — the clean shutdown `cli_smoke.rs` asserts.
+//! `bench` is the network loadgen: N client threads
 //! each issuing M requests over their own connection, reporting aggregate
 //! throughput and client-observed latency percentiles. Each thread holds
 //! a window of `--pipeline D` requests in flight on its connection (the
@@ -115,7 +117,6 @@ struct Options {
     dtype: String,
     count: usize,
     verify: bool,
-    event_threads: usize,
     pipeline: usize,
     trace: bool,
     prom: bool,
@@ -146,7 +147,6 @@ impl Options {
             dtype: "f64".to_string(),
             count: 3,
             verify: false,
-            event_threads: 2,
             pipeline: 1,
             trace: false,
             prom: false,
@@ -178,7 +178,6 @@ impl Options {
                 "--dtype" => o.dtype = value(),
                 "--count" => o.count = number(flag, value()),
                 "--verify" => o.verify = true,
-                "--event-threads" => o.event_threads = number(flag, value()),
                 "--pipeline" => o.pipeline = number(flag, value()),
                 "--trace" => o.trace = true,
                 "--prom" => o.prom = true,
@@ -217,7 +216,6 @@ fn cmd_serve(o: &Options) {
         },
         queue_capacity: o.queue,
         workers: o.workers,
-        event_threads: o.event_threads.max(1),
         watchdog: o.watchdog,
         watchdog_stall: Duration::from_millis(o.watchdog_stall_ms.max(1)),
         watchdog_abort_after: (o.watchdog_abort_after_ms > 0)
@@ -234,11 +232,8 @@ fn cmd_serve(o: &Options) {
     println!("fmm_serve listening on {}", handle.addr());
     println!("{}", BuildInfo::current());
     println!(
-        "micro-batching: window {:?}, max batch {max_batch}, queue capacity {}, \
-         event threads {}",
-        window,
-        o.queue,
-        o.event_threads.max(1)
+        "micro-batching: window {window:?}, max batch {max_batch}, queue capacity {}",
+        o.queue
     );
     let stall_ms = o.watchdog_stall_ms.max(1);
     match (o.watchdog, o.watchdog_abort_after_ms) {

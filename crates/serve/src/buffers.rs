@@ -1,9 +1,10 @@
 //! Pooled, 64-byte-aligned ingest buffers: the single-copy path from the
 //! socket to `multiply_batch` and back.
 //!
-//! A request's operand bytes are read by the event loop *directly* into a
-//! [`PooledBuf`] checked out of the per-dtype [`IngestPool`] — the
-//! `read(2)` into the buffer is the one and only copy off the wire. The
+//! A request's operand bytes are read by its connection's reader thread
+//! *directly* into a [`PooledBuf`] checked out of the per-dtype
+//! [`IngestPool`] — the `read(2)` into the buffer is the one and only
+//! copy off the wire. The
 //! dispatcher then hands the engine strided views over those same bytes
 //! (the wire is row-major, which is just a stride choice for `MatRef`),
 //! and the result is computed into a third pooled buffer laid out in wire
@@ -186,8 +187,9 @@ impl<T: Scalar> PooledBuf<T> {
         }
     }
 
-    /// The used region as writable bytes — the destination the event loop
-    /// reads socket payloads straight into (the single copy off the wire).
+    /// The used region as writable bytes — the destination a connection
+    /// reader reads socket payloads straight into (the single copy off the
+    /// wire).
     pub fn bytes_mut(&mut self) -> &mut [u8] {
         // SAFETY: exclusive access; every bit pattern is a valid scalar.
         unsafe {
@@ -270,8 +272,9 @@ impl<T> Drop for PooledBuf<T> {
     }
 }
 
-/// A type-erased pooled result buffer: what completions carry back to the
-/// event loop, which only needs the bytes (and the drop-to-pool return).
+/// A type-erased pooled result buffer: what completions carry back to a
+/// connection's writer, which only needs the bytes (and the drop-to-pool
+/// return).
 pub enum WireBuf {
     /// A double-precision result.
     F64(PooledBuf<f64>),
@@ -309,11 +312,10 @@ impl From<PooledBuf<f32>> for WireBuf {
     }
 }
 
-/// A request's staged operands: the `A`/`B` pooled buffers the event
-/// loop fills straight off the wire, tagged by dtype. The payload body is
-/// addressed linearly — `A`'s bytes first, then `B`'s — which is exactly
-/// the wire order, so [`OperandStage::spare_bytes`] is the one `read(2)`
-/// destination the streaming decoder needs.
+/// A request's staged operands: the `A`/`B` pooled buffers a connection
+/// reader fills straight off the wire, tagged by dtype. The payload body
+/// is `A`'s bytes, then `B`'s — exactly the two regions
+/// [`OperandStage::bytes_mut`] hands out.
 #[derive(Debug)]
 pub enum OperandStage {
     /// Double-precision operands.
@@ -347,26 +349,12 @@ impl OperandStage {
         }
     }
 
-    /// The writable tail of the operand region at linear payload-body
-    /// offset `filled` (`A`'s bytes, then `B`'s). Empty only when both
-    /// operands are complete.
-    pub fn spare_bytes(&mut self, dims: RequestDims, filled: usize) -> &mut [u8] {
-        let a_bytes = dims.a_bytes();
+    /// The `A` and `B` operand regions as writable bytes, in wire order —
+    /// the two `read(2)` destinations of a request's payload body.
+    pub fn bytes_mut(&mut self) -> (&mut [u8], &mut [u8]) {
         match self {
-            Self::F64 { a, b } => {
-                if filled < a_bytes {
-                    &mut a.bytes_mut()[filled..]
-                } else {
-                    &mut b.bytes_mut()[filled - a_bytes..]
-                }
-            }
-            Self::F32 { a, b } => {
-                if filled < a_bytes {
-                    &mut a.bytes_mut()[filled..]
-                } else {
-                    &mut b.bytes_mut()[filled - a_bytes..]
-                }
-            }
+            Self::F64 { a, b } => (a.bytes_mut(), b.bytes_mut()),
+            Self::F32 { a, b } => (a.bytes_mut(), b.bytes_mut()),
         }
     }
 
@@ -386,7 +374,7 @@ impl OperandStage {
     }
 }
 
-/// The per-dtype buffer pools one server shares across its event loops
+/// The per-dtype buffer pools one server shares across its connections
 /// and dispatchers.
 pub struct IngestPools {
     /// f64 operand/result buffers.

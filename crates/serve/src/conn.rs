@@ -1,41 +1,25 @@
-//! Per-connection state for the event-loop server: an incremental frame
-//! decoder that reads request operands straight into pooled buffers, and
-//! a scatter-list write queue with partial-write continuation.
+//! The inbound half of a connection: [`read_event`] reads one frame with
+//! blocking reads and turns it into the [`InEvent`] the server acts on.
 //!
-//! The decoder is a byte-exact state machine over the frame grammar.
-//! Every `read(2)` targets exactly the bytes the current state still
-//! needs — a header remainder, the request prelude, or the tail of an
-//! operand buffer — so reads never cross a frame boundary and a request's
-//! `A`/`B` bytes land in their [`PooledBuf`]s in one copy off the wire.
-//! Malformed input follows the protocol contract: payload-level
-//! problems (bad dtype, dimension mismatch, over-cap result) skip the
-//! rest of the payload and emit a recoverable error event; framing-level
-//! corruption (bad magic/version/kind, over-cap declaration) emits a
-//! fatal event after which the stream is never parsed again.
+//! The header comes through [`protocol::read_header`], the reader clients
+//! use too. A request's prelude is validated before its operands are read,
+//! and the `A`/`B` bytes are read straight into pooled buffers — one copy
+//! off the wire. Malformed input follows the protocol contract:
+//! payload-level problems (bad dtype, dimension mismatch, over-cap result)
+//! skip the rest of the payload and yield a recoverable error event;
+//! framing-level corruption (bad magic/version/kind, over-cap declaration)
+//! yields a fatal event, after which the caller reads nothing more.
 //!
-//! The write queue holds segments rather than flattened bytes: a response
-//! is `Bytes(header ‖ prelude)` followed by `Buf(result)`, written with
-//! continuation from wherever the last `write(2)` stopped — a slow reader
-//! costs backlog bytes, never a blocked thread.
+//! These paths parse untrusted network bytes, so they carry the same
+//! machine-checked panic-freedom contract as `protocol` (see README
+//! § Static analysis): the `fmm-check: contract(panic-free)` pragmas scope
+//! the `deny-panic` rule to the functions below.
 
-use crate::buffers::{IngestPools, OperandStage, WireBuf};
+use crate::buffers::{IngestPools, OperandStage};
 use crate::protocol::{
-    self, ErrorCode, FrameKind, HeaderInfo, RequestDims, HEADER_LEN, HEADER_PREFIX_LEN,
-    REQUEST_PRELUDE,
+    self, ErrorCode, FrameError, FrameHead, FrameKind, RequestDims, REQUEST_PRELUDE,
 };
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-
-/// Frame metadata carried through the decoder states and into events.
-#[derive(Clone, Copy, Debug)]
-pub struct FrameHead {
-    /// The frame's request id, echoed in the reply.
-    pub request_id: u64,
-    /// The frame kind.
-    pub kind: FrameKind,
-    /// Declared payload length (cap-checked).
-    pub payload_len: usize,
-}
+use std::io::{self, Read};
 
 /// One fully decoded inbound frame, ready for the server to act on.
 #[derive(Debug)]
@@ -84,7 +68,7 @@ pub enum InEvent {
     },
     /// A decodable frame that cannot be served: answer with a typed error
     /// and — when `fatal` — stop trusting the stream and close after the
-    /// flush.
+    /// reply.
     Bad {
         /// Request id to echo (0 when the header never parsed).
         request_id: u64,
@@ -97,236 +81,55 @@ pub enum InEvent {
     },
 }
 
-enum DecodeState {
-    /// Accumulating the frame header. `info` is the classified prefix,
-    /// set the moment [`HEADER_PREFIX_LEN`] bytes are in — a hostile
-    /// prefix is refused without waiting for the request id behind it.
-    Header { buf: [u8; HEADER_LEN], filled: usize, info: Option<HeaderInfo> },
-    /// Buffering a small/non-request payload whole.
-    Small { head: FrameHead, payload: Vec<u8>, filled: usize },
-    /// Accumulating the 13-byte request prelude (dtype + dims).
-    Prelude { head: FrameHead, buf: [u8; REQUEST_PRELUDE], filled: usize },
-    /// Streaming operand bytes straight into pooled buffers.
-    Operands { head: FrameHead, dims: RequestDims, stage: OperandStage, filled: usize },
-    /// Draining the rest of an unservable payload before answering.
-    Skip { remaining: usize, reply: Box<InEvent> },
-    /// A fatal event was emitted; no further byte is ever parsed.
-    Broken,
-}
-
-/// What one [`Decoder::step`] produced.
-#[derive(Debug, PartialEq, Eq)]
-pub enum DecodeStep {
-    /// One event was appended to `events`; the caller decides whether to
-    /// keep stepping (flow control lives above the decoder).
-    Frame,
-    /// Mid-frame `WouldBlock`: call again on the next readiness.
-    NeedMore,
-    /// Clean EOF at a frame boundary (or transport error): close.
-    Closed,
-    /// A fatal `Bad` event was emitted earlier; the stream is dead.
-    Broken,
-}
-
-/// Incremental frame decoder for one connection.
-///
-/// The decode paths below parse untrusted network bytes, so they carry
-/// the same machine-checked panic-freedom contract as `protocol` (see
-/// README § Static analysis): the `fmm-check: contract(panic-free)`
-/// pragmas scope the `deny-panic` rule to this impl and the free
-/// functions it routes through.
-pub struct Decoder {
-    state: DecodeState,
+/// Read one inbound frame from `r`, enforcing `max_payload`. `Ok(None)` is
+/// a clean close at a frame boundary; `Err` is a transport error, or
+/// `UnexpectedEof` for a stream that ends inside a frame.
+// fmm-check: contract(panic-free)
+pub fn read_event(
+    r: &mut impl Read,
     max_payload: usize,
-}
-
-// fmm-check: contract(panic-free)
-impl Decoder {
-    /// A decoder enforcing `max_payload` per frame.
-    pub fn new(max_payload: usize) -> Self {
-        Self { state: Self::fresh_header(), max_payload }
-    }
-
-    /// True once a fatal framing error has been emitted.
-    pub fn is_broken(&self) -> bool {
-        matches!(self.state, DecodeState::Broken)
-    }
-
-    /// Advance the state machine by at most one completed frame, reading
-    /// from `r` (a nonblocking stream). Appends exactly one [`InEvent`]
-    /// when it returns [`DecodeStep::Frame`].
-    pub fn step(
-        &mut self,
-        r: &mut impl Read,
-        pools: &IngestPools,
-        events: &mut Vec<InEvent>,
-    ) -> DecodeStep {
-        loop {
-            // Phase 1: I/O and transitions under a mutable borrow.
-            let outcome = match &mut self.state {
-                DecodeState::Broken => return DecodeStep::Broken,
-                DecodeState::Header { buf, filled, info } => {
-                    // `filled < buf.len()` is the state invariant; `get_mut`
-                    // keeps the path panic-free regardless.
-                    let dst = buf.get_mut(*filled..).unwrap_or(&mut []);
-                    match read_into(r, dst) {
-                        ReadChunk::Data(n) => *filled += n,
-                        ReadChunk::WouldBlock => return DecodeStep::NeedMore,
-                        ReadChunk::Eof => return DecodeStep::Closed,
-                    }
-                    if info.is_none() && *filled >= HEADER_PREFIX_LEN {
-                        let prefix = protocol::le_bytes(buf.as_slice(), 0).unwrap_or_default();
-                        match protocol::parse_header_prefix(&prefix, self.max_payload) {
-                            Ok(parsed) => *info = Some(parsed),
-                            Err(err) => {
-                                let code = match err {
-                                    protocol::FrameError::BadVersion(_) => {
-                                        ErrorCode::UnsupportedVersion
-                                    }
-                                    protocol::FrameError::Oversized { .. } => ErrorCode::Oversized,
-                                    _ => ErrorCode::Malformed,
-                                };
-                                events.push(InEvent::Bad {
-                                    request_id: 0,
-                                    code,
-                                    message: err.to_string(),
-                                    fatal: true,
-                                });
-                                self.state = DecodeState::Broken;
-                                return DecodeStep::Frame;
-                            }
-                        }
-                    }
-                    if *filled < HEADER_LEN {
-                        continue;
-                    }
-                    // `filled >= HEADER_PREFIX_LEN` classified the prefix
-                    // above; a decoder bug breaks the stream rather than
-                    // panicking.
-                    let Some(info) = *info else {
-                        self.state = DecodeState::Broken;
-                        return DecodeStep::Broken;
-                    };
-                    let request_id = u64::from_le_bytes(
-                        protocol::le_bytes(buf.as_slice(), HEADER_PREFIX_LEN).unwrap_or_default(),
-                    );
-                    self.state = next_payload_state(FrameHead {
-                        request_id,
-                        kind: info.kind,
-                        payload_len: info.payload_len,
-                    });
-                    continue;
-                }
-                DecodeState::Small { payload, filled, .. } => {
-                    while *filled < payload.len() {
-                        let dst = payload.get_mut(*filled..).unwrap_or(&mut []);
-                        match read_into(r, dst) {
-                            ReadChunk::Data(n) => *filled += n,
-                            ReadChunk::WouldBlock => return DecodeStep::NeedMore,
-                            ReadChunk::Eof => return DecodeStep::Closed,
-                        }
-                    }
-                    Complete::Frame
-                }
-                DecodeState::Prelude { head, buf, filled } => {
-                    while *filled < REQUEST_PRELUDE {
-                        let dst = buf.get_mut(*filled..).unwrap_or(&mut []);
-                        match read_into(r, dst) {
-                            ReadChunk::Data(n) => *filled += n,
-                            ReadChunk::WouldBlock => return DecodeStep::NeedMore,
-                            ReadChunk::Eof => return DecodeStep::Closed,
-                        }
-                    }
-                    let head = *head;
-                    match protocol::decode_request_prelude(buf, head.payload_len, self.max_payload)
-                    {
-                        Ok(dims) => {
-                            let stage = OperandStage::acquire(pools, dims);
-                            self.state = DecodeState::Operands { head, dims, stage, filled: 0 };
-                        }
-                        Err(message) => {
-                            // Unservable dims: drain the declared payload
-                            // so framing survives, then answer.
-                            self.state = DecodeState::Skip {
-                                remaining: head.payload_len - REQUEST_PRELUDE,
-                                reply: Box::new(InEvent::Bad {
-                                    request_id: head.request_id,
-                                    code: ErrorCode::Malformed,
-                                    message,
-                                    fatal: false,
-                                }),
-                            };
-                        }
-                    }
-                    continue;
-                }
-                DecodeState::Operands { dims, stage, filled, .. } => {
-                    let total = dims.a_bytes() + dims.b_bytes();
-                    while *filled < total {
-                        match read_into(r, stage.spare_bytes(*dims, *filled)) {
-                            ReadChunk::Data(n) => *filled += n,
-                            ReadChunk::WouldBlock => return DecodeStep::NeedMore,
-                            ReadChunk::Eof => return DecodeStep::Closed,
-                        }
-                    }
-                    Complete::Frame
-                }
-                DecodeState::Skip { remaining, .. } => {
-                    let mut scratch = [0u8; 4096];
-                    while *remaining > 0 {
-                        let want = (*remaining).min(scratch.len());
-                        let dst = scratch.get_mut(..want).unwrap_or(&mut []);
-                        match read_into(r, dst) {
-                            ReadChunk::Data(n) => *remaining -= n,
-                            ReadChunk::WouldBlock => return DecodeStep::NeedMore,
-                            ReadChunk::Eof => return DecodeStep::Closed,
-                        }
-                    }
-                    Complete::Frame
-                }
+    pools: &IngestPools,
+) -> io::Result<Option<InEvent>> {
+    let head = match protocol::read_header(r, max_payload) {
+        Ok(head) => head,
+        Err(FrameError::Closed) => return Ok(None),
+        Err(FrameError::Io(e)) => return Err(e),
+        Err(err) => {
+            let code = match err {
+                FrameError::BadVersion(_) => ErrorCode::UnsupportedVersion,
+                FrameError::Oversized { .. } => ErrorCode::Oversized,
+                _ => ErrorCode::Malformed,
             };
-            // Phase 2: the frame is complete — take the state by value and
-            // turn it into its event.
-            let Complete::Frame = outcome;
-            let finished = std::mem::replace(&mut self.state, Self::fresh_header());
-            let event = match finished {
-                DecodeState::Small { head, payload, .. } => small_frame_event(head, payload),
-                DecodeState::Operands { head, dims, mut stage, .. } => {
-                    stage.wire_to_host();
-                    InEvent::Request { head, dims, operands: stage }
-                }
-                DecodeState::Skip { reply, .. } => *reply,
-                // Header/Prelude/Broken never produce `Complete::Frame`;
-                // a decoder bug lands here — break the stream rather than
-                // panic.
-                DecodeState::Header { .. } | DecodeState::Prelude { .. } | DecodeState::Broken => {
-                    self.state = DecodeState::Broken;
-                    return DecodeStep::Broken;
-                }
-            };
-            events.push(event);
-            return DecodeStep::Frame;
+            let message = err.to_string();
+            return Ok(Some(InEvent::Bad { request_id: 0, code, message, fatal: true }));
         }
+    };
+    if head.kind != FrameKind::Request || head.payload_len < REQUEST_PRELUDE {
+        let mut payload = vec![0; head.payload_len];
+        r.read_exact(&mut payload)?;
+        return Ok(Some(small_frame_event(head, payload)));
     }
-
-    fn fresh_header() -> DecodeState {
-        DecodeState::Header { buf: [0; HEADER_LEN], filled: 0, info: None }
-    }
-}
-
-/// Marker for a completed payload state (phase-1 → phase-2 hand-off in
-/// [`Decoder::step`]).
-enum Complete {
-    Frame,
-}
-
-/// Route a completed header to its payload state.
-// fmm-check: contract(panic-free)
-fn next_payload_state(head: FrameHead) -> DecodeState {
-    if head.kind == FrameKind::Request && head.payload_len >= REQUEST_PRELUDE {
-        DecodeState::Prelude { head, buf: [0; REQUEST_PRELUDE], filled: 0 }
-    } else {
-        DecodeState::Small { head, payload: vec![0; head.payload_len], filled: 0 }
+    let mut prelude = [0; REQUEST_PRELUDE];
+    r.read_exact(&mut prelude)?;
+    match protocol::decode_request_prelude(&prelude, head.payload_len, max_payload) {
+        Ok(dims) => {
+            let mut operands = OperandStage::acquire(pools, dims);
+            let (a, b) = operands.bytes_mut();
+            r.read_exact(a)?;
+            r.read_exact(b)?;
+            operands.wire_to_host();
+            Ok(Some(InEvent::Request { head, dims, operands }))
+        }
+        Err(message) => {
+            // Unservable dims: drain the declared payload so framing
+            // survives, then answer.
+            let rest = (head.payload_len - REQUEST_PRELUDE) as u64;
+            if io::copy(&mut r.take(rest), &mut io::sink())? < rest {
+                return Err(io::ErrorKind::UnexpectedEof.into());
+            }
+            let request_id = head.request_id;
+            Ok(Some(InEvent::Bad { request_id, code: ErrorCode::Malformed, message, fatal: false }))
+        }
     }
 }
 
@@ -388,121 +191,15 @@ fn small_frame_event(head: FrameHead, payload: Vec<u8>) -> InEvent {
     }
 }
 
-enum ReadChunk {
-    Data(usize),
-    WouldBlock,
-    Eof,
-}
-
-/// One nonblocking read into `target`, with `Interrupted` retried.
-// fmm-check: contract(panic-free)
-fn read_into(r: &mut impl Read, target: &mut [u8]) -> ReadChunk {
-    if target.is_empty() {
-        return ReadChunk::Data(0);
-    }
-    loop {
-        match r.read(target) {
-            Ok(0) => return ReadChunk::Eof,
-            Ok(n) => return ReadChunk::Data(n),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReadChunk::WouldBlock,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            // Transport errors close like EOF: nothing to answer.
-            Err(_) => return ReadChunk::Eof,
-        }
-    }
-}
-
-/// One element of the outbound scatter list.
-pub enum Segment {
-    /// Owned header/prelude/error bytes.
-    Bytes(Vec<u8>),
-    /// A pooled result buffer written in place (returns to its pool when
-    /// the segment completes).
-    Buf(WireBuf),
-}
-
-impl Segment {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Self::Bytes(b) => b,
-            Self::Buf(b) => b.bytes(),
-        }
-    }
-}
-
-/// The outbound queue of one connection: segments plus a cursor into the
-/// front segment, so a short `write(2)` resumes exactly where it left off.
-#[derive(Default)]
-pub struct WriteQueue {
-    segments: VecDeque<Segment>,
-    /// Bytes of the front segment already written.
-    offset: usize,
-    /// Total unwritten bytes across all segments.
-    backlog: usize,
-}
-
-impl WriteQueue {
-    /// Queue owned bytes (headers, error frames, stats bodies).
-    pub fn push_bytes(&mut self, bytes: Vec<u8>) {
-        self.backlog += bytes.len();
-        self.segments.push_back(Segment::Bytes(bytes));
-    }
-
-    /// Queue a pooled result buffer; its bytes are written in place and
-    /// the buffer returns to its pool when the segment is done.
-    pub fn push_buf(&mut self, buf: WireBuf) {
-        self.backlog += buf.bytes().len();
-        self.segments.push_back(Segment::Buf(buf));
-    }
-
-    /// Unwritten bytes queued.
-    pub fn backlog(&self) -> usize {
-        self.backlog
-    }
-
-    /// True when everything queued has been written.
-    pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
-    }
-
-    /// Write as much as the socket accepts. `Ok(true)` means the queue
-    /// drained; `Ok(false)` means the socket would block (wait for write
-    /// readiness); `Err` means the connection is dead.
-    pub fn flush(&mut self, w: &mut impl Write) -> io::Result<bool> {
-        while let Some(front) = self.segments.front() {
-            let bytes = front.bytes();
-            while self.offset < bytes.len() {
-                match w.write(&bytes[self.offset..]) {
-                    Ok(0) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::WriteZero,
-                            "peer stopped reading",
-                        ))
-                    }
-                    Ok(n) => {
-                        self.offset += n;
-                        self.backlog -= n;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            self.offset = 0;
-            self.segments.pop_front();
-        }
-        Ok(true)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Dtype, VERSION_V2};
+    use crate::protocol::{Dtype, HEADER_LEN, HEADER_PREFIX_LEN, VERSION_V2};
     use fmm_dense::{fill, Matrix};
     use std::io::Cursor;
 
-    /// A reader that hands out its bytes one at a time, then WouldBlock.
+    /// A reader that hands out at most `burst` bytes per call, then
+    /// `WouldBlock` — so a test fails if the reader asks past its input.
     struct Trickle {
         bytes: Vec<u8>,
         at: usize,
@@ -521,12 +218,54 @@ mod tests {
         }
     }
 
+    /// A fault-injecting adapter: each call either fails with
+    /// `Interrupted` or reads 1..=`k` bytes from `inner`, both chosen by a
+    /// xorshift stream seeded from one `u64`.
+    struct Faulty<R> {
+        inner: R,
+        state: u64,
+        k: usize,
+    }
+
+    impl<R> Faulty<R> {
+        fn new(inner: R, seed: u64) -> Self {
+            let k = 1 + (seed % 40) as usize;
+            Self { inner, state: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1, k }
+        }
+    }
+
+    impl<R: Read> Read for Faulty<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.state ^= self.state << 13;
+            self.state ^= self.state >> 7;
+            self.state ^= self.state << 17;
+            if self.state.is_multiple_of(5) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = (1 + (self.state >> 16) as usize % self.k).min(buf.len());
+            self.inner.read(&mut buf[..n])
+        }
+    }
+
+    fn frame(wire: &mut Vec<u8>, request_id: u64, kind: FrameKind, payload: &[u8]) {
+        protocol::write_frame_v(wire, VERSION_V2, request_id, kind, payload).unwrap();
+    }
+
     fn request_wire(request_id: u64, a: &Matrix<f64>, b: &Matrix<f64>) -> Vec<u8> {
-        let payload = protocol::encode_request(a, b);
         let mut wire = Vec::new();
-        protocol::write_frame_v(&mut wire, VERSION_V2, request_id, FrameKind::Request, &payload)
-            .unwrap();
+        frame(&mut wire, request_id, FrameKind::Request, &protocol::encode_request(a, b));
         wire
+    }
+
+    /// A request whose dtype byte (9) does not exist, with 16 junk operand
+    /// bytes the reader must skip.
+    fn bad_dims_payload() -> Vec<u8> {
+        let mut payload = vec![9u8];
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&[0xAA; 16]);
+        payload
     }
 
     #[test]
@@ -535,17 +274,8 @@ mod tests {
         let b = fill::bench_workload(3, 4, 2);
         let mut src = Trickle { bytes: request_wire(42, &a, &b), at: 0, burst: 1 };
         let pools = IngestPools::new(8, usize::MAX);
-        let mut dec = Decoder::new(1 << 20);
-        let mut events = Vec::new();
-        loop {
-            match dec.step(&mut src, &pools, &mut events) {
-                DecodeStep::Frame => break,
-                DecodeStep::NeedMore => continue,
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        let (head, dims, operands) = match events.pop() {
-            Some(InEvent::Request { head, dims, operands }) => (head, dims, operands),
+        let (head, dims, operands) = match read_event(&mut src, 1 << 20, &pools) {
+            Ok(Some(InEvent::Request { head, dims, operands })) => (head, dims, operands),
             other => panic!("expected request, got {other:?}"),
         };
         assert_eq!(head.request_id, 42);
@@ -582,16 +312,17 @@ mod tests {
 
         // Two frames back to back: reads must not cross the boundary.
         let mut wire = Vec::new();
-        protocol::write_frame_v(&mut wire, VERSION_V2, 7, FrameKind::Ping, b"hi").unwrap();
-        protocol::write_frame_v(&mut wire, VERSION_V2, 9, FrameKind::Ping, b"").unwrap();
+        frame(&mut wire, 7, FrameKind::Ping, b"hi");
+        frame(&mut wire, 9, FrameKind::Ping, b"");
         let mut src = Counting { inner: Cursor::new(wire), asked: Vec::new() };
         let pools = IngestPools::new(8, usize::MAX);
-        let mut dec = Decoder::new(1 << 20);
-        let mut events = Vec::new();
-        assert_eq!(dec.step(&mut src, &pools, &mut events), DecodeStep::Frame);
-        assert_eq!(dec.step(&mut src, &pools, &mut events), DecodeStep::Frame);
-        match (&events[0], &events[1]) {
-            (InEvent::Ping { head: h1, payload: p1 }, InEvent::Ping { head: h2, payload: p2 }) => {
+        let first = read_event(&mut src, 1 << 20, &pools).unwrap();
+        let second = read_event(&mut src, 1 << 20, &pools).unwrap();
+        match (first, second) {
+            (
+                Some(InEvent::Ping { head: h1, payload: p1 }),
+                Some(InEvent::Ping { head: h2, payload: p2 }),
+            ) => {
                 assert_eq!((h1.request_id, p1.as_slice()), (7, b"hi".as_slice()));
                 assert_eq!((h2.request_id, p2.as_slice()), (9, b"".as_slice()));
             }
@@ -609,54 +340,42 @@ mod tests {
         assert_eq!(wire.len(), HEADER_PREFIX_LEN);
         let mut src = Trickle { bytes: wire, at: 0, burst: usize::MAX };
         let pools = IngestPools::new(8, usize::MAX);
-        let mut dec = Decoder::new(1 << 20);
-        let mut events = Vec::new();
-        assert_eq!(dec.step(&mut src, &pools, &mut events), DecodeStep::Frame);
-        match &events[0] {
-            InEvent::Bad {
+        match read_event(&mut src, 1 << 20, &pools) {
+            Ok(Some(InEvent::Bad {
                 request_id: 0,
                 code: ErrorCode::UnsupportedVersion,
                 message,
                 fatal: true,
-            } => assert!(message.contains("version 1"), "{message}"),
+            })) => assert!(message.contains("version 1"), "{message}"),
             other => panic!("expected a fatal UnsupportedVersion, got {other:?}"),
         }
-        assert!(dec.is_broken());
-        assert_eq!(dec.step(&mut src, &pools, &mut events), DecodeStep::Broken);
+        assert_eq!(src.at, HEADER_PREFIX_LEN, "nothing past the prefix was read");
     }
 
     #[test]
     fn bad_dims_skip_the_payload_and_keep_the_stream() {
-        // dtype 9 does not exist; the declared payload still has 16 junk
-        // bytes that must be consumed for the next frame to parse.
-        let mut payload = vec![9u8];
-        payload.extend_from_slice(&1u32.to_le_bytes());
-        payload.extend_from_slice(&1u32.to_le_bytes());
-        payload.extend_from_slice(&1u32.to_le_bytes());
-        payload.extend_from_slice(&[0xAA; 16]);
+        // The declared payload still has 16 junk bytes that must be
+        // consumed for the next frame to parse.
         let mut wire = Vec::new();
-        protocol::write_frame_v(&mut wire, VERSION_V2, 5, FrameKind::Request, &payload).unwrap();
-        protocol::write_frame_v(&mut wire, VERSION_V2, 6, FrameKind::Ping, b"ok").unwrap();
+        frame(&mut wire, 5, FrameKind::Request, &bad_dims_payload());
+        frame(&mut wire, 6, FrameKind::Ping, b"ok");
 
         let pools = IngestPools::new(8, usize::MAX);
-        let mut dec = Decoder::new(1 << 20);
-        let mut events = Vec::new();
         let mut cursor = Cursor::new(wire);
-        assert_eq!(dec.step(&mut cursor, &pools, &mut events), DecodeStep::Frame);
-        assert_eq!(dec.step(&mut cursor, &pools, &mut events), DecodeStep::Frame);
-        match &events[0] {
-            InEvent::Bad {
+        match read_event(&mut cursor, 1 << 20, &pools) {
+            Ok(Some(InEvent::Bad {
                 request_id: 5,
                 code: ErrorCode::Malformed,
                 message,
                 fatal: false,
                 ..
-            } => {
+            })) => {
                 assert!(message.contains("dtype"), "{message}");
             }
             other => panic!("expected recoverable Bad, got {other:?}"),
         }
-        assert!(matches!(&events[1], InEvent::Ping { head, .. } if head.request_id == 6));
+        let next = read_event(&mut cursor, 1 << 20, &pools);
+        assert!(matches!(&next, Ok(Some(InEvent::Ping { head, .. })) if head.request_id == 6));
     }
 
     #[test]
@@ -664,59 +383,109 @@ mod tests {
         let mut wire = vec![b'X', b'Y', b'Z', b'W'];
         wire.extend_from_slice(&[0u8; 20]);
         let pools = IngestPools::new(8, usize::MAX);
-        let mut dec = Decoder::new(1 << 20);
-        let mut events = Vec::new();
         let mut cursor = Cursor::new(wire);
-        assert_eq!(dec.step(&mut cursor, &pools, &mut events), DecodeStep::Frame);
-        assert!(matches!(&events[0], InEvent::Bad { code: ErrorCode::Malformed, fatal: true, .. }));
-        assert!(dec.is_broken());
-        assert_eq!(dec.step(&mut cursor, &pools, &mut events), DecodeStep::Broken);
+        let event = read_event(&mut cursor, 1 << 20, &pools);
+        assert!(matches!(
+            &event,
+            Ok(Some(InEvent::Bad { code: ErrorCode::Malformed, fatal: true, .. }))
+        ));
+        assert_eq!(cursor.position(), HEADER_LEN as u64, "nothing past the header was read");
+    }
+
+    /// One stream holding every frame kind, and the offsets where frames
+    /// end.
+    fn every_kind_stream() -> (Vec<u8>, Vec<usize>) {
+        let a = fill::bench_workload(5, 3, 1);
+        let b = fill::bench_workload(3, 4, 2);
+        let a32 = fill::bench_workload_t::<f32>(2, 6, 3);
+        let b32 = fill::bench_workload_t::<f32>(6, 3, 4);
+        let frames: Vec<(FrameKind, Vec<u8>)> = vec![
+            (FrameKind::Request, protocol::encode_request(&a, &b)),
+            (FrameKind::Request, protocol::encode_request(&a32, &b32)),
+            (FrameKind::Ping, b"hi".to_vec()),
+            (FrameKind::StatsJson, b"json".to_vec()),
+            (FrameKind::StatsJson, b"prometheus".to_vec()),
+            (FrameKind::StatsJson, b"xml".to_vec()),
+            (FrameKind::Trace, Vec::new()),
+            (FrameKind::Trace, 16u64.to_le_bytes().to_vec()),
+            (FrameKind::Trace, vec![1, 2, 3]),
+            (FrameKind::Shutdown, Vec::new()),
+            (FrameKind::Incident, Vec::new()),
+            (FrameKind::Request, bad_dims_payload()),
+            (FrameKind::Response, b"not for the server".to_vec()),
+        ];
+        let mut wire = Vec::new();
+        let mut ends = vec![0];
+        for (id, (kind, payload)) in frames.iter().enumerate() {
+            frame(&mut wire, id as u64 + 1, *kind, payload);
+            ends.push(wire.len());
+        }
+        (wire, ends)
+    }
+
+    /// An event reduced to something comparable: its debug form, with a
+    /// request's operand bytes spelled out.
+    fn describe(event: &InEvent) -> String {
+        match event {
+            InEvent::Request { head, dims, operands: OperandStage::F64 { a, b } } => {
+                format!("{head:?} {dims:?} {:?} {:?}", a.bytes(), b.bytes())
+            }
+            InEvent::Request { head, dims, operands: OperandStage::F32 { a, b } } => {
+                format!("{head:?} {dims:?} {:?} {:?}", a.bytes(), b.bytes())
+            }
+            other => format!("{other:?}"),
+        }
+    }
+
+    /// Every event `r` yields until it closes or fails.
+    fn read_all(r: &mut impl Read, pools: &IngestPools) -> (Vec<String>, io::Result<()>) {
+        let mut events = Vec::new();
+        loop {
+            match read_event(r, 1 << 20, pools) {
+                Ok(Some(event)) => events.push(describe(&event)),
+                Ok(None) => return (events, Ok(())),
+                Err(e) => return (events, Err(e)),
+            }
+        }
     }
 
     #[test]
-    fn write_queue_resumes_partial_writes_across_segments() {
-        /// A writer accepting at most 3 bytes per call.
-        struct Dribble {
-            out: Vec<u8>,
-            stalls: usize,
+    fn fault_injected_reads_decode_like_one_shot() {
+        let (wire, _) = every_kind_stream();
+        let pools = IngestPools::new(8, usize::MAX);
+        let (want, end) = read_all(&mut Cursor::new(&wire), &pools);
+        assert!(end.is_ok(), "{end:?}");
+        assert_eq!(want.len(), 13, "{want:#?}");
+        for (i, needle) in [
+            (0, "Request"),
+            (1, "F32"),
+            (5, "stats-json payload"),
+            (8, "got 3"),
+            (11, "dtype 9"),
+            (12, "not a client request"),
+        ] {
+            assert!(want[i].contains(needle), "event {i}: {}", want[i]);
         }
-        impl Write for Dribble {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                if self.stalls > 0 {
-                    self.stalls -= 1;
-                    return Err(io::Error::new(io::ErrorKind::WouldBlock, "later"));
-                }
-                self.stalls = 1;
-                let n = buf.len().min(3);
-                self.out.extend_from_slice(&buf[..n]);
-                Ok(n)
+        for seed in 0..256 {
+            let (got, end) = read_all(&mut Faulty::new(Cursor::new(&wire), seed), &pools);
+            assert!(end.is_ok(), "seed {seed}: {end:?}");
+            assert_eq!(got, want, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_truncated_stream_closes_cleanly_or_hits_eof() {
+        let (wire, ends) = every_kind_stream();
+        let pools = IngestPools::new(8, usize::MAX);
+        for cut in 0..=wire.len() {
+            let cut_wire = Cursor::new(&wire[..cut]);
+            let (events, end) = read_all(&mut Faulty::new(cut_wire, cut as u64), &pools);
+            let whole = ends.iter().position(|&e| e >= cut).unwrap();
+            match end {
+                Ok(()) => assert_eq!(ends[whole], cut, "clean close only at a frame boundary"),
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}: {e}"),
             }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
+            assert_eq!(events.len(), whole.min(ends.len() - 1) - usize::from(ends[whole] > cut));
         }
-
-        let pools = IngestPools::new(4, usize::MAX);
-        let mut result = pools.f64.acquire(3);
-        result.as_mut_slice().copy_from_slice(&[1.0, 2.0, 3.0]);
-        let mut expected = b"HDR".to_vec();
-        for v in [1.0f64, 2.0, 3.0] {
-            expected.extend_from_slice(&v.to_le_bytes());
-        }
-
-        let mut q = WriteQueue::default();
-        q.push_bytes(b"HDR".to_vec());
-        q.push_buf(WireBuf::F64(result));
-        assert_eq!(q.backlog(), expected.len());
-
-        let mut sink = Dribble { out: Vec::new(), stalls: 0 };
-        let mut rounds = 0;
-        while !q.flush(&mut sink).unwrap() {
-            rounds += 1;
-            assert!(rounds < 100, "flush must make progress");
-        }
-        assert!(q.is_empty());
-        assert_eq!(q.backlog(), 0);
-        assert_eq!(sink.out, expected);
     }
 }

@@ -69,24 +69,10 @@ impl Default for BatchPolicy {
     }
 }
 
-/// Where a finished request lives: the event loop that owns its
-/// connection, addressed by slot + generation so completions for
-/// connections that died mid-flight are recognized and dropped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConnAddr {
-    /// The owning event loop's slot index for the connection.
-    pub slot: u32,
-    /// The slot's generation at admission time; a completion whose
-    /// generation no longer matches belongs to a dead connection.
-    pub generation: u32,
-}
-
-/// A finished request on its way back to the event loop: the pooled
+/// A finished request on its way back to its connection: the pooled
 /// result buffer (already in wire byte order) plus everything needed to
-/// frame and route the response.
+/// frame the response.
 pub struct Completion {
-    /// The connection the response belongs to.
-    pub addr: ConnAddr,
     /// The request id to echo.
     pub request_id: u64,
     /// Result rows.
@@ -97,9 +83,10 @@ pub struct Completion {
     pub result: WireBuf,
 }
 
-/// Where dispatchers deliver completions: one sink per event loop,
-/// implemented by the server (push to the loop's completion queue, then
-/// wake its poller).
+/// Where dispatchers deliver completions: one sink per connection,
+/// implemented by the server (queue the response for the connection's
+/// writer, or drop it if the connection is gone). Never blocks on the
+/// peer.
 pub trait CompletionSink: Send + Sync {
     /// Deliver one completion.
     fn complete(&self, completion: Completion);
@@ -107,16 +94,14 @@ pub trait CompletionSink: Send + Sync {
 
 /// The reply route of one admitted request.
 pub struct ReplySink {
-    /// The owning event loop's completion sink.
+    /// The owning connection's completion sink.
     pub sink: Arc<dyn CompletionSink>,
-    /// The connection's address on that loop.
-    pub addr: ConnAddr,
     /// The request id to echo.
     pub request_id: u64,
 }
 
 /// One admitted request: pooled wire-order operands, dimensions, the
-/// completion route back to the event loop, and the admission timestamp
+/// completion route back to its connection, and the admission timestamp
 /// for latency accounting.
 pub struct Job<T> {
     /// Left operand (`m × k`, row-major in the pooled buffer).
@@ -384,12 +369,11 @@ pub fn run_dispatcher<T: GemmScalar>(
             result.host_to_wire();
             let Job { a, b, m, n, reply, .. } = job;
             // Operands must be back in the pool *before* the completion
-            // wakes the event loop: the client's next request can race
-            // the tail of this iteration and must find them idle.
+            // wakes the connection's writer: the client's next request can
+            // race the tail of this iteration and must find them idle.
             drop(a);
             drop(b);
             reply.sink.complete(Completion {
-                addr: reply.addr,
                 request_id: reply.request_id,
                 m,
                 n,
@@ -479,11 +463,7 @@ mod tests {
                 pb.as_mut_slice()[i * n + j] = b.get(i, j);
             }
         }
-        let reply = ReplySink {
-            sink: sink.clone() as Arc<dyn CompletionSink>,
-            addr: ConnAddr { slot: 0, generation: 0 },
-            request_id,
-        };
+        let reply = ReplySink { sink: sink.clone() as Arc<dyn CompletionSink>, request_id };
         (Job { a: pa, b: pb, m: n, k: n, n, reply, enqueued: Instant::now() }, a, b)
     }
 

@@ -68,14 +68,13 @@ pub fn pending_signal(mailbox: &AtomicU64) -> Option<IncidentTrigger> {
 
 #[cfg(unix)]
 mod sys {
-    //! Minimal hand-declared signal shim, in the same style as the
-    //! poller's epoll declarations: no libc crate, just the POSIX ABI
-    //! surface actually used. `signal(2)` rather than `sigaction(2)`
-    //! because the handler only stores into an atomic — BSD semantics
-    //! (no handler reset, restartable syscalls — the default on every
-    //! Unix libc this crate builds against) are exactly what the
-    //! polling monitor thread wants, and the shim avoids declaring the
-    //! platform-divergent `sigaction` struct layout.
+    //! Minimal hand-declared signal shim — the crate's only FFI: no libc
+    //! crate, just the POSIX ABI surface actually used. `signal(2)` rather
+    //! than `sigaction(2)` because the handler only stores into an atomic
+    //! — BSD semantics (no handler reset, restartable syscalls — the
+    //! default on every Unix libc this crate builds against) are exactly
+    //! what the polling monitor thread wants, and the shim avoids
+    //! declaring the platform-divergent `sigaction` struct layout.
     #![allow(non_camel_case_types)]
 
     use std::sync::atomic::{AtomicBool, Ordering};

@@ -12,13 +12,11 @@
 //!   little-endian matrix payloads tagged with dtype and `m/k/n`,
 //!   defensively decoded (malformed input degrades to typed error frames,
 //!   never a panic or a hang);
-//! * a **readiness-loop serving core** ([`server`] over [`poller`] and
-//!   [`conn`]): every connection is multiplexed onto a small fixed set of
-//!   nonblocking event-loop threads (epoll on Linux, `poll(2)` on other
-//!   Unix), with request payloads decoded **straight into pooled aligned
-//!   buffers** ([`buffers`]) — one copy off the wire — and responses
-//!   written from a scatter list with partial-write continuation, so slow
-//!   readers cost backlog bytes, never a blocked thread;
+//! * a **blocking serving core** ([`server`] over [`conn`]): one acceptor
+//!   thread, and per connection one reader thread, which decodes frames
+//!   **straight into pooled aligned buffers** ([`buffers`]) — one copy
+//!   off the wire — and one writer thread, which drains the connection's
+//!   reply queue, so a slow peer blocks only its own writer;
 //! * a **micro-batching dispatcher** ([`dispatch`]): concurrent in-flight
 //!   requests are coalesced under a window/size policy into one
 //!   `multiply_batch` call per dtype over strided views of the pooled
@@ -90,7 +88,6 @@ pub mod conn;
 pub mod dispatch;
 pub mod incident;
 pub mod metrics;
-pub mod poller;
 pub mod protocol;
 pub mod server;
 pub mod snapshot;
@@ -98,8 +95,7 @@ pub mod snapshot;
 pub use buffers::{BufferPool, IngestPools, OperandStage, PoolStats, PooledBuf, WireBuf};
 pub use client::{retry_busy, ClientError, PipelinedClient};
 pub use dispatch::{
-    BatchPolicy, BatchQueue, Completion, CompletionSink, ConnAddr, DispatchObs, Job, Refusal,
-    ReplySink,
+    BatchPolicy, BatchQueue, Completion, CompletionSink, DispatchObs, Job, Refusal, ReplySink,
 };
 pub use metrics::{LatencyStats, Metrics, MetricsSnapshot};
 pub use protocol::{Dtype, ErrorCode, Frame, FrameError, FrameKind, WireScalar};

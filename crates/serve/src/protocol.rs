@@ -52,8 +52,8 @@ pub const VERSION_V2: u8 = 2;
 /// Frame-header size in bytes.
 pub const HEADER_LEN: usize = 18;
 
-/// The leading header bytes [`parse_header_prefix`] classifies: everything
-/// up to, but not including, the request id.
+/// The leading header bytes [`read_header`] classifies: everything up to,
+/// but not including, the request id.
 pub const HEADER_PREFIX_LEN: usize = 10;
 
 /// Request-payload prelude size: dtype + m + k + n.
@@ -370,18 +370,53 @@ pub fn write_frame_v(
 }
 
 /// Read one frame, enforcing `max_payload` before any payload allocation.
-/// This is the blocking reader clients use; servers decode incrementally
-/// instead (see `conn`), through the same [`parse_header_prefix`].
+/// Clients and the server's connection readers share its header reader,
+/// [`read_header`].
 pub fn read_frame_any(r: &mut impl Read, max_payload: usize) -> Result<Frame, FrameError> {
-    let mut prefix = [0u8; HEADER_PREFIX_LEN];
-    // Distinguish a clean close (EOF before any header byte) from a
-    // truncated frame.
-    let mut filled = 0;
-    while filled < HEADER_PREFIX_LEN {
-        // `filled < HEADER_PREFIX_LEN` makes the range valid; `get_mut`
-        // keeps the path panic-free regardless.
-        let dst = prefix.get_mut(filled..).unwrap_or(&mut []);
-        match r.read(dst) {
+    let head = read_header(r, max_payload)?;
+    let mut payload = vec![0u8; head.payload_len];
+    r.read_exact(&mut payload).map_err(FrameError::Io)?;
+    Ok(Frame { request_id: head.request_id, kind: head.kind, payload })
+}
+
+/// A decoded frame header.
+#[derive(Clone, Copy, Debug)]
+pub struct FrameHead {
+    /// The frame's request id, echoed in the reply.
+    pub request_id: u64,
+    /// The frame kind.
+    pub kind: FrameKind,
+    /// Declared payload length in bytes (already cap-checked).
+    pub payload_len: usize,
+}
+
+/// Read one frame header with blocking reads. Every read asks for the
+/// whole rest of the [`HEADER_LEN`] bytes, so a header normally costs one
+/// read; the prefix is classified as soon as its [`HEADER_PREFIX_LEN`]
+/// bytes are in, so a hostile prefix is refused without waiting for a
+/// request id behind it. EOF before the first byte is
+/// [`FrameError::Closed`]; EOF after it is `UnexpectedEof`.
+pub fn read_header(r: &mut impl Read, max_payload: usize) -> Result<FrameHead, FrameError> {
+    let mut buf = [0u8; HEADER_LEN];
+    let filled = read_at_least(r, &mut buf, 0, HEADER_PREFIX_LEN)?;
+    let (kind, payload_len) =
+        parse_header_prefix(&le_bytes(&buf, 0).unwrap_or_default(), max_payload)?;
+    read_at_least(r, &mut buf, filled, HEADER_LEN)?;
+    let request_id = u64::from_le_bytes(le_bytes(&buf, HEADER_PREFIX_LEN).unwrap_or_default());
+    Ok(FrameHead { request_id, kind, payload_len })
+}
+
+/// Read into `buf[filled..]` until at least `want` bytes are in, each read
+/// asking for all of the rest; returns the new fill. `Interrupted` reads
+/// are retried.
+fn read_at_least(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    mut filled: usize,
+    want: usize,
+) -> Result<usize, FrameError> {
+    while filled < want {
+        match r.read(buf.get_mut(filled..).unwrap_or(&mut [])) {
             Ok(0) if filled == 0 => return Err(FrameError::Closed),
             Ok(0) => {
                 return Err(FrameError::Io(io::Error::new(
@@ -394,33 +429,17 @@ pub fn read_frame_any(r: &mut impl Read, max_payload: usize) -> Result<Frame, Fr
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    let info = parse_header_prefix(&prefix, max_payload)?;
-    let mut id = [0u8; 8];
-    r.read_exact(&mut id).map_err(FrameError::Io)?;
-    let mut payload = vec![0u8; info.payload_len];
-    r.read_exact(&mut payload).map_err(FrameError::Io)?;
-    Ok(Frame { request_id: u64::from_le_bytes(id), kind: info.kind, payload })
+    Ok(filled)
 }
 
-/// A classified frame-header prefix (the first [`HEADER_PREFIX_LEN`]
-/// bytes). The caller still owes the 8-byte request id before the payload
-/// starts.
-#[derive(Clone, Copy, Debug)]
-pub struct HeaderInfo {
-    /// The frame kind.
-    pub kind: FrameKind,
-    /// Declared payload length in bytes (already cap-checked).
-    pub payload_len: usize,
-}
-
-/// Classify a header prefix, enforcing `max_payload` before anything is
-/// allocated. The error classification (magic → version → kind → cap, in
-/// that order) is the protocol contract servers answer typed error frames
-/// from.
-pub fn parse_header_prefix(
+/// Classify a header prefix into its kind and payload length, enforcing
+/// `max_payload` before anything is allocated. The error classification
+/// (magic → version → kind → cap, in that order) is the protocol contract
+/// servers answer typed error frames from.
+fn parse_header_prefix(
     bytes: &[u8; HEADER_PREFIX_LEN],
     max_payload: usize,
-) -> Result<HeaderInfo, FrameError> {
+) -> Result<(FrameKind, usize), FrameError> {
     let [m0, m1, m2, m3, version, kind_b, l0, l1, l2, l3] = *bytes;
     let magic = [m0, m1, m2, m3];
     if magic != MAGIC {
@@ -434,7 +453,7 @@ pub fn parse_header_prefix(
     if len > max_payload {
         return Err(FrameError::Oversized { declared: len as u64, cap: max_payload as u64 });
     }
-    Ok(HeaderInfo { kind, payload_len: len })
+    Ok((kind, len))
 }
 
 /// The validated dimensions of a request payload, parsed from its

@@ -1,17 +1,21 @@
-//! The serving daemon: a nonblocking readiness-loop core multiplexing
-//! every connection over a small fixed set of event-loop threads.
+//! The serving daemon: one blocking acceptor thread, one reader and one
+//! writer thread per connection, and one micro-batching dispatcher thread
+//! per dtype.
 //!
-//! Threading model: [`ServeConfig::event_threads`] event loops (loop 0
-//! also owns the listener and deals new connections round-robin) plus one
-//! micro-batching dispatcher thread per dtype. Each loop drives its
-//! connections with the [`crate::poller`] readiness API — epoll on Linux,
-//! `poll(2)` elsewhere on Unix — so a thousand idle or slow connections
-//! cost registrations, not threads. Request payloads are decoded by the
-//! incremental [`Decoder`] straight into pooled buffers (one copy off the
-//! wire); finished results come back from the dispatchers as
-//! [`Completion`]s through each loop's [`CompletionSink`] and are written
-//! from a scatter list with partial-write continuation, so a slow reader
-//! never blocks the loop or a dispatcher.
+//! Threading model: the acceptor blocks in `accept(2)` and starts each
+//! connection's reader, which starts its writer. The reader decodes
+//! frames with blocking reads ([`read_event`]) straight into pooled
+//! buffers — one copy off the wire — runs admission control, and queues
+//! admitted requests for their dtype's dispatcher. A dispatcher hands each
+//! finished result to its connection's reply queue (the connection is the
+//! request's [`CompletionSink`]) and never touches a socket; the writer
+//! drains that queue with blocking writes. A slow peer therefore blocks
+//! only its own writer, and its reader stops reading while the reply
+//! backlog exceeds [`ServeConfig::max_conn_backlog_bytes`]. The model is
+//! sized for the traffic the daemon serves — a few connections, each
+//! pipelining many requests (the benchmark holds one, the widest test
+//! twelve) — and a request crosses the same threads it would in a
+//! readiness loop: client, reader, dispatcher, writer, client.
 //!
 //! Protocol: a client may pipeline up to
 //! [`ServeConfig::max_inflight_per_conn`] requests per connection and
@@ -23,16 +27,20 @@
 //! oversized declaration) is answered with an error frame and the
 //! connection closes, because the byte stream can no longer be trusted.
 //! The daemon itself never panics on client input.
+//!
+//! Shutdown: the stop path shuts down the read side of every live socket,
+//! so the readers see EOF, and a self-connect wakes the acceptor. Writers
+//! deliver the replies still owed; after a 5 s drain deadline the
+//! remaining sockets are shut down both ways.
 
-use crate::buffers::IngestPools;
-use crate::conn::{DecodeStep, Decoder, InEvent, WriteQueue};
+use crate::buffers::{IngestPools, OperandStage, WireBuf};
+use crate::conn::{read_event, InEvent};
 use crate::dispatch::{
-    run_dispatcher, BatchPolicy, BatchQueue, Completion, CompletionSink, ConnAddr, DispatchObs,
-    Job, Refusal, ReplySink,
+    run_dispatcher, BatchPolicy, BatchQueue, Completion, CompletionSink, DispatchObs, Job, Refusal,
+    ReplySink,
 };
 use crate::incident;
 use crate::metrics::Metrics;
-use crate::poller::{Interest, Poller, Waker, WAKE_TOKEN};
 use crate::protocol::{self, ErrorCode, FrameKind, RequestDims, HEADER_LEN, RESPONSE_PRELUDE};
 use crate::snapshot::{
     recent_events, BuildInfo, ConfigPrint, Document, Incident, StatsSnapshot, WatchdogRoster,
@@ -40,19 +48,14 @@ use crate::snapshot::{
 use fmm_engine::{ArchSource, EngineConfig, EngineStats, FmmEngine};
 use fmm_gemm::BlockingParams;
 use fmm_obs::trace::{self, Event, IncidentTrigger, Kind, RefusalReason};
-use fmm_obs::{Heartbeat, WatchPolicy, Watchdog, WatchdogConfig, WatchdogHandle};
-use std::collections::BTreeMap;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use fmm_obs::{WatchPolicy, Watchdog, WatchdogConfig, WatchdogHandle};
+use std::collections::{BTreeMap, VecDeque};
+use std::io::{self, IoSlice, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// The listener's registration token on loop 0 (`u64::MAX` is
-/// [`WAKE_TOKEN`]; connection tokens are small slot indices).
-const LISTENER_TOKEN: u64 = u64::MAX - 1;
 
 /// Idle buffers the per-dtype ingest pools retain across requests.
 const POOL_RETAIN: usize = 32;
@@ -60,6 +63,15 @@ const POOL_RETAIN: usize = 32;
 /// of max-size requests must not leave gigabytes parked in the pools
 /// after load subsides.
 const POOL_RETAIN_BYTES: usize = 256 << 20;
+
+/// How long a stopping daemon lets its connections deliver the replies
+/// they owe; a peer that stops reading must not hold shutdown hostage.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+
+/// The acceptor's pause after a failed `accept(2)`. The usual cause is a
+/// process or system out of descriptors, and retrying at once would spin
+/// a CPU until one frees.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Construction-time configuration of a [`Server`].
 #[derive(Clone, Debug)]
@@ -82,19 +94,17 @@ pub struct ServeConfig {
     pub params: BlockingParams,
     /// Architecture parameters for the engines' model routing.
     pub arch: ArchSource,
-    /// Event-loop threads multiplexing the connections (min 1). Loop 0
-    /// also owns the listener.
-    pub event_threads: usize,
     /// Most requests one connection may have in flight before further
     /// admissions are refused with `Busy` (the pipelining depth bound).
     pub max_inflight_per_conn: usize,
-    /// Response bytes a connection may have outstanding — queued in its
-    /// write backlog *or* promised by admitted-but-unfinished requests —
-    /// before further admissions are refused with `Busy` and the loop
-    /// stops reading new frames from it. Charging the declared response
-    /// size at admission (it is known from the request prelude) keeps a
-    /// pipelining client from pinning `max_inflight_per_conn × max
-    /// response` of pooled memory off a few hundred input bytes.
+    /// Response bytes a connection may have outstanding — queued for its
+    /// writer *or* promised by admitted-but-unfinished requests — before
+    /// further admissions are refused with `Busy`; while the queued part
+    /// alone exceeds it, the reader stops reading new frames. Charging the
+    /// declared response size at admission (it is known from the request
+    /// prelude) keeps a pipelining client from pinning
+    /// `max_inflight_per_conn × max response` of pooled memory off a few
+    /// hundred input bytes.
     pub max_conn_backlog_bytes: usize,
     /// Enable tracing spans (`fmm_obs::trace`) for every request phase.
     /// The default honors the `FMM_TRACE` environment variable (`1` or
@@ -103,13 +113,12 @@ pub struct ServeConfig {
     /// leaves the current state alone (so a tracing server and a plain
     /// one can coexist in one process, as the benchmarks do).
     pub trace: bool,
-    /// Run the liveness watchdog: event loops and dispatchers publish
-    /// heartbeats, one judging thread records stall/recovery events and
-    /// the `fmm_watchdog_stalls_total` counter.
+    /// Run the stall watchdog: the dispatchers publish heartbeats, one
+    /// judging thread records stall/recovery events and the
+    /// `fmm_watchdog_stalls_total` counter.
     pub watchdog: bool,
-    /// A component is judged stalled after this long without a beat
-    /// (event loops) or without progress while work is pending
-    /// (dispatchers).
+    /// A dispatcher is judged stalled after this long without progress
+    /// while work is pending.
     pub watchdog_stall: Duration,
     /// Dump an incident report and abort the process when a stall
     /// persists this long. `None` = never abort.
@@ -133,7 +142,6 @@ impl Default for ServeConfig {
             workers: 0,
             params: BlockingParams::default(),
             arch: ArchSource::Calibrated,
-            event_threads: 2,
             max_inflight_per_conn: 64,
             max_conn_backlog_bytes: 64 << 20,
             trace: std::env::var("FMM_TRACE")
@@ -153,23 +161,7 @@ struct Lifecycle {
     stopped: Condvar,
 }
 
-/// One event loop's cross-thread mailbox: completions from the
-/// dispatchers, freshly accepted connections dealt over from loop 0, and
-/// the waker that interrupts its poller.
-struct LoopShared {
-    completions: Mutex<Vec<Completion>>,
-    injected: Mutex<Vec<TcpStream>>,
-    waker: Waker,
-}
-
-impl CompletionSink for LoopShared {
-    fn complete(&self, completion: Completion) {
-        self.completions.lock().expect("completion queue poisoned").push(completion);
-        self.waker.wake();
-    }
-}
-
-/// Everything the event loops and dispatchers share.
+/// Everything the connections and dispatchers share.
 struct Shared {
     config: ServeConfig,
     metrics: Arc<Metrics>,
@@ -179,7 +171,11 @@ struct Shared {
     engine_f64: Arc<FmmEngine<f64>>,
     engine_f32: Arc<FmmEngine<f32>>,
     stop: AtomicBool,
-    loops: Vec<Arc<LoopShared>>,
+    /// The live connections by id; each removes itself once both its
+    /// threads are done.
+    conns: Mutex<BTreeMap<u64, Arc<Conn>>>,
+    /// Signalled whenever a connection leaves `conns`.
+    conn_closed: Condvar,
     lifecycle: Lifecycle,
     /// The stall watchdog, when enabled — its component names and stall
     /// counter feed every export and incident dump.
@@ -191,23 +187,50 @@ struct Shared {
 
 impl Shared {
     /// Flip the daemon into shutdown: refuse new work, close the dtype
-    /// queues (dispatchers drain their backlogs first), and wake every
-    /// event loop so it notices.
+    /// queues (dispatchers drain their backlogs first), and shut down the
+    /// read side of every live socket so its reader sees EOF.
     fn request_stop(&self) {
-        // ORDERING: Release pairs with the Acquire loads in
-        // `is_stopping`/the event loops: a loop that observes `stop ==
-        // true` also observes everything the stopping thread did before
-        // requesting it. SeqCst would add nothing — with a single flag
-        // there is no multi-variable order to make total.
-        self.stop.store(true, Ordering::Release);
+        {
+            let conns = self.conns.lock().expect("connection registry poisoned");
+            // ORDERING: Release pairs with the Acquire loads in
+            // `is_stopping`: a thread that observes `stop == true` also
+            // observes everything the stopping thread did before. Stored
+            // under the registry lock, so the acceptor, which checks the
+            // flag under the same lock, either sees it or registered its
+            // connection in time for the sweep below.
+            self.stop.store(true, Ordering::Release);
+            for conn in conns.values() {
+                let _ = conn.stream.shutdown(Shutdown::Read);
+            }
+        }
         self.queue_f64.close();
         self.queue_f32.close();
-        for l in &self.loops {
-            l.waker.wake();
-        }
         let mut stopping = self.lifecycle.stopping.lock().expect("lifecycle poisoned");
         *stopping = true;
         self.lifecycle.stopped.notify_all();
+    }
+
+    fn is_stopping(&self) -> bool {
+        // ORDERING: pairs with the Release store in `request_stop`.
+        self.stop.load(Ordering::Acquire)
+    }
+
+    /// Wait for every connection to deliver what it owes and close, up to
+    /// [`DRAIN_DEADLINE`]; then shut the remaining sockets down both ways
+    /// and wait for their threads to finish.
+    fn drain_connections(&self) {
+        let deadline = Instant::now() + DRAIN_DEADLINE;
+        let mut conns = self.conns.lock().expect("connection registry poisoned");
+        while !conns.is_empty() {
+            let now = Instant::now();
+            if now >= deadline {
+                conns.values().for_each(|conn| conn.kill());
+                conns = self.conn_closed.wait(conns).expect("connection registry poisoned");
+            } else {
+                let waited = self.conn_closed.wait_timeout(conns, deadline - now);
+                conns = waited.expect("connection registry poisoned").0;
+            }
+        }
     }
 
     /// The stats snapshot: this server's instruments merged with the
@@ -216,8 +239,8 @@ impl Shared {
     /// ingest-pool occupancy, watchdog stalls, and the decision-audit
     /// table. Read-only: everything that lives outside the registry is
     /// read where it lives, at snapshot time. Cold, like `incident` and the
-    /// documents' encoders: inlined into the event loop, this code made the
-    /// benchmark's `serve` latency ~13 % worse.
+    /// documents' encoders: inlined into the serving path, this code made
+    /// the benchmark's `serve` latency ~13 % worse.
     #[cold]
     fn snapshot(&self) -> StatsSnapshot {
         let mut stats = StatsSnapshot {
@@ -269,7 +292,6 @@ impl Shared {
     fn incident(&self, trigger: &str) -> Incident {
         let c = &self.config;
         let knobs = [
-            ("event_threads", c.event_threads as u64),
             ("queue_capacity", c.queue_capacity as u64),
             ("max_inflight_per_conn", c.max_inflight_per_conn as u64),
             ("max_payload_bytes", c.max_payload_bytes as u64),
@@ -324,6 +346,7 @@ impl Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
+    acceptor: JoinHandle<()>,
     threads: Vec<JoinHandle<()>>,
     watchdog_handle: Option<WatchdogHandle>,
 }
@@ -367,24 +390,6 @@ impl Server {
         }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
-        // Build each loop's poller + waker on this thread (the waker must
-        // live in the shared mailbox before the loop thread starts); the
-        // pollers move into their threads below.
-        let n_loops = config.event_threads.max(1);
-        let mut pollers = Vec::with_capacity(n_loops);
-        let mut loops = Vec::with_capacity(n_loops);
-        for _ in 0..n_loops {
-            let mut poller = Poller::new()?;
-            let waker = Waker::new(&mut poller)?;
-            pollers.push(poller);
-            loops.push(Arc::new(LoopShared {
-                completions: Mutex::new(Vec::new()),
-                injected: Mutex::new(Vec::new()),
-                waker,
-            }));
-        }
 
         let watchdog = config.watchdog.then(|| {
             Watchdog::new(WatchdogConfig {
@@ -402,31 +407,22 @@ impl Server {
             engine_f64,
             engine_f32,
             stop: AtomicBool::new(false),
-            loops,
+            conns: Mutex::new(BTreeMap::new()),
+            conn_closed: Condvar::new(),
             lifecycle: Lifecycle { stopping: Mutex::new(false), stopped: Condvar::new() },
             watchdog,
             incident_seq: AtomicU64::new(0),
             config,
         });
 
-        let mut threads = Vec::new();
-        let mut listener = Some(listener);
-        for (index, poller) in pollers.into_iter().enumerate() {
-            // Event loops tick their poll timeout even when idle, so plain
-            // liveness is the right judgment.
-            let heartbeat = shared
-                .watchdog
-                .as_ref()
-                .map(|wd| wd.register(&format!("loop-{index}"), WatchPolicy::Liveness));
+        let acceptor = {
             let shared = shared.clone();
-            let listener = listener.take();
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("fmm-serve-loop-{index}"))
-                    .spawn(move || event_loop(&shared, index, poller, listener, heartbeat))
-                    .expect("spawn event loop"),
-            );
-        }
+            thread::Builder::new()
+                .name("fmm-serve-accept".into())
+                .spawn(move || accept_connections(&shared, listener))
+                .expect("spawn acceptor")
+        };
+        let mut threads = Vec::new();
         {
             // Dispatchers legitimately block when idle; they are judged on
             // progress (batches formed) against pending work (queue depth).
@@ -502,7 +498,7 @@ impl Server {
         if shared.config.incident_dir.is_some() {
             install_incident_capture(&shared, &mut threads);
         }
-        Ok(ServerHandle { addr, shared, threads, watchdog_handle })
+        Ok(ServerHandle { addr, shared, acceptor, threads, watchdog_handle })
     }
 }
 
@@ -537,8 +533,7 @@ fn install_incident_capture(shared: &Arc<Shared>, threads: &mut Vec<JoinHandle<(
                     shared.request_stop();
                     return;
                 }
-                // ORDERING: pairs with the Release store in `request_stop`.
-                if shared.stop.load(Ordering::Acquire) {
+                if shared.is_stopping() {
                     return;
                 }
                 thread::sleep(Duration::from_millis(25));
@@ -572,6 +567,12 @@ impl ServerHandle {
         &self.shared.metrics
     }
 
+    /// Connections in the daemon's registry right now: accepted, and not
+    /// yet closed with both of their threads done.
+    pub fn live_connections(&self) -> usize {
+        self.shared.conns.lock().expect("connection registry poisoned").len()
+    }
+
     /// Per-dtype engine counter snapshots.
     pub fn engine_stats(&self) -> (EngineStats, EngineStats) {
         (self.shared.engine_f64.stats(), self.shared.engine_f32.stats())
@@ -585,13 +586,12 @@ impl ServerHandle {
     /// True once shutdown has been requested (by [`ServerHandle::shutdown`]
     /// or a client `Shutdown` frame).
     pub fn is_stopping(&self) -> bool {
-        // ORDERING: pairs with the Release store in `request_stop`.
-        self.shared.stop.load(Ordering::Acquire)
+        self.shared.is_stopping()
     }
 
-    /// Block until shutdown is requested, then join the event loops and
-    /// dispatchers (in-flight requests drain first) and return the final
-    /// stats snapshot. This is the daemon main loop:
+    /// Block until shutdown is requested, then drain the connections and
+    /// join the daemon threads (in-flight requests complete first) and
+    /// return the final stats snapshot. This is the daemon main loop:
     /// `Server::spawn(cfg)?.wait()`.
     pub fn wait(self) -> StatsSnapshot {
         {
@@ -614,8 +614,23 @@ impl ServerHandle {
     }
 
     fn join(self) {
-        // The event loops drain in-flight responses (bounded by their own
-        // 5 s deadline) before exiting; joining them is the whole drain.
+        // The acceptor is blocked in accept(2); connecting wakes it to see
+        // the stop. A connect fails while descriptors are short, so retry.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        while !self.acceptor.is_finished()
+            && TcpStream::connect_timeout(&wake, Duration::from_millis(100)).is_err()
+        {
+            thread::sleep(ACCEPT_BACKOFF);
+        }
+        let _ = self.acceptor.join();
+        self.shared.drain_connections();
         for t in self.threads {
             let _ = t.join();
         }
@@ -632,341 +647,389 @@ impl ServerHandle {
 }
 
 /// Process-wide connection id sequence for connection events — connection
-/// lifecycles stay traceable across loops and across the whole dump.
+/// lifecycles stay traceable across the whole dump.
 static NEXT_CONN_ID: AtomicU64 = AtomicU64::new(1);
 
-/// One multiplexed connection's state on its owning event loop.
-struct Conn {
-    /// Process-unique id carried by this connection's events.
-    id: u64,
-    /// Requests admitted over this connection's lifetime (reported by
-    /// its `ConnClosed` event — the doctor's busiest-connection ranking
-    /// input).
-    requests: u64,
-    stream: TcpStream,
-    decoder: Decoder,
-    out: WriteQueue,
-    /// Requests admitted on this connection whose response has not been
-    /// queued yet.
-    in_flight: usize,
-    /// Wire bytes the responses to those admitted requests will occupy
-    /// once queued (header + prelude + declared `m×n` result). Charged at
-    /// admission, released when the completion's frame enters the write
-    /// queue — together with `out.backlog()` this is the connection's
-    /// whole response-memory exposure, bounded by
-    /// [`ServeConfig::max_conn_backlog_bytes`].
-    pending_response_bytes: usize,
-    /// Close once the write queue drains (fatal error answered, shutdown
-    /// acknowledged, or peer EOF with responses still owed).
-    closing: bool,
-    /// The interest currently registered with the poller.
-    interest: Interest,
-}
-
-/// One registration slot: its occupant (if any) plus a generation counter
-/// that survives occupants, so completions addressed to a dead connection
-/// are recognized and dropped.
-struct Slot {
-    conn: Option<Conn>,
-    generation: u32,
-}
-
-/// The per-loop serving core. Loop 0 additionally owns the listener and
-/// deals accepted connections round-robin over all loops.
-fn event_loop(
-    shared: &Arc<Shared>,
-    index: usize,
-    mut poller: Poller,
-    mut listener: Option<TcpListener>,
-    heartbeat: Option<Arc<Heartbeat>>,
-) {
-    let me = shared.loops[index].clone();
-    if let Some(l) = &listener {
-        if poller.register(l.as_raw_fd(), LISTENER_TOKEN, Interest::READ).is_err() {
-            return;
-        }
-    }
-    let mut slots: Vec<Slot> = Vec::new();
-    let mut events = Vec::new();
-    let mut next_loop = 0usize;
-    // Once stop is observed, responses still owed get this long to reach
-    // their sockets; a peer that stops reading must not hold shutdown
-    // hostage.
-    let mut drain_deadline: Option<Instant> = None;
-
-    loop {
-        let _ = poller.wait(&mut events, Some(Duration::from_millis(100)));
-        me.waker.drain();
-        // The poll timeout bounds each iteration, so a beat per pass is
-        // exactly "this loop is still turning".
-        if let Some(hb) = &heartbeat {
-            hb.beat();
-        }
-
-        // Adopt connections dealt over from the accept loop.
-        let adopted: Vec<TcpStream> =
-            std::mem::take(&mut *me.injected.lock().expect("injected queue poisoned"));
-        for stream in adopted {
-            install_conn(shared, &mut poller, &mut slots, stream, index);
-        }
-
-        for event in events.drain(..) {
-            match event.token {
-                WAKE_TOKEN => {}
-                LISTENER_TOKEN => {
-                    if let Some(l) = &listener {
-                        accept_ready(shared, l, &mut poller, &mut slots, &mut next_loop, index);
-                    }
-                }
-                token => {
-                    let slot = token as usize;
-                    let Some(conn) = slots.get(slot).and_then(|s| s.conn.as_ref()) else {
-                        continue; // stale readiness for a freed slot
-                    };
-                    if event.readable {
-                        if !conn.interest.read {
-                            // Reads are off (EOF seen with responses still
-                            // owed, or flow control), so this is the
-                            // unmaskable full hangup: the peer is gone both
-                            // ways, nothing owed can be delivered, and left
-                            // registered it would re-fire on every wait.
-                            drop_conn(shared, &mut poller, &mut slots, slot);
-                            continue;
-                        }
-                        drive_read(shared, &me, &mut slots, slot);
-                    }
-                    // Writable readiness needs no dedicated driver: the
-                    // round finisher below flushes either way.
-                    finish_conn_round(shared, &mut poller, &mut slots, slot);
-                }
-            }
-        }
-
-        // Deliver completed results to their connections.
-        let done: Vec<Completion> =
-            std::mem::take(&mut *me.completions.lock().expect("completion queue poisoned"));
-        for completion in done {
-            apply_completion(shared, &mut poller, &mut slots, completion);
-        }
-
-        // ORDERING: pairs with the Release store in `request_stop`; the
-        // loop was woken through the self-pipe, and on the wakeup pass
-        // this Acquire load makes the pre-stop writes visible.
-        if shared.stop.load(Ordering::Acquire) {
-            if let Some(l) = listener.take() {
-                // Refuse new connections immediately; in-flight work keeps
-                // draining below.
-                let _ = poller.deregister(LISTENER_TOKEN);
-                drop(l);
-            }
-            let deadline =
-                *drain_deadline.get_or_insert_with(|| Instant::now() + Duration::from_secs(5));
-            let owed = shared.metrics.inflight.get() > 0
-                || !me.completions.lock().expect("completion queue poisoned").is_empty()
-                || slots.iter().any(|s| s.conn.as_ref().is_some_and(|c| !c.out.is_empty()));
-            if !owed || Instant::now() >= deadline {
-                for slot in 0..slots.len() {
-                    drop_conn(shared, &mut poller, &mut slots, slot);
-                }
-                return;
-            }
-        }
-    }
-}
-
-/// Accept until the listener would block, dealing connections round-robin
-/// over every event loop (this loop installs its own share directly).
-fn accept_ready(
-    shared: &Arc<Shared>,
-    listener: &TcpListener,
-    poller: &mut Poller,
-    slots: &mut Vec<Slot>,
-    next_loop: &mut usize,
-    index: usize,
-) {
+/// Accept connections until the daemon stops.
+fn accept_connections(shared: &Arc<Shared>, listener: TcpListener) {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                let target = *next_loop % shared.loops.len();
-                *next_loop = next_loop.wrapping_add(1);
-                if target == 0 {
-                    install_conn(shared, poller, slots, stream, index);
-                } else {
-                    let mailbox = &shared.loops[target];
-                    mailbox.injected.lock().expect("injected queue poisoned").push(stream);
-                    mailbox.waker.wake();
+                if !open_conn(shared, stream) {
+                    return;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(_) => return,
+            Err(_) if shared.is_stopping() => return,
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
 
-/// Register a fresh connection in the lowest free slot of this loop.
-fn install_conn(
-    shared: &Arc<Shared>,
-    poller: &mut Poller,
-    slots: &mut Vec<Slot>,
-    s: TcpStream,
-    loop_index: usize,
-) {
-    if s.set_nonblocking(true).is_err() {
-        return;
-    }
-    let _ = s.set_nodelay(true);
-    let slot = match slots.iter().position(|s| s.conn.is_none()) {
-        Some(free) => free,
-        None => {
-            slots.push(Slot { conn: None, generation: 0 });
-            slots.len() - 1
-        }
-    };
-    if poller.register(s.as_raw_fd(), slot as u64, Interest::READ).is_err() {
-        return;
+/// Register an accepted connection and start its reader. Returns `false`,
+/// dropping the stream, once the daemon is stopping.
+fn open_conn(shared: &Arc<Shared>, stream: TcpStream) -> bool {
+    let _ = stream.set_nodelay(true);
+    let mut conns = shared.conns.lock().expect("connection registry poisoned");
+    if shared.is_stopping() {
+        return false;
     }
     let id = NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed);
-    slots[slot].conn = Some(Conn {
+    let conn = Arc::new(Conn {
         id,
-        requests: 0,
-        stream: s,
-        decoder: Decoder::new(shared.config.max_payload_bytes),
-        out: WriteQueue::default(),
-        in_flight: 0,
-        pending_response_bytes: 0,
-        closing: false,
-        interest: Interest::READ,
+        stream,
+        metrics: shared.metrics.clone(),
+        state: Mutex::new(ConnState::default()),
+        changed: Condvar::new(),
     });
-    trace::record(Event::now(Kind::ConnAccepted, 0).with_args([id, loop_index as u64, 0]));
-    shared.metrics.connections.add(1);
-    shared.metrics.connections_total.inc();
+    let reader = {
+        let (shared, conn) = (shared.clone(), conn.clone());
+        thread::Builder::new()
+            .name(format!("fmm-serve-conn-{id}"))
+            .spawn(move || serve_conn(&shared, &conn))
+    };
+    // Out of threads: drop the connection, keep serving the others.
+    if reader.is_ok() {
+        trace::record(Event::now(Kind::ConnAccepted, 0).with_args([id, 0, 0]));
+        shared.metrics.connections.add(1);
+        shared.metrics.connections_total.inc();
+        conns.insert(id, conn);
+    }
+    true
 }
 
-/// Read and decode as many frames as the socket and flow control allow,
-/// handling each decoded event inline.
-fn drive_read(shared: &Arc<Shared>, me: &Arc<LoopShared>, slots: &mut [Slot], slot: usize) {
-    let generation = slots[slot].generation;
-    let mut events = Vec::new();
-    loop {
-        let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-        if conn.closing
-            || conn.decoder.is_broken()
-            || conn.out.backlog() > shared.config.max_conn_backlog_bytes
-        {
-            return; // paused; interest update happens in finish_conn_round
-        }
-        let step = {
-            let Conn { stream, decoder, .. } = conn;
-            decoder.step(stream, &shared.pools, &mut events)
-        };
-        match step {
-            DecodeStep::Frame => {
-                for event in events.drain(..) {
-                    handle_in_event(shared, me, slots, slot, generation, event);
-                }
-            }
-            DecodeStep::NeedMore => return,
-            DecodeStep::Closed => {
-                // Peer EOF: no further requests, but responses already
-                // owed still go out before the slot is reclaimed.
-                let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-                conn.closing = true;
-                return;
-            }
-            DecodeStep::Broken => return,
+/// One reply frame waiting for its connection's writer.
+enum Reply {
+    /// A fully owned frame: control replies and error frames.
+    Frame(Vec<u8>),
+    /// A response: its header and prelude, then the pooled result buffer,
+    /// written in place.
+    Result { head: Vec<u8>, body: WireBuf },
+}
+
+impl Reply {
+    fn len(&self) -> usize {
+        match self {
+            Self::Frame(bytes) => bytes.len(),
+            Self::Result { head, body } => head.len() + body.bytes().len(),
         }
     }
 }
 
-/// Act on one decoded inbound frame.
-fn handle_in_event(
-    shared: &Arc<Shared>,
-    me: &Arc<LoopShared>,
-    slots: &mut [Slot],
-    slot: usize,
-    generation: u32,
-    event: InEvent,
-) {
+/// One accepted connection, shared by its reader and writer threads, the
+/// dispatchers completing its requests, and the server's registry.
+struct Conn {
+    /// Process-unique id carried by this connection's events.
+    id: u64,
+    stream: TcpStream,
+    metrics: Arc<Metrics>,
+    state: Mutex<ConnState>,
+    /// Signalled when a reply is queued, the backlog shrinks, or the
+    /// connection winds down.
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct ConnState {
+    /// Replies queued for the writer.
+    replies: VecDeque<Reply>,
+    /// Bytes of `replies`.
+    backlog: usize,
+    /// Requests admitted whose reply has not been queued yet.
+    in_flight: usize,
+    /// Wire bytes the replies to those requests will occupy (header +
+    /// prelude + declared `m×n` result). Charged at admission, released
+    /// when the reply is queued — with `backlog`, the response memory the
+    /// connection holds besides the reply being written, bounded by
+    /// [`ServeConfig::max_conn_backlog_bytes`].
+    promised: usize,
+    /// The reader is done: no further request will be admitted.
+    reading_done: bool,
+    /// Nothing more can be delivered: the peer is gone, or the drain
+    /// deadline passed.
+    dead: bool,
+}
+
+impl Conn {
+    fn lock(&self) -> MutexGuard<'_, ConnState> {
+        self.state.lock().expect("connection state poisoned")
+    }
+
+    /// Queue a reply for the writer (dropped if the connection is dead).
+    fn push(&self, reply: Reply) {
+        let mut state = self.lock();
+        if !state.dead {
+            state.backlog += reply.len();
+            state.replies.push_back(reply);
+            self.changed.notify_all();
+        }
+    }
+
+    /// Queue one small reply frame.
+    fn reply(&self, request_id: u64, kind: FrameKind, payload: &[u8]) {
+        let mut bytes = protocol::encode_header(kind, payload.len() as u32, request_id);
+        bytes.extend_from_slice(payload);
+        self.push(Reply::Frame(bytes));
+    }
+
+    /// Block while the queued reply backlog exceeds `cap`. `false` once the
+    /// connection is dead.
+    fn wait_for_room(&self, cap: usize) -> bool {
+        let mut state = self.lock();
+        while state.backlog > cap && !state.dead {
+            state = self.changed.wait(state).expect("connection state poisoned");
+        }
+        !state.dead
+    }
+
+    /// The reader is done: the writer exits once nothing is owed.
+    fn finish_reading(&self) {
+        self.lock().reading_done = true;
+        self.changed.notify_all();
+    }
+
+    /// Give up on delivery: drop what is queued, wake both threads, and
+    /// shut the socket down both ways.
+    fn kill(&self) {
+        {
+            let mut state = self.lock();
+            state.dead = true;
+            state.replies.clear();
+            state.backlog = 0;
+        }
+        self.changed.notify_all();
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    /// The next reply to write, or `None` once the connection is dead, or
+    /// the reader is done with nothing queued or in flight.
+    fn next_reply(&self) -> Option<Reply> {
+        let mut state = self.lock();
+        loop {
+            if state.dead {
+                return None;
+            }
+            if let Some(reply) = state.replies.pop_front() {
+                // Released before the write: once the peer can read the
+                // reply, it may already be sending a request that counts
+                // the backlog against its admission.
+                state.backlog -= reply.len();
+                self.changed.notify_all();
+                return Some(reply);
+            }
+            if state.reading_done && state.in_flight == 0 {
+                return None;
+            }
+            state = self.changed.wait(state).expect("connection state poisoned");
+        }
+    }
+}
+
+impl CompletionSink for Conn {
+    /// Frame a finished request as header ‖ prelude plus the pooled result
+    /// buffer and queue it, or drop it if the connection died mid-flight
+    /// (the buffer returns to its pool).
+    fn complete(&self, completion: Completion) {
+        // The admitted request is no longer in flight whether or not its
+        // connection survived to read the answer.
+        self.metrics.inflight.sub(1);
+        let Completion { request_id, m, n, result } = completion;
+        let payload_len = RESPONSE_PRELUDE + result.bytes().len();
+        let mut head = protocol::encode_header(FrameKind::Response, payload_len as u32, request_id);
+        head.extend_from_slice(&protocol::encode_response_prelude(result.dtype(), m, n));
+        let mut state = self.lock();
+        state.in_flight = state.in_flight.saturating_sub(1);
+        // The promise materializes as queued backlog (the result length
+        // equals the `m×n` size the prelude declared).
+        state.promised = state.promised.saturating_sub(HEADER_LEN + payload_len);
+        if !state.dead {
+            self.metrics.responses.inc();
+            trace::mark(Kind::ReplyFlush, request_id);
+            let reply = Reply::Result { head, body: result };
+            state.backlog += reply.len();
+            state.replies.push_back(reply);
+        }
+        self.changed.notify_all();
+    }
+}
+
+/// A connection's reader thread: start the writer, and read until the
+/// connection is done; the writer is joined before the connection leaves
+/// the registry.
+fn serve_conn(shared: &Shared, conn: &Arc<Conn>) {
+    let mut reap = Reap { shared, id: conn.id, requests: 0 };
+    reap.requests = thread::scope(|s| {
+        let writer = thread::Builder::new()
+            .name(format!("fmm-serve-write-{}", conn.id))
+            .spawn_scoped(s, || write_replies(conn));
+        if writer.is_err() {
+            conn.kill();
+            return 0;
+        }
+        read_requests(shared, conn)
+    });
+}
+
+/// Takes a connection out of the registry when its reader thread ends —
+/// by return or by a panic's unwinding, so a stopping daemon never waits
+/// for a connection whose threads are gone.
+struct Reap<'a> {
+    shared: &'a Shared,
+    id: u64,
+    requests: u64,
+}
+
+impl Drop for Reap<'_> {
+    fn drop(&mut self) {
+        // A removal leaves the map valid even if a panic poisoned it.
+        let mut conns = self.shared.conns.lock().unwrap_or_else(PoisonError::into_inner);
+        conns.remove(&self.id);
+        drop(conns);
+        self.shared.conn_closed.notify_all();
+        trace::record(Event::now(Kind::ConnClosed, 0).with_args([self.id, self.requests, 0]));
+        self.shared.metrics.connections.sub(1);
+    }
+}
+
+/// Read and act on frames until the peer closes, the stream breaks, or a
+/// reply ends the conversation. Returns the requests admitted.
+fn read_requests(shared: &Shared, conn: &Arc<Conn>) -> u64 {
+    let config = &shared.config;
+    let mut stream = &conn.stream;
+    let mut requests = 0;
+    while conn.wait_for_room(config.max_conn_backlog_bytes) {
+        match read_event(&mut stream, config.max_payload_bytes, &shared.pools) {
+            Ok(Some(event)) => {
+                if !handle_event(shared, conn, event, &mut requests) {
+                    break;
+                }
+            }
+            // EOF — a half-close, a stream cut inside a frame, or the stop
+            // path: no further requests, but replies owed still go out.
+            Ok(None) => break,
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
+            // A transport error (a reset): nothing owed can be delivered.
+            Err(_) => {
+                conn.kill();
+                break;
+            }
+        }
+    }
+    conn.finish_reading();
+    requests
+}
+
+/// A connection's writer thread: write queued replies until none are owed,
+/// then close the socket so the peer sees EOF.
+fn write_replies(conn: &Conn) {
+    let mut stream = &conn.stream;
+    while let Some(reply) = conn.next_reply() {
+        let sent = match reply {
+            Reply::Frame(bytes) => stream.write_all(&bytes),
+            Reply::Result { head, body } => write_result(&mut stream, &head, body),
+        };
+        if sent.is_err() {
+            conn.kill();
+            return;
+        }
+    }
+    let _ = conn.stream.shutdown(Shutdown::Both);
+}
+
+/// Result bytes [`write_result`] sends only after the result buffer is
+/// back in its pool.
+const RESULT_TAIL: usize = 8;
+
+/// Write one response: `head`, then the result straight from its pooled
+/// buffer — except the last [`RESULT_TAIL`] bytes, which go out from a
+/// copy once the buffer is back in the pool. Until they arrive the peer
+/// cannot send its next request, so that request's result finds this
+/// buffer idle and the warm path allocates nothing.
+fn write_result(w: &mut impl Write, head: &[u8], body: WireBuf) -> io::Result<()> {
+    let bytes = body.bytes();
+    let cut = bytes.len().saturating_sub(RESULT_TAIL);
+    let mut tail = [0; RESULT_TAIL];
+    let tail = &mut tail[..bytes.len() - cut];
+    tail.copy_from_slice(&bytes[cut..]);
+    let mut parts = [IoSlice::new(head), IoSlice::new(&bytes[..cut])];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    drop(body);
+    w.write_all(tail)
+}
+
+/// Act on one decoded inbound frame. Returns `false` when the connection
+/// must stop reading: a fatal framing error was answered, or shutdown was
+/// acknowledged.
+fn handle_event(shared: &Shared, conn: &Arc<Conn>, event: InEvent, requests: &mut u64) -> bool {
     match event {
         InEvent::Request { head, dims, operands } => {
             trace::mark(Kind::RequestRecv, head.request_id);
-            admit_request(shared, me, slots, slot, generation, head.request_id, dims, operands);
+            if admit_request(shared, conn, head.request_id, dims, operands) {
+                *requests += 1;
+            }
         }
         InEvent::Ping { head, payload } => {
             shared.metrics.pings.inc();
-            let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-            push_reply(conn, head.request_id, FrameKind::Pong, &payload);
+            conn.reply(head.request_id, FrameKind::Pong, &payload);
         }
         InEvent::StatsJson { head, prometheus } => {
             let stats = shared.snapshot();
             let body = if prometheus { stats.to_prometheus() } else { stats.to_json() };
-            let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-            push_reply(conn, head.request_id, FrameKind::StatsJson, body.as_bytes());
+            conn.reply(head.request_id, FrameKind::StatsJson, body.as_bytes());
         }
         InEvent::Trace { head, last } => {
             let body = recent_events(last as usize).to_json();
-            let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-            push_reply(conn, head.request_id, FrameKind::Trace, body.as_bytes());
+            conn.reply(head.request_id, FrameKind::Trace, body.as_bytes());
         }
         InEvent::Shutdown { head } => {
             // Stop *before* the Pong is queued: by the time the client
             // reads the acknowledgement, `is_stopping()` is already true.
             shared.request_stop();
-            let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-            push_reply(conn, head.request_id, FrameKind::Pong, b"");
-            conn.closing = true;
+            conn.reply(head.request_id, FrameKind::Pong, b"");
+            return false;
         }
         InEvent::Incident { head } => {
             record_incident(IncidentTrigger::WireRequest);
             let body = shared.incident("wire-request").to_json();
-            let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-            push_reply(conn, head.request_id, FrameKind::Incident, body.as_bytes());
+            conn.reply(head.request_id, FrameKind::Incident, body.as_bytes());
         }
         InEvent::Bad { request_id, code, message, fatal } => {
             shared.metrics.record_error(code);
-            let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-            trace::record(Event::now(Kind::ErrorSent, request_id).with_args([
-                conn.id,
-                code as u64,
-                0,
-            ]));
-            let payload = protocol::encode_error(code, &message);
-            push_reply(conn, request_id, FrameKind::Error, &payload);
-            if fatal {
-                conn.closing = true;
-            }
+            let sent = Event::now(Kind::ErrorSent, request_id);
+            trace::record(sent.with_args([conn.id, code as u64, 0]));
+            conn.reply(request_id, FrameKind::Error, &protocol::encode_error(code, &message));
+            return !fatal;
         }
     }
+    true
 }
 
 /// Admission control for one decoded request: per-connection pipelining
-/// bound, then the dtype queue's capacity bound. Refusals answer with a
-/// typed error frame; admissions route the completion back here.
-#[allow(clippy::too_many_arguments)]
+/// bound and response-byte budget, then the dtype queue's capacity bound.
+/// Refusals answer with a typed error frame; an admitted request's
+/// completion comes back to `conn`. Returns whether it was admitted.
 fn admit_request(
-    shared: &Arc<Shared>,
-    me: &Arc<LoopShared>,
-    slots: &mut [Slot],
-    slot: usize,
-    generation: u32,
+    shared: &Shared,
+    conn: &Arc<Conn>,
     request_id: u64,
     dims: RequestDims,
-    operands: crate::buffers::OperandStage,
-) {
-    let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-    if conn.in_flight >= shared.config.max_inflight_per_conn {
-        shared.metrics.record_error(ErrorCode::Busy);
-        record_refusal(conn, request_id, RefusalReason::InflightCap);
-        let payload = protocol::encode_error(
-            ErrorCode::Busy,
-            &format!(
-                "connection already has {} requests in flight",
-                shared.config.max_inflight_per_conn
-            ),
-        );
-        push_reply(conn, request_id, FrameKind::Error, &payload);
-        return;
-    }
+    operands: OperandStage,
+) -> bool {
+    let config = &shared.config;
+    let refuse = |code, reason, message: &str| {
+        shared.metrics.record_error(code);
+        let refused = Event::now(Kind::AdmissionRefused, request_id);
+        trace::record(refused.with_args([conn.id, reason as u64, 0]));
+        conn.reply(request_id, FrameKind::Error, &protocol::encode_error(code, message));
+        false
+    };
     // Byte-level admission: the response's size is declared by the
     // request prelude, so its memory cost is charged *now*, before any
     // result buffer exists — a k=0 request is ~30 bytes of input but can
@@ -975,179 +1038,74 @@ fn admit_request(
     // A request arriving on an otherwise idle connection (nothing queued,
     // nothing promised) is always admitted, so progress never deadlocks
     // on an operator setting the backlog cap below one max response.
-    let response_bytes = response_frame_bytes(dims);
-    let outstanding = conn.pending_response_bytes + conn.out.backlog();
-    if outstanding > 0 && outstanding + response_bytes > shared.config.max_conn_backlog_bytes {
-        shared.metrics.record_error(ErrorCode::Busy);
-        record_refusal(conn, request_id, RefusalReason::ByteBacklog);
-        let payload = protocol::encode_error(
-            ErrorCode::Busy,
-            &format!(
+    let response_bytes = HEADER_LEN + RESPONSE_PRELUDE + dims.c_bytes();
+    let depth = {
+        let mut state = conn.lock();
+        let outstanding = state.promised + state.backlog;
+        if state.in_flight >= config.max_inflight_per_conn {
+            drop(state);
+            let cap = config.max_inflight_per_conn;
+            let message = format!("connection already has {cap} requests in flight");
+            return refuse(ErrorCode::Busy, RefusalReason::InflightCap, &message);
+        }
+        if outstanding > 0 && outstanding + response_bytes > config.max_conn_backlog_bytes {
+            drop(state);
+            let message = format!(
                 "connection has {outstanding} response bytes outstanding; another \
                  {response_bytes} would exceed the {}-byte cap",
-                shared.config.max_conn_backlog_bytes
-            ),
-        );
-        push_reply(conn, request_id, FrameKind::Error, &payload);
-        return;
-    }
-    let reply = ReplySink {
-        sink: me.clone() as Arc<dyn CompletionSink>,
-        addr: ConnAddr { slot: slot as u32, generation },
-        request_id,
+                config.max_conn_backlog_bytes
+            );
+            return refuse(ErrorCode::Busy, RefusalReason::ByteBacklog, &message);
+        }
+        // Charged before the job is queued: a dispatcher may complete it
+        // before this thread runs again.
+        state.in_flight += 1;
+        state.promised += response_bytes;
+        state.in_flight
     };
+    shared.metrics.inflight.add(1);
+    let reply = ReplySink { sink: conn.clone(), request_id };
+    let enqueued = Instant::now();
+    let (m, k, n) = (dims.m, dims.k, dims.n);
     let refused = match operands {
-        crate::buffers::OperandStage::F64 { a, b } => {
-            let job =
-                Job { a, b, m: dims.m, k: dims.k, n: dims.n, reply, enqueued: Instant::now() };
+        OperandStage::F64 { a, b } => {
+            let job = Job { a, b, m, k, n, reply, enqueued };
             shared.queue_f64.try_push(job).err().map(|(_, why)| why)
         }
-        crate::buffers::OperandStage::F32 { a, b } => {
-            let job =
-                Job { a, b, m: dims.m, k: dims.k, n: dims.n, reply, enqueued: Instant::now() };
+        OperandStage::F32 { a, b } => {
+            let job = Job { a, b, m, k, n, reply, enqueued };
             shared.queue_f32.try_push(job).err().map(|(_, why)| why)
         }
     };
-    let conn = slots[slot].conn.as_mut().expect("driven slot is occupied");
-    match refused {
-        None => {
-            trace::mark(Kind::Admission, request_id);
-            shared.metrics.requests.inc();
-            shared.metrics.inflight.add(1);
-            conn.in_flight += 1;
-            conn.requests += 1;
-            conn.pending_response_bytes += response_bytes;
-            shared.metrics.record_conn_inflight(conn.in_flight as u64);
-        }
-        Some(Refusal::Full) => {
-            shared.metrics.record_error(ErrorCode::Busy);
-            record_refusal(conn, request_id, RefusalReason::QueueFull);
-            let capacity = shared.config.queue_capacity;
-            let payload = protocol::encode_error(
-                ErrorCode::Busy,
-                &format!("pending queue is full ({capacity} requests)"),
-            );
-            push_reply(conn, request_id, FrameKind::Error, &payload);
-        }
-        Some(Refusal::Closed) => {
-            // Not Busy: nothing about this daemon will ever accept the
-            // retry a Busy signal invites.
-            shared.metrics.record_error(ErrorCode::ShuttingDown);
-            record_refusal(conn, request_id, RefusalReason::ShuttingDown);
-            let payload = protocol::encode_error(
-                ErrorCode::ShuttingDown,
-                "daemon is shutting down and accepts no new work",
-            );
-            push_reply(conn, request_id, FrameKind::Error, &payload);
-        }
+    let Some(why) = refused else {
+        trace::mark(Kind::Admission, request_id);
+        shared.metrics.requests.inc();
+        shared.metrics.record_conn_inflight(depth as u64);
+        return true;
+    };
+    shared.metrics.inflight.sub(1);
+    {
+        let mut state = conn.lock();
+        state.in_flight -= 1;
+        state.promised -= response_bytes;
     }
-}
-
-/// Record that admission control refused `request_id` on `conn`.
-fn record_refusal(conn: &Conn, request_id: u64, reason: RefusalReason) {
-    let event = Event::now(Kind::AdmissionRefused, request_id);
-    trace::record(event.with_args([conn.id, reason as u64, 0]));
+    match why {
+        Refusal::Full => {
+            let capacity = config.queue_capacity;
+            let message = format!("pending queue is full ({capacity} requests)");
+            refuse(ErrorCode::Busy, RefusalReason::QueueFull, &message)
+        }
+        // Not Busy: nothing about this daemon will ever accept the retry a
+        // Busy signal invites.
+        Refusal::Closed => refuse(
+            ErrorCode::ShuttingDown,
+            RefusalReason::ShuttingDown,
+            "daemon is shutting down and accepts no new work",
+        ),
+    }
 }
 
 /// Record that an incident dump is being written.
 fn record_incident(trigger: IncidentTrigger) {
     trace::record(Event::now(Kind::Incident, 0).with_args([trigger as u64, 0, 0]));
-}
-
-/// Wire bytes the response to an admitted request will occupy once
-/// queued: header, response prelude, and the declared `m×n` result.
-fn response_frame_bytes(dims: RequestDims) -> usize {
-    HEADER_LEN + RESPONSE_PRELUDE + dims.c_bytes()
-}
-
-/// Queue one small (fully owned) reply frame.
-fn push_reply(conn: &mut Conn, request_id: u64, kind: FrameKind, payload: &[u8]) {
-    let mut bytes = protocol::encode_header(kind, payload.len() as u32, request_id);
-    bytes.extend_from_slice(payload);
-    conn.out.push_bytes(bytes);
-}
-
-/// Route one finished request back to its connection: frame the response
-/// as header ‖ prelude (owned) followed by the pooled result buffer
-/// (scatter segment), or drop it if the connection died mid-flight.
-fn apply_completion(
-    shared: &Arc<Shared>,
-    poller: &mut Poller,
-    slots: &mut [Slot],
-    completion: Completion,
-) {
-    // The admitted request is no longer in flight whether or not its
-    // connection survived to read the answer.
-    shared.metrics.inflight.sub(1);
-    let slot = completion.addr.slot as usize;
-    if slot >= slots.len()
-        || slots[slot].generation != completion.addr.generation
-        || slots[slot].conn.is_none()
-    {
-        return; // the connection died; the result buffer returns to its pool
-    }
-    let conn = slots[slot].conn.as_mut().expect("checked above");
-    conn.in_flight = conn.in_flight.saturating_sub(1);
-    shared.metrics.responses.inc();
-    let payload_len = RESPONSE_PRELUDE + completion.result.bytes().len();
-    // Release the bytes charged at admission: the promise now materializes
-    // as actual write-queue backlog (the result length equals the `m×n`
-    // size the prelude declared).
-    conn.pending_response_bytes =
-        conn.pending_response_bytes.saturating_sub(HEADER_LEN + payload_len);
-    let mut head =
-        protocol::encode_header(FrameKind::Response, payload_len as u32, completion.request_id);
-    head.extend_from_slice(&protocol::encode_response_prelude(
-        completion.result.dtype(),
-        completion.m,
-        completion.n,
-    ));
-    conn.out.push_bytes(head);
-    conn.out.push_buf(completion.result);
-    trace::mark(Kind::ReplyFlush, completion.request_id);
-    finish_conn_round(shared, poller, slots, slot);
-}
-
-/// After any activity on a slot: flush what the socket will take, reclaim
-/// the slot if the connection is done, and otherwise reconcile the poller
-/// interest with what the connection now needs.
-fn finish_conn_round(shared: &Arc<Shared>, poller: &mut Poller, slots: &mut [Slot], slot: usize) {
-    let Some(conn) = slots[slot].conn.as_mut() else { return };
-    // Optimistic flush: most replies fit the socket buffer, so they leave
-    // now instead of after a poll round-trip. An error means the peer is
-    // gone — nothing further can be delivered, closing or not.
-    if !conn.out.is_empty() && conn.out.flush(&mut conn.stream).is_err() {
-        drop_conn(shared, poller, slots, slot);
-        return;
-    }
-    let conn = slots[slot].conn.as_mut().expect("flush kept the slot occupied");
-    // A closing connection is done once nothing is queued *and* nothing is
-    // in flight: a peer that half-closed after sending still gets every
-    // response it is owed.
-    if conn.closing && conn.out.is_empty() && conn.in_flight == 0 {
-        drop_conn(shared, poller, slots, slot);
-        return;
-    }
-    let want = Interest {
-        read: !conn.closing
-            && !conn.decoder.is_broken()
-            && conn.out.backlog() <= shared.config.max_conn_backlog_bytes,
-        write: !conn.out.is_empty(),
-    };
-    if want != conn.interest {
-        conn.interest = want;
-        let _ = poller.modify(slot as u64, want);
-    }
-}
-
-/// Deregister and drop a connection, bumping the slot generation so
-/// completions still in flight for it are recognized as stale.
-fn drop_conn(shared: &Arc<Shared>, poller: &mut Poller, slots: &mut [Slot], slot: usize) {
-    if let Some(conn) = slots[slot].conn.take() {
-        let closed = Event::now(Kind::ConnClosed, 0).with_args([conn.id, conn.requests, 0]);
-        trace::record(closed);
-        let _ = poller.deregister(slot as u64);
-        slots[slot].generation = slots[slot].generation.wrapping_add(1);
-        shared.metrics.connections.sub(1);
-    }
 }

@@ -473,7 +473,7 @@ impl Document for StatsSnapshot {
 }
 
 /// The serving knobs in force: the bind address plus every numeric knob
-/// by name (`event_threads`, `queue_capacity`, `batch_window_micros`, …).
+/// by name (`queue_capacity`, `batch_window_micros`, …).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConfigPrint {
     pub addr: String,

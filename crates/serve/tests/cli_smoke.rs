@@ -4,7 +4,7 @@
 //! that must leave a dump `doctor` calls a clean exit. Every command must
 //! exit 0, and the documents they print must decode.
 //!
-//! The legs run one at a time (a local lock) so three daemons and their
+//! The legs run one at a time (a local lock) so two daemons and their
 //! loadgens never share the machine at once.
 
 use fmm_serve::{Document, Incident, StatsSnapshot};
@@ -104,12 +104,13 @@ impl Daemon {
     }
 }
 
-/// One serving leg: `bench --verify` at f64, f32 and pipelined depth 8,
+/// The serving leg: `bench --verify` at f64, f32 and pipelined depth 8,
 /// then every reporting subcommand, then a clean client-requested
 /// shutdown whose exit summary is the full snapshot.
-fn serving_leg(event_threads: &str) {
+#[test]
+fn daemon_serves_every_subcommand() {
     let _leg = LEG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let daemon = Daemon::spawn(&["--event-threads", event_threads, "--watchdog-stall-ms", "500"]);
+    let daemon = Daemon::spawn(&["--watchdog-stall-ms", "500"]);
     daemon.run("ping", &["--count", "1"]);
     let sized = ["--threads", "4", "--requests", "16", "--size", "64", "--verify"];
     daemon.run("bench", &sized);
@@ -137,7 +138,7 @@ fn serving_leg(event_threads: &str) {
     assert!(daemon.run("top", &["--once"]).starts_with("fmm_serve top"));
     assert!(daemon.run("trace", &["--last", "50"]).contains(" ms  (thread "), "no span timeline");
     let chrome = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("cli-smoke-trace-{event_threads}-{}.json", std::process::id()));
+        .join(format!("cli-smoke-trace-{}.json", std::process::id()));
     daemon.run("trace", &["--last", "200", "--chrome", chrome.to_str().expect("UTF-8 path")]);
     let events = std::fs::read_to_string(&chrome).expect("chrome trace written");
     assert!(events.starts_with("[{") && events.contains("\"ph\":\"X\""), "{events}");
@@ -153,16 +154,6 @@ fn serving_leg(event_threads: &str) {
     assert!(summary.ends_with("fmm_serve: shutdown complete\n"), "{summary}");
 }
 
-#[test]
-fn one_event_loop_serves_every_subcommand() {
-    serving_leg("1");
-}
-
-#[test]
-fn four_event_loops_serve_every_subcommand() {
-    serving_leg("4");
-}
-
 /// SIGTERM on a loaded daemon: it dumps, drains, exits 0, and the dump
 /// decodes as an incident that `doctor` diagnoses as a clean exit.
 #[cfg(unix)]
@@ -175,8 +166,6 @@ fn sigterm_dump_doctors_to_a_clean_exit() {
     // A generous stall deadline: this leg asserts a healthy daemon, and a
     // debug build on a shared machine may take a while over one batch.
     let daemon = Daemon::spawn(&[
-        "--event-threads",
-        "2",
         "--watchdog-stall-ms",
         "5000",
         "--incident-dir",

@@ -1,8 +1,10 @@
 //! Integration tests for the pipelined serving path: many
 //! requests in flight on one connection with out-of-order completion
-//! matched by request id, slow-loris resistance of the readiness loops,
-//! the zero-allocation warm ingest path, version refusal, and the
-//! `retry_busy` backoff helper against real backpressure.
+//! matched by request id, slow-loris resistance of the per-connection
+//! threads, reclaiming closed connections and their threads, the
+//! acceptor's back-off when descriptors run out, the zero-allocation warm
+//! ingest path, version refusal, and the `retry_busy` backoff helper
+//! against real backpressure.
 
 use fmm_dense::{fill, norms, Matrix};
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
@@ -41,14 +43,14 @@ fn spawn_pinned(config: ServeConfig) -> ServerHandle {
 /// Pipeline a window of requests on ONE connection and collect responses
 /// in an order shuffled away from submission order; every result must be
 /// bitwise identical to the local blocked GEMM.
-fn pipeline_shuffled_roundtrip(event_threads: usize) {
+#[test]
+fn pipelined_responses_match_by_id_on_one_event_thread() {
     let handle = spawn_pinned(ServeConfig {
         batch: BatchPolicy {
             window: Duration::from_millis(5),
             max_batch: 16,
             straggler_gap: Duration::from_millis(5),
         },
-        event_threads,
         ..ServeConfig::default()
     });
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
@@ -83,16 +85,6 @@ fn pipeline_shuffled_roundtrip(event_threads: usize) {
         "pipelining depth gauge saw concurrent requests: {snap:?}"
     );
     handle.shutdown();
-}
-
-#[test]
-fn pipelined_responses_match_by_id_on_one_event_thread() {
-    pipeline_shuffled_roundtrip(1);
-}
-
-#[test]
-fn pipelined_responses_match_by_id_on_four_event_threads() {
-    pipeline_shuffled_roundtrip(4);
 }
 
 #[test]
@@ -211,8 +203,8 @@ fn oversized_payload_cap_is_rejected_at_spawn() {
 fn half_closed_peer_still_receives_inflight_response() {
     // A peer that pipelines two requests and immediately half-closes its
     // write side (shutdown(SHUT_WR)) while both are held in a long batch
-    // window: the connection must neither be torn down on the EOF nor
-    // spin the loop on the hangup — both responses still arrive.
+    // window: the connection must not be torn down on the EOF — both
+    // responses still arrive.
     let handle = spawn_pinned(ServeConfig {
         batch: BatchPolicy {
             window: Duration::from_millis(100),
@@ -250,9 +242,8 @@ fn half_closed_peer_still_receives_inflight_response() {
 fn reset_peer_with_inflight_request_is_reclaimed_at_once() {
     // The other way a peer can leave with work in flight: a full reset
     // (closing with the Pong unread sends RST, not FIN). Nothing owed can
-    // be delivered any more, so the slot must be reclaimed on the hangup —
-    // not kept, re-firing on every poller wait, until the batch window
-    // closes seconds later.
+    // be delivered any more, so the connection must be reclaimed on the
+    // reset — not kept until the batch window closes seconds later.
     let handle = spawn_pinned(ServeConfig {
         batch: BatchPolicy {
             window: Duration::from_secs(4),
@@ -432,5 +423,183 @@ fn retry_busy_rides_out_real_backpressure() {
     });
     let snap = handle.metrics().snapshot();
     assert_eq!(snap.responses, flood, "every flooded request eventually served: {snap:?}");
+    handle.shutdown();
+}
+
+/// Set on a re-executed child: tells a test function it is the child.
+const CHILD: &str = "SERVE_PIPELINE_TEST_CHILD";
+
+fn is_child() -> bool {
+    std::env::var_os(CHILD).is_some()
+}
+
+/// Re-run exactly `test` from this test binary in a child process of its
+/// own, so process-wide counts (threads, descriptors, CPU time) are the
+/// test's alone; `limits` is shell run before the binary (`ulimit …`).
+fn run_alone(test: &str, limits: &str) {
+    let out = std::process::Command::new("sh")
+        .arg("-c")
+        .arg(format!("{limits} exec \"$0\" --exact {test} --nocapture --test-threads=1"))
+        .arg(std::env::current_exe().expect("test binary path"))
+        .env(CHILD, "1")
+        .output()
+        .expect("spawn the child test process");
+    assert!(
+        out.status.success(),
+        "child failed:\n{}\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// This process's thread count, from `/proc/self/status`.
+fn threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    let line = status.lines().find_map(|l| l.strip_prefix("Threads:")).expect("a Threads: line");
+    line.trim().parse().expect("a thread count")
+}
+
+/// Poll `probe` until it returns `want`, or fail once `within` has passed.
+fn settles<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    within: Duration,
+    probe: impl Fn() -> T,
+    want: T,
+) {
+    let deadline = Instant::now() + within;
+    loop {
+        let now = probe();
+        if now == want {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{what}: {now:?}, want {want:?}");
+        thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_leave_no_threads_behind() {
+    if !is_child() {
+        return run_alone("closed_connections_leave_no_threads_behind", "");
+    }
+    // A batch window long enough that the requests below are still in
+    // flight when their peers half-close or reset.
+    let handle = spawn_pinned(ServeConfig {
+        batch: BatchPolicy {
+            window: Duration::from_secs(1),
+            max_batch: 64,
+            straggler_gap: Duration::from_secs(1),
+        },
+        ..ServeConfig::default()
+    });
+    let addr = handle.addr();
+    let (a, b) = (fill::bench_workload(6, 4, 27), fill::bench_workload(4, 5, 28));
+    let mut request = Vec::new();
+    protocol::write_frame_v(
+        &mut request,
+        VERSION_V2,
+        2,
+        FrameKind::Request,
+        &protocol::encode_request(&a, &b),
+    )
+    .expect("encode request");
+    let mut ping = Vec::new();
+    protocol::write_frame_v(&mut ping, VERSION_V2, 1, FrameKind::Ping, b"unread")
+        .expect("encode ping");
+
+    // Warm up: the engines' worker pool starts with the first batch and
+    // stays, so it belongs to the baseline.
+    PipelinedClient::connect(addr).expect("connect").multiply(&a, &b).expect("warm-up");
+    settles("warm-up connection reaped", Duration::from_secs(5), || handle.live_connections(), 0);
+    thread::sleep(Duration::from_millis(50));
+    let levels = || (threads(), handle.metrics().snapshot().connections, handle.live_connections());
+    let before = levels();
+
+    for wave in ["idle", "mid-frame", "half-closed", "reset"] {
+        let mut peers: Vec<TcpStream> =
+            (0..50).map(|_| TcpStream::connect(addr).expect("connect")).collect();
+        for s in &mut peers {
+            match wave {
+                "mid-frame" => s.write_all(&request[..HEADER_LEN + 5]).expect("half a frame"),
+                "half-closed" => {
+                    s.write_all(&request).expect("request");
+                    s.shutdown(std::net::Shutdown::Write).expect("half-close");
+                }
+                "reset" => {
+                    s.write_all(&ping).expect("ping");
+                    s.write_all(&request).expect("request");
+                }
+                _ => {}
+            }
+        }
+        settles(wave, Duration::from_secs(10), || handle.live_connections(), 50);
+        match wave {
+            "half-closed" => {
+                for s in &mut peers {
+                    let reply = protocol::read_frame_any(s, 1 << 20).expect("owed response");
+                    assert_eq!(reply.kind, FrameKind::Response);
+                }
+            }
+            "reset" => {
+                for s in &peers {
+                    s.peek(&mut [0u8; 1]).expect("pong arrived");
+                }
+                assert!(handle.metrics().snapshot().inflight > 0, "requests still in flight");
+            }
+            _ => {}
+        }
+        // Closing with the Pong unread resets the reset wave's connections.
+        drop(peers);
+        settles(wave, Duration::from_secs(1), levels, before);
+    }
+    handle.shutdown();
+}
+
+/// `utime + stime` of this process in clock ticks, re-read through a
+/// handle opened while descriptors were still free.
+fn cpu_ticks(stat: &mut std::fs::File) -> u64 {
+    use std::io::{Seek, SeekFrom};
+    let mut text = String::new();
+    stat.seek(SeekFrom::Start(0)).expect("rewind /proc/self/stat");
+    stat.read_to_string(&mut text).expect("read /proc/self/stat");
+    // Fields 14 and 15, counted from the state field (3) after the command.
+    let fields: Vec<&str> = text[text.rfind(')').expect("command") + 2..].split(' ').collect();
+    fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn accept_errors_back_off_instead_of_spinning() {
+    if !is_child() {
+        return run_alone("accept_errors_back_off_instead_of_spinning", "ulimit -n 64 &&");
+    }
+    let handle = spawn_pinned(ServeConfig::default());
+    let addr = handle.addr();
+    PipelinedClient::connect(addr).expect("connect").ping().expect("served before");
+    let mut stat = std::fs::File::open("/proc/self/stat").expect("open /proc/self/stat");
+
+    // Fill the descriptor table, then spend one freed descriptor on a
+    // connect the acceptor cannot take: every accept(2) now fails with
+    // EMFILE while the connection waits in the listen backlog.
+    let mut hogs = Vec::new();
+    while let Ok(file) = std::fs::File::open("/dev/null") {
+        hogs.push(file);
+    }
+    hogs.pop();
+    let mut pending = TcpStream::connect(addr).expect("connect on the last descriptor");
+    let start = cpu_ticks(&mut stat);
+    thread::sleep(Duration::from_millis(500));
+    let spent = cpu_ticks(&mut stat) - start;
+    // Clock ticks are 10 ms: under 50 ms of CPU over 500 ms of wall time.
+    assert!(spent < 5, "{spent} ticks of CPU while accept(2) failed: the acceptor spins");
+
+    // Descriptors free again: the waiting connection and a fresh client
+    // are both served.
+    drop(hogs);
+    protocol::write_frame_v(&mut pending, VERSION_V2, 9, FrameKind::Ping, b"late").expect("ping");
+    let pong = protocol::read_frame_any(&mut pending, 1 << 10).expect("pong after the wait");
+    assert_eq!((pong.kind, pong.request_id), (FrameKind::Pong, 9));
+    PipelinedClient::connect(addr).expect("connect").ping().expect("fresh client served");
     handle.shutdown();
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 #[test]
 fn warm_serving_path_allocates_nothing_with_tracing_on() {
-    // Single event loop + single engine worker. The recorder's rings are
+    // One connection + single engine worker. The recorder's rings are
     // statics (`fmm-obs`'s `recorder_alloc.rs` proves a record never
     // allocates); here the whole warm request path is held to flat pool
     // misses while every request records its spans.
@@ -22,7 +22,7 @@ fn warm_serving_path_allocates_nothing_with_tracing_on() {
         ..EngineConfig::default()
     };
     let handle = Server::spawn_with_engines(
-        ServeConfig { trace: true, event_threads: 1, ..ServeConfig::default() },
+        ServeConfig { trace: true, ..ServeConfig::default() },
         Arc::new(FmmEngine::<f64>::new(engine_config.clone())),
         Arc::new(FmmEngine::<f32>::new(engine_config)),
     )

@@ -36,7 +36,7 @@ fn pinned_engines() -> (Arc<FmmEngine<f64>>, Arc<FmmEngine<f32>>) {
     (Arc::new(FmmEngine::<f64>::new(config.clone())), Arc::new(FmmEngine::<f32>::new(config)))
 }
 
-fn spawn_watched(event_threads: usize) -> ServerHandle {
+fn spawn_watched() -> ServerHandle {
     let (e64, e32) = pinned_engines();
     Server::spawn_with_engines(
         ServeConfig {
@@ -45,7 +45,6 @@ fn spawn_watched(event_threads: usize) -> ServerHandle {
                 max_batch: 8,
                 straggler_gap: Duration::from_millis(2),
             },
-            event_threads,
             watchdog: true,
             // Short stall deadline so the wedge test converges fast; the
             // healthy test must stay quiet even at this sensitivity.
@@ -74,7 +73,7 @@ fn notable_events(doc: &Incident) -> Vec<Event> {
 fn wedged_dispatcher_is_detected_and_named() {
     let _guard = SCENARIO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fmm_serve::dispatch::WEDGE_DISPATCH.store(true, Ordering::Relaxed);
-    let handle = spawn_watched(1);
+    let handle = spawn_watched();
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
 
     let a = fill::bench_workload(24, 16, 1);
@@ -138,14 +137,14 @@ fn wedged_dispatcher_is_detected_and_named() {
     handle.shutdown();
 }
 
-/// A healthy 4-event-thread daemon under pipelined load produces zero
-/// stall verdicts, and its wire-requested incident dump is schema-valid
-/// with populated always-on events and watchdog roster.
+/// A healthy daemon under pipelined load produces zero stall verdicts,
+/// and its wire-requested incident dump is schema-valid with populated
+/// always-on events and watchdog roster.
 #[test]
 fn healthy_daemon_has_zero_stall_verdicts() {
     let _guard = SCENARIO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fmm_serve::dispatch::WEDGE_DISPATCH.store(false, Ordering::Relaxed);
-    let handle = spawn_watched(4);
+    let handle = spawn_watched();
 
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
     let a = fill::bench_workload(24, 16, 3);
@@ -172,10 +171,10 @@ fn healthy_daemon_has_zero_stall_verdicts() {
     );
 
     // Incident dump over the wire: schema-tagged, always-on events
-    // populated, all loops and dispatchers on the watchdog roster.
+    // populated, both dispatchers on the watchdog roster.
     let doc = client.incident().expect("incident frame decodes, schema tag included");
     let names = &doc.watchdog.as_ref().expect("watchdog roster present").components;
-    assert_eq!(names.len(), 6, "4 event loops + 2 dispatchers on the roster: {names:?}");
+    assert_eq!(names.len(), 2, "the 2 dispatchers on the roster: {names:?}");
     assert!(!notable_events(&doc).is_empty(), "the always-on ring captured the load");
     assert!(!doc.build.version.is_empty() && !doc.build.kernel_f64.is_empty());
 
