@@ -26,7 +26,7 @@ fn main() {
     eprintln!(
         "fig2: m=n={mn}, k1={k1}, k2={k2}, reps={}, kernel={}",
         p.reps,
-        fmm_gemm::kernel::selected_name()
+        <f64 as fmm_gemm::GemmScalar>::micro_kernel_name()
     );
 
     let gemm1 = measure_gemm(mn, k1, mn, &params, &arch, p.reps, p.parallel());

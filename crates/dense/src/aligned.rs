@@ -19,6 +19,8 @@ pub struct AlignedBuf<T = f64> {
 
 // SAFETY: `AlignedBuf` owns its allocation exclusively, like `Vec<T>`.
 unsafe impl<T: Scalar> Send for AlignedBuf<T> {}
+// SAFETY: `&AlignedBuf` only reads the elements, which are `Sync`;
+// mutation needs `&mut`, as for `Vec<T>`.
 unsafe impl<T: Scalar> Sync for AlignedBuf<T> {}
 
 impl<T: Scalar> AlignedBuf<T> {

@@ -28,6 +28,7 @@
 //! ```
 
 #![forbid(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 
 pub mod aligned;
 pub mod errors;

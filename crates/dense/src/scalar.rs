@@ -18,8 +18,9 @@
 /// views, packing buffers, and test assertions need; the inherent items
 /// cover arithmetic (`mul_add`, `abs`), conversion to/from the `f64`
 /// coefficient domain (plan coefficients `U`, `V`, `W` stay `f64` and are
-/// narrowed at the execution boundary), and the dtype metadata used for
-/// kernel selection and model costs.
+/// narrowed at the execution boundary), and the dtype metadata (epsilon
+/// and name) used by error bounds and reports. The register tile is the
+/// kernel's to choose: see `fmm_gemm::GemmScalar`.
 pub trait Scalar:
     Copy
     + Send
@@ -45,9 +46,6 @@ pub trait Scalar:
     /// Machine epsilon of this type, widened to `f64` so error bounds can
     /// be computed in one precision regardless of `Self`.
     const EPSILON: f64;
-    /// Lanes of this type per 256-bit SIMD vector — the width hint kernel
-    /// register tiles are sized from (4 for `f64`, 8 for `f32`).
-    const SIMD_WIDTH_HINT: usize;
     /// Display name of the dtype (`"f64"`, `"f32"`).
     const NAME: &'static str;
 
@@ -84,7 +82,6 @@ impl Scalar for f64 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
     const EPSILON: f64 = f64::EPSILON;
-    const SIMD_WIDTH_HINT: usize = 4;
     const NAME: &'static str = "f64";
 
     #[inline(always)]
@@ -117,7 +114,6 @@ impl Scalar for f32 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
     const EPSILON: f64 = f32::EPSILON as f64;
-    const SIMD_WIDTH_HINT: usize = 8;
     const NAME: &'static str = "f32";
 
     #[inline(always)]
@@ -158,11 +154,6 @@ mod tests {
         assert_eq!(f64::from_f64(-3.25), -3.25);
         assert_eq!(<f32 as Scalar>::NAME, "f32");
         assert_eq!(<f64 as Scalar>::NAME, "f64");
-    }
-
-    #[test]
-    fn simd_hint_doubles_for_f32() {
-        assert_eq!(f32::SIMD_WIDTH_HINT, 2 * f64::SIMD_WIDTH_HINT);
     }
 
     #[test]

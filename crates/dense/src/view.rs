@@ -32,6 +32,8 @@ impl<T> Copy for MatRef<'_, T> {}
 // SAFETY: a `MatRef` only permits reads of the underlying scalar data, which
 // is `Sync`; sharing the view across threads is as safe as sharing `&[T]`.
 unsafe impl<T: Scalar> Send for MatRef<'_, T> {}
+// SAFETY: a shared `&MatRef` gives no more access than a `MatRef`: reads
+// of `Sync` data, like `&&[T]`.
 unsafe impl<T: Scalar> Sync for MatRef<'_, T> {}
 
 /// Mutable strided view of a matrix of `T` (default `f64`).

@@ -15,12 +15,16 @@
 //! runs inline or over rayon workers as its [`IcLoop`] argument says, which
 //! is all the paper's data parallelism (§5.1) needs.
 
-use crate::kernel::{GemmScalar, MicroKernelFn, ACC_CAP};
+use crate::kernel::{GemmScalar, MicroKernelFn};
 use crate::pack;
 use crate::params::BlockingParams;
 use crate::workspace::{GemmWorkspace, PooledWorkspace};
 use fmm_dense::{MatMut, MatRef, Scalar};
 use rayon::prelude::*;
+
+/// Upper bound on `MR * NR` across every supported scalar — the stack
+/// accumulator is sized by this so one code path serves all dtypes.
+pub(crate) const ACC_CAP: usize = 64;
 
 /// One destination of a generalized GEMM: a mutable view plus the scalar
 /// coefficient `w` applied to the product before accumulation.
@@ -83,6 +87,8 @@ impl<T: Scalar> Copy for RawDest<T> {}
 // writers by disjoint row ranges, and the inline one is single threaded.
 // The pointer itself is as sendable as the `&mut` it came from.
 unsafe impl<T: Scalar> Send for RawDest<T> {}
+// SAFETY: shared `RawDest`s are only read (copied) by the workers, and
+// the writes through their pointers are disjoint, as for `Send` above.
 unsafe impl<T: Scalar> Sync for RawDest<T> {}
 
 /// Row-major destinations run as the column-major problem they transpose
@@ -291,7 +297,7 @@ fn macro_kernel<T: GemmScalar>(
     store: bool,
 ) {
     let (mr, nr) = (T::MR, T::NR);
-    debug_assert!(mr * nr <= ACC_CAP);
+    const { assert!(T::MR * T::NR <= ACC_CAP, "register tile exceeds the stack accumulator") };
     let mut jr = 0;
     while jr < nb {
         let nr_eff = nr.min(nb - jr);

@@ -1,56 +1,28 @@
-//! Register-blocked micro-kernels.
+//! The register-blocked micro-kernel, written once.
 //!
-//! A micro-kernel computes the full `MR x NR` rank-`kc` update
-//! `acc += Ã_panel * B̃_panel` from two packed micro-panels, entirely in
-//! registers/local storage. Destination handling (adding the accumulator
-//! into one or many submatrices of `C`) lives in the driver so that the same
-//! kernel serves plain GEMM and every FMM variant.
+//! [`kernel`] computes the `MR x NR` rank-`kc` update `acc += Ã * B̃` of
+//! two packed micro-panels in registers. It is generic over a [`Lane`] (a
+//! SIMD vector, or an array the compiler vectorises) and over the tile:
+//! `MV` lanes per column times `NR` columns, so `MR = MV * Lane::W`. An
+//! instance is that source compiled with its lane's target features:
 //!
-//! Two `f64` implementations are provided (a portable Rust kernel that LLVM
-//! auto-vectorizes, and AVX2+FMA / AVX-512 kernels using `std::arch`
-//! intrinsics) plus an `f32` pair (portable and AVX2+FMA over the doubled
-//! `16 x 4` register tile), each selected once at startup by runtime
-//! feature detection. Kernel dispatch for generic code goes through the
-//! [`GemmScalar`] trait: the driver asks `T::micro_kernel()` for the entry
-//! point and `T::MR`/`T::NR` for the register tile it packs for.
-
-#[cfg(target_arch = "x86_64")]
-pub mod avx;
-#[cfg(target_arch = "x86_64")]
-pub mod avx512;
-#[cfg(target_arch = "x86_64")]
-pub mod avx_f32;
-pub mod portable;
+//! | name | lane | MV x NR | CPU check |
+//! |---|---|---|---|
+//! | `avx512f_8x4` | `__m512d` | 1 x 4 | `avx512f` |
+//! | `avx2_fma_8x4` | `__m256d` | 2 x 4 | `avx2` and `fma` |
+//! | `portable_8x4` | `[f64; 4]` | 2 x 4 | none |
+//! | `avx2_fma_16x4` | `__m256` | 2 x 4 | `avx2` and `fma` |
+//! | `portable_16x4` | `[f32; 8]` | 2 x 4 | none |
+//!
+//! Each dtype lists its instances in preference order; the first one the
+//! CPU supports is picked once per process and reached through
+//! [`GemmScalar`]. A new tile or lane is a new row of these tables.
 
 use crate::workspace::WorkspacePool;
 use fmm_dense::Scalar;
-
-/// Micro-tile rows: two 256-bit vectors of the dtype per accumulator
-/// column. For `f64` that is the paper's `mR = 8`.
-pub const MR: usize = 2 * <f64 as Scalar>::SIMD_WIDTH_HINT;
-/// Micro-tile columns. Matches the paper's `nR = 4`.
-pub const NR: usize = 4;
-
-/// The micro-kernel accumulator: an `MR x NR` tile in column-major order
-/// (`acc[i + j * MR]`).
-pub type Acc = [f64; MR * NR];
-
-/// Function signature shared by all micro-kernels.
-///
-/// # Safety
-/// `a` must point to `kc * MR` readable elements (a packed A micro-panel)
-/// and `b` to `kc * NR` readable elements (a packed B micro-panel).
-pub type MicroKernel = unsafe fn(kc: usize, a: *const f64, b: *const f64, acc: &mut Acc);
-
-/// Micro-tile rows of the `f32` kernels: twice the `f64` rows, matching
-/// the doubled 256-bit lane count (16 `f32` rows = two `__m256` vectors).
-pub const MR_F32: usize = 2 * <f32 as Scalar>::SIMD_WIDTH_HINT;
-/// Micro-tile columns of the `f32` kernels.
-pub const NR_F32: usize = 4;
-
-/// Upper bound on `MR * NR` across every supported scalar — the driver's
-/// stack accumulator is sized by this so one code path serves all dtypes.
-pub const ACC_CAP: usize = 64;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
+use std::sync::OnceLock;
 
 /// Raw generic micro-kernel signature: `acc` (an `MR x NR` column-major
 /// tile of `T`) accumulates the rank-`kc` product of two packed panels.
@@ -79,62 +51,14 @@ pub trait GemmScalar: Scalar {
 }
 
 impl GemmScalar for f64 {
-    const MR: usize = MR;
-    const NR: usize = NR;
-
+    const MR: usize = 8;
+    const NR: usize = 4;
     fn micro_kernel() -> MicroKernelFn<f64> {
-        // One concrete adapter per kernel over the legacy `&mut Acc` ABI
-        // (the generic driver hands a pointer to at least `MR * NR`
-        // writable elements), selected once — the adapter invoked per
-        // micro-tile is a single direct call into the chosen kernel, with
-        // no per-tile `OnceLock` load.
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: (all three adapters) the caller upholds the
-            // `MicroKernelFn` contract — `acc` points to `MR * NR`
-            // writable elements, which is exactly `Acc`'s layout — and
-            // each adapter is only selected after `selected_name()`
-            // confirmed the matching CPU features at runtime.
-            unsafe fn adapt_avx512(kc: usize, a: *const f64, b: *const f64, acc: *mut f64) {
-                // SAFETY: forwarded `MicroKernelFn` contract (see above).
-                unsafe { avx512::kernel_8x4_avx512_entry(kc, a, b, &mut *(acc as *mut Acc)) }
-            }
-            // SAFETY: as above.
-            unsafe fn adapt_avx2(kc: usize, a: *const f64, b: *const f64, acc: *mut f64) {
-                // SAFETY: forwarded `MicroKernelFn` contract (see above).
-                unsafe { avx::kernel_8x4_avx2_entry(kc, a, b, &mut *(acc as *mut Acc)) }
-            }
-            // SAFETY: as above (the portable kernel needs no CPU features).
-            unsafe fn adapt_portable(kc: usize, a: *const f64, b: *const f64, acc: *mut f64) {
-                // SAFETY: forwarded `MicroKernelFn` contract (see above).
-                unsafe { portable::kernel_8x4_portable(kc, a, b, &mut *(acc as *mut Acc)) }
-            }
-            use std::sync::OnceLock;
-            static CHOICE: OnceLock<MicroKernelFn<f64>> = OnceLock::new();
-            *CHOICE.get_or_init(|| match selected_name() {
-                "avx512f_8x4" => adapt_avx512,
-                "avx2_fma_8x4" => adapt_avx2,
-                _ => adapt_portable,
-            })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            // SAFETY: the caller upholds the `MicroKernelFn` contract —
-            // `acc` points to `MR * NR` writable elements, which is
-            // exactly `Acc`'s layout; the portable kernel needs no CPU
-            // features.
-            unsafe fn adapt_portable(kc: usize, a: *const f64, b: *const f64, acc: *mut f64) {
-                // SAFETY: forwarded `MicroKernelFn` contract (see above).
-                unsafe { portable::kernel_8x4_portable(kc, a, b, &mut *(acc as *mut Acc)) }
-            }
-            adapt_portable
-        }
+        selected(&F64_CHOICE, F64_KERNELS).run
     }
-
     fn micro_kernel_name() -> &'static str {
-        selected_name()
+        selected(&F64_CHOICE, F64_KERNELS).name
     }
-
     fn global_pool() -> &'static WorkspacePool<f64> {
         static POOL: WorkspacePool<f64> = WorkspacePool::new();
         &POOL
@@ -142,245 +66,352 @@ impl GemmScalar for f64 {
 }
 
 impl GemmScalar for f32 {
-    const MR: usize = MR_F32;
-    const NR: usize = NR_F32;
-
+    const MR: usize = 16;
+    const NR: usize = 4;
     fn micro_kernel() -> MicroKernelFn<f32> {
-        select_f32()
+        selected(&F32_CHOICE, F32_KERNELS).run
     }
-
     fn micro_kernel_name() -> &'static str {
-        selected_name_f32()
+        selected(&F32_CHOICE, F32_KERNELS).name
     }
-
     fn global_pool() -> &'static WorkspacePool<f32> {
         static POOL: WorkspacePool<f32> = WorkspacePool::new();
         &POOL
     }
 }
 
-const _: () = assert!(MR * NR <= ACC_CAP && MR_F32 * NR_F32 <= ACC_CAP);
+/// One row of a dtype's instance table.
+#[derive(Clone, Copy)]
+struct Instance<T> {
+    name: &'static str,
+    supported: fn() -> bool,
+    run: MicroKernelFn<T>,
+}
 
-/// Select the best `f32` micro-kernel for the running CPU (detected once).
-pub fn select_f32() -> MicroKernelFn<f32> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::sync::OnceLock;
-        static CHOICE: OnceLock<MicroKernelFn<f32>> = OnceLock::new();
-        *CHOICE.get_or_init(|| match selected_name_f32() {
-            "avx2_fma_16x4" => avx_f32::kernel_16x4_avx2_f32_entry,
-            _ => portable::kernel_16x4_portable_f32,
-        })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        portable::kernel_16x4_portable_f32
+impl<T: GemmScalar> Instance<T> {
+    /// [`kernel`] on lane `L` at `MV x NR`; a tile other than `T`'s fails to compile.
+    const fn new<L: Lane<Elem = T>, const MV: usize, const NR: usize>(name: &'static str) -> Self {
+        assert!(MV * L::W == T::MR && NR == T::NR, "instance tile is not T::MR x T::NR");
+        Self { name, supported: L::supported, run: L::instance::<MV, NR> }
     }
 }
 
-/// Name of the kernel [`select_f32`] returns, for benchmark reports.
-pub fn selected_name_f32() -> &'static str {
+static F64_KERNELS: &[Instance<f64>] = &[
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return "avx2_fma_16x4";
-        }
-    }
-    "portable_16x4"
+    Instance::new::<__m512d, 1, 4>("avx512f_8x4"),
+    #[cfg(target_arch = "x86_64")]
+    Instance::new::<__m256d, 2, 4>("avx2_fma_8x4"),
+    Instance::new::<[f64; 4], 2, 4>("portable_8x4"),
+];
+
+static F32_KERNELS: &[Instance<f32>] = &[
+    #[cfg(target_arch = "x86_64")]
+    Instance::new::<__m256, 2, 4>("avx2_fma_16x4"),
+    Instance::new::<[f32; 8], 2, 4>("portable_16x4"),
+];
+
+static F64_CHOICE: OnceLock<Instance<f64>> = OnceLock::new();
+static F32_CHOICE: OnceLock<Instance<f32>> = OnceLock::new();
+
+/// The first row of `table` this CPU supports, found once into `choice`.
+fn selected<T: Copy>(choice: &'static OnceLock<Instance<T>>, table: &[Instance<T>]) -> Instance<T> {
+    let first = || table.iter().copied().find(|row| (row.supported)());
+    *choice.get_or_init(|| first().expect("the portable row runs everywhere"))
 }
 
-/// Select the best micro-kernel for the running CPU (detected once).
+/// `W` elements the kernel moves and multiplies as one: a SIMD vector or an array.
 ///
-/// Preference order on x86-64: AVX-512F, then AVX2+FMA, then portable.
-/// Set `FMM_NO_AVX512=1` to skip the 512-bit kernel (beneficial on parts
-/// that downclock under 512-bit load).
-pub fn select() -> MicroKernel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::sync::OnceLock;
-        static CHOICE: OnceLock<MicroKernel> = OnceLock::new();
-        *CHOICE.get_or_init(|| match selected_name() {
-            "avx512f_8x4" => avx512::kernel_8x4_avx512_entry,
-            "avx2_fma_8x4" => avx::kernel_8x4_avx2_entry,
-            _ => portable::kernel_8x4_portable,
-        })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        portable::kernel_8x4_portable
+/// # Safety
+/// Every `unsafe` method needs a CPU with the lane's target features (what
+/// [`Lane::supported`] checks), and pointers valid for `W` elements.
+trait Lane: Copy {
+    type Elem: Scalar;
+    const W: usize;
+    /// Whether this CPU has the lane's target features.
+    fn supported() -> bool;
+    /// # Safety
+    /// See [`Lane`].
+    unsafe fn load(p: *const Self::Elem) -> Self;
+    /// # Safety
+    /// See [`Lane`].
+    unsafe fn splat(x: Self::Elem) -> Self;
+    /// # Safety
+    /// See [`Lane`]. `c + self * b`, fused for SIMD lanes, unfused for arrays.
+    unsafe fn mul_add(self, b: Self, c: Self) -> Self;
+    /// # Safety
+    /// See [`Lane`]. Adds `self` into the `W` elements at `p`.
+    unsafe fn add_store(self, p: *mut Self::Elem);
+    /// # Safety
+    /// As [`kernel`], which this is at `MV x NR`. SIMD lanes override it
+    /// to compile the kernel with their target features.
+    unsafe fn instance<const MV: usize, const NR: usize>(
+        kc: usize,
+        a: *const Self::Elem,
+        b: *const Self::Elem,
+        acc: *mut Self::Elem,
+    ) {
+        // SAFETY: forwarded contract.
+        unsafe { kernel::<Self, MV, NR>(kc, a, b, acc) }
     }
 }
 
-/// Name of the kernel [`select`] returns, for benchmark reports.
-pub fn selected_name() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let no512 = std::env::var_os("FMM_NO_AVX512").is_some_and(|v| v != "0");
-        if !no512 && std::arch::is_x86_feature_detected!("avx512f") {
-            return "avx512f_8x4";
+/// `acc += Ã * B̃` over depth `kc` for an `MV * L::W x NR` tile held in
+/// `MV * NR` lanes, which start at zero and are added into `acc` once. The
+/// depth loop is unrolled twice; each lane's chain stays in depth order.
+///
+/// # Safety
+/// The CPU has `L`'s target features; `a` points to `kc * MV * L::W`
+/// readable elements, `b` to `kc * NR`, `acc` to `MV * L::W * NR` writable.
+#[inline(always)]
+unsafe fn kernel<L: Lane, const MV: usize, const NR: usize>(
+    kc: usize,
+    a: *const L::Elem,
+    b: *const L::Elem,
+    acc: *mut L::Elem,
+) {
+    let mr = MV * L::W;
+    // SAFETY: `L`'s features are present, and every offset stays within
+    // the `kc * mr` / `kc * NR` panels and the `mr * NR` tile.
+    unsafe {
+        let mut c = [[L::splat(L::Elem::ZERO); MV]; NR];
+        let (mut ap, mut bp) = (a, b);
+        for _ in 0..kc / 2 {
+            step(&mut c, ap, bp);
+            step(&mut c, ap.add(mr), bp.add(NR));
+            ap = ap.add(2 * mr);
+            bp = bp.add(2 * NR);
         }
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return "avx2_fma_8x4";
+        if kc % 2 == 1 {
+            step(&mut c, ap, bp);
+        }
+        for (j, col) in c.iter().enumerate() {
+            for (v, lane) in col.iter().enumerate() {
+                lane.add_store(acc.add(j * mr + v * L::W));
+            }
         }
     }
-    "portable_8x4"
+}
+
+/// One depth step: `c[j][v] += a[v] * b[j]`.
+///
+/// # Safety
+/// As [`kernel`] at `kc = 1`.
+#[inline(always)]
+unsafe fn step<L: Lane, const MV: usize, const NR: usize>(
+    c: &mut [[L; MV]; NR],
+    a: *const L::Elem,
+    b: *const L::Elem,
+) {
+    // SAFETY: `L`'s features are present and the reads stay within the
+    // `MV * L::W` column of `a` and the `NR` row of `b`.
+    unsafe {
+        let mut av = [L::splat(L::Elem::ZERO); MV];
+        for (v, x) in av.iter_mut().enumerate() {
+            *x = L::load(a.add(v * L::W));
+        }
+        for (j, col) in c.iter_mut().enumerate() {
+            let bj = L::splat(*b.add(j));
+            for (x, cv) in av.iter().zip(col.iter_mut()) {
+                *cv = x.mul_add(bj, *cv);
+            }
+        }
+    }
+}
+
+/// The portable lane: plain arithmetic that LLVM vectorises for the
+/// baseline target. It multiplies, then adds, unfused, so hosts without
+/// FMA never pay for a libm call.
+impl<T: Scalar, const N: usize> Lane for [T; N] {
+    type Elem = T;
+    const W: usize = N;
+    fn supported() -> bool {
+        true
+    }
+    // SAFETY: `p` is valid for `N` reads (the `Lane` contract).
+    #[inline(always)]
+    unsafe fn load(p: *const T) -> Self {
+        // SAFETY: as above; an unaligned read needs no more than that.
+        unsafe { p.cast::<[T; N]>().read_unaligned() }
+    }
+    // SAFETY: no requirement; `unsafe` only to match the trait.
+    #[inline(always)]
+    unsafe fn splat(x: T) -> Self {
+        [x; N]
+    }
+    // SAFETY: no requirement; `unsafe` only to match the trait.
+    #[inline(always)]
+    unsafe fn mul_add(self, b: Self, c: Self) -> Self {
+        std::array::from_fn(|i| c[i] + self[i] * b[i])
+    }
+    // SAFETY: `p` is valid for `N` reads and writes (the `Lane` contract).
+    #[inline(always)]
+    unsafe fn add_store(self, p: *mut T) {
+        for (i, x) in self.into_iter().enumerate() {
+            // SAFETY: as above, and `i < N`.
+            unsafe { *p.add(i) += x };
+        }
+    }
+}
+
+/// [`Lane`] for `std::arch` vectors: per lane its type, element, width and
+/// target features, then its load, broadcast, FMA, add and store.
+#[cfg(target_arch = "x86_64")]
+macro_rules! x86_lanes {
+    ($($lane:ty, $elem:ty, $w:literal, [$($feature:tt),+],
+       $load:ident, $set1:ident, $fmadd:ident, $add:ident, $store:ident;)+) => {$(
+        impl Lane for $lane {
+            type Elem = $elem;
+            const W: usize = $w;
+            fn supported() -> bool { $(is_x86_feature_detected!($feature))&&+ }
+            // SAFETY: the `Lane` contract: features present, `p` valid for `W`.
+            #[inline(always)]
+            unsafe fn load(p: *const $elem) -> Self { unsafe { $load(p) } }
+            // SAFETY: the `Lane` contract: the features are present.
+            #[inline(always)]
+            unsafe fn splat(x: $elem) -> Self { unsafe { $set1(x) } }
+            // SAFETY: the `Lane` contract: the features are present.
+            #[inline(always)]
+            unsafe fn mul_add(self, b: Self, c: Self) -> Self { unsafe { $fmadd(self, b, c) } }
+            // SAFETY: as for `load`.
+            #[inline(always)]
+            unsafe fn add_store(self, p: *mut $elem) { unsafe { $store(p, $add($load(p), self)) } }
+            // SAFETY: `kernel`'s contract, the features included.
+            #[target_feature($(enable = $feature),+)]
+            unsafe fn instance<const MV: usize, const NR: usize>(
+                kc: usize, a: *const $elem, b: *const $elem, acc: *mut $elem,
+            ) {
+                // SAFETY: as above.
+                unsafe { kernel::<Self, MV, NR>(kc, a, b, acc) }
+            }
+        }
+    )+};
+}
+
+#[cfg(target_arch = "x86_64")]
+x86_lanes! {
+    __m512d, f64, 8, ["avx512f"],
+        _mm512_loadu_pd, _mm512_set1_pd, _mm512_fmadd_pd, _mm512_add_pd, _mm512_storeu_pd;
+    __m256d, f64, 4, ["avx2", "fma"],
+        _mm256_loadu_pd, _mm256_set1_pd, _mm256_fmadd_pd, _mm256_add_pd, _mm256_storeu_pd;
+    __m256, f32, 8, ["avx2", "fma"],
+        _mm256_loadu_ps, _mm256_set1_ps, _mm256_fmadd_ps, _mm256_add_ps, _mm256_storeu_ps;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::ACC_CAP;
 
-    /// Pack simple deterministic panels and check the kernel against a
-    /// scalar triple loop.
-    fn check_kernel(kernel: MicroKernel, kc: usize) {
-        let a: Vec<f64> = (0..kc * MR).map(|x| (x % 13) as f64 - 6.0).collect();
-        let b: Vec<f64> = (0..kc * NR).map(|x| (x % 7) as f64 * 0.5 - 1.5).collect();
-        let mut acc: Acc = [0.1; MR * NR]; // non-zero start: kernel must accumulate
-                                           // SAFETY: panels allocated with exactly the required lengths.
-        unsafe { kernel(kc, a.as_ptr(), b.as_ptr(), &mut acc) };
-        for j in 0..NR {
-            for i in 0..MR {
-                let mut expect = 0.1;
-                for p in 0..kc {
-                    expect += a[p * MR + i] * b[p * NR + j];
+    /// Odd and even depths (the unroll's remainder), and both sides of 256.
+    const DEPTHS: [usize; 10] = [0, 1, 2, 3, 5, 64, 173, 255, 256, 257];
+
+    /// A fused multiply-add `x * y + c`, or `None` for multiply-then-add.
+    type Fma<T> = Option<fn(T, T, T) -> T>;
+
+    /// Values in [-1, 1) whose products round, so a fused and an unfused
+    /// multiply-add, or two orders of one chain, give different bits.
+    fn values<T: Scalar>(len: usize, seed: u64) -> Vec<T> {
+        let mut s = seed;
+        (0..len)
+            .map(|_| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                T::from_f64((s >> 11) as f64 / (1u64 << 52) as f64 - 1.0)
+            })
+            .collect()
+    }
+
+    /// Run `run` as an `mr x nr` kernel from a non-zero `acc`, and check
+    /// each element bit for bit against a scalar replay of its chain:
+    /// `c = 0`, then `c = fma(a, b, c)` (or `c + a * b`) in depth order,
+    /// then `acc + c`.
+    fn check<T: GemmScalar>(name: &str, run: MicroKernelFn<T>, mr: usize, nr: usize, fma: Fma<T>) {
+        for kc in DEPTHS {
+            let (a, b) = (values::<T>(kc * mr, 1), values::<T>(kc * nr, 2));
+            let acc0 = values::<T>(mr * nr, 3);
+            let mut acc = acc0.clone();
+            // SAFETY: the panels and the tile have the lengths an `mr x nr`
+            // kernel reads and writes, and callers pass only instances this
+            // CPU supports.
+            unsafe { run(kc, a.as_ptr(), b.as_ptr(), acc.as_mut_ptr()) };
+            for j in 0..nr {
+                for i in 0..mr {
+                    let mut c = T::ZERO;
+                    for p in 0..kc {
+                        let (x, y) = (a[p * mr + i], b[p * nr + j]);
+                        c = fma.map_or(c + x * y, |f| f(x, y, c));
+                    }
+                    let (got, want) = (acc[i + j * mr], acc0[i + j * mr] + c);
+                    assert_eq!(
+                        got.to_f64().to_bits(),
+                        want.to_f64().to_bits(),
+                        "{name} {mr}x{nr} kc={kc} at ({i}, {j}): got {got}, want {want}"
+                    );
                 }
-                let got = acc[i + j * MR];
-                assert!(
-                    (got - expect).abs() < 1e-10 * expect.abs().max(1.0),
-                    "kc={kc} i={i} j={j}: got {got}, expect {expect}"
-                );
             }
         }
     }
 
-    #[test]
-    fn portable_kernel_matches_scalar() {
-        for kc in [0, 1, 2, 5, 64, 257] {
-            check_kernel(portable::kernel_8x4_portable, kc);
+    /// Portable rows multiply, then add; every other row fuses.
+    fn fma_of<T>(row: &Instance<T>, fma: fn(T, T, T) -> T) -> Fma<T> {
+        (!row.name.starts_with("portable")).then_some(fma)
+    }
+
+    /// The one source at tiles no production instance uses: `M1·W x 4`,
+    /// `M2·W x 8` and `M3·W x 8` on lane `L`, if this CPU supports it.
+    fn check_tiles<L: Lane, const M1: usize, const M2: usize, const M3: usize>(fma: Fma<L::Elem>)
+    where
+        L::Elem: GemmScalar,
+    {
+        if L::supported() {
+            check("test tile", L::instance::<M1, 4>, M1 * L::W, 4, fma);
+            check("test tile", L::instance::<M2, 8>, M2 * L::W, 8, fma);
+            check("test tile", L::instance::<M3, 8>, M3 * L::W, 8, fma);
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_kernel_matches_scalar_when_supported() {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            for kc in [0, 1, 2, 5, 64, 257] {
-                check_kernel(avx::kernel_8x4_avx2_entry, kc);
-            }
-        }
+    /// `T::micro_kernel()` is the first row of `table` this CPU supports.
+    fn check_selected<T: GemmScalar>(table: &[Instance<T>], fma: fn(T, T, T) -> T) {
+        let first = table.iter().find(|row| (row.supported)()).unwrap();
+        assert_eq!(T::micro_kernel_name(), first.name);
+        check(first.name, T::micro_kernel(), T::MR, T::NR, fma_of(first, fma));
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx512_kernel_matches_scalar_when_supported() {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // Odd and even kc both exercise the 2-way unroll remainder.
-            for kc in [0, 1, 2, 3, 5, 64, 255, 256] {
-                check_kernel(avx512::kernel_8x4_avx512_entry, kc);
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
+    /// Every instance this CPU supports, both dtypes, exactly: the table
+    /// rows at their tiles, then f64 8x4, 16x8, 24x8 and f32 16x4, 32x8,
+    /// 48x8 on every supported lane.
     #[test]
     fn all_available_kernels_agree_exactly() {
-        // Identical packed inputs, identical FMA order within a column:
-        // every kernel must produce the same accumulator bit for bit is too
-        // strong across ISAs (different fma contraction), so compare to
-        // 1 ulp-scale tolerance.
-        let kc = 173;
-        let a: Vec<f64> = (0..kc * MR).map(|x| ((x * 37) % 11) as f64 - 5.0).collect();
-        let b: Vec<f64> = (0..kc * NR).map(|x| ((x * 17) % 7) as f64 * 0.25).collect();
-        let mut kernels: Vec<(&str, MicroKernel)> =
-            vec![("portable", portable::kernel_8x4_portable)];
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        for row in F64_KERNELS.iter().filter(|row| (row.supported)()) {
+            check(row.name, row.run, f64::MR, f64::NR, fma_of(row, f64::mul_add));
+        }
+        for row in F32_KERNELS.iter().filter(|row| (row.supported)()) {
+            check(row.name, row.run, f32::MR, f32::NR, fma_of(row, f32::mul_add));
+        }
+        check_tiles::<[f64; 4], 2, 4, 6>(None);
+        check_tiles::<[f32; 8], 2, 4, 6>(None);
+        #[cfg(target_arch = "x86_64")]
         {
-            kernels.push(("avx2", avx::kernel_8x4_avx2_entry));
-        }
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            kernels.push(("avx512", avx512::kernel_8x4_avx512_entry));
-        }
-        let mut results = Vec::new();
-        for (name, k) in &kernels {
-            let mut acc: Acc = [0.0; MR * NR];
-            // SAFETY: panels sized above.
-            unsafe { k(kc, a.as_ptr(), b.as_ptr(), &mut acc) };
-            results.push((*name, acc));
-        }
-        for pair in results.windows(2) {
-            for i in 0..MR * NR {
-                let (x, y) = (pair[0].1[i], pair[1].1[i]);
-                assert!(
-                    (x - y).abs() <= 1e-9 * x.abs().max(1.0),
-                    "{} vs {} at {i}: {x} vs {y}",
-                    pair[0].0,
-                    pair[1].0
-                );
-            }
+            check_tiles::<__m512d, 1, 2, 3>(Some(f64::mul_add));
+            check_tiles::<__m256d, 2, 4, 6>(Some(f64::mul_add));
+            check_tiles::<__m256, 2, 4, 6>(Some(f32::mul_add));
         }
     }
 
     #[test]
     fn selected_kernel_matches_scalar() {
-        check_kernel(select(), 128);
-        assert!(!selected_name().is_empty());
-    }
-
-    /// f32 analogue of `check_kernel`: packed panels against a scalar
-    /// triple loop, at the f32-appropriate tolerance.
-    fn check_kernel_f32(kernel: MicroKernelFn<f32>, kc: usize) {
-        let a: Vec<f32> = (0..kc * MR_F32).map(|x| (x % 13) as f32 - 6.0).collect();
-        let b: Vec<f32> = (0..kc * NR_F32).map(|x| (x % 7) as f32 * 0.5 - 1.5).collect();
-        let mut acc = [0.1f32; MR_F32 * NR_F32]; // non-zero start: kernel must accumulate
-                                                 // SAFETY: panels allocated with exactly the required lengths.
-        unsafe { kernel(kc, a.as_ptr(), b.as_ptr(), acc.as_mut_ptr()) };
-        for j in 0..NR_F32 {
-            for i in 0..MR_F32 {
-                let mut expect = 0.1f32;
-                for p in 0..kc {
-                    expect += a[p * MR_F32 + i] * b[p * NR_F32 + j];
-                }
-                let got = acc[i + j * MR_F32];
-                assert!(
-                    (got - expect).abs() < 1e-3 * expect.abs().max(1.0),
-                    "kc={kc} i={i} j={j}: got {got}, expect {expect}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn portable_f32_kernel_matches_scalar() {
-        for kc in [0, 1, 2, 5, 64, 257] {
-            check_kernel_f32(portable::kernel_16x4_portable_f32, kc);
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_f32_kernel_matches_scalar_when_supported() {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            for kc in [0, 1, 2, 5, 64, 257] {
-                check_kernel_f32(avx_f32::kernel_16x4_avx2_f32_entry, kc);
-            }
-        }
+        check_selected(F64_KERNELS, f64::mul_add);
     }
 
     #[test]
     fn selected_f32_kernel_matches_scalar() {
-        check_kernel_f32(select_f32(), 128);
-        assert!(!selected_name_f32().is_empty());
+        check_selected(F32_KERNELS, f32::mul_add);
     }
 
     #[test]
     fn gemm_scalar_tiles_fit_the_accumulator() {
         assert_eq!(<f64 as GemmScalar>::MR * <f64 as GemmScalar>::NR, 32);
         assert_eq!(<f32 as GemmScalar>::MR * <f32 as GemmScalar>::NR, ACC_CAP);
-        // The f32 tile doubles the f64 rows, tracking the SIMD width hint.
+        // The f32 tile doubles the f64 rows, as its lanes hold twice as many.
         assert_eq!(<f32 as GemmScalar>::MR, 2 * <f64 as GemmScalar>::MR);
     }
 }

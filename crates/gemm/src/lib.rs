@@ -24,10 +24,13 @@
 //! directly.
 //!
 //! The whole substrate is generic over the packed element type through
-//! [`kernel::GemmScalar`] (`f64` default, `f32` supported): the trait owns
-//! the register tile (`8x4` doubles, `16x4` singles — same eight 256-bit
-//! accumulators, double the lanes), the runtime-selected micro-kernel, and
-//! a per-dtype global packing pool. Callers pass one `BlockingParams`; the
+//! [`GemmScalar`] (`f64` default, `f32` supported): the trait owns the
+//! register tile (`8x4` doubles, `16x4` singles), the runtime-selected
+//! micro-kernel, and a per-dtype global packing pool. Every micro-kernel
+//! is one generic source, instantiated per instruction set and dtype:
+//! `avx512f_8x4`, `avx2_fma_8x4` and `portable_8x4` for `f64`,
+//! `avx2_fma_16x4` and `portable_16x4` for `f32`, the first one the CPU
+//! supports picked once per process. Callers pass one `BlockingParams`; the
 //! driver swaps in the kernel's register tile via
 //! [`BlockingParams::with_register_tile`] while keeping the cache-level
 //! blocking as configured.
@@ -52,9 +55,10 @@
 //! ```
 
 #![forbid(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 
 pub mod driver;
-pub mod kernel;
+mod kernel;
 mod obs_hooks;
 pub mod pack;
 pub mod params;
