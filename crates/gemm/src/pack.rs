@@ -29,14 +29,28 @@ use fmm_dense::{MatRef, Scalar};
 /// With a single term of coefficient 1.0 this is exactly the BLIS `packm`
 /// operation; with several terms it implements the AB/ABC-variant
 /// pack-and-add at the same memory traffic as a plain pack.
+///
+/// The single unit term (plain GEMM's pack) copies a panel at a time; it
+/// keeps its own loop for the reason [`crate::driver::gemm_sums_with`]
+/// keeps plain GEMM's epilogue. A sum of column-major terms (FMM's case)
+/// is read one column at a time, `mb` contiguous elements per term, and
+/// folded into every micro-panel in fixed chunks the compiler vectorises.
+/// Reading a panel at a time instead strides across `kb` columns, a page
+/// apart at practical leading dimensions, per `mr` elements: on a 2048²
+/// f64 matrix the column order packs three quadrant terms at 5.5–7 GB/s
+/// against 2.0–2.2 (2-vCPU Xeon VM). Any other stride is gathered element
+/// by element. Every path gives each element the bits of `0 + Σ g_t·x_t`
+/// summed in term order, up to the sign of a zero.
 pub fn pack_a_sum<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], mr: usize) {
     let (mb, kb) = shape_of(terms);
     let panels = mb.div_ceil(mr);
     assert!(dst.len() >= panels * mr * kb, "pack_a_sum: dst too small");
+    let columns = terms.iter().all(|(_, a)| a.row_stride() == 1);
     match terms {
-        [] => dst[..panels * mr * kb].fill(T::ZERO),
         [(g, a)] if *g == T::ONE => pack_a_one(dst, *a, mr),
-        _ => pack_a_many(dst, terms, mr),
+        _ if columns && mr == 8 => pack_a_columns::<T, 8>(dst, terms),
+        _ if columns && mr == 16 => pack_a_columns::<T, 16>(dst, terms),
+        _ => pack_a_gather(dst, terms, mr),
     }
 }
 
@@ -72,7 +86,34 @@ fn pack_a_one<T: Scalar>(dst: &mut [T], a: MatRef<'_, T>, mr: usize) {
     }
 }
 
-fn pack_a_many<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], mr: usize) {
+/// [`pack_a_sum`] of column-major terms at register tile `MR`.
+fn pack_a_columns<T: Scalar, const MR: usize>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)]) {
+    let (mb, kb) = shape_of(terms);
+    let full = mb / MR;
+    for p in 0..kb {
+        for (t, (g, a)) in terms.iter().enumerate() {
+            // SAFETY: unit row stride, so column `p`'s `mb` rows are
+            // contiguous and in bounds.
+            let col = unsafe {
+                std::slice::from_raw_parts(a.as_ptr().offset(p as isize * a.col_stride()), mb)
+            };
+            for (q, x) in col.chunks_exact(MR).enumerate() {
+                let at = q * MR * kb + p * MR;
+                let out: &mut [T; MR] = (&mut dst[at..at + MR]).try_into().unwrap();
+                fold(out, x, *g, t == 0);
+            }
+            if mb > full * MR {
+                let at = full * MR * kb + p * MR;
+                fold(&mut dst[at..at + mb - full * MR], &col[full * MR..], *g, t == 0);
+            }
+        }
+        if mb > full * MR {
+            dst[full * MR * kb + p * MR..][mb - full * MR..MR].fill(T::ZERO);
+        }
+    }
+}
+
+fn pack_a_gather<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], mr: usize) {
     let (mb, kb) = shape_of(terms);
     let panels = mb.div_ceil(mr);
     for q in 0..panels {
@@ -97,14 +138,20 @@ fn pack_a_many<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], mr: usize
 
 /// Pack `sum_t terms[t].0 * terms[t].1` (all of shape `kb x nb`) into `dst`
 /// using the packed-B micro-panel layout with register blocking `nr`.
+///
+/// As for [`pack_a_sum`], the single unit term keeps its own loop. A sum
+/// of column-major terms is folded into one micro-panel at a time, a term
+/// at a time, each of its `nr` columns read contiguously and written at
+/// stride `nr` into the panel (which stays in L1): 1.2–2x the
+/// element-by-element gather on the matrix [`pack_a_sum`] cites.
 pub fn pack_b_sum<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], nr: usize) {
     let (kb, nb) = shape_of(terms);
     let panels = nb.div_ceil(nr);
     assert!(dst.len() >= panels * nr * kb, "pack_b_sum: dst too small");
     match terms {
-        [] => dst[..panels * nr * kb].fill(T::ZERO),
         [(g, b)] if *g == T::ONE => pack_b_one(dst, *b, nr),
-        _ => pack_b_many(dst, terms, nr),
+        _ if terms.iter().all(|(_, b)| b.row_stride() == 1) => pack_b_columns(dst, terms, nr),
+        _ => pack_b_gather(dst, terms, nr),
     }
 }
 
@@ -127,7 +174,38 @@ fn pack_b_one<T: Scalar>(dst: &mut [T], b: MatRef<'_, T>, nr: usize) {
     }
 }
 
-fn pack_b_many<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], nr: usize) {
+/// [`pack_b_sum`] of column-major terms.
+fn pack_b_columns<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], nr: usize) {
+    let (kb, nb) = shape_of(terms);
+    for q in 0..nb.div_ceil(nr) {
+        let j0 = q * nr;
+        let cols = nr.min(nb - j0);
+        let panel = &mut dst[q * nr * kb..(q + 1) * nr * kb];
+        for (t, (g, b)) in terms.iter().enumerate() {
+            for j in 0..cols {
+                // SAFETY: unit row stride, so column `j0 + j`'s `kb` rows
+                // are contiguous and in bounds.
+                let col = unsafe {
+                    std::slice::from_raw_parts(
+                        b.as_ptr().offset((j0 + j) as isize * b.col_stride()),
+                        kb,
+                    )
+                };
+                let out = panel[j..].iter_mut().step_by(nr).zip(col);
+                if t == 0 {
+                    out.for_each(|(o, x)| *o = *g * *x);
+                } else {
+                    out.for_each(|(o, x)| *o += *g * *x);
+                }
+            }
+        }
+        for j in cols..nr {
+            panel[j..].iter_mut().step_by(nr).for_each(|x| *x = T::ZERO);
+        }
+    }
+}
+
+fn pack_b_gather<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], nr: usize) {
     let (kb, nb) = shape_of(terms);
     let panels = nb.div_ceil(nr);
     for q in 0..panels {
@@ -147,6 +225,37 @@ fn pack_b_many<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], nr: usize
                 dst[base + p * nr + j] = T::ZERO;
             }
         }
+    }
+}
+
+/// One term of a packed sum: `out = g·x` for the first term, `out += g·x`
+/// for the others, so each element is the gather's `0 + Σ g_t·x_t` (up to
+/// the sign of a zero). A first term of coefficient 1, every term of a
+/// plain GEMM, is a copy.
+#[inline(always)]
+fn fold<T: Scalar>(out: &mut [T], x: &[T], g: T, first: bool) {
+    if first && g == T::ONE {
+        out.copy_from_slice(x);
+    } else if first {
+        zip_chunks(out, x, |_, x| g * x);
+    } else {
+        zip_chunks(out, x, |o, x| o + g * x);
+    }
+}
+
+/// `out[i] = f(out[i], x[i])` in fixed chunks of eight, which the compiler
+/// vectorises, then the remainder.
+#[inline(always)]
+fn zip_chunks<T: Scalar>(out: &mut [T], x: &[T], f: impl Fn(T, T) -> T) {
+    let mut outs = out.chunks_exact_mut(8);
+    let mut xs = x.chunks_exact(8);
+    for (o, x) in (&mut outs).zip(&mut xs) {
+        for i in 0..8 {
+            o[i] = f(o[i], x[i]);
+        }
+    }
+    for (o, x) in outs.into_remainder().iter_mut().zip(xs.remainder()) {
+        *o = f(*o, *x);
     }
 }
 
@@ -275,6 +384,47 @@ mod tests {
         pack_a_sum(&mut dst, &[(1.0, a.as_ref())], 8);
         assert!(dst.iter().all(|v| !v.is_nan()));
         assert_eq!(unpack_a(&dst, 16, 4, 8), a);
+    }
+
+    /// The column folds give the gather's bits, for both operands and
+    /// dtypes, on ragged shapes, with unit and rounding coefficients.
+    #[test]
+    fn column_folds_match_the_gather_bit_for_bit() {
+        fn same<T: Scalar>(x: &[T], y: &[T]) -> bool {
+            x.iter().zip(y).all(|(x, y)| x.to_f64().to_bits() == y.to_f64().to_bits())
+        }
+        fn both<T: Scalar>(mr: usize) {
+            let nr = 4;
+            let coeffs: [&[f64]; 4] =
+                [&[-1.0], &[1.0, -1.0], &[0.5, 1.0, -3.0], &[1.0, 1.0, 1.0, -1.0]];
+            for (mb, kb) in [(1, 1), (5, 7), (mr, 3), (3 * mr + 5, 17), (40, 33)] {
+                for gs in coeffs {
+                    let mats: Vec<Matrix<T>> =
+                        (0..gs.len()).map(|t| fill::bench_workload_t(mb, kb, t as u64)).collect();
+                    let terms: Vec<(T, MatRef<'_, T>)> =
+                        gs.iter().zip(&mats).map(|(g, x)| (T::from_f64(*g), x.as_ref())).collect();
+                    let len = mb.div_ceil(mr) * mr * kb;
+                    let (mut fast, mut gather) = (vec![T::ONE; len], vec![T::ONE; len]);
+                    pack_a_sum(&mut fast, &terms, mr);
+                    pack_a_gather(&mut gather, &terms, mr);
+                    assert!(same(&fast, &gather), "A {mb}x{kb} {gs:?}");
+
+                    // The same sums as `kb x mb` B operands: column-major
+                    // copies for the folds, row-major views for the gather.
+                    let copies: Vec<Matrix<T>> = mats.iter().map(|x| x.transposed()).collect();
+                    let cols: Vec<_> =
+                        terms.iter().zip(&copies).map(|((g, _), x)| (*g, x.as_ref())).collect();
+                    let rows: Vec<_> = terms.iter().map(|(g, x)| (*g, x.t())).collect();
+                    let len = mb.div_ceil(nr) * nr * kb;
+                    let (mut fast, mut gather) = (vec![T::ONE; len], vec![T::ONE; len]);
+                    pack_b_sum(&mut fast, &cols, nr);
+                    pack_b_gather(&mut gather, &rows, nr);
+                    assert!(same(&fast, &gather), "B {kb}x{mb} {gs:?}");
+                }
+            }
+        }
+        both::<f64>(8);
+        both::<f32>(16);
     }
 
     #[test]
