@@ -15,7 +15,7 @@
 //! runs inline or over rayon workers as its [`IcLoop`] argument says, which
 //! is all the paper's data parallelism (§5.1) needs.
 
-use crate::kernel::{GemmScalar, MicroKernelFn, TileDest, TileUpdateFn};
+use crate::kernel::{GemmScalar, MicroKernelFn, RawDest, TileUpdateFn};
 use crate::pack;
 use crate::params::BlockingParams;
 use crate::workspace::{GemmWorkspace, PooledWorkspace};
@@ -62,35 +62,6 @@ impl<'a, T: Scalar> DestTile<'a, T> {
     }
 }
 
-/// Raw-pointer form of a destination, `Copy` so the macro-kernel can keep an
-/// array of them. Writes through it are only sound while the originating
-/// `DestTile` borrow is live and writers touch disjoint element sets.
-#[derive(Debug)]
-struct RawDest<T> {
-    pub ptr: *mut T,
-    pub rows: usize,
-    pub cols: usize,
-    pub rs: isize,
-    pub cs: isize,
-    pub coeff: T,
-}
-
-impl<T: Scalar> Clone for RawDest<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T: Scalar> Copy for RawDest<T> {}
-
-// SAFETY: see the invariant on the type — the parallel `ic` loop partitions
-// writers by disjoint row ranges, and the inline one is single threaded.
-// The pointer itself is as sendable as the `&mut` it came from.
-unsafe impl<T: Scalar> Send for RawDest<T> {}
-// SAFETY: shared `RawDest`s are only read (copied) by the workers, and
-// the writes through their pointers are disjoint, as for `Send` above.
-unsafe impl<T: Scalar> Sync for RawDest<T> {}
-
 /// Row-major destinations run as the column-major problem they transpose
 /// to. When every destination has unit *column* stride, turn `raw` into
 /// views of `C_dᵀ` and return `true`: `C_dᵀ += w_d·Bᵀ·Aᵀ` is the same
@@ -101,11 +72,11 @@ unsafe impl<T: Scalar> Sync for RawDest<T> {}
 /// for any other stride mix.
 ///
 /// Operand layout is not consulted. Row-major operands (the serving
-/// daemon's) gain the most, `Bᵀ` being the column-major left operand
-/// `pack_a_one` copies by columns: 1.31x at 32³, 1.17x at 64³, 1.08x at
-/// 128³, 1.02–1.15x above. Column-major operands with row-major
-/// destinations trade that copy for the epilogue: 0.90x at 32³, 0.97x at
-/// 64³–128³, even from 256³.
+/// daemon's) gain the most, `Bᵀ` being a column-major left operand the A
+/// pack reads by columns: 1.31x at 32³, 1.17x at 64³, 1.08x at 128³,
+/// 1.02–1.15x above, when this was introduced. Column-major operands with
+/// row-major destinations trade that for the epilogue: 0.90x at 32³,
+/// 0.97x at 64³–128³, even from 256³.
 fn transpose_row_major<T: Scalar>(raw: &mut [RawDest<T>]) -> bool {
     if !raw.iter().all(|d| d.cs == 1 && d.rs != 1) {
         return false;
@@ -185,16 +156,11 @@ pub fn gemm_sums<T: GemmScalar>(
 ///
 /// Any strides are accepted. Column-major destinations (unit row stride)
 /// are the fast case; destinations that are all row-major run as the
-/// column-major problem `C_dᵀ (+)= w_d · Bᵀ·Aᵀ`, on views.
-///
-/// A call with several terms or several destinations — FMM's own work —
-/// updates full tiles of such destinations from the kernel's registers
-/// ([`crate::TileUpdateFn`]). Plain GEMM (one term per operand, one
-/// destination) and edge tiles go through a stack accumulator. Plain GEMM
-/// keeps that path, and its own packing loops, because it is the baseline
-/// the benchmark's `vs_gemm` divides by: on `serve`, a faster in-process
-/// GEMM reads as a slower daemon until that workload's baseline is
-/// restated. Both paths give the same bits.
+/// column-major problem `C_dᵀ (+)= w_d · Bᵀ·Aᵀ`, on views. Full tiles of
+/// column-major destinations are updated straight from the kernel's
+/// registers ([`GemmScalar::tile_update`]), plain GEMM's as FMM's; edge
+/// tiles, and every tile of any other stride mix, go through a stack
+/// accumulator. Both paths give the same bits.
 pub fn gemm_sums_with<T: GemmScalar>(
     dests: &mut [DestTile<'_, T>],
     a_terms: &[(T, MatRef<'_, T>)],
@@ -226,14 +192,7 @@ pub fn gemm_sums_with<T: GemmScalar>(
     let transposed = transpose_row_major(&mut raw);
     let (a_terms, b_terms, m, n) =
         if transposed { (b_terms, a_terms, n, m) } else { (a_terms, b_terms, m, n) };
-    // Registers for FMM's calls whose destinations are all column-major;
-    // the accumulator for plain GEMM and any other stride mix.
-    let plain = raw.len() == 1 && a_terms.len() == 1 && b_terms.len() == 1;
-    let tiles: Vec<TileDest<T>> = if !plain && raw.iter().all(|d| d.rs == 1) {
-        raw.iter().map(|d| TileDest { ptr: d.ptr, cs: d.cs, coeff: d.coeff }).collect()
-    } else {
-        Vec::new()
-    };
+    let registers = raw.iter().all(|d| d.rs == 1);
     let kernels = (T::micro_kernel(), T::tile_update());
     let parallel = matches!(ic_loop, IcLoop::Parallel);
     // The shared B̃ panel, packed once per (jc, pc) iteration. Pooled in
@@ -277,7 +236,7 @@ pub fn gemm_sums_with<T: GemmScalar>(
                 pack::pack_a_sum(abuf, &a_slices, params.mr);
                 crate::obs_hooks::pack_done(t_pack);
                 let t_kernel = crate::obs_hooks::phase_start();
-                macro_kernel(&raw, &tiles, abuf, bbuf, ic, jc, mb, nb, kb, kernels, store);
+                macro_kernel(&raw, registers, abuf, bbuf, ic, jc, mb, nb, kb, kernels, store);
                 crate::obs_hooks::kernel_done(t_kernel);
             };
             if parallel {
@@ -299,14 +258,14 @@ pub fn gemm_sums_with<T: GemmScalar>(
 }
 
 /// Loops 2 and 1: sweep `nr x mr` micro-tiles of the current block and run
-/// the micro-kernel. A full tile of column-major destinations (`tiles`) is
-/// updated from registers; an edge tile, or a destination of any other
-/// stride, goes through a stack accumulator scattered into every one of
-/// `dests`.
+/// the micro-kernel. With `registers` (every destination column-major) a
+/// full tile is updated from registers; an edge tile, or any tile without
+/// `registers`, goes through a stack accumulator scattered into every one
+/// of `dests`.
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel<T: GemmScalar>(
     dests: &[RawDest<T>],
-    tiles: &[TileDest<T>],
+    registers: bool,
     abuf: &[T],
     bbuf: &[T],
     ic: usize,
@@ -327,13 +286,14 @@ fn macro_kernel<T: GemmScalar>(
         while ir < mb {
             let mr_eff = mr.min(mb - ir);
             let apanel = &abuf[(ir / mr) * mr * kb..];
-            if mr_eff == mr && nr_eff == nr && !tiles.is_empty() {
-                // SAFETY: the panels are as below; the full tile at
-                // (ic + ir, jc + jr) lies inside every destination (shapes
-                // checked at entry), and distinct destinations are disjoint
-                // per the MatMut contract.
+            if registers && mr_eff == mr && nr_eff == nr {
+                // SAFETY: the panels are as below; every destination has
+                // unit row stride (`registers`), the full tile at
+                // (ic + ir, jc + jr) lies inside each (shapes checked at
+                // entry), and distinct destinations are disjoint per the
+                // MatMut contract.
                 unsafe {
-                    update(kb, apanel.as_ptr(), bpanel.as_ptr(), tiles, ic + ir, jc + jr, store)
+                    update(kb, apanel.as_ptr(), bpanel.as_ptr(), dests, ic + ir, jc + jr, store)
                 };
                 ir += mr;
                 continue;
@@ -762,48 +722,65 @@ mod tests {
         assert!(norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < 1e-12);
     }
 
-    /// FMM's epilogue from the kernel's registers and the stack
-    /// accumulator's give the same bits. Column-major destinations take the
-    /// registers on full tiles; pairing one with a row-major copy of the
-    /// other sends both through the accumulator. Coefficients that round,
-    /// two-term sums, fringes on every side, and both update modes.
+    /// The epilogue from the kernel's registers and the stack accumulator's
+    /// give the same bits. Column-major destinations take the registers on
+    /// full tiles, alone (plain GEMM at one term) or two at a time; pairing
+    /// one with a row-major copy of the other sends both through the
+    /// accumulator. One- and two-term operands, coefficients that round,
+    /// fringes on every side, and both update modes.
     #[test]
     fn register_and_accumulator_epilogues_agree_bit_for_bit() {
         let (m, k, n) = (37, 29, 23);
         let a: Vec<_> = (1..3).map(|s| fill::bench_workload(m, k, s)).collect();
         let b: Vec<_> = (3..5).map(|s| fill::bench_workload(k, n, s)).collect();
-        let a_terms = [(1.0, a[0].as_ref()), (-0.5, a[1].as_ref())];
-        let b_terms = [(0.75, b[0].as_ref()), (1.0, b[1].as_ref())];
-        for params in [BlockingParams::tiny(), BlockingParams::default()] {
-            for update in [Update::Accumulate, Update::Overwrite] {
-                let mut ws = GemmWorkspace::for_params(&params);
-                let c0 = fill::bench_workload(m, n, 5);
-                let (mut reg0, mut reg1) = (c0.clone(), c0.clone());
-                gemm_sums_with(
-                    &mut [DestTile::new(reg0.as_mut(), 1.0), DestTile::new(reg1.as_mut(), -1.25)],
-                    &a_terms,
-                    &b_terms,
-                    &params,
-                    update,
-                    IcLoop::Inline(&mut ws),
-                );
-                let (mut acc0, mut acc1t) = (c0.clone(), c0.transposed());
-                // SAFETY: `acc1t` is `n x m` column-major, so its elements
-                // read as `m x n` at row stride `n` and column stride 1.
-                let acc1 = unsafe {
-                    MatMut::from_raw_parts(acc1t.as_mut().as_mut_ptr(), m, n, n as isize, 1)
-                };
-                gemm_sums_with(
-                    &mut [DestTile::new(acc0.as_mut(), 1.0), DestTile::new(acc1, -1.25)],
-                    &a_terms,
-                    &b_terms,
-                    &params,
-                    update,
-                    IcLoop::Inline(&mut ws),
-                );
-                let bits = |x: &Matrix| x.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&reg0), bits(&acc0), "{update:?} {params:?}");
-                assert_eq!(bits(&reg1), bits(&acc1t.transposed()), "{update:?} {params:?}");
+        let a_sum = [(1.0, a[0].as_ref()), (-0.5, a[1].as_ref())];
+        let b_sum = [(1.0, b[0].as_ref()), (0.75, b[1].as_ref())];
+        let bits = |x: &Matrix| x.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for terms in [1, 2] {
+            let (a_terms, b_terms) = (&a_sum[..terms], &b_sum[..terms]);
+            for params in [BlockingParams::tiny(), BlockingParams::default()] {
+                for update in [Update::Accumulate, Update::Overwrite] {
+                    let what = format!("{terms} terms, {update:?}, {params:?}");
+                    let mut ws = GemmWorkspace::for_params(&params);
+                    let c0 = fill::bench_workload(m, n, 5);
+                    let (mut one, mut reg0, mut reg1) = (c0.clone(), c0.clone(), c0.clone());
+                    gemm_sums_with(
+                        &mut [DestTile::new(one.as_mut(), 1.0)],
+                        a_terms,
+                        b_terms,
+                        &params,
+                        update,
+                        IcLoop::Inline(&mut ws),
+                    );
+                    gemm_sums_with(
+                        &mut [
+                            DestTile::new(reg0.as_mut(), 1.0),
+                            DestTile::new(reg1.as_mut(), -1.25),
+                        ],
+                        a_terms,
+                        b_terms,
+                        &params,
+                        update,
+                        IcLoop::Inline(&mut ws),
+                    );
+                    let (mut acc0, mut acc1t) = (c0.clone(), c0.transposed());
+                    // SAFETY: `acc1t` is `n x m` column-major, so its elements
+                    // read as `m x n` at row stride `n` and column stride 1.
+                    let acc1 = unsafe {
+                        MatMut::from_raw_parts(acc1t.as_mut().as_mut_ptr(), m, n, n as isize, 1)
+                    };
+                    gemm_sums_with(
+                        &mut [DestTile::new(acc0.as_mut(), 1.0), DestTile::new(acc1, -1.25)],
+                        a_terms,
+                        b_terms,
+                        &params,
+                        update,
+                        IcLoop::Inline(&mut ws),
+                    );
+                    assert_eq!(bits(&one), bits(&acc0), "one destination, {what}");
+                    assert_eq!(bits(&reg0), bits(&acc0), "{what}");
+                    assert_eq!(bits(&reg1), bits(&acc1t.transposed()), "{what}");
+                }
             }
         }
     }

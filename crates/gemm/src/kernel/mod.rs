@@ -37,26 +37,29 @@ use std::sync::OnceLock;
 /// `acc` to `MR * NR` writable elements, for the `MR`/`NR` of `T`.
 pub type MicroKernelFn<T> = unsafe fn(kc: usize, a: *const T, b: *const T, acc: *mut T);
 
-/// One destination of a [`TileUpdateFn`]: a column-major view of `C`
-/// (unit row stride) by its element `(0, 0)` and column stride, and the
-/// coefficient the product is scaled by.
+/// One destination of a generalized GEMM in raw-pointer form: element
+/// `(0, 0)` of a `rows x cols` view of `C` at strides `rs`/`cs`, and the
+/// coefficient `w` in `C += w * P`. `Copy`, so the driver's `ic` workers
+/// and the micro-kernel share one list of them. Writes through it are only
+/// sound while the `&mut` view it was taken from is live and writers touch
+/// disjoint element sets.
 #[derive(Clone, Copy, Debug)]
-pub struct TileDest<T> {
-    /// Element `(0, 0)` of the view.
+pub struct RawDest<T> {
     pub ptr: *mut T,
-    /// Elements between consecutive columns.
+    pub rows: usize,
+    pub cols: usize,
+    pub rs: isize,
     pub cs: isize,
-    /// `w` in `C += w * P`.
     pub coeff: T,
 }
 
-// SAFETY: a `TileDest` is a copy of a `&mut` view's raw parts, which the
-// parallel `ic` loop's workers share only to write disjoint row ranges
-// through, as for the driver's `RawDest`.
-unsafe impl<T: Scalar> Send for TileDest<T> {}
-// SAFETY: as for `Send`: shared copies are read, and the writes through
-// them are disjoint.
-unsafe impl<T: Scalar> Sync for TileDest<T> {}
+// SAFETY: see the invariant on the type — the parallel `ic` loop partitions
+// writers by disjoint row ranges, and the inline one is single threaded.
+// The pointer itself is as sendable as the `&mut` it came from.
+unsafe impl<T: Scalar> Send for RawDest<T> {}
+// SAFETY: shared `RawDest`s are only read (copied) by the workers, and
+// the writes through their pointers are disjoint, as for `Send` above.
+unsafe impl<T: Scalar> Sync for RawDest<T> {}
 
 /// The micro-kernel with the C-update in it (the paper's §4.1 ABC
 /// epilogue): the rank-`kc` product `P` of two packed panels, kept in
@@ -66,14 +69,14 @@ unsafe impl<T: Scalar> Sync for TileDest<T> {}
 /// accumulator path does.
 ///
 /// # Safety
-/// As [`MicroKernelFn`] for `a` and `b`; every destination must be valid
-/// for reads and writes of the full tile at `(i, j)`, and no two
-/// destinations' tiles may overlap.
+/// As [`MicroKernelFn`] for `a` and `b`; every destination must have unit
+/// row stride and be valid for reads and writes of the full tile at
+/// `(i, j)`, and no two destinations' tiles may overlap.
 pub type TileUpdateFn<T> = unsafe fn(
     kc: usize,
     a: *const T,
     b: *const T,
-    dests: &[TileDest<T>],
+    dests: &[RawDest<T>],
     i: usize,
     j: usize,
     store: bool,
@@ -227,7 +230,7 @@ trait Lane: Copy {
         kc: usize,
         a: *const Self::Elem,
         b: *const Self::Elem,
-        dests: &[TileDest<Self::Elem>],
+        dests: &[RawDest<Self::Elem>],
         i: usize,
         j: usize,
         store: bool,
@@ -303,7 +306,7 @@ unsafe fn update<L: Lane, const MV: usize, const NR: usize>(
     kc: usize,
     a: *const L::Elem,
     b: *const L::Elem,
-    dests: &[TileDest<L::Elem>],
+    dests: &[RawDest<L::Elem>],
     i: usize,
     j: usize,
     store: bool,
@@ -311,7 +314,7 @@ unsafe fn update<L: Lane, const MV: usize, const NR: usize>(
     let mr = MV * L::W;
     // SAFETY: as above; each destination holds the full tile at `(i, j)`.
     unsafe {
-        let tile = |d: &TileDest<L::Elem>, jj: usize| d.ptr.add(i).offset((j + jj) as isize * d.cs);
+        let tile = |d: &RawDest<L::Elem>, jj: usize| d.ptr.add(i).offset((j + jj) as isize * d.cs);
         // Ask for every destination column's first and last element now,
         // so the C misses overlap the depth loop instead of following it.
         for d in dests {
@@ -462,7 +465,7 @@ macro_rules! x86_lanes {
             // SAFETY: `update`'s contract, the features included.
             #[target_feature($(enable = $feature),+)]
             unsafe fn update_instance<const MV: usize, const NR: usize>(
-                kc: usize, a: *const $elem, b: *const $elem, dests: &[TileDest<$elem>],
+                kc: usize, a: *const $elem, b: *const $elem, dests: &[RawDest<$elem>],
                 i: usize, j: usize, store: bool,
             ) {
                 // SAFETY: as above.
@@ -562,8 +565,11 @@ mod tests {
                 let c0 = values::<T>(2 * ld * cols, 4);
                 let mut c = c0.clone();
                 let base = c.as_mut_ptr();
-                let dests = [0, 1].map(|d| TileDest {
+                let dests = [0, 1].map(|d| RawDest {
                     ptr: base.wrapping_add(d * ld * cols),
+                    rows: ld,
+                    cols,
+                    rs: 1,
                     cs: ld as isize,
                     coeff: coeffs[d],
                 });

@@ -12,8 +12,9 @@
 //!   of several same-shape submatrices, at no extra memory traffic;
 //! * **multi-destination micro-kernel epilogue** ([`driver::gemm_sums_with`]):
 //!   the register tile is added with per-destination coefficients into
-//!   several submatrices of `C` straight from registers ([`TileUpdateFn`]),
-//!   avoiding temporaries for the intermediate products `M_r`.
+//!   several submatrices of `C` straight from registers
+//!   ([`GemmScalar::tile_update`]), avoiding temporaries for the
+//!   intermediate products `M_r`.
 //!
 //! [`driver`] holds the one loop nest. Its entry [`gemm_sums_with`] takes
 //! two choices as arguments: accumulate into or overwrite the destinations
@@ -30,12 +31,12 @@
 //! is one generic source, instantiated per instruction set and dtype:
 //! `avx512f_8x4`, `avx2_fma_8x4` and `portable_8x4` for `f64`,
 //! `avx2_fma_16x4` and `portable_16x4` for `f32`, the first one the CPU
-//! supports picked once per process. Each has two entries: into a stack
-//! accumulator ([`GemmScalar::micro_kernel`]), which plain GEMM and edge
-//! tiles use, and into a destination list from registers
-//! ([`GemmScalar::tile_update`]), which FMM's multi-term, multi-destination
-//! calls use on full tiles. Callers pass one `BlockingParams`; the
-//! driver swaps in the kernel's register tile via
+//! supports picked once per process. Each has two entries: into a
+//! destination list straight from registers ([`GemmScalar::tile_update`]),
+//! which every full tile of column-major destinations takes, plain GEMM's
+//! as FMM's, and into a stack accumulator ([`GemmScalar::micro_kernel`]),
+//! which edge tiles and other strides take. Callers pass one
+//! `BlockingParams`; the driver swaps in the kernel's register tile via
 //! [`BlockingParams::with_register_tile`] while keeping the cache-level
 //! blocking as configured.
 //!
@@ -70,7 +71,7 @@ pub mod reference;
 pub mod workspace;
 
 pub use driver::{gemm_sums, gemm_sums_with, DestTile, IcLoop, Update};
-pub use kernel::{GemmScalar, MicroKernelFn, TileDest, TileUpdateFn};
+pub use kernel::{GemmScalar, MicroKernelFn};
 pub use params::BlockingParams;
 pub use workspace::{GemmWorkspace, PooledWorkspace, WorkspacePool};
 

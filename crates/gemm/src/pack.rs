@@ -30,66 +30,30 @@ use fmm_dense::{MatRef, Scalar};
 /// operation; with several terms it implements the AB/ABC-variant
 /// pack-and-add at the same memory traffic as a plain pack.
 ///
-/// The single unit term (plain GEMM's pack) copies a panel at a time; it
-/// keeps its own loop for the reason [`crate::driver::gemm_sums_with`]
-/// keeps plain GEMM's epilogue. A sum of column-major terms (FMM's case)
-/// is read one column at a time, `mb` contiguous elements per term, and
-/// folded into every micro-panel in fixed chunks the compiler vectorises.
-/// Reading a panel at a time instead strides across `kb` columns, a page
-/// apart at practical leading dimensions, per `mr` elements: on a 2048²
-/// f64 matrix the column order packs three quadrant terms at 5.5–7 GB/s
-/// against 2.0–2.2 (2-vCPU Xeon VM). Any other stride is gathered element
-/// by element. Every path gives each element the bits of `0 + Σ g_t·x_t`
-/// summed in term order, up to the sign of a zero.
+/// Column-major terms (unit row stride) are read one column at a time,
+/// `mb` contiguous elements per term, and folded into every micro-panel in
+/// fixed chunks the compiler vectorises; a lone unit term, plain GEMM's,
+/// is copied that way. Reading a panel at a time instead strides across
+/// `kb` columns, a page apart at practical leading dimensions, per `mr`
+/// elements: on a 2048² f64 matrix the column order packs three quadrant
+/// terms at 5.5–7 GB/s against 2.0–2.2 (2-vCPU Xeon VM). Any other stride
+/// is gathered element by element. Both paths give each element the bits
+/// of `0 + Σ g_t·x_t` summed in term order, up to the sign of a zero.
 pub fn pack_a_sum<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], mr: usize) {
     let (mb, kb) = shape_of(terms);
     let panels = mb.div_ceil(mr);
     assert!(dst.len() >= panels * mr * kb, "pack_a_sum: dst too small");
-    let columns = terms.iter().all(|(_, a)| a.row_stride() == 1);
-    match terms {
-        [(g, a)] if *g == T::ONE => pack_a_one(dst, *a, mr),
-        _ if columns && mr == 8 => pack_a_columns::<T, 8>(dst, terms),
-        _ if columns && mr == 16 => pack_a_columns::<T, 16>(dst, terms),
-        _ => pack_a_gather(dst, terms, mr),
+    if terms.iter().all(|(_, a)| a.row_stride() == 1) {
+        pack_a_columns(dst, terms, mr);
+    } else {
+        pack_a_gather(dst, terms, mr);
     }
 }
 
-fn pack_a_one<T: Scalar>(dst: &mut [T], a: MatRef<'_, T>, mr: usize) {
-    let (mb, kb) = (a.rows(), a.cols());
-    let panels = mb.div_ceil(mr);
-    for q in 0..panels {
-        let i0 = q * mr;
-        let rows = mr.min(mb - i0);
-        let base = q * mr * kb;
-        if a.row_stride() == 1 && rows == mr {
-            // Full panel over contiguous columns: copy mr-length column
-            // segments directly.
-            for p in 0..kb {
-                // SAFETY: (i0 + i, p) in bounds for i < mr = rows.
-                unsafe {
-                    let src = a.as_ptr().offset(i0 as isize + p as isize * a.col_stride());
-                    let d = dst.as_mut_ptr().add(base + p * mr);
-                    std::ptr::copy_nonoverlapping(src, d, mr);
-                }
-            }
-        } else {
-            for p in 0..kb {
-                for i in 0..rows {
-                    // SAFETY: i0 + i < mb, p < kb.
-                    dst[base + p * mr + i] = unsafe { a.at_unchecked(i0 + i, p) };
-                }
-                for i in rows..mr {
-                    dst[base + p * mr + i] = T::ZERO;
-                }
-            }
-        }
-    }
-}
-
-/// [`pack_a_sum`] of column-major terms at register tile `MR`.
-fn pack_a_columns<T: Scalar, const MR: usize>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)]) {
+/// [`pack_a_sum`] of column-major terms.
+fn pack_a_columns<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], mr: usize) {
     let (mb, kb) = shape_of(terms);
-    let full = mb / MR;
+    let rest = mb % mr;
     for p in 0..kb {
         for (t, (g, a)) in terms.iter().enumerate() {
             // SAFETY: unit row stride, so column `p`'s `mb` rows are
@@ -97,18 +61,13 @@ fn pack_a_columns<T: Scalar, const MR: usize>(dst: &mut [T], terms: &[(T, MatRef
             let col = unsafe {
                 std::slice::from_raw_parts(a.as_ptr().offset(p as isize * a.col_stride()), mb)
             };
-            for (q, x) in col.chunks_exact(MR).enumerate() {
-                let at = q * MR * kb + p * MR;
-                let out: &mut [T; MR] = (&mut dst[at..at + MR]).try_into().unwrap();
-                fold(out, x, *g, t == 0);
-            }
-            if mb > full * MR {
-                let at = full * MR * kb + p * MR;
-                fold(&mut dst[at..at + mb - full * MR], &col[full * MR..], *g, t == 0);
+            for (q, x) in col.chunks(mr).enumerate() {
+                let at = q * mr * kb + p * mr;
+                fold(&mut dst[at..at + x.len()], x, *g, t == 0);
             }
         }
-        if mb > full * MR {
-            dst[full * MR * kb + p * MR..][mb - full * MR..MR].fill(T::ZERO);
+        if rest > 0 {
+            dst[mb / mr * mr * kb + p * mr..][rest..mr].fill(T::ZERO);
         }
     }
 }
@@ -139,38 +98,19 @@ fn pack_a_gather<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], mr: usi
 /// Pack `sum_t terms[t].0 * terms[t].1` (all of shape `kb x nb`) into `dst`
 /// using the packed-B micro-panel layout with register blocking `nr`.
 ///
-/// As for [`pack_a_sum`], the single unit term keeps its own loop. A sum
-/// of column-major terms is folded into one micro-panel at a time, a term
+/// Column-major terms are folded into one micro-panel at a time, a term
 /// at a time, each of its `nr` columns read contiguously and written at
 /// stride `nr` into the panel (which stays in L1): 1.2–2x the
-/// element-by-element gather on the matrix [`pack_a_sum`] cites.
+/// element-by-element gather on the matrix [`pack_a_sum`] cites. Any other
+/// stride is gathered.
 pub fn pack_b_sum<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], nr: usize) {
     let (kb, nb) = shape_of(terms);
     let panels = nb.div_ceil(nr);
     assert!(dst.len() >= panels * nr * kb, "pack_b_sum: dst too small");
-    match terms {
-        [(g, b)] if *g == T::ONE => pack_b_one(dst, *b, nr),
-        _ if terms.iter().all(|(_, b)| b.row_stride() == 1) => pack_b_columns(dst, terms, nr),
-        _ => pack_b_gather(dst, terms, nr),
-    }
-}
-
-fn pack_b_one<T: Scalar>(dst: &mut [T], b: MatRef<'_, T>, nr: usize) {
-    let (kb, nb) = (b.rows(), b.cols());
-    let panels = nb.div_ceil(nr);
-    for q in 0..panels {
-        let j0 = q * nr;
-        let cols = nr.min(nb - j0);
-        let base = q * nr * kb;
-        for p in 0..kb {
-            for j in 0..cols {
-                // SAFETY: p < kb, j0 + j < nb.
-                dst[base + p * nr + j] = unsafe { b.at_unchecked(p, j0 + j) };
-            }
-            for j in cols..nr {
-                dst[base + p * nr + j] = T::ZERO;
-            }
-        }
+    if terms.iter().all(|(_, b)| b.row_stride() == 1) {
+        pack_b_columns(dst, terms, nr);
+    } else {
+        pack_b_gather(dst, terms, nr);
     }
 }
 
@@ -231,11 +171,11 @@ fn pack_b_gather<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], nr: usi
 /// One term of a packed sum: `out = g·x` for the first term, `out += g·x`
 /// for the others, so each element is the gather's `0 + Σ g_t·x_t` (up to
 /// the sign of a zero). A first term of coefficient 1, every term of a
-/// plain GEMM, is a copy.
+/// plain GEMM, is a copy, in the same chunks.
 #[inline(always)]
 fn fold<T: Scalar>(out: &mut [T], x: &[T], g: T, first: bool) {
     if first && g == T::ONE {
-        out.copy_from_slice(x);
+        zip_chunks(out, x, |_, x| x);
     } else if first {
         zip_chunks(out, x, |_, x| g * x);
     } else {
@@ -387,7 +327,9 @@ mod tests {
     }
 
     /// The column folds give the gather's bits, for both operands and
-    /// dtypes, on ragged shapes, with unit and rounding coefficients.
+    /// dtypes, at the production tiles and one no kernel has yet, on ragged
+    /// shapes, with unit and rounding coefficients; a lone unit term is
+    /// plain GEMM's pack.
     #[test]
     fn column_folds_match_the_gather_bit_for_bit() {
         fn same<T: Scalar>(x: &[T], y: &[T]) -> bool {
@@ -395,8 +337,8 @@ mod tests {
         }
         fn both<T: Scalar>(mr: usize) {
             let nr = 4;
-            let coeffs: [&[f64]; 4] =
-                [&[-1.0], &[1.0, -1.0], &[0.5, 1.0, -3.0], &[1.0, 1.0, 1.0, -1.0]];
+            let coeffs: [&[f64]; 5] =
+                [&[1.0], &[-1.0], &[1.0, -1.0], &[0.5, 1.0, -3.0], &[1.0, 1.0, 1.0, -1.0]];
             for (mb, kb) in [(1, 1), (5, 7), (mr, 3), (3 * mr + 5, 17), (40, 33)] {
                 for gs in coeffs {
                     let mats: Vec<Matrix<T>> =
@@ -425,6 +367,7 @@ mod tests {
         }
         both::<f64>(8);
         both::<f32>(16);
+        both::<f64>(24);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! server's `Busy` backpressure signal.
 
 use crate::protocol::{
-    self, decode_error, decode_response, encode_request, ErrorCode, Frame, FrameError, FrameKind,
-    WireScalar, VERSION_V2,
+    self, decode_error, decode_response, ErrorCode, Frame, FrameError, FrameKind, WireScalar,
+    VERSION_V2,
 };
 use crate::snapshot::{Document, Incident, Logged, StatsSnapshot};
 use fmm_dense::Matrix;
@@ -90,6 +90,12 @@ pub struct PipelinedClient {
     next_id: u64,
     /// Responses read while looking for a different id.
     stash: HashMap<u64, Frame>,
+    /// Every request frame is encoded here, so it keeps the largest one
+    /// sent ([`protocol::encode_request_frame`]).
+    request: Vec<u8>,
+    /// Reply payloads are read here ([`protocol::read_frame_into`]);
+    /// `recv` hands the allocation back after decoding.
+    reply: Vec<u8>,
 }
 
 impl PipelinedClient {
@@ -112,6 +118,8 @@ impl PipelinedClient {
             max_payload_bytes,
             next_id: 1,
             stash: HashMap::new(),
+            request: Vec::new(),
+            reply: Vec::new(),
         })
     }
 
@@ -148,14 +156,22 @@ impl PipelinedClient {
                 b.cols()
             )));
         }
-        self.write(FrameKind::Request, &encode_request(a, b))
+        let id = self.next_id;
+        self.next_id += 1;
+        protocol::encode_request_frame(&mut self.request, id, a, b)?;
+        self.writer.write_all(&self.request)?;
+        self.writer.flush()?;
+        Ok(id)
     }
 
     /// Block for the response to `id`, reading (and stashing) any other
     /// responses that arrive first.
     pub fn recv<T: WireScalar>(&mut self, id: u64) -> Result<Matrix<T>, ClientError> {
         let payload = expect_kind(self.frame_for(id)?, FrameKind::Response)?;
-        decode_response::<T>(&payload).map_err(ClientError::Protocol)
+        let c = decode_response::<T>(&payload).map_err(ClientError::Protocol);
+        // The next reply is read into the same allocation.
+        self.reply = payload;
+        c
     }
 
     /// `C = A·B` on the server, blocking. Dtype follows the matrix scalar;
@@ -245,7 +261,13 @@ impl PipelinedClient {
             return Ok(frame);
         }
         loop {
-            let frame = protocol::read_frame_any(&mut self.reader, self.max_payload_bytes)?;
+            let head = protocol::read_frame_into(
+                &mut self.reader,
+                self.max_payload_bytes,
+                &mut self.reply,
+            )?;
+            let payload = std::mem::take(&mut self.reply);
+            let frame = Frame { request_id: head.request_id, kind: head.kind, payload };
             // Ids start at 1, so an `Error` under id 0 is a connection-fatal
             // refusal of a header the server could not attribute (such as
             // `Oversized`): it answers whoever is waiting instead of

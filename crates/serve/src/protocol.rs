@@ -333,12 +333,16 @@ impl std::fmt::Display for FrameError {
 
 /// Encode a frame header.
 pub fn encode_header(kind: FrameKind, payload_len: u32, request_id: u64) -> Vec<u8> {
-    let mut header = Vec::with_capacity(HEADER_LEN);
-    header.extend_from_slice(&MAGIC);
-    header.push(VERSION_V2);
-    header.push(kind as u8);
-    header.extend_from_slice(&payload_len.to_le_bytes());
-    header.extend_from_slice(&request_id.to_le_bytes());
+    header_bytes(kind, payload_len, request_id).to_vec()
+}
+
+/// [`encode_header`] as an array.
+fn header_bytes(kind: FrameKind, payload_len: u32, request_id: u64) -> [u8; HEADER_LEN] {
+    let mut header = [0u8; HEADER_LEN];
+    put(&mut header, 0, &MAGIC);
+    put(&mut header, 4, &[VERSION_V2, kind as u8]);
+    put(&mut header, 6, &payload_len.to_le_bytes());
+    put(&mut header, 10, &request_id.to_le_bytes());
     header
 }
 
@@ -373,10 +377,25 @@ pub fn write_frame_v(
 /// Clients and the server's connection readers share its header reader,
 /// [`read_header`].
 pub fn read_frame_any(r: &mut impl Read, max_payload: usize) -> Result<Frame, FrameError> {
-    let head = read_header(r, max_payload)?;
-    let mut payload = vec![0u8; head.payload_len];
-    r.read_exact(&mut payload).map_err(FrameError::Io)?;
+    let mut payload = Vec::new();
+    let head = read_frame_into(r, max_payload, &mut payload)?;
     Ok(Frame { request_id: head.request_id, kind: head.kind, payload })
+}
+
+/// [`read_frame_any`] with the payload read over `payload`: its contents
+/// are replaced and its allocation kept, so a reader that reuses one
+/// buffer neither allocates nor clears memory for a payload no larger than
+/// one it has read before.
+pub fn read_frame_into(
+    r: &mut impl Read,
+    max_payload: usize,
+    payload: &mut Vec<u8>,
+) -> Result<FrameHead, FrameError> {
+    let head = read_header(r, max_payload)?;
+    payload.truncate(head.payload_len);
+    payload.resize(head.payload_len, 0);
+    r.read_exact(payload).map_err(FrameError::Io)?;
+    Ok(head)
 }
 
 /// A decoded frame header.
@@ -563,26 +582,67 @@ pub fn decode_error(payload: &[u8]) -> (ErrorCode, String) {
 /// wire; the column-major transposition happens here, strip by strip).
 pub fn encode_request<T: WireScalar>(a: &Matrix<T>, b: &Matrix<T>) -> Vec<u8> {
     assert_eq!(a.cols(), b.rows(), "A/B inner dimension mismatch");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let elems = m * k + k * n;
-    let mut out = Vec::with_capacity(REQUEST_PRELUDE + elems * std::mem::size_of::<T>());
-    out.push(T::DTYPE as u8);
-    out.extend_from_slice(&(m as u32).to_le_bytes());
-    out.extend_from_slice(&(k as u32).to_le_bytes());
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-    write_matrix(&mut out, a);
-    write_matrix(&mut out, b);
+    let mut out = vec![0; request_len(a, b)];
+    fill_request(&mut out, a, b);
     out
+}
+
+/// A whole `Request` frame, header and payload, written over `out`: its
+/// contents are replaced and its allocation kept. Every byte is written,
+/// so a buffer that already held a request this large is neither grown
+/// nor cleared, and the frame goes out in one write. A client that encodes
+/// every request into one buffer so pays no allocation, page faults or
+/// memset per request, and the reader on the other end is not woken for a
+/// header alone. `InvalidInput` if the payload overflows the u32 length
+/// field.
+pub fn encode_request_frame<T: WireScalar>(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+) -> io::Result<()> {
+    assert_eq!(a.cols(), b.rows(), "A/B inner dimension mismatch");
+    let len = request_len(a, b);
+    let Ok(len32) = u32::try_from(len) else {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("payload of {len} bytes exceeds the u32 length field"),
+        ));
+    };
+    out.truncate(HEADER_LEN + len);
+    out.resize(HEADER_LEN + len, 0);
+    put(out, 0, &header_bytes(FrameKind::Request, len32, request_id));
+    fill_request(out.get_mut(HEADER_LEN..).unwrap_or(&mut []), a, b);
+    Ok(())
+}
+
+/// Payload bytes of the request for `a · b`.
+fn request_len<T: WireScalar>(a: &Matrix<T>, b: &Matrix<T>) -> usize {
+    REQUEST_PRELUDE + (a.rows() * a.cols() + b.rows() * b.cols()) * std::mem::size_of::<T>()
+}
+
+/// Write the request payload for `a · b` over `out`, which is
+/// [`request_len`] bytes.
+fn fill_request<T: WireScalar>(out: &mut [u8], a: &Matrix<T>, b: &Matrix<T>) {
+    put(out, 0, &[T::DTYPE as u8]);
+    put(out, 1, &(a.rows() as u32).to_le_bytes());
+    put(out, 5, &(a.cols() as u32).to_le_bytes());
+    put(out, 9, &(b.cols() as u32).to_le_bytes());
+    let a_end = REQUEST_PRELUDE + a.rows() * a.cols() * std::mem::size_of::<T>();
+    write_matrix(out.get_mut(REQUEST_PRELUDE..a_end).unwrap_or(&mut []), a);
+    write_matrix(out.get_mut(a_end..).unwrap_or(&mut []), b);
 }
 
 /// Encode a response payload from a result matrix.
 pub fn encode_response<T: WireScalar>(c: &Matrix<T>) -> Vec<u8> {
     let (m, n) = (c.rows(), c.cols());
-    let mut out = Vec::with_capacity(RESPONSE_PRELUDE + m * n * std::mem::size_of::<T>());
+    let len = RESPONSE_PRELUDE + m * n * std::mem::size_of::<T>();
+    let mut out = Vec::with_capacity(len);
     out.push(T::DTYPE as u8);
     out.extend_from_slice(&(m as u32).to_le_bytes());
     out.extend_from_slice(&(n as u32).to_le_bytes());
-    write_matrix(&mut out, c);
+    out.resize(len, 0);
+    write_matrix(out.get_mut(RESPONSE_PRELUDE..).unwrap_or(&mut []), c);
     out
 }
 
@@ -594,17 +654,14 @@ pub fn encode_response<T: WireScalar>(c: &Matrix<T>) -> Vec<u8> {
 /// soon as a matrix outgrows the cache.
 const STRIP: usize = 8;
 
-/// Append `mat` row-major: the body is sized once, then filled strip by
-/// strip.
-fn write_matrix<T: WireScalar>(out: &mut Vec<u8>, mat: &Matrix<T>) {
+/// Write `mat` row-major over `body`, exactly its `rows * cols` elements,
+/// strip by strip.
+fn write_matrix<T: WireScalar>(body: &mut [u8], mat: &Matrix<T>) {
     let w = std::mem::size_of::<T>();
     let (rows, cols, ld) = (mat.rows(), mat.cols(), mat.leading_dim());
     if rows == 0 || cols == 0 {
         return;
     }
-    let start = out.len();
-    out.resize(start + rows * cols * w, 0);
-    let body = out.get_mut(start..).unwrap_or(&mut []);
     for (strip, i0) in body.chunks_mut(STRIP * cols * w).zip((0..rows).step_by(STRIP)) {
         let i1 = (i0 + STRIP).min(rows);
         for (j, col) in mat.raw().chunks_exact(ld).enumerate() {
@@ -935,6 +992,29 @@ mod tests {
             if let Ok(frame) = read_frame_any(&mut io::Cursor::new(mutated), 1 << 20) {
                 let _ = decode_request(&frame.payload, 1 << 20);
             }
+        }
+    }
+
+    /// One buffer, reused across requests that grow and shrink, holds
+    /// exactly the header and payload the allocating encoders give.
+    #[test]
+    fn request_frames_reuse_one_buffer_byte_for_byte() {
+        fn frame<T: WireScalar>(a: &Matrix<T>, b: &Matrix<T>, id: u64) -> Vec<u8> {
+            let payload = encode_request(a, b);
+            let mut want = encode_header(FrameKind::Request, payload.len() as u32, id);
+            want.extend_from_slice(&payload);
+            want
+        }
+        let mut buf = Vec::new();
+        for (id, (m, k, n)) in
+            [(37, 29, 23), (3, 5, 2), (64, 64, 64), (1, 1, 1), (9, 0, 4)].into_iter().enumerate()
+        {
+            let (a, b) = (fill::bench_workload(m, k, 1), fill::bench_workload(k, n, 2));
+            encode_request_frame(&mut buf, id as u64, &a, &b).unwrap();
+            assert_eq!(buf, frame(&a, &b, id as u64), "f64 {m}x{k}x{n}");
+            let (a, b) = (a.cast::<f32>(), b.cast::<f32>());
+            encode_request_frame(&mut buf, id as u64, &a, &b).unwrap();
+            assert_eq!(buf, frame(&a, &b, id as u64), "f32 {m}x{k}x{n}");
         }
     }
 }
