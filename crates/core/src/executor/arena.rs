@@ -161,15 +161,17 @@ pub struct TaskSlots<'a, T = f64> {
 
 // SAFETY: every accessor that materializes a view is an `unsafe fn` whose
 // contract requires disjoint task indices (or read-only access after all
-// writers finished); sharing the descriptor itself grants no capability
-// beyond those contracts.
+// writers finished); moving the descriptor to another thread moves only a
+// pointer and grants no capability beyond those contracts.
 unsafe impl<T: Scalar> Send for TaskSlots<'_, T> {}
+// SAFETY: `&TaskSlots` reaches elements only through the same `unsafe fn`
+// accessors, so sharing it across threads adds nothing to their contracts.
 unsafe impl<T: Scalar> Sync for TaskSlots<'_, T> {}
 
-// The carve accessors below run inside warm task execution, so they carry
-// `fmm-check`'s allocation contract: pure pointer arithmetic, no heap
-// (growth happened once, in `WorkspaceArena::preplan_tasks`).
-// fmm-check: contract(warm-alloc-free)
+// The carve accessors below run inside warm task execution: pure pointer
+// arithmetic, no heap (growth happened once, in
+// `WorkspaceArena::preplan_tasks`). `fmm-engine`'s `tests/warm_alloc.rs`
+// counts every heap call of a warm BFS and Hybrid multiply, these included.
 impl<'a, T: Scalar> TaskSlots<'a, T> {
     /// The per-task layout.
     pub fn layout(&self) -> &ArenaLayout {

@@ -1,12 +1,10 @@
 //! Shared executor machinery: operand block grids and destination grids.
 //! (Scratch temporaries live in the preplanned [`super::WorkspaceArena`].)
 //!
-//! This file carries `fmm-check`'s `contract(warm-alloc-free)` (see README
-//! § Static analysis). The grid/term collections below are the only
-//! remaining warm-path allocations; each is explicitly allowed with its
-//! justification so any new one must argue its case in review.
-
-// fmm-check: contract(warm-alloc-free)
+//! The grid and term collections below allocate on the warm path: three
+//! grid `Vec`s per execution, one term list per operand per product.
+//! `fmm-engine`'s `tests/warm_alloc.rs` counts them, with the driver's,
+//! on every engine route.
 
 use crate::indexing::BlockGrid;
 use fmm_dense::{ops, MatMut, MatRef, Scalar};
@@ -29,7 +27,6 @@ impl<'a, T: Scalar> OperandBlocks<'a, T> {
                 let (r, c) = grid.coords(flat);
                 op.submatrix(r * bm, c * bn, bm, bn)
             })
-            // fmm-check: allow(deny-alloc, reason = "per-execution grid setup, plan-rank bounded, not per-product")
             .collect();
         Self { blocks }
     }
@@ -66,10 +63,12 @@ pub struct DestBlocks<'a, T = f64> {
 
 // SAFETY: the only way to reach the underlying elements is
 // [`DestBlocks::get`], an `unsafe fn` whose contract requires distinct
-// (hence disjoint) block indices; sharing the descriptor across threads —
-// which the BFS merge phase does, one block per task — adds no capability
-// beyond that contract.
+// (hence disjoint) block indices; moving the descriptor to another thread
+// moves only a pointer and adds no capability beyond that contract.
 unsafe impl<T: Scalar> Send for DestBlocks<'_, T> {}
+// SAFETY: sharing the descriptor across threads — which the BFS merge
+// phase does, one block per task — still reaches elements only through
+// `get`, whose contract is unchanged.
 unsafe impl<T: Scalar> Sync for DestBlocks<'_, T> {}
 
 impl<'a, T: Scalar> DestBlocks<'a, T> {
@@ -79,7 +78,6 @@ impl<'a, T: Scalar> DestBlocks<'a, T> {
         assert_eq!(c.cols() % grid.cols(), 0, "C cols not divisible by grid");
         let bm = c.rows() / grid.rows();
         let bn = c.cols() / grid.cols();
-        // fmm-check: allow(deny-alloc, reason = "per-execution grid setup, plan-rank bounded, not per-product")
         let coords = (0..grid.len()).map(|flat| grid.coords(flat)).collect();
         Self {
             ptr: c.as_mut_ptr(),
@@ -148,7 +146,6 @@ pub fn gather_terms<'a, T: Scalar>(
     r: usize,
     blocks: &OperandBlocks<'a, T>,
 ) -> Vec<(T, MatRef<'a, T>)> {
-    // fmm-check: allow(deny-alloc, reason = "per-product term list bounded by plan nnz; fold into a fixed-capacity buffer if it shows in profiles")
     coeffs.col_nonzeros(r).map(|(i, g)| (T::from_f64(g), blocks.get(i))).collect()
 }
 

@@ -119,7 +119,7 @@ impl<T: GemmScalar> FmmContext<T> {
 
     /// Size the arena and packing workspace for `(plan, variant)` on an
     /// `(m, k, n)` problem before executing it, so the execution itself
-    /// allocates nothing. Idempotent; never shrinks.
+    /// grows no workspace. Idempotent; never shrinks.
     pub fn preplan(&mut self, plan: &FmmPlan, variant: Variant, m: usize, k: usize, n: usize) {
         let (mc, kc, nc) = peeling::peel(m, k, n, plan.partition_dims()).core;
         if mc > 0 && kc > 0 && nc > 0 {

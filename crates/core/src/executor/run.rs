@@ -17,12 +17,10 @@
 //!   structure of Benson–Ballard's reference implementations, paying the
 //!   `T^{A+}_m`, `T^{B+}_m`, `T^{C+}_m` traffic the model charges.
 //!
-//! Warm-path allocation contract: `fmm-check: contract(warm-alloc-free)`
-//! (see README § Static analysis). The temporaries live in the preplanned
-//! arena; ABC's destination-tile list is the one allowed exception,
-//! justified inline.
-
-// fmm-check: contract(warm-alloc-free)
+//! The temporaries live in the preplanned arena. What the loop does
+//! allocate, per product, is two term lists, the driver's slice lists and
+//! ABC's destination-tile list; `fmm-engine`'s `tests/warm_alloc.rs`
+//! derives that count from the plan and asserts it.
 
 use super::common::{gather_terms, DestBlocks, OperandBlocks};
 use super::{ArenaViews, Variant};
@@ -85,7 +83,6 @@ pub(super) fn run_products<T: GemmScalar>(
                     // distinct block indices, and distinct blocks are
                     // disjoint regions of C.
                     .map(|(p, w)| DestTile::new(unsafe { c_blocks.get(p) }, T::from_f64(w)))
-                    // fmm-check: allow(deny-alloc, reason = "per-product tile list bounded by plan nnz(W); fixed-capacity candidate if profiled hot")
                     .collect();
                 let ic_loop = ic_loop.reborrow();
                 gemm_sums_with(&mut dests, &a_terms, &b_terms, params, Update::Accumulate, ic_loop);

@@ -12,11 +12,21 @@
 //!   keys are errors, never silently defaulted.
 //!
 //! Every consumer feeds this parser files and frames it did not write, so
-//! the whole module carries the machine-checked panic-freedom contract
-//! (`fmm-check`'s `deny-panic` rule — no `unwrap`/`expect`/`panic!`/`[]`
-//! indexing outside tests; see README § Static analysis).
+//! the whole module is held panic-free by the attribute below, which
+//! denies clippy's panic lints outside tests.
 
-// fmm-check: contract(panic-free)
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

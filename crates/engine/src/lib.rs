@@ -880,8 +880,11 @@ impl<'a, T: GemmScalar> BatchItemsPtr<'a, T> {
 }
 
 // SAFETY: dereferencing is `unsafe` at the use site, with disjointness
-// guaranteed by the fan-out index protocol.
+// guaranteed by the fan-out index protocol; sending the pointer moves no
+// item.
 unsafe impl<T: GemmScalar> Send for BatchItemsPtr<'_, T> {}
+// SAFETY: shared across the fan-out's workers, the pointer still reaches
+// an item only through the `unsafe` `item`, one index per worker.
 unsafe impl<T: GemmScalar> Sync for BatchItemsPtr<'_, T> {}
 
 impl<T: GemmScalar> std::fmt::Debug for FmmEngine<T> {

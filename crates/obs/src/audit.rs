@@ -15,14 +15,14 @@
 //! * predicted / measured / flop running sums and per-source counts.
 //!
 //! The warm [`record`] path is lock-free (relaxed atomics plus one CAS
-//! when a class is first seen) and carries `fmm-check`'s
-//! `contract(warm-alloc-free)`: the 64-slot table is allocated once on
-//! first use — counted by [`table_allocations`] so tests can prove the
-//! steady state allocates nothing — and every later sample only touches
-//! preallocated atomics. The cold side ([`note_decision`], which
-//! attaches a human-readable "chosen plan" label when the engine makes
-//! a fresh routing decision, and [`snapshot`] for export) may allocate
-//! and may take the per-slot label lock; `record` never does.
+//! when a class is first seen) and allocation-free: the 64-slot table is
+//! allocated once on first use — counted by [`table_allocations`] — and
+//! every later sample only touches preallocated atomics, which
+//! `tests/audit_alloc.rs` proves with a counting allocator. The cold side
+//! ([`note_decision`], which attaches a human-readable "chosen plan"
+//! label when the engine makes a fresh routing decision, and
+//! [`snapshot`] for export) may allocate and may take the per-slot label
+//! lock; `record` never does.
 //!
 //! Shape classes are identified by their power-of-two-bucketed dims
 //! (the same bucketing `fmm-tune` uses): each dim is stored as its
@@ -161,12 +161,10 @@ static TABLE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// The one-time table. `Histogram::new` is not const, so a true static
 /// is impossible; the single allocation is counted so tests can prove
 /// the warm path never repeats it.
-// fmm-check: contract(warm-alloc-free)
 fn table() -> &'static [AuditSlot] {
     static TABLE: OnceLock<Box<[AuditSlot]>> = OnceLock::new();
     TABLE.get_or_init(|| {
         TABLE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // fmm-check: allow(deny-alloc, reason = "one-time audit-table allocation at first use; warm records reuse the slots in place")
         (0..AUDIT_SLOTS).map(|_| AuditSlot::new()).collect::<Vec<_>>().into_boxed_slice()
     })
 }
@@ -193,7 +191,6 @@ fn decode_dim(e: u64) -> u64 {
 /// Pack a (class, dtype) identity into a nonzero u64: bit 63 is a
 /// claim marker, bits 56.. carry the dtype, the low 18 bits the three
 /// dim exponents.
-// fmm-check: contract(warm-alloc-free)
 fn pack_key(class_m: u64, class_k: u64, class_n: u64, dtype: AuditDtype) -> u64 {
     (1u64 << 63)
         | (dtype.id() << 56)
@@ -204,7 +201,6 @@ fn pack_key(class_m: u64, class_k: u64, class_n: u64, dtype: AuditDtype) -> u64 
 
 /// Find the slot for `key`, claiming an empty one if needed. Linear
 /// probe from a key-derived start; `None` when the table is full.
-// fmm-check: contract(warm-alloc-free)
 fn find_or_claim(key: u64) -> Option<&'static AuditSlot> {
     let slots = table();
     let start = (key % AUDIT_SLOTS as u64) as usize;
@@ -232,7 +228,6 @@ fn find_or_claim(key: u64) -> Option<&'static AuditSlot> {
 /// Record one executed multiply into its (shape-class, dtype)
 /// aggregate. Lock-free, allocation-free after the first call; returns
 /// `false` (and counts a drop) when the class table is full.
-// fmm-check: contract(warm-alloc-free)
 pub fn record(sample: &AuditSample) -> bool {
     let key = pack_key(sample.class_m, sample.class_k, sample.class_n, sample.dtype);
     let Some(slot) = find_or_claim(key) else {

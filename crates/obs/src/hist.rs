@@ -13,9 +13,10 @@
 //! start, and two histograms recorded on different threads merge by
 //! bucket-wise addition.
 //!
-//! The record/merge paths carry `fmm-check`'s `contract(warm-alloc-free)`
-//! (see README § Static analysis): recording a sample must never touch
-//! the heap. `snapshot` is the cold export path and may allocate.
+//! Recording a sample never touches the heap: `audit::record` records
+//! into a histogram, and `tests/audit_alloc.rs` counts its heap calls
+//! with a counting allocator. Merging walks the fixed bucket arrays.
+//! `snapshot` is the cold export path and may allocate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -84,7 +85,6 @@ impl Histogram {
     }
 
     /// Record one sample. Three relaxed RMWs plus a relaxed min/max.
-    // fmm-check: contract(warm-alloc-free)
     #[inline]
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
@@ -95,7 +95,6 @@ impl Histogram {
     }
 
     /// Record a duration in nanoseconds (saturating at `u64::MAX`).
-    // fmm-check: contract(warm-alloc-free)
     #[inline]
     pub fn record_duration(&self, d: Duration) {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
@@ -107,7 +106,6 @@ impl Histogram {
     }
 
     /// Bucket-wise addition of `other` into `self` (cross-thread merge).
-    // fmm-check: contract(warm-alloc-free)
     pub fn merge_from(&self, other: &Histogram) {
         for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
             let n = src.load(Ordering::Relaxed);

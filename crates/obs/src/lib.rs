@@ -39,11 +39,12 @@
 //! design. An earlier draft of the trace switch used `SeqCst` "to be
 //! safe"; that bought nothing (the enabled check guards no data published
 //! by the store) and put a full fence on the per-request warm path.
-//! `fmm-check`'s `atomic-ordering` rule now denies `SeqCst` workspace-wide
-//! so the regression cannot silently return. The one place that publishes
-//! data is the ring's slot protocol, whose `Acquire`/`Release` operations
-//! and fences each carry an adjacent `// ORDERING:` comment proving the
-//! happens-before edge (see README § Static analysis).
+//! The one place that publishes data is the ring's slot protocol, whose
+//! `Acquire`/`Release` operations and fences each carry an adjacent
+//! `// ORDERING:` comment naming the happens-before edge, a convention
+//! review keeps. The proof is a test, not a comment:
+//! `trace::tests::lapping_writers_never_tear_a_slot` races writers that
+//! yield between every step of a push and checks no slot is torn.
 
 pub mod audit;
 pub mod hist;

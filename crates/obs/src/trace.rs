@@ -33,9 +33,8 @@
 //!
 //! The rings live in statics, so recording never allocates, not even the
 //! first time (`tests/recorder_alloc.rs` proves it with a counting
-//! allocator). The recording entry points carry `fmm-check`'s
-//! `contract(warm-alloc-free)`; export paths (`recent`, `describe`,
-//! `chrome_trace`) are cold and may allocate.
+//! allocator, over every entry point, kind and thread count); export
+//! paths (`recent`, `describe`, `chrome_trace`) are cold and may allocate.
 
 use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -371,7 +370,6 @@ impl<const N: usize> Ring<N> {
     /// Record `event`, overwriting the oldest. Lock-free and
     /// allocation-free; `false` if the event was dropped (see the type
     /// docs).
-    // fmm-check: contract(warm-alloc-free)
     pub fn push(&self, event: &Event) -> bool {
         let seq = self.next.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[seq as usize & (N - 1)];
@@ -494,7 +492,6 @@ pub fn now_nanos() -> u64 {
 
 /// Record `event`: an always-on kind into the always-on ring, a span kind
 /// into the span ring while tracing is on. Stamps the recording thread.
-// fmm-check: contract(warm-alloc-free)
 pub fn record(mut event: Event) {
     let always_on = event.kind.always_on();
     if !always_on && !enabled() {
@@ -514,7 +511,6 @@ pub fn record(mut event: Event) {
 }
 
 /// Open a span: the current timestamp when tracing is on, 0 when off.
-// fmm-check: contract(warm-alloc-free)
 #[inline(always)]
 pub fn start() -> u64 {
     if enabled() {
@@ -527,7 +523,6 @@ pub fn start() -> u64 {
 /// Close a span opened by [`start`]. A no-op for `start_nanos == 0`
 /// (tracing was off at open time) or if tracing has since been turned
 /// off, so toggling mid-span never records a torn span.
-// fmm-check: contract(warm-alloc-free)
 #[inline]
 pub fn finish(kind: Kind, request_id: u64, start_nanos: u64) {
     if start_nanos != 0 && enabled() {
@@ -536,7 +531,6 @@ pub fn finish(kind: Kind, request_id: u64, start_nanos: u64) {
 }
 
 /// Record an instantaneous span (e.g. `ReplyFlush`) while tracing is on.
-// fmm-check: contract(warm-alloc-free)
 #[inline]
 pub fn mark(kind: Kind, request_id: u64) {
     if enabled() {

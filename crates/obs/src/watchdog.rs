@@ -39,7 +39,6 @@ pub struct Heartbeat {
 
 impl Heartbeat {
     /// The watched loop completed a unit of work. One relaxed add.
-    // fmm-check: contract(warm-alloc-free)
     #[inline]
     pub fn progress(&self) {
         self.progress.fetch_add(1, Ordering::Relaxed);

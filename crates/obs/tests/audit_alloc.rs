@@ -1,12 +1,10 @@
 //! Allocation-freedom proof for the warm audit record path.
 //!
-//! `fmm-check`'s `contract(warm-alloc-free)` statically denies the
-//! allocating constructors in `audit.rs`; this test closes the loop
-//! dynamically with a counting global allocator: after the one-time
-//! table allocation, recording thousands of samples — old classes and
-//! new — must not call the allocator at all. Lives in its own
-//! integration-test binary because both the audit table and the
-//! allocation counter are process-global.
+//! A counting global allocator holds the warm audit record path to zero
+//! heap calls: after the one-time table allocation, recording thousands
+//! of samples — old classes and new — must not call the allocator at
+//! all. Lives in its own integration-test binary because both the audit
+//! table and the allocation counter are process-global.
 
 use fmm_obs::audit::{self, AuditDtype, AuditSample, AuditSource};
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -1,12 +1,10 @@
 //! Allocation-freedom proof for the event recorder.
 //!
-//! `fmm-check`'s `contract(warm-alloc-free)` statically denies the
-//! allocating constructors on the record path; this test closes the loop
-//! dynamically with a counting global allocator: recording every kind,
-//! with tracing on and off, from several threads, wrapping both rings,
-//! must not call the allocator at all. Lives in its own integration-test
-//! binary because the rings and the allocation counter are
-//! process-global.
+//! A counting global allocator holds the record path to zero heap calls:
+//! recording every kind, with tracing on and off, from several threads,
+//! wrapping both rings, must not call the allocator at all. Lives in its
+//! own integration-test binary because the rings and the allocation
+//! counter are process-global.
 
 use fmm_obs::trace::{self, Event, Kind};
 use std::alloc::{GlobalAlloc, Layout, System};

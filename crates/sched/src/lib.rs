@@ -183,7 +183,7 @@ impl<T: GemmScalar> SchedContext<T> {
     /// owns: the DFS arena, the per-task arena, the context-private
     /// packing pool, and the hybrid inner contexts (constructions and
     /// their arena growth). Flat once warm — the testable form of the
-    /// "warm scheduler path allocates nothing" guarantee.
+    /// "warm scheduler path grows no workspace" guarantee.
     pub fn grow_count(&self) -> u64 {
         self.fmm.arena_grow_count()
             + self.task_arena.grow_count()
@@ -194,7 +194,7 @@ impl<T: GemmScalar> SchedContext<T> {
 
     /// Size every workspace `(plan, variant, strategy)` needs for an
     /// `(m, k, n)` problem over `workers` workers, so the execution itself
-    /// allocates nothing. Idempotent; never shrinks.
+    /// grows no workspace. Idempotent; never shrinks.
     #[allow(clippy::too_many_arguments)]
     pub fn preplan(
         &mut self,
@@ -480,7 +480,7 @@ fn bfs_core<T: GemmScalar>(
     let task_params = ctx.params.for_workers(workers);
     // Fill the packing pool to `workers` depth up-front: self-scheduling
     // makes the number of *concurrently*-active workers vary per run, and
-    // the warm path must stay allocation-free even when all workers
+    // the warm path must take no new packing buffer even when all workers
     // genuinely overlap for the first time.
     ctx.prewarm_packing(workers);
 

@@ -19,12 +19,10 @@
 //! testable (a pool hit reuses an existing allocation; only misses
 //! allocate).
 //!
-//! That property is also machine-checked: the file carries `fmm-check`'s
-//! `contract(warm-alloc-free)` (see README § Static analysis). Cold-path
-//! construction is explicitly allowed inline; the pool-miss allocation
-//! goes through `AlignedBuf`, which the hit/miss counters account for.
-
-// fmm-check: contract(warm-alloc-free)
+//! `tests/serve_trace_alloc.rs` holds a warm request to flat pool misses
+//! and counts its heap calls with a counting allocator; construction is
+//! cold, and the pool-miss allocation goes through `AlignedBuf`, which
+//! the hit/miss counters account for.
 
 use crate::protocol::{Dtype, RequestDims, WireScalar};
 use fmm_dense::{AlignedBuf, MatMut, MatRef, Scalar};
@@ -81,9 +79,7 @@ impl<T: Scalar> BufferPool<T> {
     /// `retain_bytes` of capacity.
     pub fn new(retain: usize, retain_bytes: usize) -> Self {
         Self {
-            // fmm-check: allow(deny-alloc, reason = "cold pool construction, once per server, not per-request")
             inner: Arc::new(PoolInner {
-                // fmm-check: allow(deny-alloc, reason = "cold pool construction, once per server, not per-request")
                 idle: Mutex::new(IdleSet { bufs: Vec::new(), bytes: 0 }),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),

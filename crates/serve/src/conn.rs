@@ -11,9 +11,8 @@
 //! yields a fatal event, after which the caller reads nothing more.
 //!
 //! These paths parse untrusted network bytes, so they carry the same
-//! machine-checked panic-freedom contract as `protocol` (see README
-//! § Static analysis): the `fmm-check: contract(panic-free)` pragmas scope
-//! the `deny-panic` rule to the functions below.
+//! machine-checked panic-freedom contract as `protocol`: [`read_event`]
+//! and `small_frame_event` deny the same clippy lints.
 
 use crate::buffers::{IngestPools, OperandStage};
 use crate::protocol::{
@@ -84,7 +83,15 @@ pub enum InEvent {
 /// Read one inbound frame from `r`, enforcing `max_payload`. `Ok(None)` is
 /// a clean close at a frame boundary; `Err` is a transport error, or
 /// `UnexpectedEof` for a stream that ends inside a frame.
-// fmm-check: contract(panic-free)
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 pub fn read_event(
     r: &mut impl Read,
     max_payload: usize,
@@ -134,7 +141,15 @@ pub fn read_event(
 }
 
 /// Classify a fully buffered small frame into its event.
-// fmm-check: contract(panic-free)
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 fn small_frame_event(head: FrameHead, payload: Vec<u8>) -> InEvent {
     match head.kind {
         FrameKind::Ping => InEvent::Ping { head, payload },

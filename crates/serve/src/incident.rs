@@ -85,9 +85,9 @@ mod sys {
     pub const SIGINT: c_int = 2;
     pub const SIGTERM: c_int = 15;
 
-    // Layout guard in the spirit of the ffi-layout rule: the handler
-    // pointer crosses the ABI as a machine word and the signal number as
-    // a 32-bit int on every supported Unix.
+    // Layout guard for the one `extern` block in the workspace: the
+    // handler pointer crosses the ABI as a machine word and the signal
+    // number as a 32-bit int on every supported Unix.
     const _: () = assert!(std::mem::size_of::<c_int>() == 4);
     const _: () =
         assert!(std::mem::size_of::<extern "C" fn(c_int)>() == std::mem::size_of::<usize>());

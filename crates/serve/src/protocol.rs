@@ -32,12 +32,22 @@
 //! panic, no unchecked multiplication, no allocation before the declared
 //! length has been validated against the configured cap.
 //!
-//! That contract is machine-checked: the pragma below opts this whole
-//! file into `fmm-check`'s `deny-panic` rule (no `unwrap`/`expect`/
-//! `panic!`/`unreachable!`/`[]` indexing outside tests), and CI fails on
-//! any violation. See README § Static analysis.
+//! That contract is machine-checked: the attribute below denies clippy's
+//! panic lints in this whole file outside tests, and CI's clippy step
+//! fails on any violation.
 
-// fmm-check: contract(panic-free)
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use fmm_dense::Matrix;
 use fmm_gemm::GemmScalar;
@@ -64,7 +74,7 @@ pub const RESPONSE_PRELUDE: usize = 1 + 4 + 4;
 
 /// Read `N` bytes starting at `off`, or `None` if the slice is too short —
 /// the panic-free building block the decode paths here and in `conn`
-/// slice with (`fmm-check` forbids `[]` indexing in both).
+/// slice with (clippy's `indexing_slicing` is denied in both).
 pub(crate) fn le_bytes<const N: usize>(b: &[u8], off: usize) -> Option<[u8; N]> {
     let src = b.get(off..off.checked_add(N)?)?;
     let mut out = [0u8; N];

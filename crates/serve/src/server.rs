@@ -943,7 +943,7 @@ const RESULT_TAIL: usize = 8;
 /// buffer — except the last [`RESULT_TAIL`] bytes, which go out from a
 /// copy once the buffer is back in the pool. Until they arrive the peer
 /// cannot send its next request, so that request's result finds this
-/// buffer idle and the warm path allocates nothing.
+/// buffer idle and the warm path takes no new payload buffer.
 fn write_result(w: &mut impl Write, head: &[u8], body: WireBuf) -> io::Result<()> {
     let bytes = body.bytes();
     let cut = bytes.len().saturating_sub(RESULT_TAIL);

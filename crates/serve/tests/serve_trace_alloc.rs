@@ -1,12 +1,58 @@
-//! Proof that the warm serving path stays allocation-free with tracing
-//! enabled. Lives in its own integration-test binary (= its own process)
-//! because the proof reads process-global `fmm_obs` counters that other
-//! tests would perturb.
+//! What a warm daemon request costs the heap, with tracing enabled: no
+//! payload buffer (the pools' miss counters stay flat) and a counted
+//! number of small heap calls (a counting global allocator). Lives in its
+//! own integration-test binary (= its own process) because both the
+//! `fmm_obs` counters and the allocation counter are process-global.
 
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
 use fmm_model::ArchParams;
 use fmm_serve::{PipelinedClient, ServeConfig, Server};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: pure pass-through to the System allocator; the only added
+// behavior is a relaxed counter bump, which cannot violate GlobalAlloc's
+// contract (layout and pointer are forwarded untouched).
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller gave us.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: ptr/layout pair came from a matching alloc call.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: ptr/layout pair came from a matching alloc call.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap calls of one warm 48³ request, client included:
+/// * the dispatcher's job list, result-buffer list and `BatchItem` list: 3;
+/// * `multiply_batch`'s decision list: 1;
+/// * the plain GEMM the engine routes 48³ to, one block: its destination
+///   list, B-slice list and A-slice list: 3;
+/// * the connection's response header `Vec`, and its growth when the
+///   result prelude is appended: 2;
+/// * the client's result `Matrix`: 1.
+const PER_REQUEST: u64 = 3 + 1 + 3 + 2 + 1;
+/// Heap calls outside any request that may land in the window: the
+/// watchdog's first judging pass, 100 ms after spawn, grows its
+/// per-component state once.
+const WATCHDOG_FIRST_PASS: u64 = 1;
 
 #[test]
 fn warm_serving_path_allocates_nothing_with_tracing_on() {
@@ -21,9 +67,11 @@ fn warm_serving_path_allocates_nothing_with_tracing_on() {
         routing: Routing::Model,
         ..EngineConfig::default()
     };
+    let engine = Arc::new(FmmEngine::<f64>::new(engine_config.clone()));
+    assert_eq!(engine.decision_label(48, 48, 48), "GEMM");
     let handle = Server::spawn_with_engines(
         ServeConfig { trace: true, ..ServeConfig::default() },
-        Arc::new(FmmEngine::<f64>::new(engine_config.clone())),
+        engine,
         Arc::new(FmmEngine::<f32>::new(engine_config)),
     )
     .expect("bind loopback");
@@ -43,9 +91,19 @@ fn warm_serving_path_allocates_nothing_with_tracing_on() {
     assert!(events_warm > 0, "tracing on but no event was recorded");
 
     const WARM: u64 = 20;
-    for _ in 0..WARM {
-        client.multiply(&a, &b).expect("warm multiply");
-    }
+    let per_request: Vec<u64> = (0..WARM)
+        .map(|_| {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            client.multiply(&a, &b).expect("warm multiply");
+            ALLOCATIONS.load(Ordering::Relaxed) - before
+        })
+        .collect();
+    let total: u64 = per_request.iter().sum();
+    assert!(
+        per_request.iter().all(|&n| n >= PER_REQUEST)
+            && total <= WARM * PER_REQUEST + WATCHDOG_FIRST_PASS,
+        "warm requests made {per_request:?} heap calls, not {PER_REQUEST} each"
+    );
 
     assert_eq!(pool_misses(&handle), pool_misses_warm, "warm serving allocated a payload buffer");
     // RequestRecv, Admission, QueueWait, BatchForm and ReplyFlush at least.
