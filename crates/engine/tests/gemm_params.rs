@@ -34,9 +34,12 @@ fn gemm_route_packs_at_the_configured_params() {
     engine.multiply(c.as_mut(), a.as_ref(), b.as_ref());
     let packed = packs.count() - before;
 
-    // One B̃ panel per (jc, pc) block, and one Ã block per (jc, pc, ic).
-    // The default parameters would pack twice at 64³; tiny ones 240 times.
+    // One B̃ panel per (jc, pc) block, and one Ã block per (jc, pc, ic),
+    // at the configured cache blocking and the kernel's 16x8 tile. The
+    // default parameters would pack twice at 64³; tiny ones (kc 8, mc 16,
+    // nc 12) 240 times.
     let p = params.with_register_tile(f64::MR, f64::NR);
+    assert_eq!((p.kc, p.mc, p.nc), (params.kc, params.mc, params.nc), "the tile fits tiny()");
     let (jc, pc, ic) = (n.div_ceil(p.nc), n.div_ceil(p.kc), n.div_ceil(p.mc));
     assert_eq!(packed, (jc * pc * (1 + ic)) as u64, "packs at {p:?}");
 

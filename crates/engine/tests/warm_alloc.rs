@@ -82,7 +82,9 @@ fn settle() {
 }
 
 /// Small cache blocking, so a 64³ block runs two iterations of each of
-/// the `jc`, `pc` and `ic` loops and every term of `gemm` counts.
+/// the `jc`, `pc` and `ic` loops and every term of `gemm` counts. `mc` is
+/// at least both dtypes' `MR` (16 and 32), so the driver's
+/// `mc.max(MR)` keeps it, and `nc` at least both `NR` (8).
 const PARAMS: BlockingParams = BlockingParams { mr: 8, nr: 4, kc: 32, mc: 32, nc: 32 };
 /// Every FMM route multiplies `N`³: one ⟨2,2,2⟩ level leaves 64³ blocks,
 /// two leave 32³.

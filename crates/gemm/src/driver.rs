@@ -22,9 +22,10 @@ use crate::workspace::{GemmWorkspace, PooledWorkspace};
 use fmm_dense::{MatMut, MatRef, Scalar};
 use rayon::prelude::*;
 
-/// Upper bound on `MR * NR` across every supported scalar — the stack
-/// accumulator is sized by this so one code path serves all dtypes.
-pub(crate) const ACC_CAP: usize = 64;
+/// Upper bound on `MR * NR` across every supported scalar (`f32`'s
+/// `32 x 8`) — the stack accumulator is sized by this so one code path
+/// serves all dtypes.
+pub(crate) const ACC_CAP: usize = 256;
 
 /// One destination of a generalized GEMM: a mutable view plus the scalar
 /// coefficient `w` applied to the product before accumulation.
@@ -600,7 +601,7 @@ mod tests {
 
     #[test]
     fn f32_gemm_matches_f64_reference() {
-        // The f32 driver (16x4 kernel, f32 packing) against the same
+        // The f32 driver (32x8 kernel, f32 packing) against the same
         // product computed in f64, at the f32-derived bound.
         use fmm_dense::Scalar;
         for (m, k, n) in [(37, 29, 41), (64, 64, 64), (16, 100, 8)] {

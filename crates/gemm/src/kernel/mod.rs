@@ -1,22 +1,35 @@
 //! The register-blocked micro-kernel, written once.
 //!
-//! [`product`] computes the `MR x NR` rank-`kc` product `Ã * B̃` of two
-//! packed micro-panels in registers. [`kernel`] adds it into a stack tile
-//! `acc`; [`update`] adds it, scaled, into the tile of every destination of
-//! a list straight from registers, after prefetching each destination's
-//! tile so the misses overlap the depth loop. All three are generic over a
-//! [`Lane`] (a SIMD vector, or an array the compiler vectorises) and over
-//! the tile: `MV` lanes per column times `NR` columns, so
-//! `MR = MV * Lane::W`. An instance is that source compiled with its lane's
-//! target features:
+//! [`product`] computes the rank-`kc` product `Ã * B̃` of an
+//! `MV * Lane::W x NR` sub-tile of two packed micro-panels in registers:
+//! `MV` lanes per column times `NR` columns, `MV * NR` accumulators.
+//! [`kernel`] adds the products of a `TM x TN` tile into a stack tile
+//! `acc`; [`update`] adds them, scaled, into the tile of every destination
+//! of a list straight from registers, after prefetching each destination's
+//! tile so the misses overlap the depth loop. A tile is one sub-tile when
+//! the lane's register file holds it, and a grid of sub-tiles over the
+//! same packed panels when it does not, so every instance of a dtype packs
+//! the same panels and none spills. All three are generic over a [`Lane`]
+//! (a SIMD vector, or an array the compiler vectorises), the sub-tile and
+//! the tile. An instance is that source compiled with its lane's target
+//! features:
 //!
-//! | name | lane | MV x NR | CPU check |
-//! |---|---|---|---|
-//! | `avx512f_8x4` | `__m512d` | 1 x 4 | `avx512f` |
-//! | `avx2_fma_8x4` | `__m256d` | 2 x 4 | `avx2` and `fma` |
-//! | `portable_8x4` | `[f64; 4]` | 2 x 4 | none |
-//! | `avx2_fma_16x4` | `__m256` | 2 x 4 | `avx2` and `fma` |
-//! | `portable_16x4` | `[f32; 8]` | 2 x 4 | none |
+//! | name | lane | sub-tile (`MV x NR`) | sub-tiles | CPU check |
+//! |---|---|---|---|---|
+//! | `avx512f_16x8` | `__m512d` | 16x8 (2 x 8) | 1 | `avx512f` |
+//! | `avx2_fma_16x8` | `__m256d` | 8x4 (2 x 4) | 2 x 2 | `avx2` and `fma` |
+//! | `portable_16x8` | `[f64; 4]` | 4x4 (1 x 4) | 4 x 2 | none |
+//! | `avx512f_32x8` | `__m512` | 32x8 (2 x 8) | 1 | `avx512f` |
+//! | `avx2_fma_32x8` | `__m256` | 16x4 (2 x 4) | 2 x 2 | `avx2` and `fma` |
+//! | `portable_32x8` | `[f32; 8]` | 8x4 (1 x 4) | 4 x 2 | none |
+//!
+//! The AVX-512 rows hold 16 of the 32 `zmm` registers as accumulators:
+//! sixteen independent FMA chains, enough to cover two FMA ports at four
+//! cycles' latency, where the paper's 8x4 tile (sized for sixteen 256-bit
+//! registers) gives four. The AVX2 rows keep the paper's tile as their
+//! sub-tile, eight of the sixteen `ymm` registers. The portable rows
+//! compile for the baseline target's sixteen 128-bit `xmm` registers, where
+//! a 4x4 sub-tile of doubles (or 8x4 of singles) is eight.
 //!
 //! Each dtype lists its instances in preference order; the first one the
 //! CPU supports is picked once per process and reached through
@@ -103,8 +116,8 @@ pub trait GemmScalar: Scalar {
 }
 
 impl GemmScalar for f64 {
-    const MR: usize = 8;
-    const NR: usize = 4;
+    const MR: usize = 16;
+    const NR: usize = 8;
     fn micro_kernel() -> MicroKernelFn<f64> {
         selected(&F64_CHOICE, F64_KERNELS).run
     }
@@ -121,8 +134,8 @@ impl GemmScalar for f64 {
 }
 
 impl GemmScalar for f32 {
-    const MR: usize = 16;
-    const NR: usize = 4;
+    const MR: usize = 32;
+    const NR: usize = 8;
     fn micro_kernel() -> MicroKernelFn<f32> {
         selected(&F32_CHOICE, F32_KERNELS).run
     }
@@ -148,30 +161,46 @@ struct Instance<T> {
 }
 
 impl<T: GemmScalar> Instance<T> {
-    /// [`kernel`] on lane `L` at `MV x NR`; a tile other than `T`'s fails to compile.
-    const fn new<L: Lane<Elem = T>, const MV: usize, const NR: usize>(name: &'static str) -> Self {
-        assert!(MV * L::W == T::MR && NR == T::NR, "instance tile is not T::MR x T::NR");
+    /// [`kernel`] on lane `L`, running the `TM x TN` tile as `MV * L::W x NR`
+    /// sub-tiles; a tile other than `T`'s, or a sub-tile that does not
+    /// divide it, fails to compile.
+    const fn new<
+        L: Lane<Elem = T>,
+        const MV: usize,
+        const NR: usize,
+        const TM: usize,
+        const TN: usize,
+    >(
+        name: &'static str,
+    ) -> Self {
+        assert!(TM == T::MR && TN == T::NR, "instance tile is not T::MR x T::NR");
+        assert!(
+            TM.is_multiple_of(MV * L::W) && TN.is_multiple_of(NR),
+            "sub-tile does not divide the tile"
+        );
         Self {
             name,
             supported: L::supported,
-            run: L::instance::<MV, NR>,
-            update: L::update_instance::<MV, NR>,
+            run: L::instance::<MV, NR, TM, TN>,
+            update: L::update_instance::<MV, NR, TM, TN>,
         }
     }
 }
 
 static F64_KERNELS: &[Instance<f64>] = &[
     #[cfg(target_arch = "x86_64")]
-    Instance::new::<__m512d, 1, 4>("avx512f_8x4"),
+    Instance::new::<__m512d, 2, 8, 16, 8>("avx512f_16x8"),
     #[cfg(target_arch = "x86_64")]
-    Instance::new::<__m256d, 2, 4>("avx2_fma_8x4"),
-    Instance::new::<[f64; 4], 2, 4>("portable_8x4"),
+    Instance::new::<__m256d, 2, 4, 16, 8>("avx2_fma_16x8"),
+    Instance::new::<[f64; 4], 1, 4, 16, 8>("portable_16x8"),
 ];
 
 static F32_KERNELS: &[Instance<f32>] = &[
     #[cfg(target_arch = "x86_64")]
-    Instance::new::<__m256, 2, 4>("avx2_fma_16x4"),
-    Instance::new::<[f32; 8], 2, 4>("portable_16x4"),
+    Instance::new::<__m512, 2, 8, 32, 8>("avx512f_32x8"),
+    #[cfg(target_arch = "x86_64")]
+    Instance::new::<__m256, 2, 4, 32, 8>("avx2_fma_32x8"),
+    Instance::new::<[f32; 8], 1, 4, 32, 8>("portable_32x8"),
 ];
 
 static F64_CHOICE: OnceLock<Instance<f64>> = OnceLock::new();
@@ -212,21 +241,27 @@ trait Lane: Copy {
     /// See [`Lane`]. Writes `self` over the `W` elements at `p`.
     unsafe fn store(self, p: *mut Self::Elem);
     /// # Safety
-    /// As [`kernel`], which this is at `MV x NR`. SIMD lanes override it
-    /// to compile the kernel with their target features.
-    unsafe fn instance<const MV: usize, const NR: usize>(
+    /// As [`kernel`], which this is at `MV x NR` sub-tiles of `TM x TN`.
+    /// SIMD lanes override it to compile the kernel with their target
+    /// features.
+    unsafe fn instance<const MV: usize, const NR: usize, const TM: usize, const TN: usize>(
         kc: usize,
         a: *const Self::Elem,
         b: *const Self::Elem,
         acc: *mut Self::Elem,
     ) {
         // SAFETY: forwarded contract.
-        unsafe { kernel::<Self, MV, NR>(kc, a, b, acc) }
+        unsafe { kernel::<Self, MV, NR, TM, TN>(kc, a, b, acc) }
     }
     /// # Safety
-    /// As [`update`], which this is at `MV x NR`; overridden as
-    /// [`Lane::instance`] is.
-    unsafe fn update_instance<const MV: usize, const NR: usize>(
+    /// As [`update`], which this is at `MV x NR` sub-tiles of `TM x TN`;
+    /// overridden as [`Lane::instance`] is.
+    unsafe fn update_instance<
+        const MV: usize,
+        const NR: usize,
+        const TM: usize,
+        const TN: usize,
+    >(
         kc: usize,
         a: *const Self::Elem,
         b: *const Self::Elem,
@@ -236,34 +271,38 @@ trait Lane: Copy {
         store: bool,
     ) {
         // SAFETY: forwarded contract.
-        unsafe { update::<Self, MV, NR>(kc, a, b, dests, i, j, store) }
+        unsafe { update::<Self, MV, NR, TM, TN>(kc, a, b, dests, i, j, store) }
     }
 }
 
-/// `Ã * B̃` over depth `kc` for an `MV * L::W x NR` tile, in `MV * NR`
-/// lanes that start at zero. The depth loop is unrolled twice; each lane's
-/// chain stays in depth order.
+/// `Ã * B̃` over depth `kc` for an `MV * L::W x NR` sub-tile, in `MV * NR`
+/// lanes that start at zero. The sub-tile's rows are read from `a` and its
+/// columns from `b`, at `tm` and `tn` elements per depth step: the panels
+/// of the whole tile the sub-tile lies in. The depth loop is unrolled
+/// twice; each lane's chain stays in depth order.
 ///
 /// # Safety
-/// The CPU has `L`'s target features; `a` points to `kc * MV * L::W`
-/// readable elements, `b` to `kc * NR`.
+/// The CPU has `L`'s target features; for every depth `p < kc`, the
+/// `MV * L::W` elements at `a + p * tm` and the `NR` at `b + p * tn` are
+/// readable.
 #[inline(always)]
 unsafe fn product<L: Lane, const MV: usize, const NR: usize>(
     kc: usize,
     a: *const L::Elem,
     b: *const L::Elem,
+    tm: usize,
+    tn: usize,
 ) -> [[L; MV]; NR] {
-    let mr = MV * L::W;
     // SAFETY: `L`'s features are present, and every offset stays within
-    // the `kc * mr` / `kc * NR` panels.
+    // the panels.
     unsafe {
         let mut c = [[L::splat(L::Elem::ZERO); MV]; NR];
         let (mut ap, mut bp) = (a, b);
         for _ in 0..kc / 2 {
             step(&mut c, ap, bp);
-            step(&mut c, ap.add(mr), bp.add(NR));
-            ap = ap.add(2 * mr);
-            bp = bp.add(2 * NR);
+            step(&mut c, ap.add(tm), bp.add(tn));
+            ap = ap.add(2 * tm);
+            bp = bp.add(2 * tn);
         }
         if kc % 2 == 1 {
             step(&mut c, ap, bp);
@@ -272,37 +311,45 @@ unsafe fn product<L: Lane, const MV: usize, const NR: usize>(
     }
 }
 
-/// `acc += Ã * B̃`: the [`product`] added into the column-major
-/// `MV * L::W x NR` tile `acc` once.
+/// `acc += Ã * B̃`: the [`product`] of every `MV * L::W x NR` sub-tile
+/// added into its part of the column-major `TM x TN` tile `acc` once.
 ///
 /// # Safety
-/// As [`product`], and `acc` points to `MV * L::W * NR` writable elements.
+/// The CPU has `L`'s target features; `a` points to `kc * TM` readable
+/// elements, `b` to `kc * TN`, and `acc` to `TM * TN` writable elements.
 #[inline(always)]
-unsafe fn kernel<L: Lane, const MV: usize, const NR: usize>(
+unsafe fn kernel<L: Lane, const MV: usize, const NR: usize, const TM: usize, const TN: usize>(
     kc: usize,
     a: *const L::Elem,
     b: *const L::Elem,
     acc: *mut L::Elem,
 ) {
-    // SAFETY: as above; the stores stay within the `mr * NR` tile.
+    // SAFETY: as above; each sub-tile lies inside the panels and the
+    // stores inside the `TM * TN` tile.
     unsafe {
-        let c = product::<L, MV, NR>(kc, a, b);
-        for (j, col) in c.iter().enumerate() {
-            for (v, lane) in col.iter().enumerate() {
-                lane.add_store(acc.add(j * MV * L::W + v * L::W));
+        for j0 in (0..TN).step_by(NR) {
+            for i0 in (0..TM).step_by(MV * L::W) {
+                let c = product::<L, MV, NR>(kc, a.add(i0), b.add(j0), TM, TN);
+                for (j, col) in c.iter().enumerate() {
+                    for (v, lane) in col.iter().enumerate() {
+                        lane.add_store(acc.add((j0 + j) * TM + i0 + v * L::W));
+                    }
+                }
             }
         }
     }
 }
 
-/// `C_d (+)= w_d * (Ã * B̃)` on the tile at `(i, j)` of every
-/// destination, straight from the [`product`]'s registers: per destination
-/// and column, `MV` vector multiplies, then loads, adds and stores.
+/// `C_d (+)= w_d * (Ã * B̃)` on the `TM x TN` tile at `(i, j)` of every
+/// destination, straight from each sub-tile's [`product`] registers: per
+/// destination and column, `MV` vector multiplies, then loads, adds and
+/// stores.
 ///
 /// # Safety
-/// As [`product`], and the [`TileUpdateFn`] contract for `dests`.
+/// As [`kernel`] for `a` and `b`, and the [`TileUpdateFn`] contract for
+/// `dests`.
 #[inline(always)]
-unsafe fn update<L: Lane, const MV: usize, const NR: usize>(
+unsafe fn update<L: Lane, const MV: usize, const NR: usize, const TM: usize, const TN: usize>(
     kc: usize,
     a: *const L::Elem,
     b: *const L::Elem,
@@ -311,29 +358,32 @@ unsafe fn update<L: Lane, const MV: usize, const NR: usize>(
     j: usize,
     store: bool,
 ) {
-    let mr = MV * L::W;
     // SAFETY: as above; each destination holds the full tile at `(i, j)`.
     unsafe {
         let tile = |d: &RawDest<L::Elem>, jj: usize| d.ptr.add(i).offset((j + jj) as isize * d.cs);
         // Ask for every destination column's first and last element now,
         // so the C misses overlap the depth loop instead of following it.
         for d in dests {
-            for jj in 0..NR {
+            for jj in 0..TN {
                 prefetch(tile(d, jj));
-                prefetch(tile(d, jj).add(mr - 1));
+                prefetch(tile(d, jj).add(TM - 1));
             }
         }
-        let c = product::<L, MV, NR>(kc, a, b);
-        for d in dests {
-            let w = L::splat(d.coeff);
-            for (jj, col) in c.iter().enumerate() {
-                let cj = tile(d, jj);
-                for (v, lane) in col.iter().enumerate() {
-                    let (x, p) = (lane.mul(w), cj.add(v * L::W));
-                    if store {
-                        x.store(p);
-                    } else {
-                        x.add_store(p);
+        for j0 in (0..TN).step_by(NR) {
+            for i0 in (0..TM).step_by(MV * L::W) {
+                let c = product::<L, MV, NR>(kc, a.add(i0), b.add(j0), TM, TN);
+                for d in dests {
+                    let w = L::splat(d.coeff);
+                    for (jj, col) in c.iter().enumerate() {
+                        let cj = tile(d, j0 + jj).add(i0);
+                        for (v, lane) in col.iter().enumerate() {
+                            let (x, p) = (lane.mul(w), cj.add(v * L::W));
+                            if store {
+                                x.store(p);
+                            } else {
+                                x.add_store(p);
+                            }
+                        }
                     }
                 }
             }
@@ -343,7 +393,7 @@ unsafe fn update<L: Lane, const MV: usize, const NR: usize>(
 
 /// A hint to load the cache line holding `p`; it never faults.
 #[inline(always)]
-fn prefetch<T>(p: *const T) {
+pub(crate) fn prefetch<T>(p: *const T) {
     // SAFETY: a prefetch reads nothing the program observes and does not
     // fault on any address; SSE, which it needs, is in the x86_64 baseline.
     #[cfg(target_arch = "x86_64")]
@@ -357,7 +407,7 @@ fn prefetch<T>(p: *const T) {
 /// One depth step: `c[j][v] += a[v] * b[j]`.
 ///
 /// # Safety
-/// As [`kernel`] at `kc = 1`.
+/// As [`product`] at `kc = 1`.
 #[inline(always)]
 unsafe fn step<L: Lane, const MV: usize, const NR: usize>(
     c: &mut [[L; MV]; NR],
@@ -456,20 +506,22 @@ macro_rules! x86_lanes {
             unsafe fn store(self, p: *mut $elem) { unsafe { $store(p, self) } }
             // SAFETY: `kernel`'s contract, the features included.
             #[target_feature($(enable = $feature),+)]
-            unsafe fn instance<const MV: usize, const NR: usize>(
+            unsafe fn instance<const MV: usize, const NR: usize, const TM: usize, const TN: usize>(
                 kc: usize, a: *const $elem, b: *const $elem, acc: *mut $elem,
             ) {
                 // SAFETY: as above.
-                unsafe { kernel::<Self, MV, NR>(kc, a, b, acc) }
+                unsafe { kernel::<Self, MV, NR, TM, TN>(kc, a, b, acc) }
             }
             // SAFETY: `update`'s contract, the features included.
             #[target_feature($(enable = $feature),+)]
-            unsafe fn update_instance<const MV: usize, const NR: usize>(
+            unsafe fn update_instance<
+                const MV: usize, const NR: usize, const TM: usize, const TN: usize,
+            >(
                 kc: usize, a: *const $elem, b: *const $elem, dests: &[RawDest<$elem>],
                 i: usize, j: usize, store: bool,
             ) {
                 // SAFETY: as above.
-                unsafe { update::<Self, MV, NR>(kc, a, b, dests, i, j, store) }
+                unsafe { update::<Self, MV, NR, TM, TN>(kc, a, b, dests, i, j, store) }
             }
         }
     )+};
@@ -480,6 +532,9 @@ x86_lanes! {
     __m512d, f64, 8, ["avx512f"],
         _mm512_loadu_pd, _mm512_set1_pd, _mm512_fmadd_pd, _mm512_mul_pd, _mm512_add_pd,
         _mm512_storeu_pd;
+    __m512, f32, 16, ["avx512f"],
+        _mm512_loadu_ps, _mm512_set1_ps, _mm512_fmadd_ps, _mm512_mul_ps, _mm512_add_ps,
+        _mm512_storeu_ps;
     __m256d, f64, 4, ["avx2", "fma"],
         _mm256_loadu_pd, _mm256_set1_pd, _mm256_fmadd_pd, _mm256_mul_pd, _mm256_add_pd,
         _mm256_storeu_pd;
@@ -607,17 +662,16 @@ mod tests {
         (!row.name.starts_with("portable")).then_some(fma)
     }
 
-    /// The one source at tiles no production instance uses: `M1·W x 4`,
-    /// `M2·W x 8` and `M3·W x 8` on lane `L`, if this CPU supports it.
-    fn check_tiles<L: Lane, const M1: usize, const M2: usize, const M3: usize>(fma: Fma<L::Elem>)
-    where
+    /// The one source on lane `L` at a tile no production instance uses,
+    /// `TM x TN` as `MV·W x NR` sub-tiles, if this CPU supports the lane.
+    fn check_tiles<L: Lane, const MV: usize, const NR: usize, const TM: usize, const TN: usize>(
+        fma: Fma<L::Elem>,
+    ) where
         L::Elem: GemmScalar,
     {
         if L::supported() {
-            let tile = "test tile";
-            check(tile, (L::instance::<M1, 4>, L::update_instance::<M1, 4>), M1 * L::W, 4, fma);
-            check(tile, (L::instance::<M2, 8>, L::update_instance::<M2, 8>), M2 * L::W, 8, fma);
-            check(tile, (L::instance::<M3, 8>, L::update_instance::<M3, 8>), M3 * L::W, 8, fma);
+            let run: MicroKernelFn<L::Elem> = L::instance::<MV, NR, TM, TN>;
+            check("test tile", (run, L::update_instance::<MV, NR, TM, TN>), TM, TN, fma);
         }
     }
 
@@ -630,23 +684,49 @@ mod tests {
     }
 
     /// Every instance this CPU supports, both dtypes, both forms, exactly:
-    /// the table rows at their tiles, then f64 8x4, 16x8, 24x8 and f32 16x4,
-    /// 32x8, 48x8 on every supported lane.
+    /// the table rows at their dtype's tile (the sub-tiled portable rows on
+    /// every host), then on every supported lane the parent tiles (f64 8x4,
+    /// f32 16x4) as one sub-tile, a 3 x 2 grid of them, and on the AVX-512
+    /// lanes a 24-accumulator tile and the dtype tile as a 2 x 2 grid.
     #[test]
     fn all_available_kernels_agree_exactly() {
-        for row in F64_KERNELS.iter().filter(|row| (row.supported)()) {
-            check(row.name, (row.run, row.update), f64::MR, f64::NR, fma_of(row, f64::mul_add));
+        // Printed (under `--nocapture`), so a CI log shows which rows ran.
+        let report = |name: &str, ran: bool| {
+            println!("kernel row {name}: {}", if ran { "checked" } else { "not supported here" })
+        };
+        for row in F64_KERNELS {
+            report(row.name, (row.supported)());
+            if (row.supported)() {
+                let fma = fma_of(row, f64::mul_add);
+                check(row.name, (row.run, row.update), f64::MR, f64::NR, fma);
+            }
         }
-        for row in F32_KERNELS.iter().filter(|row| (row.supported)()) {
-            check(row.name, (row.run, row.update), f32::MR, f32::NR, fma_of(row, f32::mul_add));
+        for row in F32_KERNELS {
+            report(row.name, (row.supported)());
+            if (row.supported)() {
+                let fma = fma_of(row, f32::mul_add);
+                check(row.name, (row.run, row.update), f32::MR, f32::NR, fma);
+            }
         }
-        check_tiles::<[f64; 4], 2, 4, 6>(None);
-        check_tiles::<[f32; 8], 2, 4, 6>(None);
+        check_tiles::<[f64; 4], 2, 4, 8, 4>(None);
+        check_tiles::<[f64; 4], 2, 4, 24, 8>(None);
+        check_tiles::<[f32; 8], 2, 4, 16, 4>(None);
+        check_tiles::<[f32; 8], 2, 4, 48, 8>(None);
         #[cfg(target_arch = "x86_64")]
         {
-            check_tiles::<__m512d, 1, 2, 3>(Some(f64::mul_add));
-            check_tiles::<__m256d, 2, 4, 6>(Some(f64::mul_add));
-            check_tiles::<__m256, 2, 4, 6>(Some(f32::mul_add));
+            let (fma64, fma32) = (Some(f64::mul_add as fn(_, _, _) -> _), Some(f32::mul_add as _));
+            check_tiles::<__m512d, 1, 4, 8, 4>(fma64);
+            check_tiles::<__m512d, 1, 4, 24, 8>(fma64);
+            check_tiles::<__m512d, 3, 8, 24, 8>(fma64);
+            check_tiles::<__m512d, 1, 4, 16, 8>(fma64);
+            check_tiles::<__m512, 1, 4, 16, 4>(fma32);
+            check_tiles::<__m512, 1, 4, 48, 8>(fma32);
+            check_tiles::<__m512, 3, 8, 48, 8>(fma32);
+            check_tiles::<__m512, 1, 4, 32, 8>(fma32);
+            check_tiles::<__m256d, 2, 4, 8, 4>(fma64);
+            check_tiles::<__m256d, 2, 4, 24, 8>(fma64);
+            check_tiles::<__m256, 2, 4, 16, 4>(fma32);
+            check_tiles::<__m256, 2, 4, 48, 8>(fma32);
         }
     }
 
@@ -662,7 +742,8 @@ mod tests {
 
     #[test]
     fn gemm_scalar_tiles_fit_the_accumulator() {
-        assert_eq!(<f64 as GemmScalar>::MR * <f64 as GemmScalar>::NR, 32);
+        assert_eq!((<f64 as GemmScalar>::MR, <f64 as GemmScalar>::NR), (16, 8));
+        assert_eq!((<f32 as GemmScalar>::MR, <f32 as GemmScalar>::NR), (32, 8));
         assert_eq!(<f32 as GemmScalar>::MR * <f32 as GemmScalar>::NR, ACC_CAP);
         // The f32 tile doubles the f64 rows, as its lanes hold twice as many.
         assert_eq!(<f32 as GemmScalar>::MR, 2 * <f64 as GemmScalar>::MR);

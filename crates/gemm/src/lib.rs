@@ -26,12 +26,15 @@
 //!
 //! The whole substrate is generic over the packed element type through
 //! [`GemmScalar`] (`f64` default, `f32` supported): the trait owns the
-//! register tile (`8x4` doubles, `16x4` singles), the runtime-selected
-//! micro-kernel, and a per-dtype global packing pool. Every micro-kernel
-//! is one generic source, instantiated per instruction set and dtype:
-//! `avx512f_8x4`, `avx2_fma_8x4` and `portable_8x4` for `f64`,
-//! `avx2_fma_16x4` and `portable_16x4` for `f32`, the first one the CPU
-//! supports picked once per process. Each has two entries: into a
+//! register tile (`16x8` doubles, `32x8` singles: sixteen AVX-512
+//! accumulators either way), the runtime-selected micro-kernel, and a
+//! per-dtype global packing pool. Every micro-kernel is one generic
+//! source, instantiated per instruction set and dtype: `avx512f_16x8`,
+//! `avx2_fma_16x8` and `portable_16x8` for `f64`, `avx512f_32x8`,
+//! `avx2_fma_32x8` and `portable_32x8` for `f32`, the first one the CPU
+//! supports picked once per process. Rows whose registers cannot hold the
+//! tile run it as a grid of smaller sub-tiles over the same packed panels,
+//! so every row of a dtype gives the same bits. Each has two entries: into a
 //! destination list straight from registers ([`GemmScalar::tile_update`]),
 //! which every full tile of column-major destinations takes, plain GEMM's
 //! as FMM's, and into a stack accumulator ([`GemmScalar::micro_kernel`]),

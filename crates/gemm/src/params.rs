@@ -40,32 +40,37 @@ impl Default for BlockingParams {
     ///
     /// These were derived for a 32 KB L1 / 256 KB L2 / 25.6 MB L3 Ivy
     /// Bridge; they remain valid (conservative) on larger caches. Use
-    /// [`BlockingParams::analytic`] to resize for a specific machine.
+    /// [`BlockingParams::analytic`] to resize for a specific machine. The
+    /// `8 x 4` register tile is the paper's: the GEMM driver runs each
+    /// dtype at its kernel's tile instead
+    /// ([`BlockingParams::with_register_tile`]), `16 x 8` for `f64` and
+    /// `32 x 8` for `f32`, and keeps `kc`, `mc` and `nc` (96 rows is six
+    /// `f64` or three `f32` micro-panels).
     fn default() -> Self {
         Self { mr: 8, nr: 4, kc: 256, mc: 96, nc: 4096 }
     }
 }
 
 impl BlockingParams {
-    /// Derive parameters analytically from cache sizes, following
-    /// Low et al., "Analytical modeling is enough for high performance BLIS"
-    /// (paper ref. [7]), with the paper's `mr = 8, nr = 4` register tile.
+    /// Derive parameters analytically from cache sizes for an `mr x nr`
+    /// register tile of `elem_bytes`-byte elements, following Low et al.,
+    /// "Analytical modeling is enough for high performance BLIS" (paper
+    /// ref. [7]):
     ///
     /// * `kc`: an `mr x kc` panel of `A` plus a `kc x nr` panel of `B`
     ///   occupy at most half of L1;
     /// * `mc`: the packed `mc x kc` block of `A` occupies at most half of L2;
     /// * `nc`: the packed `kc x nc` panel of `B` occupies at most half of L3.
     ///
-    /// Each value is rounded down to a multiple of the register tile and
-    /// floored at one tile.
-    pub fn analytic(cache: CacheInfo) -> Self {
-        const W: usize = std::mem::size_of::<f64>();
-        let mr = 8;
-        let nr = 4;
-        let kc = (cache.l1d / 2 / W / (mr + nr)).max(8);
-        let mc_raw = (cache.l2 / 2 / W / kc).max(mr);
+    /// `mc` is rounded down to a multiple of `mr` and `nc` to a multiple of
+    /// `nr`, each floored at one tile; `kc` is floored at 8.
+    pub fn analytic(cache: CacheInfo, mr: usize, nr: usize, elem_bytes: usize) -> Self {
+        let w = elem_bytes.max(1);
+        let (mr, nr) = (mr.max(1), nr.max(1));
+        let kc = (cache.l1d / 2 / w / (mr + nr)).max(8);
+        let mc_raw = (cache.l2 / 2 / w / kc).max(mr);
         let mc = (mc_raw / mr).max(1) * mr;
-        let nc_raw = (cache.l3 / 2 / W / kc).max(nr);
+        let nc_raw = (cache.l3 / 2 / w / kc).max(nr);
         let nc = (nc_raw / nr).max(1) * nr;
         Self { mr, nr, kc, mc, nc }
     }
@@ -103,13 +108,16 @@ impl BlockingParams {
 
     /// A small-parameter set for tests: exercises every edge case (partial
     /// panels, multiple jc/pc/ic iterations) on matrices of modest size.
+    /// At the kernels' tiles it is `mc = 16, nc = 12` for `f64` (one
+    /// 16-row panel per `ic` block, a full and a partial 8-column panel per
+    /// `jc` block) and `mc = 32` for `f32`.
     pub fn tiny() -> Self {
         Self { mr: 8, nr: 4, kc: 8, mc: 16, nc: 12 }
     }
 
     /// The same cache blocking with the register tile replaced — the
     /// generic driver derives the effective parameter set for a scalar
-    /// type from its kernel's `MR x NR` tile (e.g. `16 x 4` for `f32`),
+    /// type from its kernel's `MR x NR` tile (e.g. `32 x 8` for `f32`),
     /// keeping every cache-level parameter as configured. Sizing and
     /// packing always go through this, so one `BlockingParams` value can
     /// serve every dtype.
@@ -145,22 +153,42 @@ mod tests {
         assert_eq!((p.mr, p.nr, p.kc, p.mc, p.nc), (8, 4, 256, 96, 4096));
     }
 
+    /// Ivy Bridge: 32 KB L1d, 256 KB L2, 25.6 MB L3.
+    const PAPER_CACHES: CacheInfo =
+        CacheInfo { l1d: 32 * 1024, l2: 256 * 1024, l3: 25 * 1024 * 1024 + 614 * 1024 };
+
     #[test]
     fn analytic_for_paper_machine_is_close_to_paper_values() {
-        // Ivy Bridge: 32 KB L1d, 256 KB L2, 25.6 MB L3.
-        let p = BlockingParams::analytic(CacheInfo {
-            l1d: 32 * 1024,
-            l2: 256 * 1024,
-            l3: 25 * 1024 * 1024 + 614 * 1024,
-        });
+        let p = BlockingParams::analytic(PAPER_CACHES, 8, 4, 8);
         assert_eq!(p.mr, 8);
         assert_eq!(p.nr, 4);
         // kc: 16KB / 8B / 12 = 170; same order as the paper's 256.
-        assert!(p.kc >= 128 && p.kc <= 256, "kc = {}", p.kc);
+        assert_eq!(p.kc, 170);
         // mc: 128KB / 8B / kc, multiple of mr; paper uses 96.
         assert!(p.mc >= 64 && p.mc <= 128, "mc = {}", p.mc);
         assert!(p.nc >= 2048, "nc = {}", p.nc);
         p.validate().unwrap();
+    }
+
+    #[test]
+    fn analytic_rounds_to_the_given_tile_and_width() {
+        for (mr, nr, w) in [(16, 8, 8), (32, 8, 4), (8, 4, 4)] {
+            let p = BlockingParams::analytic(PAPER_CACHES, mr, nr, w);
+            assert_eq!((p.mr, p.nr), (mr, nr));
+            assert_eq!(p.kc, PAPER_CACHES.l1d / 2 / w / (mr + nr), "{mr}x{nr} at {w} bytes");
+            assert_eq!(p.mc % mr, 0, "mc = {} for mr = {mr}", p.mc);
+            assert_eq!(p.nc % nr, 0, "nc = {} for nr = {nr}", p.nc);
+            // The packed A block fits half of L2, the B panel half of L3.
+            assert!(p.packed_a_len() * w <= PAPER_CACHES.l2 / 2, "{p:?}");
+            assert!(p.packed_b_len() * w <= PAPER_CACHES.l3 / 2, "{p:?}");
+            p.validate().unwrap();
+        }
+        // Half the width doubles the depth at the same tile.
+        let (f64_p, f32_p) = (
+            BlockingParams::analytic(PAPER_CACHES, 16, 8, 8),
+            BlockingParams::analytic(PAPER_CACHES, 16, 8, 4),
+        );
+        assert_eq!(f32_p.kc, 2 * f64_p.kc);
     }
 
     #[test]

@@ -51,7 +51,7 @@
 
 use fmm_dense::Matrix;
 use fmm_gemm::GemmScalar;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"FMMS";
@@ -82,11 +82,6 @@ pub(crate) fn le_bytes<const N: usize>(b: &[u8], off: usize) -> Option<[u8; N]> 
         *d = *s;
     }
     Some(out)
-}
-
-/// Read a little-endian `u32` at `off` (`None` when out of bounds).
-fn le_u32(b: &[u8], off: usize) -> Option<u32> {
-    le_bytes::<4>(b, off).map(u32::from_le_bytes)
 }
 
 /// Copy `src` into `dst` at `off`. Encode paths call this with statically
@@ -387,25 +382,33 @@ pub fn write_frame_v(
 /// Clients and the server's connection readers share its header reader,
 /// [`read_header`].
 pub fn read_frame_any(r: &mut impl Read, max_payload: usize) -> Result<Frame, FrameError> {
-    let mut payload = Vec::new();
-    let head = read_frame_into(r, max_payload, &mut payload)?;
+    let head = read_header(r, max_payload)?;
+    read_payload(r, head)
+}
+
+/// Read the payload of the frame `head` (already read from `r`) into a
+/// fresh buffer of the cap-checked declared length.
+pub(crate) fn read_payload(r: &mut impl Read, head: FrameHead) -> Result<Frame, FrameError> {
+    let mut payload = vec![0; head.payload_len];
+    r.read_exact(&mut payload).map_err(FrameError::Io)?;
     Ok(Frame { request_id: head.request_id, kind: head.kind, payload })
 }
 
-/// [`read_frame_any`] with the payload read over `payload`: its contents
-/// are replaced and its allocation kept, so a reader that reuses one
-/// buffer neither allocates nor clears memory for a payload no larger than
-/// one it has read before.
-pub fn read_frame_into(
-    r: &mut impl Read,
-    max_payload: usize,
-    payload: &mut Vec<u8>,
-) -> Result<FrameHead, FrameError> {
-    let head = read_header(r, max_payload)?;
-    payload.truncate(head.payload_len);
-    payload.resize(head.payload_len, 0);
-    r.read_exact(payload).map_err(FrameError::Io)?;
-    Ok(head)
+/// Write every byte of `parts`, in as few vectored writes as the writer
+/// takes. `Interrupted` writes are retried.
+pub(crate) fn write_all_vectored(
+    w: &mut impl Write,
+    mut parts: &mut [IoSlice<'_>],
+) -> io::Result<()> {
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// A decoded frame header.
@@ -597,33 +600,61 @@ pub fn encode_request<T: WireScalar>(a: &Matrix<T>, b: &Matrix<T>) -> Vec<u8> {
     out
 }
 
-/// A whole `Request` frame, header and payload, written over `out`: its
-/// contents are replaced and its allocation kept. Every byte is written,
-/// so a buffer that already held a request this large is neither grown
-/// nor cleared, and the frame goes out in one write. A client that encodes
-/// every request into one buffer so pays no allocation, page faults or
-/// memset per request, and the reader on the other end is not woken for a
-/// header alone. `InvalidInput` if the payload overflows the u32 length
-/// field.
-pub fn encode_request_frame<T: WireScalar>(
-    out: &mut Vec<u8>,
+/// The header and prelude of a `Request` frame for an `m × k` times
+/// `k × n` product of `T`s, which the operand bytes follow.
+/// `InvalidInput` if a dimension overflows its u32 field or the payload
+/// the u32 length field.
+pub(crate) fn request_head<T: WireScalar>(
     request_id: u64,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-) -> io::Result<()> {
-    assert_eq!(a.cols(), b.rows(), "A/B inner dimension mismatch");
-    let len = request_len(a, b);
-    let Ok(len32) = u32::try_from(len) else {
+    m: usize,
+    k: usize,
+    n: usize,
+) -> io::Result<[u8; HEADER_LEN + REQUEST_PRELUDE]> {
+    let len = m
+        .checked_mul(k)
+        .and_then(|ab| ab.checked_add(k.checked_mul(n)?))
+        .and_then(|e| e.checked_mul(std::mem::size_of::<T>()))
+        .and_then(|b| u32::try_from(b.checked_add(REQUEST_PRELUDE)?).ok())
+        .filter(|_| [m, k, n].into_iter().all(|d| u32::try_from(d).is_ok()));
+    let Some(len) = len else {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!("payload of {len} bytes exceeds the u32 length field"),
+            format!("a request for m={m} k={k} n={n} overflows the u32 dimension or length field"),
         ));
     };
-    out.truncate(HEADER_LEN + len);
-    out.resize(HEADER_LEN + len, 0);
-    put(out, 0, &header_bytes(FrameKind::Request, len32, request_id));
-    fill_request(out.get_mut(HEADER_LEN..).unwrap_or(&mut []), a, b);
-    Ok(())
+    let mut head = [0u8; HEADER_LEN + REQUEST_PRELUDE];
+    put(&mut head, 0, &header_bytes(FrameKind::Request, len, request_id));
+    put(&mut head, HEADER_LEN, &request_prelude::<T>(m, k, n));
+    Ok(head)
+}
+
+/// The request prelude `dtype m k n`.
+fn request_prelude<T: WireScalar>(m: usize, k: usize, n: usize) -> [u8; REQUEST_PRELUDE] {
+    let mut out = [0u8; REQUEST_PRELUDE];
+    put(&mut out, 0, &[T::DTYPE as u8]);
+    put(&mut out, 1, &(m as u32).to_le_bytes());
+    put(&mut out, 5, &(k as u32).to_le_bytes());
+    put(&mut out, 9, &(n as u32).to_le_bytes());
+    out
+}
+
+/// The elements of `xs` as the bytes they are on the wire. Every scalar
+/// goes out little-endian, which is its layout in memory on the hosts the
+/// crate serves from (the server's pooled buffers rely on the same).
+pub(crate) fn wire_bytes<T: WireScalar>(xs: &[T]) -> &[u8] {
+    // SAFETY: `f64` and `f32` have no padding and every bit pattern is a
+    // byte sequence; the slice covers exactly the elements' bytes.
+    unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), std::mem::size_of_val(xs)) }
+}
+
+/// [`wire_bytes`], writable: bytes read from the wire into it are the
+/// elements.
+pub(crate) fn wire_bytes_mut<T: WireScalar>(xs: &mut [T]) -> &mut [u8] {
+    // SAFETY: as for `wire_bytes`, and every byte pattern is a valid
+    // `f64`/`f32`; the borrow is exclusive.
+    unsafe {
+        std::slice::from_raw_parts_mut(xs.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(xs))
+    }
 }
 
 /// Payload bytes of the request for `a · b`.
@@ -634,10 +665,7 @@ fn request_len<T: WireScalar>(a: &Matrix<T>, b: &Matrix<T>) -> usize {
 /// Write the request payload for `a · b` over `out`, which is
 /// [`request_len`] bytes.
 fn fill_request<T: WireScalar>(out: &mut [u8], a: &Matrix<T>, b: &Matrix<T>) {
-    put(out, 0, &[T::DTYPE as u8]);
-    put(out, 1, &(a.rows() as u32).to_le_bytes());
-    put(out, 5, &(a.cols() as u32).to_le_bytes());
-    put(out, 9, &(b.cols() as u32).to_le_bytes());
+    put(out, 0, &request_prelude::<T>(a.rows(), a.cols(), b.cols()));
     let a_end = REQUEST_PRELUDE + a.rows() * a.cols() * std::mem::size_of::<T>();
     write_matrix(out.get_mut(REQUEST_PRELUDE..a_end).unwrap_or(&mut []), a);
     write_matrix(out.get_mut(a_end..).unwrap_or(&mut []), b);
@@ -762,33 +790,40 @@ pub fn decode_request(payload: &[u8], max_response_bytes: usize) -> Result<Decod
 
 /// Decode and validate a response payload into the expected dtype.
 pub fn decode_response<T: WireScalar>(payload: &[u8]) -> Result<Matrix<T>, String> {
-    if payload.len() < RESPONSE_PRELUDE {
+    let Some(prelude) = le_bytes::<RESPONSE_PRELUDE>(payload, 0) else {
         return Err(format!(
             "response payload of {} bytes is shorter than the {RESPONSE_PRELUDE}-byte prelude",
             payload.len()
         ));
-    }
-    // The length check above covers the whole prelude, so these reads
-    // cannot fail; the fallbacks keep the path panic-free.
-    let dtype_b = payload.first().copied().unwrap_or(0);
+    };
+    let (m, n) = decode_response_prelude::<T>(&prelude, payload.len())?;
+    Ok(read_matrix(payload.get(RESPONSE_PRELUDE..).unwrap_or(&[]), m, n))
+}
+
+/// The `(m, n)` a response prelude declares, checked against the expected
+/// dtype and the payload length it must account for.
+pub(crate) fn decode_response_prelude<T: WireScalar>(
+    prelude: &[u8; RESPONSE_PRELUDE],
+    payload_len: usize,
+) -> Result<(usize, usize), String> {
+    let [dtype_b, m0, m1, m2, m3, n0, n1, n2, n3] = *prelude;
     let dtype = Dtype::from_u8(dtype_b).ok_or_else(|| format!("unknown dtype {dtype_b}"))?;
     if dtype != T::DTYPE {
         return Err(format!("expected {:?} response, got {dtype:?}", T::DTYPE));
     }
-    let m = le_u32(payload, 1).unwrap_or(0) as u64;
-    let n = le_u32(payload, 5).unwrap_or(0) as u64;
+    let m = u32::from_le_bytes([m0, m1, m2, m3]) as u64;
+    let n = u32::from_le_bytes([n0, n1, n2, n3]) as u64;
     let expected = m
         .checked_mul(n)
         .and_then(|e| e.checked_mul(dtype.elem_bytes() as u64))
         .and_then(|b| b.checked_add(RESPONSE_PRELUDE as u64))
         .ok_or_else(|| format!("response size for m={m} n={n} overflows"))?;
-    if expected != payload.len() as u64 {
+    if expected != payload_len as u64 {
         return Err(format!(
-            "declared dims m={m} n={n} need {expected} payload bytes, got {}",
-            payload.len()
+            "declared dims m={m} n={n} need {expected} payload bytes, got {payload_len}"
         ));
     }
-    Ok(read_matrix(payload.get(RESPONSE_PRELUDE..).unwrap_or(&[]), m as usize, n as usize))
+    Ok((m as usize, n as usize))
 }
 
 #[cfg(test)]
@@ -1002,29 +1037,6 @@ mod tests {
             if let Ok(frame) = read_frame_any(&mut io::Cursor::new(mutated), 1 << 20) {
                 let _ = decode_request(&frame.payload, 1 << 20);
             }
-        }
-    }
-
-    /// One buffer, reused across requests that grow and shrink, holds
-    /// exactly the header and payload the allocating encoders give.
-    #[test]
-    fn request_frames_reuse_one_buffer_byte_for_byte() {
-        fn frame<T: WireScalar>(a: &Matrix<T>, b: &Matrix<T>, id: u64) -> Vec<u8> {
-            let payload = encode_request(a, b);
-            let mut want = encode_header(FrameKind::Request, payload.len() as u32, id);
-            want.extend_from_slice(&payload);
-            want
-        }
-        let mut buf = Vec::new();
-        for (id, (m, k, n)) in
-            [(37, 29, 23), (3, 5, 2), (64, 64, 64), (1, 1, 1), (9, 0, 4)].into_iter().enumerate()
-        {
-            let (a, b) = (fill::bench_workload(m, k, 1), fill::bench_workload(k, n, 2));
-            encode_request_frame(&mut buf, id as u64, &a, &b).unwrap();
-            assert_eq!(buf, frame(&a, &b, id as u64), "f64 {m}x{k}x{n}");
-            let (a, b) = (a.cast::<f32>(), b.cast::<f32>());
-            encode_request_frame(&mut buf, id as u64, &a, &b).unwrap();
-            assert_eq!(buf, frame(&a, &b, id as u64), "f32 {m}x{k}x{n}");
         }
     }
 }

@@ -950,16 +950,7 @@ fn write_result(w: &mut impl Write, head: &[u8], body: WireBuf) -> io::Result<()
     let mut tail = [0; RESULT_TAIL];
     let tail = &mut tail[..bytes.len() - cut];
     tail.copy_from_slice(&bytes[cut..]);
-    let mut parts = [IoSlice::new(head), IoSlice::new(&bytes[..cut])];
-    let mut parts = &mut parts[..];
-    while !parts.is_empty() {
-        match w.write_vectored(parts) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => IoSlice::advance_slices(&mut parts, n),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
+    protocol::write_all_vectored(w, &mut [IoSlice::new(head), IoSlice::new(&bytes[..cut])])?;
     drop(body);
     w.write_all(tail)
 }

@@ -102,6 +102,52 @@ fn concurrent_clients_get_bit_exact_gemm_results_for_both_dtypes() {
     handle.shutdown();
 }
 
+/// `x` copied into storage with `pad` rows of leading-dimension padding.
+fn padded<T: Scalar>(x: &Matrix<T>, pad: usize) -> Matrix<T> {
+    let mut p = Matrix::with_leading_dim(x.rows(), x.cols(), x.rows() + pad);
+    for j in 0..x.cols() {
+        for i in 0..x.rows() {
+            p.set(i, j, x.get(i, j));
+        }
+    }
+    p
+}
+
+fn bits<T: Scalar>(x: &Matrix<T>) -> Vec<u64> {
+    let (rows, cols) = (x.rows(), x.cols());
+    (0..cols).flat_map(|j| (0..rows).map(move |i| x.get(i, j).to_f64().to_bits())).collect()
+}
+
+/// The client sends `C = A·B` as `Cᵀ = Bᵀ·Aᵀ`; on the GEMM route the
+/// reply must still be in-process `fmm_gemm::gemm`'s `C`, bit for bit.
+fn served_gemm_bits_match<T: fmm_serve::WireScalar>(client: &mut PipelinedClient) {
+    let shapes = [(37, 29, 41), (64, 64, 64), (5, 301, 3), (96, 17, 80), (17, 1, 9), (6, 0, 4)];
+    for (s, (m, k, n)) in shapes.into_iter().enumerate() {
+        let a = fill::bench_workload_t::<T>(m, k, 2 * s as u64 + 1);
+        let b = fill::bench_workload_t::<T>(k, n, 2 * s as u64 + 2);
+        let mut c_ref = Matrix::<T>::zeros(m, n);
+        fmm_gemm::gemm(c_ref.as_mut(), a.as_ref(), b.as_ref());
+        for (a, b) in [(a.clone(), b.clone()), (padded(&a, 3), padded(&b, 1))] {
+            let c = client.multiply(&a, &b).expect("served");
+            let what =
+                format!("{} {m}x{k}x{n}, ld {} / {}", T::NAME, a.leading_dim(), b.leading_dim());
+            assert_eq!((c.rows(), c.cols()), (m, n), "{what}");
+            assert_eq!(bits(&c), bits(&c_ref), "{what}: not bit-exact");
+        }
+    }
+}
+
+#[test]
+fn transposed_requests_reply_in_process_gemm_bits() {
+    let handle = spawn_server(ServeConfig::default(), true);
+    let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
+    served_gemm_bits_match::<f64>(&mut client);
+    served_gemm_bits_match::<f32>(&mut client);
+    let (s64, s32) = handle.engine_stats();
+    assert!(s64.pinned_fallbacks > 0 && s32.pinned_fallbacks > 0, "GEMM route was taken");
+    handle.shutdown();
+}
+
 #[test]
 fn model_routed_concurrent_traffic_is_correct_and_coalesces() {
     // A long window and simultaneous clients force provable coalescing:

@@ -116,9 +116,10 @@ fn stats_json_exposes_per_class_audit_aggregates() {
     // The acceptance path: under end-to-end load, `stats --json` must
     // carry per-(shape-class, dtype) audit rows with populated model-error
     // histograms, and the Prometheus exposition the same aggregates under
-    // sanitized names. The 48x40x44 workload buckets to the 64x32x32
-    // class; the audit table is process-global, so assertions are lower
-    // bounds.
+    // sanitized names. The client sends the 48x40x44 workload as the
+    // daemon's 44x40x48 problem (`Cᵀ = Bᵀ·Aᵀ`), which buckets to the
+    // 32x32x64 class; the audit table is process-global, so assertions are
+    // lower bounds.
     let handle = spawn_server(ServeConfig::default());
     run_multiplies(handle.addr(), 8);
 
@@ -127,7 +128,7 @@ fn stats_json_exposes_per_class_audit_aggregates() {
 
     let samples = stats.counter("fmm_audit_samples_total").expect("audit sample total");
     assert!(samples >= 8, "audit sample total low: {samples}");
-    let entry = stats.audit_row("64x32x32/f64").expect("audit row");
+    let entry = stats.audit_row("32x32x64/f64").expect("audit row");
     assert!(entry.samples >= 8, "audit row undercounted: {entry:?}");
     assert!(entry.measured_nanos > 0, "audit row lost measured time: {entry:?}");
     let h = &entry.err_permille;
@@ -148,9 +149,9 @@ fn stats_json_exposes_per_class_audit_aggregates() {
     let prom = client.stats_prometheus().expect("prometheus exposition");
     for needle in [
         "fmm_audit_samples_total ",
-        "fmm_audit_samples_64x32x32_f64 ",
-        "fmm_audit_error_permille_64x32x32_f64_count",
-        "fmm_audit_error_permille_64x32x32_f64{quantile=\"0.5\"}",
+        "fmm_audit_samples_32x32x64_f64 ",
+        "fmm_audit_error_permille_32x32x64_f64_count",
+        "fmm_audit_error_permille_32x32x64_f64{quantile=\"0.5\"}",
     ] {
         assert!(prom.contains(needle), "missing {needle:?} in exposition:\n{prom}");
     }

@@ -47,7 +47,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 ///   list, B-slice list and A-slice list: 3;
 /// * the connection's response header `Vec`, and its growth when the
 ///   result prelude is appended: 2;
-/// * the client's result `Matrix`: 1.
+/// * the client's result `Matrix`, which the reply is read into straight
+///   off the socket (the request goes out from the operands themselves):
+///   1.
 const PER_REQUEST: u64 = 3 + 1 + 3 + 2 + 1;
 /// Heap calls outside any request that may land in the window: the
 /// watchdog's first judging pass, 100 ms after spawn, grows its

@@ -1,7 +1,7 @@
 //! Quickstart for the single-precision path: multiply two `f32` matrices
 //! through the process-global `f32` engine, compare against an
 //! `f64`-computed reference at the `Scalar`-derived accuracy bound, and
-//! race the `f32` kernel stack (16x4 AVX2 register tile where available)
+//! race the `f32` kernel stack (32x8 register tile, AVX-512 where available)
 //! against the `f64` one.
 //!
 //! ```sh

@@ -59,8 +59,9 @@
 //! The execution stack is generic over `fmm_dense::Scalar`. [`multiply`]
 //! serves `f64` (the paper's DGEMM experiments); [`multiply_f32`] serves
 //! `f32` through its own process-global engine — dtype-specific kernels
-//! (16x4 AVX2 register tile where available), per-dtype caches and
-//! workspace pools, and model rankings charged at 4 bytes per element.
+//! (a 32x8 register tile, sixteen AVX-512 accumulators where available),
+//! per-dtype caches and workspace pools, and model rankings charged at 4
+//! bytes per element.
 //! The `f32` accuracy contract is `Scalar::accuracy_bound`: within the
 //! `f32`-epsilon-derived bound of an `f64`-computed reference.
 
@@ -96,7 +97,7 @@ pub fn engine() -> &'static FmmEngine {
 
 /// The process-global single-precision engine behind [`multiply_f32`]:
 /// same routing and caching as [`engine()`], executing over the `f32`
-/// kernel stack (16x4 AVX2 register tile where available), with the
+/// kernel stack (32x8 register tile, AVX-512 where available), with the
 /// model's memory terms charged at 4 bytes per element.
 pub fn engine_f32() -> &'static FmmEngine<f32> {
     static ENGINE: OnceLock<FmmEngine<f32>> = OnceLock::new();
