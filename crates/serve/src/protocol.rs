@@ -602,8 +602,8 @@ pub fn encode_request<T: WireScalar>(a: &Matrix<T>, b: &Matrix<T>) -> Vec<u8> {
 
 /// The header and prelude of a `Request` frame for an `m × k` times
 /// `k × n` product of `T`s, which the operand bytes follow.
-/// `InvalidInput` if a dimension overflows its u32 field or the payload
-/// the u32 length field.
+/// `InvalidInput` if a dimension does not fit its u32 field, or the
+/// payload length the u32 length field.
 pub(crate) fn request_head<T: WireScalar>(
     request_id: u64,
     m: usize,
@@ -642,8 +642,9 @@ fn request_prelude<T: WireScalar>(m: usize, k: usize, n: usize) -> [u8; REQUEST_
 /// goes out little-endian, which is its layout in memory on the hosts the
 /// crate serves from (the server's pooled buffers rely on the same).
 pub(crate) fn wire_bytes<T: WireScalar>(xs: &[T]) -> &[u8] {
-    // SAFETY: `f64` and `f32` have no padding and every bit pattern is a
-    // byte sequence; the slice covers exactly the elements' bytes.
+    // SAFETY: `WireScalar`'s implementations, `f64` and `f32`, have no
+    // padding and every bit pattern is a byte sequence; the slice covers
+    // exactly the elements' bytes.
     unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<u8>(), std::mem::size_of_val(xs)) }
 }
 
