@@ -16,6 +16,7 @@
 //! is all the paper's data parallelism (§5.1) needs.
 
 use crate::kernel::{GemmScalar, MicroKernelFn, RawDest, TileUpdateFn};
+use crate::obs_hooks::Operand;
 use crate::pack;
 use crate::params::BlockingParams;
 use crate::workspace::{GemmWorkspace, PooledWorkspace};
@@ -218,7 +219,7 @@ pub fn gemm_sums_with<T: GemmScalar>(
                 .collect();
             let t_pack = crate::obs_hooks::phase_start();
             pack::pack_b_sum(&mut ws.bbuf, &b_slices, params.nr);
-            crate::obs_hooks::pack_done(t_pack);
+            crate::obs_hooks::pack_done(t_pack, Operand::B, b_slices.len(), kb * nb);
             // First k-panel overwrites if requested; later panels accumulate.
             let store = update == Update::Overwrite && pc == 0;
             let bbuf: &[T] = &ws.bbuf;
@@ -235,7 +236,7 @@ pub fn gemm_sums_with<T: GemmScalar>(
                     .collect();
                 let t_pack = crate::obs_hooks::phase_start();
                 pack::pack_a_sum(abuf, &a_slices, params.mr);
-                crate::obs_hooks::pack_done(t_pack);
+                crate::obs_hooks::pack_done(t_pack, Operand::A, a_slices.len(), mb * kb);
                 let t_kernel = crate::obs_hooks::phase_start();
                 macro_kernel(&raw, registers, abuf, bbuf, ic, jc, mb, nb, kb, kernels, store);
                 crate::obs_hooks::kernel_done(t_kernel);
@@ -437,6 +438,81 @@ mod tests {
     #[test]
     fn matches_reference_with_default_params() {
         run_gemm(150, 300, 70, &BlockingParams::default());
+    }
+
+    /// Operand sums packed by the kernel's row give the bits of the same
+    /// sums gathered: the gathered run reads the same values through
+    /// row-major views, which `pack_*_sum` send to the gather. One to three
+    /// terms per operand with rounding coefficients, one or two
+    /// destinations, default blocking on a shape past `mc` and `kc` with
+    /// ragged edges, both dtypes, accumulating and overwriting.
+    #[test]
+    fn lane_packed_sums_give_the_gathered_bits() {
+        /// The first `terms` of `mats` with their coefficients: as they
+        /// lie, or as row-major views of their column-major transposes.
+        fn sum<'a, T: Scalar>(
+            mats: &'a [(Matrix<T>, Matrix<T>)],
+            terms: usize,
+            gathered: bool,
+        ) -> Vec<(T, MatRef<'a, T>)> {
+            let coeffs = [0.5, -1.0, 0.3].map(T::from_f64);
+            let view = |(x, xt): &'a (Matrix<T>, Matrix<T>)| {
+                if gathered {
+                    xt.as_ref().t()
+                } else {
+                    x.as_ref()
+                }
+            };
+            coeffs.into_iter().zip(mats.iter().map(view)).take(terms).collect()
+        }
+        fn run<T: GemmScalar>() {
+            let (m, k, n) = (100, 300, 37);
+            let with_copy = |x: Matrix<T>| {
+                let xt = x.transposed();
+                (x, xt)
+            };
+            let xs: Vec<_> = (0..3).map(|t| with_copy(fill::bench_workload_t(m, k, t))).collect();
+            let ys: Vec<_> = (3..6).map(|t| with_copy(fill::bench_workload_t(k, n, t))).collect();
+            let params = BlockingParams::default();
+            let runs = [(1, Update::Accumulate), (2, Update::Overwrite), (3, Update::Accumulate)];
+            for (terms, update) in runs {
+                for dests in 1..=2 {
+                    let product = |gathered: bool| {
+                        let mut cs: Vec<Matrix<T>> = (0..dests)
+                            .map(|d| fill::bench_workload_t(m, n, 9 + d as u64))
+                            .collect();
+                        let weights = [T::ONE, T::from_f64(-0.7)];
+                        let mut tiles: Vec<DestTile<'_, T>> = cs
+                            .iter_mut()
+                            .zip(weights)
+                            .map(|(c, w)| DestTile::new(c.as_mut(), w))
+                            .collect();
+                        let (a, b) = (sum(&xs, terms, gathered), sum(&ys, terms, gathered));
+                        let mut ws = GemmWorkspace::for_params(&params);
+                        gemm_sums_with(
+                            &mut tiles,
+                            &a,
+                            &b,
+                            &params,
+                            update,
+                            IcLoop::Inline(&mut ws),
+                        );
+                        drop(tiles);
+                        let bits = |c: &Matrix<T>| -> Vec<u64> {
+                            (0..n)
+                                .flat_map(|j| (0..m).map(move |i| (i, j)))
+                                .map(|(i, j)| c.get(i, j).to_f64().to_bits())
+                                .collect()
+                        };
+                        cs.iter().map(bits).collect::<Vec<_>>()
+                    };
+                    let what = format!("{} terms={terms} dests={dests} {update:?}", T::NAME);
+                    assert!(product(false) == product(true), "{what}");
+                }
+            }
+        }
+        run::<f64>();
+        run::<f32>();
     }
 
     #[test]

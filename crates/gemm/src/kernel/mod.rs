@@ -31,13 +31,21 @@
 //! compile for the baseline target's sixteen 128-bit `xmm` registers, where
 //! a 4x4 sub-tile of doubles (or 8x4 of singles) is eight.
 //!
+//! A row also carries the packs that feed its kernel: `pack_a_lanes` and
+//! `pack_b_lanes` of [`crate::pack`], compiled for the row's lane, which
+//! fold operand sums in the lane's registers and build B̃ rows with
+//! [`Lane::transpose8`]. The B pack transposes eight columns, so every
+//! tile is `TM x 8`.
+//!
 //! Each dtype lists its instances in preference order; the first one the
 //! CPU supports is picked once per process and reached through
-//! [`GemmScalar`], both entries from the same row. A new tile or lane is a
-//! new row of these tables.
+//! [`GemmScalar`], both kernel entries and both packs from the same row. A
+//! new tile or lane is a new row of these tables.
 
+use crate::pack::{pack_a_lanes, pack_b_lanes, PackFn};
 use crate::workspace::WorkspacePool;
-use fmm_dense::Scalar;
+use fmm_dense::{MatRef, Scalar};
+use std::any::Any;
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 use std::sync::OnceLock;
@@ -151,13 +159,26 @@ impl GemmScalar for f32 {
     }
 }
 
-/// One row of a dtype's instance table.
+/// One row of a dtype's instance table: the micro-kernel in both forms
+/// and the packs that feed it, all compiled for one lane.
 #[derive(Clone, Copy)]
-struct Instance<T> {
-    name: &'static str,
-    supported: fn() -> bool,
+pub(crate) struct Instance<T> {
+    pub(crate) name: &'static str,
+    pub(crate) supported: fn() -> bool,
     run: MicroKernelFn<T>,
     update: TileUpdateFn<T>,
+    pub(crate) packs: Packs<T>,
+}
+
+/// A row's packs of column-major terms, and the tile they pack for.
+#[derive(Clone, Copy)]
+pub(crate) struct Packs<T> {
+    pub(crate) mr: usize,
+    pub(crate) nr: usize,
+    /// `Ã` micro-panels of height `mr` ([`crate::pack::pack_a_lanes`]).
+    pub(crate) a: PackFn<T>,
+    /// `B̃` micro-panels of width `nr` ([`crate::pack::pack_b_lanes`]).
+    pub(crate) b: PackFn<T>,
 }
 
 impl<T: GemmScalar> Instance<T> {
@@ -178,16 +199,18 @@ impl<T: GemmScalar> Instance<T> {
             TM.is_multiple_of(MV * L::W) && TN.is_multiple_of(NR),
             "sub-tile does not divide the tile"
         );
+        assert!(TN == 8, "the B pack transposes eight columns");
         Self {
             name,
             supported: L::supported,
             run: L::instance::<MV, NR, TM, TN>,
             update: L::update_instance::<MV, NR, TM, TN>,
+            packs: Packs { mr: TM, nr: TN, a: L::pack_a_instance::<TM>, b: L::pack_b_instance },
         }
     }
 }
 
-static F64_KERNELS: &[Instance<f64>] = &[
+pub(crate) static F64_KERNELS: &[Instance<f64>] = &[
     #[cfg(target_arch = "x86_64")]
     Instance::new::<__m512d, 2, 8, 16, 8>("avx512f_16x8"),
     #[cfg(target_arch = "x86_64")]
@@ -195,7 +218,7 @@ static F64_KERNELS: &[Instance<f64>] = &[
     Instance::new::<[f64; 4], 1, 4, 16, 8>("portable_16x8"),
 ];
 
-static F32_KERNELS: &[Instance<f32>] = &[
+pub(crate) static F32_KERNELS: &[Instance<f32>] = &[
     #[cfg(target_arch = "x86_64")]
     Instance::new::<__m512, 2, 8, 32, 8>("avx512f_32x8"),
     #[cfg(target_arch = "x86_64")]
@@ -212,12 +235,30 @@ fn selected<T: Copy>(choice: &'static OnceLock<Instance<T>>, table: &[Instance<T
     *choice.get_or_init(|| first().expect("the portable row runs everywhere"))
 }
 
+/// The packs of `T`'s selected row, the row [`GemmScalar::micro_kernel`]
+/// comes from; `None` for a scalar with no kernel table. Reached through
+/// `Any`, so that packing, generic over every [`Scalar`], runs the lane
+/// the kernel runs.
+pub(crate) fn selected_packs<T: Scalar>() -> Option<Packs<T>> {
+    let mut packs: Option<Packs<T>> = None;
+    let slot: &mut dyn Any = &mut packs;
+    if let Some(slot) = slot.downcast_mut::<Option<Packs<f64>>>() {
+        *slot = Some(selected(&F64_CHOICE, F64_KERNELS).packs);
+    } else if let Some(slot) = slot.downcast_mut::<Option<Packs<f32>>>() {
+        *slot = Some(selected(&F32_CHOICE, F32_KERNELS).packs);
+    }
+    packs
+}
+
+/// The widest lane, in elements ([`Lane::transpose8`]'s scratch).
+const MAX_W: usize = 16;
+
 /// `W` elements the kernel moves and multiplies as one: a SIMD vector or an array.
 ///
 /// # Safety
 /// Every `unsafe` method needs a CPU with the lane's target features (what
 /// [`Lane::supported`] checks), and pointers valid for `W` elements.
-trait Lane: Copy {
+pub(crate) trait Lane: Copy {
     type Elem: Scalar;
     const W: usize;
     /// Whether this CPU has the lane's target features.
@@ -235,11 +276,58 @@ trait Lane: Copy {
     /// See [`Lane`].
     unsafe fn mul(self, b: Self) -> Self;
     /// # Safety
+    /// See [`Lane`].
+    unsafe fn add(self, b: Self) -> Self;
+    /// # Safety
     /// See [`Lane`]. Adds `self` into the `W` elements at `p`.
     unsafe fn add_store(self, p: *mut Self::Elem);
     /// # Safety
     /// See [`Lane`]. Writes `self` over the `W` elements at `p`.
     unsafe fn store(self, p: *mut Self::Elem);
+    /// The `W x 8` block whose column `j` is `cols[j]`, as the `W` rows of
+    /// eight it holds laid end to end and cut into lanes: element `(p, j)`
+    /// lands at `p * 8 + j`. SIMD lanes override this with shuffles; here
+    /// it goes through the stack.
+    ///
+    /// # Safety
+    /// See [`Lane`].
+    #[inline(always)]
+    unsafe fn transpose8(cols: [Self; 8]) -> [Self; 8] {
+        const { assert!(Self::W <= MAX_W, "lane wider than the transpose scratch") };
+        let zero = Self::Elem::ZERO;
+        let (mut col, mut rows) = ([zero; MAX_W], [zero; 8 * MAX_W]);
+        // SAFETY: the features are present (the contract), `col` holds
+        // `W` elements and `rows` `8 * W`.
+        unsafe {
+            for (j, c) in cols.iter().enumerate() {
+                c.store(col.as_mut_ptr());
+                for (p, x) in col[..Self::W].iter().enumerate() {
+                    rows[p * 8 + j] = *x;
+                }
+            }
+            std::array::from_fn(|v| Self::load(rows.as_ptr().add(v * Self::W)))
+        }
+    }
+    /// # Safety
+    /// As [`pack_a_lanes`] at height `TM`, and the CPU has the lane's
+    /// features; overridden as [`Lane::instance`] is.
+    unsafe fn pack_a_instance<const TM: usize>(
+        dst: &mut [Self::Elem],
+        terms: &[(Self::Elem, MatRef<'_, Self::Elem>)],
+    ) {
+        // SAFETY: forwarded contract.
+        unsafe { pack_a_lanes::<Self, TM>(dst, terms) }
+    }
+    /// # Safety
+    /// As [`pack_b_lanes`], and the CPU has the lane's features;
+    /// overridden as [`Lane::instance`] is.
+    unsafe fn pack_b_instance(
+        dst: &mut [Self::Elem],
+        terms: &[(Self::Elem, MatRef<'_, Self::Elem>)],
+    ) {
+        // SAFETY: forwarded contract.
+        unsafe { pack_b_lanes::<Self>(dst, terms) }
+    }
     /// # Safety
     /// As [`kernel`], which this is at `MV x NR` sub-tiles of `TM x TN`.
     /// SIMD lanes override it to compile the kernel with their target
@@ -460,6 +548,11 @@ impl<T: Scalar, const N: usize> Lane for [T; N] {
     unsafe fn mul(self, b: Self) -> Self {
         std::array::from_fn(|i| self[i] * b[i])
     }
+    // SAFETY: no requirement; `unsafe` only to match the trait.
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        std::array::from_fn(|i| self[i] + b[i])
+    }
     // SAFETY: `p` is valid for `N` reads and writes (the `Lane` contract).
     #[inline(always)]
     unsafe fn add_store(self, p: *mut T) {
@@ -477,11 +570,13 @@ impl<T: Scalar, const N: usize> Lane for [T; N] {
 }
 
 /// [`Lane`] for `std::arch` vectors: per lane its type, element, width and
-/// target features, then its load, broadcast, FMA, add and store.
+/// target features, then its load, broadcast, FMA, multiply, add, store
+/// and 8-column transpose.
 #[cfg(target_arch = "x86_64")]
 macro_rules! x86_lanes {
     ($($lane:ty, $elem:ty, $w:literal, [$($feature:tt),+],
-       $load:ident, $set1:ident, $fmadd:ident, $mul:ident, $add:ident, $store:ident;)+) => {$(
+       $load:ident, $set1:ident, $fmadd:ident, $mul:ident, $add:ident, $store:ident,
+       $transpose:ident;)+) => {$(
         impl Lane for $lane {
             type Elem = $elem;
             const W: usize = $w;
@@ -498,12 +593,18 @@ macro_rules! x86_lanes {
             // SAFETY: the `Lane` contract: the features are present.
             #[inline(always)]
             unsafe fn mul(self, b: Self) -> Self { unsafe { $mul(self, b) } }
+            // SAFETY: the `Lane` contract: the features are present.
+            #[inline(always)]
+            unsafe fn add(self, b: Self) -> Self { unsafe { $add(self, b) } }
             // SAFETY: as for `load`.
             #[inline(always)]
             unsafe fn add_store(self, p: *mut $elem) { unsafe { $store(p, $add($load(p), self)) } }
             // SAFETY: as for `load`.
             #[inline(always)]
             unsafe fn store(self, p: *mut $elem) { unsafe { $store(p, self) } }
+            // SAFETY: the `Lane` contract: the features are present.
+            #[inline(always)]
+            unsafe fn transpose8(cols: [Self; 8]) -> [Self; 8] { unsafe { $transpose(cols) } }
             // SAFETY: `kernel`'s contract, the features included.
             #[target_feature($(enable = $feature),+)]
             unsafe fn instance<const MV: usize, const NR: usize, const TM: usize, const TN: usize>(
@@ -523,6 +624,20 @@ macro_rules! x86_lanes {
                 // SAFETY: as above.
                 unsafe { update::<Self, MV, NR, TM, TN>(kc, a, b, dests, i, j, store) }
             }
+            // SAFETY: `pack_a_lanes`'s contract, the features included.
+            #[target_feature($(enable = $feature),+)]
+            unsafe fn pack_a_instance<const TM: usize>(
+                dst: &mut [$elem], terms: &[($elem, MatRef<'_, $elem>)],
+            ) {
+                // SAFETY: as above.
+                unsafe { pack_a_lanes::<Self, TM>(dst, terms) }
+            }
+            // SAFETY: `pack_b_lanes`'s contract, the features included.
+            #[target_feature($(enable = $feature),+)]
+            unsafe fn pack_b_instance(dst: &mut [$elem], terms: &[($elem, MatRef<'_, $elem>)]) {
+                // SAFETY: as above.
+                unsafe { pack_b_lanes::<Self>(dst, terms) }
+            }
         }
     )+};
 }
@@ -531,16 +646,176 @@ macro_rules! x86_lanes {
 x86_lanes! {
     __m512d, f64, 8, ["avx512f"],
         _mm512_loadu_pd, _mm512_set1_pd, _mm512_fmadd_pd, _mm512_mul_pd, _mm512_add_pd,
-        _mm512_storeu_pd;
+        _mm512_storeu_pd, transpose8_m512d;
     __m512, f32, 16, ["avx512f"],
         _mm512_loadu_ps, _mm512_set1_ps, _mm512_fmadd_ps, _mm512_mul_ps, _mm512_add_ps,
-        _mm512_storeu_ps;
+        _mm512_storeu_ps, transpose8_m512;
     __m256d, f64, 4, ["avx2", "fma"],
         _mm256_loadu_pd, _mm256_set1_pd, _mm256_fmadd_pd, _mm256_mul_pd, _mm256_add_pd,
-        _mm256_storeu_pd;
+        _mm256_storeu_pd, transpose8_m256d;
     __m256, f32, 8, ["avx2", "fma"],
         _mm256_loadu_ps, _mm256_set1_ps, _mm256_fmadd_ps, _mm256_mul_ps, _mm256_add_ps,
-        _mm256_storeu_ps;
+        _mm256_storeu_ps, transpose8_m256;
+}
+
+/// [`Lane::transpose8`] of eight columns of eight doubles: the rows.
+///
+/// # Safety
+/// The CPU has `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn transpose8_m512d(c: [__m512d; 8]) -> [__m512d; 8] {
+    // SAFETY: the caller's contract.
+    unsafe {
+        // Columns j and j + 1 interleaved per 128-bit block, at the even
+        // depths (`e`) and the odd ones (`o`).
+        let e01 = _mm512_unpacklo_pd(c[0], c[1]);
+        let o01 = _mm512_unpackhi_pd(c[0], c[1]);
+        let e23 = _mm512_unpacklo_pd(c[2], c[3]);
+        let o23 = _mm512_unpackhi_pd(c[2], c[3]);
+        let e45 = _mm512_unpacklo_pd(c[4], c[5]);
+        let o45 = _mm512_unpackhi_pd(c[4], c[5]);
+        let e67 = _mm512_unpacklo_pd(c[6], c[7]);
+        let o67 = _mm512_unpackhi_pd(c[6], c[7]);
+        // Four columns at depths p and p + 4: `l` for columns 0-3, `h` for 4-7.
+        let l0 = _mm512_shuffle_f64x2::<0x88>(e01, e23);
+        let l2 = _mm512_shuffle_f64x2::<0xDD>(e01, e23);
+        let l1 = _mm512_shuffle_f64x2::<0x88>(o01, o23);
+        let l3 = _mm512_shuffle_f64x2::<0xDD>(o01, o23);
+        let h0 = _mm512_shuffle_f64x2::<0x88>(e45, e67);
+        let h2 = _mm512_shuffle_f64x2::<0xDD>(e45, e67);
+        let h1 = _mm512_shuffle_f64x2::<0x88>(o45, o67);
+        let h3 = _mm512_shuffle_f64x2::<0xDD>(o45, o67);
+        [
+            _mm512_shuffle_f64x2::<0x88>(l0, h0),
+            _mm512_shuffle_f64x2::<0x88>(l1, h1),
+            _mm512_shuffle_f64x2::<0x88>(l2, h2),
+            _mm512_shuffle_f64x2::<0x88>(l3, h3),
+            _mm512_shuffle_f64x2::<0xDD>(l0, h0),
+            _mm512_shuffle_f64x2::<0xDD>(l1, h1),
+            _mm512_shuffle_f64x2::<0xDD>(l2, h2),
+            _mm512_shuffle_f64x2::<0xDD>(l3, h3),
+        ]
+    }
+}
+
+/// [`Lane::transpose8`] of eight columns of eight singles: the rows.
+///
+/// # Safety
+/// The CPU has `avx`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn transpose8_m256(c: [__m256; 8]) -> [__m256; 8] {
+    // SAFETY: the caller's contract.
+    unsafe {
+        // Columns j and j + 1 interleaved per 128-bit half, at depths
+        // (0, 1 | 4, 5) (`a`) and (2, 3 | 6, 7) (`b`).
+        let a01 = _mm256_unpacklo_ps(c[0], c[1]);
+        let b01 = _mm256_unpackhi_ps(c[0], c[1]);
+        let a23 = _mm256_unpacklo_ps(c[2], c[3]);
+        let b23 = _mm256_unpackhi_ps(c[2], c[3]);
+        let a45 = _mm256_unpacklo_ps(c[4], c[5]);
+        let b45 = _mm256_unpackhi_ps(c[4], c[5]);
+        let a67 = _mm256_unpacklo_ps(c[6], c[7]);
+        let b67 = _mm256_unpackhi_ps(c[6], c[7]);
+        // Four columns at depths p | p + 4: `l` for columns 0-3, `h` for 4-7.
+        let l0 = _mm256_shuffle_ps::<0x44>(a01, a23);
+        let l1 = _mm256_shuffle_ps::<0xEE>(a01, a23);
+        let l2 = _mm256_shuffle_ps::<0x44>(b01, b23);
+        let l3 = _mm256_shuffle_ps::<0xEE>(b01, b23);
+        let h0 = _mm256_shuffle_ps::<0x44>(a45, a67);
+        let h1 = _mm256_shuffle_ps::<0xEE>(a45, a67);
+        let h2 = _mm256_shuffle_ps::<0x44>(b45, b67);
+        let h3 = _mm256_shuffle_ps::<0xEE>(b45, b67);
+        [
+            _mm256_permute2f128_ps::<0x20>(l0, h0),
+            _mm256_permute2f128_ps::<0x20>(l1, h1),
+            _mm256_permute2f128_ps::<0x20>(l2, h2),
+            _mm256_permute2f128_ps::<0x20>(l3, h3),
+            _mm256_permute2f128_ps::<0x31>(l0, h0),
+            _mm256_permute2f128_ps::<0x31>(l1, h1),
+            _mm256_permute2f128_ps::<0x31>(l2, h2),
+            _mm256_permute2f128_ps::<0x31>(l3, h3),
+        ]
+    }
+}
+
+/// The 4 x 4 transpose of four columns of four doubles: the rows.
+///
+/// # Safety
+/// The CPU has `avx`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn transpose4_m256d(c0: __m256d, c1: __m256d, c2: __m256d, c3: __m256d) -> [__m256d; 4] {
+    // SAFETY: the caller's contract.
+    unsafe {
+        let e01 = _mm256_unpacklo_pd(c0, c1);
+        let o01 = _mm256_unpackhi_pd(c0, c1);
+        let e23 = _mm256_unpacklo_pd(c2, c3);
+        let o23 = _mm256_unpackhi_pd(c2, c3);
+        [
+            _mm256_permute2f128_pd::<0x20>(e01, e23),
+            _mm256_permute2f128_pd::<0x20>(o01, o23),
+            _mm256_permute2f128_pd::<0x31>(e01, e23),
+            _mm256_permute2f128_pd::<0x31>(o01, o23),
+        ]
+    }
+}
+
+/// [`Lane::transpose8`] of eight columns of four doubles: per depth, the
+/// row's first four columns, then its last four.
+///
+/// # Safety
+/// The CPU has `avx`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn transpose8_m256d(c: [__m256d; 8]) -> [__m256d; 8] {
+    // SAFETY: the caller's contract.
+    unsafe {
+        let l = transpose4_m256d(c[0], c[1], c[2], c[3]);
+        let r = transpose4_m256d(c[4], c[5], c[6], c[7]);
+        [l[0], r[0], l[1], r[1], l[2], r[2], l[3], r[3]]
+    }
+}
+
+/// `a` then `b` in one 512-bit lane.
+///
+/// # Safety
+/// The CPU has `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn join_m256(a: __m256, b: __m256) -> __m512 {
+    // SAFETY: the caller's contract.
+    unsafe {
+        let a = _mm512_castpd256_pd512(_mm256_castps_pd(a));
+        _mm512_castpd_ps(_mm512_insertf64x4::<1>(a, _mm256_castps_pd(b)))
+    }
+}
+
+/// [`Lane::transpose8`] of eight columns of sixteen singles: two rows per
+/// lane, from two 8 x 8 transposes of the columns' halves.
+///
+/// # Safety
+/// The CPU has `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn transpose8_m512(c: [__m512; 8]) -> [__m512; 8] {
+    // SAFETY: the caller's contract (`avx512f` implies `avx`).
+    unsafe {
+        let (mut lo, mut hi) = ([_mm256_setzero_ps(); 8], [_mm256_setzero_ps(); 8]);
+        for j in 0..8 {
+            let x = _mm512_castps_pd(c[j]);
+            lo[j] = _mm256_castpd_ps(_mm512_castpd512_pd256(x));
+            hi[j] = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(x));
+        }
+        let (lo, hi) = (transpose8_m256(lo), transpose8_m256(hi));
+        let mut rows = [_mm512_setzero_ps(); 8];
+        for v in 0..4 {
+            rows[v] = join_m256(lo[2 * v], lo[2 * v + 1]);
+            rows[v + 4] = join_m256(hi[2 * v], hi[2 * v + 1]);
+        }
+        rows
+    }
 }
 
 #[cfg(test)]

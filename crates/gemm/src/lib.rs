@@ -9,7 +9,9 @@
 //!
 //! * **packing with linear combinations** ([`pack::pack_a_sum`],
 //!   [`pack::pack_b_sum`]): the packed buffer receives `sum_i gamma_i * X_i`
-//!   of several same-shape submatrices, at no extra memory traffic;
+//!   of several same-shape submatrices, each term folded in registers on
+//!   the kernel's lane and each packed element written once, so a sum
+//!   costs the reads of its terms and no extra writes;
 //! * **multi-destination micro-kernel epilogue** ([`driver::gemm_sums_with`]):
 //!   the register tile is added with per-destination coefficients into
 //!   several submatrices of `C` straight from registers

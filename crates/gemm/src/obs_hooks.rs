@@ -9,6 +9,10 @@
 //! next to the work being timed. Span events additionally land in the
 //! span ring when tracing is enabled, stamped with the request id the
 //! current thread is serving (see `fmm_obs::trace::set_current_request`).
+//! A pack span says what it packed: its args are the operand (0 = A,
+//! 1 = B), the number of terms summed and the source elements read (terms
+//! times block elements), so a trace tells A packs from B packs and plain
+//! packs from sums.
 
 use fmm_obs::trace::{self, Event, Kind};
 use fmm_obs::Histogram;
@@ -31,24 +35,34 @@ pub(crate) fn phase_start() -> u64 {
 }
 
 #[inline]
-fn phase_end(kind: Kind, hist: &Histogram, start_nanos: u64) {
+fn phase_end(kind: Kind, hist: &Histogram, start_nanos: u64, args: [u64; 3]) {
     let end_nanos = trace::now_nanos();
     hist.record(end_nanos.saturating_sub(start_nanos));
     if trace::enabled() {
-        trace::record(Event::span(kind, trace::current_request(), start_nanos, end_nanos));
+        let span = Event::span(kind, trace::current_request(), start_nanos, end_nanos);
+        trace::record(span.with_args(args));
     }
 }
 
-/// Close a packing phase opened by [`phase_start`].
+/// Which operand a pack span packed (its first arg).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Operand {
+    A = 0,
+    B = 1,
+}
+
+/// Close a packing phase opened by [`phase_start`]: `terms` blocks of
+/// `elems` elements each, summed into one packed `operand`.
 #[inline]
-pub(crate) fn pack_done(start_nanos: u64) {
-    phase_end(Kind::Pack, pack_hist(), start_nanos);
+pub(crate) fn pack_done(start_nanos: u64, operand: Operand, terms: usize, elems: usize) {
+    let args = [operand as u64, terms as u64, (terms * elems) as u64];
+    phase_end(Kind::Pack, pack_hist(), start_nanos, args);
 }
 
 /// Close a macro-kernel phase opened by [`phase_start`].
 #[inline]
 pub(crate) fn kernel_done(start_nanos: u64) {
-    phase_end(Kind::Kernel, kernel_hist(), start_nanos);
+    phase_end(Kind::Kernel, kernel_hist(), start_nanos, [0; 3]);
 }
 
 #[cfg(test)]

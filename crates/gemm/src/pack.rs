@@ -14,15 +14,47 @@
 //! panel `q` holds columns `[q*nr, q*nr + nr)`, `p`-major with `nr`
 //! contiguous column values per depth index, zero-padded past `nb`.
 //!
+//! # Speed
+//!
+//! Column-major terms at the kernel's tile are packed on the kernel's own
+//! lane (`pack_a_lanes`, `pack_b_lanes`): each lane of every term is
+//! folded in registers and each packed element is written once, so a sum
+//! costs the reads of its terms and one write. That is the paper's premise
+//! that packing `X + Y` costs what packing `X` costs. B̃ panel rows come
+//! out of 8-column in-register transposes (`Lane::transpose8`), not
+//! element stores at stride `nr`. Source bytes per ns on a 2-vCPU AVX-512
+//! Xeon VM (best of three; the per-term folds these replaced in brackets):
+//!
+//! | block | A | B |
+//! |---|---|---|
+//! | hot 128² f64, one term | 15 (10) | 25 (7.5) |
+//! | hot 128² f64, three terms | 33 (9) | 38 (7) |
+//! | hot 128² f32, one term | 15 (7) | 16 (4) |
+//! | hot 128² f32, three terms | 36 (6) | 35 (3.5) |
+//! | three quadrants of a 2048² f64 matrix, out of cache | 5.7–7.6 (4.5–6.3) | 6.8–8.5 (3.8–4.1) |
+//!
+//! The last row is the ledger's `gemm.pack_*_sum3_gbs` over three traced
+//! runs. Out of cache a sum reads at about the host's stream rate
+//! (7.0–7.1 GB/s), so most of the gain is on hot blocks, which small GEMMs
+//! and FMM products pack.
+//!
 //! Packing runs on every warm request and never touches the heap:
 //! destinations are always caller-provided slices carved from pooled
 //! arenas. `fmm-engine`'s `tests/warm_alloc.rs` calls [`pack_a_sum`] and
 //! [`pack_b_sum`] under a counting allocator and asserts zero heap calls.
 
-use crate::kernel::prefetch;
+use crate::kernel::{prefetch, selected_packs, Lane};
 use fmm_dense::{MatRef, Scalar};
 
-/// How many columns ahead [`pack_a_sum`] asks for the column it will read.
+/// A kernel row's pack of column-major terms at its tile: `dst` receives
+/// `sum_t terms[t].0 * terms[t].1` in the packed layout.
+///
+/// # Safety
+/// The CPU has the row's lane features; every term has unit row stride and
+/// the first term's shape; `dst` holds the packed block.
+pub(crate) type PackFn<T> = unsafe fn(dst: &mut [T], terms: &[(T, MatRef<'_, T>)]);
+
+/// How many columns ahead the A pack asks for the column it will read.
 const AHEAD: usize = 4;
 
 /// Ask for the cache lines of the `len` contiguous elements at `p`.
@@ -39,54 +71,159 @@ fn prefetch_run<T>(p: *const T, len: usize) {
 ///
 /// With a single term of coefficient 1.0 this is exactly the BLIS `packm`
 /// operation; with several terms it implements the AB/ABC-variant
-/// pack-and-add at the same memory traffic as a plain pack.
+/// pack-and-add, at the same memory traffic as a plain pack: each packed
+/// element is written once, whatever the number of terms.
 ///
-/// Column-major terms (unit row stride) are read one column at a time,
-/// `mb` contiguous elements per term, and folded into every micro-panel in
-/// fixed chunks the compiler vectorises; a lone unit term, plain GEMM's,
-/// is copied that way. Reading a panel at a time instead strides across
-/// `kb` columns, a page apart at practical leading dimensions, per `mr`
-/// elements: on a 2048² f64 matrix the column order packs three quadrant
-/// terms at 5.5–7 GB/s against 2.0–2.2 (2-vCPU Xeon VM). Each column is a
-/// page from the last, beyond the reach of the hardware prefetcher, so the
-/// column `AHEAD` columns on is asked for before one is read: on a
-/// 512 x 512 quadrant block of a 1024² f64 matrix out of cache, a two-term
-/// sum packs in 0.6–0.9 ms instead of 1.4 (same VM). Any other stride
-/// is gathered element by element. Both paths give each element the bits
-/// of `0 + Σ g_t·x_t` summed in term order, up to the sign of a zero.
+/// Column-major terms (unit row stride) at `mr = T::MR` are packed by the
+/// kernel's own row (`pack_a_lanes` on the lane the micro-kernel runs),
+/// so every GEMM, FMM product and rim call packs at the speed of its data.
+/// Any other stride, or any other `mr`, is gathered element by element.
+/// Both paths give each element the bits of `0 + Σ g_t·x_t` summed in term
+/// order, up to the sign of a zero.
 pub fn pack_a_sum<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], mr: usize) {
     let (mb, kb) = shape_of(terms);
     let panels = mb.div_ceil(mr);
     assert!(dst.len() >= panels * mr * kb, "pack_a_sum: dst too small");
-    if terms.iter().all(|(_, a)| a.row_stride() == 1) {
-        pack_a_columns(dst, terms, mr);
-    } else {
-        pack_a_gather(dst, terms, mr);
+    match selected_packs::<T>() {
+        Some(row) if row.mr == mr && column_major(terms) => {
+            // SAFETY: the selected row runs on this CPU, the terms are
+            // column-major and share a shape, and `dst` holds the block.
+            unsafe { (row.a)(dst, terms) }
+        }
+        _ => pack_a_gather(dst, terms, mr),
     }
 }
 
-/// [`pack_a_sum`] of column-major terms.
-fn pack_a_columns<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], mr: usize) {
+fn column_major<T: Scalar>(terms: &[(T, MatRef<'_, T>)]) -> bool {
+    terms.iter().all(|(_, x)| x.row_stride() == 1)
+}
+
+/// The address of element `(i, j)` of `x`.
+///
+/// # Safety
+/// `x` has unit row stride, and `(i, j)` is inside it.
+#[inline(always)]
+unsafe fn at<T: Scalar>(x: &MatRef<'_, T>, i: usize, j: usize) -> *const T {
+    // SAFETY: the caller's contract.
+    unsafe { x.as_ptr().offset(j as isize * x.col_stride()).add(i) }
+}
+
+/// `Σ g_t·x_t` over one lane of every term, in registers, the lane of term
+/// `x` at `addr(x)`: the first term copied (coefficient 1) or scaled, each
+/// later one added as `acc + g·x`, multiply then add. `L = [T; 1]` is the
+/// same fold one element at a time, for the edges.
+///
+/// # Safety
+/// The CPU has `L`'s features and `addr` gives `L::W` readable elements of
+/// every term.
+#[inline(always)]
+unsafe fn fold<L: Lane>(
+    terms: &[(L::Elem, MatRef<'_, L::Elem>)],
+    addr: impl Fn(&MatRef<'_, L::Elem>) -> *const L::Elem,
+) -> L {
+    // SAFETY: the caller's contract.
+    unsafe {
+        let (g, x) = &terms[0];
+        let x = L::load(addr(x));
+        let mut acc = if *g == L::Elem::ONE { x } else { x.mul(L::splat(*g)) };
+        for (g, x) in &terms[1..] {
+            acc = acc.add(L::load(addr(x)).mul(L::splat(*g)));
+        }
+        acc
+    }
+}
+
+/// [`pack_a_sum`] of column-major terms at `mr = TM` on lane `L`: a column
+/// at a time, each `TM`-row chunk of it folded across the terms in
+/// [`fold`] and stored once. Rows past `mb` are zero.
+///
+/// # Safety
+/// As [`PackFn`], on the CPU features of `L`.
+#[inline(always)]
+pub(crate) unsafe fn pack_a_lanes<L: Lane, const TM: usize>(
+    dst: &mut [L::Elem],
+    terms: &[(L::Elem, MatRef<'_, L::Elem>)],
+) {
     let (mb, kb) = shape_of(terms);
-    let rest = mb % mr;
-    for p in 0..kb {
-        for (t, (g, a)) in terms.iter().enumerate() {
+    let (full, rest) = (mb / TM, mb % TM);
+    debug_assert!(dst.len() >= mb.div_ceil(TM) * TM * kb);
+    let out = dst.as_mut_ptr();
+    // SAFETY: every read is at row < mb and column < kb of a column-major
+    // term, and every write inside the `mb.div_ceil(TM) * TM * kb` block.
+    unsafe {
+        for p in 0..kb {
+            // Each column is a page from the last at practical leading
+            // dimensions, beyond the hardware prefetcher's reach.
             if p + AHEAD < kb {
-                let ahead = (p + AHEAD) as isize * a.col_stride();
-                prefetch_run(a.as_ptr().wrapping_offset(ahead), mb);
+                for (_, x) in terms {
+                    let ahead = (p + AHEAD) as isize * x.col_stride();
+                    prefetch_run(x.as_ptr().wrapping_offset(ahead), mb);
+                }
             }
-            // SAFETY: unit row stride, so column `p`'s `mb` rows are
-            // contiguous and in bounds.
-            let col = unsafe {
-                std::slice::from_raw_parts(a.as_ptr().offset(p as isize * a.col_stride()), mb)
-            };
-            for (q, x) in col.chunks(mr).enumerate() {
-                let at = q * mr * kb + p * mr;
-                fold(&mut dst[at..at + x.len()], x, *g, t == 0);
+            for q in 0..full {
+                let o = out.add(q * TM * kb + p * TM);
+                for v in (0..TM).step_by(L::W) {
+                    fold::<L>(terms, |x| at(x, q * TM + v, p)).store(o.add(v));
+                }
+            }
+            if rest > 0 {
+                let (i0, o) = (full * TM, out.add(full * TM * kb + p * TM));
+                let vectors = rest / L::W * L::W;
+                for v in (0..vectors).step_by(L::W) {
+                    fold::<L>(terms, |x| at(x, i0 + v, p)).store(o.add(v));
+                }
+                for i in vectors..rest {
+                    *o.add(i) = fold::<[L::Elem; 1]>(terms, |x| at(x, i0 + i, p))[0];
+                }
+                std::slice::from_raw_parts_mut(o.add(rest), TM - rest).fill(L::Elem::ZERO);
             }
         }
-        if rest > 0 {
-            dst[mb / mr * mr * kb + p * mr..][rest..mr].fill(T::ZERO);
+    }
+}
+
+/// [`pack_b_sum`] of column-major terms at `nr = 8` on lane `L`: per
+/// micro-panel, `W` depths of its eight columns at a time, each column's
+/// lane folded across the terms in [`fold`], the `W x 8` block turned into
+/// `W` panel rows by [`Lane::transpose8`] and stored once. Columns past
+/// `nb` are zero; the last `kb mod W` depths go one element at a time.
+///
+/// # Safety
+/// As [`PackFn`], on the CPU features of `L`.
+#[inline(always)]
+pub(crate) unsafe fn pack_b_lanes<L: Lane>(
+    dst: &mut [L::Elem],
+    terms: &[(L::Elem, MatRef<'_, L::Elem>)],
+) {
+    const NR: usize = 8;
+    let (kb, nb) = shape_of(terms);
+    debug_assert!(dst.len() >= nb.div_ceil(NR) * NR * kb);
+    let out = dst.as_mut_ptr();
+    let zero = L::Elem::ZERO;
+    // SAFETY: every read is at row < kb and column < nb of a column-major
+    // term, and every write inside the `nb.div_ceil(NR) * NR * kb` block.
+    unsafe {
+        for q in 0..nb.div_ceil(NR) {
+            let (j0, cols) = (q * NR, NR.min(nb - q * NR));
+            let panel = out.add(q * NR * kb);
+            let depths = kb / L::W * L::W;
+            for p in (0..depths).step_by(L::W) {
+                let mut block = [L::splat(zero); NR];
+                for (j, x) in block.iter_mut().enumerate().take(cols) {
+                    *x = fold::<L>(terms, |x| at(x, p, j0 + j));
+                }
+                for (v, x) in L::transpose8(block).into_iter().enumerate() {
+                    x.store(panel.add(p * NR + v * L::W));
+                }
+            }
+            for p in depths..kb {
+                for j in 0..NR {
+                    *panel.add(p * NR + j) = if j < cols {
+                        fold::<[L::Elem; 1]>(terms, |x| at(x, p, j0 + j))[0]
+                    } else {
+                        zero
+                    };
+                }
+            }
         }
     }
 }
@@ -117,43 +254,21 @@ fn pack_a_gather<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], mr: usi
 /// Pack `sum_t terms[t].0 * terms[t].1` (all of shape `kb x nb`) into `dst`
 /// using the packed-B micro-panel layout with register blocking `nr`.
 ///
-/// Column-major terms are folded into one micro-panel at a time, a term
-/// at a time, a panel row at a time: the `nr` columns are read together,
-/// as `nr` sequential streams the hardware prefetcher follows, and each
-/// row of `nr` is written whole into the panel (which stays in L1).
-/// Walking one column at a time instead, and writing it at stride `nr`,
-/// packs the quadrant block [`pack_a_sum`] cites 1.4–1.9x slower. Any other
-/// stride is gathered.
+/// Column-major terms at `nr = T::NR` are packed by the kernel's own row,
+/// as in [`pack_a_sum`]: `pack_b_lanes` reads `W` depths of each of a
+/// micro-panel's columns, folds the terms in registers and writes the
+/// panel rows by in-register transposes. Any other stride or `nr` is
+/// gathered.
 pub fn pack_b_sum<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], nr: usize) {
     let (kb, nb) = shape_of(terms);
     let panels = nb.div_ceil(nr);
     assert!(dst.len() >= panels * nr * kb, "pack_b_sum: dst too small");
-    if terms.iter().all(|(_, b)| b.row_stride() == 1) {
-        pack_b_columns(dst, terms, nr);
-    } else {
-        pack_b_gather(dst, terms, nr);
-    }
-}
-
-/// [`pack_b_sum`] of column-major terms.
-fn pack_b_columns<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], nr: usize) {
-    let (kb, nb) = shape_of(terms);
-    for q in 0..nb.div_ceil(nr) {
-        let j0 = q * nr;
-        let cols = nr.min(nb - j0);
-        let panel = &mut dst[q * nr * kb..(q + 1) * nr * kb];
-        for (t, (g, b)) in terms.iter().enumerate() {
-            for (p, row) in panel.chunks_exact_mut(nr).enumerate() {
-                for (j, o) in row[..cols].iter_mut().enumerate() {
-                    // SAFETY: `p < kb` and `j0 + j < nb`.
-                    let x = unsafe { b.at_unchecked(p, j0 + j) };
-                    *o = if t == 0 { *g * x } else { *o + *g * x };
-                }
-            }
+    match selected_packs::<T>() {
+        Some(row) if row.nr == nr && column_major(terms) => {
+            // SAFETY: as in `pack_a_sum`.
+            unsafe { (row.b)(dst, terms) }
         }
-        for j in cols..nr {
-            panel[j..].iter_mut().step_by(nr).for_each(|x| *x = T::ZERO);
-        }
+        _ => pack_b_gather(dst, terms, nr),
     }
 }
 
@@ -177,37 +292,6 @@ fn pack_b_gather<T: Scalar>(dst: &mut [T], terms: &[(T, MatRef<'_, T>)], nr: usi
                 dst[base + p * nr + j] = T::ZERO;
             }
         }
-    }
-}
-
-/// One term of a packed sum: `out = g·x` for the first term, `out += g·x`
-/// for the others, so each element is the gather's `0 + Σ g_t·x_t` (up to
-/// the sign of a zero). A first term of coefficient 1, every term of a
-/// plain GEMM, is a copy, in the same chunks.
-#[inline(always)]
-fn fold<T: Scalar>(out: &mut [T], x: &[T], g: T, first: bool) {
-    if first && g == T::ONE {
-        zip_chunks(out, x, |_, x| x);
-    } else if first {
-        zip_chunks(out, x, |_, x| g * x);
-    } else {
-        zip_chunks(out, x, |o, x| o + g * x);
-    }
-}
-
-/// `out[i] = f(out[i], x[i])` in fixed chunks of eight, which the compiler
-/// vectorises, then the remainder.
-#[inline(always)]
-fn zip_chunks<T: Scalar>(out: &mut [T], x: &[T], f: impl Fn(T, T) -> T) {
-    let mut outs = out.chunks_exact_mut(8);
-    let mut xs = x.chunks_exact(8);
-    for (o, x) in (&mut outs).zip(&mut xs) {
-        for i in 0..8 {
-            o[i] = f(o[i], x[i]);
-        }
-    }
-    for (o, x) in outs.into_remainder().iter_mut().zip(xs.remainder()) {
-        *o = f(*o, *x);
     }
 }
 
@@ -338,48 +422,121 @@ mod tests {
         assert_eq!(unpack_a(&dst, 16, 4, 8), a);
     }
 
-    /// The column folds give the gather's bits, for both operands and
-    /// dtypes, at the production tiles and one no kernel has yet, on ragged
-    /// shapes, with unit and rounding coefficients; a lone unit term is
-    /// plain GEMM's pack.
+    /// Every kernel row's packs that this CPU runs give the gather's bits,
+    /// for both operands and dtypes, at the row's tile (`T::MR x T::NR`):
+    /// partial panels, depths off every lane width, dense operands and
+    /// offset views into a parent of odd leading dimension, one to four
+    /// terms with unit and rounding coefficients. The public entries, which
+    /// run the selected row, give them too. Prints each row as checked or
+    /// not supported (`--nocapture`), so a CI log shows which rows ran.
     #[test]
     fn column_folds_match_the_gather_bit_for_bit() {
+        use crate::kernel::{Packs, F32_KERNELS, F64_KERNELS};
+        type Pack<'f, T> = &'f dyn Fn(&mut [T], &[(T, MatRef<'_, T>)]);
+
         fn same<T: Scalar>(x: &[T], y: &[T]) -> bool {
             x.iter().zip(y).all(|(x, y)| x.to_f64().to_bits() == y.to_f64().to_bits())
         }
-        fn both<T: Scalar>(mr: usize) {
-            let nr = 4;
-            let coeffs: [&[f64]; 5] =
-                [&[1.0], &[-1.0], &[1.0, -1.0], &[0.5, 1.0, -3.0], &[1.0, 1.0, 1.0, -1.0]];
-            for (mb, kb) in [(1, 1), (5, 7), (mr, 3), (3 * mr + 5, 17), (40, 33)] {
-                for gs in coeffs {
-                    let mats: Vec<Matrix<T>> =
-                        (0..gs.len()).map(|t| fill::bench_workload_t(mb, kb, t as u64)).collect();
-                    let terms: Vec<(T, MatRef<'_, T>)> =
-                        gs.iter().zip(&mats).map(|(g, x)| (T::from_f64(*g), x.as_ref())).collect();
-                    let len = mb.div_ceil(mr) * mr * kb;
-                    let (mut fast, mut gather) = (vec![T::ONE; len], vec![T::ONE; len]);
-                    pack_a_sum(&mut fast, &terms, mr);
-                    pack_a_gather(&mut gather, &terms, mr);
-                    assert!(same(&fast, &gather), "A {mb}x{kb} {gs:?}");
-
-                    // The same sums as `kb x mb` B operands: column-major
-                    // copies for the folds, row-major views for the gather.
-                    let copies: Vec<Matrix<T>> = mats.iter().map(|x| x.transposed()).collect();
-                    let cols: Vec<_> =
-                        terms.iter().zip(&copies).map(|((g, _), x)| (*g, x.as_ref())).collect();
-                    let rows: Vec<_> = terms.iter().map(|(g, x)| (*g, x.t())).collect();
-                    let len = mb.div_ceil(nr) * nr * kb;
-                    let (mut fast, mut gather) = (vec![T::ONE; len], vec![T::ONE; len]);
-                    pack_b_sum(&mut fast, &cols, nr);
-                    pack_b_gather(&mut gather, &rows, nr);
-                    assert!(same(&fast, &gather), "B {kb}x{mb} {gs:?}");
+        /// `count` terms of shape `rows x cols`: dense, or at (3, 2) in a
+        /// parent whose leading dimension is odd.
+        fn operands<T: Scalar>(
+            rows: usize,
+            cols: usize,
+            count: usize,
+            offset: bool,
+        ) -> Vec<Matrix<T>> {
+            let (pr, pc) = if offset { ((rows + 4) | 1, cols + 3) } else { (rows, cols) };
+            (0..count).map(|t| fill::bench_workload_t(pr, pc, 7 + t as u64)).collect()
+        }
+        fn view<T: Scalar>(x: &Matrix<T>, rows: usize, cols: usize, offset: bool) -> MatRef<'_, T> {
+            let (i, j) = if offset { (3, 2) } else { (0, 0) };
+            x.as_ref().submatrix(i, j, rows, cols)
+        }
+        /// Pack every case with `a`/`b` and with the gathers; compare.
+        fn cases<T: Scalar>(
+            name: &str,
+            (mr, nr): (usize, usize),
+            a: impl Fn(&mut [T], &[(T, MatRef<'_, T>)]),
+            b: impl Fn(&mut [T], &[(T, MatRef<'_, T>)]),
+        ) {
+            let (a, b): (Pack<'_, T>, Pack<'_, T>) = (&a, &b);
+            let coeffs: [&[f64]; 7] = [
+                &[1.0],
+                &[-1.0],
+                &[0.1],
+                &[1.0, -1.0],
+                &[0.5, 1.0, -3.0],
+                &[1.0, 1.0, 1.0, -1.0],
+                &[0.1, -0.7, 1.3, 1.0 / 3.0],
+            ];
+            let a_shapes =
+                [(1, 1), (5, 7), (mr - 1, 9), (mr, 8), (mr + 1, 3), (3 * mr + 5, 17), (96, 33)];
+            let b_shapes = [(1, 1), (7, 5), (8, 8), (9, 13), (15, 16), (17, 3), (33, 24), (70, 31)];
+            for gs in coeffs {
+                for offset in [false, true] {
+                    let check = |rows, cols, width, pack: Pack<'_, T>, is_a: bool| {
+                        let mats = operands::<T>(rows, cols, gs.len(), offset);
+                        let terms: Vec<(T, MatRef<'_, T>)> = gs
+                            .iter()
+                            .zip(&mats)
+                            .map(|(g, x)| (T::from_f64(*g), view(x, rows, cols, offset)))
+                            .collect();
+                        let panels = if is_a { rows } else { cols }.div_ceil(width);
+                        let len = panels * width * if is_a { cols } else { rows };
+                        let (mut fast, mut gather) = (vec![T::ONE; len], vec![T::ONE; len]);
+                        pack(&mut fast, &terms);
+                        if is_a {
+                            pack_a_gather(&mut gather, &terms, width);
+                        } else {
+                            pack_b_gather(&mut gather, &terms, width);
+                        }
+                        let what = if is_a { "A" } else { "B" };
+                        assert!(
+                            same(&fast, &gather),
+                            "{name}: {what} {rows}x{cols} {gs:?} offset={offset}"
+                        );
+                    };
+                    for (mb, kb) in a_shapes {
+                        check(mb, kb, mr, a, true);
+                    }
+                    for (kb, nb) in b_shapes {
+                        check(kb, nb, nr, b, false);
+                    }
                 }
             }
         }
-        both::<f64>(8);
-        both::<f32>(16);
-        both::<f64>(24);
+        fn table<T: crate::GemmScalar>(rows: &[crate::kernel::Instance<T>]) {
+            for row in rows {
+                let ran = (row.supported)();
+                println!(
+                    "pack row {}: {}",
+                    row.name,
+                    if ran { "checked" } else { "not supported here" }
+                );
+                if ran {
+                    let Packs { mr, nr, a, b } = row.packs;
+                    cases(
+                        row.name,
+                        (mr, nr),
+                        // SAFETY: the row runs on this CPU, and `cases`
+                        // passes column-major terms of one shape and a full
+                        // block.
+                        |d, t| unsafe { a(d, t) },
+                        // SAFETY: as for `a`.
+                        |d, t| unsafe { b(d, t) },
+                    );
+                }
+            }
+            let (mr, nr) = (T::MR, T::NR);
+            cases(
+                "pack_a_sum/pack_b_sum",
+                (mr, nr),
+                |d: &mut [T], t| pack_a_sum(d, t, mr),
+                |d, t| pack_b_sum(d, t, nr),
+            );
+        }
+        table::<f64>(F64_KERNELS);
+        table::<f32>(F32_KERNELS);
     }
 
     #[test]

@@ -70,7 +70,8 @@ pub enum Kind {
     PlanCompose,
     /// One scheduler task (submultiplication product).
     TaskExec,
-    /// GEMM operand packing (`pack_a_sum` / `pack_b_sum`).
+    /// GEMM operand packing (`pack_a_sum` / `pack_b_sum`). Args: packed
+    /// operand (0 = A, 1 = B), terms summed, source elements read.
     Pack,
     /// GEMM macro-kernel execution.
     Kernel,
@@ -302,6 +303,12 @@ impl Event {
             }
             Kind::Incident => format!("incident dump triggered by {}", IncidentTrigger::name_of(a)),
             Kind::Other => "an event of a kind this binary does not know".to_string(),
+            Kind::Pack => format!(
+                "Pack {} of request {}: {b} terms, {c} source elements, {:.1} us",
+                if a == 0 { "A" } else { "B" },
+                self.request_id,
+                self.nanos() as f64 / 1e3
+            ),
             span if self.nanos() == 0 => format!("{} of request {}", span.name(), self.request_id),
             span => format!(
                 "{} of request {}: {:.1} us",
