@@ -668,11 +668,12 @@ impl<T: GemmScalar> FmmEngine<T> {
         }
         self.counters.decision_misses.fetch_add(1, Ordering::Relaxed);
         let span = fmm_obs::trace::start();
-        let decision = self.compute_decision(m, k, n);
-        fmm_obs::trace::finish(
+        let (decision, predicted) = self.compute_decision(m, k, n);
+        fmm_obs::trace::finish_with_args(
             fmm_obs::Kind::EngineDecision,
             fmm_obs::trace::current_request(),
             span,
+            predicted,
         );
         // Cold side of the audit: label the shape's class with what the
         // router just chose (one decision per class is representative —
@@ -716,10 +717,14 @@ impl<T: GemmScalar> FmmEngine<T> {
         }
     }
 
-    fn compute_decision(&self, m: usize, k: usize, n: usize) -> Decision {
+    /// The decision for a shape, and the `EngineDecision` span's args:
+    /// the predicted nanos of the winner, of GEMM and of the runner-up (0
+    /// when nothing else was ranked).
+    fn compute_decision(&self, m: usize, k: usize, n: usize) -> (Decision, [u64; 3]) {
         let Routing::Pinned { dims, levels, variant, strategy } = self.config.routing else {
             return self.model_decision(m, k, n);
         };
+        let gemm = predict_gemm_parallel(m, k, n, &self.arch, self.workers).total_nanos();
         let Some(algo) = self.registry.get(dims) else {
             // No algorithm for the pinned dims: fall back to the GEMM
             // decision (counted, cached like any other decision) rather
@@ -728,12 +733,12 @@ impl<T: GemmScalar> FmmEngine<T> {
             let request = fmm_obs::trace::current_request();
             let miss = fmm_obs::Event::now(fmm_obs::Kind::PinnedMiss, request);
             fmm_obs::trace::record(miss.with_args([m as u64, k as u64, n as u64]));
-            let predicted = predict_gemm_parallel(m, k, n, &self.arch, self.workers);
-            return Decision {
+            let decision = Decision {
                 choice: Choice::Gemm,
                 source: AuditSource::Fallback,
-                predicted_nanos: predicted.total_nanos(),
+                predicted_nanos: gemm,
             };
+            return (decision, [gemm, gemm, 0]);
         };
         let plan = self.plan_for(&algo, levels);
         // Predict the pinned route itself, so the audit compares reality
@@ -741,16 +746,15 @@ impl<T: GemmScalar> FmmEngine<T> {
         let impl_ = Impl::from_variant(variant);
         let predicted =
             predict_scheduled(impl_, &plan, m, k, n, &self.arch, self.workers, strategy);
-        Decision {
-            choice: Choice::Fmm { plan, variant, strategy },
-            source: AuditSource::Pinned,
-            predicted_nanos: predicted.total_nanos(),
-        }
+        let predicted_nanos = predicted.total_nanos();
+        let choice = Choice::Fmm { plan, variant, strategy };
+        let decision = Decision { choice, source: AuditSource::Pinned, predicted_nanos };
+        (decision, [predicted_nanos, gemm, 0])
     }
 
     /// One full model ranking (the paper's §4.4 poly-algorithm) over the
     /// engine's workers, counted in [`EngineStats::rankings`].
-    fn model_decision(&self, m: usize, k: usize, n: usize) -> Decision {
+    fn model_decision(&self, m: usize, k: usize, n: usize) -> (Decision, [u64; 3]) {
         let plans = self.candidate_plans();
         self.counters.rankings.fetch_add(1, Ordering::Relaxed);
         let variants = &Impl::FMM_VARIANTS;
@@ -762,11 +766,11 @@ impl<T: GemmScalar> FmmEngine<T> {
             }
             _ => Choice::Gemm,
         };
-        Decision {
-            choice,
-            source: AuditSource::Model,
-            predicted_nanos: best.prediction.total_nanos(),
-        }
+        let predicted_nanos = best.prediction.total_nanos();
+        let gemm = ranked.iter().find(|c| c.plan.is_none()).expect("GEMM is ranked");
+        let runner_up = ranked.get(1).map_or(0, |c| c.prediction.total_nanos());
+        let predicted = [predicted_nanos, gemm.prediction.total_nanos(), runner_up];
+        (Decision { choice, source: AuditSource::Model, predicted_nanos }, predicted)
     }
 
     /// The candidate plan set model routing ranks over: every registry

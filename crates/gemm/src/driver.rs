@@ -15,18 +15,13 @@
 //! runs inline or over rayon workers as its [`IcLoop`] argument says, which
 //! is all the paper's data parallelism (§5.1) needs.
 
-use crate::kernel::{GemmScalar, MicroKernelFn, RawDest, TileUpdateFn};
+use crate::kernel::{GemmScalar, RawDest, Tile, TileUpdateFn};
 use crate::obs_hooks::Operand;
 use crate::pack;
 use crate::params::BlockingParams;
 use crate::workspace::{GemmWorkspace, PooledWorkspace};
 use fmm_dense::{MatMut, MatRef, Scalar};
 use rayon::prelude::*;
-
-/// Upper bound on `MR * NR` across every supported scalar (`f32`'s
-/// `32 x 8`) — the stack accumulator is sized by this so one code path
-/// serves all dtypes.
-pub(crate) const ACC_CAP: usize = 256;
 
 /// One destination of a generalized GEMM: a mutable view plus the scalar
 /// coefficient `w` applied to the product before accumulation.
@@ -55,8 +50,6 @@ impl<'a, T: Scalar> DestTile<'a, T> {
     fn raw(&mut self) -> RawDest<T> {
         RawDest {
             ptr: self.view.as_mut_ptr(),
-            rows: self.view.rows(),
-            cols: self.view.cols(),
             rs: self.view.row_stride(),
             cs: self.view.col_stride(),
             coeff: self.coeff,
@@ -68,7 +61,7 @@ impl<'a, T: Scalar> DestTile<'a, T> {
 /// to. When every destination has unit *column* stride, turn `raw` into
 /// views of `C_dᵀ` and return `true`: `C_dᵀ += w_d·Bᵀ·Aᵀ` is the same
 /// update with the roles of `m` and `n` swapped, and the transposed
-/// destinations have the unit row stride the tile epilogue is written for.
+/// destinations have the unit row stride the tile update writes by lanes.
 /// The caller then packs [`oriented`] blocks of `b_terms` as the left
 /// operand and of `a_terms` as the right. `false` (and `raw` untouched)
 /// for any other stride mix.
@@ -84,7 +77,6 @@ fn transpose_row_major<T: Scalar>(raw: &mut [RawDest<T>]) -> bool {
         return false;
     }
     for d in raw.iter_mut() {
-        std::mem::swap(&mut d.rows, &mut d.cols);
         std::mem::swap(&mut d.rs, &mut d.cs);
     }
     true
@@ -158,11 +150,12 @@ pub fn gemm_sums<T: GemmScalar>(
 ///
 /// Any strides are accepted. Column-major destinations (unit row stride)
 /// are the fast case; destinations that are all row-major run as the
-/// column-major problem `C_dᵀ (+)= w_d · Bᵀ·Aᵀ`, on views. Full tiles of
-/// column-major destinations are updated straight from the kernel's
-/// registers ([`GemmScalar::tile_update`]), plain GEMM's as FMM's; edge
-/// tiles, and every tile of any other stride mix, go through a stack
-/// accumulator. Both paths give the same bits.
+/// column-major problem `C_dᵀ (+)= w_d · Bᵀ·Aᵀ`, on views. Every tile,
+/// plain GEMM's as FMM's, is updated straight from the kernel's registers
+/// ([`GemmScalar::tile_update`]): a full tile of column-major destinations
+/// by whole lanes, an edge tile on the narrowest sub-tiles that cover it
+/// and through masked lanes, and a destination of any other stride an
+/// element at a time. Every path gives the same bits.
 pub fn gemm_sums_with<T: GemmScalar>(
     dests: &mut [DestTile<'_, T>],
     a_terms: &[(T, MatRef<'_, T>)],
@@ -194,8 +187,7 @@ pub fn gemm_sums_with<T: GemmScalar>(
     let transposed = transpose_row_major(&mut raw);
     let (a_terms, b_terms, m, n) =
         if transposed { (b_terms, a_terms, n, m) } else { (a_terms, b_terms, m, n) };
-    let registers = raw.iter().all(|d| d.rs == 1);
-    let kernels = (T::micro_kernel(), T::tile_update());
+    let update_tile = T::tile_update();
     let parallel = matches!(ic_loop, IcLoop::Parallel);
     // The shared B̃ panel, packed once per (jc, pc) iteration. Pooled in
     // parallel mode (one pool per dtype), so the warm path allocates
@@ -236,9 +228,10 @@ pub fn gemm_sums_with<T: GemmScalar>(
                     .collect();
                 let t_pack = crate::obs_hooks::phase_start();
                 pack::pack_a_sum(abuf, &a_slices, params.mr);
-                crate::obs_hooks::pack_done(t_pack, Operand::A, a_slices.len(), mb * kb);
-                let t_kernel = crate::obs_hooks::phase_start();
-                macro_kernel(&raw, registers, abuf, bbuf, ic, jc, mb, nb, kb, kernels, store);
+                // The kernel phase starts where the pack phase ends.
+                let t_kernel =
+                    crate::obs_hooks::pack_done(t_pack, Operand::A, a_slices.len(), mb * kb);
+                macro_kernel(&raw, abuf, bbuf, ic, jc, mb, nb, kb, update_tile, store);
                 crate::obs_hooks::kernel_done(t_kernel);
             };
             if parallel {
@@ -259,15 +252,12 @@ pub fn gemm_sums_with<T: GemmScalar>(
     }
 }
 
-/// Loops 2 and 1: sweep `nr x mr` micro-tiles of the current block and run
-/// the micro-kernel. With `registers` (every destination column-major) a
-/// full tile is updated from registers; an edge tile, or any tile without
-/// `registers`, goes through a stack accumulator scattered into every one
-/// of `dests`.
+/// Loops 2 and 1: sweep `nr x mr` micro-tiles of the current block and
+/// update each, full or edge, in every one of `dests` from the kernel's
+/// registers.
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel<T: GemmScalar>(
     dests: &[RawDest<T>],
-    registers: bool,
     abuf: &[T],
     bbuf: &[T],
     ic: usize,
@@ -275,95 +265,23 @@ fn macro_kernel<T: GemmScalar>(
     mb: usize,
     nb: usize,
     kb: usize,
-    (ukr, update): (MicroKernelFn<T>, TileUpdateFn<T>),
+    update: TileUpdateFn<T>,
     store: bool,
 ) {
     let (mr, nr) = (T::MR, T::NR);
-    const { assert!(T::MR * T::NR <= ACC_CAP, "register tile exceeds the stack accumulator") };
-    let mut jr = 0;
-    while jr < nb {
-        let nr_eff = nr.min(nb - jr);
+    for jr in (0..nb).step_by(nr) {
         let bpanel = &bbuf[(jr / nr) * nr * kb..];
-        let mut ir = 0;
-        while ir < mb {
-            let mr_eff = mr.min(mb - ir);
+        for ir in (0..mb).step_by(mr) {
             let apanel = &abuf[(ir / mr) * mr * kb..];
-            if registers && mr_eff == mr && nr_eff == nr {
-                // SAFETY: the panels are as below; every destination has
-                // unit row stride (`registers`), the full tile at
-                // (ic + ir, jc + jr) lies inside each (shapes checked at
-                // entry), and distinct destinations are disjoint per the
-                // MatMut contract.
-                unsafe {
-                    update(kb, apanel.as_ptr(), bpanel.as_ptr(), dests, ic + ir, jc + jr, store)
-                };
-                ir += mr;
-                continue;
-            }
-            // Stack accumulator sized for the largest supported tile; the
-            // kernel touches only its own `mr * nr` prefix.
-            let mut acc = [T::ZERO; ACC_CAP];
+            let tile =
+                Tile { i: ic + ir, j: jc + jr, rows: mr.min(mb - ir), cols: nr.min(nb - jr) };
             // SAFETY: packed panels hold kb * mr and kb * nr elements
-            // (zero-padded), as produced by pack_a_sum / pack_b_sum, and
-            // `acc` has at least mr * nr writable elements.
-            unsafe { ukr(kb, apanel.as_ptr(), bpanel.as_ptr(), acc.as_mut_ptr()) };
-            for d in dests.iter() {
-                // SAFETY: ic + mr_eff <= m and jc + nr_eff <= n for every
-                // destination (shapes checked at entry); distinct (i, j)
-                // address distinct elements per the MatMut contract.
-                unsafe { apply_tile(d, ic + ir, jc + jr, mr_eff, nr_eff, &acc, store) };
-            }
-            ir += mr;
-        }
-        jr += nr;
-    }
-}
-
-/// Add (or store) `coeff * acc[0..mr_eff, 0..nr_eff]` at `(i0, j0)` of `d`.
-///
-/// # Safety
-/// `(i0 + mr_eff, j0 + nr_eff)` must be within `d`'s bounds and no other
-/// thread may concurrently touch those elements.
-unsafe fn apply_tile<T: GemmScalar>(
-    d: &RawDest<T>,
-    i0: usize,
-    j0: usize,
-    mr_eff: usize,
-    nr_eff: usize,
-    acc: &[T; ACC_CAP],
-    store: bool,
-) {
-    debug_assert!(i0 + mr_eff <= d.rows && j0 + nr_eff <= d.cols);
-    let mr = T::MR;
-    let w = d.coeff;
-    for j in 0..nr_eff {
-        // SAFETY: every offset below stays inside the `mr_eff x nr_eff`
-        // tile at `(i0, j0)`, in-bounds and exclusively owned per the
-        // caller's contract.
-        unsafe {
-            let colbase = d.ptr.offset((i0 as isize) * d.rs + (j0 + j) as isize * d.cs);
-            if d.rs == 1 {
-                let src = &acc[j * mr..j * mr + mr_eff];
-                if store {
-                    for (i, &v) in src.iter().enumerate() {
-                        *colbase.add(i) = w * v;
-                    }
-                } else {
-                    for (i, &v) in src.iter().enumerate() {
-                        *colbase.add(i) += w * v;
-                    }
-                }
-            } else {
-                for i in 0..mr_eff {
-                    let p = colbase.offset(i as isize * d.rs);
-                    let v = w * acc[i + j * mr];
-                    if store {
-                        *p = v;
-                    } else {
-                        *p += v;
-                    }
-                }
-            }
+            // (zero-padded), as produced by pack_a_sum / pack_b_sum; the
+            // valid part of the tile lies inside every destination (shapes
+            // checked at entry), this call's rows [ic, ic + mb) are its
+            // own, and distinct destinations are disjoint per the MatMut
+            // contract.
+            unsafe { update(kb, apanel.as_ptr(), bpanel.as_ptr(), dests, tile, store) };
         }
     }
 }
@@ -799,11 +717,12 @@ mod tests {
         assert!(norms::max_abs_diff(c.as_ref(), c_ref.as_ref()) < 1e-12);
     }
 
-    /// The epilogue from the kernel's registers and the stack accumulator's
-    /// give the same bits. Column-major destinations take the registers on
-    /// full tiles, alone (plain GEMM at one term) or two at a time; pairing
-    /// one with a row-major copy of the other sends both through the
-    /// accumulator. One- and two-term operands, coefficients that round,
+    /// The tile update's lane writes and its element writes give the same
+    /// bits. Column-major destinations take whole and masked lanes, alone
+    /// (plain GEMM at one term) or two at a time; pairing one with a
+    /// row-major copy of the other sends every tile of both down the path
+    /// that spills the registers and writes the row-major one an element
+    /// at a time. One- and two-term operands, coefficients that round,
     /// fringes on every side, and both update modes.
     #[test]
     fn register_and_accumulator_epilogues_agree_bit_for_bit() {
@@ -860,6 +779,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Edge tiles give full tiles' bits: `gemm` on every `m x n` in
+    /// `1..=2·MR+1 x 1..=2·NR+1`, at depths 1, 7, 256 and 257 (one and two
+    /// `kc` panels), equals the top-left block of the same product on the
+    /// operands zero-padded to whole tiles, which runs only full tiles.
+    /// Both dtypes. Prints the kernel row it ran and that row's edge paths
+    /// (`--nocapture`), so a CI log shows which paths were checked.
+    #[test]
+    fn fringes_equal_the_padded_product_bit_for_bit() {
+        fn run<T: GemmScalar>(table: &[crate::kernel::Instance<T>]) {
+            let row = table.iter().find(|row| row.name == T::micro_kernel_name()).unwrap();
+            println!("fringe test on {} ({}): {}", row.name, T::NAME, row.edge_paths());
+            let (mr, nr) = (T::MR, T::NR);
+            for k in [1, 7, 256, 257] {
+                let a = fill::bench_workload_t::<T>(2 * mr + 1, k, 1);
+                let b = fill::bench_workload_t::<T>(k, 2 * nr + 1, 2);
+                let c0 = fill::bench_workload_t::<T>(2 * mr + 1, 2 * nr + 1, 3);
+                for m in 1..=2 * mr + 1 {
+                    let pm = m.next_multiple_of(mr);
+                    let a_pad =
+                        Matrix::from_fn(pm, k, |i, p| if i < m { a.get(i, p) } else { T::ZERO });
+                    for n in 1..=2 * nr + 1 {
+                        let pn = n.next_multiple_of(nr);
+                        let b_pad =
+                            Matrix::from_fn(
+                                k,
+                                pn,
+                                |p, j| if j < n { b.get(p, j) } else { T::ZERO },
+                            );
+                        let at = |i, j| if i < m && j < n { c0.get(i, j) } else { T::ZERO };
+                        let mut c = Matrix::from_fn(m, n, at);
+                        let mut c_pad = Matrix::from_fn(pm, pn, at);
+                        let (a, b) =
+                            (a.as_ref().submatrix(0, 0, m, k), b.as_ref().submatrix(0, 0, k, n));
+                        crate::gemm(c.as_mut(), a, b);
+                        crate::gemm(c_pad.as_mut(), a_pad.as_ref(), b_pad.as_ref());
+                        for j in 0..n {
+                            for i in 0..m {
+                                let (got, want) = (c.get(i, j).to_f64(), c_pad.get(i, j).to_f64());
+                                let what = format_args!("{} {m}x{k}x{n} at ({i}, {j})", T::NAME);
+                                assert_eq!(got.to_bits(), want.to_bits(), "{what}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        run::<f64>(crate::kernel::F64_KERNELS);
+        run::<f32>(crate::kernel::F32_KERNELS);
     }
 
     #[test]

@@ -36,11 +36,14 @@
 //! `avx2_fma_32x8` and `portable_32x8` for `f32`, the first one the CPU
 //! supports picked once per process. Rows whose registers cannot hold the
 //! tile run it as a grid of smaller sub-tiles over the same packed panels,
-//! so every row of a dtype gives the same bits. Each has two entries: into a
-//! destination list straight from registers ([`GemmScalar::tile_update`]),
-//! which every full tile of column-major destinations takes, plain GEMM's
-//! as FMM's, and into a stack accumulator ([`GemmScalar::micro_kernel`]),
-//! which edge tiles and other strides take. Callers pass one
+//! so every row of a dtype gives the same bits. Its one C-update
+//! ([`GemmScalar::tile_update`]) adds the tile into a destination list
+//! straight from registers, for every tile, plain GEMM's as FMM's: a full
+//! tile of column-major destinations by whole lanes, an edge tile on the
+//! narrowest sub-tiles that cover its valid part and through masked
+//! lanes, and a destination of any other row stride an element at a
+//! time. [`GemmScalar::micro_kernel`] is its one-destination case, into an
+//! `MR x NR` tile at coefficient 1. Callers pass one
 //! `BlockingParams`; the driver swaps in the kernel's register tile via
 //! [`BlockingParams::with_register_tile`] while keeping the cache-level
 //! blocking as configured.

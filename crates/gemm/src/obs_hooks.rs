@@ -5,8 +5,9 @@
 //! each `pack_*_sum` and `macro_kernel` call, inline or parallel, and
 //! records the duration into the process-global histograms
 //! `fmm_gemm_pack_nanos` / `fmm_gemm_kernel_nanos`. Timing is always on:
-//! one clock read per block-sized call plus four relaxed atomics, noise
-//! next to the work being timed. Span events additionally land in the
+//! about one clock read per block-sized call (an `ic` block's A pack and
+//! kernel phases share the stamp between them, three reads for two
+//! phases) plus four relaxed atomics, noise next to the work being timed. Span events additionally land in the
 //! span ring when tracing is enabled, stamped with the request id the
 //! current thread is serving (see `fmm_obs::trace::set_current_request`).
 //! A pack span says what it packed: its args are the operand (0 = A,
@@ -34,14 +35,17 @@ pub(crate) fn phase_start() -> u64 {
     trace::now_nanos()
 }
 
+/// Close a phase and return its end stamp, from which the next phase may
+/// start without reading the clock again.
 #[inline]
-fn phase_end(kind: Kind, hist: &Histogram, start_nanos: u64, args: [u64; 3]) {
+fn phase_end(kind: Kind, hist: &Histogram, start_nanos: u64, args: [u64; 3]) -> u64 {
     let end_nanos = trace::now_nanos();
     hist.record(end_nanos.saturating_sub(start_nanos));
     if trace::enabled() {
         let span = Event::span(kind, trace::current_request(), start_nanos, end_nanos);
         trace::record(span.with_args(args));
     }
+    end_nanos
 }
 
 /// Which operand a pack span packed (its first arg).
@@ -52,14 +56,17 @@ pub(crate) enum Operand {
 }
 
 /// Close a packing phase opened by [`phase_start`]: `terms` blocks of
-/// `elems` elements each, summed into one packed `operand`.
+/// `elems` elements each, summed into one packed `operand`. Returns the
+/// end stamp, which the kernel phase after an A pack starts from, so the
+/// two spans abut and an `ic` block reads the clock three times.
 #[inline]
-pub(crate) fn pack_done(start_nanos: u64, operand: Operand, terms: usize, elems: usize) {
+pub(crate) fn pack_done(start_nanos: u64, operand: Operand, terms: usize, elems: usize) -> u64 {
     let args = [operand as u64, terms as u64, (terms * elems) as u64];
-    phase_end(Kind::Pack, pack_hist(), start_nanos, args);
+    phase_end(Kind::Pack, pack_hist(), start_nanos, args)
 }
 
-/// Close a macro-kernel phase opened by [`phase_start`].
+/// Close a macro-kernel phase opened by [`phase_start`] or by the end of
+/// the pack before it.
 #[inline]
 pub(crate) fn kernel_done(start_nanos: u64) {
     phase_end(Kind::Kernel, kernel_hist(), start_nanos, [0; 3]);

@@ -38,12 +38,22 @@
 //! (7.0–7.1 GB/s), so most of the gain is on hot blocks, which small GEMMs
 //! and FMM products pack.
 //!
+//! The tails run on the same lanes, masked (`Lane::load_first`,
+//! `Lane::store_first`): the partial last lane of a partial A panel's
+//! column, and the last `kb mod W` depths of a B̃ micro-panel, whose panel
+//! rows alone are stored. Elements past the tail are neither read nor
+//! written. On the same VM (f32, best of 300, ranges over interleaved
+//! runs; tails folded an element at a time in brackets), a
+//! 256-column B panel packs in 6.7–7.9 µs at `kb = 127` (9.2–9.8) against
+//! 6.2–6.5 at `kb = 128`, and a `kb = 256` A block in 6.3–6.4 µs at
+//! `mb = 95` (6.9–7.5) against 6.0–6.4 at `mb = 96`.
+//!
 //! Packing runs on every warm request and never touches the heap:
 //! destinations are always caller-provided slices carved from pooled
 //! arenas. `fmm-engine`'s `tests/warm_alloc.rs` calls [`pack_a_sum`] and
 //! [`pack_b_sum`] under a counting allocator and asserts zero heap calls.
 
-use crate::kernel::{prefetch, selected_packs, Lane};
+use crate::kernel::{prefetch, selected_packs, write_first, Lane};
 use fmm_dense::{MatRef, Scalar};
 
 /// A kernel row's pack of column-major terms at its tile: `dst` receives
@@ -108,34 +118,55 @@ unsafe fn at<T: Scalar>(x: &MatRef<'_, T>, i: usize, j: usize) -> *const T {
     unsafe { x.as_ptr().offset(j as isize * x.col_stride()).add(i) }
 }
 
-/// `Σ g_t·x_t` over one lane of every term, in registers, the lane of term
-/// `x` at `addr(x)`: the first term copied (coefficient 1) or scaled, each
-/// later one added as `acc + g·x`, multiply then add. `L = [T; 1]` is the
-/// same fold one element at a time, for the edges.
+/// `Σ g_t·x_t` over the first `n` elements of one lane of every term, in
+/// registers, the lane of term `x` at `addr(x)`: the first term copied
+/// (coefficient 1) or scaled, each later one added as `acc + g·x`,
+/// multiply then add. `n < L::W` loads the lanes masked: the elements past
+/// `n` are zero and not read.
 ///
 /// # Safety
-/// The CPU has `L`'s features and `addr` gives `L::W` readable elements of
-/// every term.
+/// The CPU has `L`'s features and `addr` gives `n <= L::W` readable
+/// elements of every term.
 #[inline(always)]
 unsafe fn fold<L: Lane>(
     terms: &[(L::Elem, MatRef<'_, L::Elem>)],
+    n: usize,
     addr: impl Fn(&MatRef<'_, L::Elem>) -> *const L::Elem,
 ) -> L {
     // SAFETY: the caller's contract.
     unsafe {
         let (g, x) = &terms[0];
-        let x = L::load(addr(x));
+        let x = load_n::<L>(addr(x), n);
         let mut acc = if *g == L::Elem::ONE { x } else { x.mul(L::splat(*g)) };
         for (g, x) in &terms[1..] {
-            acc = acc.add(L::load(addr(x)).mul(L::splat(*g)));
+            acc = acc.add(load_n::<L>(addr(x), n).mul(L::splat(*g)));
         }
         acc
     }
 }
 
+/// The first `n <= L::W` elements at `p`: a whole lane, or a masked one.
+/// A function, not a closure, so that inlined into a lane's
+/// `#[target_feature]` instance it takes the instance's features.
+///
+/// # Safety
+/// The CPU has `L`'s features, and `p` is valid for `n` reads.
+#[inline(always)]
+unsafe fn load_n<L: Lane>(p: *const L::Elem, n: usize) -> L {
+    // SAFETY: the caller's contract.
+    unsafe {
+        if n == L::W {
+            L::load(p)
+        } else {
+            L::load_first(p, n)
+        }
+    }
+}
+
 /// [`pack_a_sum`] of column-major terms at `mr = TM` on lane `L`: a column
 /// at a time, each `TM`-row chunk of it folded across the terms in
-/// [`fold`] and stored once. Rows past `mb` are zero.
+/// [`fold`] and stored once, a partial last lane of a partial panel loaded
+/// and stored masked. Rows past `mb` are zero.
 ///
 /// # Safety
 /// As [`PackFn`], on the CPU features of `L`.
@@ -163,17 +194,14 @@ pub(crate) unsafe fn pack_a_lanes<L: Lane, const TM: usize>(
             for q in 0..full {
                 let o = out.add(q * TM * kb + p * TM);
                 for v in (0..TM).step_by(L::W) {
-                    fold::<L>(terms, |x| at(x, q * TM + v, p)).store(o.add(v));
+                    fold::<L>(terms, L::W, |x| at(x, q * TM + v, p)).store(o.add(v));
                 }
             }
             if rest > 0 {
                 let (i0, o) = (full * TM, out.add(full * TM * kb + p * TM));
-                let vectors = rest / L::W * L::W;
-                for v in (0..vectors).step_by(L::W) {
-                    fold::<L>(terms, |x| at(x, i0 + v, p)).store(o.add(v));
-                }
-                for i in vectors..rest {
-                    *o.add(i) = fold::<[L::Elem; 1]>(terms, |x| at(x, i0 + i, p))[0];
+                for v in (0..rest).step_by(L::W) {
+                    let n = L::W.min(rest - v);
+                    write_first(fold::<L>(terms, n, |x| at(x, i0 + v, p)), o.add(v), n, true);
                 }
                 std::slice::from_raw_parts_mut(o.add(rest), TM - rest).fill(L::Elem::ZERO);
             }
@@ -185,7 +213,8 @@ pub(crate) unsafe fn pack_a_lanes<L: Lane, const TM: usize>(
 /// micro-panel, `W` depths of its eight columns at a time, each column's
 /// lane folded across the terms in [`fold`], the `W x 8` block turned into
 /// `W` panel rows by [`Lane::transpose8`] and stored once. Columns past
-/// `nb` are zero; the last `kb mod W` depths go one element at a time.
+/// `nb` are zero; the last `kb mod W` depths are loaded masked and only
+/// their panel rows stored.
 ///
 /// # Safety
 /// As [`PackFn`], on the CPU features of `L`.
@@ -198,33 +227,55 @@ pub(crate) unsafe fn pack_b_lanes<L: Lane>(
     let (kb, nb) = shape_of(terms);
     debug_assert!(dst.len() >= nb.div_ceil(NR) * NR * kb);
     let out = dst.as_mut_ptr();
-    let zero = L::Elem::ZERO;
     // SAFETY: every read is at row < kb and column < nb of a column-major
     // term, and every write inside the `nb.div_ceil(NR) * NR * kb` block.
     unsafe {
         for q in 0..nb.div_ceil(NR) {
             let (j0, cols) = (q * NR, NR.min(nb - q * NR));
             let panel = out.add(q * NR * kb);
-            let depths = kb / L::W * L::W;
-            for p in (0..depths).step_by(L::W) {
-                let mut block = [L::splat(zero); NR];
-                for (j, x) in block.iter_mut().enumerate().take(cols) {
-                    *x = fold::<L>(terms, |x| at(x, p, j0 + j));
-                }
-                for (v, x) in L::transpose8(block).into_iter().enumerate() {
+            let whole = kb / L::W * L::W;
+            for p in (0..whole).step_by(L::W) {
+                for (v, x) in panel_rows::<L>(terms, p, L::W, j0, cols).into_iter().enumerate() {
                     x.store(panel.add(p * NR + v * L::W));
                 }
             }
-            for p in depths..kb {
-                for j in 0..NR {
-                    *panel.add(p * NR + j) = if j < cols {
-                        fold::<[L::Elem; 1]>(terms, |x| at(x, p, j0 + j))[0]
-                    } else {
-                        zero
-                    };
+            if whole < kb {
+                // Panel rows `whole..kb` are the first `(kb - whole) * NR`
+                // elements of the lanes.
+                let (o, len) = (panel.add(whole * NR), (kb - whole) * NR);
+                let rows = panel_rows::<L>(terms, whole, kb - whole, j0, cols);
+                for (v, x) in rows.into_iter().enumerate().take(len.div_ceil(L::W)) {
+                    write_first(x, o.add(v * L::W), L::W.min(len - v * L::W), true);
                 }
             }
         }
+    }
+}
+
+/// Panel rows `p..p + depths` (`depths <= L::W`) of the B̃ micro-panel of
+/// columns `j0..j0 + cols` (`cols <= 8`): each column's lane folded across
+/// the terms in [`fold`] and the `W x 8` block transposed, so panel row
+/// `p + d` is elements `d * 8..` of the lanes returned. Columns past
+/// `cols` are zero. A function, not a closure, as [`load_n`] is.
+///
+/// # Safety
+/// The CPU has `L`'s features, and the block lies inside every term, all
+/// column-major.
+#[inline(always)]
+unsafe fn panel_rows<L: Lane>(
+    terms: &[(L::Elem, MatRef<'_, L::Elem>)],
+    p: usize,
+    depths: usize,
+    j0: usize,
+    cols: usize,
+) -> [L; 8] {
+    // SAFETY: the caller's contract.
+    unsafe {
+        let mut block = [L::splat(L::Elem::ZERO); 8];
+        for (j, x) in block.iter_mut().enumerate().take(cols) {
+            *x = fold::<L>(terms, depths, |x| at(x, p, j0 + j));
+        }
+        L::transpose8(block)
     }
 }
 

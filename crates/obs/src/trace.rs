@@ -65,6 +65,8 @@ pub enum Kind {
     /// depth after.
     BatchForm,
     /// Engine routing decision (model ranking / decision-cache miss).
+    /// Args: predicted nanos of the winner, of GEMM, and of the runner-up
+    /// (0 when no runner-up was ranked).
     EngineDecision,
     /// Execution-plan composition for a cache-missed shape.
     PlanCompose,
@@ -303,6 +305,25 @@ impl Event {
             }
             Kind::Incident => format!("incident dump triggered by {}", IncidentTrigger::name_of(a)),
             Kind::Other => "an event of a kind this binary does not know".to_string(),
+            Kind::EngineDecision => {
+                // GEMM ranks first of equals, so a winner at GEMM's
+                // prediction is GEMM.
+                let of_gemm = |nanos: u64| nanos as f64 / b.max(1) as f64;
+                let chose = if a == b {
+                    "GEMM".to_string()
+                } else {
+                    format!("a fast algorithm at {:.2}x GEMM predicted", of_gemm(a))
+                };
+                let runner_up = match c {
+                    0 => String::new(),
+                    c => format!(", runner-up at {:.2}x", of_gemm(c)),
+                };
+                format!(
+                    "EngineDecision of request {}: chose {chose}{runner_up}, {:.1} us",
+                    self.request_id,
+                    self.nanos() as f64 / 1e3
+                )
+            }
             Kind::Pack => format!(
                 "Pack {} of request {}: {b} terms, {c} source elements, {:.1} us",
                 if a == 0 { "A" } else { "B" },
@@ -532,8 +553,14 @@ pub fn start() -> u64 {
 /// off, so toggling mid-span never records a torn span.
 #[inline]
 pub fn finish(kind: Kind, request_id: u64, start_nanos: u64) {
+    finish_with_args(kind, request_id, start_nanos, [0; 3]);
+}
+
+/// [`finish`], recording the kind's `args`.
+#[inline]
+pub fn finish_with_args(kind: Kind, request_id: u64, start_nanos: u64, args: [u64; 3]) {
     if start_nanos != 0 && enabled() {
-        record(Event::span(kind, request_id, start_nanos, now_nanos()));
+        record(Event::span(kind, request_id, start_nanos, now_nanos()).with_args(args));
     }
 }
 
