@@ -56,13 +56,15 @@ pub const SPAN_CAPACITY: usize = 4096;
 pub enum Kind {
     /// Frame fully decoded off the socket (the connection's reader).
     RequestRecv,
-    /// Admission control passed; job queued for dispatch.
+    /// Admission control passed; job queued for dispatch, or about to run
+    /// on its connection's reader.
     Admission,
-    /// Time spent queued before a dispatcher picked the job up.
+    /// Time from admission until the job's batch started executing.
     QueueWait,
-    /// A dispatcher's batch formation window, tagged with the request
-    /// that opened it. Always on. Args: dispatcher, batch size, queue
-    /// depth after.
+    /// A batch's formation window, tagged with the request that opened
+    /// it. Always on. Args: who ran it (a dispatcher id, or
+    /// [`ON_READER`]` | conn` when a connection's reader ran its lone
+    /// request), batch size, queue depth after.
     BatchForm,
     /// Engine routing decision (model ranking / decision-cache miss).
     /// Args: predicted nanos of the winner, of GEMM, and of the runner-up
@@ -79,7 +81,8 @@ pub enum Kind {
     Kernel,
     /// BFS merge phase (C-block accumulation).
     Merge,
-    /// Response frame handed to the connection write queue.
+    /// Response frame handed to the connection write queue, or about to
+    /// be written by the reader that ran the request.
     ReplyFlush,
     /// A connection was accepted. Args: conn, 0.
     ConnAccepted,
@@ -170,6 +173,11 @@ impl Kind {
         self == Kind::BatchForm || self > Kind::ReplyFlush
     }
 }
+
+/// The flag a `BatchForm` event's first arg carries when the batch ran on
+/// the reader of the connection in the arg's low bits, not on a
+/// dispatcher.
+pub const ON_READER: u64 = 1 << 63;
 
 /// Why admission control refused a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -284,6 +292,9 @@ impl Event {
         let [a, b, c] = self.args;
         let ms = |nanos: u64| nanos as f64 / 1e6;
         match self.kind {
+            Kind::BatchForm if a & ON_READER != 0 => {
+                format!("reader of connection {} ran request {}", a & !ON_READER, self.request_id)
+            }
             Kind::BatchForm => format!("dispatcher {a} formed batch of {b} (depth {c} after)"),
             Kind::ConnAccepted => format!("conn #{a} accepted"),
             Kind::ConnClosed => format!("conn #{a} closed after {b} requests"),
@@ -778,6 +789,13 @@ mod tests {
         let ids: std::collections::BTreeSet<u64> = recent(0).iter().map(|e| e.request_id).collect();
         assert_eq!(ids.len(), 200, "every event kept, each once");
         clear();
+    }
+
+    #[test]
+    fn batch_form_names_who_ran_it() {
+        let batch = |runner| Event::span(Kind::BatchForm, 7, 10, 20).with_args([runner, 3, 2]);
+        assert_eq!(batch(1).describe(), "dispatcher 1 formed batch of 3 (depth 2 after)");
+        assert_eq!(batch(ON_READER | 42).describe(), "reader of connection 42 ran request 7");
     }
 
     #[test]

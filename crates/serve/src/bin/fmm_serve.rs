@@ -402,9 +402,11 @@ fn cmd_top(o: &Options) {
             gauge("fmm_serve_connections"),
         );
         println!(
-            "batches  {:>10}  items     {:>10}  occupancy max {:>3}  busy rejects {:>6}",
+            "batches  {:>10}  items     {:>10}  on readers {:>10}  occupancy max {:>3}  busy \
+             rejects {:>6}",
             counter("fmm_serve_batches_total"),
             counter("fmm_serve_batched_items_total"),
+            counter("fmm_serve_reader_requests_total"),
             counter("fmm_serve_batch_occupancy_max"),
             counter("fmm_serve_errors_total_busy"),
         );

@@ -19,6 +19,7 @@ use crate::protocol::{
     self, ErrorCode, FrameError, FrameHead, FrameKind, RequestDims, REQUEST_PRELUDE,
 };
 use std::io::{self, Read};
+use std::net::TcpStream;
 
 /// One fully decoded inbound frame, ready for the server to act on.
 #[derive(Debug)]
@@ -203,6 +204,61 @@ fn small_frame_event(head: FrameHead, payload: Vec<u8>) -> InEvent {
             message: format!("frame kind {:?} is not a client request", head.kind),
             fatal: false,
         },
+    }
+}
+
+/// Whether bytes from the peer already wait in `stream`'s receive buffer
+/// (a pipelining client's next request), probed without blocking and
+/// without consuming them. Where the probe fails or does not exist the
+/// answer is `true`, which sends every request through the dispatcher as
+/// if nothing were known.
+pub fn bytes_pending(stream: &TcpStream) -> bool {
+    sys::bytes_pending(stream)
+}
+
+#[cfg(unix)]
+mod sys {
+    //! `recv(2)` with `MSG_PEEK | MSG_DONTWAIT`, hand-declared like the
+    //! signal shim in `incident`: no libc crate.
+    #![allow(non_camel_case_types)]
+
+    use std::io;
+    use std::net::TcpStream;
+    use std::os::fd::AsRawFd;
+
+    type c_int = i32;
+
+    const MSG_PEEK: c_int = 0x2;
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    const MSG_DONTWAIT: c_int = 0x40;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    const MSG_DONTWAIT: c_int = 0x80;
+
+    // The descriptor and flags cross the ABI as 32-bit ints, the length
+    // and the result as machine words, on every supported Unix.
+    const _: () = assert!(std::mem::size_of::<c_int>() == 4);
+
+    extern "C" {
+        fn recv(socket: c_int, buf: *mut u8, len: usize, flags: c_int) -> isize;
+    }
+
+    pub fn bytes_pending(stream: &TcpStream) -> bool {
+        let mut byte = 0u8;
+        // SAFETY: the descriptor is a live socket borrowed from `stream`
+        // for the call, and `buf` points at one writable byte, the `len`
+        // passed; MSG_DONTWAIT keeps the call from blocking and MSG_PEEK
+        // leaves the byte in the socket.
+        let got = unsafe { recv(stream.as_raw_fd(), &mut byte, 1, MSG_PEEK | MSG_DONTWAIT) };
+        // 0 is end of stream: nothing more will come.
+        got > 0 || got < 0 && io::Error::last_os_error().kind() != io::ErrorKind::WouldBlock
+    }
+}
+
+#[cfg(not(unix))]
+mod sys {
+    //! No probe: every request is taken to have company.
+    pub fn bytes_pending(_: &std::net::TcpStream) -> bool {
+        true
     }
 }
 

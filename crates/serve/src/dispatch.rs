@@ -13,6 +13,16 @@
 //! neighbors — which is exactly how `multiply_batch` realizes the
 //! Benson–Ballard-style inter-problem parallelism on small problems.
 //!
+//! A lone request need not cross to the dispatcher at all. With a zero
+//! window, the batch a dispatcher would form for a request that finds its
+//! dtype idle (nothing queued, no batch executing) is that request alone,
+//! so its connection's reader may run it itself and spare it two thread
+//! hand-offs. The queue's executor bit keeps that batch the dispatcher's
+//! equal: [`BatchQueue::pop_first`] holds the bit for each batch it opens,
+//! a reader claims it ([`BatchQueue::try_claim`]) only while the queue is
+//! empty and the bit clear, and either way at most one batch per dtype
+//! executes at a time. Both run their batch through [`BatchRunner::run`].
+//!
 //! Admission control lives in the queue itself: [`BatchQueue::try_push`]
 //! refuses beyond [`BatchQueue::capacity`], and the connection layer turns
 //! that refusal into a typed `Busy` error frame instead of letting pending
@@ -129,9 +139,24 @@ pub enum Refusal {
     Closed,
 }
 
+/// Who holds a queue's executor bit: the right to execute a batch of the
+/// queue's dtype.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Executor {
+    /// No batch is executing.
+    Idle,
+    /// The dispatcher holds the batch [`BatchQueue::pop_first`] opened,
+    /// until its next call.
+    Dispatcher,
+    /// A connection's reader holds it ([`BatchQueue::try_claim`]) until
+    /// [`BatchQueue::release`].
+    Reader,
+}
+
 struct QueueState<T> {
     jobs: VecDeque<Job<T>>,
     closed: bool,
+    executor: Executor,
 }
 
 /// A bounded multi-producer queue with batch-friendly consumption. The
@@ -147,7 +172,11 @@ impl<T> BatchQueue<T> {
     /// Queue admitting at most `capacity` pending jobs.
     pub fn new(capacity: usize) -> Self {
         Self {
-            state: Mutex::new(QueueState { jobs: VecDeque::new(), closed: false }),
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                closed: false,
+                executor: Executor::Idle,
+            }),
             ready: Condvar::new(),
             capacity,
         }
@@ -180,23 +209,60 @@ impl<T> BatchQueue<T> {
             return Err((job, Refusal::Full));
         }
         state.jobs.push_back(job);
+        // A reader's batch holds the dispatcher off; its release wakes it.
+        let wake = state.executor != Executor::Reader;
         drop(state);
-        self.ready.notify_one();
+        if wake {
+            self.ready.notify_one();
+        }
         Ok(())
     }
 
     /// Block until a job is available (opening a new batch) or the queue
-    /// is closed *and* drained — the dispatcher's exit condition.
+    /// is closed *and* drained — the dispatcher's exit condition. The
+    /// returned job's batch holds the executor bit until the next call;
+    /// while a reader holds it, this waits for its release.
     pub fn pop_first(&self) -> Option<Job<T>> {
         let mut state = self.state.lock().expect("queue poisoned");
+        if state.executor == Executor::Dispatcher {
+            state.executor = Executor::Idle;
+        }
         loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
+            if state.executor == Executor::Idle {
+                if let Some(job) = state.jobs.pop_front() {
+                    state.executor = Executor::Dispatcher;
+                    return Some(job);
+                }
             }
-            if state.closed {
+            if state.closed && state.jobs.is_empty() {
                 return None;
             }
             state = self.ready.wait(state).expect("queue poisoned");
+        }
+    }
+
+    /// Claim the executor bit for a reader: only while nothing is queued,
+    /// no batch is executing and the queue is open. `true` means the
+    /// caller may execute a batch, and must [`BatchQueue::release`] after.
+    pub fn try_claim(&self) -> bool {
+        let mut state = self.state.lock().expect("queue poisoned");
+        let free = !state.closed && state.jobs.is_empty() && state.executor == Executor::Idle;
+        if free {
+            state.executor = Executor::Reader;
+        }
+        free
+    }
+
+    /// Release a reader's claim, waking the dispatcher if jobs arrived
+    /// meanwhile.
+    pub fn release(&self) {
+        let mut state = self.state.lock().expect("queue poisoned");
+        debug_assert_eq!(state.executor, Executor::Reader, "release without a claim");
+        state.executor = Executor::Idle;
+        let wake = !state.jobs.is_empty();
+        drop(state);
+        if wake {
+            self.ready.notify_one();
         }
     }
 
@@ -233,8 +299,9 @@ impl<T> BatchQueue<T> {
     }
 }
 
-/// Observability sidecar for one dispatcher thread: the watchdog
-/// heartbeat it publishes, its id in `BatchForm` events, and the
+/// Observability sidecar for whatever runs batches — a dispatcher thread,
+/// or a connection's reader running its lone request: the watchdog
+/// heartbeat it publishes, its name in `BatchForm` events, and the
 /// slow-request threshold. `DispatchObs::default()` publishes no
 /// heartbeat and records no slow requests.
 #[derive(Default)]
@@ -242,74 +309,56 @@ pub struct DispatchObs {
     /// Heartbeat the watchdog judges this dispatcher by (progress =
     /// batches formed). `None` disables publishing.
     pub heartbeat: Option<Arc<Heartbeat>>,
-    /// The `dispatcher` arg of the `BatchForm` events recorded here.
-    pub dispatcher_id: u64,
+    /// The first arg of the `BatchForm` events recorded here: a
+    /// dispatcher's id, or `fmm_obs::trace::ON_READER | conn` for the
+    /// reader of connection `conn`.
+    pub runner: u64,
     /// Requests whose total latency reaches this record a `SlowRequest`
     /// event with their queue-wait and execute split. `None` disables
     /// slow-request events.
     pub slow_threshold: Option<Duration>,
 }
 
-/// Drain `queue` until it closes: form micro-batches under `policy`,
-/// execute each through `engine.multiply_batch` over strided views of the
-/// pooled wire buffers (no transpose copy, no intermediate `Vec`), and
-/// deliver every result to its reply sink as a pooled wire-order buffer.
-/// Runs on a dedicated thread per dtype; returns when the queue is closed
-/// and fully drained, so in-flight requests complete across a shutdown.
-pub fn run_dispatcher<T: GemmScalar>(
-    queue: &BatchQueue<T>,
-    engine: &FmmEngine<T>,
-    pool: &BufferPool<T>,
-    policy: BatchPolicy,
-    metrics: &Arc<Metrics>,
-    obs: &DispatchObs,
-) where
+/// What executes a formed batch: the engine, the pool its results come
+/// from, and the instruments it reports to. A dispatcher holds one for its
+/// life; a reader running its lone request builds one for that request.
+pub struct BatchRunner<'a, T: GemmScalar> {
+    /// The dtype's engine.
+    pub engine: &'a FmmEngine<T>,
+    /// The pool result buffers come from (the dtype's ingest pool).
+    pub pool: &'a BufferPool<T>,
+    /// Queue-wait, service, latency and batch instruments.
+    pub metrics: &'a Metrics,
+    /// Heartbeat, `BatchForm` name and slow-request threshold.
+    pub obs: &'a DispatchObs,
+}
+
+impl<T: GemmScalar> BatchRunner<'_, T>
+where
     WireBuf: From<PooledBuf<T>>,
 {
-    let max_batch = policy.max_batch.max(1);
-    loop {
-        // Test-only wedge: park *before* popping, so wedged work stays
-        // visible in the queue for the watchdog's progress probe.
-        while WEDGE_DISPATCH.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let Some(first) = queue.pop_first() else { break };
+    /// Execute `jobs`, a batch opened at `opened` (trace nanos) that left
+    /// `depth` jobs queued, through one `engine.multiply_batch` over
+    /// strided views of the pooled wire buffers (no transpose copy, no
+    /// intermediate `Vec`), and hand each result, as a pooled wire-order
+    /// buffer, with its reply route to `deliver`. Each job's operands are
+    /// back in the pool before its delivery.
+    pub fn run(
+        &self,
+        jobs: Vec<Job<T>>,
+        opened: u64,
+        depth: u64,
+        mut deliver: impl FnMut(ReplySink, Completion),
+    ) {
+        let (metrics, obs) = (self.metrics, self.obs);
+        let exec_start = Instant::now();
         // The `BatchForm` event spans the whole coalescing window, from the
         // job that opened the batch to execution start; tagged with the
         // opener's request id.
-        let batch_open = trace::now_nanos();
-        let opener_id = first.reply.request_id;
-        let mut jobs = Vec::with_capacity(max_batch.min(64));
-        jobs.push(first);
-        if !policy.window.is_zero() {
-            let window_closes = Instant::now() + policy.window;
-            while jobs.len() < max_batch {
-                // Wait for the next straggler, but no further than the
-                // window; a gap with no arrival closes the batch early
-                // (see BatchPolicy docs).
-                let deadline = window_closes.min(Instant::now() + policy.straggler_gap);
-                match queue.pop_until(deadline) {
-                    Some(job) => jobs.push(job),
-                    None => break,
-                }
-            }
-        } else {
-            // Zero window: opportunistic only — coalesce what is already
-            // queued, never wait.
-            let already = Instant::now();
-            while jobs.len() < max_batch {
-                match queue.pop_until(already) {
-                    Some(job) => jobs.push(job),
-                    None => break,
-                }
-            }
-        }
-
-        let exec_start = Instant::now();
-        let batch_formed = trace::now_nanos();
-        let batch = Event::span(Kind::BatchForm, opener_id, batch_open, batch_formed);
-        let depth = queue.depth() as u64;
-        trace::record(batch.with_args([obs.dispatcher_id, jobs.len() as u64, depth]));
+        let formed = trace::now_nanos();
+        let opener_id = jobs.first().map_or(0, |job| job.reply.request_id);
+        let batch = Event::span(Kind::BatchForm, opener_id, opened, formed);
+        trace::record(batch.with_args([obs.runner, jobs.len() as u64, depth]));
         for job in &jobs {
             let wait = exec_start - job.enqueued;
             metrics.record_queue_wait(wait);
@@ -317,9 +366,9 @@ pub fn run_dispatcher<T: GemmScalar>(
                 // The wait span ends where the batch starts executing;
                 // its start is reconstructed from the measured wait so no
                 // clock read happens on the admission path.
-                let start = batch_formed.saturating_sub(nanos(wait)).max(1);
+                let start = formed.saturating_sub(nanos(wait)).max(1);
                 let id = job.reply.request_id;
-                trace::record(Event::span(Kind::QueueWait, id, start, batch_formed));
+                trace::record(Event::span(Kind::QueueWait, id, start, formed));
             }
         }
         // One pooled result buffer per job, zeroed because the engine
@@ -328,7 +377,7 @@ pub fn run_dispatcher<T: GemmScalar>(
         let mut results: Vec<PooledBuf<T>> = jobs
             .iter()
             .map(|job| {
-                let mut c = pool.acquire(job.m * job.n);
+                let mut c = self.pool.acquire(job.m * job.n);
                 c.zero();
                 c
             })
@@ -346,7 +395,7 @@ pub fn run_dispatcher<T: GemmScalar>(
                     .with_tag(job.reply.request_id)
                 })
                 .collect();
-            engine.multiply_batch(&mut items);
+            self.engine.multiply_batch(&mut items);
         }
         metrics.record_batch(jobs.len());
         if let Some(hb) = &obs.heartbeat {
@@ -373,13 +422,59 @@ pub fn run_dispatcher<T: GemmScalar>(
             // race the tail of this iteration and must find them idle.
             drop(a);
             drop(b);
-            reply.sink.complete(Completion {
-                request_id: reply.request_id,
-                m,
-                n,
-                result: result.into(),
-            });
+            let request_id = reply.request_id;
+            deliver(reply, Completion { request_id, m, n, result: result.into() });
         }
+    }
+}
+
+/// Drain `queue` until it closes: form micro-batches under `policy` and
+/// run each through `runner`, delivering every result to its reply sink.
+/// Runs on a dedicated thread per dtype; returns when the queue is closed
+/// and fully drained, so in-flight requests complete across a shutdown.
+pub fn run_dispatcher<T: GemmScalar>(
+    queue: &BatchQueue<T>,
+    runner: &BatchRunner<'_, T>,
+    policy: BatchPolicy,
+) where
+    WireBuf: From<PooledBuf<T>>,
+{
+    let max_batch = policy.max_batch.max(1);
+    loop {
+        // Test-only wedge: park *before* popping, so wedged work stays
+        // visible in the queue for the watchdog's progress probe.
+        while WEDGE_DISPATCH.load(Ordering::Relaxed) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let Some(first) = queue.pop_first() else { break };
+        let opened = trace::now_nanos();
+        let mut jobs = Vec::with_capacity(max_batch.min(64));
+        jobs.push(first);
+        if !policy.window.is_zero() {
+            let window_closes = Instant::now() + policy.window;
+            while jobs.len() < max_batch {
+                // Wait for the next straggler, but no further than the
+                // window; a gap with no arrival closes the batch early
+                // (see BatchPolicy docs).
+                let deadline = window_closes.min(Instant::now() + policy.straggler_gap);
+                match queue.pop_until(deadline) {
+                    Some(job) => jobs.push(job),
+                    None => break,
+                }
+            }
+        } else {
+            // Zero window: opportunistic only — coalesce what is already
+            // queued, never wait.
+            let already = Instant::now();
+            while jobs.len() < max_batch {
+                match queue.pop_until(already) {
+                    Some(job) => jobs.push(job),
+                    None => break,
+                }
+            }
+        }
+        let depth = queue.depth() as u64;
+        runner.run(jobs, opened, depth, |reply, completion| reply.sink.complete(completion));
     }
 }
 
@@ -446,6 +541,22 @@ mod tests {
         }
     }
 
+    /// `run_dispatcher` over `queue` with no heartbeat or slow threshold.
+    fn drain(
+        queue: &BatchQueue<f64>,
+        engine: &FmmEngine<f64>,
+        pools: &IngestPools,
+        metrics: &Metrics,
+        policy: BatchPolicy,
+    ) {
+        let obs = DispatchObs::default();
+        run_dispatcher(
+            queue,
+            &BatchRunner { engine, pool: &pools.f64, metrics, obs: &obs },
+            policy,
+        );
+    }
+
     fn job(
         pools: &IngestPools,
         sink: &Arc<Collector>,
@@ -497,6 +608,51 @@ mod tests {
     }
 
     #[test]
+    fn reader_claims_only_an_empty_idle_open_queue() {
+        let pools = IngestPools::new(8, usize::MAX);
+        let sink = Arc::new(Collector::default());
+        let q = BatchQueue::<f64>::new(4);
+        assert!(q.try_claim(), "an idle, empty queue can be claimed");
+        assert!(!q.try_claim(), "one batch per dtype at a time");
+        q.release();
+        let (j, _, _) = job(&pools, &sink, 4, 1, 1);
+        assert!(q.try_push(j).is_ok());
+        assert!(!q.try_claim(), "a queued job goes to the dispatcher first");
+        assert!(q.pop_first().is_some());
+        assert!(!q.try_claim(), "the dispatcher's batch holds the bit until its next pop");
+        let closed = BatchQueue::<f64>::new(4);
+        closed.close();
+        assert!(!closed.try_claim(), "a closed queue runs no new batch");
+    }
+
+    #[test]
+    fn pop_first_waits_out_a_readers_batch() {
+        let pools = IngestPools::new(8, usize::MAX);
+        let sink = Arc::new(Collector::default());
+        let q = BatchQueue::<f64>::new(4);
+        let (j1, _, _) = job(&pools, &sink, 4, 1, 1);
+        assert!(q.try_push(j1).is_ok());
+        assert!(q.pop_first().is_some(), "the dispatcher's first batch");
+        std::thread::scope(|s| {
+            let dispatcher = s.spawn(|| q.pop_first().map(|job| job.reply.request_id));
+            // Its next pop clears the dispatcher's bit; a reader may claim
+            // it once that pop waits on the empty queue.
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while !q.try_claim() {
+                assert!(Instant::now() < deadline, "the dispatcher's next pop never freed the bit");
+                std::thread::yield_now();
+            }
+            let (j2, _, _) = job(&pools, &sink, 4, 3, 2);
+            assert!(q.try_push(j2).is_ok());
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!dispatcher.is_finished(), "pop_first took a job during a reader's batch");
+            q.release();
+            assert_eq!(dispatcher.join().expect("dispatcher"), Some(2));
+        });
+        assert!(!q.try_claim(), "the popped job's batch holds the bit");
+    }
+
+    #[test]
     fn pop_until_times_out_without_jobs() {
         let q = BatchQueue::<f64>::new(4);
         let t0 = Instant::now();
@@ -524,7 +680,7 @@ mod tests {
             max_batch: 8,
             straggler_gap: Duration::from_millis(50),
         };
-        run_dispatcher(&queue, &engine, &pools.f64, policy, &metrics, &DispatchObs::default());
+        drain(&queue, &engine, &pools, &metrics, policy);
 
         let mut got = sink.wait_for(6);
         got.sort_by_key(|(id, _)| *id);
@@ -554,7 +710,7 @@ mod tests {
         queue.close();
         let policy =
             BatchPolicy { window: Duration::ZERO, max_batch: 1, straggler_gap: Duration::ZERO };
-        run_dispatcher(&queue, &engine, &pools.f64, policy, &metrics, &DispatchObs::default());
+        drain(&queue, &engine, &pools, &metrics, policy);
         sink.wait_for(3);
         let snap = metrics.snapshot();
         assert_eq!(snap.batches, 3);
@@ -576,7 +732,7 @@ mod tests {
             queue.close();
             let policy =
                 BatchPolicy { window: Duration::ZERO, max_batch: 4, straggler_gap: Duration::ZERO };
-            run_dispatcher(&queue, &engine, &pools.f64, policy, &metrics, &DispatchObs::default());
+            drain(&queue, &engine, &pools, &metrics, policy);
         }
         sink.wait_for(2);
         let misses_after_warm = pools.f64.stats().misses;
@@ -589,7 +745,7 @@ mod tests {
         queue.close();
         let policy =
             BatchPolicy { window: Duration::ZERO, max_batch: 4, straggler_gap: Duration::ZERO };
-        run_dispatcher(&queue, &engine, &pools.f64, policy, &metrics, &DispatchObs::default());
+        drain(&queue, &engine, &pools, &metrics, policy);
         sink.wait_for(1);
         assert_eq!(
             pools.f64.stats().misses,

@@ -68,8 +68,9 @@ pub fn pending_signal(mailbox: &AtomicU64) -> Option<IncidentTrigger> {
 
 #[cfg(unix)]
 mod sys {
-    //! Minimal hand-declared signal shim — the crate's only FFI: no libc
-    //! crate, just the POSIX ABI surface actually used. `signal(2)` rather
+    //! Minimal hand-declared signal shim — with `conn`'s socket probe, the
+    //! crate's only FFI: no libc crate, just the POSIX ABI surface
+    //! actually used. `signal(2)` rather
     //! than `sigaction(2)` because the handler only stores into an atomic
     //! — BSD semantics (no handler reset, restartable syscalls — the
     //! default on every Unix libc this crate builds against) are exactly
@@ -85,9 +86,9 @@ mod sys {
     pub const SIGINT: c_int = 2;
     pub const SIGTERM: c_int = 15;
 
-    // Layout guard for the one `extern` block in the workspace: the
-    // handler pointer crosses the ABI as a machine word and the signal
-    // number as a 32-bit int on every supported Unix.
+    // Layout guard for this `extern` block: the handler pointer crosses
+    // the ABI as a machine word and the signal number as a 32-bit int on
+    // every supported Unix.
     const _: () = assert!(std::mem::size_of::<c_int>() == 4);
     const _: () =
         assert!(std::mem::size_of::<extern "C" fn(c_int)>() == std::mem::size_of::<usize>());

@@ -28,6 +28,9 @@ pub struct Metrics {
     pub batches: Arc<Counter>,
     /// Requests executed across all batches.
     pub batched_items: Arc<Counter>,
+    /// Requests their connection's reader ran itself, as one-job batches
+    /// (a lone request on a zero-window daemon; see `dispatch`).
+    pub reader_requests: Arc<Counter>,
     /// Largest single-batch occupancy observed.
     pub max_occupancy: Arc<Counter>,
     /// Requests admitted whose response has not been queued yet (gauge).
@@ -59,6 +62,7 @@ impl Default for Metrics {
             pings: registry.counter("fmm_serve_pings_total"),
             batches: registry.counter("fmm_serve_batches_total"),
             batched_items: registry.counter("fmm_serve_batched_items_total"),
+            reader_requests: registry.counter("fmm_serve_reader_requests_total"),
             max_occupancy: registry.counter("fmm_serve_batch_occupancy_max"),
             inflight: registry.gauge("fmm_serve_inflight"),
             inflight_per_conn_max: registry.counter("fmm_serve_inflight_per_conn_max"),
@@ -128,6 +132,8 @@ pub struct MetricsSnapshot {
     pub batches: u64,
     /// See [`Metrics::batched_items`].
     pub batched_items: u64,
+    /// See [`Metrics::reader_requests`].
+    pub reader_requests: u64,
     /// See [`Metrics::max_occupancy`].
     pub max_occupancy: u64,
     /// `batched_items / batches` — how many requests the average
@@ -217,6 +223,7 @@ impl Metrics {
             pings: self.pings.get(),
             batches,
             batched_items,
+            reader_requests: self.reader_requests.get(),
             max_occupancy: self.max_occupancy.get(),
             mean_occupancy: if batches > 0 { batched_items as f64 / batches as f64 } else { 0.0 },
             inflight: self.inflight.get().max(0) as u64,
@@ -360,6 +367,7 @@ mod tests {
         let snap = m.registry().snapshot();
         let counters: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert!(counters.contains(&"fmm_serve_requests_total"));
+        assert!(counters.contains(&"fmm_serve_reader_requests_total"));
         let hists: Vec<&str> = snap.histograms.iter().map(|(n, _)| n.as_str()).collect();
         assert!(hists.contains(&"fmm_serve_latency_nanos"));
         assert!(hists.contains(&"fmm_serve_queue_wait_nanos"));

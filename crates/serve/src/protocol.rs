@@ -576,6 +576,26 @@ pub fn encode_response_prelude(dtype: Dtype, m: usize, n: usize) -> [u8; RESPONS
     out
 }
 
+/// Header ‖ prelude of a response frame.
+pub const RESPONSE_HEAD_LEN: usize = HEADER_LEN + RESPONSE_PRELUDE;
+
+/// Encode the header ‖ prelude of the response to `request_id` carrying a
+/// `result_len`-byte `m × n` result: everything the server writes ahead
+/// of the raw result bytes, in one array.
+pub fn encode_response_head(
+    request_id: u64,
+    dtype: Dtype,
+    m: usize,
+    n: usize,
+    result_len: usize,
+) -> [u8; RESPONSE_HEAD_LEN] {
+    let payload_len = (RESPONSE_PRELUDE + result_len) as u32;
+    let mut out = [0u8; RESPONSE_HEAD_LEN];
+    put(&mut out, 0, &header_bytes(FrameKind::Response, payload_len, request_id));
+    put(&mut out, HEADER_LEN, &encode_response_prelude(dtype, m, n));
+    out
+}
+
 /// Encode an [`FrameKind::Error`] payload.
 pub fn encode_error(code: ErrorCode, message: &str) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + message.len());
@@ -863,6 +883,13 @@ mod tests {
         let payload = encode_response(&c);
         assert_eq!(decode_response::<f64>(&payload).unwrap(), c);
         assert!(decode_response::<f32>(&payload).is_err(), "dtype mismatch is an error");
+
+        // The server's stack head is the frame header and this payload's
+        // prelude.
+        let head = encode_response_head(77, Dtype::F64, 6, 3, payload.len() - RESPONSE_PRELUDE);
+        let header = encode_header(FrameKind::Response, payload.len() as u32, 77);
+        assert_eq!(head[..HEADER_LEN], header[..]);
+        assert_eq!(head[HEADER_LEN..], payload[..RESPONSE_PRELUDE]);
     }
 
     /// The strip-wise codecs against the wire format's definition, element

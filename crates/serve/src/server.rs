@@ -10,12 +10,23 @@
 //! finished result to its connection's reply queue (the connection is the
 //! request's [`CompletionSink`]) and never touches a socket; the writer
 //! drains that queue with blocking writes. A slow peer therefore blocks
-//! only its own writer, and its reader stops reading while the reply
-//! backlog exceeds [`ServeConfig::max_conn_backlog_bytes`]. The model is
-//! sized for the traffic the daemon serves — a few connections, each
-//! pipelining many requests (the benchmark holds one, the widest test
-//! twelve) — and a request crosses the same threads it would in a
+//! only its own connection's threads, and its reader stops reading while
+//! the reply backlog exceeds [`ServeConfig::max_conn_backlog_bytes`]. The
+//! model is sized for the traffic the daemon serves — a few connections,
+//! each pipelining many requests (the benchmark holds one, the widest test
+//! twelve) — and a queued request crosses the same threads it would in a
 //! readiness loop: client, reader, dispatcher, writer, client.
+//!
+//! A lone request skips the middle two. When the batching window is zero,
+//! its connection has nothing else in flight, queued, being written or
+//! waiting unread in the socket, and its dtype has nothing queued or
+//! executing, the batch the dispatcher would form is that request alone:
+//! the reader claims the dtype's executor bit and runs it
+//! ([`BatchRunner::run`], the dispatcher's own batch step), releases the
+//! bit, and writes the reply itself under the connection's write claim,
+//! which the writer also takes around each write. Such a request crosses
+//! client, reader, client. Everything else — any nonzero window, a busy
+//! dtype, a pipelining connection — queues as above.
 //!
 //! Protocol: a client may pipeline up to
 //! [`ServeConfig::max_inflight_per_conn`] requests per connection and
@@ -33,21 +44,21 @@
 //! deliver the replies still owed; after a 5 s drain deadline the
 //! remaining sockets are shut down both ways.
 
-use crate::buffers::{IngestPools, OperandStage, WireBuf};
-use crate::conn::{read_event, InEvent};
+use crate::buffers::{IngestPools, OperandStage, PooledBuf, WireBuf};
+use crate::conn::{bytes_pending, read_event, InEvent};
 use crate::dispatch::{
-    run_dispatcher, BatchPolicy, BatchQueue, Completion, CompletionSink, DispatchObs, Job, Refusal,
-    ReplySink,
+    run_dispatcher, BatchPolicy, BatchQueue, BatchRunner, Completion, CompletionSink, DispatchObs,
+    Job, Refusal, ReplySink,
 };
 use crate::incident;
 use crate::metrics::Metrics;
-use crate::protocol::{self, ErrorCode, FrameKind, RequestDims, HEADER_LEN, RESPONSE_PRELUDE};
+use crate::protocol::{self, ErrorCode, FrameKind, RequestDims, HEADER_LEN, RESPONSE_HEAD_LEN};
 use crate::snapshot::{
     recent_events, BuildInfo, ConfigPrint, Document, Incident, StatsSnapshot, WatchdogRoster,
 };
 use fmm_engine::{ArchSource, EngineConfig, EngineStats, FmmEngine};
-use fmm_gemm::BlockingParams;
-use fmm_obs::trace::{self, Event, IncidentTrigger, Kind, RefusalReason};
+use fmm_gemm::{BlockingParams, GemmScalar};
+use fmm_obs::trace::{self, Event, IncidentTrigger, Kind, RefusalReason, ON_READER};
 use fmm_obs::{WatchPolicy, Watchdog, WatchdogConfig, WatchdogHandle};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, IoSlice, Write};
@@ -436,7 +447,7 @@ impl Server {
                         },
                     )
                 }),
-                dispatcher_id: 0,
+                runner: 0,
                 slow_threshold: Some(shared.config.slow_threshold),
             };
             let shared = shared.clone();
@@ -444,14 +455,13 @@ impl Server {
                 thread::Builder::new()
                     .name("fmm-serve-dispatch-f64".into())
                     .spawn(move || {
-                        run_dispatcher(
-                            &shared.queue_f64,
-                            &shared.engine_f64,
-                            &shared.pools.f64,
-                            shared.config.batch,
-                            &shared.metrics,
-                            &obs,
-                        )
+                        let runner = BatchRunner {
+                            engine: &shared.engine_f64,
+                            pool: &shared.pools.f64,
+                            metrics: &shared.metrics,
+                            obs: &obs,
+                        };
+                        run_dispatcher(&shared.queue_f64, &runner, shared.config.batch)
                     })
                     .expect("spawn f64 dispatcher"),
             );
@@ -467,7 +477,7 @@ impl Server {
                         },
                     )
                 }),
-                dispatcher_id: 1,
+                runner: 1,
                 slow_threshold: Some(shared.config.slow_threshold),
             };
             let shared = shared.clone();
@@ -475,14 +485,13 @@ impl Server {
                 thread::Builder::new()
                     .name("fmm-serve-dispatch-f32".into())
                     .spawn(move || {
-                        run_dispatcher(
-                            &shared.queue_f32,
-                            &shared.engine_f32,
-                            &shared.pools.f32,
-                            shared.config.batch,
-                            &shared.metrics,
-                            &obs,
-                        )
+                        let runner = BatchRunner {
+                            engine: &shared.engine_f32,
+                            pool: &shared.pools.f32,
+                            metrics: &shared.metrics,
+                            obs: &obs,
+                        };
+                        run_dispatcher(&shared.queue_f32, &runner, shared.config.batch)
                     })
                     .expect("spawn f32 dispatcher"),
             );
@@ -703,7 +712,7 @@ enum Reply {
     Frame(Vec<u8>),
     /// A response: its header and prelude, then the pooled result buffer,
     /// written in place.
-    Result { head: Vec<u8>, body: WireBuf },
+    Result { head: [u8; RESPONSE_HEAD_LEN], body: WireBuf },
 }
 
 impl Reply {
@@ -742,6 +751,10 @@ struct ConnState {
     /// connection holds besides the reply being written, bounded by
     /// [`ServeConfig::max_conn_backlog_bytes`].
     promised: usize,
+    /// The write claim: a thread is writing to the socket. The writer
+    /// takes it around each reply it writes, the reader around a request
+    /// it runs and answers itself.
+    writing: bool,
     /// The reader is done: no further request will be admitted.
     reading_done: bool,
     /// Nothing more can be delivered: the peer is gone, or the drain
@@ -781,6 +794,18 @@ impl Conn {
         !state.dead
     }
 
+    /// Release the write claim, waking the writer if replies were queued
+    /// while it was held.
+    fn end_write(&self) {
+        let mut state = self.lock();
+        state.writing = false;
+        let wake = !state.replies.is_empty();
+        drop(state);
+        if wake {
+            self.changed.notify_all();
+        }
+    }
+
     /// The reader is done: the writer exits once nothing is owed.
     fn finish_reading(&self) {
         self.lock().reading_done = true;
@@ -800,27 +825,66 @@ impl Conn {
         let _ = self.stream.shutdown(Shutdown::Both);
     }
 
-    /// The next reply to write, or `None` once the connection is dead, or
-    /// the reader is done with nothing queued or in flight.
+    /// The next reply to write, with the write claim taken for it, or
+    /// `None` once the connection is dead, or the reader is done with
+    /// nothing queued or in flight.
     fn next_reply(&self) -> Option<Reply> {
         let mut state = self.lock();
         loop {
             if state.dead {
                 return None;
             }
-            if let Some(reply) = state.replies.pop_front() {
-                // Released before the write: once the peer can read the
-                // reply, it may already be sending a request that counts
-                // the backlog against its admission.
-                state.backlog -= reply.len();
-                self.changed.notify_all();
-                return Some(reply);
+            if !state.writing {
+                if let Some(reply) = state.replies.pop_front() {
+                    // Released before the write: once the peer can read
+                    // the reply, it may already be sending a request that
+                    // counts the backlog against its admission.
+                    state.backlog -= reply.len();
+                    state.writing = true;
+                    self.changed.notify_all();
+                    return Some(reply);
+                }
             }
-            if state.reading_done && state.in_flight == 0 {
+            if state.reading_done && state.in_flight == 0 && state.replies.is_empty() {
                 return None;
             }
             state = self.changed.wait(state).expect("connection state poisoned");
         }
+    }
+
+    /// Retire a finished request: it is no longer in flight, whether or
+    /// not its connection survived to read the answer, and its promised
+    /// bytes are released. Returns its reply's header ‖ prelude, or `None`
+    /// when the connection died mid-flight and the reply is dropped.
+    fn retire(
+        &self,
+        state: &mut ConnState,
+        completion: &Completion,
+    ) -> Option<[u8; RESPONSE_HEAD_LEN]> {
+        let Completion { request_id, m, n, ref result } = *completion;
+        let len = result.bytes().len();
+        self.metrics.inflight.sub(1);
+        state.in_flight = state.in_flight.saturating_sub(1);
+        // The result length equals the `m×n` size the prelude declared.
+        state.promised = state.promised.saturating_sub(RESPONSE_HEAD_LEN + len);
+        if state.dead {
+            return None;
+        }
+        self.metrics.responses.inc();
+        trace::mark(Kind::ReplyFlush, request_id);
+        Some(protocol::encode_response_head(request_id, result.dtype(), m, n, len))
+    }
+
+    /// Answer a request this connection's reader ran itself, under the
+    /// write claim its admission took, and release the claim.
+    fn answer_lone(&self, completion: Completion) {
+        let head = self.retire(&mut self.lock(), &completion);
+        if let Some(head) = head {
+            if write_result(&mut &self.stream, &head, completion.result).is_err() {
+                self.kill();
+            }
+        }
+        self.end_write();
     }
 }
 
@@ -829,22 +893,10 @@ impl CompletionSink for Conn {
     /// buffer and queue it, or drop it if the connection died mid-flight
     /// (the buffer returns to its pool).
     fn complete(&self, completion: Completion) {
-        // The admitted request is no longer in flight whether or not its
-        // connection survived to read the answer.
-        self.metrics.inflight.sub(1);
-        let Completion { request_id, m, n, result } = completion;
-        let payload_len = RESPONSE_PRELUDE + result.bytes().len();
-        let mut head = protocol::encode_header(FrameKind::Response, payload_len as u32, request_id);
-        head.extend_from_slice(&protocol::encode_response_prelude(result.dtype(), m, n));
         let mut state = self.lock();
-        state.in_flight = state.in_flight.saturating_sub(1);
-        // The promise materializes as queued backlog (the result length
-        // equals the `m×n` size the prelude declared).
-        state.promised = state.promised.saturating_sub(HEADER_LEN + payload_len);
-        if !state.dead {
-            self.metrics.responses.inc();
-            trace::mark(Kind::ReplyFlush, request_id);
-            let reply = Reply::Result { head, body: result };
+        if let Some(head) = self.retire(&mut state, &completion) {
+            // The promise materializes as queued backlog.
+            let reply = Reply::Result { head, body: completion.result };
             state.backlog += reply.len();
             state.replies.push_back(reply);
         }
@@ -927,6 +979,7 @@ fn write_replies(conn: &Conn) {
             Reply::Frame(bytes) => stream.write_all(&bytes),
             Reply::Result { head, body } => write_result(&mut stream, &head, body),
         };
+        conn.end_write();
         if sent.is_err() {
             conn.kill();
             return;
@@ -1004,8 +1057,10 @@ fn handle_event(shared: &Shared, conn: &Arc<Conn>, event: InEvent, requests: &mu
 
 /// Admission control for one decoded request: per-connection pipelining
 /// bound and response-byte budget, then the dtype queue's capacity bound.
-/// Refusals answer with a typed error frame; an admitted request's
-/// completion comes back to `conn`. Returns whether it was admitted.
+/// Refusals answer with a typed error frame. An admitted request is either
+/// run and answered here, when it is alone (see the module docs), or
+/// queued, its completion coming back to `conn`. Returns whether it was
+/// admitted.
 fn admit_request(
     shared: &Shared,
     conn: &Arc<Conn>,
@@ -1029,8 +1084,8 @@ fn admit_request(
     // A request arriving on an otherwise idle connection (nothing queued,
     // nothing promised) is always admitted, so progress never deadlocks
     // on an operator setting the backlog cap below one max response.
-    let response_bytes = HEADER_LEN + RESPONSE_PRELUDE + dims.c_bytes();
-    let depth = {
+    let response_bytes = RESPONSE_HEAD_LEN + dims.c_bytes();
+    let (depth, lone) = {
         let mut state = conn.lock();
         let outstanding = state.promised + state.backlog;
         if state.in_flight >= config.max_inflight_per_conn {
@@ -1048,31 +1103,58 @@ fn admit_request(
             );
             return refuse(ErrorCode::Busy, RefusalReason::ByteBacklog, &message);
         }
+        // To be run here: no window to wait out, and nothing else of this
+        // connection in flight, queued, being written or already in the
+        // socket (a pipelining client's next request, which should find
+        // this one queued to share its batch). It takes the write claim
+        // for its reply.
+        let lone = config.batch.window.is_zero()
+            && state.in_flight == 0
+            && state.replies.is_empty()
+            && !state.writing
+            && !bytes_pending(&conn.stream);
+        state.writing |= lone;
         // Charged before the job is queued: a dispatcher may complete it
         // before this thread runs again.
         state.in_flight += 1;
         state.promised += response_bytes;
-        state.in_flight
+        (state.in_flight, lone)
     };
     shared.metrics.inflight.add(1);
     let reply = ReplySink { sink: conn.clone(), request_id };
     let enqueued = Instant::now();
     let (m, k, n) = (dims.m, dims.k, dims.n);
-    let refused = match operands {
+    let obs = DispatchObs {
+        heartbeat: None,
+        runner: ON_READER | conn.id,
+        slow_threshold: Some(config.slow_threshold),
+    };
+    let (pools, metrics) = (&shared.pools, &shared.metrics);
+    let submitted = match operands {
         OperandStage::F64 { a, b } => {
+            let engine = &shared.engine_f64;
+            let runner = BatchRunner { engine, pool: &pools.f64, metrics, obs: &obs };
             let job = Job { a, b, m, k, n, reply, enqueued };
-            shared.queue_f64.try_push(job).err().map(|(_, why)| why)
+            submit(conn, &shared.queue_f64, &runner, job, lone)
         }
         OperandStage::F32 { a, b } => {
+            let engine = &shared.engine_f32;
+            let runner = BatchRunner { engine, pool: &pools.f32, metrics, obs: &obs };
             let job = Job { a, b, m, k, n, reply, enqueued };
-            shared.queue_f32.try_push(job).err().map(|(_, why)| why)
+            submit(conn, &shared.queue_f32, &runner, job, lone)
         }
     };
-    let Some(why) = refused else {
-        trace::mark(Kind::Admission, request_id);
-        shared.metrics.requests.inc();
-        shared.metrics.record_conn_inflight(depth as u64);
-        return true;
+    let why = match submitted {
+        Ok(ran) => {
+            shared.metrics.requests.inc();
+            shared.metrics.record_conn_inflight(depth as u64);
+            if let Some(completion) = ran {
+                shared.metrics.reader_requests.inc();
+                conn.answer_lone(completion);
+            }
+            return true;
+        }
+        Err(why) => why,
     };
     shared.metrics.inflight.sub(1);
     {
@@ -1094,6 +1176,36 @@ fn admit_request(
             "daemon is shutting down and accepts no new work",
         ),
     }
+}
+
+/// Run an admitted job on this reader, when it is `lone` (the connection's
+/// write claim taken) and its dtype's executor bit can be claimed, and
+/// return its completion; otherwise release the write claim, if taken, and
+/// queue the job for the dispatcher.
+fn submit<T: GemmScalar>(
+    conn: &Conn,
+    queue: &BatchQueue<T>,
+    runner: &BatchRunner<'_, T>,
+    job: Job<T>,
+    lone: bool,
+) -> Result<Option<Completion>, Refusal>
+where
+    WireBuf: From<PooledBuf<T>>,
+{
+    let request_id = job.reply.request_id;
+    if lone && queue.try_claim() {
+        trace::mark(Kind::Admission, request_id);
+        let mut ran = None;
+        runner.run(vec![job], trace::now_nanos(), 0, |_, completion| ran = Some(completion));
+        queue.release();
+        return Ok(ran);
+    }
+    if lone {
+        conn.end_write();
+    }
+    queue.try_push(job).map_err(|(_, why)| why)?;
+    trace::mark(Kind::Admission, request_id);
+    Ok(None)
 }
 
 /// Record that an incident dump is being written.

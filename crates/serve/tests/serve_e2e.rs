@@ -13,7 +13,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Engine pair for tests: parallel (so batches fan out), pinned paper
 /// arch (no host calibration), model routing unless `pin_gemm`.
@@ -143,6 +143,148 @@ fn transposed_requests_reply_in_process_gemm_bits() {
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
     served_gemm_bits_match::<f64>(&mut client);
     served_gemm_bits_match::<f32>(&mut client);
+    let (s64, s32) = handle.engine_stats();
+    assert!(s64.pinned_fallbacks > 0 && s32.pinned_fallbacks > 0, "GEMM route was taken");
+    handle.shutdown();
+}
+
+/// A daemon whose batches close as soon as the queue is empty, so that a
+/// lone request may run on its connection's reader.
+fn zero_window() -> ServeConfig {
+    let batch = BatchPolicy { window: Duration::ZERO, ..BatchPolicy::default() };
+    ServeConfig { batch, ..ServeConfig::default() }
+}
+
+/// Send `rounds` rounds of `depth` pipelined `a·b` requests, stopping
+/// early once some batch has held more than one request, and check every
+/// reply against `c`.
+fn pipeline_until_batched(
+    handle: &ServerHandle,
+    client: &mut PipelinedClient,
+    (a, b, c): (&Matrix<f64>, &Matrix<f64>, &Matrix<f64>),
+    depth: usize,
+    rounds: usize,
+) {
+    for _ in 0..rounds {
+        let ids: Vec<u64> = (0..depth).map(|_| client.send(a, b).expect("send")).collect();
+        for id in ids {
+            assert_eq!(&client.recv::<f64>(id).expect("recv"), c);
+        }
+        if handle.metrics().snapshot().max_occupancy > 1 {
+            return;
+        }
+    }
+}
+
+#[test]
+fn lone_requests_run_on_their_reader_and_pipelined_ones_batch() {
+    let a = fill::bench_workload(32, 32, 1);
+    let b = fill::bench_workload(32, 32, 2);
+    let mut c = Matrix::zeros(32, 32);
+    fmm_gemm::gemm(c.as_mut(), a.as_ref(), b.as_ref());
+
+    // A closed-loop caller on a zero-window daemon: each request finds its
+    // connection and its dtype idle, so its reader runs every one.
+    let handle = spawn_server(zero_window(), true);
+    let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
+    for _ in 0..40 {
+        assert_eq!(client.multiply(&a, &b).expect("served"), c);
+    }
+    let snap = handle.metrics().snapshot();
+    assert_eq!((snap.requests, snap.reader_requests), (40, 40), "{snap:?}");
+    assert_eq!((snap.batches, snap.max_occupancy), (40, 1), "one-job batches: {snap:?}");
+
+    // The same caller pipelining eight: requests that arrive with company
+    // queue, and the dispatcher batches them.
+    pipeline_until_batched(&handle, &mut client, (&a, &b, &c), 8, 100);
+    let snap = handle.metrics().snapshot();
+    assert!(snap.max_occupancy > 1, "pipelined requests never shared a batch: {snap:?}");
+    assert!(snap.reader_requests < snap.requests, "{snap:?}");
+    handle.shutdown();
+
+    // A default-window daemon: the dispatcher runs everything.
+    let handle = spawn_server(ServeConfig::default(), true);
+    let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
+    for _ in 0..10 {
+        assert_eq!(client.multiply(&a, &b).expect("served"), c);
+    }
+    pipeline_until_batched(&handle, &mut client, (&a, &b, &c), 8, 100);
+    let snap = handle.metrics().snapshot();
+    assert_eq!(snap.reader_requests, 0, "{snap:?}");
+    assert!(snap.max_occupancy > 1, "pipelined requests never shared a batch: {snap:?}");
+    handle.shutdown();
+}
+
+/// A caller's four problems of dtype `T`: operands and in-process
+/// `fmm_gemm::gemm`'s product.
+fn problems<T: fmm_serve::WireScalar>(seed: u64) -> Vec<[Matrix<T>; 3]> {
+    let shapes = [(17, 9, 23), (32, 32, 32), (40, 24, 36), (5, 64, 7)];
+    let seeds = (seed..).step_by(2);
+    shapes
+        .into_iter()
+        .zip(seeds)
+        .map(|((m, k, n), seed)| {
+            let a = fill::bench_workload_t::<T>(m, k, seed);
+            let b = fill::bench_workload_t::<T>(k, n, seed + 1);
+            let mut c = Matrix::<T>::zeros(m, n);
+            fmm_gemm::gemm(c.as_mut(), a.as_ref(), b.as_ref());
+            [a, b, c]
+        })
+        .collect()
+}
+
+/// One caller until `until`: `depth` requests in flight at a time (1 is a
+/// lone closed-loop caller), every reply checked bit for bit. Returns the
+/// requests served.
+fn call_until<T: fmm_serve::WireScalar>(
+    addr: std::net::SocketAddr,
+    depth: usize,
+    seed: u64,
+    until: Instant,
+) -> u64 {
+    let problems = problems::<T>(seed);
+    let mut client = PipelinedClient::connect(addr).expect("connect");
+    let mut served = 0;
+    while Instant::now() < until {
+        let sent: Vec<(u64, &[Matrix<T>; 3])> = (served..served + depth)
+            .map(|i| {
+                let p = &problems[i % problems.len()];
+                (client.send(&p[0], &p[1]).expect("send"), p)
+            })
+            .collect();
+        for (id, [_, _, c]) in sent {
+            let got = client.recv::<T>(id).expect("recv");
+            assert_eq!(bits(&got), bits(c), "{} reply {id} not bit-exact", T::NAME);
+        }
+        served += depth;
+    }
+    served as u64
+}
+
+#[test]
+fn lone_and_pipelined_callers_interleave_without_loss() {
+    // Six connections on a zero-window daemon for about two seconds:
+    // lone callers (even) and depth-8 pipelines (odd), on both dtypes, so
+    // readers running lone requests race the dispatchers and each other.
+    let handle = spawn_server(zero_window(), true);
+    let addr = handle.addr();
+    let until = Instant::now() + Duration::from_secs(2);
+    let served: u64 = thread::scope(|s| {
+        let callers: Vec<_> = (0..6u64)
+            .map(|t| {
+                let depth = if t % 2 == 0 { 1 } else { 8 };
+                s.spawn(move || match t % 3 {
+                    2 => call_until::<f32>(addr, depth, 10 * t, until),
+                    _ => call_until::<f64>(addr, depth, 10 * t, until),
+                })
+            })
+            .collect();
+        callers.into_iter().map(|caller| caller.join().expect("caller")).sum()
+    });
+    let snap = handle.metrics().snapshot();
+    assert_eq!((snap.requests, snap.responses), (served, served), "{snap:?}");
+    assert_eq!((snap.rejects_busy, snap.inflight), (0, 0), "{snap:?}");
+    assert!(0 < snap.reader_requests && snap.reader_requests < served, "{snap:?}");
     let (s64, s32) = handle.engine_stats();
     assert!(s64.pinned_fallbacks > 0 && s32.pinned_fallbacks > 0, "GEMM route was taken");
     handle.shutdown();
@@ -314,11 +456,15 @@ fn malformed_and_oversized_frames_get_typed_errors_and_service_survives() {
 fn full_queue_rejects_with_busy_and_recovers() {
     // One-at-a-time dispatch with a single-slot queue: while the
     // dispatcher grinds one problem, at most one more may wait; the rest
-    // of a concurrent flood must be refused with Busy.
+    // of a concurrent flood must be refused with Busy. `max_batch: 1`
+    // closes every batch at its first request, so the window never waits;
+    // it is nonzero because a zero window lets a request that finds the
+    // dtype idle run on its connection's reader, off the queue flooded
+    // here.
     let handle = spawn_server(
         ServeConfig {
             batch: BatchPolicy {
-                window: Duration::ZERO,
+                window: Duration::from_millis(1),
                 max_batch: 1,
                 straggler_gap: Duration::ZERO,
             },

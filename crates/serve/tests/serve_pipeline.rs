@@ -336,6 +336,57 @@ fn slow_loris_writer_does_not_stall_other_connections() {
 }
 
 #[test]
+fn a_reader_blocked_on_its_own_reply_stalls_no_one_else() {
+    // On a zero-window daemon a lone request runs on its connection's
+    // reader, which writes the reply itself. This peer asks for a 32 MiB
+    // result (k = 1) and does not read it, so its reader blocks in that
+    // write, past what the loopback socket buffers hold. The dtype's
+    // executor bit was released before the write: other connections'
+    // lone requests still run on their own readers.
+    let batch = BatchPolicy { window: Duration::ZERO, ..BatchPolicy::default() };
+    let handle = spawn_pinned(ServeConfig { batch, ..ServeConfig::default() });
+    let addr = handle.addr();
+    let a = fill::bench_workload(2048, 1, 31);
+    let b = fill::bench_workload(1, 2048, 32);
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    let payload = protocol::encode_request(&a, &b);
+    protocol::write_frame_v(&mut stalled, VERSION_V2, 5, FrameKind::Request, &payload)
+        .expect("send");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while handle.metrics().snapshot().reader_requests == 0 {
+        assert!(Instant::now() < deadline, "the big request never ran on its reader");
+        thread::sleep(Duration::from_millis(1));
+    }
+
+    // A read timeout turns a daemon stuck behind the stalled peer into a
+    // failure instead of a hang.
+    let mut other = TcpStream::connect(addr).expect("connect");
+    other.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+    for id in 100..108 {
+        let x = fill::bench_workload(12, 10, id);
+        let y = fill::bench_workload(10, 9, id + 100);
+        let payload = protocol::encode_request(&x, &y);
+        protocol::write_frame_v(&mut other, VERSION_V2, id, FrameKind::Request, &payload)
+            .expect("send");
+        let reply = protocol::read_frame_any(&mut other, 1 << 20).expect("served past the stall");
+        assert_eq!(reply.request_id, id);
+        let mut want = Matrix::zeros(12, 9);
+        fmm_gemm::gemm(want.as_mut(), x.as_ref(), y.as_ref());
+        assert_eq!(protocol::decode_response::<f64>(&reply.payload).expect("decode"), want);
+    }
+    let snap = handle.metrics().snapshot();
+    assert_eq!(snap.reader_requests, 9, "each lone request ran on its reader: {snap:?}");
+
+    // The stalled peer still gets its whole reply once it reads.
+    let reply = protocol::read_frame_any(&mut stalled, 64 << 20).expect("the big reply");
+    assert_eq!((reply.kind, reply.request_id), (FrameKind::Response, 5));
+    let mut want = Matrix::zeros(2048, 2048);
+    fmm_gemm::gemm(want.as_mut(), a.as_ref(), b.as_ref());
+    assert_eq!(protocol::decode_response::<f64>(&reply.payload).expect("decode"), want);
+    handle.shutdown();
+}
+
+#[test]
 fn warm_path_serves_requests_without_allocating_payload_buffers() {
     let handle = spawn_pinned(ServeConfig::default());
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
