@@ -22,9 +22,9 @@
 //!   model-error ratio histograms, best/worst observed GFLOP/s, and
 //!   routing-source attribution. The warm record path is lock-free and
 //!   allocation-free after the one-time table allocation.
-//! * [`watchdog`] — a stall watchdog: dispatcher threads count progress
-//!   on [`watchdog::Heartbeat`] atomics; one judging thread detects a
-//!   dispatcher wedged with work pending, records escalating stall
+//! * [`watchdog`] — a stall watchdog: one judging thread probes each
+//!   batch executor's work and progress, detects an
+//!   executor wedged with work pending, records escalating stall
 //!   events, and can dump-then-abort a hard-wedged process.
 //!
 //! This crate depends on nothing but `std` so every layer of the stack
@@ -56,7 +56,7 @@ pub use audit::{AuditDtype, AuditEntry, AuditSample, AuditSource};
 pub use hist::{HistSnapshot, Histogram};
 pub use registry::{global, sanitize_metric_name, Counter, Gauge, Registry, Snapshot};
 pub use trace::{Event, IncidentTrigger, Kind, RefusalReason, Ring};
-pub use watchdog::{Heartbeat, WatchPolicy, Watchdog, WatchdogConfig, WatchdogHandle};
+pub use watchdog::{Watchdog, WatchdogConfig, WatchdogHandle};
 
 /// Unit tests that touch the process-global rings serialize on this lock
 /// (cargo runs same-crate tests in parallel threads).

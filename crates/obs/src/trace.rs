@@ -56,15 +56,14 @@ pub const SPAN_CAPACITY: usize = 4096;
 pub enum Kind {
     /// Frame fully decoded off the socket (the connection's reader).
     RequestRecv,
-    /// Admission control passed; job queued for dispatch, or about to run
-    /// on its connection's reader.
+    /// Admission control passed; job queued for its dtype's combiner.
     Admission,
     /// Time from admission until the job's batch started executing.
     QueueWait,
-    /// A batch's formation window, tagged with the request that opened
-    /// it. Always on. Args: who ran it (a dispatcher id, or
-    /// [`ON_READER`]` | conn` when a connection's reader ran its lone
-    /// request), batch size, queue depth after.
+    /// A batch's formation, from the combiner's claim (or its previous
+    /// batch) to execution start, tagged with the batch's first request.
+    /// Always on. Args: the combining connection, batch size, queue depth
+    /// after.
     BatchForm,
     /// Engine routing decision (model ranking / decision-cache miss).
     /// Args: predicted nanos of the winner, of GEMM, and of the runner-up
@@ -173,11 +172,6 @@ impl Kind {
         self == Kind::BatchForm || self > Kind::ReplyFlush
     }
 }
-
-/// The flag a `BatchForm` event's first arg carries when the batch ran on
-/// the reader of the connection in the arg's low bits, not on a
-/// dispatcher.
-pub const ON_READER: u64 = 1 << 63;
 
 /// Why admission control refused a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -292,10 +286,7 @@ impl Event {
         let [a, b, c] = self.args;
         let ms = |nanos: u64| nanos as f64 / 1e6;
         match self.kind {
-            Kind::BatchForm if a & ON_READER != 0 => {
-                format!("reader of connection {} ran request {}", a & !ON_READER, self.request_id)
-            }
-            Kind::BatchForm => format!("dispatcher {a} formed batch of {b} (depth {c} after)"),
+            Kind::BatchForm => format!("conn #{a} ran a batch of {b} (depth {c} after)"),
             Kind::ConnAccepted => format!("conn #{a} accepted"),
             Kind::ConnClosed => format!("conn #{a} closed after {b} requests"),
             Kind::AdmissionRefused => format!("conn #{a} refused: {}", RefusalReason::name_of(b)),
@@ -794,8 +785,7 @@ mod tests {
     #[test]
     fn batch_form_names_who_ran_it() {
         let batch = |runner| Event::span(Kind::BatchForm, 7, 10, 20).with_args([runner, 3, 2]);
-        assert_eq!(batch(1).describe(), "dispatcher 1 formed batch of 3 (depth 2 after)");
-        assert_eq!(batch(ON_READER | 42).describe(), "reader of connection 42 ran request 7");
+        assert_eq!(batch(42).describe(), "conn #42 ran a batch of 3 (depth 2 after)");
     }
 
     #[test]

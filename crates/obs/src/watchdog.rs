@@ -1,13 +1,12 @@
-//! Stall watchdog: detects wedged dispatchers.
+//! Stall watchdog: detects wedged executors.
 //!
-//! Threads that drain a work queue — the serving daemon's dispatchers —
-//! each register a [`Heartbeat`] and count progress on it from their own
-//! loop body. A single watchdog thread wakes every
-//! [`WatchdogConfig::interval`] and judges each component against its
-//! [`WatchPolicy`]: [`WatchPolicy::Progress`] — the component must make
-//! progress *when there is work*. It is stalled when the work probe (e.g.
-//! queue depth) stays nonzero while the progress counter (e.g. batches
-//! formed) does not move for `stall_after`; a dispatcher blocked on an
+//! Components that drain a work queue — the serving daemon's per-dtype
+//! batch executors — each register a probe of their pending work and
+//! their progress. A single watchdog thread wakes every
+//! [`WatchdogConfig::interval`] and judges each component by progress: it
+//! must make progress *when there is work*. It is stalled when its work
+//! (e.g. queue depth) stays nonzero while its progress count (e.g.
+//! batches completed) does not move for `stall_after`; an executor with an
 //! empty queue is idle, not stalled.
 //!
 //! Verdicts are recorded as escalating always-on [`trace`] events
@@ -21,40 +20,13 @@
 //! process: a hard-wedged daemon that cannot serve is worth more dead
 //! with a dump than alive and silent.
 //!
-//! [`Heartbeat::progress`] is the only call on serving threads; it is one
-//! relaxed add and carries the `warm-alloc-free` contract. All judging
-//! state lives in the watchdog thread.
+//! The watchdog makes no call on serving threads. All judging state lives
+//! in the watchdog thread.
 
 use crate::trace::{self, Event, IncidentTrigger, Kind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// Per-component progress signal, updated by the watched thread.
-#[derive(Debug, Default)]
-pub struct Heartbeat {
-    /// Completed units of work (e.g. batches formed).
-    progress: AtomicU64,
-}
-
-impl Heartbeat {
-    /// The watched loop completed a unit of work. One relaxed add.
-    #[inline]
-    pub fn progress(&self) {
-        self.progress.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn progress_count(&self) -> u64 {
-        self.progress.load(Ordering::Relaxed)
-    }
-}
-
-/// How the watchdog judges a component (see module docs).
-pub enum WatchPolicy {
-    /// `work` probes the amount of pending work (0 = legitimately
-    /// idle); progress is read from the component's [`Heartbeat`].
-    Progress { work: Box<dyn Fn() -> u64 + Send + Sync> },
-}
 
 /// Watchdog thresholds. All deadlines are judged at `interval`
 /// granularity.
@@ -82,8 +54,9 @@ impl Default for WatchdogConfig {
 
 struct Component {
     name: String,
-    policy: WatchPolicy,
-    heartbeat: Arc<Heartbeat>,
+    /// Probes the pending work (0 = legitimately idle) and the progress
+    /// count.
+    probe: Box<dyn Fn() -> (u64, u64) + Send + Sync>,
 }
 
 /// Judging state, owned by the watchdog thread (per component).
@@ -134,18 +107,12 @@ impl Watchdog {
         }
     }
 
-    /// Register a component; the returned [`Heartbeat`] is what the
-    /// watched thread updates. The component's id in watchdog events is its
+    /// Register a component; `probe` returns its pending work and its
+    /// progress count. The component's id in watchdog events is its
     /// registration index (see [`component_names`](Self::component_names)).
-    pub fn register(&self, name: &str, policy: WatchPolicy) -> Arc<Heartbeat> {
-        let heartbeat = Arc::new(Heartbeat::default());
-        let mut components = self.inner.components.lock().unwrap();
-        components.push(Component {
-            name: name.to_string(),
-            policy,
-            heartbeat: Arc::clone(&heartbeat),
-        });
-        heartbeat
+    pub fn register(&self, name: &str, probe: impl Fn() -> (u64, u64) + Send + Sync + 'static) {
+        let component = Component { name: name.to_string(), probe: Box::new(probe) };
+        self.inner.components.lock().unwrap().push(component);
     }
 
     /// Component names in registration (= event id) order.
@@ -211,9 +178,8 @@ fn tick(inner: &Inner, judge: &mut Vec<JudgeState>, on_abort: &dyn Fn()) {
     }
     for (id, component) in components.iter().enumerate() {
         let state = &mut judge[id];
-        let WatchPolicy::Progress { work } = &component.policy;
-        let progress = component.heartbeat.progress_count();
-        let stalled_for = if work() == 0 || progress != state.last_progress {
+        let (work, progress) = (component.probe)();
+        let stalled_for = if work == 0 || progress != state.last_progress {
             state.last_progress = progress;
             state.baseline_nanos = now;
             0
@@ -280,12 +246,10 @@ mod tests {
 
         // -- Progress: pending work without progress is a wedge ------
         let wd = Watchdog::new(short_config());
-        let depth = Arc::new(TestAtomic::new(0));
-        let probe = Arc::clone(&depth);
-        let hb = wd.register(
-            "dispatch",
-            WatchPolicy::Progress { work: Box::new(move || probe.load(Ordering::Relaxed)) },
-        );
+        let (depth, done) = (Arc::new(TestAtomic::new(0)), Arc::new(TestAtomic::new(0)));
+        let (work, progress) = (Arc::clone(&depth), Arc::clone(&done));
+        let probe = move || (work.load(Ordering::Relaxed), progress.load(Ordering::Relaxed));
+        wd.register("dispatch", probe);
         assert_eq!(wd.component_names(), ["dispatch"]);
         let handle = wd.spawn(Box::new(|| {}));
         // Idle (work == 0): never stalls, even without progress.
@@ -294,7 +258,7 @@ mod tests {
         // Work appears and progress keeps up: still healthy.
         depth.store(3, Ordering::Relaxed);
         for _ in 0..10 {
-            hb.progress();
+            done.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(wd.stalls_total(), 0, "progressing dispatcher must stay healthy");
@@ -314,7 +278,7 @@ mod tests {
         assert!(stalled_nanos >= 40_000_000, "stall duration measured: {stalled_nanos}");
 
         // -- Recovery: resumed progress produces a recovery verdict ----
-        hb.progress();
+        done.fetch_add(1, Ordering::Relaxed);
         assert!(
             wait_until(2_000, || {
                 trace::recent(0).iter().any(|e| e.kind == Kind::WatchdogRecovered && e.args[0] == 0)

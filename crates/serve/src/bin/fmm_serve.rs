@@ -1,8 +1,8 @@
 //! `fmm_serve` — operate the serving daemon from the command line.
 //!
 //! ```sh
-//! fmm_serve serve [--addr 127.0.0.1:7117] [--window-us 2000] [--gap-us 200]
-//!                 [--max-batch 32] [--queue 256] [--workers 0]
+//! fmm_serve serve [--addr 127.0.0.1:7117] [--window-us 2000] [--max-batch 32]
+//!                 [--queue 256] [--workers 0]
 //!                 [--trace] [--incident-dir DIR] [--no-watchdog]
 //!                 [--watchdog-stall-ms 1000] [--watchdog-abort-after MS]
 //!                 [--slow-ms 250]
@@ -107,7 +107,6 @@ fn main() {
 struct Options {
     addr: String,
     window_us: u64,
-    gap_us: u64,
     max_batch: usize,
     queue: usize,
     workers: usize,
@@ -137,7 +136,6 @@ impl Options {
         let mut o = Options {
             addr: "127.0.0.1:7117".to_string(),
             window_us: 2000,
-            gap_us: 200,
             max_batch: 32,
             queue: 256,
             workers: 0,
@@ -168,7 +166,6 @@ impl Options {
             match flag.as_str() {
                 "--addr" => o.addr = value(),
                 "--window-us" => o.window_us = number(flag, value()),
-                "--gap-us" => o.gap_us = number(flag, value()),
                 "--max-batch" => o.max_batch = number(flag, value()),
                 "--queue" => o.queue = number(flag, value()),
                 "--workers" => o.workers = number(flag, value()),
@@ -212,7 +209,6 @@ fn cmd_serve(o: &Options) {
         batch: BatchPolicy {
             window: Duration::from_micros(o.window_us),
             max_batch: o.max_batch.max(1),
-            straggler_gap: Duration::from_micros(o.gap_us),
         },
         queue_capacity: o.queue,
         workers: o.workers,
@@ -402,11 +398,9 @@ fn cmd_top(o: &Options) {
             gauge("fmm_serve_connections"),
         );
         println!(
-            "batches  {:>10}  items     {:>10}  on readers {:>10}  occupancy max {:>3}  busy \
-             rejects {:>6}",
+            "batches  {:>10}  items     {:>10}  occupancy max {:>3}  busy rejects {:>6}",
             counter("fmm_serve_batches_total"),
             counter("fmm_serve_batched_items_total"),
-            counter("fmm_serve_reader_requests_total"),
             counter("fmm_serve_batch_occupancy_max"),
             counter("fmm_serve_errors_total_busy"),
         );

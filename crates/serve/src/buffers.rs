@@ -5,7 +5,7 @@
 //! *directly* into a [`PooledBuf`] checked out of the per-dtype
 //! [`IngestPool`] — the `read(2)` into the buffer is the one and only
 //! copy off the wire. The
-//! dispatcher then hands the engine strided views over those same bytes
+//! combiner then hands the engine strided views over those same bytes
 //! (the wire is row-major, which is just a stride choice for `MatRef`),
 //! and the result is computed into a third pooled buffer laid out in wire
 //! order, so the response writes straight from it with no intermediate
@@ -371,7 +371,7 @@ impl OperandStage {
 }
 
 /// The per-dtype buffer pools one server shares across its connections
-/// and dispatchers.
+/// and combiners.
 pub struct IngestPools {
     /// f64 operand/result buffers.
     pub f64: BufferPool<f64>,

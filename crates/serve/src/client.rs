@@ -4,8 +4,7 @@
 //! [`PipelinedClient::send`] returns a `request_id` immediately, many
 //! requests ride one TCP connection at once, and [`PipelinedClient::recv`]
 //! matches responses back by id in whatever order the server finishes them
-//! — one connection keeps the dispatcher's batch window full all by
-//! itself. A blocking caller is the depth-one case:
+//! — one connection keeps a batch full all by itself. A blocking caller is the depth-one case:
 //! [`PipelinedClient::multiply`] is `send` + `recv`, and the control
 //! calls (`ping`, `stats`, `trace`, …) are single round trips that may
 //! overtake slower multiplies still in flight; the documents they fetch

@@ -16,7 +16,8 @@
 
 use crate::buffers::{IngestPools, OperandStage};
 use crate::protocol::{
-    self, ErrorCode, FrameError, FrameHead, FrameKind, RequestDims, REQUEST_PRELUDE,
+    self, ErrorCode, FrameError, FrameHead, FrameKind, RequestDims, HEADER_LEN, HEADER_PREFIX_LEN,
+    REQUEST_PRELUDE,
 };
 use std::io::{self, Read};
 use std::net::TcpStream;
@@ -81,9 +82,11 @@ pub enum InEvent {
     },
 }
 
-/// Read one inbound frame from `r`, enforcing `max_payload`. `Ok(None)` is
-/// a clean close at a frame boundary; `Err` is a transport error, or
-/// `UnexpectedEof` for a stream that ends inside a frame.
+/// Read one inbound frame from `r`, enforcing `max_payload`, calling
+/// `announce` once a request's header is in and before its payload is
+/// read. `Ok(None)` is a clean close at a frame boundary; `Err` is a
+/// transport error, or `UnexpectedEof` for a stream that ends inside a
+/// frame.
 #[deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -97,6 +100,7 @@ pub fn read_event(
     r: &mut impl Read,
     max_payload: usize,
     pools: &IngestPools,
+    announce: impl FnOnce(),
 ) -> io::Result<Option<InEvent>> {
     let head = match protocol::read_header(r, max_payload) {
         Ok(head) => head,
@@ -117,6 +121,7 @@ pub fn read_event(
         r.read_exact(&mut payload)?;
         return Ok(Some(small_frame_event(head, payload)));
     }
+    announce();
     let mut prelude = [0; REQUEST_PRELUDE];
     r.read_exact(&mut prelude)?;
     match protocol::decode_request_prelude(&prelude, head.payload_len, max_payload) {
@@ -207,65 +212,79 @@ fn small_frame_event(head: FrameHead, payload: Vec<u8>) -> InEvent {
     }
 }
 
-/// Whether bytes from the peer already wait in `stream`'s receive buffer
-/// (a pipelining client's next request), probed without blocking and
-/// without consuming them. Where the probe fails or does not exist the
-/// answer is `true`, which sends every request through the dispatcher as
-/// if nothing were known.
-pub fn bytes_pending(stream: &TcpStream) -> bool {
-    sys::bytes_pending(stream)
+/// What the peer has sent that waits in a socket's receive buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pending {
+    /// Nothing.
+    Nothing,
+    /// Bytes, but not a whole frame; also the answer where the probe fails.
+    Bytes,
+    /// The whole next frame, so reading it cannot block.
+    Frame,
+}
+
+/// Probe `stream`'s receive buffer without blocking or consuming it: a
+/// whole frame is one whose peeked header declares a payload the buffered
+/// bytes cover.
+pub fn pending(stream: &TcpStream) -> Pending {
+    let buffered = match sys::buffered(stream) {
+        Some(0) => return Pending::Nothing,
+        Some(n) if n >= HEADER_LEN => n,
+        _ => return Pending::Bytes,
+    };
+    let mut prefix = [0; HEADER_PREFIX_LEN];
+    // At least a header is buffered, so the peek returns at once.
+    let payload = match stream.peek(&mut prefix) {
+        Ok(HEADER_PREFIX_LEN) => protocol::le_bytes(&prefix, HEADER_PREFIX_LEN - 4),
+        _ => None,
+    };
+    match payload {
+        Some(len) if buffered - HEADER_LEN >= u32::from_le_bytes(len) as usize => Pending::Frame,
+        _ => Pending::Bytes,
+    }
 }
 
 #[cfg(unix)]
 mod sys {
-    //! `recv(2)` with `MSG_PEEK | MSG_DONTWAIT`, hand-declared like the
-    //! signal shim in `incident`: no libc crate.
-    #![allow(non_camel_case_types)]
+    //! `ioctl(2)` with `FIONREAD`, hand-declared like the signal shim in
+    //! `incident`: no libc crate.
 
-    use std::io;
+    use std::ffi::{c_int, c_ulong};
     use std::net::TcpStream;
     use std::os::fd::AsRawFd;
 
-    type c_int = i32;
-
-    const MSG_PEEK: c_int = 0x2;
     #[cfg(any(target_os = "linux", target_os = "android"))]
-    const MSG_DONTWAIT: c_int = 0x40;
+    const FIONREAD: c_ulong = 0x541B;
     #[cfg(not(any(target_os = "linux", target_os = "android")))]
-    const MSG_DONTWAIT: c_int = 0x80;
-
-    // The descriptor and flags cross the ABI as 32-bit ints, the length
-    // and the result as machine words, on every supported Unix.
-    const _: () = assert!(std::mem::size_of::<c_int>() == 4);
+    const FIONREAD: c_ulong = 0x4004_667F;
 
     extern "C" {
-        fn recv(socket: c_int, buf: *mut u8, len: usize, flags: c_int) -> isize;
+        fn ioctl(fd: c_int, request: c_ulong, ...) -> c_int;
     }
 
-    pub fn bytes_pending(stream: &TcpStream) -> bool {
-        let mut byte = 0u8;
+    /// Bytes waiting in the receive buffer, or `None` if the probe failed.
+    pub fn buffered(stream: &TcpStream) -> Option<usize> {
+        let mut count: c_int = 0;
         // SAFETY: the descriptor is a live socket borrowed from `stream`
-        // for the call, and `buf` points at one writable byte, the `len`
-        // passed; MSG_DONTWAIT keeps the call from blocking and MSG_PEEK
-        // leaves the byte in the socket.
-        let got = unsafe { recv(stream.as_raw_fd(), &mut byte, 1, MSG_PEEK | MSG_DONTWAIT) };
-        // 0 is end of stream: nothing more will come.
-        got > 0 || got < 0 && io::Error::last_os_error().kind() != io::ErrorKind::WouldBlock
+        // for the call, and FIONREAD writes one `int` through the pointer,
+        // which points at `count`.
+        let rc = unsafe { ioctl(stream.as_raw_fd(), FIONREAD, &mut count as *mut c_int) };
+        usize::try_from(count).ok().filter(|_| rc == 0)
     }
 }
 
 #[cfg(not(unix))]
 mod sys {
-    //! No probe: every request is taken to have company.
-    pub fn bytes_pending(_: &std::net::TcpStream) -> bool {
-        true
+    //! No probe.
+    pub fn buffered(_: &std::net::TcpStream) -> Option<usize> {
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Dtype, HEADER_LEN, HEADER_PREFIX_LEN, VERSION_V2};
+    use crate::protocol::{Dtype, VERSION_V2};
     use fmm_dense::{fill, Matrix};
     use std::io::Cursor;
 
@@ -345,7 +364,7 @@ mod tests {
         let b = fill::bench_workload(3, 4, 2);
         let mut src = Trickle { bytes: request_wire(42, &a, &b), at: 0, burst: 1 };
         let pools = IngestPools::new(8, usize::MAX);
-        let (head, dims, operands) = match read_event(&mut src, 1 << 20, &pools) {
+        let (head, dims, operands) = match read_event(&mut src, 1 << 20, &pools, || {}) {
             Ok(Some(InEvent::Request { head, dims, operands })) => (head, dims, operands),
             other => panic!("expected request, got {other:?}"),
         };
@@ -387,8 +406,8 @@ mod tests {
         frame(&mut wire, 9, FrameKind::Ping, b"");
         let mut src = Counting { inner: Cursor::new(wire), asked: Vec::new() };
         let pools = IngestPools::new(8, usize::MAX);
-        let first = read_event(&mut src, 1 << 20, &pools).unwrap();
-        let second = read_event(&mut src, 1 << 20, &pools).unwrap();
+        let first = read_event(&mut src, 1 << 20, &pools, || {}).unwrap();
+        let second = read_event(&mut src, 1 << 20, &pools, || {}).unwrap();
         match (first, second) {
             (
                 Some(InEvent::Ping { head: h1, payload: p1 }),
@@ -411,7 +430,7 @@ mod tests {
         assert_eq!(wire.len(), HEADER_PREFIX_LEN);
         let mut src = Trickle { bytes: wire, at: 0, burst: usize::MAX };
         let pools = IngestPools::new(8, usize::MAX);
-        match read_event(&mut src, 1 << 20, &pools) {
+        match read_event(&mut src, 1 << 20, &pools, || {}) {
             Ok(Some(InEvent::Bad {
                 request_id: 0,
                 code: ErrorCode::UnsupportedVersion,
@@ -433,7 +452,7 @@ mod tests {
 
         let pools = IngestPools::new(8, usize::MAX);
         let mut cursor = Cursor::new(wire);
-        match read_event(&mut cursor, 1 << 20, &pools) {
+        match read_event(&mut cursor, 1 << 20, &pools, || {}) {
             Ok(Some(InEvent::Bad {
                 request_id: 5,
                 code: ErrorCode::Malformed,
@@ -445,7 +464,7 @@ mod tests {
             }
             other => panic!("expected recoverable Bad, got {other:?}"),
         }
-        let next = read_event(&mut cursor, 1 << 20, &pools);
+        let next = read_event(&mut cursor, 1 << 20, &pools, || {});
         assert!(matches!(&next, Ok(Some(InEvent::Ping { head, .. })) if head.request_id == 6));
     }
 
@@ -455,7 +474,7 @@ mod tests {
         wire.extend_from_slice(&[0u8; 20]);
         let pools = IngestPools::new(8, usize::MAX);
         let mut cursor = Cursor::new(wire);
-        let event = read_event(&mut cursor, 1 << 20, &pools);
+        let event = read_event(&mut cursor, 1 << 20, &pools, || {});
         assert!(matches!(
             &event,
             Ok(Some(InEvent::Bad { code: ErrorCode::Malformed, fatal: true, .. }))
@@ -512,7 +531,7 @@ mod tests {
     fn read_all(r: &mut impl Read, pools: &IngestPools) -> (Vec<String>, io::Result<()>) {
         let mut events = Vec::new();
         loop {
-            match read_event(r, 1 << 20, pools) {
+            match read_event(r, 1 << 20, pools, || {}) {
                 Ok(Some(event)) => events.push(describe(&event)),
                 Ok(None) => return (events, Ok(())),
                 Err(e) => return (events, Err(e)),

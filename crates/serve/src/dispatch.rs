@@ -1,81 +1,53 @@
-//! The micro-batching dispatcher: a bounded admission queue per dtype and
-//! the drain loop that coalesces concurrent requests into one
-//! `FmmEngine::multiply_batch` call.
+//! Flat combining (Hendler, Incze, Shavit & Tzafrir, SPAA 2010): the
+//! connection readers that admit requests also execute them, coalesced
+//! into one `FmmEngine::multiply_batch` call per batch.
 //!
-//! The policy is window/size based, the standard cross-request batching
-//! compromise: the dispatcher blocks for the *first* pending request, then
-//! keeps admitting stragglers until either [`BatchPolicy::max_batch`] is
-//! reached or [`BatchPolicy::window`] has elapsed since the batch opened.
-//! Under saturation the window never actually waits (the queue is
-//! non-empty, so every pop returns immediately) and throughput is bounded
-//! by the engine; at low load a request pays at most one window of extra
-//! latency in exchange for the chance to share a fan-out with its
-//! neighbors — which is exactly how `multiply_batch` realizes the
-//! Benson–Ballard-style inter-problem parallelism on small problems.
+//! Each dtype has a bounded [`BatchQueue`] with an executor bit. A reader
+//! pushes its admitted job, then [`combine`]s: the reader that claims the
+//! bit runs batches of up to [`BatchPolicy::max_batch`] jobs, its own among
+//! them, through [`BatchRunner::run`]; one that loses leaves its job to
+//! the holder. The combining invariant: a turn ends with one atomic step
+//! under the queue lock ([`BatchQueue::next_batch`]) that takes the next
+//! batch or, on an empty queue, releases the bit. A job pushed after it
+//! finds the bit free for its pusher, so no job is left queued with nobody
+//! to run it, and one batch per dtype executes at a time.
 //!
-//! A lone request need not cross to the dispatcher at all. With a zero
-//! window, the batch a dispatcher would form for a request that finds its
-//! dtype idle (nothing queued, no batch executing) is that request alone,
-//! so its connection's reader may run it itself and spare it two thread
-//! hand-offs. The queue's executor bit keeps that batch the dispatcher's
-//! equal: [`BatchQueue::pop_first`] holds the bit for each batch it opens,
-//! a reader claims it ([`BatchQueue::try_claim`]) only while the queue is
-//! empty and the bit clear, and either way at most one batch per dtype
-//! executes at a time. Both run their batch through [`BatchRunner::run`].
+//! Batches form from what arrives while a batch runs, which is how
+//! `multiply_batch` gives small problems Benson–Ballard's inter-problem
+//! parallelism. Beyond that a combiner waits only while another
+//! connection has announced a request that is still arriving ([`Gate`]),
+//! and at most [`BatchPolicy::window`]: with nothing arriving it runs at
+//! once, so a lone caller never waits on the policy.
 //!
 //! Admission control lives in the queue itself: [`BatchQueue::try_push`]
-//! refuses beyond [`BatchQueue::capacity`], and the connection layer turns
-//! that refusal into a typed `Busy` error frame instead of letting pending
-//! matrices grow without bound.
+//! refuses beyond its capacity, and the connection layer turns that
+//! refusal into a typed `Busy` error frame.
 
 use crate::buffers::{BufferPool, PooledBuf, WireBuf};
 use crate::metrics::Metrics;
 use fmm_engine::{BatchItem, FmmEngine};
 use fmm_gemm::GemmScalar;
 use fmm_obs::trace::{self, Event, Kind};
-use fmm_obs::Heartbeat;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Test-only wedge hook: while `true`, every dispatcher in the process
-/// parks before popping its next job, so admitted work sits in the
-/// queue with no batch ever forming — exactly the failure mode the
-/// watchdog's progress policy exists to catch. Exposed (hidden) because
-/// integration tests cannot reach `#[cfg(test)]` items in the library.
-#[doc(hidden)]
-pub static WEDGE_DISPATCH: AtomicBool = AtomicBool::new(false);
-
 /// Cross-request coalescing policy.
-///
-/// A batch closes at the earliest of: `max_batch` reached, `window`
-/// elapsed since the batch opened, or `straggler_gap` elapsed since the
-/// last arrival. The gap bound is what keeps the window honest under
-/// closed-loop load: when every in-flight client is already waiting on a
-/// reply, no further request *can* arrive, and without the gap the
-/// dispatcher would idle out the whole window anyway — pure wasted
-/// latency and, on a saturated machine, lost throughput.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchPolicy {
-    /// Longest a freshly opened batch waits for stragglers in total. `0`
-    /// disables waiting: only requests already queued are coalesced.
+    /// Longest a combiner waits, before each batch, while another
+    /// connection has announced a request that is still arriving. `0`
+    /// never waits: a batch is what is already queued.
     pub window: Duration,
     /// Most requests one `multiply_batch` call may coalesce. `1` disables
-    /// batching entirely (one-request-at-a-time dispatch).
+    /// batching entirely (one request at a time).
     pub max_batch: usize,
-    /// Longest the open batch waits for the *next* straggler. Set it to
-    /// `window` (or larger) to always wait out the full window.
-    pub straggler_gap: Duration,
 }
 
 impl Default for BatchPolicy {
     fn default() -> Self {
-        Self {
-            window: Duration::from_millis(2),
-            max_batch: 32,
-            straggler_gap: Duration::from_micros(200),
-        }
+        Self { window: Duration::from_millis(2), max_batch: 32 }
     }
 }
 
@@ -93,21 +65,13 @@ pub struct Completion {
     pub result: WireBuf,
 }
 
-/// Where dispatchers deliver completions: one sink per connection,
-/// implemented by the server (queue the response for the connection's
-/// writer, or drop it if the connection is gone). Never blocks on the
-/// peer.
+/// Where a combiner delivers other connections' completions: one sink per
+/// connection, implemented by the server (queue the response for the
+/// connection's writer, or drop it if the connection is gone). Never
+/// blocks on the peer.
 pub trait CompletionSink: Send + Sync {
     /// Deliver one completion.
     fn complete(&self, completion: Completion);
-}
-
-/// The reply route of one admitted request.
-pub struct ReplySink {
-    /// The owning connection's completion sink.
-    pub sink: Arc<dyn CompletionSink>,
-    /// The request id to echo.
-    pub request_id: u64,
 }
 
 /// One admitted request: pooled wire-order operands, dimensions, the
@@ -124,8 +88,10 @@ pub struct Job<T> {
     pub k: usize,
     /// Columns of `B` and `C`.
     pub n: usize,
-    /// Completion route.
-    pub reply: ReplySink,
+    /// The request id to echo.
+    pub request_id: u64,
+    /// The owning connection's completion sink.
+    pub sink: Arc<dyn CompletionSink>,
     /// When admission control accepted the job.
     pub enqueued: Instant,
 }
@@ -139,189 +105,183 @@ pub enum Refusal {
     Closed,
 }
 
-/// Who holds a queue's executor bit: the right to execute a batch of the
-/// queue's dtype.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Executor {
-    /// No batch is executing.
-    Idle,
-    /// The dispatcher holds the batch [`BatchQueue::pop_first`] opened,
-    /// until its next call.
-    Dispatcher,
-    /// A connection's reader holds it ([`BatchQueue::try_claim`]) until
-    /// [`BatchQueue::release`].
-    Reader,
-}
-
 struct QueueState<T> {
     jobs: VecDeque<Job<T>>,
     closed: bool,
-    executor: Executor,
+    /// The executor bit: a combiner is running this queue's batches.
+    executing: bool,
 }
 
-/// A bounded multi-producer queue with batch-friendly consumption. The
+/// A dtype's bounded multi-producer queue and its executor bit. The
 /// capacity bound is the serving daemon's admission control: producers
 /// that find it full are refused immediately (`try_push`), never blocked.
 pub struct BatchQueue<T> {
     state: Mutex<QueueState<T>>,
-    ready: Condvar,
     capacity: usize,
+    /// Batches run to completion.
+    completed: AtomicU64,
 }
 
 impl<T> BatchQueue<T> {
     /// Queue admitting at most `capacity` pending jobs.
     pub fn new(capacity: usize) -> Self {
-        Self {
-            state: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                closed: false,
-                executor: Executor::Idle,
-            }),
-            ready: Condvar::new(),
-            capacity,
-        }
+        let state = QueueState { jobs: VecDeque::new(), closed: false, executing: false };
+        Self { state: Mutex::new(state), capacity, completed: AtomicU64::new(0) }
     }
 
-    /// The admission bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
+        self.state.lock().expect("queue poisoned")
     }
 
-    /// Pending jobs right now (racy, for stats only).
+    /// Pending jobs right now.
     pub fn depth(&self) -> usize {
-        self.state.lock().expect("queue poisoned").jobs.len()
+        self.lock().jobs.len()
     }
 
-    /// Admit a job, or hand it back with the refusal reason — a full
-    /// queue is retryable backpressure (`Busy` on the wire), a closed one
-    /// is shutdown (`ShuttingDown`, not retryable). The caller owns the
-    /// refused job.
-    // Returning the whole Job in Err is the point: the refused operands go
-    // back to the caller without a drop/reparse cycle, and admission is
-    // not a hot path once the queue is full.
-    #[allow(clippy::result_large_err)]
-    pub fn try_push(&self, job: Job<T>) -> Result<(), (Job<T>, Refusal)> {
-        let mut state = self.state.lock().expect("queue poisoned");
+    /// What the watchdog judges the dtype's executor by: its work, pending
+    /// jobs plus one while a combiner holds the executor bit, and its
+    /// progress, batches completed.
+    pub fn progress(&self) -> (u64, u64) {
+        let state = self.lock();
+        let work = state.jobs.len() + usize::from(state.executing);
+        (work as u64, self.completed.load(Ordering::Relaxed))
+    }
+
+    /// Admit a job, or refuse it: a full queue is retryable backpressure
+    /// (`Busy` on the wire), a closed one is shutdown (`ShuttingDown`, not
+    /// retryable). An admitted job runs once its pusher, or whoever holds
+    /// the executor bit, combines.
+    pub fn try_push(&self, job: Job<T>) -> Result<(), Refusal> {
+        let mut state = self.lock();
         if state.closed {
-            return Err((job, Refusal::Closed));
+            return Err(Refusal::Closed);
         }
         if state.jobs.len() >= self.capacity {
-            return Err((job, Refusal::Full));
+            return Err(Refusal::Full);
         }
         state.jobs.push_back(job);
-        // A reader's batch holds the dispatcher off; its release wakes it.
-        let wake = state.executor != Executor::Reader;
-        drop(state);
-        if wake {
-            self.ready.notify_one();
-        }
         Ok(())
     }
 
-    /// Block until a job is available (opening a new batch) or the queue
-    /// is closed *and* drained — the dispatcher's exit condition. The
-    /// returned job's batch holds the executor bit until the next call;
-    /// while a reader holds it, this waits for its release.
-    pub fn pop_first(&self) -> Option<Job<T>> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        if state.executor == Executor::Dispatcher {
-            state.executor = Executor::Idle;
-        }
-        loop {
-            if state.executor == Executor::Idle {
-                if let Some(job) = state.jobs.pop_front() {
-                    state.executor = Executor::Dispatcher;
-                    return Some(job);
-                }
-            }
-            if state.closed && state.jobs.is_empty() {
-                return None;
-            }
-            state = self.ready.wait(state).expect("queue poisoned");
-        }
-    }
-
-    /// Claim the executor bit for a reader: only while nothing is queued,
-    /// no batch is executing and the queue is open. `true` means the
-    /// caller may execute a batch, and must [`BatchQueue::release`] after.
+    /// Claim the executor bit, if it is free and jobs are queued. `true`
+    /// makes the caller the combiner, which must then call
+    /// [`BatchQueue::next_batch`] until it returns `None`.
     pub fn try_claim(&self) -> bool {
-        let mut state = self.state.lock().expect("queue poisoned");
-        let free = !state.closed && state.jobs.is_empty() && state.executor == Executor::Idle;
-        if free {
-            state.executor = Executor::Reader;
-        }
-        free
+        let mut state = self.lock();
+        let claim = !state.executing && !state.jobs.is_empty();
+        state.executing |= claim;
+        claim
     }
 
-    /// Release a reader's claim, waking the dispatcher if jobs arrived
-    /// meanwhile.
-    pub fn release(&self) {
-        let mut state = self.state.lock().expect("queue poisoned");
-        debug_assert_eq!(state.executor, Executor::Reader, "release without a claim");
-        state.executor = Executor::Idle;
-        let wake = !state.jobs.is_empty();
-        drop(state);
-        if wake {
-            self.ready.notify_one();
+    /// The combiner's step: up to `max` queued jobs or, on an empty queue,
+    /// `None` with the executor bit released, in one critical section.
+    pub fn next_batch(&self, max: usize) -> Option<Vec<Job<T>>> {
+        let mut state = self.lock();
+        debug_assert!(state.executing, "next_batch without the executor bit");
+        if state.jobs.is_empty() {
+            state.executing = false;
+            return None;
         }
+        let take = state.jobs.len().min(max.max(1));
+        Some(state.jobs.drain(..take).collect())
     }
 
-    /// Pop one job, waiting no later than `deadline` — the straggler
-    /// admission path while a batch's window is open. `None` means the
-    /// window elapsed (or the queue closed) with nothing available.
-    pub fn pop_until(&self, deadline: Instant) -> Option<Job<T>> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (next, timeout) =
-                self.ready.wait_timeout(state, deadline - now).expect("queue poisoned");
-            state = next;
-            if timeout.timed_out() && state.jobs.is_empty() {
-                return None;
-            }
-        }
-    }
-
-    /// Close the queue: further `try_push` calls are refused, and
-    /// dispatchers exit once the backlog drains.
+    /// Close the queue: further `try_push` calls are refused, and what is
+    /// queued still runs.
     pub fn close(&self) {
-        self.state.lock().expect("queue poisoned").closed = true;
-        self.ready.notify_all();
+        self.lock().closed = true;
     }
 }
 
-/// Observability sidecar for whatever runs batches — a dispatcher thread,
-/// or a connection's reader running its lone request: the watchdog
-/// heartbeat it publishes, its name in `BatchForm` events, and the
-/// slow-request threshold. `DispatchObs::default()` publishes no
-/// heartbeat and records no slow requests.
 #[derive(Default)]
-pub struct DispatchObs {
-    /// Heartbeat the watchdog judges this dispatcher by (progress =
-    /// batches formed). `None` disables publishing.
-    pub heartbeat: Option<Arc<Heartbeat>>,
-    /// The first arg of the `BatchForm` events recorded here: a
-    /// dispatcher's id, or `fmm_obs::trace::ON_READER | conn` for the
-    /// reader of connection `conn`.
-    pub runner: u64,
-    /// Requests whose total latency reaches this record a `SlowRequest`
-    /// event with their queue-wait and execute split. `None` disables
-    /// slow-request events.
-    pub slow_threshold: Option<Duration>,
+struct GateState {
+    /// Requests announced by their header and not yet admitted or failed.
+    arriving: usize,
+    /// Combiners waiting at the gate.
+    waiting: usize,
+    /// The test hold: combiners wait at the gate until it lifts.
+    held: bool,
+}
+
+/// Where a combiner waits between claiming the executor bit and taking a
+/// batch: for the requests connections have announced but not yet
+/// admitted, and for a test hold. One per server, shared by both dtypes.
+#[derive(Default)]
+pub struct Gate {
+    state: Mutex<GateState>,
+    changed: Condvar,
+}
+
+/// A request announced to a [`Gate`]: it counts as arriving until this
+/// drops, at its admission or when its frame fails.
+pub struct Arrival<'a>(&'a Gate);
+
+impl Drop for Arrival<'_> {
+    fn drop(&mut self) {
+        // Every update leaves the state valid, and a drop must not panic.
+        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.arriving -= 1;
+        if state.waiting > 0 {
+            self.0.changed.notify_all();
+        }
+    }
+}
+
+impl Gate {
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().expect("gate poisoned")
+    }
+
+    /// A reader decoded a request header: combiners may wait for the
+    /// request while the returned guard lives.
+    pub fn announce(&self) -> Arrival<'_> {
+        self.lock().arriving += 1;
+        Arrival(self)
+    }
+
+    /// Test seam: while `on`, every combiner waits at the gate, so
+    /// admitted work stays queued.
+    #[doc(hidden)]
+    pub fn hold(&self, on: bool) {
+        self.lock().held = on;
+        self.changed.notify_all();
+    }
+
+    /// Test seam: wait up to 20 s until `count` combiners wait at the
+    /// gate; `false` if they never did.
+    #[doc(hidden)]
+    pub fn await_waiting(&self, count: usize) -> bool {
+        let within = Duration::from_secs(20);
+        let waited = self.changed.wait_timeout_while(self.lock(), within, |s| s.waiting < count);
+        !waited.expect("gate poisoned").1.timed_out()
+    }
+
+    /// While jobs are queued, wait for the hold to lift, and, at most
+    /// `window`, for requests still arriving while the batch has room.
+    fn pass(&self, window: Duration, max_batch: usize, depth: impl Fn() -> usize) {
+        let (mut state, mut deadline) = (self.lock(), None);
+        loop {
+            let queued = depth();
+            if queued == 0 || !state.held && (state.arriving == 0 || queued >= max_batch) {
+                return;
+            }
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + window);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() && !state.held {
+                return;
+            }
+            state.waiting += 1;
+            self.changed.notify_all();
+            let timeout = if state.held { Duration::MAX } else { left };
+            state = self.changed.wait_timeout(state, timeout).expect("gate poisoned").0;
+            state.waiting -= 1;
+        }
+    }
 }
 
 /// What executes a formed batch: the engine, the pool its results come
-/// from, and the instruments it reports to. A dispatcher holds one for its
-/// life; a reader running its lone request builds one for that request.
+/// from, and the instruments it reports to. A combiner builds one for its
+/// turn.
 pub struct BatchRunner<'a, T: GemmScalar> {
     /// The dtype's engine.
     pub engine: &'a FmmEngine<T>,
@@ -329,8 +289,12 @@ pub struct BatchRunner<'a, T: GemmScalar> {
     pub pool: &'a BufferPool<T>,
     /// Queue-wait, service, latency and batch instruments.
     pub metrics: &'a Metrics,
-    /// Heartbeat, `BatchForm` name and slow-request threshold.
-    pub obs: &'a DispatchObs,
+    /// The combining connection: the first arg of the `BatchForm` events
+    /// recorded here.
+    pub conn: u64,
+    /// Requests whose total latency reaches this record a `SlowRequest`
+    /// event with their queue-wait and execute split.
+    pub slow_threshold: Duration,
 }
 
 impl<T: GemmScalar> BatchRunner<'_, T>
@@ -341,24 +305,24 @@ where
     /// `depth` jobs queued, through one `engine.multiply_batch` over
     /// strided views of the pooled wire buffers (no transpose copy, no
     /// intermediate `Vec`), and hand each result, as a pooled wire-order
-    /// buffer, with its reply route to `deliver`. Each job's operands are
+    /// buffer, with its connection's sink to `deliver`. Each job's operands are
     /// back in the pool before its delivery.
     pub fn run(
         &self,
         jobs: Vec<Job<T>>,
         opened: u64,
         depth: u64,
-        mut deliver: impl FnMut(ReplySink, Completion),
+        mut deliver: impl FnMut(&Arc<dyn CompletionSink>, Completion),
     ) {
-        let (metrics, obs) = (self.metrics, self.obs);
+        let metrics = self.metrics;
         let exec_start = Instant::now();
-        // The `BatchForm` event spans the whole coalescing window, from the
-        // job that opened the batch to execution start; tagged with the
-        // opener's request id.
+        // The `BatchForm` event spans the batch's formation, from the
+        // combiner's claim (or its previous batch) to execution start;
+        // tagged with the first job's request id.
         let formed = trace::now_nanos();
-        let opener_id = jobs.first().map_or(0, |job| job.reply.request_id);
+        let opener_id = jobs.first().map_or(0, |job| job.request_id);
         let batch = Event::span(Kind::BatchForm, opener_id, opened, formed);
-        trace::record(batch.with_args([obs.runner, jobs.len() as u64, depth]));
+        trace::record(batch.with_args([self.conn, jobs.len() as u64, depth]));
         for job in &jobs {
             let wait = exec_start - job.enqueued;
             metrics.record_queue_wait(wait);
@@ -367,8 +331,7 @@ where
                 // its start is reconstructed from the measured wait so no
                 // clock read happens on the admission path.
                 let start = formed.saturating_sub(nanos(wait)).max(1);
-                let id = job.reply.request_id;
-                trace::record(Event::span(Kind::QueueWait, id, start, formed));
+                trace::record(Event::span(Kind::QueueWait, job.request_id, start, formed));
             }
         }
         // One pooled result buffer per job, zeroed because the engine
@@ -392,89 +355,62 @@ where
                         job.a.mat_ref(job.m, job.k),
                         job.b.mat_ref(job.k, job.n),
                     )
-                    .with_tag(job.reply.request_id)
+                    .with_tag(job.request_id)
                 })
                 .collect();
             self.engine.multiply_batch(&mut items);
         }
         metrics.record_batch(jobs.len());
-        if let Some(hb) = &obs.heartbeat {
-            hb.progress();
-        }
         let service = exec_start.elapsed();
         for (job, mut result) in jobs.into_iter().zip(results) {
             metrics.record_service(service);
             let total = job.enqueued.elapsed();
             metrics.record_latency(total);
-            if obs.slow_threshold.is_some_and(|threshold| total >= threshold) {
+            if total >= self.slow_threshold {
                 // The reply is written after hand-off, out of sight here,
                 // so the split is queue wait against execution.
                 let now = trace::now_nanos();
                 let start = now.saturating_sub(nanos(total));
-                let slow = Event::span(Kind::SlowRequest, job.reply.request_id, start, now);
+                let slow = Event::span(Kind::SlowRequest, job.request_id, start, now);
                 let wait = total.saturating_sub(service);
                 trace::record(slow.with_args([nanos(wait), nanos(service), 0]));
             }
             result.host_to_wire();
-            let Job { a, b, m, n, reply, .. } = job;
+            let Job { a, b, m, n, request_id, sink, .. } = job;
             // Operands must be back in the pool *before* the completion
             // wakes the connection's writer: the client's next request can
             // race the tail of this iteration and must find them idle.
             drop(a);
             drop(b);
-            let request_id = reply.request_id;
-            deliver(reply, Completion { request_id, m, n, result: result.into() });
+            deliver(&sink, Completion { request_id, m, n, result: result.into() });
         }
     }
 }
 
-/// Drain `queue` until it closes: form micro-batches under `policy` and
-/// run each through `runner`, delivering every result to its reply sink.
-/// Runs on a dedicated thread per dtype; returns when the queue is closed
-/// and fully drained, so in-flight requests complete across a shutdown.
-pub fn run_dispatcher<T: GemmScalar>(
+/// Run `queue`'s batches on the calling thread if it wins the executor
+/// bit, until the queue is empty; return at once otherwise. Before each
+/// batch the combiner waits at [`Gate`] for requests still arriving, up to
+/// `policy.window`. Every result goes to `deliver` with its connection's
+/// sink.
+pub fn combine<T: GemmScalar>(
     queue: &BatchQueue<T>,
+    gate: &Gate,
     runner: &BatchRunner<'_, T>,
     policy: BatchPolicy,
+    mut deliver: impl FnMut(&Arc<dyn CompletionSink>, Completion),
 ) where
     WireBuf: From<PooledBuf<T>>,
 {
+    if !queue.try_claim() {
+        return;
+    }
     let max_batch = policy.max_batch.max(1);
     loop {
-        // Test-only wedge: park *before* popping, so wedged work stays
-        // visible in the queue for the watchdog's progress probe.
-        while WEDGE_DISPATCH.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let Some(first) = queue.pop_first() else { break };
         let opened = trace::now_nanos();
-        let mut jobs = Vec::with_capacity(max_batch.min(64));
-        jobs.push(first);
-        if !policy.window.is_zero() {
-            let window_closes = Instant::now() + policy.window;
-            while jobs.len() < max_batch {
-                // Wait for the next straggler, but no further than the
-                // window; a gap with no arrival closes the batch early
-                // (see BatchPolicy docs).
-                let deadline = window_closes.min(Instant::now() + policy.straggler_gap);
-                match queue.pop_until(deadline) {
-                    Some(job) => jobs.push(job),
-                    None => break,
-                }
-            }
-        } else {
-            // Zero window: opportunistic only — coalesce what is already
-            // queued, never wait.
-            let already = Instant::now();
-            while jobs.len() < max_batch {
-                match queue.pop_until(already) {
-                    Some(job) => jobs.push(job),
-                    None => break,
-                }
-            }
-        }
-        let depth = queue.depth() as u64;
-        runner.run(jobs, opened, depth, |reply, completion| reply.sink.complete(completion));
+        gate.pass(policy.window, max_batch, || queue.depth());
+        let Some(jobs) = queue.next_batch(max_batch) else { return };
+        runner.run(jobs, opened, queue.depth() as u64, &mut deliver);
+        queue.completed.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -503,31 +439,21 @@ mod tests {
         })
     }
 
-    /// Test sink: collects completions and wakes waiters.
+    /// Test sink: collects completions.
     #[derive(Default)]
     struct Collector {
         done: Mutex<Vec<Completion>>,
-        ready: Condvar,
     }
 
     impl CompletionSink for Collector {
         fn complete(&self, completion: Completion) {
             self.done.lock().expect("collector poisoned").push(completion);
-            self.ready.notify_all();
         }
     }
 
     impl Collector {
-        fn wait_for(&self, count: usize) -> Vec<(u64, Matrix<f64>)> {
-            let mut done = self.done.lock().expect("collector poisoned");
-            while done.len() < count {
-                let (next, timeout) = self
-                    .ready
-                    .wait_timeout(done, Duration::from_secs(20))
-                    .expect("collector poisoned");
-                done = next;
-                assert!(!timeout.timed_out(), "dispatcher never completed {count} jobs");
-            }
+        fn results(&self) -> Vec<(u64, Matrix<f64>)> {
+            let done = self.done.lock().expect("collector poisoned");
             done.iter()
                 .map(|c| {
                     let bytes = c.result.bytes();
@@ -541,20 +467,24 @@ mod tests {
         }
     }
 
-    /// `run_dispatcher` over `queue` with no heartbeat or slow threshold.
+    /// `combine` over `queue` on this thread, with no slow threshold,
+    /// delivering to each job's sink.
     fn drain(
         queue: &BatchQueue<f64>,
+        gate: &Gate,
         engine: &FmmEngine<f64>,
         pools: &IngestPools,
         metrics: &Metrics,
         policy: BatchPolicy,
     ) {
-        let obs = DispatchObs::default();
-        run_dispatcher(
-            queue,
-            &BatchRunner { engine, pool: &pools.f64, metrics, obs: &obs },
-            policy,
-        );
+        let runner = BatchRunner {
+            engine,
+            pool: &pools.f64,
+            metrics,
+            conn: 0,
+            slow_threshold: Duration::MAX,
+        };
+        combine(queue, gate, &runner, policy, |sink, completion| sink.complete(completion));
     }
 
     fn job(
@@ -574,8 +504,8 @@ mod tests {
                 pb.as_mut_slice()[i * n + j] = b.get(i, j);
             }
         }
-        let reply = ReplySink { sink: sink.clone() as Arc<dyn CompletionSink>, request_id };
-        (Job { a: pa, b: pb, m: n, k: n, n, reply, enqueued: Instant::now() }, a, b)
+        let sink = sink.clone() as Arc<dyn CompletionSink>;
+        (Job { a: pa, b: pb, m: n, k: n, n, request_id, sink, enqueued: Instant::now() }, a, b)
     }
 
     #[test]
@@ -583,81 +513,109 @@ mod tests {
         let pools = IngestPools::new(8, usize::MAX);
         let sink = Arc::new(Collector::default());
         let q = BatchQueue::<f64>::new(2);
-        let (j1, _, _) = job(&pools, &sink, 4, 1, 1);
-        let (j2, _, _) = job(&pools, &sink, 4, 3, 2);
-        let (j3, _, _) = job(&pools, &sink, 4, 5, 3);
-        assert!(q.try_push(j1).is_ok());
-        assert!(q.try_push(j2).is_ok());
-        let (refused, why) = match q.try_push(j3) {
-            Err(refusal) => refusal,
-            Ok(()) => panic!("full queue must refuse"),
-        };
-        assert_eq!(why, Refusal::Full, "capacity refusal is the retryable kind");
+        let push = |seed| q.try_push(job(&pools, &sink, 4, seed, seed).0);
+        assert!(push(1).is_ok());
+        assert!(push(3).is_ok());
+        assert_eq!(push(5), Err(Refusal::Full), "capacity refusal is the retryable kind");
         assert_eq!(q.depth(), 2);
         q.close();
-        match q.try_push(refused) {
-            Err((_, Refusal::Closed)) => {}
-            Err((_, why)) => panic!("closed queue must refuse as Closed, got {why:?}"),
-            Ok(()) => panic!("closed queue must refuse"),
-        }
-        // Drain still works after close…
-        assert!(q.pop_first().is_some());
-        assert!(q.pop_first().is_some());
-        // …and then signals exit.
-        assert!(q.pop_first().is_none());
+        assert_eq!(push(7), Err(Refusal::Closed), "closed queue must refuse as Closed");
+        // Draining still works after close…
+        assert!(q.try_claim());
+        assert_eq!(q.next_batch(8).map(|jobs| jobs.len()), Some(2));
+        // …and then ends the turn.
+        assert!(q.next_batch(8).is_none());
+        assert_eq!(q.progress().0, 0);
     }
 
     #[test]
-    fn reader_claims_only_an_empty_idle_open_queue() {
+    fn one_combiner_per_dtype_holds_the_bit_until_the_queue_is_empty() {
         let pools = IngestPools::new(8, usize::MAX);
         let sink = Arc::new(Collector::default());
         let q = BatchQueue::<f64>::new(4);
-        assert!(q.try_claim(), "an idle, empty queue can be claimed");
-        assert!(!q.try_claim(), "one batch per dtype at a time");
-        q.release();
-        let (j, _, _) = job(&pools, &sink, 4, 1, 1);
-        assert!(q.try_push(j).is_ok());
-        assert!(!q.try_claim(), "a queued job goes to the dispatcher first");
-        assert!(q.pop_first().is_some());
-        assert!(!q.try_claim(), "the dispatcher's batch holds the bit until its next pop");
-        let closed = BatchQueue::<f64>::new(4);
-        closed.close();
-        assert!(!closed.try_claim(), "a closed queue runs no new batch");
-    }
-
-    #[test]
-    fn pop_first_waits_out_a_readers_batch() {
-        let pools = IngestPools::new(8, usize::MAX);
-        let sink = Arc::new(Collector::default());
-        let q = BatchQueue::<f64>::new(4);
+        assert!(!q.try_claim(), "an empty queue has nothing to run");
         let (j1, _, _) = job(&pools, &sink, 4, 1, 1);
+        let (j2, _, _) = job(&pools, &sink, 4, 3, 2);
         assert!(q.try_push(j1).is_ok());
-        assert!(q.pop_first().is_some(), "the dispatcher's first batch");
-        std::thread::scope(|s| {
-            let dispatcher = s.spawn(|| q.pop_first().map(|job| job.reply.request_id));
-            // Its next pop clears the dispatcher's bit; a reader may claim
-            // it once that pop waits on the empty queue.
-            let deadline = Instant::now() + Duration::from_secs(20);
-            while !q.try_claim() {
-                assert!(Instant::now() < deadline, "the dispatcher's next pop never freed the bit");
-                std::thread::yield_now();
-            }
-            let (j2, _, _) = job(&pools, &sink, 4, 3, 2);
-            assert!(q.try_push(j2).is_ok());
-            std::thread::sleep(Duration::from_millis(50));
-            assert!(!dispatcher.is_finished(), "pop_first took a job during a reader's batch");
-            q.release();
-            assert_eq!(dispatcher.join().expect("dispatcher"), Some(2));
-        });
-        assert!(!q.try_claim(), "the popped job's batch holds the bit");
+        assert!(q.try_push(j2).is_ok());
+        assert_eq!(q.progress().0, 2, "queued jobs are work");
+        assert!(q.try_claim(), "a pusher claims the bit its queue's jobs wait on");
+        assert!(!q.try_claim(), "one combiner per dtype at a time");
+        assert_eq!(q.progress().0, 3, "so is a held bit");
+        assert_eq!(q.next_batch(1).map(|jobs| jobs.len()), Some(1), "max_batch bounds a batch");
+        assert!(!q.try_claim(), "the bit stays held while jobs remain");
+        assert_eq!(q.next_batch(1).map(|jobs| jobs.len()), Some(1));
+        assert!(q.next_batch(1).is_none());
+        assert_eq!(q.progress().0, 0, "the turn's end released the bit");
     }
 
     #[test]
-    fn pop_until_times_out_without_jobs() {
-        let q = BatchQueue::<f64>::new(4);
+    fn racing_pushers_leave_no_job_behind() {
+        // Four readers push and try to combine at once: whoever holds the
+        // bit runs everyone's jobs, and every job completes exactly once.
+        let engine = tiny_engine();
+        let pools = IngestPools::new(64, usize::MAX);
+        let sink = Arc::new(Collector::default());
+        let metrics = Metrics::default();
+        let (queue, gate) = (BatchQueue::new(256), Gate::default());
+        let policy = BatchPolicy { window: Duration::from_secs(10), max_batch: 4 };
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (queue, gate, engine, pools, metrics, sink) =
+                    (&queue, &gate, &engine, &pools, &metrics, &sink);
+                s.spawn(move || {
+                    for i in 0..25 {
+                        let (j, _, _) = job(pools, sink, 4, t * 100 + i, t * 100 + i);
+                        assert!(queue.try_push(j).is_ok());
+                        drain(queue, gate, engine, pools, metrics, policy);
+                    }
+                });
+            }
+        });
+        let mut ids: Vec<u64> = sink.results().into_iter().map(|(id, _)| id).collect();
+        ids.sort_unstable();
+        let want: Vec<u64> = (0..4).flat_map(|t| (0..25).map(move |i| t * 100 + i)).collect();
+        assert_eq!(ids, want);
+        let snap = metrics.snapshot();
+        assert_eq!(queue.progress(), (0, snap.batches), "no job queued, no bit held");
+        assert_eq!(snap.batched_items, 100);
+    }
+
+    #[test]
+    fn a_combiner_with_nothing_arriving_runs_at_once() {
+        let engine = tiny_engine();
+        let pools = IngestPools::new(16, usize::MAX);
+        let sink = Arc::new(Collector::default());
+        let metrics = Metrics::default();
+        let (queue, gate) = (BatchQueue::new(16), Gate::default());
+        let ten_seconds = BatchPolicy { window: Duration::from_secs(10), max_batch: 8 };
+        let (j, _, _) = job(&pools, &sink, 4, 1, 1);
+        assert!(queue.try_push(j).is_ok());
         let t0 = Instant::now();
-        assert!(q.pop_until(t0 + Duration::from_millis(20)).is_none());
-        assert!(t0.elapsed() >= Duration::from_millis(20));
+        drain(&queue, &gate, &engine, &pools, &metrics, ten_seconds);
+        assert!(t0.elapsed() < Duration::from_secs(5), "waited {:?}", t0.elapsed());
+        assert_eq!(sink.results().len(), 1);
+
+        // A request announced and never admitted holds a batch for the
+        // window, no longer…
+        let arrival = gate.announce();
+        let short = BatchPolicy { window: Duration::from_millis(30), max_batch: 8 };
+        let (j, _, _) = job(&pools, &sink, 4, 3, 2);
+        assert!(queue.try_push(j).is_ok());
+        let t0 = Instant::now();
+        drain(&queue, &gate, &engine, &pools, &metrics, short);
+        assert!(t0.elapsed() >= Duration::from_millis(30), "waited {:?}", t0.elapsed());
+        assert_eq!(sink.results().len(), 2);
+
+        // …and not at all once the batch is full.
+        let full = BatchPolicy { window: Duration::from_secs(10), max_batch: 1 };
+        let (j, _, _) = job(&pools, &sink, 4, 5, 3);
+        assert!(queue.try_push(j).is_ok());
+        let t0 = Instant::now();
+        drain(&queue, &gate, &engine, &pools, &metrics, full);
+        assert!(t0.elapsed() < Duration::from_secs(5), "waited {:?}", t0.elapsed());
+        drop(arrival);
+        assert_eq!(sink.results().len(), 3);
     }
 
     #[test]
@@ -665,24 +623,20 @@ mod tests {
         let engine = tiny_engine();
         let pools = IngestPools::new(16, usize::MAX);
         let sink = Arc::new(Collector::default());
-        let metrics = Arc::new(Metrics::default());
-        let queue = BatchQueue::new(16);
+        let metrics = Metrics::default();
+        let (queue, gate) = (BatchQueue::new(16), Gate::default());
         let mut expected = Vec::new();
         for seed in 0..6u64 {
             let (j, a, b) = job(&pools, &sink, 24, seed * 2 + 1, 100 + seed);
             expected.push((100 + seed, fmm_gemm::reference::matmul(a.as_ref(), b.as_ref())));
             assert!(queue.try_push(j).is_ok());
         }
-        queue.close(); // dispatcher drains the backlog then exits
 
-        let policy = BatchPolicy {
-            window: Duration::from_millis(50),
-            max_batch: 8,
-            straggler_gap: Duration::from_millis(50),
-        };
-        drain(&queue, &engine, &pools, &metrics, policy);
+        let policy = BatchPolicy { window: Duration::from_millis(50), max_batch: 8 };
+        drain(&queue, &gate, &engine, &pools, &metrics, policy);
 
-        let mut got = sink.wait_for(6);
+        let mut got = sink.results();
+        assert_eq!(got.len(), 6);
         got.sort_by_key(|(id, _)| *id);
         for ((id, mat), (want_id, want)) in got.iter().zip(&expected) {
             assert_eq!(id, want_id, "completion routed by request id");
@@ -701,17 +655,15 @@ mod tests {
         let engine = tiny_engine();
         let pools = IngestPools::new(16, usize::MAX);
         let sink = Arc::new(Collector::default());
-        let metrics = Arc::new(Metrics::default());
-        let queue = BatchQueue::new(16);
+        let metrics = Metrics::default();
+        let (queue, gate) = (BatchQueue::new(16), Gate::default());
         for seed in 0..3u64 {
             let (j, _, _) = job(&pools, &sink, 16, seed * 2 + 20, seed);
             assert!(queue.try_push(j).is_ok());
         }
-        queue.close();
-        let policy =
-            BatchPolicy { window: Duration::ZERO, max_batch: 1, straggler_gap: Duration::ZERO };
-        drain(&queue, &engine, &pools, &metrics, policy);
-        sink.wait_for(3);
+        let policy = BatchPolicy { window: Duration::ZERO, max_batch: 1 };
+        drain(&queue, &gate, &engine, &pools, &metrics, policy);
+        assert_eq!(sink.results().len(), 3);
         let snap = metrics.snapshot();
         assert_eq!(snap.batches, 3);
         assert_eq!(snap.max_occupancy, 1);
@@ -722,31 +674,25 @@ mod tests {
         let engine = tiny_engine();
         let pools = IngestPools::new(16, usize::MAX);
         let sink = Arc::new(Collector::default());
-        let metrics = Arc::new(Metrics::default());
+        let metrics = Metrics::default();
+        let (queue, gate) = (BatchQueue::new(4), Gate::default());
+        let policy = BatchPolicy { window: Duration::ZERO, max_batch: 4 };
         // Two rounds of the same shape: round 1 warms the pool, round 2
         // must be all hits for the result buffers.
         for round in 0..2 {
-            let queue = BatchQueue::new(4);
             let (j, _, _) = job(&pools, &sink, 8, 50 + round, round);
             assert!(queue.try_push(j).is_ok());
-            queue.close();
-            let policy =
-                BatchPolicy { window: Duration::ZERO, max_batch: 4, straggler_gap: Duration::ZERO };
-            drain(&queue, &engine, &pools, &metrics, policy);
+            drain(&queue, &gate, &engine, &pools, &metrics, policy);
         }
-        sink.wait_for(2);
+        assert_eq!(sink.results().len(), 2);
         let misses_after_warm = pools.f64.stats().misses;
         // Drop the collected results back to the pool, then run a third
         // warm round: zero new allocations end to end.
         sink.done.lock().expect("collector poisoned").clear();
-        let queue = BatchQueue::new(4);
         let (j, _, _) = job(&pools, &sink, 8, 60, 9);
         assert!(queue.try_push(j).is_ok());
-        queue.close();
-        let policy =
-            BatchPolicy { window: Duration::ZERO, max_batch: 4, straggler_gap: Duration::ZERO };
-        drain(&queue, &engine, &pools, &metrics, policy);
-        sink.wait_for(1);
+        drain(&queue, &gate, &engine, &pools, &metrics, policy);
+        assert_eq!(sink.results().len(), 1);
         assert_eq!(
             pools.f64.stats().misses,
             misses_after_warm,

@@ -16,11 +16,11 @@
 //!   thread, and per connection one reader thread, which decodes frames
 //!   **straight into pooled aligned buffers** ([`buffers`]) — one copy
 //!   off the wire — and one writer thread, which drains the connection's
-//!   reply queue, so a slow peer blocks only its own writer;
-//! * a **micro-batching dispatcher** ([`dispatch`]): concurrent in-flight
-//!   requests are coalesced under a window/size policy into one
-//!   `multiply_batch` call per dtype over strided views of the pooled
-//!   wire buffers, so unrelated clients share a fan-out;
+//!   reply queue, so a slow peer blocks only its own threads;
+//! * **flat combining** ([`dispatch`]): the readers execute, and the one
+//!   holding a dtype's executor bit coalesces every queued request into
+//!   one `multiply_batch` call over strided views of the pooled wire
+//!   buffers, so unrelated clients share a fan-out;
 //! * **admission control**: a bounded pending queue per dtype plus a
 //!   per-connection pipelining bound; over either, requests are refused
 //!   immediately with a `Busy` error frame — backpressure instead of
@@ -94,9 +94,7 @@ pub mod snapshot;
 
 pub use buffers::{BufferPool, IngestPools, OperandStage, PoolStats, PooledBuf, WireBuf};
 pub use client::{retry_busy, ClientError, PipelinedClient};
-pub use dispatch::{
-    BatchPolicy, BatchQueue, Completion, CompletionSink, DispatchObs, Job, Refusal, ReplySink,
-};
+pub use dispatch::{BatchPolicy, BatchQueue, Completion, CompletionSink, Job, Refusal};
 pub use metrics::{LatencyStats, Metrics, MetricsSnapshot};
 pub use protocol::{Dtype, ErrorCode, Frame, FrameError, FrameKind, WireScalar};
 pub use server::{ServeConfig, Server, ServerHandle};

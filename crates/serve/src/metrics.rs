@@ -1,7 +1,6 @@
 //! Live serving metrics, backed by the `fmm-obs` registry.
 //!
-//! One [`Metrics`] value is shared by every connection thread and both
-//! dtype dispatchers. Counters and gauges are relaxed-atomic handles
+//! One [`Metrics`] value is shared by every connection thread. Counters and gauges are relaxed-atomic handles
 //! into a per-server [`fmm_obs::Registry`]; the three latency series
 //! (total latency, queue wait, service time) are lock-free log-bucketed
 //! [`fmm_obs::Histogram`]s. Unlike the mutex-guarded 4096-sample ring
@@ -18,7 +17,7 @@ use std::time::Duration;
 /// start, latency percentiles included.
 pub struct Metrics {
     registry: Arc<Registry>,
-    /// Requests admitted into a dispatch queue.
+    /// Requests admitted into a dtype queue.
     pub requests: Arc<Counter>,
     /// Result frames sent.
     pub responses: Arc<Counter>,
@@ -28,9 +27,6 @@ pub struct Metrics {
     pub batches: Arc<Counter>,
     /// Requests executed across all batches.
     pub batched_items: Arc<Counter>,
-    /// Requests their connection's reader ran itself, as one-job batches
-    /// (a lone request on a zero-window daemon; see `dispatch`).
-    pub reader_requests: Arc<Counter>,
     /// Largest single-batch occupancy observed.
     pub max_occupancy: Arc<Counter>,
     /// Requests admitted whose response has not been queued yet (gauge).
@@ -62,7 +58,6 @@ impl Default for Metrics {
             pings: registry.counter("fmm_serve_pings_total"),
             batches: registry.counter("fmm_serve_batches_total"),
             batched_items: registry.counter("fmm_serve_batched_items_total"),
-            reader_requests: registry.counter("fmm_serve_reader_requests_total"),
             max_occupancy: registry.counter("fmm_serve_batch_occupancy_max"),
             inflight: registry.gauge("fmm_serve_inflight"),
             inflight_per_conn_max: registry.counter("fmm_serve_inflight_per_conn_max"),
@@ -132,8 +127,6 @@ pub struct MetricsSnapshot {
     pub batches: u64,
     /// See [`Metrics::batched_items`].
     pub batched_items: u64,
-    /// See [`Metrics::reader_requests`].
-    pub reader_requests: u64,
     /// See [`Metrics::max_occupancy`].
     pub max_occupancy: u64,
     /// `batched_items / batches` — how many requests the average
@@ -150,7 +143,7 @@ pub struct MetricsSnapshot {
     /// Service latency (admission to response hand-off), lifetime.
     pub latency: LatencyStats,
     /// Queue wait (admission to batch execution start), lifetime — the
-    /// half of latency the dispatcher policy owns.
+    /// half of latency batching owns.
     pub queue_wait: LatencyStats,
     /// Service time (batch execution start to response hand-off),
     /// lifetime — the half the engine owns.
@@ -223,7 +216,6 @@ impl Metrics {
             pings: self.pings.get(),
             batches,
             batched_items,
-            reader_requests: self.reader_requests.get(),
             max_occupancy: self.max_occupancy.get(),
             mean_occupancy: if batches > 0 { batched_items as f64 / batches as f64 } else { 0.0 },
             inflight: self.inflight.get().max(0) as u64,
@@ -367,7 +359,6 @@ mod tests {
         let snap = m.registry().snapshot();
         let counters: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert!(counters.contains(&"fmm_serve_requests_total"));
-        assert!(counters.contains(&"fmm_serve_reader_requests_total"));
         let hists: Vec<&str> = snap.histograms.iter().map(|(n, _)| n.as_str()).collect();
         assert!(hists.contains(&"fmm_serve_latency_nanos"));
         assert!(hists.contains(&"fmm_serve_queue_wait_nanos"));

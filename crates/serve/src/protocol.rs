@@ -778,7 +778,7 @@ pub enum DecodedRequest {
 /// `max_response_bytes` additionally bounds the *output*: the operand
 /// payload alone does not limit `m × n` (consider `k = 0` — a 23-byte
 /// frame may declare a result of `u32::MAX × u32::MAX`), so the encoded
-/// response size is checked here, before the dispatcher allocates
+/// response size is checked here, before the server allocates
 /// anything. Servers pass their frame cap; both directions then honor
 /// one bound.
 pub fn decode_request(payload: &[u8], max_response_bytes: usize) -> Result<DecodedRequest, String> {

@@ -1,36 +1,27 @@
-//! The serving daemon: one blocking acceptor thread, one reader and one
-//! writer thread per connection, and one micro-batching dispatcher thread
-//! per dtype.
+//! The serving daemon: one blocking acceptor thread, and one reader and
+//! one writer thread per connection. The readers execute the requests.
 //!
-//! Threading model: the acceptor blocks in `accept(2)` and starts each
-//! connection's reader, which starts its writer. The reader decodes
-//! frames with blocking reads ([`read_event`]) straight into pooled
-//! buffers — one copy off the wire — runs admission control, and queues
-//! admitted requests for their dtype's dispatcher. A dispatcher hands each
-//! finished result to its connection's reply queue (the connection is the
-//! request's [`CompletionSink`]) and never touches a socket; the writer
-//! drains that queue with blocking writes. A slow peer therefore blocks
-//! only its own connection's threads, and its reader stops reading while
-//! the reply backlog exceeds [`ServeConfig::max_conn_backlog_bytes`]. The
-//! model is sized for the traffic the daemon serves — a few connections,
-//! each pipelining many requests (the benchmark holds one, the widest test
-//! twelve) — and a queued request crosses the same threads it would in a
-//! readiness loop: client, reader, dispatcher, writer, client.
+//! Threading model: the acceptor starts each connection's reader, which
+//! starts its writer. The reader decodes frames with blocking reads
+//! ([`read_event`]) straight into pooled buffers — one copy off the wire —
+//! runs admission control, pushes each admitted request onto its dtype's
+//! queue and combines ([`dispatch::combine`]): if it wins the dtype's
+//! executor bit it runs batches, everyone's jobs with its own, until the
+//! queue is empty, and hands each other connection's result to that
+//! connection's reply queue (the connection is its requests'
+//! [`CompletionSink`]); if it loses, the holder runs its job. Once its turn
+//! is over it writes its own replies under the connection's write claim,
+//! which the writer takes around each write from the reply queue. A lone
+//! request crosses client, reader, client. A reader whose socket already
+//! holds the whole next frame pushes without combining and reads on, so a
+//! pipelining connection's requests share a batch; no read that may block
+//! starts before the pushed jobs are combined.
 //!
-//! A lone request skips the middle two. When the batching window is zero,
-//! its connection has nothing else in flight, queued, being written or
-//! waiting unread in the socket, and its dtype has nothing queued or
-//! executing, the batch the dispatcher would form is that request alone:
-//! the reader claims the dtype's executor bit and runs it
-//! ([`BatchRunner::run`], the dispatcher's own batch step), releases the
-//! bit, and writes the reply itself under the connection's write claim,
-//! which the writer also takes around each write. Such a request crosses
-//! client, reader, client. Everything else — any nonzero window, a busy
-//! dtype, a pipelining connection — queues as above.
-//!
-//! Protocol: a client may pipeline up to
-//! [`ServeConfig::max_inflight_per_conn`] requests per connection and
-//! receives responses out of order, matched by `request_id`.
+//! A slow peer blocks only its own connection's threads: a combiner never
+//! writes to another connection's socket, and its reader stops reading
+//! while the reply backlog exceeds [`ServeConfig::max_conn_backlog_bytes`].
+//! A client may pipeline up to [`ServeConfig::max_inflight_per_conn`]
+//! requests and receives responses out of order, matched by `request_id`.
 //!
 //! Error policy, per the protocol contract: malformed payloads on an
 //! intact frame stream are answered with a typed error frame and the
@@ -40,15 +31,15 @@
 //! The daemon itself never panics on client input.
 //!
 //! Shutdown: the stop path shuts down the read side of every live socket,
-//! so the readers see EOF, and a self-connect wakes the acceptor. Writers
-//! deliver the replies still owed; after a 5 s drain deadline the
-//! remaining sockets are shut down both ways.
+//! so the readers see EOF and combine what they pushed, and a self-connect
+//! wakes the acceptor. Writers deliver the replies still owed; after a 5 s
+//! drain deadline the remaining sockets are shut down both ways.
 
-use crate::buffers::{IngestPools, OperandStage, PooledBuf, WireBuf};
-use crate::conn::{bytes_pending, read_event, InEvent};
+use crate::buffers::{BufferPool, IngestPools, OperandStage, PooledBuf, WireBuf};
+use crate::conn::{self, read_event, InEvent, Pending};
 use crate::dispatch::{
-    run_dispatcher, BatchPolicy, BatchQueue, BatchRunner, Completion, CompletionSink, DispatchObs,
-    Job, Refusal, ReplySink,
+    self, Arrival, BatchPolicy, BatchQueue, BatchRunner, Completion, CompletionSink, Gate, Job,
+    Refusal,
 };
 use crate::incident;
 use crate::metrics::Metrics;
@@ -58,8 +49,8 @@ use crate::snapshot::{
 };
 use fmm_engine::{ArchSource, EngineConfig, EngineStats, FmmEngine};
 use fmm_gemm::{BlockingParams, GemmScalar};
-use fmm_obs::trace::{self, Event, IncidentTrigger, Kind, RefusalReason, ON_READER};
-use fmm_obs::{WatchPolicy, Watchdog, WatchdogConfig, WatchdogHandle};
+use fmm_obs::trace::{self, Event, IncidentTrigger, Kind, RefusalReason};
+use fmm_obs::{Watchdog, WatchdogConfig, WatchdogHandle};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, IoSlice, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -124,17 +115,17 @@ pub struct ServeConfig {
     /// leaves the current state alone (so a tracing server and a plain
     /// one can coexist in one process, as the benchmarks do).
     pub trace: bool,
-    /// Run the stall watchdog: the dispatchers publish heartbeats, one
-    /// judging thread records stall/recovery events and the
+    /// Run the stall watchdog: one judging thread probes each dtype's
+    /// executor and records stall/recovery events and the
     /// `fmm_watchdog_stalls_total` counter.
     pub watchdog: bool,
-    /// A dispatcher is judged stalled after this long without progress
-    /// while work is pending.
+    /// A dtype's executor is judged stalled after this long without a
+    /// completed batch while jobs are queued or its bit is held.
     pub watchdog_stall: Duration,
     /// Dump an incident report and abort the process when a stall
     /// persists this long. `None` = never abort.
     pub watchdog_abort_after: Option<Duration>,
-    /// Requests whose dispatch latency reaches this threshold record a
+    /// Requests whose latency reaches this threshold record a
     /// `SlowRequest` event with their queue-wait and execute split.
     pub slow_threshold: Duration,
     /// Directory incident dumps are written to (atomic temp+rename) on
@@ -167,27 +158,37 @@ impl Default for ServeConfig {
     }
 }
 
-struct Lifecycle {
-    stopping: Mutex<bool>,
-    stopped: Condvar,
+/// One dtype's executor: its admission queue and executor bit, and its
+/// engine; the watchdog judges it by the queue as `name`.
+struct Executor<T: GemmScalar> {
+    queue: Arc<BatchQueue<T>>,
+    engine: Arc<FmmEngine<T>>,
 }
 
-/// Everything the connections and dispatchers share.
+impl<T: GemmScalar> Executor<T> {
+    fn new(name: &str, engine: Arc<FmmEngine<T>>, cap: usize, watchdog: Option<&Watchdog>) -> Self {
+        let queue = Arc::new(BatchQueue::new(cap));
+        let probe = queue.clone();
+        watchdog.inspect(|wd| wd.register(name, move || probe.progress()));
+        Self { queue, engine }
+    }
+}
+
+/// Everything the connections share.
 struct Shared {
     config: ServeConfig,
     metrics: Arc<Metrics>,
     pools: IngestPools,
-    queue_f64: BatchQueue<f64>,
-    queue_f32: BatchQueue<f32>,
-    engine_f64: Arc<FmmEngine<f64>>,
-    engine_f32: Arc<FmmEngine<f32>>,
+    f64: Executor<f64>,
+    f32: Executor<f32>,
+    /// Where combiners wait for requests still arriving.
+    gate: Gate,
     stop: AtomicBool,
     /// The live connections by id; each removes itself once both its
     /// threads are done.
     conns: Mutex<BTreeMap<u64, Arc<Conn>>>,
-    /// Signalled whenever a connection leaves `conns`.
+    /// Signalled whenever a connection leaves `conns`, and at the stop.
     conn_closed: Condvar,
-    lifecycle: Lifecycle,
     /// The stall watchdog, when enabled — its component names and stall
     /// counter feed every export and incident dump.
     watchdog: Option<Watchdog>,
@@ -198,27 +199,24 @@ struct Shared {
 
 impl Shared {
     /// Flip the daemon into shutdown: refuse new work, close the dtype
-    /// queues (dispatchers drain their backlogs first), and shut down the
-    /// read side of every live socket so its reader sees EOF.
+    /// queues (what is queued still runs), lift the test hold, and shut
+    /// down the read side of every live socket so its reader sees EOF.
     fn request_stop(&self) {
-        {
-            let conns = self.conns.lock().expect("connection registry poisoned");
-            // ORDERING: Release pairs with the Acquire loads in
-            // `is_stopping`: a thread that observes `stop == true` also
-            // observes everything the stopping thread did before. Stored
-            // under the registry lock, so the acceptor, which checks the
-            // flag under the same lock, either sees it or registered its
-            // connection in time for the sweep below.
-            self.stop.store(true, Ordering::Release);
-            for conn in conns.values() {
-                let _ = conn.stream.shutdown(Shutdown::Read);
-            }
+        self.f64.queue.close();
+        self.f32.queue.close();
+        self.gate.hold(false);
+        let conns = self.conns.lock().expect("connection registry poisoned");
+        // ORDERING: Release pairs with the Acquire loads in `is_stopping`:
+        // a thread that observes `stop == true` also observes everything
+        // the stopping thread did before. Stored under the registry lock,
+        // so the acceptor, which checks the flag under the same lock,
+        // either sees it or registered its connection in time for the
+        // sweep below, and `wait` cannot miss the notification.
+        self.stop.store(true, Ordering::Release);
+        for conn in conns.values() {
+            let _ = conn.stream.shutdown(Shutdown::Read);
         }
-        self.queue_f64.close();
-        self.queue_f32.close();
-        let mut stopping = self.lifecycle.stopping.lock().expect("lifecycle poisoned");
-        *stopping = true;
-        self.lifecycle.stopped.notify_all();
+        self.conn_closed.notify_all();
     }
 
     fn is_stopping(&self) -> bool {
@@ -267,8 +265,8 @@ impl Shared {
             stats.histograms.extend(registry.histograms);
         }
         for (prefix, engine) in [
-            ("fmm_engine_f64_", self.engine_f64.stats()),
-            ("fmm_engine_f32_", self.engine_f32.stats()),
+            ("fmm_engine_f64_", self.f64.engine.stats()),
+            ("fmm_engine_f32_", self.f32.engine.stats()),
         ] {
             let rows = engine.fields().into_iter().map(|(name, v)| (format!("{prefix}{name}"), v));
             stats.counters.extend(rows);
@@ -290,8 +288,8 @@ impl Shared {
         stats.counters.insert("fmm_audit_samples_total".into(), fmm_obs::audit::samples_recorded());
         stats.counters.insert("fmm_audit_dropped_total".into(), fmm_obs::audit::samples_dropped());
         stats.gauges.insert("fmm_build_info".into(), 1);
-        stats.gauges.insert("fmm_serve_queue_depth_f64".into(), self.queue_f64.depth() as i64);
-        stats.gauges.insert("fmm_serve_queue_depth_f32".into(), self.queue_f32.depth() as i64);
+        stats.gauges.insert("fmm_serve_queue_depth_f64".into(), self.f64.queue.depth() as i64);
+        stats.gauges.insert("fmm_serve_queue_depth_f32".into(), self.f32.queue.depth() as i64);
         stats.audit.sort_by_cached_key(fmm_obs::AuditEntry::key);
         stats
     }
@@ -358,7 +356,8 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
-    threads: Vec<JoinHandle<()>>,
+    /// The SIGTERM/SIGINT monitor, when incident dumps go to disk.
+    monitor: Option<JoinHandle<()>>,
     watchdog_handle: Option<WatchdogHandle>,
 }
 
@@ -410,17 +409,16 @@ impl Server {
             })
         });
 
+        let capacity = config.queue_capacity;
         let shared = Arc::new(Shared {
-            queue_f64: BatchQueue::new(config.queue_capacity),
-            queue_f32: BatchQueue::new(config.queue_capacity),
+            f64: Executor::new("executor-f64", engine_f64, capacity, watchdog.as_ref()),
+            f32: Executor::new("executor-f32", engine_f32, capacity, watchdog.as_ref()),
+            gate: Gate::default(),
             metrics: Arc::new(Metrics::default()),
             pools: IngestPools::new(POOL_RETAIN, POOL_RETAIN_BYTES),
-            engine_f64,
-            engine_f32,
             stop: AtomicBool::new(false),
             conns: Mutex::new(BTreeMap::new()),
             conn_closed: Condvar::new(),
-            lifecycle: Lifecycle { stopping: Mutex::new(false), stopped: Condvar::new() },
             watchdog,
             incident_seq: AtomicU64::new(0),
             config,
@@ -433,69 +431,6 @@ impl Server {
                 .spawn(move || accept_connections(&shared, listener))
                 .expect("spawn acceptor")
         };
-        let mut threads = Vec::new();
-        {
-            // Dispatchers legitimately block when idle; they are judged on
-            // progress (batches formed) against pending work (queue depth).
-            let probe = shared.clone();
-            let obs = DispatchObs {
-                heartbeat: shared.watchdog.as_ref().map(|wd| {
-                    wd.register(
-                        "dispatch-f64",
-                        WatchPolicy::Progress {
-                            work: Box::new(move || probe.queue_f64.depth() as u64),
-                        },
-                    )
-                }),
-                runner: 0,
-                slow_threshold: Some(shared.config.slow_threshold),
-            };
-            let shared = shared.clone();
-            threads.push(
-                thread::Builder::new()
-                    .name("fmm-serve-dispatch-f64".into())
-                    .spawn(move || {
-                        let runner = BatchRunner {
-                            engine: &shared.engine_f64,
-                            pool: &shared.pools.f64,
-                            metrics: &shared.metrics,
-                            obs: &obs,
-                        };
-                        run_dispatcher(&shared.queue_f64, &runner, shared.config.batch)
-                    })
-                    .expect("spawn f64 dispatcher"),
-            );
-        }
-        {
-            let probe = shared.clone();
-            let obs = DispatchObs {
-                heartbeat: shared.watchdog.as_ref().map(|wd| {
-                    wd.register(
-                        "dispatch-f32",
-                        WatchPolicy::Progress {
-                            work: Box::new(move || probe.queue_f32.depth() as u64),
-                        },
-                    )
-                }),
-                runner: 1,
-                slow_threshold: Some(shared.config.slow_threshold),
-            };
-            let shared = shared.clone();
-            threads.push(
-                thread::Builder::new()
-                    .name("fmm-serve-dispatch-f32".into())
-                    .spawn(move || {
-                        let runner = BatchRunner {
-                            engine: &shared.engine_f32,
-                            pool: &shared.pools.f32,
-                            metrics: &shared.metrics,
-                            obs: &obs,
-                        };
-                        run_dispatcher(&shared.queue_f32, &runner, shared.config.batch)
-                    })
-                    .expect("spawn f32 dispatcher"),
-            );
-        }
         let watchdog_handle = shared.watchdog.as_ref().map(|wd| {
             let dump = shared.clone();
             wd.spawn(Box::new(move || {
@@ -504,10 +439,9 @@ impl Server {
                 dump.write_incident("watchdog-abort");
             }))
         });
-        if shared.config.incident_dir.is_some() {
-            install_incident_capture(&shared, &mut threads);
-        }
-        Ok(ServerHandle { addr, shared, acceptor, threads, watchdog_handle })
+        let monitor =
+            shared.config.incident_dir.is_some().then(|| install_incident_capture(&shared));
+        Ok(ServerHandle { addr, shared, acceptor, monitor, watchdog_handle })
     }
 }
 
@@ -515,7 +449,7 @@ impl Server {
 /// thread) and a SIGTERM/SIGINT monitor thread that dumps and then
 /// requests a clean stop, so `kill <pid>` on a loaded daemon leaves a
 /// post-mortem behind *and* exits 0 after draining.
-fn install_incident_capture(shared: &Arc<Shared>, threads: &mut Vec<JoinHandle<()>>) {
+fn install_incident_capture(shared: &Arc<Shared>) -> JoinHandle<()> {
     // The hook is process-global and outlives the server; hold the shared
     // state weakly so a stopped server can actually be dropped.
     let weak = Arc::downgrade(shared);
@@ -530,31 +464,29 @@ fn install_incident_capture(shared: &Arc<Shared>, threads: &mut Vec<JoinHandle<(
 
     let signals = incident::install_signal_traps();
     let shared = shared.clone();
-    threads.push(
-        thread::Builder::new()
-            .name("fmm-serve-incident".into())
-            .spawn(move || loop {
-                if let Some(trigger) = incident::pending_signal(signals) {
-                    record_incident(trigger);
-                    shared.write_incident(trigger.name());
-                    // Dump first, then drain: the signal asks for
-                    // termination, and a clean stop is the best honor.
-                    shared.request_stop();
-                    return;
-                }
-                if shared.is_stopping() {
-                    return;
-                }
-                thread::sleep(Duration::from_millis(25));
-            })
-            .expect("spawn incident monitor"),
-    );
+    thread::Builder::new()
+        .name("fmm-serve-incident".into())
+        .spawn(move || loop {
+            if let Some(trigger) = incident::pending_signal(signals) {
+                record_incident(trigger);
+                shared.write_incident(trigger.name());
+                // Dump first, then drain: the signal asks for termination,
+                // and a clean stop is the best honor.
+                shared.request_stop();
+                return;
+            }
+            if shared.is_stopping() {
+                return;
+            }
+            thread::sleep(Duration::from_millis(25));
+        })
+        .expect("spawn incident monitor")
 }
 
 /// Build one dtype engine per the serve configuration. Engines are always
-/// parallel: the whole point of the dispatcher is handing coalesced
-/// batches to `multiply_batch`'s worker fan-out (a 1-thread rayon pool
-/// degrades gracefully to in-place execution).
+/// parallel: the whole point of combining is handing coalesced batches to
+/// `multiply_batch`'s worker fan-out (a 1-thread rayon pool degrades
+/// gracefully to in-place execution).
 fn build_engine<T: fmm_gemm::GemmScalar>(config: &ServeConfig) -> FmmEngine<T> {
     FmmEngine::new(EngineConfig {
         parallel: true,
@@ -584,7 +516,16 @@ impl ServerHandle {
 
     /// Per-dtype engine counter snapshots.
     pub fn engine_stats(&self) -> (EngineStats, EngineStats) {
-        (self.shared.engine_f64.stats(), self.shared.engine_f32.stats())
+        (self.shared.f64.engine.stats(), self.shared.f32.engine.stats())
+    }
+
+    /// Test seam: the gate every combiner passes after it claims its
+    /// dtype's executor bit and before it drains. While [`Gate::hold`] is
+    /// on, combiners park there and admitted requests stay queued and in
+    /// flight; a stop lifts the hold.
+    #[doc(hidden)]
+    pub fn gate(&self) -> &Gate {
+        &self.shared.gate
     }
 
     /// The stats snapshot a `StatsJson` frame would return right now.
@@ -603,13 +544,11 @@ impl ServerHandle {
     /// return the final stats snapshot. This is the daemon main loop:
     /// `Server::spawn(cfg)?.wait()`.
     pub fn wait(self) -> StatsSnapshot {
-        {
-            let mut stopping = self.shared.lifecycle.stopping.lock().expect("lifecycle poisoned");
-            while !*stopping {
-                stopping =
-                    self.shared.lifecycle.stopped.wait(stopping).expect("lifecycle poisoned");
-            }
+        let mut conns = self.shared.conns.lock().expect("connection registry poisoned");
+        while !self.shared.is_stopping() {
+            conns = self.shared.conn_closed.wait(conns).expect("connection registry poisoned");
         }
+        drop(conns);
         let shared = Arc::clone(&self.shared);
         self.join();
         shared.snapshot()
@@ -640,8 +579,8 @@ impl ServerHandle {
         }
         let _ = self.acceptor.join();
         self.shared.drain_connections();
-        for t in self.threads {
-            let _ = t.join();
+        if let Some(monitor) = self.monitor {
+            let _ = monitor.join();
         }
         if let Some(wd) = self.watchdog_handle {
             wd.stop();
@@ -725,7 +664,7 @@ impl Reply {
 }
 
 /// One accepted connection, shared by its reader and writer threads, the
-/// dispatchers completing its requests, and the server's registry.
+/// combiners completing its requests, and the server's registry.
 struct Conn {
     /// Process-unique id carried by this connection's events.
     id: u64,
@@ -752,8 +691,8 @@ struct ConnState {
     /// [`ServeConfig::max_conn_backlog_bytes`].
     promised: usize,
     /// The write claim: a thread is writing to the socket. The writer
-    /// takes it around each reply it writes, the reader around a request
-    /// it runs and answers itself.
+    /// takes it around each reply it writes, the reader around each reply
+    /// it writes after combining.
     writing: bool,
     /// The reader is done: no further request will be admitted.
     reading_done: bool,
@@ -767,31 +706,24 @@ impl Conn {
         self.state.lock().expect("connection state poisoned")
     }
 
-    /// Queue a reply for the writer (dropped if the connection is dead).
-    fn push(&self, reply: Reply) {
-        let mut state = self.lock();
-        if !state.dead {
-            state.backlog += reply.len();
-            state.replies.push_back(reply);
-            self.changed.notify_all();
-        }
-    }
-
-    /// Queue one small reply frame.
+    /// Queue one small reply frame for the writer (dropped if the
+    /// connection is dead).
     fn reply(&self, request_id: u64, kind: FrameKind, payload: &[u8]) {
         let mut bytes = protocol::encode_header(kind, payload.len() as u32, request_id);
         bytes.extend_from_slice(payload);
-        self.push(Reply::Frame(bytes));
+        let mut state = self.lock();
+        if !state.dead {
+            state.backlog += bytes.len();
+            state.replies.push_back(Reply::Frame(bytes));
+            self.changed.notify_all();
+        }
     }
 
     /// Block while the queued reply backlog exceeds `cap`. `false` once the
     /// connection is dead.
     fn wait_for_room(&self, cap: usize) -> bool {
-        let mut state = self.lock();
-        while state.backlog > cap && !state.dead {
-            state = self.changed.wait(state).expect("connection state poisoned");
-        }
-        !state.dead
+        let room = self.changed.wait_while(self.lock(), |s| s.backlog > cap && !s.dead);
+        !room.expect("connection state poisoned").dead
     }
 
     /// Release the write claim, waking the writer if replies were queued
@@ -831,24 +763,47 @@ impl Conn {
     fn next_reply(&self) -> Option<Reply> {
         let mut state = self.lock();
         loop {
-            if state.dead {
-                return None;
+            if let Some(reply) = claim_reply(&mut state) {
+                self.changed.notify_all();
+                return Some(reply);
             }
-            if !state.writing {
-                if let Some(reply) = state.replies.pop_front() {
-                    // Released before the write: once the peer can read
-                    // the reply, it may already be sending a request that
-                    // counts the backlog against its admission.
-                    state.backlog -= reply.len();
-                    state.writing = true;
-                    self.changed.notify_all();
-                    return Some(reply);
-                }
-            }
-            if state.reading_done && state.in_flight == 0 && state.replies.is_empty() {
+            let owed = state.in_flight > 0 || !state.replies.is_empty();
+            if state.dead || state.reading_done && !owed {
                 return None;
             }
             state = self.changed.wait(state).expect("connection state poisoned");
+        }
+    }
+
+    /// Write one reply under the write claim taken for it, then release
+    /// the claim; a failed write kills the connection. Returns whether the
+    /// reply went out.
+    fn write(&self, reply: Reply) -> bool {
+        let mut stream = &self.stream;
+        let sent = match reply {
+            Reply::Frame(bytes) => stream.write_all(&bytes),
+            Reply::Result { head, body } => write_result(&mut stream, &head, body),
+        };
+        self.end_write();
+        if sent.is_err() {
+            self.kill();
+        }
+        sent.is_ok()
+    }
+
+    /// Write the queued replies on the calling reader after its combining
+    /// turn, while the write claim is free, if `here`; otherwise leave them
+    /// to the writer.
+    fn write_owed(&self, here: bool) {
+        if !here {
+            self.changed.notify_all();
+            return;
+        }
+        loop {
+            let Some(reply) = claim_reply(&mut self.lock()) else { return };
+            if !self.write(reply) {
+                return;
+            }
         }
     }
 
@@ -875,24 +830,11 @@ impl Conn {
         Some(protocol::encode_response_head(request_id, result.dtype(), m, n, len))
     }
 
-    /// Answer a request this connection's reader ran itself, under the
-    /// write claim its admission took, and release the claim.
-    fn answer_lone(&self, completion: Completion) {
-        let head = self.retire(&mut self.lock(), &completion);
-        if let Some(head) = head {
-            if write_result(&mut &self.stream, &head, completion.result).is_err() {
-                self.kill();
-            }
-        }
-        self.end_write();
-    }
-}
-
-impl CompletionSink for Conn {
-    /// Frame a finished request as header ‖ prelude plus the pooled result
-    /// buffer and queue it, or drop it if the connection died mid-flight
-    /// (the buffer returns to its pool).
-    fn complete(&self, completion: Completion) {
+    /// Queue a finished request's reply without waking the writer: the
+    /// reader that ran it writes it after its turn ([`Conn::write_owed`]).
+    /// Dropped if the connection died mid-flight (the buffer returns to
+    /// its pool).
+    fn stash(&self, completion: Completion) {
         let mut state = self.lock();
         if let Some(head) = self.retire(&mut state, &completion) {
             // The promise materializes as queued backlog.
@@ -900,6 +842,29 @@ impl CompletionSink for Conn {
             state.backlog += reply.len();
             state.replies.push_back(reply);
         }
+    }
+}
+
+/// Take the next queued reply with the write claim, if the claim is free
+/// and the connection alive.
+fn claim_reply(state: &mut ConnState) -> Option<Reply> {
+    if state.writing || state.dead {
+        return None;
+    }
+    let reply = state.replies.pop_front()?;
+    // Released before the write: once the peer can read the reply, it may
+    // already be sending a request that counts the backlog against its
+    // admission.
+    state.backlog -= reply.len();
+    state.writing = true;
+    Some(reply)
+}
+
+impl CompletionSink for Conn {
+    /// Frame a finished request as header ‖ prelude plus the pooled result
+    /// buffer and queue it for the writer.
+    fn complete(&self, completion: Completion) {
+        self.stash(completion);
         self.changed.notify_all();
     }
 }
@@ -947,11 +912,26 @@ impl Drop for Reap<'_> {
 fn read_requests(shared: &Shared, conn: &Arc<Conn>) -> u64 {
     let config = &shared.config;
     let mut stream = &conn.stream;
-    let mut requests = 0;
-    while conn.wait_for_room(config.max_conn_backlog_bytes) {
-        match read_event(&mut stream, config.max_payload_bytes, &shared.pools) {
+    let (mut requests, mut combined) = (0, 0);
+    loop {
+        // Pushed jobs are combined before a read that may block; while the
+        // whole next frame is already here, they wait to share its batch.
+        if requests > combined {
+            let pending = conn::pending(stream);
+            let room = conn.lock().backlog <= config.max_conn_backlog_bytes;
+            if pending != Pending::Frame || !room {
+                combine(shared, conn, pending);
+                combined = requests;
+            }
+        }
+        if !conn.wait_for_room(config.max_conn_backlog_bytes) {
+            break;
+        }
+        let mut arrival = None;
+        let announce = || arrival = Some(shared.gate.announce());
+        match read_event(&mut stream, config.max_payload_bytes, &shared.pools, announce) {
             Ok(Some(event)) => {
-                if !handle_event(shared, conn, event, &mut requests) {
+                if !handle_event(shared, conn, event, arrival, &mut requests) {
                     break;
                 }
             }
@@ -966,22 +946,56 @@ fn read_requests(shared: &Shared, conn: &Arc<Conn>) -> u64 {
             }
         }
     }
+    if requests > combined {
+        combine(shared, conn, conn::pending(stream));
+    }
     conn.finish_reading();
     requests
+}
+
+/// Combine on each dtype's queue (see the module docs), then write this
+/// connection's own replies, unless its peer, `pending` says, was already
+/// sending more: a reader blocked writing to a peer that is blocked
+/// sending to it would stall both.
+fn combine(shared: &Shared, conn: &Arc<Conn>, pending: Pending) {
+    run_batches(shared, &shared.f64, &shared.pools.f64, conn);
+    run_batches(shared, &shared.f32, &shared.pools.f32, conn);
+    conn.write_owed(pending == Pending::Nothing);
+}
+
+/// Run `executor`'s batches on this reader if it wins the executor bit.
+/// Its own connection's replies are stashed for it to write after the
+/// turn; every other one goes to its connection's writer.
+fn run_batches<T: GemmScalar>(
+    shared: &Shared,
+    executor: &Executor<T>,
+    pool: &BufferPool<T>,
+    conn: &Arc<Conn>,
+) where
+    WireBuf: From<PooledBuf<T>>,
+{
+    let runner = BatchRunner {
+        engine: &executor.engine,
+        pool,
+        metrics: &shared.metrics,
+        conn: conn.id,
+        slow_threshold: shared.config.slow_threshold,
+    };
+    let (queue, gate, policy) = (&executor.queue, &shared.gate, shared.config.batch);
+    dispatch::combine(queue, gate, &runner, policy, |sink, completion| {
+        if std::ptr::addr_eq(Arc::as_ptr(sink), Arc::as_ptr(conn)) {
+            conn.stash(completion);
+        } else {
+            sink.complete(completion);
+        }
+    });
 }
 
 /// A connection's writer thread: write queued replies until none are owed,
 /// then close the socket so the peer sees EOF.
 fn write_replies(conn: &Conn) {
-    let mut stream = &conn.stream;
     while let Some(reply) = conn.next_reply() {
-        let sent = match reply {
-            Reply::Frame(bytes) => stream.write_all(&bytes),
-            Reply::Result { head, body } => write_result(&mut stream, &head, body),
-        };
-        conn.end_write();
-        if sent.is_err() {
-            conn.kill();
+        if !conn.write(reply) {
             return;
         }
     }
@@ -1011,11 +1025,17 @@ fn write_result(w: &mut impl Write, head: &[u8], body: WireBuf) -> io::Result<()
 /// Act on one decoded inbound frame. Returns `false` when the connection
 /// must stop reading: a fatal framing error was answered, or shutdown was
 /// acknowledged.
-fn handle_event(shared: &Shared, conn: &Arc<Conn>, event: InEvent, requests: &mut u64) -> bool {
+fn handle_event(
+    shared: &Shared,
+    conn: &Arc<Conn>,
+    event: InEvent,
+    arrival: Option<Arrival<'_>>,
+    requests: &mut u64,
+) -> bool {
     match event {
         InEvent::Request { head, dims, operands } => {
             trace::mark(Kind::RequestRecv, head.request_id);
-            if admit_request(shared, conn, head.request_id, dims, operands) {
+            if admit_request(shared, conn, head.request_id, dims, operands, arrival) {
                 *requests += 1;
             }
         }
@@ -1057,16 +1077,16 @@ fn handle_event(shared: &Shared, conn: &Arc<Conn>, event: InEvent, requests: &mu
 
 /// Admission control for one decoded request: per-connection pipelining
 /// bound and response-byte budget, then the dtype queue's capacity bound.
-/// Refusals answer with a typed error frame. An admitted request is either
-/// run and answered here, when it is alone (see the module docs), or
-/// queued, its completion coming back to `conn`. Returns whether it was
-/// admitted.
+/// Refusals answer with a typed error frame. An admitted request is pushed
+/// onto its dtype's queue, its completion coming back to `conn`, and stops
+/// counting as arriving. Returns whether it was admitted.
 fn admit_request(
     shared: &Shared,
     conn: &Arc<Conn>,
     request_id: u64,
     dims: RequestDims,
     operands: OperandStage,
+    arrival: Option<Arrival<'_>>,
 ) -> bool {
     let config = &shared.config;
     let refuse = |code, reason, message: &str| {
@@ -1085,127 +1105,61 @@ fn admit_request(
     // nothing promised) is always admitted, so progress never deadlocks
     // on an operator setting the backlog cap below one max response.
     let response_bytes = RESPONSE_HEAD_LEN + dims.c_bytes();
-    let (depth, lone) = {
-        let mut state = conn.lock();
-        let outstanding = state.promised + state.backlog;
-        if state.in_flight >= config.max_inflight_per_conn {
-            drop(state);
-            let cap = config.max_inflight_per_conn;
-            let message = format!("connection already has {cap} requests in flight");
-            return refuse(ErrorCode::Busy, RefusalReason::InflightCap, &message);
-        }
-        if outstanding > 0 && outstanding + response_bytes > config.max_conn_backlog_bytes {
-            drop(state);
-            let message = format!(
-                "connection has {outstanding} response bytes outstanding; another \
-                 {response_bytes} would exceed the {}-byte cap",
-                config.max_conn_backlog_bytes
-            );
-            return refuse(ErrorCode::Busy, RefusalReason::ByteBacklog, &message);
-        }
-        // To be run here: no window to wait out, and nothing else of this
-        // connection in flight, queued, being written or already in the
-        // socket (a pipelining client's next request, which should find
-        // this one queued to share its batch). It takes the write claim
-        // for its reply.
-        let lone = config.batch.window.is_zero()
-            && state.in_flight == 0
-            && state.replies.is_empty()
-            && !state.writing
-            && !bytes_pending(&conn.stream);
-        state.writing |= lone;
-        // Charged before the job is queued: a dispatcher may complete it
-        // before this thread runs again.
-        state.in_flight += 1;
-        state.promised += response_bytes;
-        (state.in_flight, lone)
-    };
-    shared.metrics.inflight.add(1);
-    let reply = ReplySink { sink: conn.clone(), request_id };
-    let enqueued = Instant::now();
-    let (m, k, n) = (dims.m, dims.k, dims.n);
-    let obs = DispatchObs {
-        heartbeat: None,
-        runner: ON_READER | conn.id,
-        slow_threshold: Some(config.slow_threshold),
-    };
-    let (pools, metrics) = (&shared.pools, &shared.metrics);
-    let submitted = match operands {
+    let mut state = conn.lock();
+    let outstanding = state.promised + state.backlog;
+    if state.in_flight >= config.max_inflight_per_conn {
+        drop(state);
+        let cap = config.max_inflight_per_conn;
+        let message = format!("connection already has {cap} requests in flight");
+        return refuse(ErrorCode::Busy, RefusalReason::InflightCap, &message);
+    }
+    if outstanding > 0 && outstanding + response_bytes > config.max_conn_backlog_bytes {
+        drop(state);
+        let message = format!(
+            "connection has {outstanding} response bytes outstanding; another \
+             {response_bytes} would exceed the {}-byte cap",
+            config.max_conn_backlog_bytes
+        );
+        return refuse(ErrorCode::Busy, RefusalReason::ByteBacklog, &message);
+    }
+    let (m, k, n, sink, enqueued) = (dims.m, dims.k, dims.n, conn.clone(), Instant::now());
+    let pushed = match operands {
         OperandStage::F64 { a, b } => {
-            let engine = &shared.engine_f64;
-            let runner = BatchRunner { engine, pool: &pools.f64, metrics, obs: &obs };
-            let job = Job { a, b, m, k, n, reply, enqueued };
-            submit(conn, &shared.queue_f64, &runner, job, lone)
+            shared.f64.queue.try_push(Job { a, b, m, k, n, request_id, sink, enqueued })
         }
         OperandStage::F32 { a, b } => {
-            let engine = &shared.engine_f32;
-            let runner = BatchRunner { engine, pool: &pools.f32, metrics, obs: &obs };
-            let job = Job { a, b, m, k, n, reply, enqueued };
-            submit(conn, &shared.queue_f32, &runner, job, lone)
+            shared.f32.queue.try_push(Job { a, b, m, k, n, request_id, sink, enqueued })
         }
     };
-    let why = match submitted {
-        Ok(ran) => {
-            shared.metrics.requests.inc();
-            shared.metrics.record_conn_inflight(depth as u64);
-            if let Some(completion) = ran {
-                shared.metrics.reader_requests.inc();
-                conn.answer_lone(completion);
-            }
-            return true;
-        }
-        Err(why) => why,
-    };
-    shared.metrics.inflight.sub(1);
-    {
-        let mut state = conn.lock();
-        state.in_flight -= 1;
-        state.promised -= response_bytes;
+    // Charged under the lock the push happened under: the combiner that
+    // runs the job retires it under the same lock, after this.
+    if pushed.is_ok() {
+        state.in_flight += 1;
+        state.promised += response_bytes;
+        shared.metrics.inflight.add(1);
+        shared.metrics.requests.inc();
+        shared.metrics.record_conn_inflight(state.in_flight as u64);
     }
-    match why {
-        Refusal::Full => {
+    drop(state);
+    drop(arrival);
+    match pushed {
+        Ok(()) => {
+            trace::mark(Kind::Admission, request_id);
+            true
+        }
+        Err(Refusal::Full) => {
             let capacity = config.queue_capacity;
             let message = format!("pending queue is full ({capacity} requests)");
             refuse(ErrorCode::Busy, RefusalReason::QueueFull, &message)
         }
         // Not Busy: nothing about this daemon will ever accept the retry a
         // Busy signal invites.
-        Refusal::Closed => refuse(
+        Err(Refusal::Closed) => refuse(
             ErrorCode::ShuttingDown,
             RefusalReason::ShuttingDown,
             "daemon is shutting down and accepts no new work",
         ),
     }
-}
-
-/// Run an admitted job on this reader, when it is `lone` (the connection's
-/// write claim taken) and its dtype's executor bit can be claimed, and
-/// return its completion; otherwise release the write claim, if taken, and
-/// queue the job for the dispatcher.
-fn submit<T: GemmScalar>(
-    conn: &Conn,
-    queue: &BatchQueue<T>,
-    runner: &BatchRunner<'_, T>,
-    job: Job<T>,
-    lone: bool,
-) -> Result<Option<Completion>, Refusal>
-where
-    WireBuf: From<PooledBuf<T>>,
-{
-    let request_id = job.reply.request_id;
-    if lone && queue.try_claim() {
-        trace::mark(Kind::Admission, request_id);
-        let mut ran = None;
-        runner.run(vec![job], trace::now_nanos(), 0, |_, completion| ran = Some(completion));
-        queue.release();
-        return Ok(ran);
-    }
-    if lone {
-        conn.end_write();
-    }
-    queue.try_push(job).map_err(|(_, why)| why)?;
-    trace::mark(Kind::Admission, request_id);
-    Ok(None)
 }
 
 /// Record that an incident dump is being written.

@@ -53,11 +53,7 @@ fn concurrent_clients_get_bit_exact_gemm_results_for_both_dtypes() {
     // never within one problem's k-accumulation).
     let handle = spawn_server(
         ServeConfig {
-            batch: BatchPolicy {
-                window: Duration::from_millis(40),
-                max_batch: 8,
-                straggler_gap: Duration::from_millis(40),
-            },
+            batch: BatchPolicy { window: Duration::from_millis(40), max_batch: 8 },
             ..ServeConfig::default()
         },
         true,
@@ -148,8 +144,7 @@ fn transposed_requests_reply_in_process_gemm_bits() {
     handle.shutdown();
 }
 
-/// A daemon whose batches close as soon as the queue is empty, so that a
-/// lone request may run on its connection's reader.
+/// A daemon whose combiners never wait for requests still arriving.
 fn zero_window() -> ServeConfig {
     let batch = BatchPolicy { window: Duration::ZERO, ..BatchPolicy::default() };
     ServeConfig { batch, ..ServeConfig::default() }
@@ -183,36 +178,27 @@ fn lone_requests_run_on_their_reader_and_pipelined_ones_batch() {
     let mut c = Matrix::zeros(32, 32);
     fmm_gemm::gemm(c.as_mut(), a.as_ref(), b.as_ref());
 
-    // A closed-loop caller on a zero-window daemon: each request finds its
-    // connection and its dtype idle, so its reader runs every one.
-    let handle = spawn_server(zero_window(), true);
-    let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
-    for _ in 0..40 {
-        assert_eq!(client.multiply(&a, &b).expect("served"), c);
-    }
-    let snap = handle.metrics().snapshot();
-    assert_eq!((snap.requests, snap.reader_requests), (40, 40), "{snap:?}");
-    assert_eq!((snap.batches, snap.max_occupancy), (40, 1), "one-job batches: {snap:?}");
+    // A closed-loop caller: each request finds its connection and its
+    // dtype idle, so its reader runs every one as a one-job batch, on a
+    // zero-window daemon and a default one alike.
+    for config in [zero_window(), ServeConfig::default()] {
+        let handle = spawn_server(config, true);
+        let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
+        for _ in 0..40 {
+            assert_eq!(client.multiply(&a, &b).expect("served"), c);
+        }
+        let snap = handle.metrics().snapshot();
+        assert_eq!(snap.requests, 40, "{snap:?}");
+        assert_eq!((snap.batches, snap.max_occupancy), (40, 1), "one-job batches: {snap:?}");
 
-    // The same caller pipelining eight: requests that arrive with company
-    // queue, and the dispatcher batches them.
-    pipeline_until_batched(&handle, &mut client, (&a, &b, &c), 8, 100);
-    let snap = handle.metrics().snapshot();
-    assert!(snap.max_occupancy > 1, "pipelined requests never shared a batch: {snap:?}");
-    assert!(snap.reader_requests < snap.requests, "{snap:?}");
-    handle.shutdown();
-
-    // A default-window daemon: the dispatcher runs everything.
-    let handle = spawn_server(ServeConfig::default(), true);
-    let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
-    for _ in 0..10 {
-        assert_eq!(client.multiply(&a, &b).expect("served"), c);
+        // The same caller pipelining eight: requests that arrive with
+        // company are pushed, and one combiner batches them.
+        pipeline_until_batched(&handle, &mut client, (&a, &b, &c), 8, 100);
+        let snap = handle.metrics().snapshot();
+        assert!(snap.max_occupancy > 1, "pipelined requests never shared a batch: {snap:?}");
+        assert!(snap.batches < snap.requests, "{snap:?}");
+        handle.shutdown();
     }
-    pipeline_until_batched(&handle, &mut client, (&a, &b, &c), 8, 100);
-    let snap = handle.metrics().snapshot();
-    assert_eq!(snap.reader_requests, 0, "{snap:?}");
-    assert!(snap.max_occupancy > 1, "pipelined requests never shared a batch: {snap:?}");
-    handle.shutdown();
 }
 
 /// A caller's four problems of dtype `T`: operands and in-process
@@ -265,7 +251,7 @@ fn call_until<T: fmm_serve::WireScalar>(
 fn lone_and_pipelined_callers_interleave_without_loss() {
     // Six connections on a zero-window daemon for about two seconds:
     // lone callers (even) and depth-8 pipelines (odd), on both dtypes, so
-    // readers running lone requests race the dispatchers and each other.
+    // readers race each other for the executor bits.
     let handle = spawn_server(zero_window(), true);
     let addr = handle.addr();
     let until = Instant::now() + Duration::from_secs(2);
@@ -284,7 +270,7 @@ fn lone_and_pipelined_callers_interleave_without_loss() {
     let snap = handle.metrics().snapshot();
     assert_eq!((snap.requests, snap.responses), (served, served), "{snap:?}");
     assert_eq!((snap.rejects_busy, snap.inflight), (0, 0), "{snap:?}");
-    assert!(0 < snap.reader_requests && snap.reader_requests < served, "{snap:?}");
+    assert_eq!(snap.batched_items, served, "each request ran in one batch: {snap:?}");
     let (s64, s32) = handle.engine_stats();
     assert!(s64.pinned_fallbacks > 0 && s32.pinned_fallbacks > 0, "GEMM route was taken");
     handle.shutdown();
@@ -292,21 +278,18 @@ fn lone_and_pipelined_callers_interleave_without_loss() {
 
 #[test]
 fn model_routed_concurrent_traffic_is_correct_and_coalesces() {
-    // A long window and simultaneous clients force provable coalescing:
-    // the dispatcher opens a batch on the first arrival and holds the
-    // window open long enough for the rest to join it.
+    // Simultaneous clients behind a parked combiner force provable
+    // coalescing: the first reader to claim the executor bit parks until
+    // every request is queued, then runs them together.
     let clients = 4;
     let handle = spawn_server(
         ServeConfig {
-            batch: BatchPolicy {
-                window: Duration::from_millis(400),
-                max_batch: clients,
-                straggler_gap: Duration::from_millis(400),
-            },
+            batch: BatchPolicy { max_batch: clients, ..BatchPolicy::default() },
             ..ServeConfig::default()
         },
         false,
     );
+    handle.gate().hold(true);
     let addr = handle.addr();
 
     thread::scope(|s| {
@@ -324,13 +307,21 @@ fn model_routed_concurrent_traffic_is_correct_and_coalesces() {
                 );
             });
         }
+        assert!(handle.gate().await_waiting(1), "no combiner parked");
+        let admitted = || handle.metrics().snapshot().requests;
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while admitted() < clients as u64 {
+            assert!(Instant::now() < deadline, "only {} requests admitted", admitted());
+            thread::sleep(Duration::from_millis(1));
+        }
+        handle.gate().hold(false);
     });
 
     let snap = handle.metrics().snapshot();
     assert_eq!(snap.responses, clients as u64);
     assert!(snap.max_occupancy > 1, "no batch provably coalesced: {snap:?}");
     assert!(snap.mean_occupancy > 1.0, "mean occupancy must exceed 1: {snap:?}");
-    assert!(snap.batches < clients as u64, "coalescing must merge dispatches: {snap:?}");
+    assert!(snap.batches < clients as u64, "coalescing must merge batches: {snap:?}");
 
     // f32 traffic goes through its own queue and engine.
     let mut client = PipelinedClient::connect(addr).expect("connect");
@@ -428,7 +419,7 @@ fn malformed_and_oversized_frames_get_typed_errors_and_service_survives() {
 
         // 7. The k = 0 attack: a 23-byte request whose declared *result*
         //    would be enormous. The response-side cap must refuse it
-        //    before any allocation (a wedged dispatcher would hang the
+        //    before any allocation (a wedged executor would hang the
         //    multiply below instead).
         let mut outer = vec![1u8];
         outer.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -454,20 +445,16 @@ fn malformed_and_oversized_frames_get_typed_errors_and_service_survives() {
 
 #[test]
 fn full_queue_rejects_with_busy_and_recovers() {
-    // One-at-a-time dispatch with a single-slot queue: while the
-    // dispatcher grinds one problem, at most one more may wait; the rest
-    // of a concurrent flood must be refused with Busy. `max_batch: 1`
-    // closes every batch at its first request, so the window never waits;
-    // it is nonzero because a zero window lets a request that finds the
-    // dtype idle run on its connection's reader, off the queue flooded
-    // here.
+    // One-at-a-time execution with a single-slot queue: while the
+    // combiner grinds one problem, at most one more may wait; the rest of
+    // a concurrent flood must be refused with Busy. `max_batch: 1` closes
+    // every batch at its first request, so the window never waits. A
+    // combiner that claims the executor bit parks until the whole flood is
+    // admitted or refused: on one CPU the readers would otherwise run
+    // each request as it arrives, and never fill the queue.
     let handle = spawn_server(
         ServeConfig {
-            batch: BatchPolicy {
-                window: Duration::from_millis(1),
-                max_batch: 1,
-                straggler_gap: Duration::ZERO,
-            },
+            batch: BatchPolicy { window: Duration::from_millis(1), max_batch: 1 },
             queue_capacity: 1,
             ..ServeConfig::default()
         },
@@ -481,6 +468,7 @@ fn full_queue_rejects_with_busy_and_recovers() {
     // Waves until at least one Busy is observed (the first wave all but
     // guarantees it: 12 concurrent requests against a 1-deep queue).
     for wave in 0..10 {
+        handle.gate().hold(true);
         let outcomes: Vec<Result<(), bool>> = thread::scope(|s| {
             let handles: Vec<_> = (0..flood)
                 .map(|t| {
@@ -504,6 +492,17 @@ fn full_queue_rejects_with_busy_and_recovers() {
                     })
                 })
                 .collect();
+            assert!(handle.gate().await_waiting(1), "no combiner parked");
+            let answered = || {
+                let snap = handle.metrics().snapshot();
+                snap.requests + snap.rejects_busy
+            };
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while answered() < ((wave + 1) * flood) as u64 {
+                assert!(Instant::now() < deadline, "the flood was never admitted or refused");
+                thread::sleep(Duration::from_millis(1));
+            }
+            handle.gate().hold(false);
             handles.into_iter().map(|h| h.join().expect("flood thread")).collect()
         });
         for outcome in outcomes {
@@ -582,7 +581,7 @@ fn client_shutdown_drains_and_daemon_exits_cleanly() {
     client.multiply(&a, &b).expect("served");
     client.shutdown().expect("shutdown acknowledged");
 
-    // wait() returns: the accept loop and both dispatchers joined.
+    // wait() returns: the accept loop and the connections joined.
     assert!(handle.is_stopping());
     let stats = handle.wait();
     assert_eq!(stats.counter("fmm_serve_responses_total"), Ok(1), "in-flight work drained");

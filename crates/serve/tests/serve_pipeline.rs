@@ -40,17 +40,26 @@ fn spawn_pinned(config: ServeConfig) -> ServerHandle {
     Server::spawn_with_engines(config, e64, e32).expect("bind loopback")
 }
 
+/// Hold the daemon's combiners and park one: a client's f64 request whose
+/// reader claims the f64 executor bit and parks there, so every f64
+/// request admitted after it stays queued, and in flight, until
+/// `hold_combiners(false)`. Returns the client and its request's id.
+fn park_a_combiner(handle: &ServerHandle) -> (PipelinedClient, u64) {
+    handle.gate().hold(true);
+    let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
+    let (a, b) = (fill::bench_workload(4, 4, 1), fill::bench_workload(4, 4, 2));
+    let id = client.send(&a, &b).expect("send");
+    assert!(handle.gate().await_waiting(1), "the request's reader never parked");
+    (client, id)
+}
+
 /// Pipeline a window of requests on ONE connection and collect responses
 /// in an order shuffled away from submission order; every result must be
 /// bitwise identical to the local blocked GEMM.
 #[test]
 fn pipelined_responses_match_by_id_on_one_event_thread() {
     let handle = spawn_pinned(ServeConfig {
-        batch: BatchPolicy {
-            window: Duration::from_millis(5),
-            max_batch: 16,
-            straggler_gap: Duration::from_millis(5),
-        },
+        batch: BatchPolicy { window: Duration::from_millis(5), max_batch: 16 },
         ..ServeConfig::default()
     });
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
@@ -98,7 +107,7 @@ fn pipelined_dtypes_interleave_on_one_connection() {
     let b32 = fill::bench_workload_t::<f32>(5, 7, 4);
 
     // f64 and f32 requests ride the same connection but route to
-    // different dispatchers — completion order is up for grabs, ids
+    // different queues — completion order is up for grabs, ids
     // disambiguate.
     let id64 = client.send(&a64, &b64).expect("send f64");
     let id32 = client.send(&a32, &b32).expect("send f32");
@@ -114,18 +123,11 @@ fn pipelined_dtypes_interleave_on_one_connection() {
 
 #[test]
 fn per_connection_inflight_cap_refuses_with_busy() {
-    // A long batch window holds the first request in flight; with a
+    // A parked combiner holds the first request in flight; with a
     // per-connection cap of 1, the second admission on the same
     // connection must be refused Busy while the first is pending.
-    let handle = spawn_pinned(ServeConfig {
-        batch: BatchPolicy {
-            window: Duration::from_millis(300),
-            max_batch: 8,
-            straggler_gap: Duration::from_millis(300),
-        },
-        max_inflight_per_conn: 1,
-        ..ServeConfig::default()
-    });
+    let handle = spawn_pinned(ServeConfig { max_inflight_per_conn: 1, ..ServeConfig::default() });
+    let (mut parked, held) = park_a_combiner(&handle);
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
     let a = fill::bench_workload(8, 8, 1);
     let b = fill::bench_workload(8, 8, 2);
@@ -135,6 +137,8 @@ fn per_connection_inflight_cap_refuses_with_busy() {
     // first response).
     let err = client.recv::<f64>(second).expect_err("second refused");
     assert!(err.is_busy(), "expected Busy, got {err}");
+    handle.gate().hold(false);
+    parked.recv::<f64>(held).expect("the parked request served");
     let c: Matrix<f64> = client.recv(first).expect("first served");
     let c_ref = fmm_gemm::reference::matmul(a.as_ref(), b.as_ref());
     assert!(norms::rel_error(c.as_ref(), c_ref.as_ref()) < 1e-12);
@@ -149,16 +153,10 @@ fn per_connection_response_budget_refuses_with_busy() {
     // exists. Each 8×8 f64 response costs 18 + 9 + 512 = 539 bytes; with
     // a 1024-byte cap the first request is admitted (idle connections
     // always make progress) and the second must be refused Busy while the
-    // first is still being computed.
-    let handle = spawn_pinned(ServeConfig {
-        batch: BatchPolicy {
-            window: Duration::from_millis(300),
-            max_batch: 8,
-            straggler_gap: Duration::from_millis(300),
-        },
-        max_conn_backlog_bytes: 1024,
-        ..ServeConfig::default()
-    });
+    // first is held queued behind a parked combiner.
+    let handle =
+        spawn_pinned(ServeConfig { max_conn_backlog_bytes: 1024, ..ServeConfig::default() });
+    let (mut parked, held) = park_a_combiner(&handle);
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
     let a = fill::bench_workload(8, 8, 31);
     let b = fill::bench_workload(8, 8, 32);
@@ -166,6 +164,8 @@ fn per_connection_response_budget_refuses_with_busy() {
     let second = client.send(&a, &b).expect("send second");
     let err = client.recv::<f64>(second).expect_err("second refused on byte budget");
     assert!(err.is_busy(), "expected Busy, got {err}");
+    handle.gate().hold(false);
+    parked.recv::<f64>(held).expect("the parked request served");
     let c: Matrix<f64> = client.recv(first).expect("first served");
     let c_ref = fmm_gemm::reference::matmul(a.as_ref(), b.as_ref());
     assert!(norms::rel_error(c.as_ref(), c_ref.as_ref()) < 1e-12);
@@ -202,17 +202,11 @@ fn oversized_payload_cap_is_rejected_at_spawn() {
 #[test]
 fn half_closed_peer_still_receives_inflight_response() {
     // A peer that pipelines two requests and immediately half-closes its
-    // write side (shutdown(SHUT_WR)) while both are held in a long batch
-    // window: the connection must not be torn down on the EOF — both
-    // responses still arrive.
-    let handle = spawn_pinned(ServeConfig {
-        batch: BatchPolicy {
-            window: Duration::from_millis(100),
-            max_batch: 8,
-            straggler_gap: Duration::from_millis(100),
-        },
-        ..ServeConfig::default()
-    });
+    // write side (shutdown(SHUT_WR)) while both are held queued behind a
+    // parked combiner: the connection must not be torn down on the EOF —
+    // both responses still arrive.
+    let handle = spawn_pinned(ServeConfig::default());
+    let (mut parked, held) = park_a_combiner(&handle);
     let a = fill::bench_workload(6, 4, 21);
     let b = fill::bench_workload(4, 5, 22);
     let payload = protocol::encode_request(&a, &b);
@@ -222,6 +216,15 @@ fn half_closed_peer_still_receives_inflight_response() {
             .expect("send request");
     }
     s.shutdown(std::net::Shutdown::Write).expect("half-close write side");
+    // Both admitted, with the EOF already behind them in the socket.
+    settles(
+        "requests admitted",
+        Duration::from_secs(10),
+        || handle.metrics().snapshot().requests,
+        3,
+    );
+    handle.gate().hold(false);
+    parked.recv::<f64>(held).expect("the parked request served");
     let c_ref = fmm_gemm::reference::matmul(a.as_ref(), b.as_ref());
     let mut ids = Vec::new();
     for _ in 0..2 {
@@ -243,15 +246,9 @@ fn reset_peer_with_inflight_request_is_reclaimed_at_once() {
     // The other way a peer can leave with work in flight: a full reset
     // (closing with the Pong unread sends RST, not FIN). Nothing owed can
     // be delivered any more, so the connection must be reclaimed on the
-    // reset — not kept until the batch window closes seconds later.
-    let handle = spawn_pinned(ServeConfig {
-        batch: BatchPolicy {
-            window: Duration::from_secs(4),
-            max_batch: 8,
-            straggler_gap: Duration::from_secs(4),
-        },
-        ..ServeConfig::default()
-    });
+    // reset — not kept until the request it left queued has run.
+    let handle = spawn_pinned(ServeConfig::default());
+    let (mut parked, held) = park_a_combiner(&handle);
     let a = fill::bench_workload(6, 4, 23);
     let b = fill::bench_workload(4, 5, 24);
     let mut s = TcpStream::connect(handle.addr()).expect("connect");
@@ -265,15 +262,17 @@ fn reset_peer_with_inflight_request_is_reclaimed_at_once() {
     )
     .expect("send request");
     s.peek(&mut [0u8; 1]).expect("pong arrived");
-    while handle.metrics().snapshot().inflight == 0 {
+    while handle.metrics().snapshot().inflight < 2 {
         thread::sleep(Duration::from_millis(1));
     }
     drop(s);
     let deadline = Instant::now() + Duration::from_secs(1);
-    while handle.metrics().snapshot().connections > 0 {
+    while handle.metrics().snapshot().connections > 1 {
         assert!(Instant::now() < deadline, "reset connection still registered");
         thread::sleep(Duration::from_millis(5));
     }
+    handle.gate().hold(false);
+    parked.recv::<f64>(held).expect("the parked request served");
     handle.shutdown();
 }
 
@@ -337,12 +336,12 @@ fn slow_loris_writer_does_not_stall_other_connections() {
 
 #[test]
 fn a_reader_blocked_on_its_own_reply_stalls_no_one_else() {
-    // On a zero-window daemon a lone request runs on its connection's
-    // reader, which writes the reply itself. This peer asks for a 32 MiB
-    // result (k = 1) and does not read it, so its reader blocks in that
-    // write, past what the loopback socket buffers hold. The dtype's
-    // executor bit was released before the write: other connections'
-    // lone requests still run on their own readers.
+    // A lone request runs on its connection's reader, which writes the
+    // reply itself. This peer asks for a 32 MiB result (k = 1) and does
+    // not read it, so its reader blocks in that write, past what the
+    // loopback socket buffers hold. The dtype's executor bit was released
+    // before the write: other connections' lone requests still run on
+    // their own readers.
     let batch = BatchPolicy { window: Duration::ZERO, ..BatchPolicy::default() };
     let handle = spawn_pinned(ServeConfig { batch, ..ServeConfig::default() });
     let addr = handle.addr();
@@ -353,8 +352,8 @@ fn a_reader_blocked_on_its_own_reply_stalls_no_one_else() {
     protocol::write_frame_v(&mut stalled, VERSION_V2, 5, FrameKind::Request, &payload)
         .expect("send");
     let deadline = Instant::now() + Duration::from_secs(20);
-    while handle.metrics().snapshot().reader_requests == 0 {
-        assert!(Instant::now() < deadline, "the big request never ran on its reader");
+    while handle.metrics().snapshot().responses == 0 {
+        assert!(Instant::now() < deadline, "the big request never ran");
         thread::sleep(Duration::from_millis(1));
     }
 
@@ -375,7 +374,7 @@ fn a_reader_blocked_on_its_own_reply_stalls_no_one_else() {
         assert_eq!(protocol::decode_response::<f64>(&reply.payload).expect("decode"), want);
     }
     let snap = handle.metrics().snapshot();
-    assert_eq!(snap.reader_requests, 9, "each lone request ran on its reader: {snap:?}");
+    assert_eq!((snap.batches, snap.responses), (9, 9), "each lone request ran alone: {snap:?}");
 
     // The stalled peer still gets its whole reply once it reads.
     let reply = protocol::read_frame_any(&mut stalled, 64 << 20).expect("the big reply");
@@ -383,6 +382,115 @@ fn a_reader_blocked_on_its_own_reply_stalls_no_one_else() {
     let mut want = Matrix::zeros(2048, 2048);
     fmm_gemm::gemm(want.as_mut(), a.as_ref(), b.as_ref());
     assert_eq!(protocol::decode_response::<f64>(&reply.payload).expect("decode"), want);
+    handle.shutdown();
+}
+
+/// `x·y` from in-process `fmm_gemm::gemm`.
+fn gemm<T: fmm_serve::WireScalar>(x: &Matrix<T>, y: &Matrix<T>) -> Matrix<T> {
+    let mut c = Matrix::zeros(x.rows(), y.cols());
+    fmm_gemm::gemm(c.as_mut(), x.as_ref(), y.as_ref());
+    c
+}
+
+/// A request frame for `a·b` under `id`.
+fn request_frame<T: fmm_serve::WireScalar>(id: u64, a: &Matrix<T>, b: &Matrix<T>) -> Vec<u8> {
+    let mut wire = Vec::new();
+    let payload = protocol::encode_request(a, b);
+    protocol::write_frame_v(&mut wire, VERSION_V2, id, FrameKind::Request, &payload)
+        .expect("encode request");
+    wire
+}
+
+#[test]
+fn a_half_sent_second_frame_does_not_hold_back_the_first_reply() {
+    // One request, then half of a second frame, then silence: the reader
+    // must run and answer the first instead of waiting to batch it with a
+    // frame that is not coming.
+    let handle = spawn_pinned(ServeConfig::default());
+    let (a, b) = (fill::bench_workload(12, 10, 61), fill::bench_workload(10, 9, 62));
+    let mut wire = request_frame(1, &a, &b);
+    let second = request_frame(2, &a, &b);
+    let half = second.len() / 2;
+    wire.extend_from_slice(&second[..half]);
+    let mut s = TcpStream::connect(handle.addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+    s.write_all(&wire).expect("one request and a half");
+    let reply = protocol::read_frame_any(&mut s, 1 << 20).expect("the first reply");
+    assert_eq!((reply.kind, reply.request_id), (FrameKind::Response, 1));
+    assert_eq!(protocol::decode_response::<f64>(&reply.payload).expect("decode"), gemm(&a, &b));
+    s.write_all(&second[half..]).expect("the rest");
+    let reply = protocol::read_frame_any(&mut s, 1 << 20).expect("the second reply");
+    assert_eq!((reply.kind, reply.request_id), (FrameKind::Response, 2));
+    handle.shutdown();
+}
+
+#[test]
+fn a_pipelining_client_fills_a_batch_on_a_default_daemon() {
+    // Eight requests arrive in one write: the reader finds each next frame
+    // whole in its socket, pushes without combining, and runs them as one
+    // batch once the socket holds no whole frame.
+    let handle = spawn_pinned(ServeConfig::default());
+    let problems: Vec<_> = (0..8)
+        .map(|i| (fill::bench_workload(8, 8, 2 * i + 1), fill::bench_workload(8, 8, 2 * i + 2)))
+        .collect();
+    let wire: Vec<u8> = problems
+        .iter()
+        .enumerate()
+        .flat_map(|(id, (a, b))| request_frame(id as u64, a, b))
+        .collect();
+    let mut s = TcpStream::connect(handle.addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+    s.write_all(&wire).expect("eight requests");
+    for _ in 0..8 {
+        let reply = protocol::read_frame_any(&mut s, 1 << 20).expect("a reply");
+        let (a, b) = &problems[reply.request_id as usize];
+        assert_eq!(protocol::decode_response::<f64>(&reply.payload).expect("decode"), gemm(a, b));
+    }
+    let snap = handle.metrics().snapshot();
+    assert!(snap.max_occupancy > 1, "the pipelined requests never shared a batch: {snap:?}");
+    handle.shutdown();
+}
+
+#[test]
+fn a_peer_that_never_reads_stalls_no_other_connection() {
+    // This peer asks for a 32 MiB result and never reads it. Four other
+    // connections, two per dtype, must keep getting in-process GEMM's
+    // bits meanwhile.
+    let handle = spawn_pinned(ServeConfig::default());
+    let addr = handle.addr();
+    let (a, b) = (fill::bench_workload(2048, 1, 71), fill::bench_workload(1, 2048, 72));
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    stalled.write_all(&request_frame(5, &a, &b)).expect("send");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while handle.metrics().snapshot().responses == 0 {
+        assert!(Instant::now() < deadline, "the big request never ran");
+        thread::sleep(Duration::from_millis(1));
+    }
+
+    /// Eight round trips of `T` on a connection of its own.
+    fn round_trips<T: fmm_serve::WireScalar>(addr: std::net::SocketAddr, seed: u64) {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+        for id in 0..8 {
+            let x = fill::bench_workload_t::<T>(12, 10, seed + 2 * id);
+            let y = fill::bench_workload_t::<T>(10, 9, seed + 2 * id + 1);
+            s.write_all(&request_frame(id, &x, &y)).expect("send");
+            let reply = protocol::read_frame_any(&mut s, 1 << 20).expect("served past the stall");
+            assert_eq!(reply.request_id, id);
+            let c = protocol::decode_response::<T>(&reply.payload).expect("decode");
+            assert_eq!(c, gemm(&x, &y), "{} reply {id} is not GEMM's", T::NAME);
+        }
+    }
+    thread::scope(|s| {
+        s.spawn(|| round_trips::<f64>(addr, 100));
+        s.spawn(|| round_trips::<f64>(addr, 200));
+        s.spawn(|| round_trips::<f32>(addr, 300));
+        s.spawn(|| round_trips::<f32>(addr, 400));
+    });
+
+    let reply = protocol::read_frame_any(&mut stalled, 64 << 20).expect("the big reply");
+    assert_eq!((reply.kind, reply.request_id), (FrameKind::Response, 5));
+    assert_eq!(protocol::decode_response::<f64>(&reply.payload).expect("decode"), gemm(&a, &b));
     handle.shutdown();
 }
 
@@ -453,7 +561,7 @@ fn retry_busy_rides_out_real_backpressure() {
     // must see Busy refusals, and retry_busy must carry every request
     // through anyway.
     let handle = spawn_pinned(ServeConfig {
-        batch: BatchPolicy { window: Duration::ZERO, max_batch: 1, straggler_gap: Duration::ZERO },
+        batch: BatchPolicy { window: Duration::ZERO, max_batch: 1 },
         queue_capacity: 1,
         ..ServeConfig::default()
     });
@@ -534,16 +642,7 @@ fn closed_connections_leave_no_threads_behind() {
     if !is_child() {
         return run_alone("closed_connections_leave_no_threads_behind", "");
     }
-    // A batch window long enough that the requests below are still in
-    // flight when their peers half-close or reset.
-    let handle = spawn_pinned(ServeConfig {
-        batch: BatchPolicy {
-            window: Duration::from_secs(1),
-            max_batch: 64,
-            straggler_gap: Duration::from_secs(1),
-        },
-        ..ServeConfig::default()
-    });
+    let handle = spawn_pinned(ServeConfig::default());
     let addr = handle.addr();
     let (a, b) = (fill::bench_workload(6, 4, 27), fill::bench_workload(4, 5, 28));
     let mut request = Vec::new();
@@ -563,11 +662,23 @@ fn closed_connections_leave_no_threads_behind() {
     // stays, so it belongs to the baseline.
     PipelinedClient::connect(addr).expect("connect").multiply(&a, &b).expect("warm-up");
     settles("warm-up connection reaped", Duration::from_secs(5), || handle.live_connections(), 0);
+    // A connection that lives through every wave and parks a combiner
+    // where the requests below must still be in flight when their peers
+    // half-close or reset.
+    let mut parker = PipelinedClient::connect(addr).expect("connect");
+    parker.ping().expect("ping");
+    let park = |parker: &mut PipelinedClient| {
+        handle.gate().hold(true);
+        let id = parker.send(&a, &b).expect("send");
+        assert!(handle.gate().await_waiting(1), "the request's reader never parked");
+        id
+    };
     thread::sleep(Duration::from_millis(50));
     let levels = || (threads(), handle.metrics().snapshot().connections, handle.live_connections());
     let before = levels();
 
     for wave in ["idle", "mid-frame", "half-closed", "reset"] {
+        let held = matches!(wave, "half-closed" | "reset").then(|| park(&mut parker));
         let mut peers: Vec<TcpStream> =
             (0..50).map(|_| TcpStream::connect(addr).expect("connect")).collect();
         for s in &mut peers {
@@ -584,9 +695,10 @@ fn closed_connections_leave_no_threads_behind() {
                 _ => {}
             }
         }
-        settles(wave, Duration::from_secs(10), || handle.live_connections(), 50);
+        settles(wave, Duration::from_secs(10), || handle.live_connections(), 51);
         match wave {
             "half-closed" => {
+                handle.gate().hold(false);
                 for s in &mut peers {
                     let reply = protocol::read_frame_any(s, 1 << 20).expect("owed response");
                     assert_eq!(reply.kind, FrameKind::Response);
@@ -603,6 +715,10 @@ fn closed_connections_leave_no_threads_behind() {
         // Closing with the Pong unread resets the reset wave's connections.
         drop(peers);
         settles(wave, Duration::from_secs(1), levels, before);
+        if let Some(id) = held {
+            handle.gate().hold(false);
+            parker.recv::<f64>(id).expect("the parked request served");
+        }
     }
     handle.shutdown();
 }

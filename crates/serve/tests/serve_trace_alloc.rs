@@ -41,8 +41,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Heap calls of one warm 48³ request on a default daemon, whose
-/// dispatcher runs it, client included:
+/// Heap calls of one warm 48³ request, which its connection's reader runs
+/// as a one-job batch and answers itself, client included:
 /// * the batch's job list, result-buffer list and `BatchItem` list: 3;
 /// * `multiply_batch`'s decision list: 1;
 /// * the plain GEMM the engine routes 48³ to, one block: its destination
@@ -55,18 +55,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// the connection's reply queue keeps its capacity, so the reply path
 /// adds none.
 const PER_REQUEST: u64 = 3 + 1 + 3 + 1;
-/// Heap calls of the same request on a zero-window daemon, whose
-/// connection reader runs it and writes the reply itself, client
-/// included:
-/// * the one-job batch's job list, result-buffer list and `BatchItem`
-///   list: 3;
-/// * `multiply_batch`'s decision list: 1;
-/// * the plain GEMM's destination, B-slice and A-slice lists: 3;
-/// * the client's result `Matrix`: 1.
-///
-/// The reply is written from a stack header ‖ prelude and the pooled
-/// result, with no queue in between.
-const PER_LONE_REQUEST: u64 = 3 + 1 + 3 + 1;
 /// Heap calls outside any request that may land in the window: the
 /// watchdog's first judging pass, 100 ms after spawn, grows its
 /// per-component state once.
@@ -74,21 +62,17 @@ const WATCHDOG_FIRST_PASS: u64 = 1;
 
 #[test]
 fn warm_serving_path_allocates_nothing_with_tracing_on() {
-    // The dispatcher's path, then the reader's. One process, so one at a
-    // time: the allocation counter is process-global.
-    warm_requests(ServeConfig { trace: true, ..ServeConfig::default() }, PER_REQUEST, false);
+    // A default daemon, then a zero-window one: the same path. One
+    // process, so one at a time: the allocation counter is process-global.
+    warm_requests(ServeConfig { trace: true, ..ServeConfig::default() }, PER_REQUEST);
     let batch = BatchPolicy { window: Duration::ZERO, ..BatchPolicy::default() };
-    warm_requests(
-        ServeConfig { trace: true, batch, ..ServeConfig::default() },
-        PER_LONE_REQUEST,
-        true,
-    );
+    warm_requests(ServeConfig { trace: true, batch, ..ServeConfig::default() }, PER_REQUEST);
 }
 
 /// Serve warm 48³ requests from one closed-loop client on a daemon built
 /// from `config`, and hold each to `per_request` heap calls and the whole
-/// run to flat pool misses; `on_reader` says which thread must run them.
-fn warm_requests(config: ServeConfig, per_request: u64, on_reader: bool) {
+/// run to flat pool misses.
+fn warm_requests(config: ServeConfig, per_request: u64) {
     // One connection + single engine worker. The recorder's rings are
     // statics (`fmm-obs`'s `recorder_alloc.rs` proves a record never
     // allocates); here the whole warm request path is held to flat pool
@@ -140,9 +124,6 @@ fn warm_requests(config: ServeConfig, per_request: u64, on_reader: bool) {
     let recorded = fmm_obs::trace::events_recorded() - events_warm;
     assert!(recorded >= 5 * WARM, "the warm runs recorded only {recorded} events");
     assert_eq!(fmm_obs::trace::events_dropped(), 0, "a lone request's events never collide");
-    let snap = handle.metrics().snapshot();
-    let expected = if on_reader { snap.requests } else { 0 };
-    assert_eq!(snap.reader_requests, expected, "requests run on the reader: {snap:?}");
     handle.shutdown();
 }
 

@@ -1,12 +1,8 @@
-//! Watchdog + incident integration tests: an injected dispatcher wedge
-//! must surface as a stall verdict (counter + stall event naming the
-//! component) within the detection deadline, and a healthy daemon under
-//! pipelined load must produce zero stall verdicts while still serving
-//! schema-valid incident dumps over the wire.
-//!
-//! The event rings and the `WEDGE_DISPATCH` hook are process-global, so
-//! the two scenarios serialize on a local mutex instead of trusting the
-//! test harness's thread scheduling.
+//! Watchdog + incident integration tests: an executor wedged by the
+//! server's combiner hold must surface as a stall verdict (counter + stall
+//! event naming the component) within the detection deadline, and a
+//! healthy daemon under pipelined load must produce zero stall verdicts
+//! while still serving schema-valid incident dumps over the wire.
 
 use fmm_dense::fill;
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
@@ -15,11 +11,8 @@ use fmm_obs::{Event, Kind};
 use fmm_serve::{
     BatchPolicy, Document, Incident, PipelinedClient, ServeConfig, Server, ServerHandle,
 };
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-static SCENARIO_LOCK: Mutex<()> = Mutex::new(());
 
 fn pinned_engines() -> (Arc<FmmEngine<f64>>, Arc<FmmEngine<f32>>) {
     let config = EngineConfig {
@@ -40,11 +33,7 @@ fn spawn_watched() -> ServerHandle {
     let (e64, e32) = pinned_engines();
     Server::spawn_with_engines(
         ServeConfig {
-            batch: BatchPolicy {
-                window: Duration::from_millis(2),
-                max_batch: 8,
-                straggler_gap: Duration::from_millis(2),
-            },
+            batch: BatchPolicy { window: Duration::from_millis(2), max_batch: 8 },
             watchdog: true,
             // Short stall deadline so the wedge test converges fast; the
             // healthy test must stay quiet even at this sensitivity.
@@ -62,18 +51,16 @@ fn notable_events(doc: &Incident) -> Vec<Event> {
     doc.events.iter().map(|l| l.event).filter(|e| e.kind.always_on()).collect()
 }
 
-/// An injected dispatcher wedge is detected, counted, and named: park the
-/// dispatchers before they pop work (the flag goes up before the daemon
-/// spawns — a dispatcher already blocked inside `pop_first` is past the
-/// check and would consume the job), enqueue a request so the progress
-/// probe sees depth, and the watchdog must record a stall verdict within
-/// a few deadlines — attributable through the incident dump to a
-/// `dispatch-*` component. Unwedging lets the request complete normally.
+/// A wedged executor is detected, counted, and named: hold the combiners,
+/// so the reader of the request below parks holding its dtype's executor
+/// bit (the progress probe's work), and the watchdog must record a stall
+/// verdict within a few deadlines — attributable through the incident
+/// dump to an `executor-*` component. Lifting the hold lets the request
+/// complete normally.
 #[test]
-fn wedged_dispatcher_is_detected_and_named() {
-    let _guard = SCENARIO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    fmm_serve::dispatch::WEDGE_DISPATCH.store(true, Ordering::Relaxed);
+fn wedged_executor_is_detected_and_named() {
     let handle = spawn_watched();
+    handle.gate().hold(true);
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
 
     let a = fill::bench_workload(24, 16, 1);
@@ -85,12 +72,12 @@ fn wedged_dispatcher_is_detected_and_named() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let stalls = || handle.stats().counter("fmm_watchdog_stalls_total").expect("stall counter");
     while stalls() == 0 {
-        assert!(Instant::now() < deadline, "watchdog never saw the wedged dispatcher");
+        assert!(Instant::now() < deadline, "watchdog never saw the wedged executor");
         std::thread::sleep(Duration::from_millis(20));
     }
 
     // The stall must be attributable: a `WatchdogStall` event whose
-    // component id resolves to a dispatcher in the incident dump roster.
+    // component id resolves to an executor in the incident dump roster.
     let doc = handle.incident();
     let names = &doc.watchdog.as_ref().expect("watchdog section lists components").components;
     let stalled = notable_events(&doc)
@@ -102,12 +89,12 @@ fn wedged_dispatcher_is_detected_and_named() {
         .get(stalled as usize)
         .unwrap_or_else(|| panic!("stalled component {stalled} resolves to a name in {names:?}"));
     assert!(
-        stalled_name.starts_with("dispatch-"),
-        "stall blamed on {stalled_name:?}, expected a dispatcher"
+        stalled_name.starts_with("executor-"),
+        "stall blamed on {stalled_name:?}, expected an executor"
     );
 
     // The offline analyzer must tell the same story: write the dump out
-    // and run `fmm_serve doctor` on it, expecting the dispatcher named.
+    // and run `fmm_serve doctor` on it, expecting the executor named.
     let dir = std::env::temp_dir().join(format!("fmm-doctor-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let dump_path = dir.join("incident-wedge.json");
@@ -121,16 +108,16 @@ fn wedged_dispatcher_is_detected_and_named() {
     let report = String::from_utf8_lossy(&out.stdout);
     assert!(
         report.contains(&format!("stalled component: {stalled_name}")),
-        "doctor names the wedged dispatcher:\n{report}"
+        "doctor names the wedged executor:\n{report}"
     );
     assert!(
         report.lines().any(|l| l.starts_with("diagnosis:") && l.contains(stalled_name.as_str())),
-        "doctor's diagnosis blames the wedged dispatcher:\n{report}"
+        "doctor's diagnosis blames the wedged executor:\n{report}"
     );
     std::fs::remove_dir_all(&dir).ok();
 
-    // Unwedge: the parked job drains and the response arrives.
-    fmm_serve::dispatch::WEDGE_DISPATCH.store(false, Ordering::Relaxed);
+    // Unwedge: the parked combiner drains and the response arrives.
+    handle.gate().hold(false);
     let c: fmm_dense::Matrix<f64> = client.recv(id).expect("response after unwedge");
     assert_eq!((c.rows(), c.cols()), (24, 20));
     drop(client);
@@ -142,8 +129,6 @@ fn wedged_dispatcher_is_detected_and_named() {
 /// always-on events and watchdog roster.
 #[test]
 fn healthy_daemon_has_zero_stall_verdicts() {
-    let _guard = SCENARIO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    fmm_serve::dispatch::WEDGE_DISPATCH.store(false, Ordering::Relaxed);
     let handle = spawn_watched();
 
     let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
@@ -171,10 +156,10 @@ fn healthy_daemon_has_zero_stall_verdicts() {
     );
 
     // Incident dump over the wire: schema-tagged, always-on events
-    // populated, both dispatchers on the watchdog roster.
+    // populated, both executors on the watchdog roster.
     let doc = client.incident().expect("incident frame decodes, schema tag included");
     let names = &doc.watchdog.as_ref().expect("watchdog roster present").components;
-    assert_eq!(names.len(), 2, "the 2 dispatchers on the roster: {names:?}");
+    assert_eq!(names.len(), 2, "the 2 executors on the roster: {names:?}");
     assert!(!notable_events(&doc).is_empty(), "the always-on ring captured the load");
     assert!(!doc.build.version.is_empty() && !doc.build.kernel_f64.is_empty());
 
