@@ -1,8 +1,8 @@
 //! `fmm_serve` — operate the serving daemon from the command line.
 //!
 //! ```sh
-//! fmm_serve serve [--addr 127.0.0.1:7117] [--window-us 2000] [--max-batch 32]
-//!                 [--queue 256] [--workers 0]
+//! fmm_serve serve [--addr 127.0.0.1:7117] [--max-batch 32] [--queue 256]
+//!                 [--workers 0]
 //!                 [--trace] [--incident-dir DIR] [--no-watchdog]
 //!                 [--watchdog-stall-ms 1000] [--watchdog-abort-after MS]
 //!                 [--slow-ms 250]
@@ -106,7 +106,6 @@ fn main() {
 /// workspace CLIs; unknown flags are fatal).
 struct Options {
     addr: String,
-    window_us: u64,
     max_batch: usize,
     queue: usize,
     workers: usize,
@@ -135,7 +134,6 @@ impl Options {
     fn parse(argv: &[String]) -> Self {
         let mut o = Options {
             addr: "127.0.0.1:7117".to_string(),
-            window_us: 2000,
             max_batch: 32,
             queue: 256,
             workers: 0,
@@ -165,7 +163,6 @@ impl Options {
                 || args.next().unwrap_or_else(|| panic!("{flag} takes a value")).clone();
             match flag.as_str() {
                 "--addr" => o.addr = value(),
-                "--window-us" => o.window_us = number(flag, value()),
                 "--max-batch" => o.max_batch = number(flag, value()),
                 "--queue" => o.queue = number(flag, value()),
                 "--workers" => o.workers = number(flag, value()),
@@ -206,10 +203,7 @@ fn number<T: std::str::FromStr>(flag: &str, value: String) -> T {
 fn cmd_serve(o: &Options) {
     let config = ServeConfig {
         addr: o.addr.clone(),
-        batch: BatchPolicy {
-            window: Duration::from_micros(o.window_us),
-            max_batch: o.max_batch.max(1),
-        },
+        batch: BatchPolicy { max_batch: o.max_batch.max(1), ..BatchPolicy::default() },
         queue_capacity: o.queue,
         workers: o.workers,
         watchdog: o.watchdog,
@@ -223,14 +217,11 @@ fn cmd_serve(o: &Options) {
     // `--trace` turns tracing on; its absence defers to the FMM_TRACE
     // environment default already resolved by `ServeConfig::default()`.
     let config = ServeConfig { trace: config.trace || o.trace, ..config };
-    let (window, max_batch) = (config.batch.window, config.batch.max_batch);
+    let max_batch = config.batch.max_batch;
     let handle = or_exit(Server::spawn(config), &format!("failed to bind {}", o.addr));
     println!("fmm_serve listening on {}", handle.addr());
     println!("{}", BuildInfo::current());
-    println!(
-        "micro-batching: window {window:?}, max batch {max_batch}, queue capacity {}",
-        o.queue
-    );
+    println!("micro-batching: max batch {max_batch}, queue capacity {}", o.queue);
     let stall_ms = o.watchdog_stall_ms.max(1);
     match (o.watchdog, o.watchdog_abort_after_ms) {
         (false, _) => println!("watchdog: disabled"),

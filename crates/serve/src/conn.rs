@@ -82,11 +82,9 @@ pub enum InEvent {
     },
 }
 
-/// Read one inbound frame from `r`, enforcing `max_payload`, calling
-/// `announce` once a request's header is in and before its payload is
-/// read. `Ok(None)` is a clean close at a frame boundary; `Err` is a
-/// transport error, or `UnexpectedEof` for a stream that ends inside a
-/// frame.
+/// Read one inbound frame from `r`, enforcing `max_payload`. `Ok(None)` is
+/// a clean close at a frame boundary; `Err` is a transport error, or
+/// `UnexpectedEof` for a stream that ends inside a frame.
 #[deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -100,7 +98,6 @@ pub fn read_event(
     r: &mut impl Read,
     max_payload: usize,
     pools: &IngestPools,
-    announce: impl FnOnce(),
 ) -> io::Result<Option<InEvent>> {
     let head = match protocol::read_header(r, max_payload) {
         Ok(head) => head,
@@ -121,7 +118,6 @@ pub fn read_event(
         r.read_exact(&mut payload)?;
         return Ok(Some(small_frame_event(head, payload)));
     }
-    announce();
     let mut prelude = [0; REQUEST_PRELUDE];
     r.read_exact(&mut prelude)?;
     match protocol::decode_request_prelude(&prelude, head.payload_len, max_payload) {
@@ -212,25 +208,14 @@ fn small_frame_event(head: FrameHead, payload: Vec<u8>) -> InEvent {
     }
 }
 
-/// What the peer has sent that waits in a socket's receive buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Pending {
-    /// Nothing.
-    Nothing,
-    /// Bytes, but not a whole frame; also the answer where the probe fails.
-    Bytes,
-    /// The whole next frame, so reading it cannot block.
-    Frame,
-}
-
-/// Probe `stream`'s receive buffer without blocking or consuming it: a
-/// whole frame is one whose peeked header declares a payload the buffered
-/// bytes cover.
-pub fn pending(stream: &TcpStream) -> Pending {
+/// Whether `stream`'s receive buffer already holds the whole next frame,
+/// so reading it cannot block: its peeked header declares a payload the
+/// buffered bytes cover. Probed without blocking or consuming anything;
+/// `false` where the probe fails.
+pub fn frame_buffered(stream: &TcpStream) -> bool {
     let buffered = match sys::buffered(stream) {
-        Some(0) => return Pending::Nothing,
         Some(n) if n >= HEADER_LEN => n,
-        _ => return Pending::Bytes,
+        _ => return false,
     };
     let mut prefix = [0; HEADER_PREFIX_LEN];
     // At least a header is buffered, so the peek returns at once.
@@ -238,10 +223,7 @@ pub fn pending(stream: &TcpStream) -> Pending {
         Ok(HEADER_PREFIX_LEN) => protocol::le_bytes(&prefix, HEADER_PREFIX_LEN - 4),
         _ => None,
     };
-    match payload {
-        Some(len) if buffered - HEADER_LEN >= u32::from_le_bytes(len) as usize => Pending::Frame,
-        _ => Pending::Bytes,
-    }
+    payload.is_some_and(|len| buffered - HEADER_LEN >= u32::from_le_bytes(len) as usize)
 }
 
 #[cfg(unix)]
@@ -364,7 +346,7 @@ mod tests {
         let b = fill::bench_workload(3, 4, 2);
         let mut src = Trickle { bytes: request_wire(42, &a, &b), at: 0, burst: 1 };
         let pools = IngestPools::new(8, usize::MAX);
-        let (head, dims, operands) = match read_event(&mut src, 1 << 20, &pools, || {}) {
+        let (head, dims, operands) = match read_event(&mut src, 1 << 20, &pools) {
             Ok(Some(InEvent::Request { head, dims, operands })) => (head, dims, operands),
             other => panic!("expected request, got {other:?}"),
         };
@@ -406,8 +388,8 @@ mod tests {
         frame(&mut wire, 9, FrameKind::Ping, b"");
         let mut src = Counting { inner: Cursor::new(wire), asked: Vec::new() };
         let pools = IngestPools::new(8, usize::MAX);
-        let first = read_event(&mut src, 1 << 20, &pools, || {}).unwrap();
-        let second = read_event(&mut src, 1 << 20, &pools, || {}).unwrap();
+        let first = read_event(&mut src, 1 << 20, &pools).unwrap();
+        let second = read_event(&mut src, 1 << 20, &pools).unwrap();
         match (first, second) {
             (
                 Some(InEvent::Ping { head: h1, payload: p1 }),
@@ -430,7 +412,7 @@ mod tests {
         assert_eq!(wire.len(), HEADER_PREFIX_LEN);
         let mut src = Trickle { bytes: wire, at: 0, burst: usize::MAX };
         let pools = IngestPools::new(8, usize::MAX);
-        match read_event(&mut src, 1 << 20, &pools, || {}) {
+        match read_event(&mut src, 1 << 20, &pools) {
             Ok(Some(InEvent::Bad {
                 request_id: 0,
                 code: ErrorCode::UnsupportedVersion,
@@ -452,7 +434,7 @@ mod tests {
 
         let pools = IngestPools::new(8, usize::MAX);
         let mut cursor = Cursor::new(wire);
-        match read_event(&mut cursor, 1 << 20, &pools, || {}) {
+        match read_event(&mut cursor, 1 << 20, &pools) {
             Ok(Some(InEvent::Bad {
                 request_id: 5,
                 code: ErrorCode::Malformed,
@@ -464,7 +446,7 @@ mod tests {
             }
             other => panic!("expected recoverable Bad, got {other:?}"),
         }
-        let next = read_event(&mut cursor, 1 << 20, &pools, || {});
+        let next = read_event(&mut cursor, 1 << 20, &pools);
         assert!(matches!(&next, Ok(Some(InEvent::Ping { head, .. })) if head.request_id == 6));
     }
 
@@ -474,7 +456,7 @@ mod tests {
         wire.extend_from_slice(&[0u8; 20]);
         let pools = IngestPools::new(8, usize::MAX);
         let mut cursor = Cursor::new(wire);
-        let event = read_event(&mut cursor, 1 << 20, &pools, || {});
+        let event = read_event(&mut cursor, 1 << 20, &pools);
         assert!(matches!(
             &event,
             Ok(Some(InEvent::Bad { code: ErrorCode::Malformed, fatal: true, .. }))
@@ -531,7 +513,7 @@ mod tests {
     fn read_all(r: &mut impl Read, pools: &IngestPools) -> (Vec<String>, io::Result<()>) {
         let mut events = Vec::new();
         loop {
-            match read_event(r, 1 << 20, pools, || {}) {
+            match read_event(r, 1 << 20, pools) {
                 Ok(Some(event)) => events.push(describe(&event)),
                 Ok(None) => return (events, Ok(())),
                 Err(e) => return (events, Err(e)),

@@ -4,20 +4,18 @@
 //!
 //! Each dtype has a bounded [`BatchQueue`] with an executor bit. A reader
 //! pushes its admitted job, then [`combine`]s: the reader that claims the
-//! bit runs batches of up to [`BatchPolicy::max_batch`] jobs, its own among
-//! them, through [`BatchRunner::run`]; one that loses leaves its job to
-//! the holder. The combining invariant: a turn ends with one atomic step
-//! under the queue lock ([`BatchQueue::next_batch`]) that takes the next
-//! batch or, on an empty queue, releases the bit. A job pushed after it
-//! finds the bit free for its pusher, so no job is left queued with nobody
-//! to run it, and one batch per dtype executes at a time.
+//! bit runs batches of up to `max_batch` jobs, its own among them, through
+//! [`BatchRunner::run`]; one that loses leaves its job to the holder. The
+//! combining invariant: a turn ends with one atomic step under the queue
+//! lock ([`BatchQueue::next_batch`]) that takes the next batch or, on an
+//! empty queue, releases the bit. A job pushed after it finds the bit free
+//! for its pusher, so no job is left queued with nobody to run it, and one
+//! batch per dtype executes at a time.
 //!
-//! Batches form from what arrives while a batch runs, which is how
-//! `multiply_batch` gives small problems Benson–Ballard's inter-problem
-//! parallelism. Beyond that a combiner waits only while another
-//! connection has announced a request that is still arriving ([`Gate`]),
-//! and at most [`BatchPolicy::window`]: with nothing arriving it runs at
-//! once, so a lone caller never waits on the policy.
+//! A batch is what is queued when the combiner takes it: batches form from
+//! what arrives while a batch runs, which is how `multiply_batch` gives
+//! small problems Benson–Ballard's inter-problem parallelism, and no
+//! combiner waits on a timer, so a lone caller never waits on the policy.
 //!
 //! Admission control lives in the queue itself: [`BatchQueue::try_push`]
 //! refuses beyond its capacity, and the connection layer turns that
@@ -30,15 +28,14 @@ use fmm_gemm::GemmScalar;
 use fmm_obs::trace::{self, Event, Kind};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Cross-request coalescing policy.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchPolicy {
-    /// Longest a combiner waits, before each batch, while another
-    /// connection has announced a request that is still arriving. `0`
-    /// never waits: a batch is what is already queued.
+    /// Not consulted: a combiner never waits for a batch to fill (see the
+    /// module docs). Kept because callers still set it.
     pub window: Duration,
     /// Most requests one `multiply_batch` call may coalesce. `1` disables
     /// batching entirely (one request at a time).
@@ -195,36 +192,22 @@ impl<T> BatchQueue<T> {
 
 #[derive(Default)]
 struct GateState {
-    /// Requests announced by their header and not yet admitted or failed.
-    arriving: usize,
-    /// Combiners waiting at the gate.
+    /// Combiners parked at the gate.
     waiting: usize,
-    /// The test hold: combiners wait at the gate until it lifts.
+    /// The hold: combiners park at the gate until it lifts.
     held: bool,
+    /// Batches let past the hold before it parks combiners again.
+    passes: usize,
 }
 
-/// Where a combiner waits between claiming the executor bit and taking a
-/// batch: for the requests connections have announced but not yet
-/// admitted, and for a test hold. One per server, shared by both dtypes.
+/// Test seam: where a combiner parks, between claiming the executor bit
+/// and taking a batch, while the gate is held, so admitted work stays
+/// queued and in flight. One per server, shared by both dtypes.
+#[doc(hidden)]
 #[derive(Default)]
 pub struct Gate {
     state: Mutex<GateState>,
     changed: Condvar,
-}
-
-/// A request announced to a [`Gate`]: it counts as arriving until this
-/// drops, at its admission or when its frame fails.
-pub struct Arrival<'a>(&'a Gate);
-
-impl Drop for Arrival<'_> {
-    fn drop(&mut self) {
-        // Every update leaves the state valid, and a drop must not panic.
-        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.arriving -= 1;
-        if state.waiting > 0 {
-            self.0.changed.notify_all();
-        }
-    }
 }
 
 impl Gate {
@@ -232,48 +215,40 @@ impl Gate {
         self.state.lock().expect("gate poisoned")
     }
 
-    /// A reader decoded a request header: combiners may wait for the
-    /// request while the returned guard lives.
-    pub fn announce(&self) -> Arrival<'_> {
-        self.lock().arriving += 1;
-        Arrival(self)
-    }
-
-    /// Test seam: while `on`, every combiner waits at the gate, so
-    /// admitted work stays queued.
-    #[doc(hidden)]
+    /// While `on`, every combiner with jobs queued parks at the gate.
     pub fn hold(&self, on: bool) {
-        self.lock().held = on;
+        let mut state = self.lock();
+        (state.held, state.passes) = (on, 0);
+        drop(state);
         self.changed.notify_all();
     }
 
-    /// Test seam: wait up to 20 s until `count` combiners wait at the
-    /// gate; `false` if they never did.
-    #[doc(hidden)]
+    /// Let `count` more batches past the hold.
+    pub fn let_pass(&self, count: usize) {
+        self.lock().passes += count;
+        self.changed.notify_all();
+    }
+
+    /// Wait up to 20 s until `count` combiners are parked at the gate;
+    /// `false` if they never were.
     pub fn await_waiting(&self, count: usize) -> bool {
         let within = Duration::from_secs(20);
         let waited = self.changed.wait_timeout_while(self.lock(), within, |s| s.waiting < count);
         !waited.expect("gate poisoned").1.timed_out()
     }
 
-    /// While jobs are queued, wait for the hold to lift, and, at most
-    /// `window`, for requests still arriving while the batch has room.
-    fn pass(&self, window: Duration, max_batch: usize, depth: impl Fn() -> usize) {
-        let (mut state, mut deadline) = (self.lock(), None);
-        loop {
-            let queued = depth();
-            if queued == 0 || !state.held && (state.arriving == 0 || queued >= max_batch) {
-                return;
-            }
-            let deadline = *deadline.get_or_insert_with(|| Instant::now() + window);
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() && !state.held {
+    /// Park while the gate is held and `queued` says jobs wait, unless a
+    /// pass is left.
+    fn pass(&self, queued: impl Fn() -> bool) {
+        let mut state = self.lock();
+        while state.held && queued() {
+            if state.passes > 0 {
+                state.passes -= 1;
                 return;
             }
             state.waiting += 1;
             self.changed.notify_all();
-            let timeout = if state.held { Duration::MAX } else { left };
-            state = self.changed.wait_timeout(state, timeout).expect("gate poisoned").0;
+            state = self.changed.wait(state).expect("gate poisoned");
             state.waiting -= 1;
         }
     }
@@ -388,29 +363,32 @@ where
 }
 
 /// Run `queue`'s batches on the calling thread if it wins the executor
-/// bit, until the queue is empty; return at once otherwise. Before each
-/// batch the combiner waits at [`Gate`] for requests still arriving, up to
-/// `policy.window`. Every result goes to `deliver` with its connection's
-/// sink.
+/// bit, until the queue is empty; return at once otherwise. Every result
+/// goes to `deliver` with its connection's sink; `hand_off` runs after each
+/// batch that more follow, so what a batch owes the combiner's own
+/// connection need not wait out the whole turn.
 pub fn combine<T: GemmScalar>(
     queue: &BatchQueue<T>,
     gate: &Gate,
     runner: &BatchRunner<'_, T>,
-    policy: BatchPolicy,
+    max_batch: usize,
     mut deliver: impl FnMut(&Arc<dyn CompletionSink>, Completion),
+    mut hand_off: impl FnMut(),
 ) where
     WireBuf: From<PooledBuf<T>>,
 {
     if !queue.try_claim() {
         return;
     }
-    let max_batch = policy.max_batch.max(1);
     loop {
         let opened = trace::now_nanos();
-        gate.pass(policy.window, max_batch, || queue.depth());
+        gate.pass(|| queue.depth() > 0);
         let Some(jobs) = queue.next_batch(max_batch) else { return };
         runner.run(jobs, opened, queue.depth() as u64, &mut deliver);
         queue.completed.fetch_add(1, Ordering::Relaxed);
+        if queue.depth() > 0 {
+            hand_off();
+        }
     }
 }
 
@@ -484,7 +462,8 @@ mod tests {
             conn: 0,
             slow_threshold: Duration::MAX,
         };
-        combine(queue, gate, &runner, policy, |sink, completion| sink.complete(completion));
+        let deliver = |sink: &Arc<dyn CompletionSink>, completion| sink.complete(completion);
+        combine(queue, gate, &runner, policy.max_batch, deliver, || {});
     }
 
     fn job(
@@ -595,27 +574,36 @@ mod tests {
         drain(&queue, &gate, &engine, &pools, &metrics, ten_seconds);
         assert!(t0.elapsed() < Duration::from_secs(5), "waited {:?}", t0.elapsed());
         assert_eq!(sink.results().len(), 1);
+    }
 
-        // A request announced and never admitted holds a batch for the
-        // window, no longer…
-        let arrival = gate.announce();
-        let short = BatchPolicy { window: Duration::from_millis(30), max_batch: 8 };
-        let (j, _, _) = job(&pools, &sink, 4, 3, 2);
-        assert!(queue.try_push(j).is_ok());
-        let t0 = Instant::now();
-        drain(&queue, &gate, &engine, &pools, &metrics, short);
-        assert!(t0.elapsed() >= Duration::from_millis(30), "waited {:?}", t0.elapsed());
-        assert_eq!(sink.results().len(), 2);
-
-        // …and not at all once the batch is full.
-        let full = BatchPolicy { window: Duration::from_secs(10), max_batch: 1 };
-        let (j, _, _) = job(&pools, &sink, 4, 5, 3);
-        assert!(queue.try_push(j).is_ok());
-        let t0 = Instant::now();
-        drain(&queue, &gate, &engine, &pools, &metrics, full);
-        assert!(t0.elapsed() < Duration::from_secs(5), "waited {:?}", t0.elapsed());
-        drop(arrival);
-        assert_eq!(sink.results().len(), 3);
+    #[test]
+    fn a_combiner_hands_off_between_batches_only() {
+        let engine = tiny_engine();
+        let pools = IngestPools::new(16, usize::MAX);
+        let sink = Arc::new(Collector::default());
+        let metrics = Metrics::default();
+        let (queue, gate) = (BatchQueue::new(16), Gate::default());
+        for seed in 0..3u64 {
+            let (j, _, _) = job(&pools, &sink, 4, seed * 2 + 1, seed);
+            assert!(queue.try_push(j).is_ok());
+        }
+        let runner = BatchRunner {
+            engine: &engine,
+            pool: &pools.f64,
+            metrics: &metrics,
+            conn: 0,
+            slow_threshold: Duration::MAX,
+        };
+        let (mut delivered, mut hand_offs) = (0, Vec::new());
+        let deliver = |sink: &Arc<dyn CompletionSink>, completion| {
+            sink.complete(completion);
+            delivered += 1;
+        };
+        // Each hand-off sees what the batches before it delivered; the
+        // last batch is followed by none.
+        combine(&queue, &gate, &runner, 1, deliver, || hand_offs.push(sink.results().len()));
+        assert_eq!(delivered, 3);
+        assert_eq!(hand_offs, [1, 2]);
     }
 
     #[test]

@@ -510,11 +510,6 @@ impl RequestDims {
         self.m * self.k * self.dtype.elem_bytes()
     }
 
-    /// Bytes of the `B` operand on the wire.
-    pub fn b_bytes(&self) -> usize {
-        self.k * self.n * self.dtype.elem_bytes()
-    }
-
     /// Bytes of the `C` result the response will carry — known the moment
     /// the prelude decodes, which is what lets admission control charge a
     /// request's response cost *before* any result exists.

@@ -5,19 +5,21 @@
 //! starts its writer. The reader decodes frames with blocking reads
 //! ([`read_event`]) straight into pooled buffers — one copy off the wire —
 //! runs admission control, pushes each admitted request onto its dtype's
-//! queue and combines ([`dispatch::combine`]): if it wins the dtype's
-//! executor bit it runs batches, everyone's jobs with its own, until the
-//! queue is empty, and hands each other connection's result to that
-//! connection's reply queue (the connection is its requests'
-//! [`CompletionSink`]); if it loses, the holder runs its job. Once its turn
-//! is over it writes its own replies under the connection's write claim,
-//! which the writer takes around each write from the reply queue. A lone
-//! request crosses client, reader, client. A reader whose socket already
-//! holds the whole next frame pushes without combining and reads on, so a
-//! pipelining connection's requests share a batch; no read that may block
-//! starts before the pushed jobs are combined.
+//! queue and combines on the queues it pushed to ([`dispatch::combine`]):
+//! if it wins a dtype's executor bit it runs batches, everyone's jobs with
+//! its own, until the queue is empty, and queues each result for its
+//! connection (the connection is its requests' [`CompletionSink`]),
+//! waking that connection's writer unless the connection is its own; if
+//! it loses, the holder runs its job. Its own results are handed to its
+//! writer when more batches follow, and otherwise written by the reader
+//! after the turn, under the connection's write claim (which the writer
+//! takes around each write) with the socket nonblocking: what the socket
+//! will not take at once is left to the writer, so no reader blocks on its
+//! peer. A lone request crosses client, reader, client. A reader whose
+//! socket already holds the whole next frame pushes without combining and
+//! reads on, so a pipelining connection's requests share a batch.
 //!
-//! A slow peer blocks only its own connection's threads: a combiner never
+//! A slow peer blocks only its own connection's writer: a combiner never
 //! writes to another connection's socket, and its reader stops reading
 //! while the reply backlog exceeds [`ServeConfig::max_conn_backlog_bytes`].
 //! A client may pipeline up to [`ServeConfig::max_inflight_per_conn`]
@@ -36,14 +38,15 @@
 //! drain deadline the remaining sockets are shut down both ways.
 
 use crate::buffers::{BufferPool, IngestPools, OperandStage, PooledBuf, WireBuf};
-use crate::conn::{self, read_event, InEvent, Pending};
+use crate::conn::{self, read_event, InEvent};
 use crate::dispatch::{
-    self, Arrival, BatchPolicy, BatchQueue, BatchRunner, Completion, CompletionSink, Gate, Job,
-    Refusal,
+    self, BatchPolicy, BatchQueue, BatchRunner, Completion, CompletionSink, Gate, Job, Refusal,
 };
 use crate::incident;
 use crate::metrics::Metrics;
-use crate::protocol::{self, ErrorCode, FrameKind, RequestDims, HEADER_LEN, RESPONSE_HEAD_LEN};
+use crate::protocol::{
+    self, Dtype, ErrorCode, FrameKind, RequestDims, HEADER_LEN, RESPONSE_HEAD_LEN,
+};
 use crate::snapshot::{
     recent_events, BuildInfo, ConfigPrint, Document, Incident, StatsSnapshot, WatchdogRoster,
 };
@@ -120,7 +123,8 @@ pub struct ServeConfig {
     /// `fmm_watchdog_stalls_total` counter.
     pub watchdog: bool,
     /// A dtype's executor is judged stalled after this long without a
-    /// completed batch while jobs are queued or its bit is held.
+    /// completed batch while jobs are queued or its bit is held, so one
+    /// batch that runs this long counts as a stall.
     pub watchdog_stall: Duration,
     /// Dump an incident report and abort the process when a stall
     /// persists this long. `None` = never abort.
@@ -181,7 +185,7 @@ struct Shared {
     pools: IngestPools,
     f64: Executor<f64>,
     f32: Executor<f32>,
-    /// Where combiners wait for requests still arriving.
+    /// The test hold combiners park at ([`ServerHandle::gate`]).
     gate: Gate,
     stop: AtomicBool,
     /// The live connections by id; each removes itself once both its
@@ -306,7 +310,6 @@ impl Shared {
             ("max_payload_bytes", c.max_payload_bytes as u64),
             ("max_conn_backlog_bytes", c.max_conn_backlog_bytes as u64),
             ("workers", c.workers as u64),
-            ("batch_window_micros", c.batch.window.as_micros() as u64),
             ("batch_max", c.batch.max_batch as u64),
             ("watchdog", u64::from(c.watchdog)),
             ("watchdog_stall_millis", c.watchdog_stall.as_millis() as u64),
@@ -726,16 +729,28 @@ impl Conn {
         !room.expect("connection state poisoned").dead
     }
 
-    /// Release the write claim, waking the writer if replies were queued
-    /// while it was held.
-    fn end_write(&self) {
+    /// Release the write claim after a write's outcome `sent`: what the
+    /// socket would not take goes back to the front of the queue, and a
+    /// failed write kills the connection. Wakes the writer if replies are
+    /// queued. Returns whether the connection is still alive.
+    fn end_write(&self, sent: io::Result<Option<Vec<u8>>>) -> bool {
         let mut state = self.lock();
         state.writing = false;
+        let Ok(rest) = sent else {
+            drop(state);
+            self.kill();
+            return false;
+        };
+        if let Some(rest) = rest.filter(|_| !state.dead) {
+            state.backlog += rest.len();
+            state.replies.push_front(Reply::Frame(rest));
+        }
         let wake = !state.replies.is_empty();
         drop(state);
         if wake {
             self.changed.notify_all();
         }
+        true
     }
 
     /// The reader is done: the writer exits once nothing is owed.
@@ -775,35 +790,33 @@ impl Conn {
         }
     }
 
-    /// Write one reply under the write claim taken for it, then release
-    /// the claim; a failed write kills the connection. Returns whether the
-    /// reply went out.
-    fn write(&self, reply: Reply) -> bool {
-        let mut stream = &self.stream;
-        let sent = match reply {
-            Reply::Frame(bytes) => stream.write_all(&bytes),
-            Reply::Result { head, body } => write_result(&mut stream, &head, body),
+    /// Write the queued replies on the calling reader after its combining
+    /// turn, if the write claim is free, without blocking: the socket is
+    /// nonblocking while the reader holds the claim (no other thread writes
+    /// it then, and the reader is not reading it), and what it will not
+    /// take at once is left to the writer. A reader blocked writing to a
+    /// peer that is blocked sending to it would stall both.
+    fn write_owed(&self) {
+        let Some(mut reply) = claim_reply(&mut self.lock()) else { return };
+        let _ = self.stream.set_nonblocking(true);
+        let sent = loop {
+            match send(&self.stream, reply) {
+                Ok(None) => {}
+                unsent => break unsent,
+            }
+            match pop_reply(&mut self.lock()) {
+                Some(next) => reply = next,
+                None => break Ok(None),
+            }
         };
-        self.end_write();
-        if sent.is_err() {
-            self.kill();
-        }
-        sent.is_ok()
+        let _ = self.stream.set_nonblocking(false);
+        self.end_write(sent);
     }
 
-    /// Write the queued replies on the calling reader after its combining
-    /// turn, while the write claim is free, if `here`; otherwise leave them
-    /// to the writer.
-    fn write_owed(&self, here: bool) {
-        if !here {
+    /// Wake the writer if replies are queued.
+    fn hand_off(&self) {
+        if !self.lock().replies.is_empty() {
             self.changed.notify_all();
-            return;
-        }
-        loop {
-            let Some(reply) = claim_reply(&mut self.lock()) else { return };
-            if !self.write(reply) {
-                return;
-            }
         }
     }
 
@@ -831,7 +844,8 @@ impl Conn {
     }
 
     /// Queue a finished request's reply without waking the writer: the
-    /// reader that ran it writes it after its turn ([`Conn::write_owed`]).
+    /// reader that ran it writes it after its turn ([`Conn::write_owed`]),
+    /// or hands it off before its next batch ([`Conn::hand_off`]).
     /// Dropped if the connection died mid-flight (the buffer returns to
     /// its pool).
     fn stash(&self, completion: Completion) {
@@ -851,12 +865,18 @@ fn claim_reply(state: &mut ConnState) -> Option<Reply> {
     if state.writing || state.dead {
         return None;
     }
+    let reply = pop_reply(state)?;
+    state.writing = true;
+    Some(reply)
+}
+
+/// Take the next queued reply, for the holder of the write claim.
+fn pop_reply(state: &mut ConnState) -> Option<Reply> {
     let reply = state.replies.pop_front()?;
     // Released before the write: once the peer can read the reply, it may
     // already be sending a request that counts the backlog against its
     // admission.
     state.backlog -= reply.len();
-    state.writing = true;
     Some(reply)
 }
 
@@ -912,26 +932,25 @@ impl Drop for Reap<'_> {
 fn read_requests(shared: &Shared, conn: &Arc<Conn>) -> u64 {
     let config = &shared.config;
     let mut stream = &conn.stream;
-    let (mut requests, mut combined) = (0, 0);
+    // Requests admitted, and the dtypes (`Dtype` bits) whose queues this
+    // reader pushed to since it last combined.
+    let (mut requests, mut pushed) = (0, 0);
     loop {
         // Pushed jobs are combined before a read that may block; while the
         // whole next frame is already here, they wait to share its batch.
-        if requests > combined {
-            let pending = conn::pending(stream);
-            let room = conn.lock().backlog <= config.max_conn_backlog_bytes;
-            if pending != Pending::Frame || !room {
-                combine(shared, conn, pending);
-                combined = requests;
-            }
+        if pushed != 0
+            && !(conn::frame_buffered(stream)
+                && conn.lock().backlog <= config.max_conn_backlog_bytes)
+        {
+            combine(shared, conn, pushed);
+            pushed = 0;
         }
         if !conn.wait_for_room(config.max_conn_backlog_bytes) {
             break;
         }
-        let mut arrival = None;
-        let announce = || arrival = Some(shared.gate.announce());
-        match read_event(&mut stream, config.max_payload_bytes, &shared.pools, announce) {
+        match read_event(&mut stream, config.max_payload_bytes, &shared.pools) {
             Ok(Some(event)) => {
-                if !handle_event(shared, conn, event, arrival, &mut requests) {
+                if !handle_event(shared, conn, event, &mut requests, &mut pushed) {
                     break;
                 }
             }
@@ -946,26 +965,29 @@ fn read_requests(shared: &Shared, conn: &Arc<Conn>) -> u64 {
             }
         }
     }
-    if requests > combined {
-        combine(shared, conn, conn::pending(stream));
+    if pushed != 0 {
+        combine(shared, conn, pushed);
     }
     conn.finish_reading();
     requests
 }
 
-/// Combine on each dtype's queue (see the module docs), then write this
-/// connection's own replies, unless its peer, `pending` says, was already
-/// sending more: a reader blocked writing to a peer that is blocked
-/// sending to it would stall both.
-fn combine(shared: &Shared, conn: &Arc<Conn>, pending: Pending) {
-    run_batches(shared, &shared.f64, &shared.pools.f64, conn);
-    run_batches(shared, &shared.f32, &shared.pools.f32, conn);
-    conn.write_owed(pending == Pending::Nothing);
+/// Combine on the queues of the dtypes `pushed` names (see the module
+/// docs), then write this connection's own replies.
+fn combine(shared: &Shared, conn: &Arc<Conn>, pushed: u8) {
+    if pushed & Dtype::F64 as u8 != 0 {
+        run_batches(shared, &shared.f64, &shared.pools.f64, conn);
+    }
+    if pushed & Dtype::F32 as u8 != 0 {
+        run_batches(shared, &shared.f32, &shared.pools.f32, conn);
+    }
+    conn.write_owed();
 }
 
 /// Run `executor`'s batches on this reader if it wins the executor bit.
 /// Its own connection's replies are stashed for it to write after the
-/// turn; every other one goes to its connection's writer.
+/// turn, or for its writer once more batches follow; every other one goes
+/// to its connection's writer.
 fn run_batches<T: GemmScalar>(
     shared: &Shared,
     executor: &Executor<T>,
@@ -981,13 +1003,16 @@ fn run_batches<T: GemmScalar>(
         conn: conn.id,
         slow_threshold: shared.config.slow_threshold,
     };
-    let (queue, gate, policy) = (&executor.queue, &shared.gate, shared.config.batch);
-    dispatch::combine(queue, gate, &runner, policy, |sink, completion| {
+    let deliver = |sink: &Arc<dyn CompletionSink>, completion| {
         if std::ptr::addr_eq(Arc::as_ptr(sink), Arc::as_ptr(conn)) {
             conn.stash(completion);
         } else {
             sink.complete(completion);
         }
+    };
+    let max_batch = shared.config.batch.max_batch;
+    dispatch::combine(&executor.queue, &shared.gate, &runner, max_batch, deliver, || {
+        conn.hand_off();
     });
 }
 
@@ -995,31 +1020,61 @@ fn run_batches<T: GemmScalar>(
 /// then close the socket so the peer sees EOF.
 fn write_replies(conn: &Conn) {
     while let Some(reply) = conn.next_reply() {
-        if !conn.write(reply) {
+        if !conn.end_write(send(&conn.stream, reply)) {
             return;
         }
     }
     let _ = conn.stream.shutdown(Shutdown::Both);
 }
 
-/// Result bytes [`write_result`] sends only after the result buffer is
-/// back in its pool.
+/// Result bytes [`send`] sends only after the result buffer is back in its
+/// pool.
 const RESULT_TAIL: usize = 8;
 
-/// Write one response: `head`, then the result straight from its pooled
-/// buffer — except the last [`RESULT_TAIL`] bytes, which go out from a
-/// copy once the buffer is back in the pool. Until they arrive the peer
-/// cannot send its next request, so that request's result finds this
-/// buffer idle and the warm path takes no new payload buffer.
-fn write_result(w: &mut impl Write, head: &[u8], body: WireBuf) -> io::Result<()> {
+/// Write one reply: a frame whole; a response as its head, then the result
+/// straight from its pooled buffer — except the last [`RESULT_TAIL`]
+/// bytes, which go out from a copy once the buffer is back in the pool.
+/// Until they arrive the peer cannot send its next request, so that
+/// request's result finds this buffer idle and the warm path takes no new
+/// payload buffer. Returns, on a nonblocking socket that fills, the bytes
+/// not written, copied out of any pooled buffer.
+fn send(mut w: impl Write, reply: Reply) -> io::Result<Option<Vec<u8>>> {
+    let (head, body) = match reply {
+        Reply::Frame(bytes) => return write_rest(&mut w, [&bytes]),
+        Reply::Result { head, body } => (head, body),
+    };
     let bytes = body.bytes();
     let cut = bytes.len().saturating_sub(RESULT_TAIL);
     let mut tail = [0; RESULT_TAIL];
     let tail = &mut tail[..bytes.len() - cut];
     tail.copy_from_slice(&bytes[cut..]);
-    protocol::write_all_vectored(w, &mut [IoSlice::new(head), IoSlice::new(&bytes[..cut])])?;
+    if let Some(rest) = write_rest(&mut w, [&head, &bytes[..cut]])? {
+        return Ok(Some([&rest, &tail[..]].concat()));
+    }
     drop(body);
-    w.write_all(tail)
+    write_rest(&mut w, [tail])
+}
+
+/// Write `parts` in order until all of them are written or the socket
+/// would block; then return the bytes not written.
+fn write_rest<const N: usize>(
+    w: &mut impl Write,
+    parts: [&[u8]; N],
+) -> io::Result<Option<Vec<u8>>> {
+    let mut slices = parts.map(IoSlice::new);
+    let mut left = &mut slices[..];
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                return Ok(Some(left.iter().flat_map(|s| s.iter().copied()).collect()));
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(None)
 }
 
 /// Act on one decoded inbound frame. Returns `false` when the connection
@@ -1029,14 +1084,16 @@ fn handle_event(
     shared: &Shared,
     conn: &Arc<Conn>,
     event: InEvent,
-    arrival: Option<Arrival<'_>>,
     requests: &mut u64,
+    pushed: &mut u8,
 ) -> bool {
     match event {
         InEvent::Request { head, dims, operands } => {
             trace::mark(Kind::RequestRecv, head.request_id);
-            if admit_request(shared, conn, head.request_id, dims, operands, arrival) {
+            let dtype = dims.dtype;
+            if admit_request(shared, conn, head.request_id, dims, operands) {
                 *requests += 1;
+                *pushed |= dtype as u8;
             }
         }
         InEvent::Ping { head, payload } => {
@@ -1078,15 +1135,14 @@ fn handle_event(
 /// Admission control for one decoded request: per-connection pipelining
 /// bound and response-byte budget, then the dtype queue's capacity bound.
 /// Refusals answer with a typed error frame. An admitted request is pushed
-/// onto its dtype's queue, its completion coming back to `conn`, and stops
-/// counting as arriving. Returns whether it was admitted.
+/// onto its dtype's queue, its completion coming back to `conn`. Returns
+/// whether it was admitted.
 fn admit_request(
     shared: &Shared,
     conn: &Arc<Conn>,
     request_id: u64,
     dims: RequestDims,
     operands: OperandStage,
-    arrival: Option<Arrival<'_>>,
 ) -> bool {
     let config = &shared.config;
     let refuse = |code, reason, message: &str| {
@@ -1141,7 +1197,6 @@ fn admit_request(
         shared.metrics.record_conn_inflight(state.in_flight as u64);
     }
     drop(state);
-    drop(arrival);
     match pushed {
         Ok(()) => {
             trace::mark(Kind::Admission, request_id);

@@ -144,7 +144,7 @@ fn transposed_requests_reply_in_process_gemm_bits() {
     handle.shutdown();
 }
 
-/// A daemon whose combiners never wait for requests still arriving.
+/// A daemon configured with a zero window, as the benchmark sets it.
 fn zero_window() -> ServeConfig {
     let batch = BatchPolicy { window: Duration::ZERO, ..BatchPolicy::default() };
     ServeConfig { batch, ..ServeConfig::default() }
@@ -448,8 +448,7 @@ fn full_queue_rejects_with_busy_and_recovers() {
     // One-at-a-time execution with a single-slot queue: while the
     // combiner grinds one problem, at most one more may wait; the rest of
     // a concurrent flood must be refused with Busy. `max_batch: 1` closes
-    // every batch at its first request, so the window never waits. A
-    // combiner that claims the executor bit parks until the whole flood is
+    // every batch at its first request. A combiner that claims the executor bit parks until the whole flood is
     // admitted or refused: on one CPU the readers would otherwise run
     // each request as it arrives, and never fill the queue.
     let handle = spawn_server(

@@ -338,8 +338,8 @@ fn slow_loris_writer_does_not_stall_other_connections() {
 fn a_reader_blocked_on_its_own_reply_stalls_no_one_else() {
     // A lone request runs on its connection's reader, which writes the
     // reply itself. This peer asks for a 32 MiB result (k = 1) and does
-    // not read it, so its reader blocks in that write, past what the
-    // loopback socket buffers hold. The dtype's executor bit was released
+    // not read it, so its socket fills, and the rest of the reply goes to
+    // its writer, which blocks. The dtype's executor bit was released
     // before the write: other connections' lone requests still run on
     // their own readers.
     let batch = BatchPolicy { window: Duration::ZERO, ..BatchPolicy::default() };
@@ -491,6 +491,89 @@ fn a_peer_that_never_reads_stalls_no_other_connection() {
     let reply = protocol::read_frame_any(&mut stalled, 64 << 20).expect("the big reply");
     assert_eq!((reply.kind, reply.request_id), (FrameKind::Response, 5));
     assert_eq!(protocol::decode_response::<f64>(&reply.payload).expect("decode"), gemm(&a, &b));
+    handle.shutdown();
+}
+
+#[test]
+fn a_combiners_own_reply_is_not_held_for_its_whole_turn() {
+    // A combiner runs batches for as long as other connections keep its
+    // dtype's queue busy; its own reply must go out after the batch that
+    // ran it, not once the queue first empties. The hold lets one batch
+    // through, the parked client's, and parks the combiner again with
+    // another connection's request still queued.
+    let batch = BatchPolicy { max_batch: 1, ..BatchPolicy::default() };
+    let handle = spawn_pinned(ServeConfig { batch, ..ServeConfig::default() });
+    handle.gate().hold(true);
+    let (a, b) = (fill::bench_workload(4, 4, 1), fill::bench_workload(4, 4, 2));
+    let mut own = TcpStream::connect(handle.addr()).expect("connect");
+    own.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+    own.write_all(&request_frame(1, &a, &b)).expect("send");
+    assert!(handle.gate().await_waiting(1), "the request's reader never parked");
+    let mut other = PipelinedClient::connect(handle.addr()).expect("connect");
+    let id = other.send(&a, &b).expect("send");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while handle.stats().gauges["fmm_serve_queue_depth_f64"] < 2 {
+        assert!(Instant::now() < deadline, "the other request never queued");
+        thread::sleep(Duration::from_millis(1));
+    }
+
+    handle.gate().let_pass(1);
+    let reply = protocol::read_frame_any(&mut own, 1 << 20).expect("the combiner's own reply");
+    assert_eq!((reply.kind, reply.request_id), (FrameKind::Response, 1));
+    assert_eq!(protocol::decode_response::<f64>(&reply.payload).expect("decode"), gemm(&a, &b));
+    assert_eq!(handle.stats().gauges["fmm_serve_queue_depth_f64"], 1, "the turn went on");
+    handle.gate().hold(false);
+    assert_eq!(other.recv::<f64>(id).expect("the other reply"), gemm(&a, &b));
+    handle.shutdown();
+}
+
+#[test]
+fn a_peer_stalled_inside_a_request_delays_no_other_batch() {
+    // A peer sends a request's header and part of its prelude, then
+    // stops. With a 10 s window, a combiner that waited on the window for
+    // the rest of that request would add 10 s to each round trip below.
+    let batch = BatchPolicy { window: Duration::from_secs(10), ..BatchPolicy::default() };
+    let handle = spawn_pinned(ServeConfig { batch, ..ServeConfig::default() });
+    let (a, b) = (fill::bench_workload(12, 10, 91), fill::bench_workload(10, 9, 92));
+    let mut stalled = TcpStream::connect(handle.addr()).expect("connect");
+    stalled.write_all(&request_frame(1, &a, &b)[..HEADER_LEN + 4]).expect("a header");
+    let t0 = Instant::now();
+    let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
+    for seed in 0..4 {
+        let x = fill::bench_workload_t::<f32>(12, 10, 2 * seed);
+        let y = fill::bench_workload_t::<f32>(10, 9, 2 * seed + 1);
+        assert_eq!(client.multiply(&x, &y).expect("f32 round trip"), gemm(&x, &y));
+        assert_eq!(client.multiply(&a, &b).expect("f64 round trip"), gemm(&a, &b));
+    }
+    assert!(t0.elapsed() < Duration::from_secs(10), "round trips took {:?}", t0.elapsed());
+    handle.shutdown();
+}
+
+#[test]
+fn a_large_reply_does_not_block_its_reader_against_a_sending_peer() {
+    // The client sends a small request whose reply is 32 MiB (k = 1), then
+    // a 16 MiB request, and reads only once both are sent. A reader that
+    // wrote the reply with blocking writes would wait for the client to
+    // read while the client waits for it to read the second request.
+    let handle = spawn_pinned(ServeConfig::default());
+    let addr = handle.addr();
+    let (a, b) = (fill::bench_workload(2048, 1, 81), fill::bench_workload(1, 2048, 82));
+    let (x, y) = (fill::bench_workload(1, 1 << 20, 83), fill::bench_workload(1 << 20, 1, 84));
+    let wire = [request_frame(1, &a, &b), request_frame(2, &x, &y)];
+    let (tx, rx) = std::sync::mpsc::channel();
+    // Detached: if the connection deadlocks, the test fails at the
+    // timeout below instead of hanging.
+    thread::spawn(move || {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        wire.iter().for_each(|frame| s.write_all(frame).expect("send"));
+        let replies = [1, 2].map(|_| protocol::read_frame_any(&mut s, 64 << 20).expect("reply"));
+        let _ = tx.send(replies);
+    });
+    let replies = rx.recv_timeout(Duration::from_secs(60)).expect("the connection deadlocked");
+    assert_eq!(replies.each_ref().map(|r| r.request_id), [1, 2]);
+    let decode = |i: usize| protocol::decode_response::<f64>(&replies[i].payload).expect("decode");
+    assert_eq!(decode(0), gemm(&a, &b));
+    assert_eq!(decode(1), gemm(&x, &y));
     handle.shutdown();
 }
 
