@@ -61,8 +61,8 @@ pub fn count_violations(algo: &FmmAlgorithm, tol: f64) -> usize {
     count
 }
 
-/// Sum of squared residuals over all Brent equations — the continuous
-/// objective ALS minimizes.
+/// Sum of squared residuals over all Brent equations: zero exactly for a
+/// valid algorithm.
 pub fn residual_sq(algo: &FmmAlgorithm) -> f64 {
     let mut acc = 0.0;
     for_each_equation(algo, |_, _, _, got, expected| {

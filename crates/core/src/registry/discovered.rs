@@ -1,4 +1,4 @@
-//! Algorithms discovered by the `fmm-search` ALS pipeline.
+//! Algorithms discovered by the `fmm-search` flip-graph search.
 //!
 //! Each JSON file under `registry/data/` serializes one
 //! [`crate::algorithm::FmmAlgorithm`]. Files are embedded at compile time

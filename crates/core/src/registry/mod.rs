@@ -8,9 +8,9 @@
 //! 2. **Constructive**: direct sums / nesting / symmetry orientations of the
 //!    base algorithms ([`crate::compose`]). These reproduce the published
 //!    ranks for the `{2,2,3}`, `{2,2,4}` and `{2,2,5}` permutation families.
-//! 3. **Discovered**: algorithms found by the `fmm-search` crate's ALS +
-//!    rounding pipeline, stored as JSON in `registry/data/` and re-verified
-//!    at load time.
+//! 3. **Discovered**: algorithms found by the `fmm-search` crate (flip-graph
+//!    walks over GF(2), Hensel-lifted to ℤ), stored as JSON in
+//!    `registry/data/` and re-verified at load time.
 //!
 //! Every entry passes the exact Brent-equation check; shapes where the best
 //! verified rank exceeds the published rank are reported as such by
@@ -81,7 +81,7 @@ impl Registry {
     pub fn standard() -> Self {
         let mut reg = Self { by_dims: BTreeMap::new() };
         reg.insert(strassen());
-        // Discovered algorithms (ALS + rounding, re-verified at load).
+        // Discovered algorithms (flip graph + lift, re-verified at load).
         for algo in discovered_algorithms() {
             reg.insert_with_orientations(&algo);
         }

@@ -836,8 +836,12 @@ mod tests {
                     writing.fetch_sub(1, Ordering::Relaxed);
                 });
             }
+            // Yield between snapshots as the writers do between steps: on
+            // one CPU a reader that never yields takes a whole time slice
+            // at each writer's yield, and the test runs for minutes.
             while writing.load(Ordering::Relaxed) > 0 {
                 check(ring.snapshot());
+                std::thread::yield_now();
             }
         });
         check(ring.snapshot());

@@ -8,6 +8,7 @@
 
 use fmm_obs::trace::{self, Event, Kind};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
@@ -15,13 +16,28 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the threads whose heap calls count. The test harness's own
+    /// thread allocates while a test runs (on one CPU, sometimes inside a
+    /// counted window), and it records nothing.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Count a heap call made on a [`COUNTED`] thread.
+fn count() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: pure pass-through to the System allocator; the only added
-// behavior is a relaxed counter bump, which cannot violate GlobalAlloc's
-// contract (layout and pointer are forwarded untouched).
+// behavior is a thread-local read and a relaxed counter bump, neither of
+// which allocates or can violate GlobalAlloc's contract (layout and
+// pointer are forwarded untouched).
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds GlobalAlloc's contract; we forward as-is.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: same layout the caller gave us.
         unsafe { System.alloc(layout) }
     }
@@ -34,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: caller upholds GlobalAlloc's contract; we forward as-is.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: ptr/layout pair came from a matching alloc call.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -57,6 +73,7 @@ fn record_everything(rounds: u64) {
 #[test]
 fn warm_records_do_not_allocate() {
     const THREADS: usize = 4;
+    COUNTED.set(true);
     let rounds = trace::SPAN_CAPACITY as u64 / 4;
     for tracing in [false, true] {
         trace::set_enabled(tracing);
@@ -81,6 +98,7 @@ fn warm_records_do_not_allocate() {
     std::thread::scope(|s| {
         for _ in 0..THREADS {
             s.spawn(|| {
+                COUNTED.set(true);
                 start.wait();
                 record_everything(rounds / THREADS as u64);
                 end.wait();

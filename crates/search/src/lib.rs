@@ -2,27 +2,29 @@
 //!
 //! The paper consumes algorithms found by others (Benson–Ballard's numerical
 //! search, Smirnov's constructions) and lists coefficient search as future
-//! work (§6). This crate implements the standard discovery pipeline those
-//! sources used, so the repository is self-contained:
+//! work (§6). This crate searches by flip graphs (Kauers & Moosbauer,
+//! ISSAC 2023), so the repository is self-contained and its search has no
+//! numerics to tune:
 //!
 //! 1. Build the `<m̃,k̃,ñ>` matrix multiplication tensor (`tensor`).
-//! 2. Run alternating least squares (ALS) with ridge regularization to find
-//!    an approximate rank-`R` decomposition (`als`), or anneal over
-//!    `{-1, 0, 1}` coefficients toward an exact one (`anneal`).
-//! 3. Round factor entries onto the dyadic grid `{0, ±1/2, ±1, ±2}`
-//!    (`rounding`).
-//! 4. Repair: with two factors fixed, the third is the solution of a linear
-//!    system — solve it exactly and verify the Brent equations ([`repair`]).
-//! 5. Drive it: [`search`] is the one entry point. It runs restarts of the
-//!    annealer and of the ALS → round → repair funnel until one verifies or
-//!    its wall-clock budget runs out; [`io`] writes a find as registry JSON.
+//! 2. Walk the flip graph over GF(2) from the classical algorithm: each
+//!    flip rewrites two terms that share a factor without changing their
+//!    sum, and each reduction merges or drops terms, lowering the rank
+//!    (`flip`).
+//! 3. Hensel-lift a scheme at the target rank to ℤ: solve the linearised
+//!    Brent equations mod 2 for a fixed number of steps and read the
+//!    factors as symmetric residues (`lift`).
+//! 4. Drive it: [`search`] is the one entry point. It runs restarts of the
+//!    walk until a lift verifies or its wall-clock budget runs out; [`io`]
+//!    writes a find as registry JSON. [`repair`] re-solves a `W` from a
+//!    remembered `(U, V)` pair.
 //!
 //! Every "discovery" is re-verified through `FmmAlgorithm::new`, so this
-//! pipeline can never hand the registry a wrong algorithm.
+//! crate can never hand the registry a wrong algorithm.
 
-mod als;
-mod anneal;
+mod flip;
 pub mod io;
+mod lift;
 mod linalg;
 pub mod repair;
 mod rounding;

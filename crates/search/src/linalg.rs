@@ -1,7 +1,7 @@
-//! Minimal dense linear algebra for the ALS solver: row-major matrices,
-//! Cholesky factorization of SPD systems, and regularized least squares via
-//! normal equations. Sizes here are tiny (tens of rows/columns), so clarity
-//! beats asymptotics.
+//! Minimal dense linear algebra for repair's least-squares solve: row-major
+//! matrices, Cholesky factorization of SPD systems, and regularized least
+//! squares via normal equations. Sizes here are tiny (tens of
+//! rows/columns), so clarity beats asymptotics.
 //!
 //! Index-style loops are kept deliberately (they mirror the textbook
 //! formulas), hence the lint allowance.
@@ -181,30 +181,6 @@ pub fn ridge_lstsq(z: &Mat, rhs: &Mat, ridge: f64) -> Option<Mat> {
     }
     let chol = Cholesky::new(&gram)?;
     let zty = z.t().matmul(rhs);
-    Some(chol.solve_mat(&zty))
-}
-
-/// Proximal least squares toward a prior: minimize
-/// `||Z x - y||² + ridge·||x||² + mu·||x - prior||²`, i.e. solve
-/// `(ZᵀZ + (ridge+mu)·I) X = Zᵀ·rhs + mu·prior`.
-///
-/// Used by quantization-regularized ALS: `prior` is the entrywise snap of
-/// the current factor onto the dyadic grid, and ramping `mu` drags the
-/// continuous solution onto a discrete one without leaving the residual
-/// basin.
-pub fn ridge_lstsq_with_prior(z: &Mat, rhs: &Mat, ridge: f64, mu: f64, prior: &Mat) -> Option<Mat> {
-    assert_eq!(z.rows, rhs.rows, "ridge_lstsq_with_prior: row mismatch");
-    assert_eq!(prior.rows, z.cols, "prior shape");
-    assert_eq!(prior.cols, rhs.cols, "prior shape");
-    let mut gram = z.gram();
-    for i in 0..gram.rows {
-        gram.data[i * gram.cols + i] += ridge + mu;
-    }
-    let chol = Cholesky::new(&gram)?;
-    let mut zty = z.t().matmul(rhs);
-    for (dst, p) in zty.data.iter_mut().zip(prior.data.iter()) {
-        *dst += mu * p;
-    }
     Some(chol.solve_mat(&zty))
 }
 

@@ -1,10 +1,8 @@
-//! Exact repair: with two factors fixed, the third factor of a tensor
-//! decomposition solves a *linear* least-squares problem. After ALS +
-//! rounding, re-solving one factor exactly (then snapping and verifying)
-//! turns a near-solution into an exact algorithm — and can also recover a
-//! correct `W` from a hand-remembered `(U, V)` pair.
+//! Exact repair: with `U` and `V` fixed, the `W` of a tensor decomposition
+//! solves a *linear* least-squares problem. Solving it exactly, then
+//! snapping and verifying, recovers a correct `W` from a hand-remembered
+//! `(U, V)` pair.
 
-use crate::als::{khatri_rao, Factors};
 use crate::linalg::{ridge_lstsq, Mat};
 use crate::rounding::{self, DEFAULT_GRID};
 use crate::tensor::MatMulTensor;
@@ -18,43 +16,6 @@ pub(crate) fn solve_w(t: &MatMulTensor, u: &Mat, v: &Mat) -> Option<Mat> {
     let t3t = Mat::from_rows(dc, da * db, t.unfold_3()).t();
     let wt = ridge_lstsq(&z, &t3t, 1e-10)?;
     Some(wt.t())
-}
-
-/// Solve `U` from `(V, W)`.
-pub(crate) fn solve_u(t: &MatMulTensor, v: &Mat, w: &Mat) -> Option<Mat> {
-    let (da, db, dc) = t.mode_sizes();
-    let z = khatri_rao(v, w); // row index b*dc + c
-    let t1t = Mat::from_rows(da, db * dc, t.unfold_1()).t();
-    let ut = ridge_lstsq(&z, &t1t, 1e-10)?;
-    Some(ut.t())
-}
-
-/// Solve `V` from `(U, W)`.
-pub(crate) fn solve_v(t: &MatMulTensor, u: &Mat, w: &Mat) -> Option<Mat> {
-    let (da, db, dc) = t.mode_sizes();
-    let z = khatri_rao(u, w); // row index a*dc + c
-    let t2t = Mat::from_rows(db, da * dc, t.unfold_2()).t();
-    let vt = ridge_lstsq(&z, &t2t, 1e-10)?;
-    Some(vt.t())
-}
-
-/// Try to turn approximate factors into a verified algorithm:
-/// normalize → snap `U`,`V` to the grid → exactly re-solve `W` → snap `W` →
-/// verify the Brent equations. Returns the verified algorithm or `None`.
-pub(crate) fn finalize(
-    t: &MatMulTensor,
-    factors: &Factors,
-    name: &str,
-    grid: &[f64],
-) -> Option<FmmAlgorithm> {
-    let mut f = factors.clone();
-    rounding::normalize_columns(&mut f.u, &mut f.v, &mut f.w);
-    rounding::snap_all(&mut f.u.data, grid);
-    rounding::snap_all(&mut f.v.data, grid);
-    let w = solve_w(t, &f.u, &f.v)?;
-    let mut w = w;
-    rounding::snap_all(&mut w.data, grid);
-    to_algorithm(t, &f.u, &f.v, &w, name).ok()
 }
 
 /// Convert raw factor matrices into a Brent-verified [`FmmAlgorithm`].
@@ -103,58 +64,21 @@ pub fn repair_w_default(guess: &FmmAlgorithm) -> Option<FmmAlgorithm> {
     repair_w(guess, DEFAULT_GRID)
 }
 
-/// Try every single-factor exact repair of a near-solution: `W` from
-/// `(U,V)`, `U` from `(V,W)`, `V` from `(U,W)`, then the two-factor chains
-/// `V→W` and `U→W`. Returns the first verified algorithm.
-pub(crate) fn repair_any(
-    t: &MatMulTensor,
-    factors: &Factors,
-    name: &str,
-    grid: &[f64],
-) -> Option<FmmAlgorithm> {
-    let snap = |mut m: Mat| {
-        rounding::snap_all(&mut m.data, grid);
-        m
-    };
-    // Single-factor repairs.
-    if let Some(w) = solve_w(t, &factors.u, &factors.v) {
-        let w = snap(w);
-        if let Ok(a) = to_algorithm(t, &factors.u, &factors.v, &w, name) {
-            return Some(a);
-        }
-    }
-    if let Some(u) = solve_u(t, &factors.v, &factors.w) {
-        let u = snap(u);
-        if let Ok(a) = to_algorithm(t, &u, &factors.v, &factors.w, name) {
-            return Some(a);
-        }
-    }
-    if let Some(v) = solve_v(t, &factors.u, &factors.w) {
-        let v = snap(v);
-        if let Ok(a) = to_algorithm(t, &factors.u, &v, &factors.w, name) {
-            return Some(a);
-        }
-    }
-    // Chained repairs: refresh one factor, then re-solve another.
-    if let Some(v) = solve_v(t, &factors.u, &factors.w) {
-        let v = snap(v);
-        if let Some(w) = solve_w(t, &factors.u, &v) {
-            let w = snap(w);
-            if let Ok(a) = to_algorithm(t, &factors.u, &v, &w, name) {
-                return Some(a);
+/// Khatri–Rao product: column `r` of the result is `x[:,r] ⊗ y[:,r]`
+/// (shape `(x.rows*y.rows) x R`).
+fn khatri_rao(x: &Mat, y: &Mat) -> Mat {
+    assert_eq!(x.cols, y.cols, "khatri_rao: rank mismatch");
+    let r = x.cols;
+    let mut out = Mat::zeros(x.rows * y.rows, r);
+    for i in 0..x.rows {
+        for j in 0..y.rows {
+            let row = i * y.rows + j;
+            for rr in 0..r {
+                out.data[row * r + rr] = x.at(i, rr) * y.at(j, rr);
             }
         }
     }
-    if let Some(u) = solve_u(t, &factors.v, &factors.w) {
-        let u = snap(u);
-        if let Some(w) = solve_w(t, &u, &factors.v) {
-            let w = snap(w);
-            if let Ok(a) = to_algorithm(t, &u, &factors.v, &w, name) {
-                return Some(a);
-            }
-        }
-    }
-    None
+    out
 }
 
 #[cfg(test)]
@@ -182,17 +106,6 @@ mod tests {
         let mut w = solve_w(&t, &u, &v).unwrap();
         rounding::snap_all(&mut w.data, DEFAULT_GRID);
         assert_eq!(w.data, w_true.data);
-    }
-
-    #[test]
-    fn solve_u_and_v_recover_strassen() {
-        let (t, u_true, v_true, w) = strassen_mats();
-        let mut u = solve_u(&t, &v_true, &w).unwrap();
-        rounding::snap_all(&mut u.data, DEFAULT_GRID);
-        assert_eq!(u.data, u_true.data);
-        let mut v = solve_v(&t, &u_true, &w).unwrap();
-        rounding::snap_all(&mut v.data, DEFAULT_GRID);
-        assert_eq!(v.data, v_true.data);
     }
 
     #[test]
@@ -232,17 +145,13 @@ mod tests {
     }
 
     #[test]
-    fn finalize_accepts_exact_factors_with_noise() {
-        // Perturb Strassen's factors by small noise; finalize must recover.
-        let (t, mut u, mut v, w) = strassen_mats();
-        for (idx, x) in u.data.iter_mut().enumerate() {
-            *x += 0.02 * ((idx % 5) as f64 - 2.0) / 2.0;
-        }
-        for (idx, x) in v.data.iter_mut().enumerate() {
-            *x -= 0.015 * ((idx % 3) as f64 - 1.0);
-        }
-        let f = Factors { u, v, w };
-        let algo = finalize(&t, &f, "recovered", DEFAULT_GRID).expect("finalize succeeds");
-        assert_eq!(algo.rank(), 7);
+    fn khatri_rao_columns_are_kron() {
+        let x = Mat::from_rows(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let y = Mat::from_rows(3, 2, vec![1.0, 0.0, 0.0, 1.0, 2.0, 2.0]);
+        let z = khatri_rao(&x, &y);
+        assert_eq!(z.rows, 6);
+        // Column 0: x[:,0] ⊗ y[:,0] = [1,0,2, 3,0,6].
+        let col0: Vec<f64> = (0..6).map(|i| z.at(i, 0)).collect();
+        assert_eq!(col0, vec![1.0, 0.0, 2.0, 3.0, 0.0, 6.0]);
     }
 }

@@ -1,8 +1,8 @@
 //! Rounding approximate factors onto the dyadic coefficient grid.
 //!
 //! Published practical FMM algorithms use coefficients from a tiny dyadic
-//! set. After ALS drives the residual low, each factor entry is snapped to
-//! the nearest grid value; the repair step then restores exactness.
+//! set. Repair snaps each entry of a least-squares `W` to the nearest grid
+//! value before verifying it.
 
 /// The default coefficient grid: `{0, ±1/2, ±1, ±2}` covers every algorithm
 /// in the paper's Figure 2 family.
@@ -23,7 +23,7 @@ pub fn snap(x: f64, grid: &[f64]) -> f64 {
 }
 
 /// Snap every entry of a factor matrix; returns the largest snap distance
-/// (a confidence signal: near-converged ALS snaps by < 0.1).
+/// (a confidence signal: a near-exact least-squares `W` snaps by < 0.1).
 pub fn snap_all(data: &mut [f64], grid: &[f64]) -> f64 {
     let mut worst = 0.0_f64;
     for x in data.iter_mut() {
@@ -34,46 +34,9 @@ pub fn snap_all(data: &mut [f64], grid: &[f64]) -> f64 {
     worst
 }
 
-/// Column-rescaling normalization: for each product `r`, the decomposition
-/// is invariant under `u_r *= α, v_r *= β, w_r /= (αβ)`. Rescale so each
-/// column's largest |entry| is 1, which puts entries near the grid.
-pub fn normalize_columns(
-    u: &mut crate::linalg::Mat,
-    v: &mut crate::linalg::Mat,
-    w: &mut crate::linalg::Mat,
-) {
-    let r = u.cols;
-    for rr in 0..r {
-        let max_u = col_max(u, rr);
-        let max_v = col_max(v, rr);
-        if max_u > 0.0 {
-            scale_col(u, rr, 1.0 / max_u);
-        }
-        if max_v > 0.0 {
-            scale_col(v, rr, 1.0 / max_v);
-        }
-        let s = max_u * max_v;
-        if s > 0.0 {
-            scale_col(w, rr, s);
-        }
-    }
-}
-
-fn col_max(m: &crate::linalg::Mat, col: usize) -> f64 {
-    (0..m.rows).map(|i| m.at(i, col).abs()).fold(0.0, f64::max)
-}
-
-fn scale_col(m: &mut crate::linalg::Mat, col: usize, s: f64) {
-    for i in 0..m.rows {
-        let v = m.at(i, col) * s;
-        m.set(i, col, v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linalg::Mat;
 
     #[test]
     fn snap_picks_nearest() {
@@ -90,29 +53,5 @@ mod tests {
         let worst = snap_all(&mut data, DEFAULT_GRID);
         assert_eq!(data, vec![1.0, -1.0, 0.5]);
         assert!((worst - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_makes_u_v_columns_unit_max() {
-        let mut u = Mat::from_rows(2, 1, vec![0.5, -0.25]);
-        let mut v = Mat::from_rows(2, 1, vec![2.0, 0.0]);
-        let mut w = Mat::from_rows(2, 1, vec![1.0, 3.0]);
-        normalize_columns(&mut u, &mut v, &mut w);
-        assert!((u.at(0, 0) - 1.0).abs() < 1e-14);
-        assert!((v.at(0, 0) - 1.0).abs() < 1e-14);
-        // w scaled by 0.5 * 2.0 = 1.0: unchanged.
-        assert!((w.at(1, 0) - 3.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn normalization_preserves_the_product() {
-        // u ⊗ v ⊗ w triple products are invariant.
-        let mut u = Mat::from_rows(2, 1, vec![0.5, -0.25]);
-        let mut v = Mat::from_rows(2, 1, vec![2.0, 4.0]);
-        let mut w = Mat::from_rows(2, 1, vec![1.0, 3.0]);
-        let before = u.at(1, 0) * v.at(0, 0) * w.at(1, 0);
-        normalize_columns(&mut u, &mut v, &mut w);
-        let after = u.at(1, 0) * v.at(0, 0) * w.at(1, 0);
-        assert!((before - after).abs() < 1e-12);
     }
 }

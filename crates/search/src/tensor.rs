@@ -48,25 +48,6 @@ impl MatMulTensor {
         self.data[(a * db + b) * dc + c]
     }
 
-    /// Mode-1 unfolding: `(da) x (db*dc)` row-major, column index `b*dc + c`.
-    pub fn unfold_1(&self) -> Vec<f64> {
-        self.data.clone()
-    }
-
-    /// Mode-2 unfolding: `(db) x (da*dc)`, column index `a*dc + c`.
-    pub fn unfold_2(&self) -> Vec<f64> {
-        let (da, db, dc) = self.mode_sizes();
-        let mut out = vec![0.0; da * db * dc];
-        for a in 0..da {
-            for b in 0..db {
-                for c in 0..dc {
-                    out[b * (da * dc) + a * dc + c] = self.at(a, b, c);
-                }
-            }
-        }
-        out
-    }
-
     /// Mode-3 unfolding: `(dc) x (da*db)`, column index `a*db + b`.
     pub fn unfold_3(&self) -> Vec<f64> {
         let (da, db, dc) = self.mode_sizes();
@@ -81,28 +62,22 @@ impl MatMulTensor {
         out
     }
 
-    /// Squared Frobenius distance to a rank-R factor triple
-    /// (`U: da x R`, `V: db x R`, `W: dc x R`, all row-major).
-    pub fn residual_sq(&self, u: &[f64], v: &[f64], w: &[f64], r: usize) -> f64 {
+    /// The residual `T - Σ_r u_r ⊗ v_r ⊗ w_r` of a rank-R factor triple
+    /// (`U: da x R`, `V: db x R`, `W: dc x R`, all row-major), entry
+    /// `(a * db + b) * dc + c`. Exact for factors of small integers.
+    pub fn residual(&self, u: &[f64], v: &[f64], w: &[f64], r: usize) -> Vec<f64> {
         let (da, db, dc) = self.mode_sizes();
         assert_eq!(u.len(), da * r);
         assert_eq!(v.len(), db * r);
         assert_eq!(w.len(), dc * r);
-        let mut acc = 0.0;
-        for a in 0..da {
-            for b in 0..db {
-                // Precompute u_a .* v_b once per (a, b).
-                for c in 0..dc {
-                    let mut approx = 0.0;
-                    for rr in 0..r {
-                        approx += u[a * r + rr] * v[b * r + rr] * w[c * r + rr];
-                    }
-                    let d = self.at(a, b, c) - approx;
-                    acc += d * d;
-                }
+        let mut out = self.data.clone();
+        for (idx, x) in out.iter_mut().enumerate() {
+            let (a, b, c) = (idx / (db * dc), idx / dc % db, idx % dc);
+            for rr in 0..r {
+                *x -= u[a * r + rr] * v[b * r + rr] * w[c * r + rr];
             }
         }
-        acc
+        out
     }
 }
 
@@ -131,15 +106,11 @@ mod tests {
     fn unfoldings_are_consistent() {
         let t = MatMulTensor::new(2, 2, 3);
         let (da, db, dc) = t.mode_sizes();
-        let u1 = t.unfold_1();
-        let u2 = t.unfold_2();
         let u3 = t.unfold_3();
         for a in 0..da {
             for b in 0..db {
                 for c in 0..dc {
                     let v = t.at(a, b, c);
-                    assert_eq!(u1[a * (db * dc) + b * dc + c], v);
-                    assert_eq!(u2[b * (da * dc) + a * dc + c], v);
                     assert_eq!(u3[c * (da * db) + a * db + b], v);
                 }
             }
@@ -150,7 +121,7 @@ mod tests {
     fn residual_of_exact_decomposition_is_zero() {
         // Classical <1,1,1>: u=v=w=[1].
         let t = MatMulTensor::new(1, 1, 1);
-        assert_eq!(t.residual_sq(&[1.0], &[1.0], &[1.0], 1), 0.0);
+        assert_eq!(t.residual(&[1.0], &[1.0], &[1.0], 1), vec![0.0]);
         // Strassen as factors: residual must be exactly 0.
         let s = fmm_core::registry::strassen();
         let t222 = MatMulTensor::new(2, 2, 2);
@@ -164,13 +135,13 @@ mod tests {
             out
         };
         let res =
-            t222.residual_sq(&to_row_major(s.u()), &to_row_major(s.v()), &to_row_major(s.w()), 7);
-        assert_eq!(res, 0.0);
+            t222.residual(&to_row_major(s.u()), &to_row_major(s.v()), &to_row_major(s.w()), 7);
+        assert!(res.iter().all(|&x| x == 0.0));
     }
 
     #[test]
     fn residual_detects_wrong_factors() {
         let t = MatMulTensor::new(1, 1, 1);
-        assert!(t.residual_sq(&[0.5], &[1.0], &[1.0], 1) > 0.2);
+        assert_eq!(t.residual(&[0.5], &[1.0], &[1.0], 1), vec![0.5]);
     }
 }

@@ -60,8 +60,8 @@ fn main() {
         }
         None => {
             println!(
-                "not found within budget: best residual {} over {} restarts ({:.1}s)",
-                out.best_residual,
+                "not found within budget: best rank {} over GF(2) in {} restarts ({:.1}s)",
+                out.best_rank,
                 out.restarts_run,
                 out.elapsed.as_secs_f64()
             );

@@ -32,8 +32,9 @@
 //!   over [`FmmEngine::multiply_batch`], bounded-queue admission control
 //!   with typed backpressure, live metrics, a client library, and the
 //!   `fmm_serve` CLI;
-//! * [`search`] — discovery of new algorithms: [`search::search`] runs
-//!   annealing and ALS → round → repair restarts under one wall-clock budget;
+//! * [`search`] — discovery of new algorithms: [`search::search`] walks the
+//!   flip graph over GF(2) and Hensel-lifts finds to ℤ under one wall-clock
+//!   budget;
 //! * [`gen`] — the source-code generator for specialized implementations.
 //!
 //! # Quickstart
