@@ -48,8 +48,7 @@ pub fn verify(algo: &FmmAlgorithm) -> Result<(), BrentViolation> {
     }
 }
 
-/// Count violated equations at tolerance `tol` (0.0 means exact). Used by
-/// the search crate's repair loop as a discrete objective.
+/// Count violated equations at tolerance `tol` (0.0 means exact).
 pub fn count_violations(algo: &FmmAlgorithm, tol: f64) -> usize {
     let mut count = 0;
     for_each_equation(algo, |_, _, _, got, expected| {
@@ -59,18 +58,6 @@ pub fn count_violations(algo: &FmmAlgorithm, tol: f64) -> usize {
         true
     });
     count
-}
-
-/// Sum of squared residuals over all Brent equations: zero exactly for a
-/// valid algorithm.
-pub fn residual_sq(algo: &FmmAlgorithm) -> f64 {
-    let mut acc = 0.0;
-    for_each_equation(algo, |_, _, _, got, expected| {
-        let d = got - expected;
-        acc += d * d;
-        true
-    });
-    acc
 }
 
 fn first_violation(algo: &FmmAlgorithm, tol: f64) -> Option<BrentViolation> {
@@ -157,7 +144,6 @@ mod tests {
     fn classical_211_passes() {
         assert!(verify(&classical_211()).is_ok());
         assert_eq!(count_violations(&classical_211(), 0.0), 0);
-        assert_eq!(residual_sq(&classical_211()), 0.0);
     }
 
     #[test]
@@ -171,7 +157,6 @@ mod tests {
         assert_eq!(viol.expected, 1.0);
         assert_eq!(viol.got, -1.0);
         assert_eq!(count_violations(&bad, 0.0), 1);
-        assert!(residual_sq(&bad) > 3.9);
     }
 
     #[test]

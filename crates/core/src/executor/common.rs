@@ -1,8 +1,9 @@
 //! Shared executor machinery: operand block grids and destination grids.
 //! (Scratch temporaries live in the preplanned [`super::WorkspaceArena`].)
 //!
-//! The grid and term collections below allocate on the warm path: three
-//! grid `Vec`s per execution, one term list per operand per product.
+//! The grid collections below allocate on the warm path, three grid
+//! `Vec`s per execution; the term lists [`gather_terms`] fills are the
+//! caller's, one per operand per execution or per task worker.
 //! `fmm-engine`'s `tests/warm_alloc.rs` counts them, with the driver's,
 //! on every engine route.
 
@@ -138,15 +139,19 @@ impl<'a, T: Scalar> DestBlocks<'a, T> {
 }
 
 /// Gather the non-zero operand terms of product `r` from a coefficient
-/// matrix column: `[(coeff, block view), ...]`. Plan coefficients are
-/// stored in `f64` and narrowed to the execution scalar here — the single
-/// point where the coefficient domain meets the data domain.
+/// matrix column into `terms`, replacing what it held:
+/// `[(coeff, block view), ...]`. Plan coefficients are stored in `f64` and
+/// narrowed to the execution scalar here — the single point where the
+/// coefficient domain meets the data domain. A list with capacity for
+/// `coeffs.rows()` terms never grows, so callers reuse one across products.
 pub fn gather_terms<'a, T: Scalar>(
+    terms: &mut Vec<(T, MatRef<'a, T>)>,
     coeffs: &crate::coeffs::CoeffMatrix,
     r: usize,
     blocks: &OperandBlocks<'a, T>,
-) -> Vec<(T, MatRef<'a, T>)> {
-    coeffs.col_nonzeros(r).map(|(i, g)| (T::from_f64(g), blocks.get(i))).collect()
+) {
+    terms.clear();
+    terms.extend(coeffs.col_nonzeros(r).map(|(i, g)| (T::from_f64(g), blocks.get(i))));
 }
 
 #[cfg(test)]
@@ -210,7 +215,8 @@ mod tests {
         let a = fill::counter(4, 4);
         let blocks = OperandBlocks::new(a.as_ref(), plan.a_grid());
         // Product 1 of Strassen: A2 + A3.
-        let terms = gather_terms(plan.u(), 1, &blocks);
+        let mut terms = vec![(0.0, blocks.get(0)); 3];
+        gather_terms(&mut terms, plan.u(), 1, &blocks);
         assert_eq!(terms.len(), 2);
         assert_eq!(terms[0].0, 1.0);
         assert_eq!(terms[0].1.at(0, 0), a.get(2, 0)); // A2 top-left

@@ -18,9 +18,11 @@
 //!   `T^{A+}_m`, `T^{B+}_m`, `T^{C+}_m` traffic the model charges.
 //!
 //! The temporaries live in the preplanned arena. What the loop does
-//! allocate, per product, is two term lists, the driver's slice lists and
-//! ABC's destination-tile list; `fmm-engine`'s `tests/warm_alloc.rs`
-//! derives that count from the plan and asserts it.
+//! allocate is two term lists and, for ABC, a destination-tile list, once
+//! per execution and sized to the plan's block counts so that no product
+//! grows them, plus the driver's slice lists per product;
+//! `fmm-engine`'s `tests/warm_alloc.rs` derives that count from the plan
+//! and asserts it.
 
 use super::common::{gather_terms, DestBlocks, OperandBlocks};
 use super::{ArenaViews, Variant};
@@ -71,19 +73,27 @@ pub(super) fn run_products<T: GemmScalar>(
     let a_blocks = OperandBlocks::new(a, plan.a_grid());
     let b_blocks = OperandBlocks::new(b, plan.b_grid());
     let c_blocks = DestBlocks::new(c, plan.c_grid());
+    let mut a_terms = Vec::with_capacity(plan.u().rows());
+    let mut b_terms = Vec::with_capacity(plan.v().rows());
+    let abc_dests = if variant == Variant::Abc { plan.w().rows() } else { 0 };
+    let mut dests: Vec<DestTile<'_, T>> = Vec::with_capacity(abc_dests);
     for r in 0..plan.rank() {
-        let a_terms = gather_terms(plan.u(), r, &a_blocks);
-        let b_terms = gather_terms(plan.v(), r, &b_blocks);
+        gather_terms(&mut a_terms, plan.u(), r, &a_blocks);
+        gather_terms(&mut b_terms, plan.v(), r, &b_blocks);
         match variant {
             Variant::Abc => {
-                let mut dests: Vec<DestTile<'_, T>> = plan
-                    .w()
-                    .col_nonzeros(r)
-                    // SAFETY: `col_nonzeros` yields strictly increasing
-                    // distinct block indices, and distinct blocks are
-                    // disjoint regions of C.
-                    .map(|(p, w)| DestTile::new(unsafe { c_blocks.get(p) }, T::from_f64(w)))
-                    .collect();
+                // The previous product's views are dropped before this
+                // product's are made.
+                dests.clear();
+                dests.extend(
+                    plan.w()
+                        .col_nonzeros(r)
+                        // SAFETY: `col_nonzeros` yields strictly increasing
+                        // distinct block indices, distinct blocks are
+                        // disjoint regions of C, and `dests` holds no other
+                        // view.
+                        .map(|(p, w)| DestTile::new(unsafe { c_blocks.get(p) }, T::from_f64(w))),
+                );
                 let ic_loop = ic_loop.reborrow();
                 gemm_sums_with(&mut dests, &a_terms, &b_terms, params, Update::Accumulate, ic_loop);
             }

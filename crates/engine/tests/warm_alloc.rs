@@ -12,16 +12,18 @@
 //!   `1 + ⌈bn/nC⌉·⌈bk/kC⌉·(1 + ⌈bm/mC⌉ + spawn)`, where `spawn` is what
 //!   a parallel `ic` loop of more than one block pays for its threads.
 //! * A depth-first execution of a rank-`R` plan on `(bm, bk, bn)` blocks:
-//!   3 block-grid `Vec`s (A, B, C), then per product 2 term lists
-//!   (`gather_terms` for A and B), the GEMM's lists, and for ABC one
-//!   destination-tile list: `3 + R·(2 + gemm + [ABC])`.
+//!   3 block-grid `Vec`s (A, B, C), 2 term lists (`gather_terms` fills
+//!   them for A and B) and for ABC one destination-tile list, each made
+//!   once with room for every block, then per product the GEMM's lists:
+//!   `5 + [ABC] + R·gemm`.
 //! * Parallel regions add their threads. `threads(w)` is what spawning `w`
 //!   scoped threads costs std, measured here, not assumed. A fan-out
 //!   (`fmm_sched::fan_out`) adds its task queue and one boxed task per
-//!   worker: `1 + w + threads(w)`.
+//!   worker: `1 + w + threads(w)`. A task fan-out's workers each make
+//!   their own 2 term lists: `2·w`.
 //!
-//! At the default blocking on 256³ this gives 45 / 45 / 52 heap calls for
-//! one level of ⟨2,2,2⟩ Naive / AB / ABC and 248 / 248 / 297 for two. The
+//! At the default blocking on 256³ this gives 33 / 33 / 34 heap calls for
+//! one level of ⟨2,2,2⟩ Naive / AB / ABC and 152 / 152 / 153 for two. The
 //! test runs smaller blocking and shapes so it stays quick unoptimized.
 //!
 //! Packing itself (`pack_a_sum`, `pack_b_sum`) makes no heap call.
@@ -106,7 +108,7 @@ fn gemm(m: usize, k: usize, n: usize, p: &BlockingParams, spawn: u64) -> u64 {
 /// Heap calls of a depth-first execution of `rank` products, each a
 /// `product`-call GEMM.
 fn dfs(rank: u64, product: u64, variant: Variant) -> u64 {
-    3 + rank * (2 + product + u64::from(variant == Variant::Abc))
+    5 + u64::from(variant == Variant::Abc) + rank * product
 }
 
 /// Heap calls per warm `multiply` of `n`³ on `engine`, checked equal over
@@ -139,6 +141,7 @@ fn pinned(levels: usize, variant: Variant, strategy: Strategy) -> Routing {
 
 fn check_routes<T: GemmScalar>(threads: u64) {
     let fan_out = 1 + WORKERS as u64 + threads;
+    let term_lists = 2 * WORKERS as u64;
     let (b1, b2) = (N / 2, N / 4);
     let task = PARAMS.for_workers(WORKERS);
     // The global packing pool grows to the most GEMM workspaces ever out
@@ -169,17 +172,19 @@ fn check_routes<T: GemmScalar>(threads: u64) {
         );
 
         // BFS: the held packing buffers (1 Vec) and the grids (3), the
-        // product fan-out over 7 tasks, each 2 term lists and one inline
-        // GEMM at worker-shrunk blocking, and the merge fan-out over the 4
-        // C blocks. ABC runs as AB: its tasks write M_r.
-        let bfs = 1 + 3 + fan_out + R1 * (2 + gemm(b1, b1, b1, &task, 0)) + fan_out;
+        // product fan-out over 7 tasks with each worker's 2 term lists,
+        // each task one inline GEMM at worker-shrunk blocking, and the
+        // merge fan-out over the 4 C blocks. ABC runs as AB: its tasks
+        // write M_r.
+        let bfs = 1 + 3 + fan_out + term_lists + R1 * gemm(b1, b1, b1, &task, 0) + fan_out;
         assert_eq!(route(WORKERS, 1, Strategy::Bfs), bfs, "{name}, BFS");
 
         // Hybrid on two levels: the level-1 grid shapes (3) and blocks (3),
-        // the fan-out over the 7 level-1 products, each 2 term lists and
-        // one depth-first level on its 64³ operand sums, and the merge.
+        // the fan-out over the 7 level-1 products with each worker's 2 term
+        // lists, each task one depth-first level on its 64³ operand sums,
+        // and the merge.
         let inner = dfs(R1, gemm(b2, b2, b2, &task, 0), variant);
-        let hybrid = 3 + 3 + fan_out + R1 * (2 + inner) + fan_out;
+        let hybrid = 3 + 3 + fan_out + term_lists + R1 * inner + fan_out;
         assert_eq!(route(WORKERS, 2, Strategy::Hybrid), hybrid, "{name}, Hybrid");
     }
 

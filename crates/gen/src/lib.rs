@@ -1,24 +1,14 @@
-//! Source-code generator for specialized FMM implementations (paper §4.1).
+//! One frozen specialized FMM implementation (paper §4.1).
 //!
-//! The runtime executors in `fmm-core` interpret `[[U,V,W]]` coefficients.
-//! This crate emits the artifact the paper's code generator produces: a
-//! standalone, human-readable Rust module for a *fixed* plan and variant,
-//! with the coefficient loops fully unrolled —
-//!
-//! * one packing routine per product `r` that packs
-//!   `Σ U[i,r]·A_i` / `Σ V[j,r]·B_j` with the term list baked in;
-//! * one epilogue per product listing its `C_p += W[p,r]·M_r` updates;
-//! * a driver that sequences the `R_L` products.
-//!
-//! Generated modules depend only on `fmm-dense` and `fmm-gemm` and are
-//! verified two ways: a golden-file test pins the generated Strassen module
-//! byte-for-byte, and an integration test compiles-and-runs a generated
-//! module against the interpreted executor (see `tests/` at the workspace
-//! root and the pre-generated copy under `src/generated/`).
+//! The paper's generator, like Benson & Ballard's, writes each
+//! algorithm's `[[U,V,W]]` out as code. Here the coefficient-driven
+//! executors in `fmm-core` make the same `gemm_sums` calls straight from
+//! the coefficients, at the same speed, so the repository keeps one
+//! implementation and no emitter. [`generated`] holds the one module the
+//! deleted emitter last wrote, one-level Strassen ABC, unchanged: the
+//! benchmark's `gen.generated_vs_interp` row times it against the
+//! interpreted executor, and its tests check that both agree bit for bit.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 
-pub mod emit;
 pub mod generated;
-
-pub use emit::{generate_module, GenSpec};

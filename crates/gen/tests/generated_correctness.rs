@@ -1,9 +1,9 @@
-//! The pre-generated (checked-in) modules must compute the same product as
+//! The frozen one-level Strassen module must compute the same product as
 //! the interpreted executor and the reference GEMM.
 
 use fmm_dense::{fill, norms, Matrix, Scalar};
 use fmm_gemm::{BlockingParams, GemmWorkspace};
-use fmm_gen::generated::{strassen_1l, strassen_2l};
+use fmm_gen::generated::strassen_1l;
 
 fn check(
     run: impl Fn(
@@ -35,13 +35,6 @@ fn check(
 fn generated_one_level_strassen_is_correct() {
     for (m, k, n) in [(16, 16, 16), (32, 18, 26), (2, 2, 2), (64, 10, 40)] {
         check(strassen_1l::strassen_1l_abc, m, k, n, 1);
-    }
-}
-
-#[test]
-fn generated_two_level_strassen_is_correct() {
-    for (m, k, n) in [(16, 16, 16), (32, 20, 28), (4, 4, 4)] {
-        check(strassen_2l::strassen_2l_abc, m, k, n, 2);
     }
 }
 

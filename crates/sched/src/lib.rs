@@ -490,19 +490,23 @@ fn bfs_core<T: GemmScalar>(
     let slots = task_arena.task_slots(&layout, rank);
 
     // Phase 1: each task overwrites its own M_r with the r-th product.
+    // Each worker holds its packing buffers and its two term lists.
     fan_out(
         rank,
         workers,
-        || packing_pool.acquire(&task_params),
-        |ws, r| {
+        || {
+            let ws = packing_pool.acquire(&task_params);
+            (ws, Vec::with_capacity(plan.u().rows()), Vec::with_capacity(plan.v().rows()))
+        },
+        |(ws, a_terms, b_terms), r| {
             // SAFETY: `fan_out` hands each index to exactly one worker, so
             // task regions are never aliased.
             let views = unsafe { slots.views(r) };
-            let a_terms = gather_terms(plan.u(), r, &a_blocks);
-            let b_terms = gather_terms(plan.v(), r, &b_blocks);
+            gather_terms(a_terms, plan.u(), r, &a_blocks);
+            gather_terms(b_terms, plan.v(), r, &b_blocks);
             timed_task(|| {
                 let ic_loop = IcLoop::Inline(ws);
-                form_product(views, variant, &a_terms, &b_terms, &task_params, ic_loop);
+                form_product(views, variant, a_terms, b_terms, &task_params, ic_loop);
             });
         },
     );
@@ -602,18 +606,23 @@ fn hybrid_core<T: GemmScalar>(
     let slots = task_arena.task_slots(&layout, r1);
 
     // Phase 1: level-1 products, DFS within each task.
+    // Each worker holds its inner context and its two term lists.
     fan_out(
         r1,
         workers,
-        || InnerCtx::acquire(inner_ctxs, inner_allocations, inner_arena_grows, task_params),
-        |ictx, r| {
+        || {
+            let ictx =
+                InnerCtx::acquire(inner_ctxs, inner_allocations, inner_arena_grows, task_params);
+            (ictx, Vec::with_capacity(outer.u().rows()), Vec::with_capacity(outer.v().rows()))
+        },
+        |(ictx, a_terms, b_terms), r| {
             // SAFETY: each task index is claimed by exactly one worker.
             let ArenaViews { mut ta, mut tb, mut mr } = unsafe { slots.views(r) };
-            let a_terms = gather_terms(outer.u(), r, &a_blocks);
-            let b_terms = gather_terms(outer.v(), r, &b_blocks);
+            gather_terms(a_terms, outer.u(), r, &a_blocks);
+            gather_terms(b_terms, outer.v(), r, &b_blocks);
             timed_task(|| {
-                ops::linear_combination(ta.reborrow(), &a_terms).expect("A block shapes agree");
-                ops::linear_combination(tb.reborrow(), &b_terms).expect("B block shapes agree");
+                ops::linear_combination(ta.reborrow(), a_terms).expect("A block shapes agree");
+                ops::linear_combination(tb.reborrow(), b_terms).expect("B block shapes agree");
                 // The executors accumulate; the task region is reused, so
                 // clear M_r before descending.
                 mr.fill(T::ZERO);

@@ -16,8 +16,7 @@
 //!    factors as symmetric residues (`lift`).
 //! 4. Drive it: [`search`] is the one entry point. It runs restarts of the
 //!    walk until a lift verifies or its wall-clock budget runs out; [`io`]
-//!    writes a find as registry JSON. [`repair`] re-solves a `W` from a
-//!    remembered `(U, V)` pair.
+//!    writes a find as registry JSON.
 //!
 //! Every "discovery" is re-verified through `FmmAlgorithm::new`, so this
 //! crate can never hand the registry a wrong algorithm.
@@ -25,9 +24,6 @@
 mod flip;
 pub mod io;
 mod lift;
-mod linalg;
-pub mod repair;
-mod rounding;
 mod runner;
 mod tensor;
 

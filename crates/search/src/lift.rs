@@ -11,10 +11,8 @@
 //! [`STEPS`] steps `FmmAlgorithm::new` decides whether they hold over ℤ.
 
 use crate::flip::Scheme;
-use crate::linalg::Mat;
-use crate::repair::to_algorithm;
 use crate::tensor::MatMulTensor;
-use fmm_core::FmmAlgorithm;
+use fmm_core::{CoeffMatrix, FmmAlgorithm};
 
 /// Lifting steps: the factors are read mod `2^(STEPS+1)`, i.e. in
 /// `(-64, 64]`, far wider than any coefficient of a practical algorithm.
@@ -70,9 +68,10 @@ pub(crate) fn lift(t: &MatMulTensor, scheme: &Scheme, name: &str) -> Option<FmmA
         }
         e = residual(&x);
     }
+    // Symmetric residues are integers, so every entry is dyadic.
     let [u, v, w] = split(&x);
-    let mat = |rows, data| Mat::from_rows(rows, r, data);
-    to_algorithm(t, &mat(da, u), &mat(db, v), &mat(dc, w), name).ok()
+    let mat = |rows, data| CoeffMatrix::from_rows(rows, r, data);
+    FmmAlgorithm::new(name, t.dims(), mat(da, u), mat(db, v), mat(dc, w)).ok()
 }
 
 /// The linearised Brent equations mod 2, one bitset row per equation

@@ -42,26 +42,6 @@ impl MatMulTensor {
         (self.mt * self.kt, self.kt * self.nt, self.mt * self.nt)
     }
 
-    /// Entry `T[a, b, c]`.
-    pub fn at(&self, a: usize, b: usize, c: usize) -> f64 {
-        let (_, db, dc) = self.mode_sizes();
-        self.data[(a * db + b) * dc + c]
-    }
-
-    /// Mode-3 unfolding: `(dc) x (da*db)`, column index `a*db + b`.
-    pub fn unfold_3(&self) -> Vec<f64> {
-        let (da, db, dc) = self.mode_sizes();
-        let mut out = vec![0.0; da * db * dc];
-        for a in 0..da {
-            for b in 0..db {
-                for c in 0..dc {
-                    out[c * (da * db) + a * db + b] = self.at(a, b, c);
-                }
-            }
-        }
-        out
-    }
-
     /// The residual `T - Σ_r u_r ⊗ v_r ⊗ w_r` of a rank-R factor triple
     /// (`U: da x R`, `V: db x R`, `W: dc x R`, all row-major), entry
     /// `(a * db + b) * dc + c`. Exact for factors of small integers.
@@ -95,26 +75,13 @@ mod tests {
     #[test]
     fn entries_follow_delta_pattern() {
         let t = MatMulTensor::new(2, 3, 2);
+        // Mode sizes (6, 6, 4).
+        let at = |a: usize, b: usize, c: usize| t.data[(a * 6 + b) * 4 + c];
         // (i,κ)=(1,2) -> a = 1*3+2 = 5; (κ,j)=(2,1) -> b = 2*2+1 = 5;
         // (i,j)=(1,1) -> c = 1*2+1 = 3.
-        assert_eq!(t.at(5, 5, 3), 1.0);
+        assert_eq!(at(5, 5, 3), 1.0);
         // Mismatched κ: (κ',j)=(1,1) -> b = 3.
-        assert_eq!(t.at(5, 3, 3), 0.0);
-    }
-
-    #[test]
-    fn unfoldings_are_consistent() {
-        let t = MatMulTensor::new(2, 2, 3);
-        let (da, db, dc) = t.mode_sizes();
-        let u3 = t.unfold_3();
-        for a in 0..da {
-            for b in 0..db {
-                for c in 0..dc {
-                    let v = t.at(a, b, c);
-                    assert_eq!(u3[c * (da * db) + a * db + b], v);
-                }
-            }
-        }
+        assert_eq!(at(5, 3, 3), 0.0);
     }
 
     #[test]

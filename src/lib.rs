@@ -28,14 +28,14 @@
 //! * [`engine`] — the long-lived, cached, model-routed execution engine
 //!   with the batched [`multiply_batch`] entry point;
 //! * [`serve`] — the multi-client TCP serving daemon: a length-prefixed
-//!   binary frame protocol, a cross-request micro-batching dispatcher
-//!   over [`FmmEngine::multiply_batch`], bounded-queue admission control
-//!   with typed backpressure, live metrics, a client library, and the
+//!   binary frame protocol, connection readers that flat-combine each
+//!   dtype's queued requests into batches over
+//!   [`FmmEngine::multiply_batch`], bounded-queue admission control with
+//!   typed backpressure, live metrics, a client library, and the
 //!   `fmm_serve` CLI;
 //! * [`search`] — discovery of new algorithms: [`search::search`] walks the
 //!   flip graph over GF(2) and Hensel-lifts finds to ℤ under one wall-clock
-//!   budget;
-//! * [`gen`] — the source-code generator for specialized implementations.
+//!   budget.
 //!
 //! # Quickstart
 //!
@@ -72,7 +72,6 @@ pub use fmm_dense as dense;
 // component crate, `fmm::engine()` the process-global instance.
 pub use fmm_engine as engine;
 pub use fmm_gemm as gemm;
-pub use fmm_gen as gen;
 pub use fmm_model as model;
 pub use fmm_sched as sched;
 pub use fmm_search as search;

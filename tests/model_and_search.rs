@@ -89,27 +89,6 @@ fn calibration_fit_roundtrips_through_the_gemm_model() {
 }
 
 #[test]
-fn search_repair_recovers_every_paper_algorithm_from_uv() {
-    // For each registry algorithm: discard W entirely, re-solve it exactly
-    // from (U, V), and verify the result. Demonstrates the exact linear
-    // repair path on every coefficient structure we ship.
-    let reg = Registry::shared();
-    for (entry, algo) in reg.paper_rows() {
-        let broken = fmm_core::FmmAlgorithm::new_unchecked(
-            "wiped",
-            algo.dims(),
-            algo.u().clone(),
-            algo.v().clone(),
-            fmm_core::CoeffMatrix::zeros(algo.w().rows(), algo.w().cols()),
-        );
-        let repaired = fmm_search::repair::repair_w_default(&broken)
-            .unwrap_or_else(|| panic!("repair failed for {:?}", entry.dims));
-        assert_eq!(repaired.rank(), algo.rank());
-        assert_eq!(repaired.dims(), algo.dims());
-    }
-}
-
-#[test]
 fn discovered_algorithm_roundtrips_into_a_working_plan() {
     // Discover (rank 8 is fast and deterministic enough), then execute the
     // discovered algorithm on a real multiplication.
