@@ -718,8 +718,9 @@ impl<T: GemmScalar> FmmEngine<T> {
     }
 
     /// The decision for a shape, and the `EngineDecision` span's args:
-    /// the predicted nanos of the winner, of GEMM and of the runner-up (0
-    /// when nothing else was ranked).
+    /// the nanos Fig. 5 predicts for the winner, for GEMM and for the
+    /// runner-up (0 when nothing else was ranked), before the ranking's
+    /// guard band.
     fn compute_decision(&self, m: usize, k: usize, n: usize) -> (Decision, [u64; 3]) {
         let Routing::Pinned { dims, levels, variant, strategy } = self.config.routing else {
             return self.model_decision(m, k, n);
@@ -766,9 +767,11 @@ impl<T: GemmScalar> FmmEngine<T> {
             }
             _ => Choice::Gemm,
         };
-        let predicted_nanos = best.prediction.total_nanos();
+        // Fig. 5's nanos: the guard orders candidates but is no cost, so
+        // the audit and the span compare against the model's own figures.
+        let predicted_nanos = best.prediction.fig5_nanos();
         let gemm = ranked.iter().find(|c| c.plan.is_none()).expect("GEMM is ranked");
-        let runner_up = ranked.get(1).map_or(0, |c| c.prediction.total_nanos());
+        let runner_up = ranked.get(1).map_or(0, |c| c.prediction.fig5_nanos());
         let predicted = [predicted_nanos, gemm.prediction.total_nanos(), runner_up];
         (Decision { choice, source: AuditSource::Model, predicted_nanos }, predicted)
     }

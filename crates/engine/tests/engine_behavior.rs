@@ -69,24 +69,43 @@ fn warm_path_does_no_composition_ranking_or_allocation() {
     }
 }
 
+/// `workers` is clamped to the rayon pool width (the model must not rank
+/// with parallelism the machine cannot deliver), so tests that route on
+/// eight workers widen the pool first. Every other test in this binary is
+/// width-agnostic.
+fn widen_pool() {
+    rayon::ThreadPoolBuilder::new().num_threads(8).build_global().unwrap();
+}
+
 /// Model routing has the same warm-path property for the decision layer.
 #[test]
 fn model_routing_ranks_once_per_shape() {
     // The paper machine's constants (`tiny_config`), so the routes below
-    // are the model's formula and not this host's calibration: the three
-    // small shapes go to GEMM, 256³ to one-level Strassen.
-    let engine = FmmEngine::new(tiny_config(Routing::Model));
-    let shapes = [(48usize, 32usize, 40usize), (37, 29, 41), (64, 64, 64), (256, 256, 256)];
+    // are the model's formula and not this host's calibration. On one
+    // worker no shape this small clears the guard band (256³ predicts
+    // one-level Strassen at 0.95x GEMM); on eight, two small shapes go to
+    // GEMM, and 64³ and 96x128x128 to one level of Strassen as AB BFS,
+    // predicted at 0.60x and 0.38x GEMM.
+    widen_pool();
+    let engine =
+        FmmEngine::new(EngineConfig { parallel: true, workers: 8, ..tiny_config(Routing::Model) });
+    let shapes = [(48usize, 32usize, 40usize), (37, 29, 41), (64, 64, 64), (96, 128, 128)];
     for &(m, k, n) in &shapes {
         let a = fill::bench_workload(m, k, 1);
         let b = fill::bench_workload(k, n, 2);
         let mut c = Matrix::zeros(m, n);
         engine.multiply(c.as_mut(), a.as_ref(), b.as_ref());
     }
-    assert_eq!(engine.decision_label(256, 256, 256), "<2,2,2> ABC");
+    assert_eq!(engine.decision_label(48, 32, 40), "GEMM");
+    assert_eq!(engine.decision_label(37, 29, 41), "GEMM");
+    assert_eq!(engine.decision_label(64, 64, 64), "<2,2,2> AB BFS");
+    assert_eq!(engine.decision_label(96, 128, 128), "<2,2,2> AB BFS");
     let cold = engine.stats();
     assert_eq!(cold.rankings, shapes.len() as u64, "one ranking per distinct shape");
-    assert_eq!(cold.plan_compositions, 1, "the one plan a shape routed to, not the candidate set");
+    assert_eq!(
+        cold.plan_compositions, 1,
+        "the one plan two shapes routed to, not the candidate set"
+    );
 
     for &(m, k, n) in &shapes {
         let a = fill::bench_workload(m, k, 1);
@@ -226,10 +245,7 @@ fn warm_scheduled_paths_do_no_ranking_composition_or_allocation() {
 /// A parallel model-routed engine picks a strategy per shape and labels it.
 #[test]
 fn parallel_model_routing_selects_a_strategy() {
-    // `workers` is clamped to the rayon pool width (the model must not
-    // rank with parallelism the machine cannot deliver), so widen the
-    // pool first — correctness of every other test is width-agnostic.
-    rayon::ThreadPoolBuilder::new().num_threads(8).build_global().unwrap();
+    widen_pool();
     // Pin the paper machine: the assertion below is about the parallel
     // model's *formula* at known constants, not about whatever constants
     // this CI host happens to calibrate to.
@@ -239,17 +255,18 @@ fn parallel_model_routing_selects_a_strategy() {
         workers: 8,
         ..EngineConfig::default()
     });
-    // 256³: too small for DFS data parallelism to fill 8 workers — the
+    // 192³: too small for DFS data parallelism to fill 8 workers — the
     // parallel model must route away from plain DFS (see
-    // fmm_model::parallel tests for the formula-level assertion).
-    let label = engine.decision_label(256, 256, 256);
+    // fmm_model::parallel tests for the formula-level assertion). At 256³
+    // the task-parallel margin falls inside the guard band.
+    let label = engine.decision_label(192, 192, 192);
     assert!(
         label.contains("BFS") || label.contains("Hybrid"),
-        "expected a task-parallel schedule at 256^3 x 8 workers, got {label}"
+        "expected a task-parallel schedule at 192^3 x 8 workers, got {label}"
     );
-    let a = fill::bench_workload(256, 256, 1);
-    let b = fill::bench_workload(256, 256, 2);
-    let mut c = Matrix::zeros(256, 256);
+    let a = fill::bench_workload(192, 192, 1);
+    let b = fill::bench_workload(192, 192, 2);
+    let mut c = Matrix::zeros(192, 192);
     engine.multiply(c.as_mut(), a.as_ref(), b.as_ref());
     let c_ref = fmm_gemm::reference::matmul(a.as_ref(), b.as_ref());
     assert!(norms::rel_error(c.as_ref(), c_ref.as_ref()) < 1e-9);

@@ -16,7 +16,10 @@
 //! [`parallel`] extends them to a schedule over `p` workers and holds the
 //! one ranker, [`rank_scheduled`], behind the paper's §4.4 model-guided
 //! choice of implementation; [`select`]'s [`rank_candidates`] is its
-//! one-worker case, the sequential ranking.
+//! one-worker case, the sequential ranking. [`replay`] holds the paper's
+//! Fig. 9 as committed measurements, and the guard band the ranker
+//! derives from them: a fast algorithm is ranked ahead of GEMM only when
+//! its predicted margin exceeds the model's measured error.
 //!
 //! # Example
 //!
@@ -34,6 +37,7 @@ pub mod arch;
 pub mod calibrate;
 pub mod parallel;
 pub mod predict;
+pub mod replay;
 pub mod select;
 pub mod terms;
 
@@ -41,6 +45,7 @@ pub use arch::ArchParams;
 pub use fmm_core::tasks::Strategy;
 pub use parallel::{predict_gemm_parallel, predict_scheduled, rank_scheduled, ScheduledCandidate};
 pub use predict::{predict_fmm, predict_gemm, Prediction};
+pub use replay::{guard_band, ReplayRow, ReplayTable};
 pub use select::{rank_candidates, Candidate};
 
 /// Which implementation the model is asked about.

@@ -12,30 +12,59 @@ pub struct Prediction {
     pub arithmetic: f64,
     /// Memory time `Tm` (seconds).
     pub memory: f64,
-    /// `T = Ta + Tm`.
+    /// The margin a ranking charges a fast algorithm for the model's
+    /// measured error (`replay::guard_band` × its Fig. 5 total); 0 for
+    /// GEMM and for every prediction outside a ranking.
+    pub guard: f64,
+    /// `T = Ta + Tm + guard`.
     pub total: f64,
     /// Effective GFLOPS `2mnk / T / 1e9` (classical flops credited).
     pub effective_gflops: f64,
 }
 
+/// Seconds as integer nanoseconds, saturating at `u64::MAX` and clamping
+/// non-finite / negative values to 0.
+fn nanos(seconds: f64) -> u64 {
+    let nanos = seconds * 1e9;
+    if nanos.is_nan() || nanos <= 0.0 {
+        0
+    } else if nanos >= u64::MAX as f64 {
+        u64::MAX
+    } else {
+        nanos as u64
+    }
+}
+
 impl Prediction {
     pub(crate) fn from_times(arithmetic: f64, memory: f64, m: usize, k: usize, n: usize) -> Self {
         let total = arithmetic + memory;
-        Self { arithmetic, memory, total, effective_gflops: classical_flops(m, k, n) / total / 1e9 }
+        let effective_gflops = classical_flops(m, k, n) / total / 1e9;
+        Self { arithmetic, memory, guard: 0.0, total, effective_gflops }
+    }
+
+    /// This prediction with a guard of `band` × its Fig. 5 total added.
+    pub(crate) fn guarded(self, band: f64) -> Self {
+        let guard = band * self.fig5_total();
+        let total = self.fig5_total() + guard;
+        Self { guard, total, effective_gflops: self.effective_gflops / (1.0 + band), ..self }
+    }
+
+    /// `Ta + Tm`: the total Fig. 5 predicts, without the guard.
+    pub fn fig5_total(&self) -> f64 {
+        self.arithmetic + self.memory
     }
 
     /// Predicted total as integer nanoseconds, the currency of the
     /// decision-audit layer (`fmm_obs::audit`). Saturates at `u64::MAX`
     /// and clamps non-finite / negative predictions to 0.
     pub fn total_nanos(&self) -> u64 {
-        let nanos = self.total * 1e9;
-        if nanos.is_nan() || nanos <= 0.0 {
-            0
-        } else if nanos >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            nanos as u64
-        }
+        nanos(self.total)
+    }
+
+    /// [`Prediction::fig5_total`] as integer nanoseconds, clamped as
+    /// [`Prediction::total_nanos`] is.
+    pub fn fig5_nanos(&self) -> u64 {
+        nanos(self.fig5_total())
     }
 }
 
@@ -177,7 +206,13 @@ mod tests {
         assert!((nanos as f64 - p.total * 1e9).abs() <= 1.0, "within 1ns of the float total");
 
         // Degenerate predictions must not wrap or panic.
-        let zero = Prediction { arithmetic: 0.0, memory: 0.0, total: 0.0, effective_gflops: 0.0 };
+        let zero = Prediction {
+            arithmetic: 0.0,
+            memory: 0.0,
+            guard: 0.0,
+            total: 0.0,
+            effective_gflops: 0.0,
+        };
         assert_eq!(zero.total_nanos(), 0);
         let neg = Prediction { total: -1.0, ..zero };
         assert_eq!(neg.total_nanos(), 0);

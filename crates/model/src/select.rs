@@ -36,8 +36,9 @@ impl Candidate {
 
 /// Rank every `(plan, variant)` pair (plus plain GEMM) by predicted total
 /// time, fastest first: [`rank_scheduled`] at one worker, where every
-/// candidate is depth-first and predicts what the sequential model does,
-/// bit for bit.
+/// candidate is depth-first and its Fig. 5 parts are what the sequential
+/// model predicts, bit for bit; each FMM candidate's total adds the guard
+/// band's margin.
 pub fn rank_candidates(
     m: usize,
     k: usize,

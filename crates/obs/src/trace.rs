@@ -67,7 +67,9 @@ pub enum Kind {
     BatchForm,
     /// Engine routing decision (model ranking / decision-cache miss).
     /// Args: predicted nanos of the winner, of GEMM, and of the runner-up
-    /// (0 when no runner-up was ranked).
+    /// (0 when no runner-up was ranked), as the model predicts them before
+    /// the ranking's guard band. GEMM chosen over a runner-up predicted
+    /// faster means the runner-up's margin fell inside the band.
     EngineDecision,
     /// Execution-plan composition for a cache-missed shape.
     PlanCompose,
@@ -318,6 +320,12 @@ impl Event {
                 };
                 let runner_up = match c {
                     0 => String::new(),
+                    // Only the guard band can rank GEMM ahead of a
+                    // candidate predicted faster.
+                    c if a == b && c < b => format!(
+                        "; the runner-up predicted {:.2}x GEMM, inside the guard band",
+                        of_gemm(c)
+                    ),
                     c => format!(", runner-up at {:.2}x", of_gemm(c)),
                 };
                 format!(
@@ -786,6 +794,25 @@ mod tests {
     fn batch_form_names_who_ran_it() {
         let batch = |runner| Event::span(Kind::BatchForm, 7, 10, 20).with_args([runner, 3, 2]);
         assert_eq!(batch(42).describe(), "conn #42 ran a batch of 3 (depth 2 after)");
+    }
+
+    #[test]
+    fn decision_lines_say_why() {
+        let decision = |args| Event::span(Kind::EngineDecision, 9, 0, 1500).with_args(args);
+        assert_eq!(
+            decision([830, 1000, 850]).describe(),
+            "EngineDecision of request 9: chose a fast algorithm at 0.83x GEMM predicted, \
+             runner-up at 0.85x, 1.5 us"
+        );
+        assert_eq!(
+            decision([1000, 1000, 1050]).describe(),
+            "EngineDecision of request 9: chose GEMM, runner-up at 1.05x, 1.5 us"
+        );
+        assert_eq!(
+            decision([1000, 1000, 950]).describe(),
+            "EngineDecision of request 9: chose GEMM; the runner-up predicted 0.95x GEMM, \
+             inside the guard band, 1.5 us"
+        );
     }
 
     #[test]
