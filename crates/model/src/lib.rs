@@ -45,7 +45,7 @@ pub use arch::ArchParams;
 pub use fmm_core::tasks::Strategy;
 pub use parallel::{predict_gemm_parallel, predict_scheduled, rank_scheduled, ScheduledCandidate};
 pub use predict::{predict_fmm, predict_gemm, Prediction};
-pub use replay::{guard_band, ReplayRow, ReplayTable};
+pub use replay::{ReplayRow, ReplayTable, GUARD_BAND};
 pub use select::{rank_candidates, Candidate};
 
 /// Which implementation the model is asked about.

@@ -27,7 +27,7 @@
 
 use crate::arch::ArchParams;
 use crate::predict::{predict_fmm, predict_gemm, Prediction};
-use crate::replay::guard_band;
+use crate::replay::GUARD_BAND;
 use crate::Impl;
 use fmm_core::counts::PlanCounts;
 use fmm_core::tasks::Strategy;
@@ -129,11 +129,11 @@ impl ScheduledCandidate {
 /// before it and could never be picked.
 ///
 /// Every FMM candidate's prediction carries a guard of
-/// [`guard_band`] × its Fig. 5 total, and is ranked by the guarded total:
-/// a fast algorithm outranks GEMM only when Fig. 5's margin over GEMM
-/// (`GEMM / FMM − 1`) exceeds the error the committed replay table
-/// measured. The guard scales every FMM candidate alike, so their order
-/// among themselves is Fig. 5's.
+/// `(e^`[`GUARD_BAND`]` − 1)` × its Fig. 5 total, and is ranked by the
+/// guarded total: a fast algorithm outranks GEMM only when Fig. 5's
+/// `ln(GEMM / FMM)` exceeds the largest error of that log ratio the
+/// committed replay table measured. The guard scales every FMM candidate
+/// alike, so their order among themselves is Fig. 5's.
 #[allow(clippy::too_many_arguments)]
 pub fn rank_scheduled(
     m: usize,
@@ -146,7 +146,7 @@ pub fn rank_scheduled(
     include_gemm: bool,
 ) -> Vec<ScheduledCandidate> {
     let strategies: &[Strategy] = if workers <= 1 { &[Strategy::Dfs] } else { &Strategy::ALL };
-    let band = guard_band();
+    let guard = GUARD_BAND.exp_m1();
     let mut out = Vec::with_capacity(1 + plans.len() * variants.len() * strategies.len());
     if include_gemm {
         out.push(ScheduledCandidate {
@@ -170,7 +170,7 @@ pub fn rank_scheduled(
                     impl_: v,
                     strategy,
                     prediction: predict_scheduled(v, plan, m, k, n, arch, workers, strategy)
-                        .guarded(band),
+                        .guarded(guard),
                 });
             }
         }

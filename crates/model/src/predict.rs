@@ -13,7 +13,7 @@ pub struct Prediction {
     /// Memory time `Tm` (seconds).
     pub memory: f64,
     /// The margin a ranking charges a fast algorithm for the model's
-    /// measured error (`replay::guard_band` × its Fig. 5 total); 0 for
+    /// measured error (`(e^GUARD_BAND − 1)` × its Fig. 5 total); 0 for
     /// GEMM and for every prediction outside a ranking.
     pub guard: f64,
     /// `T = Ta + Tm + guard`.
@@ -42,11 +42,11 @@ impl Prediction {
         Self { arithmetic, memory, guard: 0.0, total, effective_gflops }
     }
 
-    /// This prediction with a guard of `band` × its Fig. 5 total added.
-    pub(crate) fn guarded(self, band: f64) -> Self {
-        let guard = band * self.fig5_total();
+    /// This prediction with a guard of `factor` × its Fig. 5 total added.
+    pub(crate) fn guarded(self, factor: f64) -> Self {
+        let guard = factor * self.fig5_total();
         let total = self.fig5_total() + guard;
-        Self { guard, total, effective_gflops: self.effective_gflops / (1.0 + band), ..self }
+        Self { guard, total, effective_gflops: self.effective_gflops / (1.0 + factor), ..self }
     }
 
     /// `Ta + Tm`: the total Fig. 5 predicts, without the guard.

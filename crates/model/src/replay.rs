@@ -11,19 +11,20 @@
 //!
 //! [`ReplayTable::derive_band`] reduces the rows to one number: the
 //! largest `|ln(measured FMM/GEMM) − ln(predicted FMM/GEMM)|` over the rows
-//! where Fig. 5 predicts the candidate faster. The committed table states
-//! that number on its `band` line, and [`guard_band`] is what
+//! where Fig. 5 predicts the candidate faster. On the committed table
+//! (`crates/model/replay/fig9.txt`) that number is [`GUARD_BAND`], which
 //! [`crate::rank_scheduled`] charges every FMM candidate: a guard of
-//! `band × its Fig. 5 total`, so a fast algorithm outranks GEMM only when
-//! its predicted margin exceeds the error the model has been measured to
-//! make.
+//! `(e^band − 1) × its Fig. 5 total`, so a fast algorithm outranks GEMM
+//! only when `ln(GEMM/FMM)` as Fig. 5 predicts it exceeds the error the
+//! model has been measured to make. The band was measured with one worker
+//! at the table's constants; rankings at other constants or worker counts
+//! are charged the same band without rows of their own.
 //!
 //! Text format, one record a line (`#` starts a comment):
 //!
 //! ```text
 //! arch f64 tau_a=4.7e-11 tau_b=1.4e-9 lambda=0.5 mc=96 kc=256 nc=4096
 //! arch f32 tau_a=3.2e-11 tau_b=1.4e-9 lambda=0.5 mc=96 kc=256 nc=4096
-//! band 0.1
 //! # dtype m k n plan variant best_ns gemm_best_ns
 //! f64 1024 1024 1024 <2,2,2> ABC 15800000 15100000
 //! ```
@@ -35,10 +36,11 @@ use fmm_core::counts::PlanCounts;
 use fmm_core::registry::Registry;
 use fmm_core::FmmPlan;
 use std::fmt::Write as _;
-use std::sync::OnceLock;
 
-/// The committed table's text.
-const COMMITTED: &str = include_str!("../replay/fig9.txt");
+/// What [`ReplayTable::derive_band`] gives on the committed table,
+/// `crates/model/replay/fig9.txt` (a test re-derives it bit for bit): the
+/// largest error of Fig. 5's `ln(FMM/GEMM)` the table measured.
+pub const GUARD_BAND: f64 = 0.43942983015838144;
 
 /// One measured FMM candidate on one shape.
 #[derive(Clone, Debug, PartialEq)]
@@ -107,8 +109,6 @@ pub struct ReplayTable {
     /// Constants the `f32` rows' predictions use (`elem_bytes` as for
     /// `f64`; each row applies its own width).
     pub arch_f32: ArchParams,
-    /// The guard band the table states.
-    pub band: f64,
     /// Measured rows, in the order they were measured.
     pub rows: Vec<ReplayRow>,
 }
@@ -170,11 +170,11 @@ fn arch_line(name: &str, a: &ArchParams) -> String {
 }
 
 impl ReplayTable {
-    /// Parse the text format (module docs). Every `arch`, `band` and row
-    /// line must be well formed, and both `arch` lines and the `band`
-    /// line must be present; the error names the first line that is not.
+    /// Parse the text format (module docs). Every `arch` and row line must
+    /// be well formed, and both `arch` lines must be present; the error
+    /// names the first line that is not.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let (mut arch_f64, mut arch_f32, mut band) = (None, None, None);
+        let (mut arch_f64, mut arch_f32) = (None, None);
         let mut rows = Vec::new();
         for (i, line) in text.lines().enumerate() {
             let line = line.split('#').next().unwrap_or("").trim();
@@ -183,11 +183,6 @@ impl ReplayTable {
                 [] => Some(()),
                 ["arch", "f64", ref rest @ ..] => parse_arch(rest).map(|a| arch_f64 = Some(a)),
                 ["arch", "f32", ref rest @ ..] => parse_arch(rest).map(|a| arch_f32 = Some(a)),
-                ["band", b] => b
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|b| b.is_finite() && *b >= 0.0)
-                    .map(|b| band = Some(b)),
                 ["f64", ref rest @ ..] => parse_row(8, rest).map(|r| rows.push(r)),
                 ["f32", ref rest @ ..] => parse_row(4, rest).map(|r| rows.push(r)),
                 _ => None,
@@ -199,7 +194,6 @@ impl ReplayTable {
         Ok(Self {
             arch_f64: arch_f64.ok_or("replay table: no `arch f64` line")?,
             arch_f32: arch_f32.ok_or("replay table: no `arch f32` line")?,
-            band: band.ok_or("replay table: no `band` line")?,
             rows,
         })
     }
@@ -214,11 +208,10 @@ impl ReplayTable {
              # interleaved runs, one thread). Written by\n\
              #   cargo run --release --example replay_table -- --out <this file>\n\
              # `arch` is what the predictions use (memory terms per row's width);\n\
-             # `band` is derived from the rows (`ReplayTable::derive_band`).\n",
+             # `ReplayTable::derive_band` reduces the rows to the ranker's guard band.\n",
         );
         out.push_str(&arch_line("f64", &self.arch_f64));
         out.push_str(&arch_line("f32", &self.arch_f32));
-        let _ = writeln!(out, "band {}", self.band);
         out.push_str("# dtype m k n plan variant best_ns gemm_best_ns\n");
         for r in &self.rows {
             let _ = writeln!(
@@ -259,22 +252,6 @@ impl ReplayTable {
         }
         Ok(band)
     }
-
-    /// The committed table (`crates/model/replay/fig9.txt`), parsed on
-    /// first use and at most once per process.
-    pub fn committed() -> &'static ReplayTable {
-        static TABLE: OnceLock<ReplayTable> = OnceLock::new();
-        TABLE.get_or_init(|| {
-            ReplayTable::parse(COMMITTED).expect("the committed replay table parses")
-        })
-    }
-}
-
-/// The committed table's guard band: the relative margin over GEMM a
-/// fast algorithm's Fig. 5 prediction must exceed to be ranked ahead of
-/// it.
-pub fn guard_band() -> f64 {
-    ReplayTable::committed().band
 }
 
 #[cfg(test)]
@@ -284,15 +261,14 @@ mod tests {
     const SAMPLE: &str = "\
 arch f64 tau_a=4.716310501098633e-11 tau_b=1.4108443525102402e-9 lambda=0.5 mc=96 kc=256 nc=4096
 arch f32 tau_a=3.18719228108724e-11 tau_b=1.4347923861609562e-9 lambda=0.5 mc=96 kc=256 nc=4096
-band 0.25 # a comment
-f64 1024 1024 1024 <2,2,2> ABC 1100 1000
+# a comment
+f64 1024 1024 1024 <2,2,2> ABC 1100 1000 # a trailing comment
 f32 1536 512 1536 <2,2,2>+<3,2,3> Naive 900 1000
 ";
 
     #[test]
     fn render_and_parse_round_trip() {
         let table = ReplayTable::parse(SAMPLE).unwrap();
-        assert_eq!(table.band, 0.25);
         assert_eq!(table.rows.len(), 2);
         assert_eq!(table.rows[1].plan, [(2, 2, 2), (3, 2, 3)]);
         assert_eq!(table.rows[1].impl_, Impl::Naive);
@@ -308,15 +284,14 @@ f32 1536 512 1536 <2,2,2>+<3,2,3> Naive 900 1000
             "f64 1024 1024 1024 <2,2> ABC 1 1",
             "f64 1024 1024 1024 <2,2,2> GEMM 1 1",
             "f64 1024 1024 1024 <2,2,2> ABC 0 1",
-            "band -1",
+            "band 0.1",
             "arch f64 tau_a=1e-11 lambda=0.5",
         ] {
             let err = ReplayTable::parse(&format!("{SAMPLE}{bad}\n")).unwrap_err();
             assert!(err.contains("line 6"), "{bad}: {err}");
         }
-        let no_band = SAMPLE.lines().filter(|l| !l.starts_with("band")).collect::<Vec<_>>();
-        let no_band = no_band.join("\n");
-        assert!(ReplayTable::parse(&no_band).is_err());
+        let no_f32 = SAMPLE.lines().filter(|l| !l.starts_with("arch f32")).collect::<Vec<_>>();
+        assert!(ReplayTable::parse(&no_f32.join("\n")).is_err());
     }
 
     #[test]
