@@ -103,7 +103,7 @@ pub struct FmmContext<T = f64> {
 }
 
 impl<T: GemmScalar> FmmContext<T> {
-    /// Context with the default (paper §5.1) blocking parameters.
+    /// Context with the default blocking parameters ([`BlockingParams::default`]).
     pub fn with_defaults() -> Self {
         Self::new(BlockingParams::default())
     }
@@ -120,12 +120,18 @@ impl<T: GemmScalar> FmmContext<T> {
     /// Size the arena and packing workspace for `(plan, variant)` on an
     /// `(m, k, n)` problem before executing it, so the execution itself
     /// grows no workspace. Idempotent; never shrinks.
+    ///
+    /// Every GEMM of the execution, block product or rim, is at most
+    /// `m x k x n`, so the packing buffers are sized for that problem, in
+    /// both orientations: row-major destinations run as `Cᵀ = Bᵀ·Aᵀ`.
     pub fn preplan(&mut self, plan: &FmmPlan, variant: Variant, m: usize, k: usize, n: usize) {
         let (mc, kc, nc) = peeling::peel(m, k, n, plan.partition_dims()).core;
         if mc > 0 && kc > 0 && nc > 0 {
             self.arena.preplan_tasks(&ArenaLayout::for_core(variant, plan, mc, kc, nc), 1);
         }
-        self.ws.ensure(&self.params.with_register_tile(T::MR, T::NR));
+        let params = self.params.with_register_tile(T::MR, T::NR);
+        self.ws.ensure(&params.fit(m, k, n));
+        self.ws.ensure(&params.fit(n, k, m));
     }
 
     /// Arena elements occupied by the most recent core execution. Equals

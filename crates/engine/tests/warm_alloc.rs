@@ -9,8 +9,11 @@
 //! * `gemm(bm, bk, bn, p, spawn)`: one `gemm_sums_with` call makes its
 //!   destination list, one B-slice list per `(jc, pc)` iteration and one
 //!   A-slice list per `ic` block inside it:
-//!   `1 + ⌈bn/nC⌉·⌈bk/kC⌉·(1 + ⌈bm/mC⌉ + spawn)`, where `spawn` is what
-//!   a parallel `ic` loop of more than one block pays for its threads.
+//!   `1 + ⌈bn/nC⌉·⌈bk/kC⌉·(1 + ⌈bm/step⌉ + spawn)`, where `step` is `mC`
+//!   inline and, over `w` workers, `⌈bm/b⌉` rounded up to `MR` and at
+//!   most `mC`, for `b = ⌈bm/mC⌉` rounded up to a multiple of `w`; `spawn`
+//!   is what a parallel `ic` loop of more than one block pays for its
+//!   threads.
 //! * A depth-first execution of a rank-`R` plan on `(bm, bk, bn)` blocks:
 //!   3 block-grid `Vec`s (A, B, C), 2 term lists (`gather_terms` fills
 //!   them for A and B) and for ABC one destination-tile list, each made
@@ -22,9 +25,10 @@
 //!   worker: `1 + w + threads(w)`. A task fan-out's workers each make
 //!   their own 2 term lists: `2·w`.
 //!
-//! At the default blocking on 256³ this gives 33 / 33 / 34 heap calls for
-//! one level of ⟨2,2,2⟩ Naive / AB / ABC and 152 / 152 / 153 for two. The
-//! test runs smaller blocking and shapes so it stays quick unoptimized.
+//! At the default blocking on 256³ this gives 26 / 26 / 27 heap calls for
+//! one level of ⟨2,2,2⟩ Naive / AB / ABC and 152 / 152 / 153 for two (33 /
+//! 33 / 34 and 152 / 152 / 153 at the paper's `mC = 96`). The test runs
+//! smaller blocking and shapes so it stays quick unoptimized.
 //!
 //! Packing itself (`pack_a_sum`, `pack_b_sum`) makes no heap call.
 //!
@@ -97,10 +101,15 @@ const WORKERS: usize = 2;
 const R1: u64 = 7;
 
 /// Heap calls of one `gemm_sums_with` call on an `m × k · k × n` block,
-/// whose `ic` loop, when parallel over more than one block, costs `spawn`.
-fn gemm(m: usize, k: usize, n: usize, p: &BlockingParams, spawn: u64) -> u64 {
+/// whose `ic` loop, when parallel (`spawn > 0`) over more than one block,
+/// costs `spawn`. A parallel loop shares `m` evenly over a multiple of
+/// `WORKERS` blocks, in whole micro-panels of at most `mc` rows.
+fn gemm<T: GemmScalar>(m: usize, k: usize, n: usize, p: &BlockingParams, spawn: u64) -> u64 {
+    let p = p.with_register_tile(T::MR, T::NR);
     let loops = |dim: usize, block: usize| dim.div_ceil(block) as u64;
-    let ic = loops(m, p.mc);
+    let blocks = m.div_ceil(p.mc).next_multiple_of(WORKERS);
+    let step = if spawn > 0 { p.mc.min(m.div_ceil(blocks).next_multiple_of(T::MR)) } else { p.mc };
+    let ic = loops(m, step);
     let spawn = if ic > 1 { spawn } else { 0 };
     1 + loops(n, p.nc) * loops(k, p.kc) * (1 + ic + spawn)
 }
@@ -157,14 +166,14 @@ fn check_routes<T: GemmScalar>(threads: u64) {
         let name = format!("{} {variant:?}", T::NAME);
 
         // One worker: the R_L products in order, each one inline GEMM.
-        let one = dfs(R1, gemm(b1, b1, b1, &PARAMS, 0), variant);
+        let one = dfs(R1, gemm::<T>(b1, b1, b1, &PARAMS, 0), variant);
         assert_eq!(route(1, 1, Strategy::Dfs), one, "{name}, one level");
-        let two = dfs(R1 * R1, gemm(b2, b2, b2, &PARAMS, 0), variant);
+        let two = dfs(R1 * R1, gemm::<T>(b2, b2, b2, &PARAMS, 0), variant);
         assert_eq!(route(1, 2, Strategy::Dfs), two, "{name}, two levels");
 
         // DFS over two workers: each GEMM's two `ic` blocks run on two
         // threads, spawned once per (jc, pc) iteration.
-        let par_gemm = gemm(b1, b1, b1, &PARAMS, threads);
+        let par_gemm = gemm::<T>(b1, b1, b1, &PARAMS, threads);
         assert_eq!(
             route(WORKERS, 1, Strategy::Dfs),
             dfs(R1, par_gemm, variant),
@@ -176,14 +185,14 @@ fn check_routes<T: GemmScalar>(threads: u64) {
         // each task one inline GEMM at worker-shrunk blocking, and the
         // merge fan-out over the 4 C blocks. ABC runs as AB: its tasks
         // write M_r.
-        let bfs = 1 + 3 + fan_out + term_lists + R1 * gemm(b1, b1, b1, &task, 0) + fan_out;
+        let bfs = 1 + 3 + fan_out + term_lists + R1 * gemm::<T>(b1, b1, b1, &task, 0) + fan_out;
         assert_eq!(route(WORKERS, 1, Strategy::Bfs), bfs, "{name}, BFS");
 
         // Hybrid on two levels: the level-1 grid shapes (3) and blocks (3),
         // the fan-out over the 7 level-1 products with each worker's 2 term
         // lists, each task one depth-first level on its 64³ operand sums,
         // and the merge.
-        let inner = dfs(R1, gemm(b2, b2, b2, &task, 0), variant);
+        let inner = dfs(R1, gemm::<T>(b2, b2, b2, &task, 0), variant);
         let hybrid = 3 + 3 + fan_out + term_lists + R1 * inner + fan_out;
         assert_eq!(route(WORKERS, 2, Strategy::Hybrid), hybrid, "{name}, Hybrid");
     }
@@ -191,7 +200,7 @@ fn check_routes<T: GemmScalar>(threads: u64) {
     // Plain GEMM: the model routes 8³ to it; one block, one GEMM.
     let gemm_engine = engine::<T>(1, Routing::Model);
     assert_eq!(gemm_engine.decision_label(8, 8, 8), "GEMM");
-    assert_eq!(warm_multiply(&gemm_engine, 8), gemm(8, 8, 8, &PARAMS, 0), "{} GEMM", T::NAME);
+    assert_eq!(warm_multiply(&gemm_engine, 8), gemm::<T>(8, 8, 8, &PARAMS, 0), "{} GEMM", T::NAME);
 }
 
 /// Packing an operand sum, column-major or strided, touches no heap.

@@ -73,13 +73,19 @@ impl<'a, T: Scalar> DestTile<'a, T> {
 /// row-major destinations trade that for the epilogue: 0.90x at 32³,
 /// 0.97x at 64³–128³, even from 256³.
 fn transpose_row_major<T: Scalar>(raw: &mut [RawDest<T>]) -> bool {
-    if !raw.iter().all(|d| d.cs == 1 && d.rs != 1) {
+    if !raw.iter().all(|d| row_major(d.rs, d.cs)) {
         return false;
     }
     for d in raw.iter_mut() {
         std::mem::swap(&mut d.rs, &mut d.cs);
     }
     true
+}
+
+/// Whether a destination of row stride `rs` and column stride `cs` is
+/// one [`transpose_row_major`] transposes.
+pub(crate) fn row_major(rs: isize, cs: isize) -> bool {
+    cs == 1 && rs != 1
 }
 
 /// `x`, or `xᵀ` in a problem [`transpose_row_major`] transposed.
@@ -110,9 +116,10 @@ pub enum IcLoop<'w, T = f64> {
     /// citing Smith et al. IPDPS'14). Each worker packs its own `Ã` block
     /// (private, in that core's L2) while all share the packed `B̃` panel
     /// (in L3), the sharing pattern BLIS uses; both come from
-    /// [`GemmScalar::global_pool`]. Workers write disjoint row ranges
-    /// `[ic, ic + mc)` of every destination, so `C` needs no
-    /// synchronization beyond the loop barrier.
+    /// [`GemmScalar::global_pool`]. The rows are shared evenly over a
+    /// multiple of the pool's width of blocks of at most `mc` rows, and
+    /// workers write disjoint row ranges of every destination, so `C`
+    /// needs no synchronization beyond the loop barrier.
     Parallel,
 }
 
@@ -162,16 +169,13 @@ pub fn gemm_sums_with<T: GemmScalar>(
     b_terms: &[(T, MatRef<'_, T>)],
     params: &BlockingParams,
     update: Update,
-    mut ic_loop: IcLoop<'_, T>,
+    ic_loop: IcLoop<'_, T>,
 ) {
     let (m, k, n) = check_shapes(dests, a_terms, b_terms);
     // The register tile is the kernel's property, not the caller's: pack
     // micro-panels for `T`'s kernel, keep the caller's cache blocking.
     let params = params.with_register_tile(T::MR, T::NR);
     params.validate().expect("invalid blocking parameters");
-    if let IcLoop::Inline(ws) = &mut ic_loop {
-        ws.ensure(&params);
-    }
     let mut raw: Vec<RawDest<T>> = dests.iter_mut().map(|d| d.raw()).collect();
     if m == 0 || n == 0 {
         return;
@@ -187,15 +191,29 @@ pub fn gemm_sums_with<T: GemmScalar>(
     let transposed = transpose_row_major(&mut raw);
     let (a_terms, b_terms, m, n) =
         if transposed { (b_terms, a_terms, n, m) } else { (a_terms, b_terms, m, n) };
+    // Same blocks, buffers no larger than the block and panel packed.
+    let params = params.fit(m, k, n);
     let update_tile = T::tile_update();
     let parallel = matches!(ic_loop, IcLoop::Parallel);
+    // Rows per `ic` block: `mc` inline; a parallel loop shares the rows
+    // evenly between its workers (see `ic_step`).
+    let step = if parallel {
+        ic_step(m, params.mc, T::MR, rayon::current_num_threads())
+    } else {
+        params.mc
+    };
     // The shared B̃ panel, packed once per (jc, pc) iteration. Pooled in
     // parallel mode (one pool per dtype), so the warm path allocates
-    // nothing.
+    // nothing. Every parallel checkout asks for the same sizes, so which
+    // one holds the panel and which an Ã block never grows a buffer.
+    let block_params = BlockingParams { mc: step, ..params };
     let mut pooled: Option<PooledWorkspace<'_, T>> = None;
     let ws: &mut GemmWorkspace<T> = match ic_loop {
-        IcLoop::Inline(ws) => ws,
-        IcLoop::Parallel => pooled.insert(T::global_pool().acquire(&params)),
+        IcLoop::Inline(ws) => {
+            ws.ensure(&params);
+            ws
+        }
+        IcLoop::Parallel => pooled.insert(T::global_pool().acquire(&block_params)),
     };
 
     let mut jc = 0;
@@ -221,7 +239,7 @@ pub fn gemm_sums_with<T: GemmScalar>(
             // destination, so parallel calls (disjoint in `ic`) cannot race
             // on the writes through RawDest.
             let block = |abuf: &mut [T], ic: usize| {
-                let mb = params.mc.min(m - ic);
+                let mb = step.min(m - ic);
                 let a_slices: Vec<(T, MatRef<'_, T>)> = a_terms
                     .iter()
                     .map(|(g, a)| (*g, oriented(*a, transposed).submatrix(ic, pc, mb, kb)))
@@ -235,21 +253,33 @@ pub fn gemm_sums_with<T: GemmScalar>(
                 crate::obs_hooks::kernel_done(t_kernel);
             };
             if parallel {
-                (0..m.div_ceil(params.mc)).into_par_iter().for_each_init(
-                    || T::global_pool().acquire(&params),
-                    |aws, blk| block(&mut aws.abuf, blk * params.mc),
+                (0..m.div_ceil(step)).into_par_iter().for_each_init(
+                    || T::global_pool().acquire(&block_params),
+                    |aws, blk| block(&mut aws.abuf, blk * step),
                 );
             } else {
                 let mut ic = 0;
                 while ic < m {
                     block(&mut ws.abuf, ic);
-                    ic += params.mc;
+                    ic += step;
                 }
             }
             pc += params.kc;
         }
         jc += params.nc;
     }
+}
+
+/// Rows per block of a parallel `ic` loop over `m` rows on `width`
+/// workers. The `⌈m/mc⌉` blocks `mc` needs are rounded up to a multiple of
+/// `width` and the rows shared evenly between them, in whole `mr`
+/// micro-panels and at most `mc`: a problem of at most `mc` rows still
+/// splits across the pool, and 1536 rows on two workers run as four
+/// blocks of 384 rather than three of 512, two of which would land on one
+/// worker. Rows regroup only; no output changes bits.
+fn ic_step(m: usize, mc: usize, mr: usize, width: usize) -> usize {
+    let blocks = m.div_ceil(mc).next_multiple_of(width.max(1)).max(1);
+    mc.min(m.div_ceil(blocks).next_multiple_of(mr))
 }
 
 /// Loops 2 and 1: sweep `nr x mr` micro-tiles of the current block and
@@ -662,6 +692,74 @@ mod tests {
             // Same packing, same kernel, same summation order per element:
             // results are bit-identical.
             assert_eq!(c_par, c_seq, "m={m} k={k} n={n}");
+        }
+    }
+
+    /// A parallel `ic` loop splits every problem of more than one
+    /// micro-panel across the pool, in whole micro-panels of at most `mc`
+    /// rows, and into a multiple of the pool's width where the panels
+    /// allow.
+    #[test]
+    fn ic_step_splits_every_problem_evenly_across_the_pool() {
+        let (mc, mr) = (512, 16);
+        // (m, step at widths 1, 2, 4).
+        let table = [
+            (1, [16, 16, 16]),
+            (16, [16, 16, 16]),
+            (100, [112, 64, 32]),
+            (300, [304, 160, 80]),
+            (512, [512, 256, 128]),
+            (513, [272, 272, 144]),
+            (1000, [512, 512, 256]),
+            (1536, [512, 384, 384]),
+            (4096, [512, 512, 512]),
+        ];
+        for (m, steps) in table {
+            for (width, want) in [1, 2, 4].into_iter().zip(steps) {
+                let step = ic_step(m, mc, mr, width);
+                assert_eq!(step, want, "m {m} width {width}");
+                let blocks = m.div_ceil(step);
+                let most = m.div_ceil(mc).next_multiple_of(width);
+                assert!(step <= mc && step.is_multiple_of(mr), "m {m} width {width}: step {step}");
+                assert!(blocks <= most, "m {m} width {width}: {blocks} blocks");
+                if width > 1 && m > mr {
+                    assert!(blocks > 1, "m {m} runs on one of {width} workers");
+                }
+                if m >= width * mc {
+                    assert!(blocks.is_multiple_of(width), "m {m} width {width}: {blocks} blocks");
+                }
+            }
+        }
+        assert_eq!(ic_step(40, 512, 16, 0), 48, "width 0 counts as one worker");
+        assert_eq!(ic_step(1000, 100, 16, 2), 100, "mc bounds a step it does not divide");
+    }
+
+    /// The parallel `ic` loop at the default blocking gives the inline
+    /// loop's bits on problems of fewer rows than `mc`, which it splits
+    /// across the pool, and of more.
+    #[test]
+    fn parallel_matches_sequential_at_default_blocking() {
+        let p = BlockingParams::default();
+        for m in [100, 300, 513] {
+            let (k, n) = (270, 45);
+            let a = fill::bench_workload(m, k, 1);
+            let b = fill::bench_workload(k, n, 2);
+            let mut c_par = fill::bench_workload(m, n, 3);
+            let mut c_seq = c_par.clone();
+            let (a, b) = (&[(1.0, a.as_ref())], &[(1.0, b.as_ref())]);
+            let par = IcLoop::Parallel;
+            gemm_sums_with(
+                &mut [DestTile::new(c_par.as_mut(), 1.0)],
+                a,
+                b,
+                &p,
+                Update::Accumulate,
+                par,
+            );
+            let mut ws = GemmWorkspace::empty();
+            gemm_sums(&mut [DestTile::new(c_seq.as_mut(), 1.0)], a, b, &p, &mut ws);
+            let bits = |c: &Matrix| c.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&c_par), bits(&c_seq), "m={m}");
         }
     }
 

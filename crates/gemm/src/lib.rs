@@ -86,10 +86,12 @@ use fmm_dense::{MatMut, MatRef};
 
 /// `C += A * B`, sequential, with default blocking parameters, generic
 /// over the [`GemmScalar`] element (`f64` or `f32`). Packing buffers come
-/// from the dtype's global [`WorkspacePool`], so repeated calls allocate
-/// no packing buffer. Each call still makes `1 + ⌈n/nC⌉·⌈k/kC⌉·(1 +
-/// ⌈m/mC⌉)` small heap calls for the driver's destination and slice
-/// lists: 3 for a problem inside one block.
+/// from the dtype's global [`WorkspacePool`], sized to the block and panel
+/// the problem packs ([`BlockingParams::fit`]), so repeated calls allocate
+/// no packing buffer once the pool has served as large a problem. Each
+/// call still makes `1 + ⌈n/nC⌉·⌈k/kC⌉·(1 + ⌈m/mC⌉)` small heap calls for
+/// the driver's destination and slice lists: 3 for a problem inside one
+/// block (up to `512 x 256 x 4096` at the default blocking), 13 at 1024³.
 pub fn gemm<T: GemmScalar>(c: MatMut<'_, T>, a: MatRef<'_, T>, b: MatRef<'_, T>) {
     gemm_with_params(c, a, b, &BlockingParams::default())
 }
@@ -103,7 +105,11 @@ pub fn gemm_with_params<T: GemmScalar>(
     b: MatRef<'_, T>,
     params: &BlockingParams,
 ) {
-    let mut ws = T::global_pool().acquire(params);
+    // Buffers for the block and panel this problem packs, in the
+    // orientation the driver runs it: a row-major `C` as `Cᵀ = Bᵀ·Aᵀ`.
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let (m, n) = if driver::row_major(c.row_stride(), c.col_stride()) { (n, m) } else { (m, n) };
+    let mut ws = T::global_pool().acquire(&params.with_register_tile(T::MR, T::NR).fit(m, k, n));
     driver::gemm_sums(
         &mut [DestTile::new(c, T::ONE)],
         &[(T::ONE, a)],

@@ -23,58 +23,46 @@ pub struct BlockingParams {
     pub nc: usize,
 }
 
-/// Cache sizes in bytes, used by the analytic parameter derivation.
-#[derive(Clone, Copy, Debug)]
-pub struct CacheInfo {
-    /// L1 data cache per core.
-    pub l1d: usize,
-    /// L2 cache per core.
-    pub l2: usize,
-    /// L3 cache (shared).
-    pub l3: usize,
-}
-
 impl Default for BlockingParams {
-    /// The parameters used throughout the paper's experiments
-    /// (§5.1: `nR = 4, mR = 8, kC = 256, nC = 4096, mC = 96`).
+    /// `mR = 8, nR = 4, kC = 256, mC = 512, nC = 4096`.
     ///
-    /// These were derived for a 32 KB L1 / 256 KB L2 / 25.6 MB L3 Ivy
-    /// Bridge; they remain valid (conservative) on larger caches. Use
-    /// [`BlockingParams::analytic`] to resize for a specific machine. The
-    /// `8 x 4` register tile is the paper's: the GEMM driver runs each
-    /// dtype at its kernel's tile instead
+    /// `kc` and `nc` are the paper's (§5.1). Its `mC = 96` made a 192 KiB
+    /// `Ã` block for the 256 KiB L2 of its Ivy Bridge; 512 rows follow the
+    /// rule of its ref. [7] (Low et al., "Analytical modeling is enough for
+    /// high performance BLIS"), which fills half of L2 with the packed `A`
+    /// block, on a 2 MiB L2: 1 MiB of `f64` or 512 KiB of `f32` at `kc =
+    /// 256`. Each `B̃` micro-panel is then reused by 32 `f64` (16 `f32`)
+    /// tiles before the next one comes from L3, where 96 rows gave 6 (3).
+    /// `mc` and `nc` only regroup rows and columns, and each element's FMA
+    /// chain depends on `kc` alone, so no output changes bits with them.
+    ///
+    /// Measured in-process: `gemm_with_params` at `mc` 96 and 512,
+    /// interleaved, best of 10 each, five runs, one thread of a 2-vCPU
+    /// Xeon (48 KiB L1d, 2 MiB L2, AVX-512 kernels); the gain of 512:
+    ///
+    /// | shape (`m x k x n`) | dtype | `mc` 96 → 512 |
+    /// |---|---|---|
+    /// | 2048 x 256 x 2048 | `f64` | +10 to +17 % |
+    /// | 1536 x 512 x 1536 | `f64` | +7 to +28 % |
+    /// | 1024 x 1024 x 1024 | `f64` | −3 to +6 % |
+    /// | 1536 x 1536 x 1536 | `f64` | +1 to +9 % |
+    /// | 1536 x 1536 x 1536 | `f32` | +8 to +12 % |
+    ///
+    /// `mc = 1024`, whose `f64` block fills all of L2, ran `f64` 1536³
+    /// 14–21 % slower than 512 and `f32` no faster. `kc` stays: it sets
+    /// where each element's FMA chain is split, so another `kc` moves
+    /// bits. The `8 x 4` register tile is the paper's: the GEMM driver
+    /// runs each dtype at its kernel's tile instead
     /// ([`BlockingParams::with_register_tile`]), `16 x 8` for `f64` and
-    /// `32 x 8` for `f32`, and keeps `kc`, `mc` and `nc` (96 rows is six
-    /// `f64` or three `f32` micro-panels).
+    /// `32 x 8` for `f32`, and keeps `kc`, `mc` and `nc` (512 rows is 32
+    /// `f64` or 16 `f32` micro-panels). The paper's own set stays pinned
+    /// as `fmm_model::ArchParams::paper_machine`.
     fn default() -> Self {
-        Self { mr: 8, nr: 4, kc: 256, mc: 96, nc: 4096 }
+        Self { mr: 8, nr: 4, kc: 256, mc: 512, nc: 4096 }
     }
 }
 
 impl BlockingParams {
-    /// Derive parameters analytically from cache sizes for an `mr x nr`
-    /// register tile of `elem_bytes`-byte elements, following Low et al.,
-    /// "Analytical modeling is enough for high performance BLIS" (paper
-    /// ref. [7]):
-    ///
-    /// * `kc`: an `mr x kc` panel of `A` plus a `kc x nr` panel of `B`
-    ///   occupy at most half of L1;
-    /// * `mc`: the packed `mc x kc` block of `A` occupies at most half of L2;
-    /// * `nc`: the packed `kc x nc` panel of `B` occupies at most half of L3.
-    ///
-    /// `mc` is rounded down to a multiple of `mr` and `nc` to a multiple of
-    /// `nr`, each floored at one tile; `kc` is floored at 8.
-    pub fn analytic(cache: CacheInfo, mr: usize, nr: usize, elem_bytes: usize) -> Self {
-        let w = elem_bytes.max(1);
-        let (mr, nr) = (mr.max(1), nr.max(1));
-        let kc = (cache.l1d / 2 / w / (mr + nr)).max(8);
-        let mc_raw = (cache.l2 / 2 / w / kc).max(mr);
-        let mc = (mc_raw / mr).max(1) * mr;
-        let nc_raw = (cache.l3 / 2 / w / kc).max(nr);
-        let nc = (nc_raw / nr).max(1) * nr;
-        Self { mr, nr, kc, mc, nc }
-    }
-
     /// Size in elements of the packed `A` block buffer (`mc x kc`, with the
     /// row count rounded up to whole micro-panels).
     pub fn packed_a_len(&self) -> usize {
@@ -85,6 +73,24 @@ impl BlockingParams {
     /// column count rounded up to whole micro-panels).
     pub fn packed_b_len(&self) -> usize {
         self.nc.div_ceil(self.nr) * self.nr * self.kc
+    }
+
+    /// This blocking clamped to an `m x k x n` problem: `mc` to `m` rounded
+    /// up to whole `mr` micro-panels, `kc` to `k` and `nc` to `n` rounded up
+    /// to whole `nr` micro-panels (at least one micro-panel each, and `kc`
+    /// at least 1).
+    /// The loop nest runs the same blocks under either set, and
+    /// [`Self::packed_a_len`] / [`Self::packed_b_len`] of the result are
+    /// the largest `Ã` block and `B̃` panel the problem packs, which is
+    /// what its workspace needs. Apply it at the register tile the problem
+    /// is packed on ([`Self::with_register_tile`]).
+    pub fn fit(&self, m: usize, k: usize, n: usize) -> Self {
+        Self {
+            kc: self.kc.min(k).max(1),
+            mc: self.mc.min(m.next_multiple_of(self.mr)).max(self.mr),
+            nc: self.nc.min(n.next_multiple_of(self.nr)).max(self.nr),
+            ..*self
+        }
     }
 
     /// Validate internal consistency (non-zero tiles, `mc` a multiple of
@@ -147,48 +153,42 @@ impl BlockingParams {
 mod tests {
     use super::*;
 
+    /// `mc` follows ref. [7]'s rule on a 2 MiB L2: at `kc = 256` the
+    /// packed `f64` block on its 16-row tile fills half of L2, the `f32`
+    /// one a quarter, and both tiles' `MR` divide it. The rest is the
+    /// paper's §5.1 set (whose `mc = 96` `fmm_model::ArchParams` pins).
     #[test]
-    fn default_matches_paper_section_5_1() {
+    fn default_fills_half_of_a_2_mib_l2_with_the_packed_a_block() {
+        const L2: usize = 2 << 20;
         let p = BlockingParams::default();
-        assert_eq!((p.mr, p.nr, p.kc, p.mc, p.nc), (8, 4, 256, 96, 4096));
-    }
-
-    /// Ivy Bridge: 32 KB L1d, 256 KB L2, 25.6 MB L3.
-    const PAPER_CACHES: CacheInfo =
-        CacheInfo { l1d: 32 * 1024, l2: 256 * 1024, l3: 25 * 1024 * 1024 + 614 * 1024 };
-
-    #[test]
-    fn analytic_for_paper_machine_is_close_to_paper_values() {
-        let p = BlockingParams::analytic(PAPER_CACHES, 8, 4, 8);
-        assert_eq!(p.mr, 8);
-        assert_eq!(p.nr, 4);
-        // kc: 16KB / 8B / 12 = 170; same order as the paper's 256.
-        assert_eq!(p.kc, 170);
-        // mc: 128KB / 8B / kc, multiple of mr; paper uses 96.
-        assert!(p.mc >= 64 && p.mc <= 128, "mc = {}", p.mc);
-        assert!(p.nc >= 2048, "nc = {}", p.nc);
-        p.validate().unwrap();
-    }
-
-    #[test]
-    fn analytic_rounds_to_the_given_tile_and_width() {
-        for (mr, nr, w) in [(16, 8, 8), (32, 8, 4), (8, 4, 4)] {
-            let p = BlockingParams::analytic(PAPER_CACHES, mr, nr, w);
-            assert_eq!((p.mr, p.nr), (mr, nr));
-            assert_eq!(p.kc, PAPER_CACHES.l1d / 2 / w / (mr + nr), "{mr}x{nr} at {w} bytes");
-            assert_eq!(p.mc % mr, 0, "mc = {} for mr = {mr}", p.mc);
-            assert_eq!(p.nc % nr, 0, "nc = {} for nr = {nr}", p.nc);
-            // The packed A block fits half of L2, the B panel half of L3.
-            assert!(p.packed_a_len() * w <= PAPER_CACHES.l2 / 2, "{p:?}");
-            assert!(p.packed_b_len() * w <= PAPER_CACHES.l3 / 2, "{p:?}");
-            p.validate().unwrap();
+        assert_eq!((p.mr, p.nr, p.kc, p.mc, p.nc), (8, 4, 256, 512, 4096));
+        for (mr, nr, bytes, share) in [(16, 8, 8, 2), (32, 8, 4, 4)] {
+            let q = p.with_register_tile(mr, nr);
+            assert_eq!(q.mc, p.mc, "{mr}x{nr} keeps mc");
+            assert_eq!(q.mc % mr, 0, "mc is whole {mr}-row micro-panels");
+            assert_eq!(q.packed_a_len() * bytes, L2 / share, "{mr}x{nr} A block");
         }
-        // Half the width doubles the depth at the same tile.
-        let (f64_p, f32_p) = (
-            BlockingParams::analytic(PAPER_CACHES, 16, 8, 8),
-            BlockingParams::analytic(PAPER_CACHES, 16, 8, 4),
-        );
-        assert_eq!(f32_p.kc, 2 * f64_p.kc);
+    }
+
+    /// A fitted blocking packs the problem's own block and panel, and
+    /// keeps the configured one past it.
+    #[test]
+    fn fit_clamps_each_block_to_the_problem() {
+        let p = BlockingParams::default().with_register_tile(16, 8);
+        let small = p.fit(100, 70, 33);
+        assert_eq!((small.mc, small.kc, small.nc), (112, 70, 40));
+        assert_eq!((small.mr, small.nr), (16, 8));
+        assert_eq!(small.packed_a_len(), 112 * 70);
+        assert_eq!(small.packed_b_len(), 70 * 40);
+        assert_eq!(p.fit(4096, 4096, 8192), p, "a problem past every block keeps them");
+        assert_eq!(p.fit(512, 256, 4096), p, "exactly one block");
+        let empty = p.fit(0, 0, 0);
+        assert_eq!((empty.mc, empty.kc, empty.nc), (16, 1, 8));
+        empty.validate().unwrap();
+        // A step that is not whole micro-panels stays as configured.
+        let odd = BlockingParams { mc: 100, ..p };
+        assert_eq!(odd.fit(1000, 10, 10).mc, 100);
+        assert_eq!(odd.fit(90, 10, 10).mc, 96);
     }
 
     #[test]

@@ -67,8 +67,9 @@ const _: fn() = || {
 };
 
 /// Upper bound on idle pooled workspaces; returns beyond it are dropped.
-/// Bounds idle memory at roughly `PARKED_MAX x` one workspace (~9 MB each
-/// with default blocking parameters) without limiting concurrency.
+/// Bounds idle memory at `PARKED_MAX x` the largest workspace handed out,
+/// each sized to the block and panel its problem packs
+/// ([`BlockingParams::fit`]), without limiting concurrency.
 const PARKED_MAX: usize = 64;
 
 /// A recycling pool of [`GemmWorkspace`]s shared by every caller that does

@@ -138,7 +138,7 @@ pub struct SchedContext<T = f64> {
 }
 
 impl<T: GemmScalar> SchedContext<T> {
-    /// Context with the default (paper §5.1) blocking parameters.
+    /// Context with the default blocking parameters ([`BlockingParams::default`]).
     pub fn with_defaults() -> Self {
         Self::new(BlockingParams::default())
     }
@@ -216,7 +216,8 @@ impl<T: GemmScalar> SchedContext<T> {
                     let layout = tasks::bfs_task_layout(variant, plan, mc, kc, nc);
                     self.task_arena.preplan_tasks(&layout, plan.rank());
                 }
-                self.prewarm_packing(workers);
+                let packing = self.task_packing(plan, workers, mc, kc, nc);
+                self.prewarm_packing(&packing, workers);
             }
             Strategy::Hybrid => {
                 if plan.inner_plan().is_none() {
@@ -233,11 +234,26 @@ impl<T: GemmScalar> SchedContext<T> {
         }
     }
 
+    /// The blocking a BFS task's packing buffers are sized by: one of
+    /// `workers` co-resident GEMMs, fitted to the block product each task
+    /// runs on an `(m, k, n)` core.
+    fn task_packing(
+        &self,
+        plan: &FmmPlan,
+        workers: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> BlockingParams {
+        let (mt, kt, nt) = plan.partition_dims();
+        let params = self.params.for_workers(workers).with_register_tile(T::MR, T::NR);
+        params.fit(m / mt, k / kt, n / nt)
+    }
+
     /// Warm the packing pool with one workspace per worker (held
     /// simultaneously so the pool really ends up `workers` deep).
-    fn prewarm_packing(&mut self, workers: usize) {
-        let params = self.params.for_workers(workers);
-        let held: Vec<_> = (0..workers).map(|_| self.packing_pool.acquire(&params)).collect();
+    fn prewarm_packing(&mut self, params: &BlockingParams, workers: usize) {
+        let held: Vec<_> = (0..workers).map(|_| self.packing_pool.acquire(params)).collect();
         drop(held);
     }
 
@@ -482,7 +498,8 @@ fn bfs_core<T: GemmScalar>(
     // makes the number of *concurrently*-active workers vary per run, and
     // the warm path must take no new packing buffer even when all workers
     // genuinely overlap for the first time.
-    ctx.prewarm_packing(workers);
+    let packing = ctx.task_packing(plan, workers, m, k, n);
+    ctx.prewarm_packing(&packing, workers);
 
     // Split the context: the task arena is carved here (growing at most
     // once), the packing pool hands per-worker buffers to phase 1.
@@ -495,7 +512,7 @@ fn bfs_core<T: GemmScalar>(
         rank,
         workers,
         || {
-            let ws = packing_pool.acquire(&task_params);
+            let ws = packing_pool.acquire(&packing);
             (ws, Vec::with_capacity(plan.u().rows()), Vec::with_capacity(plan.v().rows()))
         },
         |(ws, a_terms, b_terms), r| {
