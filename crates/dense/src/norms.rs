@@ -5,7 +5,7 @@ use crate::scalar::Scalar;
 use crate::view::MatRef;
 
 /// Maximum absolute entry, widened to `f64`.
-pub fn max_abs<T: Scalar>(a: MatRef<'_, T>) -> f64 {
+fn max_abs<T: Scalar>(a: MatRef<'_, T>) -> f64 {
     a.fold(0.0_f64, |acc, v| acc.max(v.abs().to_f64()))
 }
 

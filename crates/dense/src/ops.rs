@@ -117,19 +117,6 @@ pub fn linear_combination<T: Scalar>(
     Ok(())
 }
 
-/// Frobenius inner product `<a, b> = sum_ij a_ij * b_ij`.
-pub fn dot<T: Scalar>(a: MatRef<'_, T>, b: MatRef<'_, T>) -> Result<T, DimError> {
-    check_same_shape("dot", a.rows(), a.cols(), &b)?;
-    let mut acc = T::ZERO;
-    for j in 0..a.cols() {
-        for i in 0..a.rows() {
-            // SAFETY: shape checked above.
-            acc = unsafe { a.at_unchecked(i, j).mul_add(b.at_unchecked(i, j), acc) };
-        }
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,13 +194,6 @@ mod tests {
         let mut dst = Matrix::zeros(3, 1);
         linear_combination(dst.as_mut(), &[(-0.25, a.as_ref())]).unwrap();
         assert_eq!(dst, Matrix::filled(3, 1, -1.0));
-    }
-
-    #[test]
-    fn dot_is_frobenius_inner_product() {
-        let a = Matrix::from_rows(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let b = Matrix::from_rows(2, 2, &[5.0, 6.0, 7.0, 8.0]);
-        assert_eq!(dot(a.as_ref(), b.as_ref()).unwrap(), 5.0 + 12.0 + 21.0 + 32.0);
     }
 
     #[test]

@@ -60,8 +60,6 @@ pub trait Scalar:
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// Absolute value.
     fn abs(self) -> Self;
-    /// IEEE maximum.
-    fn max(self, other: Self) -> Self;
 
     /// Relative-error tolerance for accepting an `levels`-level FMM product
     /// with inner dimension `k` and entries of magnitude ~1, derived from
@@ -103,11 +101,6 @@ impl Scalar for f64 {
     fn abs(self) -> Self {
         f64::abs(self)
     }
-
-    #[inline(always)]
-    fn max(self, other: Self) -> Self {
-        f64::max(self, other)
-    }
 }
 
 impl Scalar for f32 {
@@ -135,11 +128,6 @@ impl Scalar for f32 {
     fn abs(self) -> Self {
         f32::abs(self)
     }
-
-    #[inline(always)]
-    fn max(self, other: Self) -> Self {
-        f32::max(self, other)
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +149,6 @@ mod tests {
         assert_eq!(Scalar::mul_add(2.0_f64, 3.0, 1.0), 7.0);
         assert_eq!(Scalar::mul_add(2.0_f32, 3.0, 1.0), 7.0);
         assert_eq!(Scalar::abs(-4.0_f32), 4.0);
-        assert_eq!(Scalar::max(-1.0_f64, 2.0), 2.0);
     }
 
     #[test]

@@ -164,12 +164,6 @@ impl<'a, T: Scalar> MatRef<'a, T> {
     pub fn to_owned(&self) -> crate::Matrix<T> {
         crate::Matrix::from_fn(self.rows, self.cols, |i, j| self.at(i, j))
     }
-
-    /// True if the view is contiguous column-major (`rs == 1`).
-    #[inline]
-    pub fn is_col_major(&self) -> bool {
-        self.rs == 1
-    }
 }
 
 impl<'a, T: Scalar> MatMut<'a, T> {

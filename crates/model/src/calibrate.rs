@@ -48,16 +48,9 @@ pub fn fit(meas: &Measurements, params: &BlockingParams) -> ArchParams {
 
 /// Run the measurements on this machine (takes a few hundred milliseconds).
 ///
-/// `scale` shrinks the measurement sizes (1.0 = the defaults below); the
-/// figure harness passes its `--scale` through so calibration cost tracks
-/// experiment cost. [`measure_t`] is the generic form; this `f64` alias
-/// keeps the historical signature.
-pub fn measure(params: &BlockingParams, scale: f64) -> Measurements {
-    measure_t::<f64>(params, scale)
-}
-
-/// [`measure`] for an arbitrary execution scalar: the compute probe and the
-/// reference GEMM run `T`'s runtime-selected micro-kernel (so `tau_a`
+/// `scale` shrinks the measurement sizes (1.0 = the defaults below), so a
+/// caller can trade calibration accuracy for time. The compute probe and
+/// the reference GEMM run `T`'s runtime-selected micro-kernel (so `tau_a`
 /// reflects the dtype's actual peak), while the bandwidth probe stays an
 /// 8-byte stream — `tau_b` is defined per 8 bytes moved and the DRAM rate
 /// is dtype-independent.
@@ -90,11 +83,6 @@ pub fn measure_t<T: GemmScalar>(params: &BlockingParams, scale: f64) -> Measurem
     let (m, k, n) = (dim(2048), dim(1024), dim(2048));
     let secs = time_gemm::<T>(m, k, n, params, 2);
     Measurements { compute_gflops, bandwidth_gbs, reference_gemm: (m, k, n, secs) }
-}
-
-/// Calibrate in one call: measure then fit.
-pub fn calibrate(params: &BlockingParams, scale: f64) -> ArchParams {
-    fit(&measure(params, scale), params)
 }
 
 fn time_gemm<T: GemmScalar>(
@@ -165,10 +153,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "runs actual timing; invoke explicitly or via the bench harness"]
+    #[ignore = "runs actual timing; invoke explicitly with --ignored"]
     fn measure_produces_plausible_numbers() {
         let params = BlockingParams::default();
-        let meas = measure(&params, 0.25);
+        let meas = measure_t::<f64>(&params, 0.25);
         assert!(meas.compute_gflops > 0.1);
         assert!(meas.bandwidth_gbs > 0.1);
         assert!(meas.reference_gemm.3 > 0.0);
