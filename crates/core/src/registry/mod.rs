@@ -243,6 +243,35 @@ mod tests {
         println!("{above} of {} shapes above the paper's rank", PAPER_TABLE.len());
     }
 
+    /// Every `Registry::standard()` entry, pinned bit for bit: an FNV-1a
+    /// digest over each entry's dims, rank, name and the `f64` bit patterns
+    /// of `U`, `V` and `W`. A change to how the family is generated must
+    /// leave this digest as it is; a committed find changes it on purpose.
+    #[test]
+    fn standard_registry_digest_is_pinned() {
+        fn feed(hash: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *hash = (*hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let reg = Registry::standard();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for algo in reg.all() {
+            let (m, k, n) = algo.dims();
+            for x in [m, k, n, algo.rank(), algo.name().len()] {
+                feed(&mut hash, &(x as u64).to_le_bytes());
+            }
+            feed(&mut hash, algo.name().as_bytes());
+            for coeffs in [algo.u(), algo.v(), algo.w()] {
+                for x in coeffs.data() {
+                    feed(&mut hash, &x.to_bits().to_le_bytes());
+                }
+            }
+        }
+        println!("{} entries, digest {hash:#018x}", reg.len());
+        assert_eq!((reg.len(), hash), (24, 0xd2db_c6fe_f9e9_a814));
+    }
+
     #[test]
     fn insert_keeps_best_rank() {
         let mut reg = Registry { by_dims: BTreeMap::new() };
