@@ -60,6 +60,8 @@ impl FmmAlgorithm {
         }
         let algo = Self { name: name.into(), mt, kt, nt, u, v, w };
         brent::verify(&algo).map_err(|e| e.to_string())?;
+        #[cfg(test)]
+        verify_log::record(&algo);
         Ok(algo)
     }
 
@@ -159,6 +161,35 @@ impl FmmAlgorithm {
 impl std::fmt::Display for FmmAlgorithm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} <{},{},{}> R={}", self.name, self.mt, self.kt, self.nt, self.rank())
+    }
+}
+
+/// What [`FmmAlgorithm::new`] verified, for tests that count the work a
+/// construction does instead of timing it.
+#[cfg(test)]
+pub(crate) mod verify_log {
+    use super::FmmAlgorithm;
+    use std::cell::RefCell;
+
+    thread_local! {
+        static LOG: RefCell<Option<Vec<FmmAlgorithm>>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn record(algo: &FmmAlgorithm) {
+        LOG.with(|log| {
+            if let Some(log) = log.borrow_mut().as_mut() {
+                log.push(algo.clone());
+            }
+        });
+    }
+
+    /// Run `f` and return its result with every algorithm verified on this
+    /// thread while it ran, in order.
+    pub(crate) fn during<R>(f: impl FnOnce() -> R) -> (R, Vec<FmmAlgorithm>) {
+        LOG.with(|log| *log.borrow_mut() = Some(Vec::new()));
+        let out = f();
+        let verified = LOG.with(|log| log.borrow_mut().take()).expect("the log was started above");
+        (out, verified)
     }
 }
 

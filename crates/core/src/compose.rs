@@ -11,7 +11,14 @@
 //!   rank-11 `<2,2,3>` family arises from Strassen plus a classical strip;
 //! * [`rotate`] / [`transpose`] — the symmetries of the matrix
 //!   multiplication tensor: any `<m̃,k̃,ñ>` algorithm yields algorithms of
-//!   equal rank for every permutation of `(m̃,k̃,ñ)`.
+//!   equal rank for every permutation of `(m̃,k̃,ñ)` ([`orientation`]).
+//!
+//! Each constructor verifies the algorithm it returns, every time it runs:
+//! `FmmAlgorithm::new` checks the Brent equations exactly. The cost grows
+//! with the result's rank and size, so callers build only what they keep:
+//! the registry's search compares candidates by rank (which each operator
+//! determines without building), and composes only the winners it keeps
+//! (`registry::family`).
 
 use crate::algorithm::FmmAlgorithm;
 use crate::coeffs::CoeffMatrix;
@@ -195,18 +202,35 @@ pub fn transpose(a: &FmmAlgorithm) -> FmmAlgorithm {
 /// Derive an algorithm for target dims `(m̃,k̃,ñ)` from `a` if the targets
 /// are a permutation of `a.dims()`; returns `None` otherwise.
 pub fn to_dims(a: &FmmAlgorithm, target: (usize, usize, usize)) -> Option<FmmAlgorithm> {
-    let candidates = all_orientations(a);
-    candidates.into_iter().find(|c| c.dims() == target)
+    (0..6).find(|&o| orientation_dims(a.dims(), o) == target).map(|o| orientation(a, o))
 }
 
-/// All six symmetry orientations of `a` (some may coincide when dims repeat).
+/// All six symmetry orientations of `a` (some may coincide when dims repeat),
+/// in the order of [`orientation`]'s index.
 pub fn all_orientations(a: &FmmAlgorithm) -> Vec<FmmAlgorithm> {
-    let r1 = rotate(a);
-    let r2 = rotate(&r1);
-    let t0 = transpose(a);
-    let t1 = transpose(&r1);
-    let t2 = transpose(&r2);
-    vec![a.clone(), r1, r2, t0, t1, t2]
+    (0..6).map(|o| orientation(a, o)).collect()
+}
+
+/// Symmetry orientation `o` (of six) of `a`: `a` rotated `o % 3` times
+/// ([`rotate`]), then transposed ([`transpose`]) when `o >= 3`. Only the
+/// rotations it derives from are built.
+pub fn orientation(a: &FmmAlgorithm, o: usize) -> FmmAlgorithm {
+    let rotated = match o % 3 {
+        0 => a.clone(),
+        1 => rotate(a),
+        _ => rotate(&rotate(a)),
+    };
+    if o < 3 {
+        rotated
+    } else {
+        transpose(&rotated)
+    }
+}
+
+/// The dims of [`orientation`] `o` of a `<m̃,k̃,ñ>` algorithm, without
+/// building it.
+pub fn orientation_dims((m, k, n): (usize, usize, usize), o: usize) -> (usize, usize, usize) {
+    [(m, k, n), (k, n, m), (n, m, k), (n, k, m), (m, n, k), (k, m, n)][o]
 }
 
 #[cfg(test)]
@@ -297,6 +321,14 @@ mod tests {
             assert_eq!(found.rank(), base.rank());
         }
         assert!(to_dims(&base, (5, 2, 2)).is_none());
+    }
+
+    #[test]
+    fn orientation_dims_are_the_built_dims() {
+        let base = stack_n(&classical(2, 3, 2), &classical(2, 3, 2)); // <2,3,4>
+        for o in 0..6 {
+            assert_eq!(orientation(&base, o).dims(), orientation_dims(base.dims(), o), "{o}");
+        }
     }
 
     #[test]

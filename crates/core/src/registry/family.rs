@@ -1,93 +1,106 @@
-//! Constructive fallback algorithms for every paper shape.
+//! Constructive algorithms for every paper shape, searched by rank.
 //!
 //! For shapes whose published rank is attainable by composition (the
 //! `{2,2,3}` / `{2,2,4}` / `{2,2,5}` permutation families), the construction
 //! *is* the registry algorithm. For shapes that require numerically
 //! discovered decompositions (Smirnov / Benson–Ballard), these constructions
 //! are the fallback used when no discovered algorithm is available; they are
-//! valid FMM algorithms of somewhat higher rank, and the benchmark harness
-//! reports both ranks side by side.
+//! valid FMM algorithms of somewhat higher rank, and the Fig. 2 scoreboard
+//! shows both ranks side by side.
 //!
-//! Construction is memoized per [`Builder`]: every composition is verified
-//! once against the Brent equations (via `FmmAlgorithm::new`) and reused.
+//! A candidate's rank follows from how it is made: the classical
+//! `<m̃,k̃,ñ>` algorithm has rank `m̃k̃ñ`, a direct sum ([`stack_m`],
+//! [`stack_k`], [`stack_n`]) adds its parts' ranks, [`nest`] multiplies
+//! them and a symmetry orientation keeps the rank. So [`Builder::rank`]
+//! compares candidates by rank alone and records each shape's winning
+//! [`Recipe`]; it builds no matrix and verifies nothing. Only
+//! [`Builder::algorithm`] builds, for a shape a caller keeps: it composes the
+//! recipe's tree through the verifying constructors of [`crate::compose`],
+//! so the algorithm and every block it is made of pass the exact
+//! Brent-equation check once (blocks are memoized). A losing candidate is
+//! never built.
 
 use super::strassen::strassen;
 use super::Registry;
 use crate::algorithm::FmmAlgorithm;
-use crate::compose::{all_orientations, classical, nest, stack_k, stack_m, stack_n};
+use crate::compose::{classical, nest, orientation, orientation_dims, stack_k, stack_m, stack_n};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+type Dims = (usize, usize, usize);
+
+/// How the best candidate the search found for one shape is made.
+#[derive(Clone)]
+enum Recipe {
+    /// The classical algorithm.
+    Classical,
+    /// Orientation `o` ([`orientation`]) of a seed algorithm.
+    Oriented(Arc<FmmAlgorithm>, usize),
+    /// A direct sum along `m̃` whose first part has this many block rows.
+    StackM(usize),
+    /// A direct sum along `k̃` whose first part has this many block columns.
+    StackK(usize),
+    /// A direct sum along `ñ` whose first part has this many block columns.
+    StackN(usize),
+    /// A Kronecker nesting with this outer shape (the inner is the quotient).
+    Nest(Dims),
+}
+
 /// Memoizing constructive-algorithm builder over a base registry.
-pub struct Builder {
-    memo: HashMap<(usize, usize, usize), Arc<FmmAlgorithm>>,
+pub(crate) struct Builder {
+    best: HashMap<Dims, (usize, Recipe)>,
+    built: HashMap<Dims, Arc<FmmAlgorithm>>,
 }
 
 impl Builder {
-    /// Seed the memo with every registry entry *and all its symmetry
-    /// orientations*, so discovered low-rank algorithms propagate into the
-    /// compositions of larger shapes.
-    pub fn new(reg: &Registry) -> Self {
-        let mut memo: HashMap<_, Arc<FmmAlgorithm>> = HashMap::new();
-        let mut remember = |algo: FmmAlgorithm| {
-            let dims = algo.dims();
-            match memo.get(&dims) {
-                Some(prev) if prev.rank() <= algo.rank() => {}
-                _ => {
-                    memo.insert(dims, Arc::new(algo));
+    /// Seed the memo with Strassen, then every registry entry *and all its
+    /// symmetry orientations* (the first of equal rank wins), so discovered
+    /// low-rank algorithms propagate into the compositions of larger shapes.
+    /// Only ranks are recorded: an orientation is built when a composed
+    /// recipe uses it.
+    pub(crate) fn new(reg: &Registry) -> Self {
+        let mut best = HashMap::new();
+        for seed in std::iter::once(&Arc::new(strassen())).chain(reg.all()) {
+            for o in 0..6 {
+                let dims = orientation_dims(seed.dims(), o);
+                if best.get(&dims).is_none_or(|&(rank, _)| seed.rank() < rank) {
+                    best.insert(dims, (seed.rank(), Recipe::Oriented(seed.clone(), o)));
                 }
             }
-        };
-        remember(strassen());
-        for entry in reg.all() {
-            for o in all_orientations(entry) {
-                remember(o);
-            }
         }
-        Self { memo }
+        Self { best, built: HashMap::new() }
     }
 
-    /// Best memoized/constructed algorithm for `dims`.
-    pub fn block(&mut self, dims: (usize, usize, usize)) -> Arc<FmmAlgorithm> {
-        if let Some(hit) = self.memo.get(&dims) {
-            return hit.clone();
+    /// Rank of the best candidate for `dims`, searched but not built.
+    pub(crate) fn rank(&mut self, dims: Dims) -> usize {
+        if let Some(&(rank, _)) = self.best.get(&dims) {
+            return rank;
         }
-        let built = Arc::new(self.build(dims));
-        self.memo.insert(dims, built.clone());
-        built
+        let found = self.search(dims);
+        let rank = found.0;
+        self.best.insert(dims, found);
+        rank
     }
 
-    /// Construct the best candidate for `dims` from splits and nestings.
-    fn build(&mut self, dims: (usize, usize, usize)) -> FmmAlgorithm {
-        let (m, k, n) = dims;
+    /// The best candidate for `dims` from splits and nestings, by rank; the
+    /// first of equal rank wins.
+    fn search(&mut self, (m, k, n): Dims) -> (usize, Recipe) {
         assert!(m >= 1 && k >= 1 && n >= 1, "partition dims must be positive");
-        let mut best = classical(m, k, n);
-        let consider = |cand: FmmAlgorithm, best: &mut FmmAlgorithm| {
-            if cand.rank() < best.rank() {
-                *best = cand;
+        let mut best = (m * k * n, Recipe::Classical);
+        let mut consider = |rank: usize, recipe: Recipe| {
+            if rank < best.0 {
+                best = (rank, recipe);
             }
         };
         // Direct-sum splits along each dimension.
-        if m >= 2 {
-            for m1 in 1..=m / 2 {
-                let a = self.block((m1, k, n));
-                let b = self.block((m - m1, k, n));
-                consider(stack_m(&a, &b), &mut best);
-            }
+        for m1 in 1..=m / 2 {
+            consider(self.rank((m1, k, n)) + self.rank((m - m1, k, n)), Recipe::StackM(m1));
         }
-        if k >= 2 {
-            for k1 in 1..=k / 2 {
-                let a = self.block((m, k1, n));
-                let b = self.block((m, k - k1, n));
-                consider(stack_k(&a, &b), &mut best);
-            }
+        for k1 in 1..=k / 2 {
+            consider(self.rank((m, k1, n)) + self.rank((m, k - k1, n)), Recipe::StackK(k1));
         }
-        if n >= 2 {
-            for n1 in 1..=n / 2 {
-                let a = self.block((m, k, n1));
-                let b = self.block((m, k, n - n1));
-                consider(stack_n(&a, &b), &mut best);
-            }
+        for n1 in 1..=n / 2 {
+            consider(self.rank((m, k, n1)) + self.rank((m, k, n - n1)), Recipe::StackN(n1));
         }
         // Kronecker nestings over non-trivial factorizations.
         for (m1, m2) in factor_pairs(m) {
@@ -96,37 +109,47 @@ impl Builder {
                     if m1 * k1 * n1 == 1 || m2 * k2 * n2 == 1 {
                         continue;
                     }
-                    let outer = self.block((m1, k1, n1));
-                    let inner = self.block((m2, k2, n2));
-                    consider(nest(&outer, &inner), &mut best);
+                    let rank = self.rank((m1, k1, n1)) * self.rank((m2, k2, n2));
+                    consider(rank, Recipe::Nest((m1, k1, n1)));
                 }
             }
         }
         best
     }
+
+    /// The best candidate for `dims`, built and verified, named `<m,k,n>`.
+    pub(crate) fn algorithm(&mut self, dims: Dims) -> FmmAlgorithm {
+        let (m, k, n) = dims;
+        (*self.compose(dims)).clone().with_name(format!("<{m},{k},{n}>"))
+    }
+
+    /// Build `dims`' recipe from its (memoized) blocks.
+    fn compose(&mut self, dims: Dims) -> Arc<FmmAlgorithm> {
+        if let Some(hit) = self.built.get(&dims) {
+            return hit.clone();
+        }
+        self.rank(dims);
+        let (m, k, n) = dims;
+        let algo = match self.best[&dims].1.clone() {
+            Recipe::Classical => classical(m, k, n),
+            Recipe::Oriented(seed, o) => orientation(&seed, o),
+            Recipe::StackM(m1) => stack_m(&self.compose((m1, k, n)), &self.compose((m - m1, k, n))),
+            Recipe::StackK(k1) => stack_k(&self.compose((m, k1, n)), &self.compose((m, k - k1, n))),
+            Recipe::StackN(n1) => stack_n(&self.compose((m, k, n1)), &self.compose((m, k, n - n1))),
+            Recipe::Nest((m1, k1, n1)) => {
+                nest(&self.compose((m1, k1, n1)), &self.compose((m / m1, k / k1, n / n1)))
+            }
+        };
+        let algo = Arc::new(algo);
+        self.built.insert(dims, algo.clone());
+        algo
+    }
 }
 
 /// Best constructive algorithm for partition dims `target`, consulting
 /// `reg` for already-registered building blocks.
-pub fn best_constructive(target: (usize, usize, usize), reg: &Registry) -> FmmAlgorithm {
-    let mut builder = Builder::new(reg);
-    let algo = builder.block(target);
-    (*algo).clone().with_name(format!("<{},{},{}>", target.0, target.1, target.2))
-}
-
-/// Build constructive algorithms for many targets sharing one memo.
-pub fn best_constructive_many(
-    targets: &[(usize, usize, usize)],
-    reg: &Registry,
-) -> Vec<FmmAlgorithm> {
-    let mut builder = Builder::new(reg);
-    targets
-        .iter()
-        .map(|&t| {
-            let algo = builder.block(t);
-            (*algo).clone().with_name(format!("<{},{},{}>", t.0, t.1, t.2))
-        })
-        .collect()
+pub fn best_constructive(target: Dims, reg: &Registry) -> FmmAlgorithm {
+    Builder::new(reg).algorithm(target)
 }
 
 fn factor_pairs(x: usize) -> Vec<(usize, usize)> {
@@ -145,7 +168,7 @@ mod tests {
 
     #[test]
     fn constructive_ranks_for_strassen_family() {
-        let reg = empty_reg();
+        let mut b = Builder::new(&empty_reg());
         let targets = [
             ((2, 2, 3), 11),
             ((2, 3, 2), 11),
@@ -156,48 +179,55 @@ mod tests {
             ((2, 5, 2), 18),
             ((5, 2, 2), 18),
         ];
-        let dims: Vec<_> = targets.iter().map(|t| t.0).collect();
-        let algos = best_constructive_many(&dims, &reg);
-        for ((dims, want), algo) in targets.iter().zip(algos.iter()) {
-            assert_eq!(algo.dims(), *dims);
-            assert!(algo.rank() <= *want, "{dims:?}: got rank {}, want <= {want}", algo.rank());
+        for (dims, want) in targets {
+            let algo = b.algorithm(dims);
+            assert_eq!(algo.dims(), dims);
+            assert_eq!(algo.rank(), b.rank(dims), "{dims:?}: built rank differs from searched");
+            assert!(algo.rank() <= want, "{dims:?}: got rank {}, want <= {want}", algo.rank());
         }
     }
 
     #[test]
     fn constructive_never_worse_than_classical() {
-        let reg = empty_reg();
-        let dims: Vec<_> = super::super::PAPER_TABLE.iter().map(|e| e.dims).collect();
-        let algos = best_constructive_many(&dims, &reg);
-        for algo in algos {
+        let mut b = Builder::new(&empty_reg());
+        for entry in super::super::PAPER_TABLE {
+            let algo = b.algorithm(entry.dims);
+            assert_eq!(algo.rank(), b.rank(entry.dims), "{:?}", entry.dims);
             assert!(algo.rank() <= algo.classical_rank(), "{:?}", algo.dims());
         }
     }
 
     #[test]
     fn uneven_split_shapes_work() {
-        let reg = empty_reg();
-        let a = best_constructive((3, 3, 3), &reg);
+        let a = best_constructive((3, 3, 3), &empty_reg());
         assert_eq!(a.dims(), (3, 3, 3));
+        assert_eq!(a.name(), "<3,3,3>");
         assert!(a.rank() < 27, "rank {}", a.rank());
     }
 
     #[test]
     fn builder_memoizes_blocks() {
-        let reg = empty_reg();
-        let mut b = Builder::new(&reg);
-        let x = b.block((3, 3, 3));
-        let y = b.block((3, 3, 3));
+        let mut b = Builder::new(&empty_reg());
+        let x = b.compose((3, 3, 3));
+        let y = b.compose((3, 3, 3));
         assert!(Arc::ptr_eq(&x, &y));
+    }
+
+    #[test]
+    fn ranking_builds_nothing() {
+        let (rank, verified) = crate::algorithm::verify_log::during(|| {
+            let mut b = Builder::new(&Registry::from_algorithms(vec![]));
+            b.rank((6, 3, 3))
+        });
+        // Only the Strassen seed was built.
+        assert_eq!((rank, verified.len()), (51, 1));
     }
 
     #[test]
     fn discovered_blocks_improve_compositions() {
         // Registering a better <2,2,3> (rank 11 vs classical 12) must make
         // the (2,2,6) composition at most 22 = 11 + 11.
-        let reg = empty_reg();
-        let mut b = Builder::new(&reg);
-        let a226 = b.block((2, 2, 6));
+        let a226 = Builder::new(&empty_reg()).algorithm((2, 2, 6));
         assert!(a226.rank() <= 22, "rank {}", a226.rank());
     }
 
