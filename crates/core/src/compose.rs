@@ -11,7 +11,7 @@
 //!   rank-11 `<2,2,3>` family arises from Strassen plus a classical strip;
 //! * [`rotate`] / [`transpose`] — the symmetries of the matrix
 //!   multiplication tensor: any `<m̃,k̃,ñ>` algorithm yields algorithms of
-//!   equal rank for every permutation of `(m̃,k̃,ñ)` ([`orientation`]).
+//!   equal rank for every permutation of `(m̃,k̃,ñ)` ([`all_orientations`]).
 //!
 //! Each constructor verifies the algorithm it returns, every time it runs:
 //! `FmmAlgorithm::new` checks the Brent equations exactly. The cost grows
@@ -205,8 +205,8 @@ pub fn to_dims(a: &FmmAlgorithm, target: (usize, usize, usize)) -> Option<FmmAlg
     (0..6).find(|&o| orientation_dims(a.dims(), o) == target).map(|o| orientation(a, o))
 }
 
-/// All six symmetry orientations of `a` (some may coincide when dims repeat),
-/// in the order of [`orientation`]'s index.
+/// All six symmetry orientations of `a` (some may coincide when dims repeat):
+/// `a` rotated zero, one and two times, then each of those transposed.
 pub fn all_orientations(a: &FmmAlgorithm) -> Vec<FmmAlgorithm> {
     (0..6).map(|o| orientation(a, o)).collect()
 }
@@ -214,7 +214,7 @@ pub fn all_orientations(a: &FmmAlgorithm) -> Vec<FmmAlgorithm> {
 /// Symmetry orientation `o` (of six) of `a`: `a` rotated `o % 3` times
 /// ([`rotate`]), then transposed ([`transpose`]) when `o >= 3`. Only the
 /// rotations it derives from are built.
-pub fn orientation(a: &FmmAlgorithm, o: usize) -> FmmAlgorithm {
+pub(crate) fn orientation(a: &FmmAlgorithm, o: usize) -> FmmAlgorithm {
     let rotated = match o % 3 {
         0 => a.clone(),
         1 => rotate(a),
@@ -229,7 +229,10 @@ pub fn orientation(a: &FmmAlgorithm, o: usize) -> FmmAlgorithm {
 
 /// The dims of [`orientation`] `o` of a `<m̃,k̃,ñ>` algorithm, without
 /// building it.
-pub fn orientation_dims((m, k, n): (usize, usize, usize), o: usize) -> (usize, usize, usize) {
+pub(crate) fn orientation_dims(
+    (m, k, n): (usize, usize, usize),
+    o: usize,
+) -> (usize, usize, usize) {
     [(m, k, n), (k, n, m), (n, m, k), (n, k, m), (m, n, k), (k, m, n)][o]
 }
 
