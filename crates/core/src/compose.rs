@@ -52,7 +52,7 @@ pub fn classical(mt: usize, kt: usize, nt: usize) -> FmmAlgorithm {
 /// (Morton) order — exactly what [`crate::plan::FmmPlan`] executes against.
 /// To obtain a self-contained *one-level* algorithm in the standard
 /// row-major flattening, the rows are permuted from Morton order back to
-/// row-major via [`BlockGrid`].
+/// row-major via [`BlockGrid`](crate::indexing::BlockGrid).
 pub fn nest(outer: &FmmAlgorithm, inner: &FmmAlgorithm) -> FmmAlgorithm {
     use crate::indexing::BlockGrid;
     let (m1, k1, n1) = outer.dims();

@@ -1,5 +1,5 @@
 //! Dynamic peeling for problem sizes not divisible by the partition dims
-//! (paper §4.1, citing Thottethodi et al. [16]).
+//! (paper §4.1, citing Thottethodi et al. \[16\]).
 //!
 //! For `C(m x n) += A(m x k) · B(k x n)` under aggregate partition dims
 //! `(M̃, K̃, Ñ)`, the problem splits into a *core* of dimensions

@@ -28,7 +28,7 @@ impl Default for BlockingParams {
     ///
     /// `kc` and `nc` are the paper's (§5.1). Its `mC = 96` made a 192 KiB
     /// `Ã` block for the 256 KiB L2 of its Ivy Bridge; 512 rows follow the
-    /// rule of its ref. [7] (Low et al., "Analytical modeling is enough for
+    /// rule of its ref. \[7\] (Low et al., "Analytical modeling is enough for
     /// high performance BLIS"), which fills half of L2 with the packed `A`
     /// block, on a 2 MiB L2: 1 MiB of `f64` or 512 KiB of `f32` at `kc =
     /// 256`. Each `B̃` micro-panel is then reused by 32 `f64` (16 `f32`)

@@ -1,5 +1,5 @@
 // @generated by fmm-gen — do not edit by hand.
-//! 1-level `<2,2,2>` ABC FMM, specialized from its [[U,V,W]] coefficients.
+//! 1-level `<2,2,2>` ABC FMM, specialized from its `[[U,V,W]]` coefficients.
 //!
 //! `R_L = 7` products over a 2x2 / 2x2 / 2x2 block partition.
 

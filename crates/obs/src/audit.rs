@@ -290,8 +290,8 @@ impl AuditEntry {
         format!("{}/{}", self.class_label, self.dtype)
     }
 
-    /// |log2(predicted / measured)| over the running sums — the ranking
-    /// metric for retune candidates. 0.0 when either sum is empty.
+    /// |log2(predicted / measured)| over the running sums — what `fmm_serve
+    /// audit` ranks classes by. 0.0 when either sum is empty.
     pub fn error_log2(&self) -> f64 {
         if self.predicted_nanos == 0 || self.measured_nanos == 0 {
             return 0.0;

@@ -23,9 +23,8 @@
 //!   routing-source attribution. The warm record path is lock-free and
 //!   allocation-free after the one-time table allocation.
 //! * [`watchdog`] — a stall watchdog: one judging thread probes each
-//!   batch executor's work and progress, detects an
-//!   executor wedged with work pending, records escalating stall
-//!   events, and can dump-then-abort a hard-wedged process.
+//!   batch executor's work and progress, detects an executor wedged
+//!   with work pending, and records escalating stall events.
 //!
 //! This crate depends on nothing but `std` so every layer of the stack
 //! — including the GEMM substrate at the bottom — can record into it

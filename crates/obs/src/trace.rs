@@ -202,19 +202,18 @@ impl RefusalReason {
     }
 }
 
-/// What triggered an incident dump.
+/// What triggered an incident dump. Number 3 named a watchdog abort, which
+/// is gone; `WireRequest` keeps 4, so older dumps' events still name it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IncidentTrigger {
     Sigterm,
     Sigint,
     Panic,
-    WatchdogAbort,
-    WireRequest,
+    WireRequest = 4,
 }
 
 impl IncidentTrigger {
-    const NAMES: [&'static str; 5] =
-        ["sigterm", "sigint", "panic", "watchdog-abort", "wire-request"];
+    const NAMES: [&'static str; 5] = ["sigterm", "sigint", "panic", "unknown", "wire-request"];
 
     pub fn name(self) -> &'static str {
         Self::NAMES[self as usize]
@@ -373,7 +372,7 @@ impl Slot {
 /// `N` must be a power of two.
 ///
 /// A writer claims a sequence number with one relaxed `fetch_add`, then
-/// takes its slot by compare-and-swap of the stamp to [`WRITING`] — only
+/// takes its slot by compare-and-swap of the stamp to `WRITING` — only
 /// from a published or empty stamp older than its own. A writer that
 /// finds the slot held, or newer, or loses the swap, drops its event and
 /// bumps [`Ring::dropped`], so two writers that lap each other can never
@@ -825,6 +824,9 @@ mod tests {
         assert_eq!(Kind::from_name(Kind::Other.name()), None, "Other is never a recorded kind");
         assert_eq!(RefusalReason::name_of(RefusalReason::QueueFull as u64), "queue-full");
         assert_eq!(IncidentTrigger::name_of(IncidentTrigger::Panic as u64), "panic");
+        assert_eq!(IncidentTrigger::name_of(4), "wire-request");
+        assert_eq!(IncidentTrigger::WireRequest.name(), "wire-request");
+        assert_eq!(IncidentTrigger::name_of(3), "unknown");
         assert_eq!(IncidentTrigger::name_of(99), "unknown");
     }
 

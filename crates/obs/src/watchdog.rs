@@ -14,16 +14,12 @@
 //! `stall_after`, level 2 at `2×`, and so on, one event per escalation
 //! rather than one per tick — plus a monotone stall counter exported
 //! as `fmm_watchdog_stalls_total`. A component that resumes gets a
-//! recovery event. With [`WatchdogConfig::abort_after`] set, a stall
-//! that persists past the deadline triggers the `on_abort` callback
-//! (the server dumps an incident report there) and then aborts the
-//! process: a hard-wedged daemon that cannot serve is worth more dead
-//! with a dump than alive and silent.
+//! recovery event.
 //!
 //! The watchdog makes no call on serving threads. All judging state lives
 //! in the watchdog thread.
 
-use crate::trace::{self, Event, IncidentTrigger, Kind};
+use crate::trace::{self, Event, Kind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -37,18 +33,11 @@ pub struct WatchdogConfig {
     /// A component is stalled after this long without progress while
     /// work is pending.
     pub stall_after: Duration,
-    /// Dump-then-abort the process when a stall persists this long.
-    /// `None` = never abort (the default).
-    pub abort_after: Option<Duration>,
 }
 
 impl Default for WatchdogConfig {
     fn default() -> WatchdogConfig {
-        WatchdogConfig {
-            interval: Duration::from_millis(100),
-            stall_after: Duration::from_secs(1),
-            abort_after: None,
-        }
+        WatchdogConfig { interval: Duration::from_millis(100), stall_after: Duration::from_secs(1) }
     }
 }
 
@@ -126,14 +115,12 @@ impl Watchdog {
         self.inner.stalls.load(Ordering::Relaxed)
     }
 
-    /// Start the judging thread. `on_abort` runs (once) right before
-    /// the process is aborted for a stall that outlived
-    /// [`WatchdogConfig::abort_after`].
-    pub fn spawn(&self, on_abort: Box<dyn Fn() + Send>) -> WatchdogHandle {
+    /// Start the judging thread.
+    pub fn spawn(&self) -> WatchdogHandle {
         let inner = Arc::clone(&self.inner);
         let thread = std::thread::Builder::new()
             .name("fmm-watchdog".to_string())
-            .spawn(move || run(&inner, on_abort))
+            .spawn(move || run(&inner))
             .expect("spawn watchdog thread");
         WatchdogHandle { inner: Arc::clone(&self.inner), thread: Some(thread) }
     }
@@ -150,7 +137,7 @@ impl WatchdogHandle {
     }
 }
 
-fn run(inner: &Inner, on_abort: Box<dyn Fn() + Send>) {
+fn run(inner: &Inner) {
     let mut judge: Vec<JudgeState> = Vec::new();
     loop {
         {
@@ -163,15 +150,14 @@ fn run(inner: &Inner, on_abort: Box<dyn Fn() + Send>) {
                 return;
             }
         }
-        tick(inner, &mut judge, &on_abort);
+        tick(inner, &mut judge);
     }
 }
 
 /// One judging pass over every component.
-fn tick(inner: &Inner, judge: &mut Vec<JudgeState>, on_abort: &dyn Fn()) {
+fn tick(inner: &Inner, judge: &mut Vec<JudgeState>) {
     let now = crate::trace::now_nanos();
     let stall_after = inner.config.stall_after.as_nanos() as u64;
-    let abort_after = inner.config.abort_after.map(|d| d.as_nanos() as u64);
     let components = inner.components.lock().unwrap();
     while judge.len() < components.len() {
         judge.push(JudgeState { baseline_nanos: now, ..JudgeState::default() });
@@ -196,14 +182,6 @@ fn tick(inner: &Inner, judge: &mut Vec<JudgeState>, on_abort: &dyn Fn()) {
                 trace::record(stall.with_args([id as u64, level, 0]));
                 inner.stalls.fetch_add(1, Ordering::Relaxed);
             }
-            if let Some(abort_after) = abort_after {
-                if stalled_for >= abort_after {
-                    let trigger = IncidentTrigger::WatchdogAbort as u64;
-                    trace::record(Event::now(Kind::Incident, 0).with_args([trigger, 0, 0]));
-                    on_abort();
-                    std::process::abort();
-                }
-            }
         } else if state.recorded_level > 0 {
             let start = now.saturating_sub(state.last_stalled_for);
             trace::record(
@@ -223,7 +201,6 @@ mod tests {
         WatchdogConfig {
             interval: Duration::from_millis(5),
             stall_after: Duration::from_millis(40),
-            abort_after: None,
         }
     }
 
@@ -251,7 +228,7 @@ mod tests {
         let probe = move || (work.load(Ordering::Relaxed), progress.load(Ordering::Relaxed));
         wd.register("dispatch", probe);
         assert_eq!(wd.component_names(), ["dispatch"]);
-        let handle = wd.spawn(Box::new(|| {}));
+        let handle = wd.spawn();
         // Idle (work == 0): never stalls, even without progress.
         std::thread::sleep(Duration::from_millis(120));
         assert_eq!(wd.stalls_total(), 0, "idle dispatcher must not be judged stalled");

@@ -1,32 +1,22 @@
 //! `fmm_serve` — operate the serving daemon from the command line.
 //!
 //! ```sh
-//! fmm_serve serve [--addr 127.0.0.1:7117] [--max-batch 32] [--queue 256]
-//!                 [--workers 0]
-//!                 [--trace] [--incident-dir DIR] [--no-watchdog]
-//!                 [--watchdog-stall-ms 1000] [--watchdog-abort-after MS]
-//!                 [--slow-ms 250]
+//! fmm_serve serve [--addr 127.0.0.1:7117] [--trace] [--incident-dir DIR]
+//!                 [--watchdog-stall-ms 1000]
 //! fmm_serve ping --addr HOST:PORT [--count 3]
 //! fmm_serve stats --addr HOST:PORT [--prom]
-//! fmm_serve audit --addr HOST:PORT [--threshold 0.5]
-//! fmm_serve top --addr HOST:PORT [--interval-ms 1000] [--once]
+//! fmm_serve audit --addr HOST:PORT
+//! fmm_serve top --addr HOST:PORT [--once]
 //! fmm_serve trace --addr HOST:PORT [--last N] [--chrome FILE]
 //! fmm_serve doctor INCIDENT.json
-//! fmm_serve bench --addr HOST:PORT [--threads 4] [--requests 32]
-//!                 [--size 96] [--dtype f64|f32] [--pipeline 1] [--verify]
 //! fmm_serve shutdown --addr HOST:PORT
 //! ```
 //!
 //! `serve` gives every accepted connection its own reader and writer
-//! thread. It runs until a client sends a `Shutdown` frame, then drains
-//! in-flight work, prints the final stats snapshot (the `stats --prom`
+//! thread, with `ServeConfig::default()`'s batching and admission bounds.
+//! It runs until a client sends a `Shutdown` frame, then drains in-flight
+//! work, prints the final stats snapshot (the `stats --prom`
 //! exposition), and exits 0 — the clean shutdown `cli_smoke.rs` asserts.
-//! `bench` is the network loadgen: N client threads
-//! each issuing M requests over their own connection, reporting aggregate
-//! throughput and client-observed latency percentiles. Each thread holds
-//! a window of `--pipeline D` requests in flight on its connection (the
-//! default, 1, is a blocking caller); a `Busy` refusal re-sends the same
-//! problem after a short pause.
 //!
 //! `stats` fetches the stats snapshot (counters, gauges, per-phase latency
 //! histograms, decision audit) as JSON; `--prom` fetches the same snapshot
@@ -36,7 +26,7 @@
 //! chrome://tracing JSON file with `--chrome FILE`.
 //!
 //! `doctor` is the offline incident analyzer: given a dump written by a
-//! `--incident-dir` daemon (on SIGTERM/SIGINT, panic, or watchdog abort)
+//! `--incident-dir` daemon (on SIGTERM/SIGINT or panic)
 //! or fetched over the wire, it decodes it (schema tag included), reads
 //! the same event list, names any stalled watchdog component, ranks slow
 //! requests by their dominant phase, summarizes error and refusal bursts,
@@ -44,34 +34,30 @@
 //! diagnosis.
 //!
 //! `audit` reads the decision-audit section of the stats snapshot and
-//! ranks shape classes by model error `|log2(predicted/measured)|`;
-//! classes above `--threshold` are listed as retune candidates (the ones
-//! the model misjudges). `top` is the live terminal view: it polls the
-//! same snapshot every `--interval-ms`, showing request counters as
-//! rates, per-phase latency quantiles, and per-shape-class GFLOP/s
-//! computed from the flops and busy-nanos deltas between consecutive
-//! snapshots (`--once` prints a single frame for scripts and tests).
+//! ranks shape classes by model error `|log2(predicted/measured)|`.
+//! `top` is the live terminal view: it polls the same snapshot every
+//! second, showing request counters as rates, per-phase latency
+//! quantiles, and per-shape-class GFLOP/s computed from the flops and
+//! busy-nanos deltas between consecutive snapshots (`--once` prints a
+//! single frame for scripts and tests).
 //!
 //! Every document is decoded through `fmm_serve::snapshot`; one that is
 //! malformed — a key missing, renamed, or of the wrong type — exits 1 with
 //! a message naming the key instead of rendering zeros.
 
-use fmm_dense::{fill, norms, Matrix};
 use fmm_obs::audit::SOURCE_NAMES;
 use fmm_obs::{AuditEntry, Event, Kind, RefusalReason};
 use fmm_serve::{
-    BatchPolicy, BuildInfo, Document, ErrorCode, Incident, Logged, PipelinedClient, ServeConfig,
-    Server, StatsSnapshot,
+    BuildInfo, Document, ErrorCode, Incident, Logged, PipelinedClient, ServeConfig, Server,
+    StatsSnapshot,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = argv.first() else {
-        eprintln!(
-            "usage: fmm_serve <serve|ping|stats|audit|top|trace|doctor|bench|shutdown> [options]"
-        );
+        eprintln!("usage: fmm_serve <serve|ping|stats|audit|top|trace|doctor|shutdown> [options]");
         std::process::exit(2);
     };
     if command == "doctor" {
@@ -91,11 +77,10 @@ fn main() {
         "audit" => cmd_audit(&opts),
         "top" => cmd_top(&opts),
         "trace" => cmd_trace(&opts),
-        "bench" => cmd_bench(&opts),
         "shutdown" => cmd_shutdown(&opts),
         other => {
             eprintln!(
-                "unknown command {other:?} (serve|ping|stats|audit|top|trace|doctor|bench|shutdown)"
+                "unknown command {other:?} (serve|ping|stats|audit|top|trace|doctor|shutdown)"
             );
             std::process::exit(2);
         }
@@ -106,56 +91,28 @@ fn main() {
 /// workspace CLIs; unknown flags are fatal).
 struct Options {
     addr: String,
-    max_batch: usize,
-    queue: usize,
-    workers: usize,
-    threads: usize,
-    requests: usize,
-    size: usize,
-    dtype: String,
     count: usize,
-    verify: bool,
-    pipeline: usize,
     trace: bool,
     prom: bool,
     last: u64,
     chrome: Option<String>,
-    threshold: f64,
-    interval_ms: u64,
     once: bool,
     incident_dir: Option<String>,
-    watchdog: bool,
     watchdog_stall_ms: u64,
-    watchdog_abort_after_ms: u64,
-    slow_ms: u64,
 }
 
 impl Options {
     fn parse(argv: &[String]) -> Self {
         let mut o = Options {
             addr: "127.0.0.1:7117".to_string(),
-            max_batch: 32,
-            queue: 256,
-            workers: 0,
-            threads: 4,
-            requests: 32,
-            size: 96,
-            dtype: "f64".to_string(),
             count: 3,
-            verify: false,
-            pipeline: 1,
             trace: false,
             prom: false,
             last: 0,
             chrome: None,
-            threshold: 0.5,
-            interval_ms: 1000,
             once: false,
             incident_dir: None,
-            watchdog: true,
             watchdog_stall_ms: 1000,
-            watchdog_abort_after_ms: 0,
-            slow_ms: 250,
         };
         let mut args = argv.iter();
         while let Some(flag) = args.next() {
@@ -163,28 +120,14 @@ impl Options {
                 || args.next().unwrap_or_else(|| panic!("{flag} takes a value")).clone();
             match flag.as_str() {
                 "--addr" => o.addr = value(),
-                "--max-batch" => o.max_batch = number(flag, value()),
-                "--queue" => o.queue = number(flag, value()),
-                "--workers" => o.workers = number(flag, value()),
-                "--threads" => o.threads = number(flag, value()),
-                "--requests" => o.requests = number(flag, value()),
-                "--size" => o.size = number(flag, value()),
-                "--dtype" => o.dtype = value(),
                 "--count" => o.count = number(flag, value()),
-                "--verify" => o.verify = true,
-                "--pipeline" => o.pipeline = number(flag, value()),
                 "--trace" => o.trace = true,
                 "--prom" => o.prom = true,
                 "--last" => o.last = number(flag, value()),
                 "--chrome" => o.chrome = Some(value()),
-                "--threshold" => o.threshold = number(flag, value()),
-                "--interval-ms" => o.interval_ms = number(flag, value()),
                 "--once" => o.once = true,
                 "--incident-dir" => o.incident_dir = Some(value()),
-                "--no-watchdog" => o.watchdog = false,
                 "--watchdog-stall-ms" => o.watchdog_stall_ms = number(flag, value()),
-                "--watchdog-abort-after" => o.watchdog_abort_after_ms = number(flag, value()),
-                "--slow-ms" => o.slow_ms = number(flag, value()),
                 other => {
                     eprintln!("unknown flag {other}");
                     std::process::exit(2);
@@ -201,33 +144,22 @@ fn number<T: std::str::FromStr>(flag: &str, value: String) -> T {
 }
 
 fn cmd_serve(o: &Options) {
+    let stall_ms = o.watchdog_stall_ms.max(1);
     let config = ServeConfig {
         addr: o.addr.clone(),
-        batch: BatchPolicy { max_batch: o.max_batch.max(1), ..BatchPolicy::default() },
-        queue_capacity: o.queue,
-        workers: o.workers,
-        watchdog: o.watchdog,
-        watchdog_stall: Duration::from_millis(o.watchdog_stall_ms.max(1)),
-        watchdog_abort_after: (o.watchdog_abort_after_ms > 0)
-            .then(|| Duration::from_millis(o.watchdog_abort_after_ms)),
-        slow_threshold: Duration::from_millis(o.slow_ms.max(1)),
+        watchdog_stall: Duration::from_millis(stall_ms),
         incident_dir: o.incident_dir.clone(),
         ..ServeConfig::default()
     };
     // `--trace` turns tracing on; its absence defers to the FMM_TRACE
     // environment default already resolved by `ServeConfig::default()`.
     let config = ServeConfig { trace: config.trace || o.trace, ..config };
-    let max_batch = config.batch.max_batch;
+    let (max_batch, queue) = (config.batch.max_batch, config.queue_capacity);
     let handle = or_exit(Server::spawn(config), &format!("failed to bind {}", o.addr));
     println!("fmm_serve listening on {}", handle.addr());
     println!("{}", BuildInfo::current());
-    println!("micro-batching: max batch {max_batch}, queue capacity {}", o.queue);
-    let stall_ms = o.watchdog_stall_ms.max(1);
-    match (o.watchdog, o.watchdog_abort_after_ms) {
-        (false, _) => println!("watchdog: disabled"),
-        (true, 0) => println!("watchdog: stall after {stall_ms} ms"),
-        (true, abort) => println!("watchdog: stall after {stall_ms} ms, abort after {abort} ms"),
-    }
+    println!("micro-batching: max batch {max_batch}, queue capacity {queue}");
+    println!("watchdog: stall after {stall_ms} ms");
     if let Some(dir) = &o.incident_dir {
         println!("incident dumps: {dir}");
     }
@@ -284,8 +216,7 @@ fn top_source(entry: &AuditEntry) -> &'static str {
     SOURCE_NAMES.iter().zip(entry.by_source).max_by_key(|&(_, n)| n).map_or("", |(name, _)| *name)
 }
 
-/// Rank shape classes by predicted-vs-measured model error and flag
-/// retune candidates: the classes the model misjudges beyond `--threshold`.
+/// Rank shape classes by predicted-vs-measured model error.
 fn cmd_audit(o: &Options) {
     let stats = or_exit(connect(o).stats(), "stats failed");
     let rows = ranked_audit(&stats);
@@ -330,23 +261,6 @@ fn cmd_audit(o: &Options) {
             r.chosen
         );
     }
-    let flagged: Vec<&&AuditEntry> =
-        rows.iter().filter(|r| r.samples > 0 && r.error_log2() > o.threshold).collect();
-    if flagged.is_empty() {
-        println!("model error within threshold ({:.2} log2) for every class", o.threshold);
-        return;
-    }
-    println!("retune candidates (|log2 err| > {:.2}):", o.threshold);
-    for r in &flagged {
-        println!(
-            "  {}: predicted {:.3} ms vs measured {:.3} ms ({} samples, worst {:.2} GFLOP/s)",
-            r.key(),
-            r.predicted_nanos as f64 / 1e6,
-            r.measured_nanos as f64 / 1e6,
-            r.samples,
-            r.worst_gflops_milli as f64 / 1e3
-        );
-    }
 }
 
 /// Per-class `(flops, measured_nanos)` cumulative totals from one `top`
@@ -354,11 +268,13 @@ fn cmd_audit(o: &Options) {
 /// interval GFLOP/s.
 type ClassTotals = BTreeMap<String, (u64, u64)>;
 
-/// Live terminal view: poll the stats snapshot every `--interval-ms`,
+/// How often `top` polls the stats snapshot.
+const TOP_INTERVAL: Duration = Duration::from_secs(1);
+
+/// Live terminal view: poll the stats snapshot every [`TOP_INTERVAL`],
 /// rendering request rates, per-phase latency quantiles, and per-class
 /// GFLOP/s from flops/busy-nanos deltas between consecutive frames.
 fn cmd_top(o: &Options) {
-    let interval = Duration::from_millis(o.interval_ms.max(1));
     let mut client = connect(o);
     let mut prev: Option<(ClassTotals, u64, Instant)> = None;
     loop {
@@ -378,7 +294,7 @@ fn cmd_top(o: &Options) {
             // ANSI clear + home keeps the frame in place like top(1).
             print!("\x1b[2J\x1b[H");
         }
-        println!("fmm_serve top — {} (interval {} ms)", o.addr, o.interval_ms);
+        println!("fmm_serve top — {} (interval {} ms)", o.addr, TOP_INTERVAL.as_millis());
         println!("server {}", stats.build);
         println!(
             "requests {:>10}  responses {:>10}  {:>8.1} req/s  inflight {:>4}  conns {:>4}",
@@ -447,7 +363,7 @@ fn cmd_top(o: &Options) {
             return;
         }
         prev = Some((totals, responses, now));
-        std::thread::sleep(interval);
+        std::thread::sleep(TOP_INTERVAL);
     }
 }
 
@@ -513,17 +429,12 @@ fn cmd_doctor(path: &str) {
     println!("incident: {trigger} — {}", doc.build);
 
     // Watchdog roster: component ids in watchdog events index this list.
-    let (components, stalls_total) =
-        doc.watchdog.as_ref().map_or((&[][..], 0), |wd| (&wd.components[..], wd.stalls_total));
-    if doc.watchdog.is_some() {
-        println!(
-            "watchdog: {} components [{}], stalls {stalls_total}",
-            components.len(),
-            components.join(", ")
-        );
-    } else {
-        println!("watchdog: not running");
-    }
+    let (components, stalls_total) = (&doc.watchdog.components, doc.watchdog.stalls_total);
+    println!(
+        "watchdog: {} components [{}], stalls {stalls_total}",
+        components.len(),
+        components.join(", ")
+    );
     let component_name = |id: u64| -> String {
         components.get(id as usize).cloned().unwrap_or_else(|| format!("component #{id}"))
     };
@@ -642,10 +553,6 @@ fn cmd_doctor(path: &str) {
                 "diagnosis: panic with no prior watchdog stall — see the crashed process's \
                  stderr for the panic message"
             ),
-            "watchdog-abort" => println!(
-                "diagnosis: watchdog abort requested but no stall event retained — \
-                 inspect the timeline above"
-            ),
             _ => println!("diagnosis: on-demand snapshot, no fault recorded"),
         }
     }
@@ -654,111 +561,4 @@ fn cmd_doctor(path: &str) {
 fn cmd_shutdown(o: &Options) {
     or_exit(connect(o).shutdown(), "shutdown failed");
     println!("shutdown acknowledged by {}", o.addr);
-}
-
-/// The network loadgen: `threads` clients × `requests` square problems
-/// each. Throughput is wall-clock over all completed requests; latency is
-/// client-observed (send → response decoded), summarized at p50/p99.
-fn cmd_bench(o: &Options) {
-    assert!(o.dtype == "f64" || o.dtype == "f32", "--dtype takes f64 or f32");
-    let n = o.size;
-    let depth = o.pipeline.max(1);
-    println!(
-        "bench: {} threads x {} requests, {}^3 {}, pipelined x{depth}, against {}",
-        o.threads, o.requests, n, o.dtype, o.addr
-    );
-    let run = |count: usize, seed: u64, depth: usize| {
-        if o.dtype == "f32" {
-            run_pipelined::<f32>(o, count, seed, depth)
-        } else {
-            run_pipelined::<f64>(o, count, seed, depth)
-        }
-    };
-
-    // Warmup (and connectivity check): one request outside the timed
-    // region so the server's decision/plan/arena caches are hot.
-    run(1, 0, 1);
-
-    let t0 = Instant::now();
-    let all_latencies: Vec<Vec<f64>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..o.threads.max(1))
-            .map(|t| s.spawn(move || run(o.requests, t as u64, depth)))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("bench thread panicked")).collect()
-    });
-    let wall = t0.elapsed().as_secs_f64();
-
-    let latencies_secs: Vec<f64> = all_latencies.into_iter().flatten().collect();
-    let total = latencies_secs.len();
-    let summary = fmm_serve::metrics::summarize(&latencies_secs);
-    let flops = 2.0 * (n as f64).powi(3) * total as f64;
-    println!(
-        "{total} requests in {wall:.3} s: {:.1} req/s, {:.2} GFLOP/s aggregate",
-        total as f64 / wall,
-        flops / wall / 1e9
-    );
-    println!(
-        "latency: mean {:.3} ms, p50 {:.3} ms, p99 {:.3} ms",
-        summary.mean_ms, summary.p50_ms, summary.p99_ms
-    );
-}
-
-/// How long the loadgen pauses before re-sending a request the server
-/// refused with `Busy`.
-const BUSY_PAUSE: Duration = Duration::from_millis(1);
-
-/// Loadgen body: one [`PipelinedClient`] keeping up to `depth` requests in
-/// flight on a single connection; returns per-request latencies (send →
-/// matched response) in seconds. A `Busy` refusal re-sends the same
-/// problem after a short pause without resetting that request's latency
-/// clock, so refusals show up as tail latency, not as missing samples.
-/// With `--verify`, the first response is checked against the local
-/// blocked-GEMM reference.
-fn run_pipelined<T>(o: &Options, count: usize, seed: u64, depth: usize) -> Vec<f64>
-where
-    T: fmm_serve::WireScalar + fmm_gemm::GemmScalar,
-{
-    let n = o.size;
-    let a = fill::bench_workload_t::<T>(n, n, 2 * seed + 1);
-    let b = fill::bench_workload_t::<T>(n, n, 2 * seed + 2);
-    let mut client = connect(o);
-    let send = |client: &mut PipelinedClient| or_exit(client.send(&a, &b), "send failed");
-    let mut latencies = Vec::with_capacity(count);
-    let mut window: VecDeque<(u64, Instant)> = VecDeque::with_capacity(depth);
-    let mut sent = 0usize;
-    let mut verified = !o.verify;
-    while latencies.len() < count {
-        while sent < count && window.len() < depth {
-            let t0 = Instant::now();
-            window.push_back((send(&mut client), t0));
-            sent += 1;
-        }
-        let (id, t0) = window.pop_front().expect("in-flight window empty");
-        match client.recv::<T>(id) {
-            Ok(c) => {
-                latencies.push(t0.elapsed().as_secs_f64());
-                if !verified {
-                    verified = true;
-                    verify_against_reference(&a, &b, &c);
-                }
-            }
-            Err(e) if e.is_busy() => {
-                std::thread::sleep(BUSY_PAUSE);
-                window.push_back((send(&mut client), t0));
-            }
-            Err(e) => {
-                eprintln!("request failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    latencies
-}
-
-fn verify_against_reference<T: fmm_gemm::GemmScalar>(a: &Matrix<T>, b: &Matrix<T>, c: &Matrix<T>) {
-    let mut c_ref = Matrix::<T>::zeros(a.rows(), b.cols());
-    fmm_gemm::gemm(c_ref.as_mut(), a.as_ref(), b.as_ref());
-    let err = norms::rel_error(c.cast::<f64>().as_ref(), c_ref.cast::<f64>().as_ref());
-    let bound = T::accuracy_bound(a.cols(), 2).max(1e-9);
-    assert!(err < bound, "served result diverges from blocked GEMM: {err} (bound {bound})");
 }

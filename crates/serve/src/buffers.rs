@@ -2,8 +2,8 @@
 //! socket to `multiply_batch` and back.
 //!
 //! A request's operand bytes are read by its connection's reader thread
-//! *directly* into a [`PooledBuf`] checked out of the per-dtype
-//! [`IngestPool`] — the `read(2)` into the buffer is the one and only
+//! *directly* into a [`PooledBuf`] checked out of its dtype's pool in
+//! [`IngestPools`] — the `read(2)` into the buffer is the one and only
 //! copy off the wire. The
 //! combiner then hands the engine strided views over those same bytes
 //! (the wire is row-major, which is just a stride choice for `MatRef`),

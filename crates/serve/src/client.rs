@@ -9,9 +9,6 @@
 //! calls (`ping`, `stats`, `trace`, …) are single round trips that may
 //! overtake slower multiplies still in flight; the documents they fetch
 //! come back decoded ([`crate::snapshot`]).
-//!
-//! [`retry_busy`] wraps calls with bounded exponential backoff on the
-//! server's `Busy` backpressure signal.
 
 use crate::protocol::{
     self, decode_error, ErrorCode, Frame, FrameError, FrameHead, FrameKind, WireScalar,
@@ -23,6 +20,10 @@ use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, IoSlice, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
+
+/// The largest reply payload a client reads; a longer declared one is a
+/// protocol error.
+const MAX_REPLY_BYTES: usize = 64 << 20;
 
 /// What a client call can fail with.
 #[derive(Debug)]
@@ -85,7 +86,6 @@ impl ClientError {
 pub struct PipelinedClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    max_payload_bytes: usize,
     next_id: u64,
     /// Responses read while looking for a different id.
     stash: HashMap<u64, Frame>,
@@ -100,26 +100,12 @@ enum Reply {
 }
 
 impl PipelinedClient {
-    /// Connect with the default (64 MiB) reply-payload cap.
+    /// Connect, accepting reply payloads of up to 64 MiB.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        Self::connect_with_cap(addr, 64 << 20)
-    }
-
-    /// Connect, capping accepted reply payloads at `max_payload_bytes`.
-    pub fn connect_with_cap(
-        addr: impl ToSocketAddrs,
-        max_payload_bytes: usize,
-    ) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Self {
-            reader,
-            writer: BufWriter::new(stream),
-            max_payload_bytes,
-            next_id: 1,
-            stash: HashMap::new(),
-        })
+        Ok(Self { reader, writer: BufWriter::new(stream), next_id: 1, stash: HashMap::new() })
     }
 
     /// Write and flush one frame under a fresh request id; the reply is
@@ -297,7 +283,7 @@ impl PipelinedClient {
             return Ok(Reply::Read(frame));
         }
         loop {
-            let head = protocol::read_header(&mut self.reader, self.max_payload_bytes)?;
+            let head = protocol::read_header(&mut self.reader, MAX_REPLY_BYTES)?;
             if head.request_id == id {
                 return Ok(Reply::Unread(head));
             }
@@ -359,42 +345,6 @@ fn expect_kind(frame: Frame, want: FrameKind) -> Result<Vec<u8>, ClientError> {
             Err(ClientError::Server { code, message })
         }
         other => Err(ClientError::Protocol(format!("unexpected {other:?} reply"))),
-    }
-}
-
-/// Call `op` with bounded exponential backoff while it fails with the
-/// server's `Busy` backpressure signal.
-///
-/// The delay before retry `i` is `base_delay · 2^i`, scaled by a
-/// deterministic jitter factor in `[0.5, 1.0)` derived from `seed` (an
-/// xorshift step per retry) — concurrent clients seeded differently
-/// de-synchronize instead of stampeding the queue in lockstep. Any
-/// non-`Busy` error, and the final `Busy` after `attempts` tries, are
-/// returned as-is.
-pub fn retry_busy<T>(
-    attempts: usize,
-    base_delay: Duration,
-    seed: u64,
-    mut op: impl FnMut() -> Result<T, ClientError>,
-) -> Result<T, ClientError> {
-    let mut jitter = seed | 1; // xorshift state must be non-zero
-    let mut backoff = base_delay;
-    let mut tries = 0;
-    loop {
-        match op() {
-            Ok(value) => return Ok(value),
-            Err(err) if err.is_busy() && tries + 1 < attempts.max(1) => {
-                tries += 1;
-                jitter ^= jitter << 13;
-                jitter ^= jitter >> 7;
-                jitter ^= jitter << 17;
-                // Map the top bits onto [0.5, 1.0).
-                let scale = 0.5 + (jitter >> 40) as f64 / (1u64 << 25) as f64;
-                std::thread::sleep(backoff.mul_f64(scale));
-                backoff = backoff.saturating_mul(2);
-            }
-            Err(err) => return Err(err),
-        }
     }
 }
 
@@ -522,54 +472,5 @@ mod tests {
         assert!(matches!(client.recv::<f32>(5), Err(ClientError::Protocol(_))), "dtype");
         assert_eq!(bits(&client.recv::<f64>(6).unwrap()), want, "still framed");
         peer.join().unwrap();
-    }
-
-    #[test]
-    fn retry_busy_retries_busy_until_success() {
-        let mut calls = 0;
-        let result = retry_busy(5, Duration::from_micros(10), 42, || {
-            calls += 1;
-            if calls < 3 {
-                Err(ClientError::Server { code: ErrorCode::Busy, message: "full".into() })
-            } else {
-                Ok(calls)
-            }
-        });
-        assert_eq!(result.unwrap(), 3);
-    }
-
-    #[test]
-    fn retry_busy_gives_up_after_attempts() {
-        let mut calls = 0;
-        let result: Result<(), _> = retry_busy(3, Duration::from_micros(10), 7, || {
-            calls += 1;
-            Err(ClientError::Server { code: ErrorCode::Busy, message: "full".into() })
-        });
-        assert!(result.unwrap_err().is_busy());
-        assert_eq!(calls, 3, "attempts bound the total call count");
-    }
-
-    #[test]
-    fn retry_busy_passes_other_errors_through() {
-        let mut calls = 0;
-        let result: Result<(), _> = retry_busy(5, Duration::from_micros(10), 9, || {
-            calls += 1;
-            Err(ClientError::Protocol("not busy".into()))
-        });
-        assert!(matches!(result.unwrap_err(), ClientError::Protocol(_)));
-        assert_eq!(calls, 1, "only Busy is retried");
-    }
-
-    #[test]
-    fn retry_busy_jitter_is_deterministic_per_seed() {
-        // Same seed → same jitter sequence (indirectly: both runs make
-        // the same number of calls and sleep the same schedule; here we
-        // just pin the xorshift scale computation against drift).
-        let mut jitter = 42u64 | 1;
-        jitter ^= jitter << 13;
-        jitter ^= jitter >> 7;
-        jitter ^= jitter << 17;
-        let scale = 0.5 + (jitter >> 40) as f64 / (1u64 << 25) as f64;
-        assert!((0.5..1.0).contains(&scale), "jitter scale in [0.5, 1.0): {scale}");
     }
 }

@@ -39,9 +39,8 @@
 //!   retrievable over the wire (`Trace`);
 //! * **the client library** ([`client`]): [`PipelinedClient`]
 //!   (out-of-order responses matched by request id; a blocking call is a
-//!   pipeline of depth one), the [`client::retry_busy`] backoff helper,
-//!   and the `fmm_serve` CLI (`serve` / `ping` / `stats` / `audit` / `top` /
-//!   `trace` / `doctor` / `bench` / `shutdown`).
+//!   pipeline of depth one), and the `fmm_serve` CLI (`serve` / `ping` /
+//!   `stats` / `audit` / `top` / `trace` / `doctor` / `shutdown`).
 //!
 //! # Example
 //!
@@ -93,7 +92,7 @@ pub mod server;
 pub mod snapshot;
 
 pub use buffers::{BufferPool, IngestPools, OperandStage, PoolStats, PooledBuf, WireBuf};
-pub use client::{retry_busy, ClientError, PipelinedClient};
+pub use client::{ClientError, PipelinedClient};
 pub use dispatch::{BatchPolicy, BatchQueue, Completion, CompletionSink, Job, Refusal};
 pub use metrics::{LatencyStats, Metrics, MetricsSnapshot};
 pub use protocol::{Dtype, ErrorCode, Frame, FrameError, FrameKind, WireScalar};

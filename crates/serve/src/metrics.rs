@@ -229,31 +229,30 @@ impl Metrics {
     }
 }
 
-/// Summarize latency samples (seconds in, milliseconds out). Percentiles
-/// use the nearest-rank method over a sorted copy. This is the exact
-/// client-side summarizer `fmm_serve bench` applies to its own samples
-/// (and the oracle the histogram percentiles are tested against).
-pub fn summarize(samples_secs: &[f64]) -> LatencyStats {
-    if samples_secs.is_empty() {
-        return LatencyStats::default();
-    }
-    let mut sorted: Vec<f64> = samples_secs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latency samples"));
-    let rank = |p: f64| -> f64 {
-        let idx = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-        sorted[idx] * 1e3
-    };
-    LatencyStats {
-        count: sorted.len(),
-        mean_ms: sorted.iter().sum::<f64>() / sorted.len() as f64 * 1e3,
-        p50_ms: rank(0.50),
-        p99_ms: rank(0.99),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The exact oracle the histogram percentiles are tested against:
+    /// latency samples (seconds in, milliseconds out) summarized with
+    /// nearest-rank percentiles over a sorted copy.
+    fn summarize(samples_secs: &[f64]) -> LatencyStats {
+        if samples_secs.is_empty() {
+            return LatencyStats::default();
+        }
+        let mut sorted: Vec<f64> = samples_secs.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latency samples"));
+        let rank = |p: f64| -> f64 {
+            let idx = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
+            sorted[idx] * 1e3
+        };
+        LatencyStats {
+            count: sorted.len(),
+            mean_ms: sorted.iter().sum::<f64>() / sorted.len() as f64 * 1e3,
+            p50_ms: rank(0.50),
+            p99_ms: rank(0.99),
+        }
+    }
 
     #[test]
     fn occupancy_and_latency_aggregate() {
@@ -296,7 +295,7 @@ mod tests {
     #[test]
     fn histogram_percentiles_match_exact_sort_oracle() {
         // The same samples through the histogram and through the exact
-        // nearest-rank summarizer the bench path uses: the histogram may
+        // nearest-rank oracle: the histogram may
         // only err upward, by at most one sub-bucket (12.5%).
         let m = Metrics::default();
         let mut secs = Vec::new();

@@ -78,6 +78,10 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 /// a CPU until one frees.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
+/// Requests whose latency reaches this record a `SlowRequest` event with
+/// their queue-wait and execute split.
+const SLOW_THRESHOLD: Duration = Duration::from_millis(250);
+
 /// Construction-time configuration of a [`Server`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -118,23 +122,15 @@ pub struct ServeConfig {
     /// leaves the current state alone (so a tracing server and a plain
     /// one can coexist in one process, as the benchmarks do).
     pub trace: bool,
-    /// Run the stall watchdog: one judging thread probes each dtype's
-    /// executor and records stall/recovery events and the
-    /// `fmm_watchdog_stalls_total` counter.
-    pub watchdog: bool,
-    /// A dtype's executor is judged stalled after this long without a
+    /// The stall watchdog's deadline: its one judging thread records
+    /// stall/recovery events and the `fmm_watchdog_stalls_total` counter,
+    /// and judges a dtype's executor stalled after this long without a
     /// completed batch while jobs are queued or its bit is held, so one
     /// batch that runs this long counts as a stall.
     pub watchdog_stall: Duration,
-    /// Dump an incident report and abort the process when a stall
-    /// persists this long. `None` = never abort.
-    pub watchdog_abort_after: Option<Duration>,
-    /// Requests whose latency reaches this threshold record a
-    /// `SlowRequest` event with their queue-wait and execute split.
-    pub slow_threshold: Duration,
     /// Directory incident dumps are written to (atomic temp+rename) on
-    /// SIGTERM/SIGINT, panic, or watchdog abort. `None` disables
-    /// capture-to-disk; the `Incident` wire frame works regardless.
+    /// SIGTERM/SIGINT or panic. `None` disables capture-to-disk; the
+    /// `Incident` wire frame works regardless.
     pub incident_dir: Option<String>,
 }
 
@@ -153,10 +149,7 @@ impl Default for ServeConfig {
             trace: std::env::var("FMM_TRACE")
                 .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
                 .unwrap_or(false),
-            watchdog: true,
             watchdog_stall: Duration::from_secs(1),
-            watchdog_abort_after: None,
-            slow_threshold: Duration::from_millis(250),
             incident_dir: None,
         }
     }
@@ -170,10 +163,10 @@ struct Executor<T: GemmScalar> {
 }
 
 impl<T: GemmScalar> Executor<T> {
-    fn new(name: &str, engine: Arc<FmmEngine<T>>, cap: usize, watchdog: Option<&Watchdog>) -> Self {
+    fn new(name: &str, engine: Arc<FmmEngine<T>>, cap: usize, watchdog: &Watchdog) -> Self {
         let queue = Arc::new(BatchQueue::new(cap));
         let probe = queue.clone();
-        watchdog.inspect(|wd| wd.register(name, move || probe.progress()));
+        watchdog.register(name, move || probe.progress());
         Self { queue, engine }
     }
 }
@@ -193,9 +186,9 @@ struct Shared {
     conns: Mutex<BTreeMap<u64, Arc<Conn>>>,
     /// Signalled whenever a connection leaves `conns`, and at the stop.
     conn_closed: Condvar,
-    /// The stall watchdog, when enabled — its component names and stall
-    /// counter feed every export and incident dump.
-    watchdog: Option<Watchdog>,
+    /// The stall watchdog: its component names and stall counter feed
+    /// every export and incident dump.
+    watchdog: Watchdog,
     /// Dumps already written this process (part of the dump filename, so
     /// a SIGTERM dump never overwrites a panic dump).
     incident_seq: AtomicU64,
@@ -286,9 +279,7 @@ impl Shared {
                 .counters
                 .extend(rows.map(|(stat, v)| (format!("fmm_serve_pool_{dtype}_{stat}"), v)));
         }
-        if let Some(wd) = &self.watchdog {
-            stats.counters.insert("fmm_watchdog_stalls_total".into(), wd.stalls_total());
-        }
+        stats.counters.insert("fmm_watchdog_stalls_total".into(), self.watchdog.stalls_total());
         stats.counters.insert("fmm_audit_samples_total".into(), fmm_obs::audit::samples_recorded());
         stats.counters.insert("fmm_audit_dropped_total".into(), fmm_obs::audit::samples_dropped());
         stats.gauges.insert("fmm_build_info".into(), 1);
@@ -299,7 +290,7 @@ impl Shared {
     }
 
     /// The incident document the `Incident` wire frame returns and
-    /// SIGTERM/SIGINT, panic, and watchdog-abort dumps write to
+    /// SIGTERM/SIGINT and panic dumps write to
     /// [`ServeConfig::incident_dir`].
     #[cold]
     fn incident(&self, trigger: &str) -> Incident {
@@ -311,9 +302,8 @@ impl Shared {
             ("max_conn_backlog_bytes", c.max_conn_backlog_bytes as u64),
             ("workers", c.workers as u64),
             ("batch_max", c.batch.max_batch as u64),
-            ("watchdog", u64::from(c.watchdog)),
             ("watchdog_stall_millis", c.watchdog_stall.as_millis() as u64),
-            ("slow_threshold_millis", c.slow_threshold.as_millis() as u64),
+            ("slow_threshold_millis", SLOW_THRESHOLD.as_millis() as u64),
         ];
         Incident {
             trigger: trigger.to_string(),
@@ -322,10 +312,10 @@ impl Shared {
                 addr: c.addr.clone(),
                 knobs: knobs.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
             },
-            watchdog: self.watchdog.as_ref().map(|wd| WatchdogRoster {
-                components: wd.component_names(),
-                stalls_total: wd.stalls_total(),
-            }),
+            watchdog: WatchdogRoster {
+                components: self.watchdog.component_names(),
+                stalls_total: self.watchdog.stalls_total(),
+            },
             events: recent_events(0),
             stats: self.snapshot(),
         }
@@ -361,7 +351,7 @@ pub struct ServerHandle {
     acceptor: JoinHandle<()>,
     /// The SIGTERM/SIGINT monitor, when incident dumps go to disk.
     monitor: Option<JoinHandle<()>>,
-    watchdog_handle: Option<WatchdogHandle>,
+    watchdog_handle: WatchdogHandle,
 }
 
 /// Namespace for constructing the daemon.
@@ -404,18 +394,15 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
 
-        let watchdog = config.watchdog.then(|| {
-            Watchdog::new(WatchdogConfig {
-                stall_after: config.watchdog_stall,
-                abort_after: config.watchdog_abort_after,
-                ..WatchdogConfig::default()
-            })
+        let watchdog = Watchdog::new(WatchdogConfig {
+            stall_after: config.watchdog_stall,
+            ..WatchdogConfig::default()
         });
 
         let capacity = config.queue_capacity;
         let shared = Arc::new(Shared {
-            f64: Executor::new("executor-f64", engine_f64, capacity, watchdog.as_ref()),
-            f32: Executor::new("executor-f32", engine_f32, capacity, watchdog.as_ref()),
+            f64: Executor::new("executor-f64", engine_f64, capacity, &watchdog),
+            f32: Executor::new("executor-f32", engine_f32, capacity, &watchdog),
             gate: Gate::default(),
             metrics: Arc::new(Metrics::default()),
             pools: IngestPools::new(POOL_RETAIN, POOL_RETAIN_BYTES),
@@ -434,14 +421,7 @@ impl Server {
                 .spawn(move || accept_connections(&shared, listener))
                 .expect("spawn acceptor")
         };
-        let watchdog_handle = shared.watchdog.as_ref().map(|wd| {
-            let dump = shared.clone();
-            wd.spawn(Box::new(move || {
-                // The watchdog-abort `Incident` event is already in the
-                // ring (the watchdog records it before aborting).
-                dump.write_incident("watchdog-abort");
-            }))
-        });
+        let watchdog_handle = shared.watchdog.spawn();
         let monitor =
             shared.config.incident_dir.is_some().then(|| install_incident_capture(&shared));
         Ok(ServerHandle { addr, shared, acceptor, monitor, watchdog_handle })
@@ -585,9 +565,7 @@ impl ServerHandle {
         if let Some(monitor) = self.monitor {
             let _ = monitor.join();
         }
-        if let Some(wd) = self.watchdog_handle {
-            wd.stop();
-        }
+        self.watchdog_handle.stop();
     }
 
     /// The incident document an `Incident` wire frame would return right
@@ -1001,7 +979,7 @@ fn run_batches<T: GemmScalar>(
         pool,
         metrics: &shared.metrics,
         conn: conn.id,
-        slow_threshold: shared.config.slow_threshold,
+        slow_threshold: SLOW_THRESHOLD,
     };
     let deliver = |sink: &Arc<dyn CompletionSink>, completion| {
         if std::ptr::addr_eq(Arc::as_ptr(sink), Arc::as_ptr(conn)) {

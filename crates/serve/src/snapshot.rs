@@ -493,12 +493,11 @@ pub struct WatchdogRoster {
 /// stats snapshot.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Incident {
-    /// `sigterm`, `sigint`, `panic`, `watchdog-abort` or `wire-request`.
+    /// `sigterm`, `sigint`, `panic` or `wire-request`.
     pub trigger: String,
     pub build: BuildInfo,
     pub config: ConfigPrint,
-    /// `None` when the daemon ran without a watchdog (`"watchdog": {}`).
-    pub watchdog: Option<WatchdogRoster>,
+    pub watchdog: WatchdogRoster,
     /// Both rings, oldest first.
     pub events: Vec<Logged>,
     pub stats: StatsSnapshot,
@@ -508,15 +507,11 @@ impl Document for Incident {
     fn to_value(&self) -> Value {
         let knobs = self.config.knobs.iter().map(|(k, v)| (k.as_str(), int(*v)));
         let config = object(knobs.chain([("addr", text(&self.config.addr))]));
-        let watchdog = self.watchdog.as_ref().map_or_else(
-            || object([]),
-            |wd| {
-                object([
-                    ("components", Value::Array(wd.components.iter().map(|c| text(c)).collect())),
-                    ("stalls_total", int(wd.stalls_total)),
-                ])
-            },
-        );
+        let wd = &self.watchdog;
+        let watchdog = object([
+            ("components", Value::Array(wd.components.iter().map(|c| text(c)).collect())),
+            ("stalls_total", int(wd.stalls_total)),
+        ]);
         object([
             ("schema", text(INCIDENT_SCHEMA)),
             ("trigger", text(&self.trigger)),
@@ -539,17 +534,13 @@ impl Document for Incident {
         }
         let config = f.object("config")?;
         let wd = f.object("watchdog")?;
-        let watchdog = if wd.map.is_empty() {
-            None
-        } else {
-            let components = wd.items("components")?;
-            Some(WatchdogRoster {
-                components: components
-                    .iter()
-                    .map(|(v, at)| string(v, at))
-                    .collect::<Result<_, _>>()?,
-                stalls_total: wd.u64("stalls_total")?,
-            })
+        let watchdog = WatchdogRoster {
+            components: wd
+                .items("components")?
+                .iter()
+                .map(|(v, at)| string(v, at))
+                .collect::<Result<_, _>>()?,
+            stalls_total: wd.u64("stalls_total")?,
         };
         Ok(Incident {
             trigger: f.text("trigger")?,

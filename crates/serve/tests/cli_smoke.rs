@@ -2,12 +2,16 @@
 //! in a child process on a free loopback port, every client subcommand
 //! against it as its own process, and — for the incident leg — a SIGTERM
 //! that must leave a dump `doctor` calls a clean exit. Every command must
-//! exit 0, and the documents they print must decode.
+//! exit 0, and the documents they print must decode. The load comes from
+//! client threads in the test, and every reply is checked against the
+//! in-process GEMM.
 //!
 //! The legs run one at a time (a local lock) so two daemons and their
-//! loadgens never share the machine at once.
+//! loads never share the machine at once.
 
-use fmm_serve::{Document, Incident, StatsSnapshot};
+use fmm_dense::{fill, norms, Matrix};
+use fmm_serve::{Document, Incident, PipelinedClient, StatsSnapshot, WireScalar};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -104,19 +108,62 @@ impl Daemon {
     }
 }
 
-/// The serving leg: `bench --verify` at f64, f32 and pipelined depth 8,
-/// then every reporting subcommand, then a clean client-requested
-/// shutdown whose exit summary is the full snapshot.
+/// Receive the reply to a sent `(id, A, B)` and check it against the
+/// in-process GEMM of the same operands.
+fn check_reply<T: WireScalar>(
+    client: &mut PipelinedClient,
+    (id, a, b): (u64, Matrix<T>, Matrix<T>),
+) {
+    let c = client.recv::<T>(id).unwrap_or_else(|e| panic!("{} request {id}: {e}", T::NAME));
+    assert_eq!((c.rows(), c.cols()), (a.rows(), b.cols()), "{} request {id}", T::NAME);
+    let mut want = Matrix::<T>::zeros(a.rows(), b.cols());
+    fmm_gemm::gemm(want.as_mut(), a.as_ref(), b.as_ref());
+    let err = norms::rel_error(c.as_ref(), want.as_ref());
+    let bound = T::accuracy_bound(a.cols(), 2);
+    assert!(err < bound, "{} request {id}: error {err} over the bound {bound}", T::NAME);
+}
+
+/// `threads` client threads, each on its own connection, each sending
+/// `requests` distinct `n×n×n` problems with up to `depth` in flight, and
+/// checking every reply.
+fn load<T: WireScalar>(addr: &str, threads: u64, requests: u64, n: usize, depth: usize) {
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            s.spawn(move || {
+                let mut client = PipelinedClient::connect(addr).expect("connect");
+                let mut in_flight = VecDeque::with_capacity(depth);
+                for r in 0..requests {
+                    let seed = 2 * (t * requests + r);
+                    let a = fill::bench_workload_t::<T>(n, n, seed + 1);
+                    let b = fill::bench_workload_t::<T>(n, n, seed + 2);
+                    in_flight.push_back((client.send(&a, &b).expect("send"), a, b));
+                    if in_flight.len() == depth {
+                        check_reply(&mut client, in_flight.pop_front().expect("a request"));
+                    }
+                }
+                in_flight.into_iter().for_each(|sent| check_reply(&mut client, sent));
+            });
+        }
+    });
+}
+
+/// The serving leg: a flag `serve` does not know exits 2 before binding;
+/// then load at f64, f32 and pipelined depth 8, every reporting
+/// subcommand, and a clean client-requested shutdown whose exit summary is
+/// the full snapshot.
 #[test]
 fn daemon_serves_every_subcommand() {
     let _leg = LEG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let out = fmm_serve().args(["serve", "--max-batch", "4"]).output().expect("run fmm_serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag --max-batch"), "{stderr}");
+
     let daemon = Daemon::spawn(&["--watchdog-stall-ms", "500"]);
     daemon.run("ping", &["--count", "1"]);
-    let sized = ["--threads", "4", "--requests", "16", "--size", "64", "--verify"];
-    daemon.run("bench", &sized);
-    daemon.run("bench", &[&sized[..], &["--dtype", "f32"]].concat());
-    let pipelined = ["--threads", "2", "--requests", "32", "--size", "48", "--pipeline", "8"];
-    daemon.run("bench", &[&pipelined[..], &["--verify"]].concat());
+    load::<f64>(&daemon.addr, 4, 16, 64, 1);
+    load::<f32>(&daemon.addr, 4, 16, 64, 1);
+    load::<f64>(&daemon.addr, 2, 32, 48, 8);
 
     let stats = daemon.stats();
     for name in [
@@ -171,8 +218,7 @@ fn sigterm_dump_doctors_to_a_clean_exit() {
         "--incident-dir",
         dir.to_str().expect("UTF-8 path"),
     ]);
-    let load = ["--threads", "4", "--requests", "16", "--size", "64", "--pipeline", "4"];
-    daemon.run("bench", &[&load[..], &["--verify"]].concat());
+    load::<f64>(&daemon.addr, 4, 16, 64, 4);
     assert!(daemon.run("stats", &["--prom"]).contains("fmm_build_info"));
     let stats = daemon.stats();
     for field in [&stats.build.version, &stats.build.git_hash, &stats.build.kernel_f64] {
@@ -200,7 +246,7 @@ fn sigterm_dump_doctors_to_a_clean_exit() {
     let doc = Incident::from_json(&text).expect("the dump decodes as an incident");
     assert_eq!(doc.trigger, "sigterm");
     assert!(doc.events.iter().any(|l| l.event.kind.always_on()), "no always-on event in the dump");
-    assert!(doc.watchdog.is_some_and(|wd| !wd.components.is_empty()), "watchdog roster empty");
+    assert!(!doc.watchdog.components.is_empty(), "watchdog roster empty");
 
     let out = fmm_serve().arg("doctor").arg(dump).output().expect("run doctor");
     let report = String::from_utf8_lossy(&out.stdout);

@@ -177,7 +177,7 @@ fn stats_and_incident_round_trip_through_json() {
     let incident = client.incident().expect("incident");
     let spans = incident.events.iter().filter(|l| !l.event.kind.always_on()).count();
     assert!(spans > 0 && spans < incident.events.len(), "spans and always-on events both dumped");
-    assert!(incident.watchdog.as_ref().is_some_and(|wd| !wd.components.is_empty()));
+    assert!(!incident.watchdog.components.is_empty());
     assert_eq!(Incident::from_json(&incident.to_json()), Ok(incident));
     handle.shutdown();
 }
@@ -187,6 +187,7 @@ fn malformed_documents_fail_naming_the_key() {
     let handle = spawn_server(ServeConfig::default());
     run_multiplies(handle.addr(), 1);
     let text = handle.stats().to_json();
+    let incident = handle.incident().to_json();
     handle.shutdown();
 
     // Without `counters`: the error names the section, not a zero.
@@ -211,6 +212,14 @@ fn malformed_documents_fail_naming_the_key() {
         }
     );
     assert!(err.to_string().contains("counters.fmm_serve_requests_total"), "{err}");
+
+    // The watchdog always runs, so an incident whose roster is `{}`
+    // names the missing key.
+    let start = incident.find("  \"watchdog\": {").expect("watchdog section");
+    let end = start + incident[start..].find("\n  }").expect("end of watchdog") + 4;
+    let without = format!("{}  \"watchdog\": {{}}{}", &incident[..start], &incident[end..]);
+    let err = Incident::from_json(&without).expect_err("empty watchdog roster");
+    assert_eq!((err.key.as_str(), err.reason.as_str()), ("watchdog.components", "missing"));
 }
 
 #[test]

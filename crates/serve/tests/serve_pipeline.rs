@@ -3,14 +3,14 @@
 //! matched by request id, slow-loris resistance of the per-connection
 //! threads, reclaiming closed connections and their threads, the
 //! acceptor's back-off when descriptors run out, the zero-allocation warm
-//! ingest path, version refusal, and the `retry_busy` backoff helper
-//! against real backpressure.
+//! ingest path, version refusal, and clients that retry on `Busy`
+//! riding out real backpressure.
 
 use fmm_dense::{fill, norms, Matrix};
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
 use fmm_model::ArchParams;
 use fmm_serve::protocol::{self, FrameKind, HEADER_LEN, HEADER_PREFIX_LEN, VERSION_V2};
-use fmm_serve::{retry_busy, BatchPolicy, ErrorCode, PipelinedClient};
+use fmm_serve::{BatchPolicy, ErrorCode, PipelinedClient};
 use fmm_serve::{ServeConfig, Server, ServerHandle, StatsSnapshot};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -639,10 +639,10 @@ fn unknown_and_retired_versions_get_a_typed_refusal() {
 }
 
 #[test]
-fn retry_busy_rides_out_real_backpressure() {
+fn busy_retries_ride_out_real_backpressure() {
     // A 1-deep queue with one-at-a-time dispatch: a concurrent flood
-    // must see Busy refusals, and retry_busy must carry every request
-    // through anyway.
+    // must see Busy refusals, and clients that re-send on Busy must get
+    // every request through anyway.
     let handle = spawn_pinned(ServeConfig {
         batch: BatchPolicy { window: Duration::ZERO, max_batch: 1 },
         queue_capacity: 1,
@@ -656,8 +656,15 @@ fn retry_busy_rides_out_real_backpressure() {
                 let mut client = PipelinedClient::connect(addr).expect("connect");
                 let a = fill::bench_workload(40, 40, 1000 + t);
                 let b = fill::bench_workload(40, 40, 2000 + t);
-                let c = retry_busy(12, Duration::from_millis(2), t, || client.multiply(&a, &b))
-                    .expect("retries exhausted while the queue stayed full");
+                let deadline = Instant::now() + Duration::from_secs(30);
+                let c = loop {
+                    match client.multiply(&a, &b) {
+                        Err(e) if e.is_busy() && Instant::now() < deadline => {
+                            thread::sleep(Duration::from_millis(2))
+                        }
+                        served => break served.expect("the queue stayed full for 30 s"),
+                    }
+                };
                 let c_ref = fmm_gemm::reference::matmul(a.as_ref(), b.as_ref());
                 assert!(norms::rel_error(c.as_ref(), c_ref.as_ref()) < 1e-12);
             });

@@ -34,7 +34,6 @@ fn spawn_watched() -> ServerHandle {
     Server::spawn_with_engines(
         ServeConfig {
             batch: BatchPolicy { window: Duration::from_millis(2), max_batch: 8 },
-            watchdog: true,
             // Short stall deadline so the wedge test converges fast; the
             // healthy test must stay quiet even at this sensitivity.
             watchdog_stall: Duration::from_millis(150),
@@ -79,7 +78,7 @@ fn wedged_executor_is_detected_and_named() {
     // The stall must be attributable: a `WatchdogStall` event whose
     // component id resolves to an executor in the incident dump roster.
     let doc = handle.incident();
-    let names = &doc.watchdog.as_ref().expect("watchdog section lists components").components;
+    let names = &doc.watchdog.components;
     let stalled = notable_events(&doc)
         .into_iter()
         .find(|e| e.kind == Kind::WatchdogStall)
@@ -158,7 +157,7 @@ fn healthy_daemon_has_zero_stall_verdicts() {
     // Incident dump over the wire: schema-tagged, always-on events
     // populated, both executors on the watchdog roster.
     let doc = client.incident().expect("incident frame decodes, schema tag included");
-    let names = &doc.watchdog.as_ref().expect("watchdog roster present").components;
+    let names = &doc.watchdog.components;
     assert_eq!(names.len(), 2, "the 2 executors on the roster: {names:?}");
     assert!(!notable_events(&doc).is_empty(), "the always-on ring captured the load");
     assert!(!doc.build.version.is_empty() && !doc.build.kernel_f64.is_empty());

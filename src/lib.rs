@@ -25,7 +25,7 @@
 //!   (Benson–Ballard-style task parallelism across submultiplications);
 //! * [`tune`] — host calibration of the model's machine constants
 //!   (measured once per process, never persisted);
-//! * [`engine`] — the long-lived, cached, model-routed execution engine
+//! * [`engine`](mod@engine) — the long-lived, cached, model-routed execution engine
 //!   with the batched [`multiply_batch`] entry point;
 //! * [`serve`] — the multi-client TCP serving daemon: a length-prefixed
 //!   binary frame protocol, connection readers that flat-combine each
