@@ -57,15 +57,11 @@ use std::time::{Duration, Instant};
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = argv.first() else {
-        eprintln!("usage: fmm_serve <serve|ping|stats|audit|top|trace|doctor|shutdown> [options]");
-        std::process::exit(2);
+        usage("usage: fmm_serve <serve|ping|stats|audit|top|trace|doctor|shutdown> [options]")
     };
     if command == "doctor" {
         // `doctor` takes a positional dump path, not the shared flag bag.
-        let Some(path) = argv.get(1) else {
-            eprintln!("usage: fmm_serve doctor INCIDENT.json");
-            std::process::exit(2);
-        };
+        let Some(path) = argv.get(1) else { usage("usage: fmm_serve doctor INCIDENT.json") };
         cmd_doctor(path);
         return;
     }
@@ -78,12 +74,9 @@ fn main() {
         "top" => cmd_top(&opts),
         "trace" => cmd_trace(&opts),
         "shutdown" => cmd_shutdown(&opts),
-        other => {
-            eprintln!(
-                "unknown command {other:?} (serve|ping|stats|audit|top|trace|doctor|shutdown)"
-            );
-            std::process::exit(2);
-        }
+        other => usage(&format!(
+            "unknown command {other:?} (serve|ping|stats|audit|top|trace|doctor|shutdown)"
+        )),
     }
 }
 
@@ -117,7 +110,7 @@ impl Options {
         let mut args = argv.iter();
         while let Some(flag) = args.next() {
             let mut value =
-                || args.next().unwrap_or_else(|| panic!("{flag} takes a value")).clone();
+                || args.next().cloned().unwrap_or_else(|| usage(&format!("{flag} takes a value")));
             match flag.as_str() {
                 "--addr" => o.addr = value(),
                 "--count" => o.count = number(flag, value()),
@@ -128,19 +121,23 @@ impl Options {
                 "--once" => o.once = true,
                 "--incident-dir" => o.incident_dir = Some(value()),
                 "--watchdog-stall-ms" => o.watchdog_stall_ms = number(flag, value()),
-                other => {
-                    eprintln!("unknown flag {other}");
-                    std::process::exit(2);
-                }
+                other => usage(&format!("unknown flag {other}")),
             }
         }
         o
     }
 }
 
-/// A flag's numeric value; a malformed one is fatal, like a missing one.
+/// A flag's numeric value; a malformed one is a usage error, like a
+/// missing one.
 fn number<T: std::str::FromStr>(flag: &str, value: String) -> T {
-    value.parse().unwrap_or_else(|_| panic!("{flag} takes a number, got {value:?}"))
+    value.parse().unwrap_or_else(|_| usage(&format!("{flag} takes a number, got {value:?}")))
+}
+
+/// A usage error: one line on stderr, exit 2.
+fn usage(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
 }
 
 fn cmd_serve(o: &Options) {

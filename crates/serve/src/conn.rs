@@ -1,10 +1,13 @@
 //! The inbound half of a connection: [`read_event`] reads one frame with
 //! blocking reads and turns it into the [`InEvent`] the server acts on.
 //!
-//! The header comes through [`protocol::read_header`], the reader clients
-//! use too. A request's prelude is validated before its operands are read,
-//! and the `A`/`B` bytes are read straight into pooled buffers — one copy
-//! off the wire. Malformed input follows the protocol contract:
+//! The server reads through a per-connection head buffer, a `BufReader` of
+//! [`HEAD_BUF`] bytes, so a request's header and prelude arrive in one read, and whatever came along with them is consumed from
+//! the buffer before the socket is read again. The header comes through
+//! [`protocol::read_header`], the reader clients use too. A request's
+//! prelude is validated before its operands are read, and the `A`/`B`
+//! bytes are read straight into pooled buffers in one vectored-read loop —
+//! one copy off the wire. Malformed input follows the protocol contract:
 //! payload-level problems (bad dtype, dimension mismatch, over-cap result)
 //! skip the rest of the payload and yield a recoverable error event;
 //! framing-level corruption (bad magic/version/kind, over-cap declaration)
@@ -13,14 +16,23 @@
 //! These paths parse untrusted network bytes, so they carry the same
 //! machine-checked panic-freedom contract as `protocol`: [`read_event`]
 //! and `small_frame_event` deny the same clippy lints.
+//!
+//! The module also holds the one write the reader makes, `NoWait`: a
+//! vectored send that never blocks and leaves the socket blocking for the
+//! writer thread.
 
 use crate::buffers::{IngestPools, OperandStage};
 use crate::protocol::{
     self, ErrorCode, FrameError, FrameHead, FrameKind, RequestDims, HEADER_LEN, HEADER_PREFIX_LEN,
     REQUEST_PRELUDE,
 };
-use std::io::{self, Read};
+use std::io::{self, BufReader, IoSlice, IoSliceMut, Read, Write};
 use std::net::TcpStream;
+
+/// Bytes of a connection's head buffer (the `BufReader` the server reads
+/// through): room for a request's header and prelude (31 bytes) and what
+/// arrives behind them.
+pub const HEAD_BUF: usize = 256;
 
 /// One fully decoded inbound frame, ready for the server to act on.
 #[derive(Debug)]
@@ -84,7 +96,8 @@ pub enum InEvent {
 
 /// Read one inbound frame from `r`, enforcing `max_payload`. `Ok(None)` is
 /// a clean close at a frame boundary; `Err` is a transport error, or
-/// `UnexpectedEof` for a stream that ends inside a frame.
+/// `UnexpectedEof` for a stream that ends inside a frame. The server's `r`
+/// is its connection's head buffer.
 #[deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -124,8 +137,7 @@ pub fn read_event(
         Ok(dims) => {
             let mut operands = OperandStage::acquire(pools, dims);
             let (a, b) = operands.bytes_mut();
-            r.read_exact(a)?;
-            r.read_exact(b)?;
+            read_operands(r, a, b)?;
             operands.wire_to_host();
             Ok(Some(InEvent::Request { head, dims, operands }))
         }
@@ -140,6 +152,24 @@ pub fn read_event(
             Ok(Some(InEvent::Bad { request_id, code: ErrorCode::Malformed, message, fatal: false }))
         }
     }
+}
+
+/// Fill `a` then `b` from `r` in one vectored-read loop, retrying
+/// `Interrupted`. Empty operands are skipped before the first read, so a
+/// `k = 0` request, whose operands are both empty, reads nothing.
+fn read_operands(r: &mut impl Read, a: &mut [u8], b: &mut [u8]) -> io::Result<()> {
+    let mut parts = [IoSliceMut::new(a), IoSliceMut::new(b)];
+    let mut left = &mut parts[..];
+    IoSliceMut::advance_slices(&mut left, 0);
+    while !left.is_empty() {
+        match r.read_vectored(left) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => IoSliceMut::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Classify a fully buffered small frame into its event.
@@ -208,28 +238,60 @@ fn small_frame_event(head: FrameHead, payload: Vec<u8>) -> InEvent {
     }
 }
 
-/// Whether `stream`'s receive buffer already holds the whole next frame,
-/// so reading it cannot block: its peeked header declares a payload the
-/// buffered bytes cover. Probed without blocking or consuming anything;
-/// `false` where the probe fails.
-pub fn frame_buffered(stream: &TcpStream) -> bool {
+/// Whether the whole next frame is already here, so reading it cannot
+/// block: its header, taken from the head buffer and peeked from the
+/// socket past it, declares a payload that the bytes held in the buffer
+/// and the socket's receive buffer cover. Probed without blocking or
+/// consuming anything, and without a system call when the buffer holds
+/// the frame; `false` where the probe fails.
+pub fn frame_buffered(reader: &BufReader<&TcpStream>) -> bool {
+    let held = reader.buffer();
+    let frame_len =
+        |prefix: &[u8]| protocol::le_bytes(prefix, HEADER_PREFIX_LEN - 4).map(u32::from_le_bytes);
+    if let Some(len) = frame_len(held) {
+        if held.len() >= HEADER_LEN + len as usize {
+            return true;
+        }
+    }
+    let stream = *reader.get_ref();
     let buffered = match sys::buffered(stream) {
-        Some(n) if n >= HEADER_LEN => n,
+        Some(n) if held.len() + n >= HEADER_LEN => held.len() + n,
         _ => return false,
     };
     let mut prefix = [0; HEADER_PREFIX_LEN];
-    // At least a header is buffered, so the peek returns at once.
-    let payload = match stream.peek(&mut prefix) {
-        Ok(HEADER_PREFIX_LEN) => protocol::le_bytes(&prefix, HEADER_PREFIX_LEN - 4),
-        _ => None,
+    let from_held = held.len().min(HEADER_PREFIX_LEN);
+    prefix[..from_held].copy_from_slice(&held[..from_held]);
+    // At least a header is here, so the peek returns at once.
+    let peeked = match stream.peek(&mut prefix[from_held..]) {
+        Ok(n) => n == HEADER_PREFIX_LEN - from_held,
+        Err(_) => false,
     };
-    payload.is_some_and(|len| buffered - HEADER_LEN >= u32::from_le_bytes(len) as usize)
+    peeked && frame_len(&prefix).is_some_and(|len| buffered - HEADER_LEN >= len as usize)
+}
+
+/// A connection's socket written without blocking, for the reader's write
+/// under the write claim: what the socket will not take at once is
+/// `WouldBlock`, and the descriptor stays blocking for the writer thread.
+pub(crate) struct NoWait<'a>(pub &'a TcpStream);
+
+impl Write for NoWait<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.write_vectored(&[IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        sys::send_nowait(self.0, bufs)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 #[cfg(unix)]
 mod sys {
-    //! `ioctl(2)` with `FIONREAD`, hand-declared like the signal shim in
-    //! `incident`: no libc crate.
+    //! `ioctl(2)` with `FIONREAD`, and on Linux `sendmsg(2)`, hand-declared
+    //! like the signal shim in `incident`: no libc crate.
 
     use std::ffi::{c_int, c_ulong};
     use std::net::TcpStream;
@@ -253,6 +315,63 @@ mod sys {
         let rc = unsafe { ioctl(stream.as_raw_fd(), FIONREAD, &mut count as *mut c_int) };
         usize::try_from(count).ok().filter(|_| rc == 0)
     }
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    pub use linux::send_nowait;
+
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    pub use super::toggle::send_nowait;
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    mod linux {
+        use std::ffi::{c_int, c_void};
+        use std::io::{self, IoSlice};
+        use std::net::TcpStream;
+        use std::os::fd::AsRawFd;
+
+        const MSG_DONTWAIT: c_int = 0x40;
+        const MSG_NOSIGNAL: c_int = 0x4000;
+
+        /// The kernel's `struct msghdr`, whose lengths are `size_t` (musl
+        /// declares them `int` beside zeroed padding, which reads the
+        /// same).
+        #[repr(C)]
+        struct MsgHdr {
+            name: *mut c_void,
+            name_len: u32,
+            iov: *const IoSlice<'static>,
+            iov_len: usize,
+            control: *mut c_void,
+            control_len: usize,
+            flags: c_int,
+        }
+
+        extern "C" {
+            fn sendmsg(fd: c_int, msg: *const MsgHdr, flags: c_int) -> isize;
+        }
+
+        /// One vectored send that fails with `WouldBlock` where the socket
+        /// would block, and with `EPIPE` rather than a signal on a closed
+        /// peer.
+        pub fn send_nowait(stream: &TcpStream, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let msg = MsgHdr {
+                name: std::ptr::null_mut(),
+                name_len: 0,
+                iov: bufs.as_ptr().cast(),
+                iov_len: bufs.len(),
+                control: std::ptr::null_mut(),
+                control_len: 0,
+                flags: 0,
+            };
+            // SAFETY: the descriptor is a live socket borrowed from
+            // `stream` for the call; `msg` names no address and no control
+            // data, and its `iov` points at `bufs`, whose `IoSlice`s are
+            // ABI-compatible with `struct iovec` and outlive the call. The
+            // kernel only reads through the pointers.
+            let sent = unsafe { sendmsg(stream.as_raw_fd(), &msg, MSG_DONTWAIT | MSG_NOSIGNAL) };
+            usize::try_from(sent).map_err(|_| io::Error::last_os_error())
+        }
+    }
 }
 
 #[cfg(not(unix))]
@@ -260,6 +379,23 @@ mod sys {
     //! No probe.
     pub fn buffered(_: &std::net::TcpStream) -> Option<usize> {
         None
+    }
+
+    pub use super::toggle::send_nowait;
+}
+
+/// Targets without the `sendmsg` shim switch the socket to nonblocking
+/// around each send.
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+mod toggle {
+    use std::io::{self, IoSlice, Write};
+    use std::net::TcpStream;
+
+    pub fn send_nowait(mut stream: &TcpStream, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        stream.set_nonblocking(true)?;
+        let sent = stream.write_vectored(bufs);
+        stream.set_nonblocking(false)?;
+        sent
     }
 }
 
@@ -370,19 +506,8 @@ mod tests {
 
     #[test]
     fn a_frame_header_is_consumed_by_one_read() {
-        /// Counts `read` calls and records the size each one asked for.
-        struct Counting {
-            inner: Cursor<Vec<u8>>,
-            asked: Vec<usize>,
-        }
-        impl Read for Counting {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                self.asked.push(buf.len());
-                self.inner.read(buf)
-            }
-        }
-
-        // Two frames back to back: reads must not cross the boundary.
+        // Two frames back to back, read without a head buffer: reads must
+        // not cross the boundary.
         let mut wire = Vec::new();
         frame(&mut wire, 7, FrameKind::Ping, b"hi");
         frame(&mut wire, 9, FrameKind::Ping, b"");
@@ -471,9 +596,16 @@ mod tests {
         let b = fill::bench_workload(3, 4, 2);
         let a32 = fill::bench_workload_t::<f32>(2, 6, 3);
         let b32 = fill::bench_workload_t::<f32>(6, 3, 4);
+        // k = 0: both operands empty.
+        let (a0, b0) = (fill::bench_workload(6, 0, 5), fill::bench_workload(0, 4, 6));
+        // A whole frame shorter than the head buffer: the read for its
+        // header pulls in bytes of the frame after it.
+        let (a1, b1) = (fill::bench_workload(2, 1, 7), fill::bench_workload(1, 2, 8));
         let frames: Vec<(FrameKind, Vec<u8>)> = vec![
             (FrameKind::Request, protocol::encode_request(&a, &b)),
             (FrameKind::Request, protocol::encode_request(&a32, &b32)),
+            (FrameKind::Request, protocol::encode_request(&a0, &b0)),
+            (FrameKind::Request, protocol::encode_request(&a1, &b1)),
             (FrameKind::Ping, b"hi".to_vec()),
             (FrameKind::StatsJson, b"json".to_vec()),
             (FrameKind::StatsJson, b"prometheus".to_vec()),
@@ -509,11 +641,13 @@ mod tests {
         }
     }
 
-    /// Every event `r` yields until it closes or fails.
-    fn read_all(r: &mut impl Read, pools: &IngestPools) -> (Vec<String>, io::Result<()>) {
+    /// Every event `r` yields through a head buffer, as the server reads
+    /// it, until it closes or fails.
+    fn read_all(r: impl Read, pools: &IngestPools) -> (Vec<String>, io::Result<()>) {
+        let mut r = BufReader::with_capacity(HEAD_BUF, r);
         let mut events = Vec::new();
         loop {
-            match read_event(r, 1 << 20, pools) {
+            match read_event(&mut r, 1 << 20, pools) {
                 Ok(Some(event)) => events.push(describe(&event)),
                 Ok(None) => return (events, Ok(())),
                 Err(e) => return (events, Err(e)),
@@ -525,21 +659,24 @@ mod tests {
     fn fault_injected_reads_decode_like_one_shot() {
         let (wire, _) = every_kind_stream();
         let pools = IngestPools::new(8, usize::MAX);
-        let (want, end) = read_all(&mut Cursor::new(&wire), &pools);
+        let (want, end) = read_all(Cursor::new(&wire), &pools);
         assert!(end.is_ok(), "{end:?}");
-        assert_eq!(want.len(), 13, "{want:#?}");
+        assert_eq!(want.len(), 15, "{want:#?}");
         for (i, needle) in [
             (0, "Request"),
             (1, "F32"),
-            (5, "stats-json payload"),
-            (8, "got 3"),
-            (11, "dtype 9"),
-            (12, "not a client request"),
+            (2, "m: 6, k: 0, n: 4"),
+            (3, "m: 2, k: 1, n: 2"),
+            (4, "Ping"),
+            (7, "stats-json payload"),
+            (10, "got 3"),
+            (13, "dtype 9"),
+            (14, "not a client request"),
         ] {
             assert!(want[i].contains(needle), "event {i}: {}", want[i]);
         }
         for seed in 0..256 {
-            let (got, end) = read_all(&mut Faulty::new(Cursor::new(&wire), seed), &pools);
+            let (got, end) = read_all(Faulty::new(Cursor::new(&wire), seed), &pools);
             assert!(end.is_ok(), "seed {seed}: {end:?}");
             assert_eq!(got, want, "seed {seed}");
         }
@@ -551,7 +688,7 @@ mod tests {
         let pools = IngestPools::new(8, usize::MAX);
         for cut in 0..=wire.len() {
             let cut_wire = Cursor::new(&wire[..cut]);
-            let (events, end) = read_all(&mut Faulty::new(cut_wire, cut as u64), &pools);
+            let (events, end) = read_all(Faulty::new(cut_wire, cut as u64), &pools);
             let whole = ends.iter().position(|&e| e >= cut).unwrap();
             match end {
                 Ok(()) => assert_eq!(ends[whole], cut, "clean close only at a frame boundary"),
@@ -559,5 +696,98 @@ mod tests {
             }
             assert_eq!(events.len(), whole.min(ends.len() - 1) - usize::from(ends[whole] > cut));
         }
+    }
+
+    /// Counts `read` calls and records the size each one asked for.
+    struct Counting {
+        inner: Cursor<Vec<u8>>,
+        asked: Vec<usize>,
+    }
+
+    impl Read for Counting {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.asked.push(buf.len());
+            self.inner.read(buf)
+        }
+
+        fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> io::Result<usize> {
+            self.asked.push(bufs.iter().map(|b| b.len()).sum());
+            self.inner.read_vectored(bufs)
+        }
+    }
+
+    #[test]
+    fn a_request_takes_two_reads_through_the_head_buffer() {
+        // A request whose operands outrun the head buffer, then two pings.
+        let a = fill::bench_workload(16, 16, 1);
+        let b = fill::bench_workload(16, 16, 2);
+        let mut wire = request_wire(1, &a, &b);
+        frame(&mut wire, 2, FrameKind::Ping, b"hi");
+        frame(&mut wire, 3, FrameKind::Ping, b"");
+        let counting = Counting { inner: Cursor::new(wire), asked: Vec::new() };
+        let mut src = BufReader::with_capacity(HEAD_BUF, counting);
+        let pools = IngestPools::new(8, usize::MAX);
+        let ids: Vec<u64> = (0..3)
+            .map(|_| match read_event(&mut src, 1 << 20, &pools) {
+                Ok(Some(InEvent::Request { head, .. } | InEvent::Ping { head, .. })) => {
+                    head.request_id
+                }
+                other => panic!("unexpected event: {other:?}"),
+            })
+            .collect();
+        assert_eq!(ids, [1, 2, 3]);
+        // Header and prelude come with the head buffer's first read; the
+        // operand bytes it holds past them are copied out, and the rest of
+        // both operands comes in one vectored read. Both pings then arrive
+        // in one read.
+        let operands = 2 * 16 * 16 * 8;
+        let past_prelude = HEAD_BUF - HEADER_LEN - REQUEST_PRELUDE;
+        assert_eq!(src.get_ref().asked, [HEAD_BUF, operands - past_prelude, HEAD_BUF]);
+    }
+
+    #[test]
+    fn frame_buffered_counts_what_the_head_buffer_holds() {
+        use std::net::TcpListener;
+        use std::time::{Duration, Instant};
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let arrived = |n: usize| {
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while sys::buffered(&server).unwrap_or(0) < n {
+                assert!(Instant::now() < deadline, "{n} bytes never arrived");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let mut wire = Vec::new();
+        for (id, payload) in [(1, &b"hi"[..]), (2, b""), (3, b"x")] {
+            frame(&mut wire, id, FrameKind::Ping, payload);
+        }
+        // All of pings 1 and 2, and the first 5 bytes of ping 3's prefix.
+        let split = HEADER_LEN + 2 + HEADER_LEN + 5;
+        peer.write_all(&wire[..split]).unwrap();
+        arrived(split);
+
+        let mut inbound = BufReader::with_capacity(HEAD_BUF, &server);
+        let pools = IngestPools::new(8, usize::MAX);
+        let next_id =
+            |inbound: &mut BufReader<&TcpStream>| match read_event(inbound, 1 << 20, &pools) {
+                Ok(Some(InEvent::Ping { head, .. })) => head.request_id,
+                other => panic!("expected a ping, got {other:?}"),
+            };
+        assert_eq!(next_id(&mut inbound), 1);
+        assert_eq!(sys::buffered(&server), Some(0), "the first read took everything sent");
+        assert!(frame_buffered(&inbound), "ping 2 is in the head buffer");
+        assert_eq!(next_id(&mut inbound), 2);
+        assert!(!frame_buffered(&inbound), "only 5 bytes of ping 3 are here");
+
+        // The rest of ping 3's prefix is in the socket, its first five
+        // bytes in the head buffer.
+        peer.write_all(&wire[split..]).unwrap();
+        arrived(wire.len() - split);
+        assert!(frame_buffered(&inbound), "ping 3 is split between buffer and socket");
+        assert_eq!(next_id(&mut inbound), 3);
+        assert!(!frame_buffered(&inbound));
     }
 }

@@ -4,20 +4,23 @@
 //! Threading model: the acceptor starts each connection's reader, which
 //! starts its writer. The reader decodes frames with blocking reads
 //! ([`read_event`]) straight into pooled buffers — one copy off the wire —
-//! runs admission control, pushes each admitted request onto its dtype's
-//! queue and combines on the queues it pushed to ([`dispatch::combine`]):
-//! if it wins a dtype's executor bit it runs batches, everyone's jobs with
-//! its own, until the queue is empty, and queues each result for its
-//! connection (the connection is its requests' [`CompletionSink`]),
-//! waking that connection's writer unless the connection is its own; if
-//! it loses, the holder runs its job. Its own results are handed to its
-//! writer when more batches follow, and otherwise written by the reader
-//! after the turn, under the connection's write claim (which the writer
-//! takes around each write) with the socket nonblocking: what the socket
-//! will not take at once is left to the writer, so no reader blocks on its
-//! peer. A lone request crosses client, reader, client. A reader whose
-//! socket already holds the whole next frame pushes without combining and
-//! reads on, so a pipelining connection's requests share a batch.
+//! through a small head buffer, so a lone request takes two reads: header
+//! and prelude, then both operands. It runs admission control, pushes each
+//! admitted request onto its dtype's queue and combines on the queues it
+//! pushed to ([`dispatch::combine`]): if it wins a dtype's executor bit it
+//! runs batches, everyone's jobs with its own, until the queue is empty,
+//! and queues each result for its connection (the connection is its
+//! requests' [`CompletionSink`]), waking that connection's writer unless
+//! the connection is its own; if it loses, the holder runs its job. Its
+//! own results are handed to its writer when more batches follow, and
+//! otherwise written by the reader after the turn, under the connection's
+//! write claim (which the writer takes around each write), one send per
+//! reply that asks the socket not to block while the socket itself stays
+//! blocking: what the socket will not take at once is left to the writer,
+//! so no reader blocks on its peer. A lone request crosses client, reader,
+//! client. A reader whose head buffer and socket already hold the whole
+//! next frame pushes without combining and reads on, so a pipelining
+//! connection's requests share a batch.
 //!
 //! A slow peer blocks only its own connection's writer: a combiner never
 //! writes to another connection's socket, and its reader stops reading
@@ -38,7 +41,7 @@
 //! drain deadline the remaining sockets are shut down both ways.
 
 use crate::buffers::{BufferPool, IngestPools, OperandStage, PooledBuf, WireBuf};
-use crate::conn::{self, read_event, InEvent};
+use crate::conn::{self, read_event, InEvent, NoWait};
 use crate::dispatch::{
     self, BatchPolicy, BatchQueue, BatchRunner, Completion, CompletionSink, Gate, Job, Refusal,
 };
@@ -55,7 +58,7 @@ use fmm_gemm::{BlockingParams, GemmScalar};
 use fmm_obs::trace::{self, Event, IncidentTrigger, Kind, RefusalReason};
 use fmm_obs::{Watchdog, WatchdogConfig, WatchdogHandle};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, IoSlice, Write};
+use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -769,16 +772,16 @@ impl Conn {
     }
 
     /// Write the queued replies on the calling reader after its combining
-    /// turn, if the write claim is free, without blocking: the socket is
-    /// nonblocking while the reader holds the claim (no other thread writes
-    /// it then, and the reader is not reading it), and what it will not
-    /// take at once is left to the writer. A reader blocked writing to a
-    /// peer that is blocked sending to it would stall both.
+    /// turn, if the write claim is free, without blocking: each send asks
+    /// the socket to take what it can at once ([`NoWait`]) and leaves the
+    /// descriptor blocking, and what it will not take is left to the
+    /// writer. A reader blocked writing to a peer that is blocked sending
+    /// to it would stall both. Each reply's result buffer is back in its
+    /// pool when this returns, before the reader reads the next frame.
     fn write_owed(&self) {
         let Some(mut reply) = claim_reply(&mut self.lock()) else { return };
-        let _ = self.stream.set_nonblocking(true);
         let sent = loop {
-            match send(&self.stream, reply) {
+            match send(NoWait(&self.stream), reply) {
                 Ok(None) => {}
                 unsent => break unsent,
             }
@@ -787,7 +790,6 @@ impl Conn {
                 None => break Ok(None),
             }
         };
-        let _ = self.stream.set_nonblocking(false);
         self.end_write(sent);
     }
 
@@ -909,7 +911,7 @@ impl Drop for Reap<'_> {
 /// reply ends the conversation. Returns the requests admitted.
 fn read_requests(shared: &Shared, conn: &Arc<Conn>) -> u64 {
     let config = &shared.config;
-    let mut stream = &conn.stream;
+    let mut inbound = BufReader::with_capacity(conn::HEAD_BUF, &conn.stream);
     // Requests admitted, and the dtypes (`Dtype` bits) whose queues this
     // reader pushed to since it last combined.
     let (mut requests, mut pushed) = (0, 0);
@@ -917,7 +919,7 @@ fn read_requests(shared: &Shared, conn: &Arc<Conn>) -> u64 {
         // Pushed jobs are combined before a read that may block; while the
         // whole next frame is already here, they wait to share its batch.
         if pushed != 0
-            && !(conn::frame_buffered(stream)
+            && !(conn::frame_buffered(&inbound)
                 && conn.lock().backlog <= config.max_conn_backlog_bytes)
         {
             combine(shared, conn, pushed);
@@ -926,7 +928,7 @@ fn read_requests(shared: &Shared, conn: &Arc<Conn>) -> u64 {
         if !conn.wait_for_room(config.max_conn_backlog_bytes) {
             break;
         }
-        match read_event(&mut stream, config.max_payload_bytes, &shared.pools) {
+        match read_event(&mut inbound, config.max_payload_bytes, &shared.pools) {
             Ok(Some(event)) => {
                 if !handle_event(shared, conn, event, &mut requests, &mut pushed) {
                     break;
@@ -1005,32 +1007,15 @@ fn write_replies(conn: &Conn) {
     let _ = conn.stream.shutdown(Shutdown::Both);
 }
 
-/// Result bytes [`send`] sends only after the result buffer is back in its
-/// pool.
-const RESULT_TAIL: usize = 8;
-
-/// Write one reply: a frame whole; a response as its head, then the result
-/// straight from its pooled buffer — except the last [`RESULT_TAIL`]
-/// bytes, which go out from a copy once the buffer is back in the pool.
-/// Until they arrive the peer cannot send its next request, so that
-/// request's result finds this buffer idle and the warm path takes no new
-/// payload buffer. Returns, on a nonblocking socket that fills, the bytes
-/// not written, copied out of any pooled buffer.
+/// Write one reply — a frame whole, a response as its head and the result
+/// straight from its pooled buffer — in one vectored write, and return the
+/// result buffer to its pool. Returns, on a socket that would block, the
+/// bytes not written, copied out of any pooled buffer.
 fn send(mut w: impl Write, reply: Reply) -> io::Result<Option<Vec<u8>>> {
-    let (head, body) = match reply {
-        Reply::Frame(bytes) => return write_rest(&mut w, [&bytes]),
-        Reply::Result { head, body } => (head, body),
-    };
-    let bytes = body.bytes();
-    let cut = bytes.len().saturating_sub(RESULT_TAIL);
-    let mut tail = [0; RESULT_TAIL];
-    let tail = &mut tail[..bytes.len() - cut];
-    tail.copy_from_slice(&bytes[cut..]);
-    if let Some(rest) = write_rest(&mut w, [&head, &bytes[..cut]])? {
-        return Ok(Some([&rest, &tail[..]].concat()));
+    match reply {
+        Reply::Frame(bytes) => write_rest(&mut w, [&bytes]),
+        Reply::Result { head, body } => write_rest(&mut w, [&head, body.bytes()]),
     }
-    drop(body);
-    write_rest(&mut w, [tail])
 }
 
 /// Write `parts` in order until all of them are written or the socket
@@ -1198,4 +1183,53 @@ fn admit_request(
 /// Record that an incident dump is being written.
 fn record_incident(trigger: IncidentTrigger) {
     trace::record(Event::now(Kind::Incident, 0).with_args([trigger as u64, 0, 0]));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    #[test]
+    fn a_readers_write_to_a_full_socket_queues_the_rest_and_leaves_it_blocking() {
+        // A peer that never reads, and a reply larger than the socket
+        // buffers of both ends.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let conn = Conn {
+            id: 0,
+            stream,
+            metrics: Arc::new(Metrics::default()),
+            state: Mutex::new(ConnState::default()),
+            changed: Condvar::new(),
+        };
+        const REPLY: usize = 32 << 20;
+        {
+            let mut state = conn.lock();
+            state.backlog = REPLY;
+            state.replies.push_back(Reply::Frame(vec![7; REPLY]));
+        }
+
+        // The write returns with what the socket would not take queued for
+        // the writer, and the write claim released.
+        conn.write_owed();
+        let state = conn.lock();
+        assert!(!state.writing && !state.dead);
+        assert_eq!(state.replies.len(), 1);
+        let rest = state.replies.front().map_or(0, Reply::len);
+        assert!(0 < rest && rest < REPLY, "{rest} of {REPLY} bytes left");
+        assert_eq!(state.backlog, rest);
+        drop(state);
+
+        // The descriptor is still blocking: a read with a timeout waits
+        // it out instead of failing with `WouldBlock` at once.
+        let timeout = Duration::from_millis(50);
+        conn.stream.set_read_timeout(Some(timeout)).expect("read timeout");
+        let started = Instant::now();
+        let read = (&conn.stream).read(&mut [0; 16]);
+        let waited = started.elapsed();
+        assert!(read.is_err(), "the peer sent nothing, yet the read returned {read:?}");
+        assert!(waited >= timeout - Duration::from_millis(5), "read returned after {waited:?}");
+    }
 }

@@ -147,10 +147,11 @@ fn load<T: WireScalar>(addr: &str, threads: u64, requests: u64, n: usize, depth:
     });
 }
 
-/// The serving leg: a flag `serve` does not know exits 2 before binding;
-/// then load at f64, f32 and pipelined depth 8, every reporting
-/// subcommand, and a clean client-requested shutdown whose exit summary is
-/// the full snapshot.
+/// The serving leg: a flag `serve` does not know, a malformed flag value
+/// and a flag whose value is missing exit 2 with one line, before binding
+/// or connecting; then load at f64, f32 and pipelined depth 8, every
+/// reporting subcommand, and a clean client-requested shutdown whose exit
+/// summary is the full snapshot.
 #[test]
 fn daemon_serves_every_subcommand() {
     let _leg = LEG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -158,6 +159,16 @@ fn daemon_serves_every_subcommand() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("unknown flag --max-batch"), "{stderr}");
+    for (args, says) in [
+        (&["ping", "--count", "x"][..], "--count takes a number, got \"x\""),
+        (&["ping", "--addr"][..], "--addr takes a value"),
+    ] {
+        let out = fmm_serve().args(args).output().expect("run fmm_serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim_end(), says, "{args:?}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 
     let daemon = Daemon::spawn(&["--watchdog-stall-ms", "500"]);
     daemon.run("ping", &["--count", "1"]);
