@@ -2,8 +2,9 @@
 //! blocking reads and turns it into the [`InEvent`] the server acts on.
 //!
 //! The server reads through a per-connection head buffer, a `BufReader` of
-//! [`HEAD_BUF`] bytes, so a request's header and prelude arrive in one read, and whatever came along with them is consumed from
-//! the buffer before the socket is read again. The header comes through
+//! [`HEAD_BUF`] bytes, so a request's header and prelude arrive in one
+//! read, and whatever came along with them is consumed from the buffer
+//! before the socket is read again. The header comes through
 //! [`protocol::read_header`], the reader clients use too. A request's
 //! prelude is validated before its operands are read, and the `A`/`B`
 //! bytes are read straight into pooled buffers in one vectored-read loop —
@@ -14,8 +15,9 @@
 //! yields a fatal event, after which the caller reads nothing more.
 //!
 //! These paths parse untrusted network bytes, so they carry the same
-//! machine-checked panic-freedom contract as `protocol`: [`read_event`]
-//! and `small_frame_event` deny the same clippy lints.
+//! machine-checked panic-freedom contract as `protocol`: [`read_event`],
+//! `read_operands`, `small_frame_event` and [`frame_buffered`] deny the
+//! same clippy lints.
 //!
 //! The module also holds the one write the reader makes, `NoWait`: a
 //! vectored send that never blocks and leaves the socket blocking for the
@@ -156,14 +158,27 @@ pub fn read_event(
 
 /// Fill `a` then `b` from `r` in one vectored-read loop, retrying
 /// `Interrupted`. Empty operands are skipped before the first read, so a
-/// `k = 0` request, whose operands are both empty, reads nothing.
+/// `k = 0` request, whose operands are both empty, reads nothing. A reader
+/// that claims more bytes than it was asked for is an `InvalidData` error.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 fn read_operands(r: &mut impl Read, a: &mut [u8], b: &mut [u8]) -> io::Result<()> {
     let mut parts = [IoSliceMut::new(a), IoSliceMut::new(b)];
-    let mut left = &mut parts[..];
+    let mut left = parts.as_mut_slice();
     IoSliceMut::advance_slices(&mut left, 0);
     while !left.is_empty() {
         match r.read_vectored(left) {
             Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) if n > left.iter().map(|s| s.len()).sum::<usize>() => {
+                return Err(io::ErrorKind::InvalidData.into());
+            }
             Ok(n) => IoSliceMut::advance_slices(&mut left, n),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -239,34 +254,52 @@ fn small_frame_event(head: FrameHead, payload: Vec<u8>) -> InEvent {
 }
 
 /// Whether the whole next frame is already here, so reading it cannot
-/// block: its header, taken from the head buffer and peeked from the
-/// socket past it, declares a payload that the bytes held in the buffer
-/// and the socket's receive buffer cover. Probed without blocking or
-/// consuming anything, and without a system call when the buffer holds
-/// the frame; `false` where the probe fails.
+/// block: its length prefix, taken from the head buffer (and, when the
+/// buffer holds only part of it, peeked from the socket past it),
+/// declares a frame that the bytes held in the buffer and the socket's
+/// receive buffer cover. Probed without blocking or consuming anything,
+/// and without a system call when the buffer holds the frame; the socket
+/// is peeked only for prefix bytes its receive buffer already holds.
+/// `false` where the probe fails.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 pub fn frame_buffered(reader: &BufReader<&TcpStream>) -> bool {
     let held = reader.buffer();
-    let frame_len =
-        |prefix: &[u8]| protocol::le_bytes(prefix, HEADER_PREFIX_LEN - 4).map(u32::from_le_bytes);
-    if let Some(len) = frame_len(held) {
-        if held.len() >= HEADER_LEN + len as usize {
-            return true;
-        }
-    }
     let stream = *reader.get_ref();
-    let buffered = match sys::buffered(stream) {
-        Some(n) if held.len() + n >= HEADER_LEN => held.len() + n,
-        _ => return false,
+    let frame_len = |prefix: &[u8]| {
+        protocol::le_bytes(prefix, HEADER_PREFIX_LEN - 4)
+            .map(|len: [u8; 4]| HEADER_LEN.saturating_add(u32::from_le_bytes(len) as usize))
     };
-    let mut prefix = [0; HEADER_PREFIX_LEN];
-    let from_held = held.len().min(HEADER_PREFIX_LEN);
-    prefix[..from_held].copy_from_slice(&held[..from_held]);
-    // At least a header is here, so the peek returns at once.
-    let peeked = match stream.peek(&mut prefix[from_held..]) {
-        Ok(n) => n == HEADER_PREFIX_LEN - from_held,
-        Err(_) => false,
+    let (frame, in_socket) = match frame_len(held) {
+        Some(frame) if held.len() >= frame => return true,
+        Some(frame) => (frame, sys::buffered(stream)),
+        None => {
+            // The buffer holds less than the prefix: peek the rest of it,
+            // once the socket holds those bytes.
+            let Some(in_socket) = sys::buffered(stream) else { return false };
+            let mut prefix = [0; HEADER_PREFIX_LEN];
+            for (d, s) in prefix.iter_mut().zip(held) {
+                *d = *s;
+            }
+            let Some(missing) = prefix.get_mut(held.len()..) else { return false };
+            let want = missing.len();
+            if in_socket < want || !matches!(stream.peek(missing), Ok(n) if n == want) {
+                return false;
+            }
+            match frame_len(&prefix) {
+                Some(frame) => (frame, Some(in_socket)),
+                None => return false,
+            }
+        }
     };
-    peeked && frame_len(&prefix).is_some_and(|len| buffered - HEADER_LEN >= len as usize)
+    in_socket.is_some_and(|n| held.len().saturating_add(n) >= frame)
 }
 
 /// A connection's socket written without blocking, for the reader's write
@@ -279,8 +312,21 @@ impl Write for NoWait<'_> {
         self.write_vectored(&[IoSlice::new(buf)])
     }
 
+    /// One `sendmsg(2)` with `MSG_DONTWAIT | MSG_NOSIGNAL`.
+    #[cfg(any(target_os = "linux", target_os = "android"))]
     fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        sys::send_nowait(self.0, bufs)
+        sys::linux::send_nowait(self.0, bufs)
+    }
+
+    /// Without the `sendmsg` shim, the socket is switched to nonblocking
+    /// around the send.
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        let mut stream = self.0;
+        stream.set_nonblocking(true)?;
+        let sent = stream.write_vectored(bufs);
+        stream.set_nonblocking(false)?;
+        sent
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -317,13 +363,7 @@ mod sys {
     }
 
     #[cfg(any(target_os = "linux", target_os = "android"))]
-    pub use linux::send_nowait;
-
-    #[cfg(not(any(target_os = "linux", target_os = "android")))]
-    pub use super::toggle::send_nowait;
-
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    mod linux {
+    pub mod linux {
         use std::ffi::{c_int, c_void};
         use std::io::{self, IoSlice};
         use std::net::TcpStream;
@@ -379,23 +419,6 @@ mod sys {
     //! No probe.
     pub fn buffered(_: &std::net::TcpStream) -> Option<usize> {
         None
-    }
-
-    pub use super::toggle::send_nowait;
-}
-
-/// Targets without the `sendmsg` shim switch the socket to nonblocking
-/// around each send.
-#[cfg(not(any(target_os = "linux", target_os = "android")))]
-mod toggle {
-    use std::io::{self, IoSlice, Write};
-    use std::net::TcpStream;
-
-    pub fn send_nowait(mut stream: &TcpStream, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        stream.set_nonblocking(true)?;
-        let sent = stream.write_vectored(bufs);
-        stream.set_nonblocking(false)?;
-        sent
     }
 }
 
@@ -761,7 +784,7 @@ mod tests {
             }
         };
         let mut wire = Vec::new();
-        for (id, payload) in [(1, &b"hi"[..]), (2, b""), (3, b"x")] {
+        for (id, payload) in [(1, &b"hi"[..]), (2, b""), (3, b"x"), (4, &[7; 64])] {
             frame(&mut wire, id, FrameKind::Ping, payload);
         }
         // All of pings 1 and 2, and the first 5 bytes of ping 3's prefix.
@@ -783,11 +806,27 @@ mod tests {
         assert!(!frame_buffered(&inbound), "only 5 bytes of ping 3 are here");
 
         // The rest of ping 3's prefix is in the socket, its first five
-        // bytes in the head buffer.
-        peer.write_all(&wire[split..]).unwrap();
-        arrived(wire.len() - split);
+        // bytes in the head buffer. Behind it come ping 4's header and 10
+        // of its 64 payload bytes.
+        let cut = wire.len() - 54;
+        peer.write_all(&wire[split..cut]).unwrap();
+        arrived(cut - split);
         assert!(frame_buffered(&inbound), "ping 3 is split between buffer and socket");
         assert_eq!(next_id(&mut inbound), 3);
+
+        // Ping 4's whole header is in the head buffer, the socket is
+        // empty: the probe answers at once, without waiting on the socket.
+        assert_eq!((inbound.buffer().len(), sys::buffered(&server)), (HEADER_LEN + 10, Some(0)));
+        server.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let started = Instant::now();
+        assert!(!frame_buffered(&inbound), "54 bytes of ping 4 are missing");
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "the probe waited {took:?} on the socket");
+
+        peer.write_all(&wire[cut..]).unwrap();
+        arrived(54);
+        assert!(frame_buffered(&inbound), "ping 4 is split between buffer and socket");
+        assert_eq!(next_id(&mut inbound), 4);
         assert!(!frame_buffered(&inbound));
     }
 }

@@ -1011,6 +1011,12 @@ fn write_replies(conn: &Conn) {
 /// straight from its pooled buffer — in one vectored write, and return the
 /// result buffer to its pool. Returns, on a socket that would block, the
 /// bytes not written, copied out of any pooled buffer.
+///
+/// The buffer goes back only after its last byte is written. A reader
+/// writing its own lone request's reply reads nothing before that, so the
+/// peer's next request finds the buffer idle; on the writer thread the
+/// peer may read the reply and send again first, and that request may
+/// take a new buffer.
 fn send(mut w: impl Write, reply: Reply) -> io::Result<Option<Vec<u8>>> {
     match reply {
         Reply::Frame(bytes) => write_rest(&mut w, [&bytes]),

@@ -403,24 +403,29 @@ fn request_frame<T: fmm_serve::WireScalar>(id: u64, a: &Matrix<T>, b: &Matrix<T>
 
 #[test]
 fn a_half_sent_second_frame_does_not_hold_back_the_first_reply() {
-    // One request, then half of a second frame, then silence: the reader
+    // One request, then part of a second frame, then silence: the reader
     // must run and answer the first instead of waiting to batch it with a
-    // frame that is not coming.
+    // frame that is not coming. The first request is large, then small
+    // enough that the reader's head buffer takes it whole together with
+    // the second frame's header and a few operand bytes.
     let handle = spawn_pinned(ServeConfig::default());
-    let (a, b) = (fill::bench_workload(12, 10, 61), fill::bench_workload(10, 9, 62));
-    let mut wire = request_frame(1, &a, &b);
-    let second = request_frame(2, &a, &b);
-    let half = second.len() / 2;
-    wire.extend_from_slice(&second[..half]);
-    let mut s = TcpStream::connect(handle.addr()).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
-    s.write_all(&wire).expect("one request and a half");
-    let reply = protocol::read_frame_any(&mut s, 1 << 20).expect("the first reply");
-    assert_eq!((reply.kind, reply.request_id), (FrameKind::Response, 1));
-    assert_eq!(protocol::decode_response::<f64>(&reply.payload).expect("decode"), gemm(&a, &b));
-    s.write_all(&second[half..]).expect("the rest");
-    let reply = protocol::read_frame_any(&mut s, 1 << 20).expect("the second reply");
-    assert_eq!((reply.kind, reply.request_id), (FrameKind::Response, 2));
+    for (m, k, n, part) in [(12, 10, 9, None), (2, 2, 2, Some(HEADER_LEN + 10))] {
+        let (a, b) = (fill::bench_workload(m, k, 61), fill::bench_workload(k, n, 62));
+        let mut wire = request_frame(1, &a, &b);
+        let second = request_frame(2, &a, &b);
+        let part = part.unwrap_or(second.len() / 2);
+        wire.extend_from_slice(&second[..part]);
+        let mut s = TcpStream::connect(handle.addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+        s.write_all(&wire).expect("one request and a part");
+        let reply = protocol::read_frame_any(&mut s, 1 << 20).expect("the first reply");
+        assert_eq!((reply.kind, reply.request_id), (FrameKind::Response, 1));
+        let c = protocol::decode_response::<f64>(&reply.payload).expect("decode");
+        assert_eq!(c, gemm(&a, &b));
+        s.write_all(&second[part..]).expect("the rest");
+        let reply = protocol::read_frame_any(&mut s, 1 << 20).expect("the second reply");
+        assert_eq!((reply.kind, reply.request_id), (FrameKind::Response, 2));
+    }
     handle.shutdown();
 }
 
@@ -606,6 +611,67 @@ fn warm_path_serves_requests_without_allocating_payload_buffers() {
         warm_misses, cold_misses,
         "warm-path requests allocated payload buffers (pool misses grew)"
     );
+    handle.shutdown();
+}
+
+#[test]
+fn writer_thread_replies_return_their_buffers_to_the_pool() {
+    // Replies a connection's writer thread sends: those handed off while
+    // more batches follow (eight requests in one write, run two to a
+    // batch) and those another connection's combiner ran (four
+    // closed-loop connections, which overlap on two or more CPUs). The
+    // writer returns each result buffer once the reply is written, which
+    // may be after the peer has read it and sent its next request, so a
+    // warm request may find the pool empty now and then; a writer that
+    // kept its buffers would miss on most requests.
+    let batch = BatchPolicy { max_batch: 2, ..BatchPolicy::default() };
+    let handle = spawn_pinned(ServeConfig { batch, ..ServeConfig::default() });
+    let (a, b) = (fill::bench_workload(16, 12, 5), fill::bench_workload(12, 14, 6));
+    let misses = || handle.stats().counter("fmm_serve_pool_f64_misses").expect("pool misses");
+    const REQUESTS: usize = 800;
+
+    let burst: Vec<u8> = (0..8).flat_map(|id| request_frame(id, &a, &b)).collect();
+    let mut s = TcpStream::connect(handle.addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+    let mut bursts = |count: usize| {
+        for _ in 0..count {
+            s.write_all(&burst).expect("eight requests");
+            for _ in 0..8 {
+                let reply = protocol::read_frame_any(&mut s, 1 << 20).expect("a reply");
+                assert_eq!(reply.kind, FrameKind::Response);
+            }
+        }
+    };
+    bursts(10);
+    let warm = misses();
+    bursts(REQUESTS / 8);
+    let missed = misses() - warm;
+    assert!(missed * 8 < REQUESTS as u64, "{missed} pool misses in {REQUESTS} pipelined requests");
+    assert!(handle.metrics().snapshot().max_occupancy > 1, "no burst ever shared a batch");
+
+    let barrier = std::sync::Barrier::new(5);
+    let warm = thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                let mut client = PipelinedClient::connect(handle.addr()).expect("connect");
+                let mut closed_loop = |count: usize| {
+                    for _ in 0..count {
+                        client.multiply(&a, &b).expect("closed-loop reply");
+                    }
+                };
+                closed_loop(50);
+                barrier.wait();
+                barrier.wait();
+                closed_loop(REQUESTS / 4);
+            });
+        }
+        barrier.wait();
+        let warm = misses();
+        barrier.wait();
+        warm
+    });
+    let missed = misses() - warm;
+    assert!(missed * 8 < REQUESTS as u64, "{missed} pool misses in {REQUESTS} requests");
     handle.shutdown();
 }
 
