@@ -53,7 +53,7 @@ pub mod watchdog;
 
 pub use audit::{AuditDtype, AuditEntry, AuditSample, AuditSource};
 pub use hist::{HistSnapshot, Histogram};
-pub use registry::{global, sanitize_metric_name, Counter, Gauge, Registry, Snapshot};
+pub use registry::{global, Counter, Gauge, Registry, Snapshot};
 pub use trace::{Event, IncidentTrigger, Kind, RefusalReason, Ring};
 pub use watchdog::{Watchdog, WatchdogConfig, WatchdogHandle};
 

@@ -75,7 +75,7 @@ struct Instruments {
     histograms: BTreeMap<String, Arc<Histogram>>,
 }
 
-/// A set of named instruments. Cheap to snapshot, cheap to render.
+/// A set of named instruments. Cheap to snapshot.
 #[derive(Default)]
 pub struct Registry {
     inner: Mutex<Instruments>,
@@ -124,52 +124,6 @@ pub struct Snapshot {
     pub histograms: Vec<(String, HistSnapshot)>,
 }
 
-impl Snapshot {
-    /// Prometheus-style plaintext exposition. Histograms render as
-    /// summaries with `quantile` labels.
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
-        }
-        for (name, h) in &self.histograms {
-            let _ = writeln!(out, "# TYPE {name} summary");
-            for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-                let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {}", h.quantile(q));
-            }
-            let _ = writeln!(
-                out,
-                "{name}_sum {}\n{name}_count {}\n{name}_max {}",
-                h.sum, h.count, h.max
-            );
-        }
-        out
-    }
-}
-
-/// Rewrite an arbitrary label (e.g. a shape-class key like
-/// `256x256x256/f32`) into a legal Prometheus metric-name fragment:
-/// `[a-zA-Z0-9_:]` survives, everything else becomes `_`, and a leading
-/// digit gains a `_` prefix so the result can also stand alone.
-pub fn sanitize_metric_name(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 1);
-    if raw.starts_with(|c: char| c.is_ascii_digit()) {
-        out.push('_');
-    }
-    for c in raw.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    out
-}
-
 /// The process-global registry, for layers with no server object to
 /// hang metrics off (gemm pack/kernel split, sched task timings).
 pub fn global() -> &'static Registry {
@@ -208,44 +162,6 @@ mod tests {
         assert_eq!(names, ["a_total", "b_total"]);
         assert_eq!(snap.gauges[0], ("depth".to_string(), -3));
         assert_eq!(snap.histograms[0].1.count, 1);
-    }
-
-    #[test]
-    fn prometheus_exposition_is_line_oriented() {
-        let r = Registry::new();
-        r.counter("fmm_requests_total").add(7);
-        r.gauge("fmm_inflight").set(2);
-        let h = r.histogram("fmm_latency_nanos");
-        for v in [100, 200, 300] {
-            h.record(v);
-        }
-        let text = r.snapshot().render_prometheus();
-        assert!(text.contains("# TYPE fmm_requests_total counter\nfmm_requests_total 7\n"));
-        assert!(text.contains("# TYPE fmm_inflight gauge\nfmm_inflight 2\n"));
-        assert!(text.contains("# TYPE fmm_latency_nanos summary"));
-        assert!(text.contains("fmm_latency_nanos{quantile=\"0.5\"}"));
-        assert!(text.contains("fmm_latency_nanos_sum 600"));
-        assert!(text.contains("fmm_latency_nanos_count 3"));
-        assert!(text.contains("fmm_latency_nanos_max 300"));
-    }
-
-    #[test]
-    fn sanitize_covers_shape_class_names() {
-        // The per-shape-class audit keys are the motivating case.
-        assert_eq!(sanitize_metric_name("256x256x256/f32"), "_256x256x256_f32");
-        assert_eq!(sanitize_metric_name("1024x512x1024/f64"), "_1024x512x1024_f64");
-        // Already-legal names pass through untouched.
-        assert_eq!(sanitize_metric_name("fmm_audit_samples"), "fmm_audit_samples");
-        assert_eq!(sanitize_metric_name("ns:sub_total"), "ns:sub_total");
-        // Hostile input: spaces, unicode, quotes, empties.
-        assert_eq!(sanitize_metric_name("a b\"c"), "a_b_c");
-        assert_eq!(sanitize_metric_name("µs"), "_s");
-        assert_eq!(sanitize_metric_name(""), "");
-        // Sanitized output is itself a fixed point.
-        for raw in ["256x256x256/f32", "a b\"c", "0/0/0"] {
-            let once = sanitize_metric_name(raw);
-            assert_eq!(sanitize_metric_name(&once), once);
-        }
     }
 
     #[test]

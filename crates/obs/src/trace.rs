@@ -34,7 +34,7 @@
 //! The rings live in statics, so recording never allocates, not even the
 //! first time (`tests/recorder_alloc.rs` proves it with a counting
 //! allocator, over every entry point, kind and thread count); export
-//! paths (`recent`, `describe`, `chrome_trace`) are cold and may allocate.
+//! paths (`recent`, `describe`) are cold and may allocate.
 
 use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -202,18 +202,18 @@ impl RefusalReason {
     }
 }
 
-/// What triggered an incident dump. Number 3 named a watchdog abort, which
-/// is gone; `WireRequest` keeps 4, so older dumps' events still name it.
+/// What triggered an incident dump. Ids 3 (a watchdog abort) and 4 (a wire
+/// request) belonged to retired triggers and stay unassigned; older dumps'
+/// events that carry them read as `unknown`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IncidentTrigger {
     Sigterm,
     Sigint,
     Panic,
-    WireRequest = 4,
 }
 
 impl IncidentTrigger {
-    const NAMES: [&'static str; 5] = ["sigterm", "sigint", "panic", "unknown", "wire-request"];
+    const NAMES: [&'static str; 3] = ["sigterm", "sigint", "panic"];
 
     pub fn name(self) -> &'static str {
         Self::NAMES[self as usize]
@@ -626,33 +626,6 @@ pub fn clear() {
     SPANS.clear();
 }
 
-/// Render events in the chrome://tracing "trace event" JSON format
-/// (array form, complete `"X"` events, microsecond timestamps). Each
-/// request id becomes a chrome thread so timelines group per request.
-#[cold]
-pub fn chrome_trace(events: &[Event]) -> String {
-    use std::fmt::Write;
-    let mut out = String::from("[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"cat\":\"fmm\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-             \"pid\":1,\"tid\":{},\"args\":{{\"request_id\":{},\"thread\":{}}}}}",
-            e.kind.name(),
-            e.start_nanos as f64 / 1e3,
-            e.nanos() as f64 / 1e3,
-            e.request_id,
-            e.request_id,
-            e.thread
-        );
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,12 +702,6 @@ mod tests {
         assert_eq!(current_request(), 55);
         set_current_request(prev);
         assert_eq!(current_request(), prev);
-
-        // Chrome export is well-formed for the simple shapes we emit.
-        let json = chrome_trace(&events);
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"name\":\"RequestRecv\""));
-        assert!(json.contains("\"request_id\":202"));
 
         set_enabled(false);
         clear();
@@ -824,9 +791,8 @@ mod tests {
         assert_eq!(Kind::from_name(Kind::Other.name()), None, "Other is never a recorded kind");
         assert_eq!(RefusalReason::name_of(RefusalReason::QueueFull as u64), "queue-full");
         assert_eq!(IncidentTrigger::name_of(IncidentTrigger::Panic as u64), "panic");
-        assert_eq!(IncidentTrigger::name_of(4), "wire-request");
-        assert_eq!(IncidentTrigger::WireRequest.name(), "wire-request");
         assert_eq!(IncidentTrigger::name_of(3), "unknown");
+        assert_eq!(IncidentTrigger::name_of(4), "unknown");
         assert_eq!(IncidentTrigger::name_of(99), "unknown");
     }
 

@@ -4,10 +4,10 @@
 //! fmm_serve serve [--addr 127.0.0.1:7117] [--trace] [--incident-dir DIR]
 //!                 [--watchdog-stall-ms 1000]
 //! fmm_serve ping --addr HOST:PORT [--count 3]
-//! fmm_serve stats --addr HOST:PORT [--prom]
+//! fmm_serve stats --addr HOST:PORT
 //! fmm_serve audit --addr HOST:PORT
 //! fmm_serve top --addr HOST:PORT [--once]
-//! fmm_serve trace --addr HOST:PORT [--last N] [--chrome FILE]
+//! fmm_serve trace --addr HOST:PORT [--last N]
 //! fmm_serve doctor INCIDENT.json
 //! fmm_serve shutdown --addr HOST:PORT
 //! ```
@@ -15,23 +15,21 @@
 //! `serve` gives every accepted connection its own reader and writer
 //! thread, with `ServeConfig::default()`'s batching and admission bounds.
 //! It runs until a client sends a `Shutdown` frame, then drains in-flight
-//! work, prints the final stats snapshot (the `stats --prom`
-//! exposition), and exits 0 — the clean shutdown `cli_smoke.rs` asserts.
+//! work, prints the final stats snapshot (the JSON document `stats`
+//! prints), and exits 0 — the clean shutdown `cli_smoke.rs` asserts.
 //!
 //! `stats` fetches the stats snapshot (counters, gauges, per-phase latency
-//! histograms, decision audit) as JSON; `--prom` fetches the same snapshot
-//! as Prometheus plaintext. `trace` dumps the recorder's recent events —
-//! the always-on ones, plus the request phase spans of a server running
-//! with `--trace` (or `FMM_TRACE=1`) — as per-request timelines, or as a
-//! chrome://tracing JSON file with `--chrome FILE`.
+//! histograms, decision audit) as JSON. `trace` dumps the recorder's
+//! recent events — the always-on ones, plus the request phase spans of a
+//! server running with `--trace` (or `FMM_TRACE=1`) — as per-request
+//! timelines.
 //!
 //! `doctor` is the offline incident analyzer: given a dump written by a
-//! `--incident-dir` daemon (on SIGTERM/SIGINT or panic)
-//! or fetched over the wire, it decodes it (schema tag included), reads
-//! the same event list, names any stalled watchdog component, ranks slow
-//! requests by their dominant phase, summarizes error and refusal bursts,
-//! prints the timeline of notable events, and closes with a one-line
-//! diagnosis.
+//! `--incident-dir` daemon (on SIGTERM/SIGINT or panic), it decodes it
+//! (schema tag included), reads the same event list, names any stalled
+//! watchdog component, ranks slow requests by their dominant phase,
+//! summarizes error and refusal bursts, prints the timeline of notable
+//! events, and closes with a one-line diagnosis.
 //!
 //! `audit` reads the decision-audit section of the stats snapshot and
 //! ranks shape classes by model error `|log2(predicted/measured)|`.
@@ -86,9 +84,7 @@ struct Options {
     addr: String,
     count: usize,
     trace: bool,
-    prom: bool,
     last: u64,
-    chrome: Option<String>,
     once: bool,
     incident_dir: Option<String>,
     watchdog_stall_ms: u64,
@@ -100,9 +96,7 @@ impl Options {
             addr: "127.0.0.1:7117".to_string(),
             count: 3,
             trace: false,
-            prom: false,
             last: 0,
-            chrome: None,
             once: false,
             incident_dir: None,
             watchdog_stall_ms: 1000,
@@ -115,9 +109,7 @@ impl Options {
                 "--addr" => o.addr = value(),
                 "--count" => o.count = number(flag, value()),
                 "--trace" => o.trace = true,
-                "--prom" => o.prom = true,
                 "--last" => o.last = number(flag, value()),
-                "--chrome" => o.chrome = Some(value()),
                 "--once" => o.once = true,
                 "--incident-dir" => o.incident_dir = Some(value()),
                 "--watchdog-stall-ms" => o.watchdog_stall_ms = number(flag, value()),
@@ -160,8 +152,8 @@ fn cmd_serve(o: &Options) {
     if let Some(dir) = &o.incident_dir {
         println!("incident dumps: {dir}");
     }
-    // The final snapshot, in the same exposition `stats --prom` returns.
-    print!("{}", handle.wait().to_prometheus());
+    // The final snapshot, the document `stats` prints.
+    println!("{}", handle.wait().to_json());
     println!("fmm_serve: shutdown complete");
 }
 
@@ -188,16 +180,7 @@ fn cmd_ping(o: &Options) {
 }
 
 fn cmd_stats(o: &Options) {
-    let mut client = connect(o);
-    let body = if o.prom {
-        or_exit(client.stats_prometheus(), "stats failed")
-    } else {
-        or_exit(client.stats(), "stats failed").to_json()
-    };
-    print!("{body}");
-    if !body.ends_with('\n') {
-        println!();
-    }
+    println!("{}", or_exit(connect(o).stats(), "stats failed").to_json());
 }
 
 /// The snapshot's audit rows, worst model error first (the `audit`
@@ -365,18 +348,12 @@ fn cmd_top(o: &Options) {
 }
 
 /// Fetch the recorder's recent events and render them as per-request
-/// timelines (or a chrome://tracing JSON file with `--chrome`).
+/// timelines.
 fn cmd_trace(o: &Options) {
     let logged = or_exit(connect(o).trace(o.last), "trace failed");
     let events: Vec<Event> = logged.iter().map(|l| l.event).collect();
     if events.is_empty() {
         println!("no events recorded");
-        return;
-    }
-    if let Some(path) = &o.chrome {
-        let json = fmm_obs::trace::chrome_trace(&events);
-        or_exit(std::fs::write(path, json), &format!("cannot write {path}"));
-        println!("{} events written to {path} (chrome://tracing format)", events.len());
         return;
     }
     print_timelines(&events);
@@ -409,11 +386,10 @@ fn print_timelines(events: &[Event]) {
 }
 
 /// Offline incident analyzer: decode a dump produced by `--incident-dir`
-/// (or fetched over the wire) and turn its events, watchdog roster and
-/// counters into a post-mortem story: what tripped the dump, which
-/// component (if any) was stalled, which connection was busiest, where the
-/// slowest requests spent their time, and whether errors or refusals were
-/// bursting. Exits 1 on a missing file or a document that does not decode
+/// and turn its events, watchdog roster and counters into a post-mortem
+/// story: what tripped the dump, which component (if any) was stalled,
+/// which connection was busiest, where the slowest requests spent their
+/// time, and whether errors or refusals were bursting. Exits 1 on a missing file or a document that does not decode
 /// as an incident (foreign schema tag included), naming the offending key.
 fn cmd_doctor(path: &str) {
     let text =

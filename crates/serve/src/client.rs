@@ -14,7 +14,7 @@ use crate::protocol::{
     self, decode_error, ErrorCode, Frame, FrameError, FrameHead, FrameKind, WireScalar,
     RESPONSE_PRELUDE, VERSION_V2,
 };
-use crate::snapshot::{Document, Incident, Logged, StatsSnapshot};
+use crate::snapshot::{Document, Logged, StatsSnapshot};
 use fmm_dense::Matrix;
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, IoSlice, Read, Write};
@@ -226,11 +226,6 @@ impl PipelinedClient {
         self.document(FrameKind::StatsJson, b"json")
     }
 
-    /// Fetch the same snapshot as Prometheus-style plaintext exposition.
-    pub fn stats_prometheus(&mut self) -> Result<String, ClientError> {
-        self.text_reply(FrameKind::StatsJson, b"prometheus")
-    }
-
     /// Fetch the most recent `last` recorded events (`0` = everything the
     /// rings retain): the always-on events, plus the request phase spans
     /// when the server runs with tracing (`--trace` / `FMM_TRACE=1`).
@@ -239,30 +234,19 @@ impl PipelinedClient {
         self.document(FrameKind::Trace, &payload)
     }
 
-    /// Fetch a live incident document — the same one a SIGTERM/panic dump
-    /// writes to `--incident-dir`.
-    pub fn incident(&mut self) -> Result<Incident, ClientError> {
-        self.document(FrameKind::Incident, b"")
-    }
-
     /// Ask the daemon to shut down (acknowledged before it stops
     /// accepting; in-flight requests drain).
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         expect_kind(self.roundtrip(FrameKind::Shutdown, b"")?, FrameKind::Pong).map(drop)
     }
 
-    /// One round trip of a kind the server answers in kind with a UTF-8
-    /// body.
-    fn text_reply(&mut self, kind: FrameKind, payload: &[u8]) -> Result<String, ClientError> {
-        let body = expect_kind(self.roundtrip(kind, payload)?, kind)?;
-        String::from_utf8(body)
-            .map_err(|_| ClientError::Protocol(format!("{kind:?} body is not UTF-8")))
-    }
-
-    /// One round trip whose reply body is a JSON [`Document`]; a body
-    /// that does not decode is a protocol error naming the bad key.
+    /// One round trip the server answers in kind with a JSON
+    /// [`Document`]; a body that is not UTF-8 or does not decode is a
+    /// protocol error, naming the bad key.
     fn document<D: Document>(&mut self, kind: FrameKind, payload: &[u8]) -> Result<D, ClientError> {
-        let body = self.text_reply(kind, payload)?;
+        let body = expect_kind(self.roundtrip(kind, payload)?, kind)?;
+        let body = String::from_utf8(body)
+            .map_err(|_| ClientError::Protocol(format!("{kind:?} body is not UTF-8")))?;
         D::from_json(&body).map_err(|e| ClientError::Protocol(format!("{kind:?} reply: {e}")))
     }
 

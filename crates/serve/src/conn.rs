@@ -60,9 +60,6 @@ pub enum InEvent {
     StatsJson {
         /// Frame metadata.
         head: FrameHead,
-        /// Render Prometheus plaintext instead of JSON (payload said
-        /// `prometheus`).
-        prometheus: bool,
     },
     /// A tracing-span dump request.
     Trace {
@@ -73,11 +70,6 @@ pub enum InEvent {
     },
     /// A shutdown request.
     Shutdown {
-        /// Frame metadata.
-        head: FrameHead,
-    },
-    /// A live incident-dump request.
-    Incident {
         /// Frame metadata.
         head: FrameHead,
     },
@@ -200,21 +192,15 @@ fn read_operands(r: &mut impl Read, a: &mut [u8], b: &mut [u8]) -> io::Result<()
 fn small_frame_event(head: FrameHead, payload: Vec<u8>) -> InEvent {
     match head.kind {
         FrameKind::Ping => InEvent::Ping { head, payload },
-        FrameKind::StatsJson => {
-            // Payload selects the exposition format: empty or `json` for
-            // the JSON snapshot, `prometheus` for plaintext exposition.
-            match payload.as_slice() {
-                b"" | b"json" => InEvent::StatsJson { head, prometheus: false },
-                b"prometheus" => InEvent::StatsJson { head, prometheus: true },
-                _ => InEvent::Bad {
-                    request_id: head.request_id,
-                    code: ErrorCode::Malformed,
-                    message: "stats-json payload must be empty, `json`, or `prometheus`"
-                        .to_string(),
-                    fatal: false,
-                },
-            }
-        }
+        FrameKind::StatsJson => match payload.as_slice() {
+            b"" | b"json" => InEvent::StatsJson { head },
+            _ => InEvent::Bad {
+                request_id: head.request_id,
+                code: ErrorCode::Malformed,
+                message: "stats-json payload must be empty or `json`".to_string(),
+                fatal: false,
+            },
+        },
         FrameKind::Trace => {
             // Payload: optional 8-byte LE "last N events" bound.
             let last = match payload.len() {
@@ -232,7 +218,6 @@ fn small_frame_event(head: FrameHead, payload: Vec<u8>) -> InEvent {
             InEvent::Trace { head, last }
         }
         FrameKind::Shutdown => InEvent::Shutdown { head },
-        FrameKind::Incident => InEvent::Incident { head },
         FrameKind::Request => InEvent::Bad {
             request_id: head.request_id,
             code: ErrorCode::Malformed,
@@ -637,7 +622,6 @@ mod tests {
             (FrameKind::Trace, 16u64.to_le_bytes().to_vec()),
             (FrameKind::Trace, vec![1, 2, 3]),
             (FrameKind::Shutdown, Vec::new()),
-            (FrameKind::Incident, Vec::new()),
             (FrameKind::Request, bad_dims_payload()),
             (FrameKind::Response, b"not for the server".to_vec()),
         ];
@@ -684,17 +668,24 @@ mod tests {
         let pools = IngestPools::new(8, usize::MAX);
         let (want, end) = read_all(Cursor::new(&wire), &pools);
         assert!(end.is_ok(), "{end:?}");
-        assert_eq!(want.len(), 15, "{want:#?}");
+        assert_eq!(want.len(), 14, "{want:#?}");
         for (i, needle) in [
             (0, "Request"),
             (1, "F32"),
             (2, "m: 6, k: 0, n: 4"),
             (3, "m: 2, k: 1, n: 2"),
             (4, "Ping"),
+            (5, "StatsJson"),
+            // The retired plaintext-stats payload is refused like any
+            // other, and the stream reads on past it.
+            (6, "stats-json payload must be empty or `json`"),
+            (6, "fatal: false"),
             (7, "stats-json payload"),
+            (8, "Trace"),
             (10, "got 3"),
-            (13, "dtype 9"),
-            (14, "not a client request"),
+            (11, "Shutdown"),
+            (12, "dtype 9"),
+            (13, "not a client request"),
         ] {
             assert!(want[i].contains(needle), "event {i}: {}", want[i]);
         }

@@ -31,12 +31,12 @@
 //!   (queue-wait vs service splits over *every* sample since start), plus
 //!   ingest-pool occupancy and per-dtype `EngineStats` snapshots — served
 //!   as one typed [`StatsSnapshot`] ([`snapshot`], which owns every JSON
-//!   document the daemon writes and reads) in JSON (`StatsJson`) or its
-//!   Prometheus plaintext rendering; the notable events (connections,
-//!   refusals, batches, slow requests, watchdog verdicts) are always
-//!   recorded, and with tracing enabled ([`ServeConfig::trace`] /
-//!   `FMM_TRACE=1`) every request phase records a span too, all
-//!   retrievable over the wire (`Trace`);
+//!   document the daemon writes and reads) as JSON (`StatsJson`); the
+//!   notable events (connections, refusals, batches, slow requests,
+//!   watchdog verdicts) are always recorded, and with tracing enabled
+//!   ([`ServeConfig::trace`] / `FMM_TRACE=1`) every request phase records
+//!   a span too, all retrievable over the wire (`Trace`) and written into
+//!   incident dumps;
 //! * **the client library** ([`client`]): [`PipelinedClient`]
 //!   (out-of-order responses matched by request id; a blocking call is a
 //!   pipeline of depth one), and the `fmm_serve` CLI (`serve` / `ping` /

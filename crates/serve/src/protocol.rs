@@ -96,7 +96,8 @@ fn put(dst: &mut [u8], off: usize, src: &[u8]) {
 }
 
 /// Frame discriminator (header byte 5). Values 6 and 7 belonged to the
-/// retired plaintext stats pair and stay unassigned.
+/// retired plaintext stats pair, and 11 to the retired incident request;
+/// they stay unassigned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
@@ -112,20 +113,14 @@ pub enum FrameKind {
     Pong = 5,
     /// Client → server: stop the daemon after in-flight work drains.
     Shutdown = 8,
-    /// Both directions: client sends an empty payload, server replies
-    /// with the full observability-registry snapshot as UTF-8 JSON
-    /// (payload `prometheus` selects the Prometheus rendering instead).
+    /// Both directions: client sends an empty payload (or `json`), server
+    /// replies with the full observability-registry snapshot as UTF-8
+    /// JSON.
     StatsJson = 9,
     /// Both directions: client payload is an optional 8-byte LE count
     /// ("last N events", 0/absent = all retained); server replies with
     /// the recorder's recent events as UTF-8 JSON.
     Trace = 10,
-    /// Both directions: client sends an empty payload, server replies
-    /// with a self-contained incident dump (build/config fingerprint,
-    /// registry snapshot, audit table, recorded events) as UTF-8 JSON —
-    /// the same document a SIGTERM/panic dump writes to
-    /// `--incident-dir`.
-    Incident = 11,
 }
 
 impl FrameKind {
@@ -140,7 +135,6 @@ impl FrameKind {
             8 => Some(Self::Shutdown),
             9 => Some(Self::StatsJson),
             10 => Some(Self::Trace),
-            11 => Some(Self::Incident),
             _ => None,
         }
     }
@@ -970,8 +964,9 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         }
 
-        // 6 and 7 are the retired plaintext stats kinds.
-        for kind in [200, 6, 7] {
+        // 6 and 7 are the retired plaintext stats kinds, 11 the retired
+        // incident request.
+        for kind in [200, 6, 7, 11] {
             let mut bad_kind = ping();
             bad_kind[5] = kind;
             assert!(matches!(

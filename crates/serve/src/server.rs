@@ -17,7 +17,9 @@
 //! write claim (which the writer takes around each write), one send per
 //! reply that asks the socket not to block while the socket itself stays
 //! blocking: what the socket will not take at once is left to the writer,
-//! so no reader blocks on its peer. A lone request crosses client, reader,
+//! so no reader blocks on its peer. Control replies (pongs, documents,
+//! error frames) are written the same way, by the reader that read the
+//! frame asking for them. A lone request or ping crosses client, reader,
 //! client. A reader whose head buffer and socket already hold the whole
 //! next frame pushes without combining and reads on, so a pipelining
 //! connection's requests share a batch.
@@ -132,8 +134,8 @@ pub struct ServeConfig {
     /// batch that runs this long counts as a stall.
     pub watchdog_stall: Duration,
     /// Directory incident dumps are written to (atomic temp+rename) on
-    /// SIGTERM/SIGINT or panic. `None` disables capture-to-disk; the
-    /// `Incident` wire frame works regardless.
+    /// SIGTERM/SIGINT or panic. `None` disables capture-to-disk;
+    /// [`ServerHandle::incident`] works regardless.
     pub incident_dir: Option<String>,
 }
 
@@ -285,14 +287,13 @@ impl Shared {
         stats.counters.insert("fmm_watchdog_stalls_total".into(), self.watchdog.stalls_total());
         stats.counters.insert("fmm_audit_samples_total".into(), fmm_obs::audit::samples_recorded());
         stats.counters.insert("fmm_audit_dropped_total".into(), fmm_obs::audit::samples_dropped());
-        stats.gauges.insert("fmm_build_info".into(), 1);
         stats.gauges.insert("fmm_serve_queue_depth_f64".into(), self.f64.queue.depth() as i64);
         stats.gauges.insert("fmm_serve_queue_depth_f32".into(), self.f32.queue.depth() as i64);
         stats.audit.sort_by_cached_key(fmm_obs::AuditEntry::key);
         stats
     }
 
-    /// The incident document the `Incident` wire frame returns and
+    /// The incident document [`ServerHandle::incident`] returns and
     /// SIGTERM/SIGINT and panic dumps write to
     /// [`ServeConfig::incident_dir`].
     #[cold]
@@ -571,10 +572,10 @@ impl ServerHandle {
         self.watchdog_handle.stop();
     }
 
-    /// The incident document an `Incident` wire frame would return right
-    /// now — the seam tests use to inspect dumps without signals.
+    /// The incident document a dump would write right now, with trigger
+    /// `on-demand` — the seam tests use to inspect dumps without signals.
     pub fn incident(&self) -> Incident {
-        self.shared.incident("wire-request")
+        self.shared.incident("on-demand")
     }
 }
 
@@ -676,7 +677,7 @@ struct ConnState {
     promised: usize,
     /// The write claim: a thread is writing to the socket. The writer
     /// takes it around each reply it writes, the reader around each reply
-    /// it writes after combining.
+    /// it writes after combining or answering a control frame.
     writing: bool,
     /// The reader is done: no further request will be admitted.
     reading_done: bool,
@@ -690,8 +691,10 @@ impl Conn {
         self.state.lock().expect("connection state poisoned")
     }
 
-    /// Queue one small reply frame for the writer (dropped if the
-    /// connection is dead).
+    /// Queue one small reply frame (dropped if the connection is dead) and
+    /// write it on the calling reader, as a lone result is written
+    /// ([`Conn::write_owed`]): the writer is woken only for what the
+    /// socket would not take.
     fn reply(&self, request_id: u64, kind: FrameKind, payload: &[u8]) {
         let mut bytes = protocol::encode_header(kind, payload.len() as u32, request_id);
         bytes.extend_from_slice(payload);
@@ -699,8 +702,9 @@ impl Conn {
         if !state.dead {
             state.backlog += bytes.len();
             state.replies.push_back(Reply::Frame(bytes));
-            self.changed.notify_all();
         }
+        drop(state);
+        self.write_owed();
     }
 
     /// Block while the queued reply backlog exceeds `cap`. `false` once the
@@ -772,11 +776,11 @@ impl Conn {
     }
 
     /// Write the queued replies on the calling reader after its combining
-    /// turn, if the write claim is free, without blocking: each send asks
-    /// the socket to take what it can at once ([`NoWait`]) and leaves the
-    /// descriptor blocking, and what it will not take is left to the
-    /// writer. A reader blocked writing to a peer that is blocked sending
-    /// to it would stall both. Each reply's result buffer is back in its
+    /// turn or a control reply, if the write claim is free, without
+    /// blocking: each send asks the socket to take what it can at once
+    /// ([`NoWait`]) and leaves the descriptor blocking, and what it will
+    /// not take is left to the writer. A reader blocked writing to a peer
+    /// that is blocked sending to it would stall both. Each reply's result buffer is back in its
     /// pool when this returns, before the reader reads the next frame.
     fn write_owed(&self) {
         let Some(mut reply) = claim_reply(&mut self.lock()) else { return };
@@ -1069,9 +1073,8 @@ fn handle_event(
             shared.metrics.pings.inc();
             conn.reply(head.request_id, FrameKind::Pong, &payload);
         }
-        InEvent::StatsJson { head, prometheus } => {
-            let stats = shared.snapshot();
-            let body = if prometheus { stats.to_prometheus() } else { stats.to_json() };
+        InEvent::StatsJson { head } => {
+            let body = shared.snapshot().to_json();
             conn.reply(head.request_id, FrameKind::StatsJson, body.as_bytes());
         }
         InEvent::Trace { head, last } => {
@@ -1084,11 +1087,6 @@ fn handle_event(
             shared.request_stop();
             conn.reply(head.request_id, FrameKind::Pong, b"");
             return false;
-        }
-        InEvent::Incident { head } => {
-            record_incident(IncidentTrigger::WireRequest);
-            let body = shared.incident("wire-request").to_json();
-            conn.reply(head.request_id, FrameKind::Incident, body.as_bytes());
         }
         InEvent::Bad { request_id, code, message, fatal } => {
             shared.metrics.record_error(code);

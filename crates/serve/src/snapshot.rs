@@ -1,6 +1,6 @@
 //! The daemon's documents, typed: the stats snapshot (the `StatsJson`
-//! frame in both renderings), the incident dump (the `Incident` frame and
-//! the `--incident-dir` files) and the event list (the `Trace` frame).
+//! frame), the incident dump (the `--incident-dir` files and
+//! `ServerHandle::incident`) and the event list (the `Trace` frame).
 //!
 //! This is the one module that knows the JSON schema. Every document
 //! implements [`Document`] — one encoder, one decoder — and the decoder's
@@ -191,8 +191,7 @@ impl BuildInfo {
     }
 }
 
-/// One human-readable line: the `serve`/`top`/`doctor` headers and the
-/// Prometheus `# HELP fmm_build_info` comment.
+/// One human-readable line: the `serve`/`top`/`doctor` headers.
 impl fmt::Display for BuildInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -414,33 +413,6 @@ impl StatsSnapshot {
             .find(|e| e.key() == key)
             .map_or_else(|| error(&format!("audit.{key}"), "missing"), Ok)
     }
-
-    /// Prometheus plaintext exposition of the same snapshot. The format
-    /// has no nesting or labels, so each audit row flattens into sanitized
-    /// `fmm_audit_<stem>_<class>_<dtype>` counters and an
-    /// `fmm_audit_error_permille_<class>_<dtype>` summary, and the build
-    /// identity rides as a comment next to the `fmm_build_info 1` gauge.
-    #[cold]
-    pub fn to_prometheus(&self) -> String {
-        let mut counters: Vec<_> = self.counters.clone().into_iter().collect();
-        let mut histograms: Vec<_> = self.histograms.clone().into_iter().collect();
-        for e in &self.audit {
-            let name = |stem: &str| {
-                fmm_obs::sanitize_metric_name(&format!("fmm_audit_{stem}_{}", e.key()))
-            };
-            counters.extend([
-                (name("samples"), e.samples),
-                (name("predicted_nanos"), e.predicted_nanos),
-                (name("measured_nanos"), e.measured_nanos),
-                (name("best_gflops_milli"), e.best_gflops_milli),
-                (name("worst_gflops_milli"), e.worst_gflops_milli),
-            ]);
-            histograms.push((name("error_permille"), e.err_permille.clone()));
-        }
-        let gauges = self.gauges.clone().into_iter().collect();
-        let body = fmm_obs::Snapshot { counters, gauges, histograms }.render_prometheus();
-        format!("# HELP fmm_build_info {}\n{body}", self.build)
-    }
 }
 
 impl Document for StatsSnapshot {
@@ -493,7 +465,7 @@ pub struct WatchdogRoster {
 /// stats snapshot.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Incident {
-    /// `sigterm`, `sigint`, `panic` or `wire-request`.
+    /// `sigterm`, `sigint`, `panic` or `on-demand`.
     pub trigger: String,
     pub build: BuildInfo,
     pub config: ConfigPrint,

@@ -190,26 +190,21 @@ fn daemon_serves_every_subcommand() {
     assert!(!stats.audit.is_empty(), "audit section is empty");
     assert!(stats.audit.iter().any(|row| row.err_permille.count > 0), "no model-error samples");
     assert!(stats.counter("fmm_audit_samples_total").expect("audit total") > 0);
-    assert!(daemon.run("stats", &["--prom"]).contains("fmm_build_info"));
 
     assert!(daemon.run("audit", &[]).starts_with("decision audit:"));
     assert!(daemon.run("top", &["--once"]).starts_with("fmm_serve top"));
     assert!(daemon.run("trace", &["--last", "50"]).contains(" ms  (thread "), "no span timeline");
-    let chrome = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("cli-smoke-trace-{}.json", std::process::id()));
-    daemon.run("trace", &["--last", "200", "--chrome", chrome.to_str().expect("UTF-8 path")]);
-    let events = std::fs::read_to_string(&chrome).expect("chrome trace written");
-    assert!(events.starts_with("[{") && events.contains("\"ph\":\"X\""), "{events}");
-    std::fs::remove_file(&chrome).expect("remove the chrome trace");
 
     daemon.run("shutdown", &[]);
     let summary = daemon.exit();
-    // The exit summary is the snapshot `stats --prom` returns, not just
-    // the serve registry: engine counters, gemm histograms and audit too.
-    for needle in ["fmm_engine_f64_executions", "fmm_gemm_kernel_nanos", "fmm_audit_samples_"] {
-        assert!(summary.contains(needle), "exit summary lacks {needle}:\n{summary}");
-    }
-    assert!(summary.ends_with("fmm_serve: shutdown complete\n"), "{summary}");
+    // The exit summary is the document `stats` prints, not just the serve
+    // registry: engine counters, gemm histograms and audit rows too.
+    let body = summary.strip_suffix("fmm_serve: shutdown complete\n").expect(&summary);
+    let json = &body[body.find("\n{").expect("a JSON exit summary") + 1..];
+    let last = StatsSnapshot::from_json(json).expect("the exit summary decodes as stats");
+    assert!(last.counter("fmm_engine_f64_executions").expect("engine counter") > 0);
+    assert!(last.histogram("fmm_gemm_kernel_nanos").expect("gemm histogram").count > 0);
+    assert!(!last.audit.is_empty(), "exit summary has no audit rows");
 }
 
 /// SIGTERM on a loaded daemon: it dumps, drains, exits 0, and the dump
@@ -230,7 +225,6 @@ fn sigterm_dump_doctors_to_a_clean_exit() {
         dir.to_str().expect("UTF-8 path"),
     ]);
     load::<f64>(&daemon.addr, 4, 16, 64, 4);
-    assert!(daemon.run("stats", &["--prom"]).contains("fmm_build_info"));
     let stats = daemon.stats();
     for field in [&stats.build.version, &stats.build.git_hash, &stats.build.kernel_f64] {
         assert!(!field.is_empty(), "build info incomplete: {:?}", stats.build);

